@@ -173,7 +173,10 @@ let ablation_ambiguity () =
             (fun data ->
               let report =
                 Operator.run ~rng ~instance:Synthetic.instance
-                  ~probe:(Probe_driver.scalar Synthetic.probe) ~policy
+                  ~cascade:
+                    (Cascade.of_driver
+                       (Probe_driver.scalar Synthetic.probe))
+                  ~policy
                   ~requirements:(Exp_config.requirements setting)
                   (Operator.source_of_array data)
               in
@@ -225,7 +228,7 @@ let ablation_index () =
     in
     let report =
       Operator.run ~rng ~instance:(Interval_data.instance pred)
-        ~probe:(Probe_driver.scalar Interval_data.probe)
+        ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
         ~policy:Policy.stingy ~requirements
         (Operator.source_of_cursor cursor)
     in
@@ -258,7 +261,7 @@ let ablation_index () =
   let cands = Interval_index.candidates idx pred in
   let report =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
-      ~probe:(Probe_driver.scalar Interval_data.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
       ~policy:Policy.stingy ~requirements
       (Operator.source_of_array cands)
   in
@@ -351,7 +354,7 @@ let ablation_adaptive () =
   let run_static params data =
     normalized data
       (Operator.run ~rng ~instance:Synthetic.instance
-         ~probe:(Probe_driver.scalar Synthetic.probe)
+         ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
          ~policy:(Policy.qaq params) ~requirements
          (Operator.source_of_array data))
   in
@@ -363,7 +366,7 @@ let ablation_adaptive () =
     in
     normalized data
       (Operator.run ~rng ~instance:Synthetic.instance
-         ~probe:(Probe_driver.scalar Synthetic.probe)
+         ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
          ~policy:(Adaptive.policy adaptive) ~requirements
          (Operator.source_of_array data))
   in
@@ -588,7 +591,9 @@ let ablation_batching () =
       in
       let report =
         Operator.run ~rng:(Rng.create 809) ~instance:Synthetic.instance
-          ~probe:(Probe_source.driver ~batch_size:b source)
+          ~cascade:
+            (Cascade.of_driver
+               (Probe_source.driver ~batch_size:b source))
           ~policy:Policy.stingy ~requirements ~collect:false
           (Operator.source_of_array data)
       in
@@ -1041,12 +1046,15 @@ let columnar_bench path =
       match layout with
       | `Row ->
           Scan_pipeline.run ~rng:(Rng.create 8193) ?pool ~meter
-            ~collect:false ~enforce:false ~instance ~probe ~policy:never_probe
+            ~collect:false ~enforce:false ~instance
+            ~cascade:(Cascade.of_driver probe)
+            ~policy:never_probe
             ~requirements records
       | `Columnar ->
           Column_scan.run ~rng:(Rng.create 8193) ?pool ~meter ~collect:false
             ~enforce:false ~store ~of_row:Interval_data.of_row
-            ~pred:(Predicate.compile pred) ~instance ~probe
+            ~pred:(Predicate.compile pred) ~instance
+            ~cascade:(Cascade.of_driver probe)
             ~policy:never_probe ~requirements ()
     in
     (report, Cost_meter.counts meter)
@@ -1178,7 +1186,9 @@ let micro_tests () =
         (Staged.stage (fun () ->
              ignore
                (Operator.run ~rng ~instance:Synthetic.instance
-                  ~probe:(Probe_driver.scalar Synthetic.probe)
+                  ~cascade:
+                    (Cascade.of_driver
+                       (Probe_driver.scalar Synthetic.probe))
                   ~policy:Policy.stingy ~collect:false
                   ~requirements:
                     (Quality.requirements ~precision:0.9 ~recall:0.5

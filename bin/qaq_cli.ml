@@ -46,12 +46,22 @@ let l_q =
   let doc = "Laxity requirement l_q^max." in
   Arg.(value & opt float 50.0 & info [ "laxity"; "l" ] ~doc)
 
+(* Counts that must be at least 1 are rejected at parse time, so a bad
+   value is a usage error rather than an exception deep in the engine. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let batch =
   let doc =
     "Probe batch size B: probes are dispatched B at a time and priced at \
      the amortized c_p + c_b/B."
   in
-  Arg.(value & opt int 1 & info [ "batch"; "B" ] ~doc)
+  Arg.(value & opt positive_int 1 & info [ "batch"; "B" ] ~doc)
 
 let c_b =
   let doc = "Per-batch probe setup cost c_b (paper model: 0)." in
@@ -64,7 +74,7 @@ let domains =
      domains while every decision stays sequential, so results are \
      identical for any value."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let budget_opt =
   let doc =
@@ -104,6 +114,20 @@ let print_budget_summary result =
         (if b.Engine.budget_limited then " (budget-limited)" else "")
         b.Engine.budget_replans
         (if b.Engine.stopped_early then "; scan stopped early" else "")
+
+(* Dataset files cross the CLI boundary: one that does not parse is a
+   one-line error, never an uncaught exception. *)
+let load read path =
+  let fail reason =
+    Format.eprintf "%s: %s@." path reason;
+    exit 2
+  in
+  match read path with
+  | data -> data
+  | exception Failure reason -> fail reason
+  | exception Csv.Parse_error { offset; reason } ->
+      fail (Printf.sprintf "%s at byte %d" reason offset)
+  | exception Dataset_io.Corrupt_columnar { reason; _ } -> fail reason
 
 let cost_model c_b =
   let paper = Cost_model.paper in
@@ -271,22 +295,18 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
            ~transient_rate:(fault_rate /. 2.0) ~max_retries:2 ())
     else None
   in
+  (* One probe capability either way: the --tiers cascade, or the
+     oracle driver as a one-tier cascade priced at the run's cost model.
+     A tiered run takes its batch sizes from the tier specs. *)
   let cascade =
-    Option.map
-      (fun specs ->
-        let c, _sources =
-          Tiered.of_functions ~obs ?faults ~max_retries:2 ~specs
-            ~narrow:(fun ~power o -> Synthetic.shrink ~power o)
-            ~resolve:Synthetic.probe ()
-        in
-        c)
-      tiers
-  in
-  let probe =
-    match cascade with
-    | Some _ -> None
+    match tiers with
+    | Some specs ->
+        fst
+          (Tiered.of_functions ~obs ?faults ~max_retries:2 ~specs
+             ~narrow:(fun ~power o -> Synthetic.shrink ~power o)
+             ~resolve:Synthetic.probe ())
     | None ->
-        Some
+        Cascade.of_driver ~cost
           (match faults with
           | Some faults ->
               let source =
@@ -296,13 +316,13 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
           | None -> Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
   in
   let result =
-    Engine.execute ~rng ~planning ~cost ~batch ~max_laxity:s.max_laxity
-      ?budget ?deadline ?domains ~obs ?on_task
+    Engine.execute ~rng ~planning ~cost ~max_laxity:s.max_laxity ?budget
+      ?deadline ?domains ~obs ?on_task
       ~profile:
         (Engine.profiling
            ~label:(Exp_runner.policy_name policy)
            ~oracle:Synthetic.in_exact ())
-      ~instance:Synthetic.instance ?probe ?cascade
+      ~instance:Synthetic.instance ~cascade
       ~requirements:(Exp_config.requirements s)
       data
   in
@@ -311,18 +331,17 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
     result.Engine.normalized_cost result.counts.Cost_meter.probes
     result.counts.Cost_meter.batches;
   print_budget_summary result;
-  Option.iter
-    (fun c ->
-      Format.printf "cascade (entered at tier %d):@." (Cascade.start c);
-      Array.iter
-        (fun (st : Cascade.stats) ->
-          Format.printf
-            "  tier %-12s %d probe(s), %d shrink(s), %d failure(s), %d \
-             batch(es), %d failover(s)@."
-            st.Cascade.st_name st.st_probes st.st_shrinks st.st_failures
-            st.st_batches st.st_failovers)
-        (Cascade.stats c))
-    cascade;
+  if tiers <> None then begin
+    Format.printf "cascade (entered at tier %d):@." (Cascade.start cascade);
+    Array.iter
+      (fun (st : Cascade.stats) ->
+        Format.printf
+          "  tier %-12s %d probe(s), %d shrink(s), %d failure(s), %d \
+           batch(es), %d failover(s)@."
+          st.Cascade.st_name st.st_probes st.st_shrinks st.st_failures
+          st.st_batches st.st_failovers)
+      (Cascade.stats cascade)
+  end;
   let profile = Option.get result.Engine.profile in
   Profile.print profile;
   (let d = result.Engine.degradation in
@@ -395,7 +414,7 @@ let trial_run seed total f_y f_m max_laxity p_q r_q l_q policy repetitions
     let data, s =
       match data_file with
       | Some path ->
-          let data = Dataset_io.read_synthetic path in
+          let data = load Dataset_io.read_synthetic path in
           (data, { s with total = Array.length data })
       | None -> (Synthetic.generate rng (Exp_config.workload s), s)
     in
@@ -414,7 +433,7 @@ let trial_run seed total f_y f_m max_laxity p_q r_q l_q policy repetitions
   in
   (match data_file with
   | Some path ->
-      let data = Dataset_io.read_synthetic path in
+      let data = load Dataset_io.read_synthetic path in
       let s = { s with total = Array.length data } in
       Format.printf "dataset: %s (%d objects)  %a@." path (Array.length data)
         Quality.pp_requirements (Exp_config.requirements s);
@@ -530,7 +549,7 @@ let chunk_size =
   Arg.(value & opt int 64 & info [ "chunk-size" ] ~doc)
 
 let convert_run input out chunk_size =
-  let records = Dataset_io.read_records input in
+  let records = load Dataset_io.read_records input in
   let store = Interval_data.to_store ~chunk_size records in
   Dataset_io.save_columnar out store;
   Format.printf "wrote %d records in %d chunks of <= %d rows to %s@."
@@ -654,11 +673,14 @@ let query_run seed data_path ges les betweens layout prune p_q r_q l_q batch
   in
   let result, total =
     if Filename.check_suffix data_path ".qcol" then
-      Dataset_io.with_columnar ?obs data_path (fun store ->
-          let data = Interval_data.of_store store in
-          (run data (columnar_of store), Array.length data))
+      load
+        (fun path ->
+          Dataset_io.with_columnar ?obs path (fun store ->
+              let data = Interval_data.of_store store in
+              (run data (columnar_of store), Array.length data)))
+        data_path
     else
-      let data = Dataset_io.read_records data_path in
+      let data = load Dataset_io.read_records data_path in
       let columnar =
         columnar_of (Interval_data.to_store ~chunk_size:64 data)
       in

@@ -51,7 +51,8 @@ let () =
   let requirements = Quality.requirements ~precision:1.0 ~recall:0.7 ~laxity:0.0 in
   let report =
     Operator.run ~rng ~instance:(Text_query.instance qy)
-      ~probe:(Probe_driver.scalar Text_query.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Text_query.probe))
+      ~policy:Policy.stingy
       ~requirements
       (Operator.source_of_array corpus)
   in

@@ -62,7 +62,7 @@ let () =
   let report =
     Operator.run ~rng ~meter
       ~instance:(Ts_query.instance query)
-      ~probe:(Probe_driver.scalar Ts_query.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Ts_query.probe))
       ~policy:
         (Policy.qaq (Policy.params ~s3:0.85 ~s5:0.85 ~p_py:1.0 ~p_fm:0.0))
       ~requirements

@@ -25,7 +25,8 @@ let () =
     let report =
       Operator.run ~rng
         ~instance:(Moving_object.instance downtown)
-        ~probe:(Probe_driver.scalar Moving_object.probe) ~policy ~requirements
+        ~cascade:(Cascade.of_driver (Probe_driver.scalar Moving_object.probe))
+        ~policy ~requirements
         (Operator.source_of_array fleet)
     in
     let answer_in =

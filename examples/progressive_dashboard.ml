@@ -39,7 +39,7 @@ let () =
       in
       let report, samples =
         Operator.trace ~rng ~every:50 ~instance:Synthetic.instance
-          ~probe:(Probe_driver.scalar Synthetic.probe)
+          ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
           ~policy:(Policy.qaq params)
           ~requirements
           (Operator.source_of_array data)

@@ -44,7 +44,7 @@ let () =
   let report =
     Operator.run ~rng ~meter
       ~instance:(Interval_data.instance predicate)
-      ~probe:(Probe_driver.scalar Interval_data.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
       ~policy:(Policy.qaq solution.params)
       ~requirements
       (Operator.source_of_array records)

@@ -24,7 +24,7 @@ let run_query net ~label ~requirements =
   let report =
     Operator.run ~rng
       ~instance:(Sensor_net.instance predicate)
-      ~probe:(Probe_source.driver source)
+      ~cascade:(Cascade.of_driver (Probe_source.driver source))
       ~policy:Policy.stingy (* guards force exactly the needed probes *)
       ~requirements
       (Operator.source_of_array readings)

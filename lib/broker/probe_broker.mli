@@ -174,8 +174,9 @@ val client :
   'o Probe_driver.t
 (** [client t] is the broker as a per-query probe capability: a driver
     with the broker's batch size whose flushes resolve through the
-    shared broker.  Hand one to {!Engine.execute} (or any
-    {!Operator.run}) and the query runs unchanged — its own
+    shared broker.  Hand one to {!Engine.execute} (or, wrapped by
+    [Cascade.of_driver], to {!Operator.run}) and the query runs
+    unchanged — its own
     probes/batches accounting is what it would have been solo, while
     the backend is only charged for work no other query already paid
     for.

@@ -1,7 +1,7 @@
 (* A tiered probe cascade: one driver per Probe_tier.spec, cheap
    Shrink proxies first, the Resolve oracle last.  The cascade itself
    is passive plumbing — escalation and re-classification live in the
-   operator ([Operator.run ?cascade]) so the Theorem 3.1 counter
+   operator ([Operator.run ~cascade]) so the Theorem 3.1 counter
    discipline stays in one place.  [start] and [failovers] are shared
    across {!premap} views: a pre-classified view escalating an object
    must be visible to anyone holding the unmapped cascade. *)
@@ -40,7 +40,7 @@ let create ?start ~specs drivers =
     failovers = Array.make (Array.length specs) 0;
   }
 
-let of_driver ?(name = "oracle") ~(cost : Cost_model.t) driver =
+let of_driver ?(name = "oracle") ?(cost = Cost_model.paper) driver =
   let specs =
     Probe_tier.oracle_only ~name ~cost
       ~batch:(Probe_driver.batch_size driver)

@@ -1,15 +1,18 @@
 (** A tiered probe cascade: one {!Probe_driver} per {!Probe_tier.spec},
     cheap [Shrink] proxies first, the [Resolve] oracle last.
 
-    The cascade is passive plumbing over the per-tier drivers;
-    escalation, re-classification and the Theorem 3.1 counter updates
-    live in [Operator.run ?cascade].  A [Shrunk] outcome at tier [i]
-    narrows the object's imprecision interval — a narrower interval is
-    still a valid imprecise model, so re-classifying the shrunk object
-    may turn MAYBE into a definite verdict and save the oracle probe
-    entirely; residuals escalate to tier [i+1].  A tier that fails
-    permanently fails over to the next tier ({!note_failover}); only an
-    oracle failure degrades the answer. *)
+    The cascade is the operator's only probe capability: a plain driver
+    is the one-tier cascade {!of_driver}, so every probe takes the same
+    path through [Operator.run ~cascade].  The cascade is passive
+    plumbing over the per-tier drivers; escalation, re-classification
+    and the Theorem 3.1 counter updates live in the operator.  A
+    [Shrunk] outcome at tier [i] narrows the object's imprecision
+    interval — a narrower interval is still a valid imprecise model, so
+    re-classifying the shrunk object may turn MAYBE into a definite
+    verdict and save the oracle probe entirely; residuals escalate to
+    tier [i+1].  A tier that fails permanently fails over to the next
+    tier ({!note_failover}); only an oracle failure degrades the
+    answer. *)
 
 type 'o t
 
@@ -22,11 +25,13 @@ val create :
     ({!Probe_tier.validate}), the arrays differ in length, or a
     driver's batch size disagrees with its spec. *)
 
-val of_driver : ?name:string -> cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
-(** Single-tier cascade around today's oracle driver, priced at the
-    cost model's [(c_p, c_b)] and the driver's batch size — the
-    degenerate cascade the golden tests pin against the direct
-    driver. *)
+val of_driver : ?name:string -> ?cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
+(** [of_driver d] is the oracle-only cascade: one [Resolve] tier named
+    [name] (default ["oracle"]) around [d], priced at [cost]'s
+    [(c_p, c_b)] (default {!Cost_model.paper}) and [d]'s batch size.
+    The price only feeds start-tier selection and tiered metering
+    ({!Cost_meter.tiered_cost}); [Engine] passes the run's own cost
+    model, so a wrapped driver costs exactly what the cost model says. *)
 
 val tiers : 'o t -> int
 val specs : 'o t -> Probe_tier.spec array

@@ -128,18 +128,11 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
   { Operator.next; total }
 
 let run ~rng ?pool ?wave ?meter ?obs ?emit ?collect ?enforce ?should_stop
-    ?prune ?cascade ~store ~of_row ~pred ~instance ~probe ~policy
-    ~requirements () =
+    ?prune ~store ~of_row ~pred ~instance ~cascade ~policy ~requirements () =
   let src = source ?obs ?wave ?pool ?prune ~store ~of_row ~pred () in
-  let probe' =
-    Probe_driver.premap ~into:Scan_pipeline.original
-      ~back:(Scan_pipeline.classify_one instance)
-      probe
-  in
   let cascade' =
-    Option.map
-      (Cascade.premap ~into:Scan_pipeline.original
-         ~back:(Scan_pipeline.classify_one instance))
+    Cascade.premap ~into:Scan_pipeline.original
+      ~back:(Scan_pipeline.classify_one instance)
       cascade
   in
   let emit' =
@@ -150,5 +143,5 @@ let run ~rng ?pool ?wave ?meter ?obs ?emit ?collect ?enforce ?should_stop
   in
   Scan_pipeline.strip_report
     (Operator.run ~rng ?meter ?obs ?emit:emit' ?collect ?enforce ?should_stop
-       ?cascade:cascade' ~instance:Scan_pipeline.item_instance ~probe:probe'
-       ~policy ~requirements src)
+       ~instance:Scan_pipeline.item_instance ~cascade:cascade' ~policy
+       ~requirements src)

@@ -19,7 +19,7 @@
     {- the decision loop itself is the untouched {!Operator.run},
        consuming through {!Scan_pipeline.item_instance} exactly as the
        row pipeline does, with probes through the same
-       {!Probe_driver.premap}.}}
+       {!Cascade.premap}.}}
     So verdicts, guarantees, metered costs and the rng stream are
     bit-for-bit the row path's — the property the golden equivalence
     suite checks for every pool width.
@@ -78,12 +78,11 @@ val run :
   ?enforce:bool ->
   ?should_stop:(pending:int -> bool) ->
   ?prune:bool ->
-  ?cascade:'o Cascade.t ->
   store:Column_store.t ->
   of_row:(Column_store.row -> 'o) ->
   pred:Predicate.compiled ->
   instance:'o Operator.instance ->
-  probe:'o Probe_driver.t ->
+  cascade:'o Cascade.t ->
   policy:Policy.t ->
   requirements:Quality.requirements ->
   unit ->

@@ -71,10 +71,9 @@ let trace_action = function
   | Decision.Ignore -> `Ignore
 
 let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
-    ?(should_stop = fun ~pending:_ -> false) ?on_progress
-    ?(cascade : _ Cascade.t option) ~instance
-    ~(probe : _ Probe_driver.t) ~policy
-    ~(requirements : Quality.requirements) source =
+    ?(should_stop = fun ~pending:_ -> false) ?on_progress ~instance
+    ~(cascade : _ Cascade.t) ~policy ~(requirements : Quality.requirements)
+    source =
   let meter = match meter with Some m -> m | None -> Cost_meter.create () in
   (* A shared meter may carry charges from earlier runs; the report's
      counts cover this run only. *)
@@ -243,157 +242,122 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     | Decision.Probe, _ -> assert false);
     note_progress ()
   in
-  (* Probe machinery, abstracted over the two backends: the single
-     oracle driver (today's path, untouched) or a tiered cascade where
-     a submission enters at the cheapest viable tier, [Shrunk] outcomes
-     are re-classified (a narrower interval may be definite, saving the
-     oracle probe) and residuals escalate tier by tier. *)
-  let pending_probes, submit_probe, flush_probes =
-    match cascade with
+  (* Probe machinery.  A submission enters the cascade at its starting
+     tier; [Resolved] completes the object, [Shrunk] outcomes are
+     re-classified (a narrower interval may be definite, saving the
+     oracle probe) and residuals escalate tier by tier.  A plain driver
+     is the one-tier cascade, where this is exactly the paper's probe. *)
+  let specs = Cascade.specs cascade in
+  let drivers = Cascade.drivers cascade in
+  let n = Array.length drivers in
+  let note_tier_probe, note_tier_batch, note_tier_shrink,
+      note_tier_failover =
+    match obs with
     | None ->
-        let batches_seen = ref (Probe_driver.batches probe) in
-        let sync_batches () =
-          (* The driver flushes autonomously at batch boundaries; meter
-             its batch dispatches by delta so a shared driver stays
-             accountable. *)
-          let b = Probe_driver.batches probe in
-          for _ = 1 to b - !batches_seen do
-            Cost_meter.charge_batch meter;
-            note_batch ()
-          done;
-          batches_seen := b
+        let nop (_ : int) = () in
+        (nop, nop, nop, nop)
+    | Some o ->
+        let mk key =
+          Array.map
+            (fun (s : Probe_tier.spec) ->
+              Obs.counter o (key s.Probe_tier.name))
+            specs
         in
-        let submit_probe ~verdict ~laxity ~preference o complete =
-          Probe_driver.submit_outcome probe o (function
-            | Probe_driver.Resolved precise ->
-                Cost_meter.charge_probe meter;
-                note_probe ();
-                if tracing then trace_event Trace.Probe_resolved;
-                complete precise;
-                note_progress ()
-            | Probe_driver.Shrunk _ ->
-                invalid_arg "Operator.run: Shrunk outcome without a cascade"
-            | Probe_driver.Failed { attempts } ->
-                degrade o ~verdict ~laxity ~attempts preference);
-          sync_batches ()
-        in
-        let flush_probes () =
-          Probe_driver.flush probe;
-          sync_batches ()
-        in
-        ((fun () -> Probe_driver.pending probe), submit_probe, flush_probes)
-    | Some c ->
-        let specs = Cascade.specs c in
-        let drivers = Cascade.drivers c in
-        let n = Array.length drivers in
-        let note_tier_probe, note_tier_batch, note_tier_shrink,
-            note_tier_failover =
-          match obs with
-          | None ->
-              let nop (_ : int) = () in
-              (nop, nop, nop, nop)
-          | Some o ->
-              let mk key =
-                Array.map
-                  (fun (s : Probe_tier.spec) ->
-                    Obs.counter o (key s.Probe_tier.name))
-                  specs
-              in
-              let p = mk Obs.Keys.tier_probes
-              and b = mk Obs.Keys.tier_batches
-              and s = mk Obs.Keys.tier_shrinks
-              and f = mk Obs.Keys.tier_failovers in
-              ( (fun i -> Metrics.incr p.(i)),
-                (fun i -> Metrics.incr b.(i)),
-                (fun i -> Metrics.incr s.(i)),
-                (fun i -> Metrics.incr f.(i)) )
-        in
-        let batches_seen = Array.map Probe_driver.batches drivers in
-        let sync_batches () =
-          Array.iteri
-            (fun i d ->
-              let b = Probe_driver.batches d in
-              for _ = 1 to b - batches_seen.(i) do
-                Cost_meter.charge_batch_tier meter i;
-                note_batch ();
-                note_tier_batch i
-              done;
-              batches_seen.(i) <- b)
-            drivers
-        in
-        let charge_probe_at i =
-          Cost_meter.charge_probe_tier meter i;
-          note_probe ();
-          note_tier_probe i
-        in
-        (* A shrunk object that became definite YES forwards imprecise
-           when its residual laxity is admissible — exactly rule (a),
-           i.e. [Decision.can_forward ~verdict:Yes].  The policy is not
-           re-consulted (no rng draw), so plans and adaptive windows
-           see the same decision stream as an oracle-only run. *)
-        let forwardable ~laxity = laxity <= requirements.Quality.laxity in
-        let rec submit_tier i ~verdict ~laxity ~preference o complete =
-          Probe_driver.submit_outcome drivers.(i) o (function
-            | Probe_driver.Resolved precise ->
-                charge_probe_at i;
-                if tracing then trace_event Trace.Probe_resolved;
-                complete precise;
-                note_progress ()
-            | Probe_driver.Shrunk narrowed ->
-                charge_probe_at i;
-                note_tier_shrink i;
-                (* The final tier is Resolve by construction; a Shrunk
-                   outcome there is a broken backend. *)
-                if i >= n - 1 then raise Inconsistent_probe;
-                let laxity' = instance.laxity narrowed in
-                (* Shrinking must narrow: more laxity than before means
-                   the proxy widened the imprecision model. *)
-                if laxity' > laxity +. 1e-9 then raise Inconsistent_probe;
-                let verdict' = instance.classify narrowed in
-                (match (verdict, verdict') with
-                | Tvl.Yes, (Tvl.No | Tvl.Maybe) ->
-                    (* a narrower interval of a YES object stays inside
-                       the query region *)
-                    raise Inconsistent_probe
-                | _ -> ());
-                (match verdict' with
-                | Tvl.No ->
-                    (* Definite NO: the proxy answered the query; like
-                       a probed MAYBE that resolved NO, the object is
-                       consumed and never reaches the oracle. *)
-                    Counters.probe_maybe_no counters;
-                    note_progress ()
-                | Tvl.Yes when forwardable ~laxity:laxity' ->
-                    Counters.forward_yes counters ~laxity:laxity';
-                    forward_imprecise narrowed;
-                    note_progress ()
-                | Tvl.Yes | Tvl.Maybe ->
-                    submit_tier (i + 1) ~verdict:verdict' ~laxity:laxity'
-                      ~preference narrowed complete)
-            | Probe_driver.Failed { attempts } ->
-                if i < n - 1 then begin
-                  (* Cheap tier down: escalate straight to the next
-                     tier — the answer only degrades when the oracle
-                     itself fails. *)
-                  Cascade.note_failover c i;
-                  note_tier_failover i;
-                  submit_tier (i + 1) ~verdict ~laxity ~preference o complete
-                end
-                else degrade o ~verdict ~laxity ~attempts preference)
-        in
-        let submit_probe ~verdict ~laxity ~preference o complete =
-          submit_tier (Cascade.start c) ~verdict ~laxity ~preference o
-            complete;
-          sync_batches ()
-        in
-        let flush_probes () =
-          (* Escalation strictly increases the tier index, so one pass
-             in order drains everything a callback re-submits. *)
-          Array.iter Probe_driver.flush drivers;
-          sync_batches ()
-        in
-        ((fun () -> Cascade.pending c), submit_probe, flush_probes)
+        let p = mk Obs.Keys.tier_probes
+        and b = mk Obs.Keys.tier_batches
+        and s = mk Obs.Keys.tier_shrinks
+        and f = mk Obs.Keys.tier_failovers in
+        ( (fun i -> Metrics.incr p.(i)),
+          (fun i -> Metrics.incr b.(i)),
+          (fun i -> Metrics.incr s.(i)),
+          (fun i -> Metrics.incr f.(i)) )
   in
+  let batches_seen = Array.map Probe_driver.batches drivers in
+  let sync_batches () =
+    (* Drivers flush autonomously at batch boundaries; meter their
+       dispatches by delta so a shared driver stays accountable. *)
+    for i = 0 to n - 1 do
+      let b = Probe_driver.batches drivers.(i) in
+      for _ = 1 to b - batches_seen.(i) do
+        Cost_meter.charge_batch_tier meter i;
+        note_batch ();
+        note_tier_batch i
+      done;
+      batches_seen.(i) <- b
+    done
+  in
+  let charge_probe_at i =
+    Cost_meter.charge_probe_tier meter i;
+    note_probe ();
+    note_tier_probe i
+  in
+  (* A shrunk object that became definite YES forwards imprecise
+     when its residual laxity is admissible — exactly rule (a),
+     i.e. [Decision.can_forward ~verdict:Yes].  The policy is not
+     re-consulted (no rng draw), so plans and adaptive windows
+     see the same decision stream as an oracle-only run. *)
+  let forwardable ~laxity = laxity <= requirements.Quality.laxity in
+  let rec submit_tier i ~verdict ~laxity ~preference o complete =
+    Probe_driver.submit_outcome drivers.(i) o (function
+      | Probe_driver.Resolved precise ->
+          charge_probe_at i;
+          if tracing then trace_event Trace.Probe_resolved;
+          complete precise;
+          note_progress ()
+      | Probe_driver.Shrunk narrowed ->
+          charge_probe_at i;
+          note_tier_shrink i;
+          (* The final tier is Resolve by construction; a Shrunk
+             outcome there is a broken backend. *)
+          if i >= n - 1 then raise Inconsistent_probe;
+          let laxity' = instance.laxity narrowed in
+          (* Shrinking must narrow: more laxity than before means
+             the proxy widened the imprecision model. *)
+          if laxity' > laxity +. 1e-9 then raise Inconsistent_probe;
+          let verdict' = instance.classify narrowed in
+          (match (verdict, verdict') with
+          | Tvl.Yes, (Tvl.No | Tvl.Maybe) ->
+              (* a narrower interval of a YES object stays inside
+                 the query region *)
+              raise Inconsistent_probe
+          | _ -> ());
+          (match verdict' with
+          | Tvl.No ->
+              (* Definite NO: the proxy answered the query; like
+                 a probed MAYBE that resolved NO, the object is
+                 consumed and never reaches the oracle. *)
+              Counters.probe_maybe_no counters;
+              note_progress ()
+          | Tvl.Yes when forwardable ~laxity:laxity' ->
+              Counters.forward_yes counters ~laxity:laxity';
+              forward_imprecise narrowed;
+              note_progress ()
+          | Tvl.Yes | Tvl.Maybe ->
+              submit_tier (i + 1) ~verdict:verdict' ~laxity:laxity'
+                ~preference narrowed complete)
+      | Probe_driver.Failed { attempts } ->
+          if i < n - 1 then begin
+            (* Cheap tier down: escalate straight to the next
+               tier — the answer only degrades when the oracle
+               itself fails. *)
+            Cascade.note_failover cascade i;
+            note_tier_failover i;
+            submit_tier (i + 1) ~verdict ~laxity ~preference o complete
+          end
+          else degrade o ~verdict ~laxity ~attempts preference)
+  in
+  let submit_probe ~verdict ~laxity ~preference o complete =
+    submit_tier (Cascade.start cascade) ~verdict ~laxity ~preference o
+      complete;
+    sync_batches ()
+  in
+  let flush_probes () =
+    (* Escalation strictly increases the tier index, so one pass
+       in order drains everything a callback re-submits. *)
+    Array.iter Probe_driver.flush drivers;
+    sync_batches ()
+  in
+  let pending_probes () = Cascade.pending cascade in
   let finished () =
     Counters.recall_guarantee counters >= requirements.Quality.recall
   in
@@ -575,13 +539,13 @@ let normalized_cost model ~total report =
   if total <= 0 then invalid_arg "Operator.normalized_cost: total <= 0";
   cost model report /. float_of_int total
 
-let trace ~rng ?(every = 1) ~instance ~probe ~policy ~requirements source =
+let trace ~rng ?(every = 1) ~instance ~cascade ~policy ~requirements source =
   if every < 1 then invalid_arg "Operator.trace: every < 1";
   let samples = ref [] in
   let on_progress ~reads guarantees =
     if reads mod every = 0 then samples := (reads, guarantees) :: !samples
   in
   let report =
-    run ~rng ~on_progress ~instance ~probe ~policy ~requirements source
+    run ~rng ~on_progress ~instance ~cascade ~policy ~requirements source
   in
   (report, List.rev !samples)

@@ -6,9 +6,9 @@
     filtered through Theorem 3.1 ({!Decision}) — whether to forward,
     probe, or ignore it.  Forwarded objects are piped to the output
     immediately and never revisited; probe decisions are submitted to a
-    {!Probe_driver} and their results are handled when the driver's
+    probe {!Cascade} and their results are handled when the tier's
     batch resolves.  The operator's own state is the six counters of
-    {!Counters} plus the driver's bounded queue (constant memory).
+    {!Counters} plus the drivers' bounded queues (constant memory).
     Evaluation stops as soon as the recall guarantee reaches [r_q]; the
     precision and laxity requirements hold invariantly at every batch
     flush point, so the final answer always satisfies all three bounds,
@@ -96,9 +96,8 @@ val run :
   ?enforce:bool ->
   ?should_stop:(pending:int -> bool) ->
   ?on_progress:(reads:int -> Quality.guarantees -> unit) ->
-  ?cascade:'o Cascade.t ->
   instance:'o instance ->
-  probe:'o Probe_driver.t ->
+  cascade:'o Cascade.t ->
   policy:Policy.t ->
   requirements:Quality.requirements ->
   'o source ->
@@ -106,7 +105,7 @@ val run :
 (** Evaluate the query.
 
     [should_stop] (default: never) is consulted before every read with
-    the number of probes still pending on the driver; returning [true]
+    the number of probes still pending on the cascade; returning [true]
     ends the scan immediately with whatever answer has accumulated (the
     anytime stop — used by the engine's cost budget and deadline).
     Pending probes are still resolved by the final flush, so the
@@ -137,24 +136,24 @@ val run :
     streaming interface.  [collect] (default [true]) additionally
     accumulates the answer in the report.
 
-    [probe] is the probe capability ({!Probe_driver}).  With
-    [Probe_driver.scalar f] the operator is the paper's scalar Fig. 1
-    loop, bit for bit.  With a larger batch size, PROBE-decided objects
-    queue on the driver and resolve together; the operator flushes the
-    queue at batch boundaries (the driver's own behaviour), on input
-    exhaustion and early termination, and eagerly whenever the pending
-    results could push the recall guarantee over [r_q] — so batching
-    never defers the stopping test.  Deferral is conservative for the
-    Theorem 3.1 guards (see the soundness note in the implementation),
-    so the returned guarantees satisfy the requirements for every batch
-    size.  The driver must not carry pending submissions from another
-    run; its lifetime statistics may (batch charges are metered by
-    delta).
+    [cascade] is the probe capability ({!Cascade}) and the operator's
+    only probe path; wrap a plain driver with {!Cascade.of_driver}.
+    With [Cascade.of_driver (Probe_driver.scalar f)] the operator is
+    the paper's scalar Fig. 1 loop, bit for bit.  With a larger batch
+    size, PROBE-decided objects queue on the driver and resolve
+    together; the operator flushes the queue at batch boundaries (the
+    driver's own behaviour), on input exhaustion and early termination,
+    and eagerly whenever the pending results could push the recall
+    guarantee over [r_q] — so batching never defers the stopping test.
+    Deferral is conservative for the Theorem 3.1 guards (see the
+    soundness note in the implementation), so the returned guarantees
+    satisfy the requirements for every batch size.  The drivers must
+    not carry pending submissions from another run; their lifetime
+    statistics may (batch charges are metered by delta).
 
-    [cascade] replaces the single driver with a tiered probe cascade
-    ({!Cascade}): a PROBE decision enters at the cascade's starting
-    tier, a [Resolved] outcome completes exactly as with [probe], and a
-    [Shrunk] outcome is re-classified — a narrower interval is still a
+    A PROBE decision enters at the cascade's starting tier.  A
+    [Resolved] outcome completes the object; a [Shrunk] outcome (from
+    a proxy tier) is re-classified — a narrower interval is still a
     valid imprecision model, so the verdict may become definite.  A
     definite NO is consumed like a probed MAYBE that resolved NO; a
     definite YES whose residual laxity fits [l_q^max] forwards
@@ -166,9 +165,7 @@ val run :
     failure degrades.  Probes and batches are metered per tier
     ({!Cost_meter.charge_probe_tier}) and mirrored to the
     [qaq.probe.tier.<name>.*] counters, summing to the aggregate
-    [qaq.probes]/[qaq.batches] so reconciliation still holds.  When
-    [cascade] is given, [probe] is ignored.  A single-tier [Resolve]
-    cascade is bit-for-bit identical to passing its driver as [probe].
+    [qaq.probes]/[qaq.batches] so reconciliation still holds.
 
     [on_progress] is invoked after every {e settled} object — read and
     forwarded/ignored, or probe-resolved — with the number of objects
@@ -194,7 +191,7 @@ val trace :
   rng:Rng.t ->
   ?every:int ->
   instance:'o instance ->
-  probe:'o Probe_driver.t ->
+  cascade:'o Cascade.t ->
   policy:Policy.t ->
   requirements:Quality.requirements ->
   'o source ->

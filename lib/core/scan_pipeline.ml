@@ -80,17 +80,12 @@ let strip_report (r : 'o item Operator.report) : 'o Operator.report =
   }
 
 let run ~rng ?pool ?block ?meter ?obs ?emit ?collect ?enforce ?should_stop
-    ?cascade ~instance ~probe ~policy ~requirements data =
+    ~instance ~cascade ~policy ~requirements data =
   match pool with
   | Some pool when Domain_pool.domains pool > 1 ->
       let src = source ?obs ?block ~pool ~instance data in
-      let probe' =
-        Probe_driver.premap ~into:original ~back:(classify_one instance) probe
-      in
       let cascade' =
-        Option.map
-          (Cascade.premap ~into:original ~back:(classify_one instance))
-          cascade
+        Cascade.premap ~into:original ~back:(classify_one instance) cascade
       in
       let emit' =
         Option.map
@@ -100,9 +95,9 @@ let run ~rng ?pool ?block ?meter ?obs ?emit ?collect ?enforce ?should_stop
       in
       strip_report
         (Operator.run ~rng ?meter ?obs ?emit:emit' ?collect ?enforce
-           ?should_stop ?cascade:cascade' ~instance:item_instance
-           ~probe:probe' ~policy ~requirements src)
+           ?should_stop ~instance:item_instance ~cascade:cascade' ~policy
+           ~requirements src)
   | Some _ | None ->
       Operator.run ~rng ?meter ?obs ?emit ?collect ?enforce ?should_stop
-        ?cascade ~instance ~probe ~policy ~requirements
+        ~instance ~cascade ~policy ~requirements
         (Operator.source_of_array data)

@@ -64,21 +64,20 @@ val run :
   ?collect:bool ->
   ?enforce:bool ->
   ?should_stop:(pending:int -> bool) ->
-  ?cascade:'o Cascade.t ->
   instance:'o Operator.instance ->
-  probe:'o Probe_driver.t ->
+  cascade:'o Cascade.t ->
   policy:Policy.t ->
   requirements:Quality.requirements ->
   'o array ->
   'o Operator.report
 (** {!Operator.run} over an array, classifying on [pool] when it has
     more than one lane and degrading to the plain sequential operator
-    otherwise (or when [pool] is omitted).  Probes go through
-    {!Probe_driver.premap} on the given driver (every tier's, under
-    [cascade] — see [Operator.run]'s [?cascade]), so its batching,
-    statistics and instruments behave exactly as under direct use.  The
-    report (answers included) is expressed over ['o], not {!item};
-    results are bit-for-bit the sequential run's. *)
+    otherwise (or when [pool] is omitted).  Probes go through the
+    {!Cascade.premap} view of [cascade] (a {!Probe_driver.premap} of
+    every tier's driver), so batching, statistics and instruments
+    behave exactly as under direct use.  The report (answers included)
+    is expressed over ['o], not {!item}; results are bit-for-bit the
+    sequential run's. *)
 
 val strip_report : 'o item Operator.report -> 'o Operator.report
 (** Re-express a report over the original objects. *)

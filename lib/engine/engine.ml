@@ -54,21 +54,15 @@ let degraded result = result.degradation.failed_probes > 0
 
 (* Wasted cost prices the attempts burned on probes that never
    completed — work the backend did that the meter (by design) never
-   charged, since no probe was delivered.  Each attempt is priced at the
-   amortized c_p + c_b/B the solver and meter price completed probes at,
-   so degradation reports reconcile with plan pricing.  Under a cascade
-   only the final (oracle) tier can fail permanently — cheaper tiers
-   fail over instead of degrading — so attempts are priced at the final
-   tier's amortized rate. *)
-let degradation_of_report ~(cost : Cost_model.t) ~batch ?tiers
+   charged, since no probe was delivered.  Only the final (oracle) tier
+   can fail permanently — cheaper tiers fail over instead of degrading —
+   so each attempt is priced at the oracle tier's amortized
+   c_p + c_b/B, the rate the solver and meter price completed probes
+   at, and degradation reports reconcile with plan pricing. *)
+let degradation_of_report ~(tiers : Probe_tier.spec array)
     ~(requirements : Quality.requirements) (report : _ Operator.report) =
   let d = report.Operator.degraded in
-  let attempt_price =
-    match tiers with
-    | Some (specs : Probe_tier.spec array) when Array.length specs > 0 ->
-        Probe_tier.amortized specs.(Array.length specs - 1)
-    | Some _ | None -> (Cost_model.amortize ~batch cost).Cost_model.c_p
-  in
+  let attempt_price = Probe_tier.amortized tiers.(Array.length tiers - 1) in
   {
     failed_probes = d.Operator.failed_probes;
     failed_attempts = d.Operator.failed_attempts;
@@ -120,7 +114,7 @@ let observed_max_laxity ?pool instance data =
   in
   Array.fold_left Float.max 0.0 laxities
 
-let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ?tiers ~cap ~budget
+let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
     ~instance ~requirements ~fraction ~density ~fallback data =
   let total = Stdlib.max 1 (Array.length data) in
   let sample = Selectivity.bernoulli_sample rng ~fraction data in
@@ -152,7 +146,7 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ?tiers ~cap ~budget
   in
   let spec = Region_model.spec ~f_y ~f_m ~max_laxity:cap ~density in
   let problem =
-    Solver.problem ~total ~spec ~requirements ~cost ~batch ?tiers ()
+    Solver.problem ~total ~spec ~requirements ~cost ~batch ~tiers ()
   in
   match budget with
   | None ->
@@ -179,9 +173,9 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ?tiers ~cap ~budget
         sample_size = n;
       }
 
-let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
-    ?budget ?deadline ?obs ?emit ?collect ?profile ?columnar ?cascade
-    ~instance ~(probe : _ Probe_driver.t) ~requirements data =
+let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
+    ?deadline ?obs ?emit ?collect ?profile ?columnar ~instance
+    ~(cascade : _ Cascade.t) ~requirements data =
   (match budget with
   | Some b when Float.is_nan b || b < 0.0 ->
       invalid_arg "Engine.execute: budget must be non-negative"
@@ -209,29 +203,19 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
   | Some c when Column_store.length c.store <> Array.length data ->
       invalid_arg "Engine.execute: columnar store length differs from data"
   | _ -> ());
-  (* The planner prices probes for the batch size the evaluation will
-     actually use — the driver's, unless the caller overrides it (e.g. a
-     shared driver whose configured batch size a sweep wants to model
-     differently). *)
-  let batch =
-    match batch with Some b -> b | None -> Probe_driver.batch_size probe
-  in
-  if batch < 1 then invalid_arg "Engine.execute: batch < 1";
-  (* Under a cascade the planner prices probes at the cascade's strategy
-     price instead of the amortized oracle price, and the run's spend is
-     read off the meter per tier. *)
-  let tiers = Option.map Cascade.specs cascade in
+  (* The planner prices probes at the cascade's strategy price — for the
+     oracle-only cascade, exactly the amortized c_p + c_b/B at the
+     oracle's batch size — and the run's spend is read off the meter per
+     tier. *)
+  let tiers = Cascade.specs cascade in
+  let batch = Probe_driver.batch_size (Cascade.oracle cascade) in
   (* The sampling stream splits off unconditionally, whether or not this
      planning mode samples: the operator's policy stream must be
      identical across modes, so that a Sampled run and a Fixed run with
      the same parameters differ in cost by exactly the sample's reads. *)
   let sample_rng = Rng.split rng in
   let meter = Cost_meter.create () in
-  let spent_total () =
-    match tiers with
-    | Some specs -> Cost_meter.tiered_cost cost ~tiers:specs meter
-    | None -> Cost_meter.total_cost cost meter
-  in
+  let spent_total () = Cost_meter.tiered_cost cost ~tiers meter in
   (* The profile diffs the metric registry across the run, so a shared
      [?obs] carrying earlier runs' totals still profiles this run alone. *)
   let snap0 =
@@ -261,7 +245,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
           invalid_arg "Engine.execute: invalid fallback fractions";
         Some
           (span "plan" (fun () ->
-               make_plan ~rng:sample_rng ~meter ?obs ?pool ~cost ~batch ?tiers
+               make_plan ~rng:sample_rng ~meter ?obs ?pool ~cost ~batch ~tiers
                  ~cap:(Lazy.force laxity_cap)
                  ~budget:(if budgeted then Some allotted else None)
                  ~instance ~requirements ~fraction ~density ~fallback data))
@@ -282,7 +266,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
         (Adaptive.create ~rng:(Rng.split rng)
            ~total:(Stdlib.max 1 (Array.length data))
            ~max_laxity:(Lazy.force laxity_cap) ~requirements ~cost ~batch
-           ?tiers
+           ~tiers
            ?budget:
              (if budgeted then
                 Some { Adaptive.allotted; spent = (fun () -> spent_total ()) }
@@ -311,18 +295,14 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
     let budget_stop =
       if budgeted then begin
         let c = cost in
-        (* Worst-case probe path: under a cascade an object may escalate
-           through every tier, paying each tier's probe and one batch
-           dispatch per tier; without one it pays c_p + c_b.  With no
-           cascade this reduces exactly to the pre-cascade bound. *)
+        (* Worst-case probe path: an object may escalate through every
+           tier, paying each tier's probe and one batch dispatch per
+           tier — for the oracle-only cascade, exactly c_p + c_b. *)
         let probe_worst, batch_worst =
-          match tiers with
-          | None -> (c.Cost_model.c_p, c.Cost_model.c_b)
-          | Some specs ->
-              Array.fold_left
-                (fun (p, b) (s : Probe_tier.spec) ->
-                  (p +. s.Probe_tier.c_p, b +. s.Probe_tier.c_b))
-                (0.0, 0.0) specs
+          Array.fold_left
+            (fun (p, b) (s : Probe_tier.spec) ->
+              (p +. s.Probe_tier.c_p, b +. s.Probe_tier.c_b))
+            (0.0, 0.0) tiers
         in
         let next_read_worst =
           c.Cost_model.c_r
@@ -357,12 +337,11 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
         match columnar with
         | None ->
             Scan_pipeline.run ~rng ?pool ~meter ?obs ?emit ?collect
-              ?should_stop ?cascade ~instance ~probe ~policy ~requirements
-              data
+              ?should_stop ~instance ~cascade ~policy ~requirements data
         | Some c ->
             Column_scan.run ~rng ?pool ~meter ?obs ?emit ?collect ?should_stop
-              ~prune:c.prune ?cascade ~store:c.store ~of_row:c.of_row
-              ~pred:(Predicate.compile c.pred) ~instance ~probe ~policy
+              ~prune:c.prune ~store:c.store ~of_row:c.of_row
+              ~pred:(Predicate.compile c.pred) ~instance ~cascade ~policy
               ~requirements ())
   in
   let budget_summary =
@@ -408,13 +387,8 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
         let snap = Metrics.diff ~later:(Obs.snapshot o) ~earlier:snap0 in
         let reconcile_error =
           match
-            match tiers with
-            | Some specs ->
-                Cost_meter.reconcile_tiers snap
-                  ~names:
-                    (Array.map (fun s -> s.Probe_tier.name) specs)
-                  meter
-            | None -> Cost_meter.reconcile snap counts
+            Cost_meter.reconcile_tiers snap ~names:(Cascade.names cascade)
+              meter
           with
           | Ok () -> None
           | Error msg -> Some msg
@@ -468,9 +442,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
                   budget_summary)
              ?ground_truth ?reconcile_error ())
   in
-  let degradation =
-    degradation_of_report ~cost ~batch ?tiers ~requirements report
-  in
+  let degradation = degradation_of_report ~tiers ~requirements report in
   (* The audit shortfall surfaces on the trace so the server's flight
      recorder can treat "finished but below the requested quality" as
      an anomaly; deterministic per run, so domain-count determinism
@@ -500,22 +472,34 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
     elapsed_seconds = run_clock () -. run_start;
   }
 
+(* The one probe capability: a cascade, with a plain driver wrapped as
+   the oracle-only cascade priced at the run's cost model.  [batch] may
+   only restate the oracle's batch size — the planner prices probes at
+   the cascade's own batch sizes. *)
+let cascade_of ~where ~cost ?batch ?probe ?cascade () =
+  let cascade =
+    match (probe, cascade) with
+    | Some p, None -> Cascade.of_driver ~cost p
+    | None, Some c -> c
+    | Some _, Some _ ->
+        invalid_arg (where ^ ": pass either ~probe or ~cascade, not both")
+    | None, None -> invalid_arg (where ^ ": a probe capability is required")
+  in
+  (match batch with
+  | Some b when b <> Probe_driver.batch_size (Cascade.oracle cascade) ->
+      invalid_arg
+        (Printf.sprintf "%s: batch %d differs from the oracle's batch size %d"
+           where b
+           (Probe_driver.batch_size (Cascade.oracle cascade)))
+  | _ -> ());
+  cascade
+
 let execute ~rng ?(planning = default_planning) ?(adaptive = false)
     ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?domains
     ?obs ?emit ?collect ?profile ?on_task ?columnar ~instance ?probe ?cascade
     ~requirements data =
-  (* Exactly one probe capability: a direct oracle driver, or a tiered
-     cascade.  With a cascade the oracle driver only supplies defaults
-     (the planner's batch size); all submissions go through the
-     cascade. *)
-  let probe =
-    match (probe, cascade) with
-    | Some p, None -> p
-    | None, Some c -> Cascade.oracle c
-    | Some _, Some _ ->
-        invalid_arg "Engine.execute: pass either ~probe or ~cascade, not both"
-    | None, None ->
-        invalid_arg "Engine.execute: a probe capability is required"
+  let cascade =
+    cascade_of ~where:"Engine.execute" ~cost ?batch ?probe ?cascade ()
   in
   (* Profiling diffs a metrics registry; conjure a private one when the
      caller wants a profile but passed no [?obs]. *)
@@ -523,9 +507,9 @@ let execute ~rng ?(planning = default_planning) ?(adaptive = false)
     match (obs, profile) with None, Some _ -> Some (Obs.create ()) | o, _ -> o
   in
   let run ?pool () =
-    execute_with ?pool ~rng ~planning ~adaptive ~cost ?batch ?max_laxity
-      ?budget ?deadline ?obs ?emit ?collect ?profile ?columnar ?cascade
-      ~instance ~probe ~requirements data
+    execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
+      ?deadline ?obs ?emit ?collect ?profile ?columnar ~instance ~cascade
+      ~requirements data
   in
   match Domain_pool.resolve ?domains () with
   | 1 -> run ()
@@ -543,7 +527,6 @@ type 'o query = {
   q_planning : planning;
   q_adaptive : bool;
   q_cost : Cost_model.t;
-  q_batch : int option;
   q_max_laxity : float option;
   q_budget : float option;
   q_deadline : float option;
@@ -551,8 +534,7 @@ type 'o query = {
   q_tenant : string option;
   q_id : int;
   q_instance : 'o Operator.instance;
-  q_probe : 'o Probe_driver.t option;
-  q_cascade : 'o Cascade.t option;
+  q_cascade : 'o Cascade.t;
   q_requirements : Quality.requirements;
   q_data : 'o array;
 }
@@ -560,17 +542,14 @@ type 'o query = {
 let query ~rng ?(planning = default_planning) ?(adaptive = false)
     ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?obs
     ?tenant ?trace_id ~instance ?probe ?cascade ~requirements data =
-  (match (probe, cascade) with
-  | Some _, None | None, Some _ -> ()
-  | Some _, Some _ ->
-      invalid_arg "Engine.query: pass either ~probe or ~cascade, not both"
-  | None, None -> invalid_arg "Engine.query: a probe capability is required");
+  let cascade =
+    cascade_of ~where:"Engine.query" ~cost ?batch ?probe ?cascade ()
+  in
   {
     q_rng = rng;
     q_planning = planning;
     q_adaptive = adaptive;
     q_cost = cost;
-    q_batch = batch;
     q_max_laxity = max_laxity;
     q_budget = budget;
     q_deadline = deadline;
@@ -578,7 +557,6 @@ let query ~rng ?(planning = default_planning) ?(adaptive = false)
     q_tenant = tenant;
     q_id = (match trace_id with Some i -> i | None -> next_trace_id ());
     q_instance = instance;
-    q_probe = probe;
     q_cascade = cascade;
     q_requirements = requirements;
     q_data = data;
@@ -596,10 +574,9 @@ let execute_one (q : 'o query) =
      carries its trace ID and tenant. *)
   let obs = Option.map (fun o -> Obs.with_context o (query_context q)) q.q_obs in
   execute ~rng:q.q_rng ~planning:q.q_planning ~adaptive:q.q_adaptive
-    ~cost:q.q_cost ?batch:q.q_batch ?max_laxity:q.q_max_laxity
-    ?budget:q.q_budget ?deadline:q.q_deadline ~domains:1 ?obs
-    ~instance:q.q_instance ?probe:q.q_probe ?cascade:q.q_cascade
-    ~requirements:q.q_requirements q.q_data
+    ~cost:q.q_cost ?max_laxity:q.q_max_laxity ?budget:q.q_budget
+    ?deadline:q.q_deadline ~domains:1 ?obs ~instance:q.q_instance
+    ~cascade:q.q_cascade ~requirements:q.q_requirements q.q_data
 
 let execute_many ?domains (queries : 'o query array) =
   let n = Array.length queries in

@@ -46,12 +46,11 @@ type degradation = {
   degraded_ignores : int;
   forced_actions : int;  (** fallbacks with no feasible action left *)
   wasted_cost : float;
-      (** [failed_attempts * (c_p + c_b/batch)] — backend work the
-          meter never charged because no probe completed, priced at the
-          same amortized per-probe rate the solver and meter use, so
-          degradation reports reconcile with plan pricing.  Under a
-          cascade, attempts are priced at the final (oracle) tier's
-          amortized rate: only the oracle can fail permanently —
+      (** [failed_attempts * (c_p + c_b/batch)] at the oracle tier's
+          prices — backend work the meter never charged because no
+          probe completed, priced at the same amortized per-probe rate
+          the solver and meter use, so degradation reports reconcile
+          with plan pricing.  Only the oracle can fail permanently —
           cheaper tiers fail over instead *)
   guarantees_before : Quality.guarantees option;
       (** at the first failure; [None] when nothing failed *)
@@ -203,27 +202,24 @@ val execute :
     reproducibility matters.  Both may be combined; either makes the
     result carry a {!budget_summary}.
 
-    Exactly one of [probe] and [cascade] must be given.  [probe] is the
-    probe capability the operator will draw on; wrap a plain closure
-    with {!Probe_driver.scalar} for the paper's scalar path.  [batch]
-    (default: the driver's own batch size) is the batch size the
-    planner and the adaptive re-solver assume when pricing probes at
-    the amortized [c_p + c_b/batch]; override it only when the driver's
-    configured batch size is not what the evaluation will effectively
-    see.
-
-    [cascade] runs probes through a tiered cascade instead (see
-    [Operator.run]'s [?cascade]): cheap [Shrink] proxies narrow the
+    The probe capability is a {!Cascade} — the engine's only probe
+    path.  Pass [cascade] directly, or pass a plain driver as [probe]
+    (exactly one of the two): it runs as [Cascade.of_driver ~cost probe],
+    the oracle-only cascade priced at the run's cost model.  Wrap a
+    plain closure with {!Probe_driver.scalar} for the paper's scalar
+    path.  A PROBE decision enters at the cascade's starting tier (see
+    [Operator.run]'s [cascade]): cheap [Shrink] proxies narrow the
     imprecision interval and may produce a definite verdict without the
-    oracle; residuals escalate tier by tier.  Planning then prices each
-    probe at the cascade's optimal strategy price
-    ({!Solver.problem}'s [tiers]), the adaptive re-solver does the
-    same, spend is read off the meter {e per tier}
-    ({!Cost_meter.tiered_cost}) — [normalized_cost], the budget stop
-    and the [budget] summary all price tiered probes at their own
-    tier's rates — and [degradation.wasted_cost] prices failed attempts
-    at the oracle tier's amortized rate.  A single-[Resolve]-tier
-    cascade is bit-for-bit identical to passing its driver as [probe].
+    oracle; residuals escalate tier by tier.  Planning prices each probe
+    at the cascade's optimal strategy price ({!Solver.problem}'s
+    [tiers]) — for the oracle-only cascade, exactly the amortized
+    [c_p + c_b/B] at the driver's batch size — and the adaptive
+    re-solver does the same.  Spend is read off the meter per tier
+    ({!Cost_meter.tiered_cost}), so [normalized_cost], the budget stop
+    and the [budget] summary price every probe at its own tier's rates,
+    and [degradation.wasted_cost] prices failed attempts at the oracle
+    tier's amortized rate.  [batch] may only restate the oracle tier's
+    batch size; the planner always uses the cascade's own.
 
     The returned report's guarantees always satisfy the requirements —
     unless the probe capability failed permanently on some objects
@@ -286,7 +282,9 @@ val execute :
     length differs from [data]'s.
 
     @raise Invalid_argument on an invalid sampling fraction or fallback
-    fractions, if [batch < 1], if [domains < 1], if [budget] or
+    fractions, if both or neither of [probe] and [cascade] are given, if
+    [batch] differs from the oracle tier's batch size, if [domains < 1],
+    if [budget] or
     [deadline] is negative or NaN, or if [QAQ_DOMAINS] is set to
     anything but a positive integer. *)
 
@@ -315,12 +313,13 @@ val query :
   requirements:Quality.requirements ->
   'o array ->
   'o query
-(** Same arguments and defaults as {!execute} (exactly one of [probe]
-    and [cascade]).  Each query of a batch must own its [rng] and its
-    [probe] driver or [cascade] (drivers are confined to one domain at
-    a time) — to run many queries against shared probe capacity, give
-    each one its own [Probe_broker.client] (or
-    [Probe_broker.cascade_client]) of a common broker.
+(** Same arguments and defaults as {!execute}; [probe] or [cascade] is
+    resolved to the query's one cascade here, with the same checks.
+    Each query of a batch must own its [rng] and its [probe] driver or
+    [cascade] (drivers are confined to one domain at a time) — to run
+    many queries against shared probe capacity, give each one its own
+    [Probe_broker.cascade_client] (or [Probe_broker.client]) of a common
+    broker.
 
     Every query carries a process-unique trace ID — [trace_id] to
     supply one minted earlier (e.g. with {!next_trace_id}, so a broker

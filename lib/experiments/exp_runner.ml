@@ -83,7 +83,9 @@ let trial_with ?pool ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
   let requirements = Exp_config.requirements setting in
   let report =
     Scan_pipeline.run ~rng ?pool ?obs ~enforce ~instance:Synthetic.instance
-      ~probe:(Probe_driver.of_scalar ?obs ~batch_size:batch Synthetic.probe)
+      ~cascade:
+        (Cascade.of_driver
+           (Probe_driver.of_scalar ?obs ~batch_size:batch Synthetic.probe))
       ~policy:(Policy.qaq params) ~requirements data
   in
   let answer_in_exact =

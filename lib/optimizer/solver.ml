@@ -5,14 +5,8 @@ type problem = {
   cost : Cost_model.t;
   batch : int;
   tiers : Probe_tier.spec array option;
+  effective : Cost_model.t;
 }
-
-let problem ~total ~spec ~requirements ?(cost = Cost_model.paper)
-    ?(batch = 1) ?tiers () =
-  if total <= 0 then invalid_arg "Solver.problem: total <= 0";
-  if batch < 1 then invalid_arg "Solver.problem: batch < 1";
-  Option.iter Probe_tier.validate tiers;
-  { total; spec; requirements; cost; batch; tiers }
 
 (* The objective prices each probe at its amortized cost c_p + c_b/B:
    the evaluation plan dispatches probes in batches of B, so that is the
@@ -21,14 +15,21 @@ let problem ~total ~spec ~requirements ?(cost = Cost_model.paper)
    cascade's optimal strategy price instead — the expected amortized
    spend of starting at the best tier and escalating through residuals
    ({!Probe_tier.select}); the batch surcharge is folded into that
-   expectation, so c_b drops to 0 here. *)
-let effective_cost t =
-  match t.tiers with
-  | None -> Cost_model.amortize ~batch:t.batch t.cost
-  | Some specs ->
-      let plan = Probe_tier.select specs in
-      Cost_model.amortize ~batch:1
-        { t.cost with Cost_model.c_p = plan.Probe_tier.price; c_b = 0.0 }
+   expectation, so c_b drops to 0 here.  Priced once per problem: the
+   optimizer evaluates the objective thousands of times. *)
+let problem ~total ~spec ~requirements ?(cost = Cost_model.paper)
+    ?(batch = 1) ?tiers () =
+  if total <= 0 then invalid_arg "Solver.problem: total <= 0";
+  if batch < 1 then invalid_arg "Solver.problem: batch < 1";
+  let effective =
+    match tiers with
+    | None -> Cost_model.amortize ~batch cost
+    | Some specs ->
+        let plan = Probe_tier.select specs in
+        Cost_model.amortize ~batch:1
+          { cost with Cost_model.c_p = plan.Probe_tier.price; c_b = 0.0 }
+  in
+  { total; spec; requirements; cost; batch; tiers; effective }
 
 type evaluation = {
   params : Policy.params;
@@ -69,7 +70,7 @@ let evaluate t (params : Policy.params) =
   in
   let violation = precision_violation +. recall_violation in
   let feasible = violation <= tolerance in
-  let cost = reads *. Region_model.unit_cost (effective_cost t) f in
+  let cost = reads *. Region_model.unit_cost t.effective f in
   {
     params;
     fractions = f;
@@ -89,7 +90,7 @@ let penalized t params =
   let e = evaluate t params in
   if e.feasible then e.cost
   else begin
-    let c = effective_cost t in
+    let c = t.effective in
     let worst_unit =
       c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp
     in
@@ -175,7 +176,7 @@ let evaluate_dual t ~budget (params : Policy.params) =
   let precision = Region_model.precision_estimate f in
   let total = float_of_int t.total in
   let r_q = req.recall in
-  let unit = Region_model.unit_cost (effective_cost t) f in
+  let unit = Region_model.unit_cost t.effective f in
   let budget = Float.max 0.0 budget in
   (* Reads affordable within the budget, capped at |T|. *)
   let r_budget =
@@ -242,7 +243,7 @@ let better_dual a b =
 let dual_penalized t ~budget params =
   let e = evaluate_dual t ~budget params in
   if e.d_feasible then begin
-    let c = effective_cost t in
+    let c = t.effective in
     let worst_unit = c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp in
     let ceiling = Float.max 1.0 (float_of_int t.total *. worst_unit) in
     -.e.target_recall +. (1e-4 *. e.d_cost /. ceiling)
@@ -321,7 +322,7 @@ let explain t (e : evaluation) =
     (per f.maybe_forwarded)
     (per (f.maybe -. f.maybe_probed -. f.maybe_forwarded));
   add "  NO    %4.0f: discard\n" (per (1.0 -. f.yes -. f.maybe));
-  let c = effective_cost t in
+  let c = t.effective in
   let reads_cost = e.reads *. c.Cost_model.c_r in
   let probe_cost = e.reads *. (f.yes_probed +. f.maybe_probed) *. c.c_p in
   let write_cost =

@@ -21,7 +21,7 @@
     Nelder–Mead with feasibility penalties.  This reproduces the tables
     of §5.1. *)
 
-type problem = {
+type problem = private {
   total : int;  (** |T| *)
   spec : Region_model.spec;
   requirements : Quality.requirements;
@@ -35,6 +35,10 @@ type problem = {
           price ({!Probe_tier.select}) instead of the amortized oracle
           price — [cost.c_p]/[c_b]/[batch] are ignored for probes
           (reads and writes keep their [cost] prices) *)
+  effective : Cost_model.t;
+      (** [cost] with probes priced as the objective sees them — the
+          amortized [c_p + c_b/batch], or the cascade's strategy price
+          under [tiers] — derived once by {!problem} *)
 }
 
 val problem :

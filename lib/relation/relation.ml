@@ -318,7 +318,9 @@ let select ~rng ?emit ?collect ?enforce ?(policy = Policy.stingy)
   let operator_report =
     Operator.run ~rng ~meter:main ?emit ?collect ?enforce
       ~instance:(instance c)
-      ~probe:(Probe_driver.scalar (fun t -> resolve ~meter:fetches c t))
+      ~cascade:
+        (Cascade.of_driver
+           (Probe_driver.scalar (fun t -> resolve ~meter:fetches c t)))
       ~policy ~requirements
       (Operator.source_of_array tuples)
   in

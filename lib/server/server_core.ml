@@ -86,6 +86,9 @@ type t = {
   cfg : config;
   data : Synthetic.obj array;
   broker : Synthetic.obj Probe_broker.t;
+  tiers : Probe_tier.spec array;
+      (* the broker's backends; [c_tiers = None] is the oracle-only
+         cascade at [c_batch] *)
   srv_obs : Obs.t;
   srv_recorder : Flight_recorder.t option;
   srv_slo : Slo.t;
@@ -170,48 +173,53 @@ let create ?clock cfg =
         if failed then Probe_driver.Failed { attempts = 1 } else to_outcome o)
       objs
   in
-  let key (o : Synthetic.obj) = o.Synthetic.id in
-  let broker =
+  (* Every backend configuration is a cascade.  The oracle-only one
+     draws its faults at site "server-backend", a name [--fault-seed]
+     replays depend on, so it must not become "server-backend.oracle". *)
+  let tiers, site =
     match cfg.c_tiers with
-    | None ->
-        let inj = injector ~site:"server-backend" ~seed:cfg.c_fault_seed in
-        Probe_broker.create ~obs:srv_obs ~freshness:cfg.c_freshness
-          ?capacity:cfg.c_capacity ?breaker:srv_breaker
-          ~batch_size:cfg.c_batch ~key
-          (resolver inj (fun o -> Probe_driver.Resolved (Synthetic.probe o)))
     | Some specs ->
         Probe_tier.validate specs;
-        (* One backend per tier; each tier draws an independent fault
-           stream so a dead proxy does not imply a dead oracle. *)
-        let backends =
-          Array.mapi
-            (fun i (spec : Probe_tier.spec) ->
-              let inj =
-                injector
-                  ~site:("server-backend." ^ spec.Probe_tier.name)
-                  ~seed:(cfg.c_fault_seed + i)
-              in
-              let to_outcome =
-                match spec.Probe_tier.kind with
-                | Probe_tier.Resolve ->
-                    fun o -> Probe_driver.Resolved (Synthetic.probe o)
-                | Probe_tier.Shrink { power } ->
-                    fun o -> Probe_driver.Shrunk (Synthetic.shrink ~power o)
-              in
-              {
-                Probe_broker.bk_resolve = resolver inj to_outcome;
-                bk_batch = spec.Probe_tier.batch;
-              })
-            specs
+        (specs, fun name -> "server-backend." ^ name)
+    | None ->
+        ( Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:cfg.c_batch (),
+          fun _ -> "server-backend" )
+  in
+  (* One backend per tier; each tier draws an independent fault stream
+     so a dead proxy does not imply a dead oracle. *)
+  let backends =
+    Array.mapi
+      (fun i (spec : Probe_tier.spec) ->
+        let inj =
+          injector
+            ~site:(site spec.Probe_tier.name)
+            ~seed:(cfg.c_fault_seed + i)
         in
-        Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
-          ?capacity:cfg.c_capacity ?breaker:srv_breaker ~key backends
+        let to_outcome =
+          match spec.Probe_tier.kind with
+          | Probe_tier.Resolve ->
+              fun o -> Probe_driver.Resolved (Synthetic.probe o)
+          | Probe_tier.Shrink { power } ->
+              fun o -> Probe_driver.Shrunk (Synthetic.shrink ~power o)
+        in
+        {
+          Probe_broker.bk_resolve = resolver inj to_outcome;
+          bk_batch = spec.Probe_tier.batch;
+        })
+      tiers
+  in
+  let broker =
+    Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
+      ?capacity:cfg.c_capacity ?breaker:srv_breaker
+      ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
+      backends
   in
   let srv_slo = Slo.create ~window_seconds:cfg.c_window ?clock () in
   {
     cfg;
     data;
     broker;
+    tiers;
     srv_obs;
     srv_recorder;
     srv_slo;
@@ -354,20 +362,11 @@ let handle_run srv out =
             { Trace.query = Some trace_id; tenant = Some q.tenant }
           in
           let obs_q = Obs.with_context srv.srv_obs ctx in
-          let probe, cascade =
-            match srv.cfg.c_tiers with
-            | None ->
-                ( Some
-                    (Probe_broker.client ~obs:obs_q ~tenant:q.tenant
-                       ?quota:q.quota srv.broker),
-                  None )
-            | Some specs ->
-                ( None,
-                  Some
-                    (Probe_broker.cascade_client ~obs:obs_q ~tenant:q.tenant
-                       ?quota:q.quota ~specs srv.broker) )
+          let cascade =
+            Probe_broker.cascade_client ~obs:obs_q ~tenant:q.tenant
+              ?quota:q.quota ~specs:srv.tiers srv.broker
           in
-          Engine.query ~rng:(Rng.create q.seed) ?probe ?cascade
+          Engine.query ~rng:(Rng.create q.seed) ~cascade
             ~obs:srv.srv_obs ~tenant:q.tenant ~trace_id
             ~instance:Synthetic.instance ~requirements:q.requirements srv.data)
         queued
@@ -521,21 +520,13 @@ let serve srv inc out =
                 loop ()
             | "STATS", [] ->
                 print_stats out "STATS" (Probe_broker.stats srv.broker);
-                (if Probe_broker.tiers srv.broker > 1 then
-                   let names =
-                     match srv.cfg.c_tiers with
-                     | Some specs ->
-                         Array.map (fun s -> s.Probe_tier.name) specs
-                     | None -> [||]
-                   in
-                   Array.iteri
-                     (fun i s ->
-                       let name =
-                         if i < Array.length names then names.(i)
-                         else string_of_int i
-                       in
-                       print_stats out (Printf.sprintf "TIER %s" name) s)
-                     (Probe_broker.by_tier srv.broker));
+                if Array.length srv.tiers > 1 then
+                  Array.iteri
+                    (fun i s ->
+                      print_stats out
+                        (Printf.sprintf "TIER %s" srv.tiers.(i).Probe_tier.name)
+                        s)
+                    (Probe_broker.by_tier srv.broker);
                 loop ()
             | "TENANTS", [] ->
                 List.iter

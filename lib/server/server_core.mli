@@ -52,11 +52,14 @@ type config = {
           per [c_fault_seed]); 0 disables injection entirely *)
   c_fault_seed : int;
   c_tiers : Probe_tier.spec array option;
-      (** probe through a tiered cascade: one shared backend per tier
-          (proxies narrow with {!Synthetic.shrink}, the oracle resolves),
-          every RUN query gets a {!Probe_broker.cascade_client} and
-          STATS reports per-tier [TIER <name>] lines.  [None] keeps the
-          single oracle backend. *)
+      (** the probe cascade: one shared backend per tier (proxies
+          narrow with {!Synthetic.shrink}, the oracle resolves), and
+          every RUN query gets a {!Probe_broker.cascade_client}.  [None]
+          is the oracle-only cascade
+          [Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:c_batch],
+          whose backend keeps fault site ["server-backend"] and seed
+          [c_fault_seed].  STATS adds per-tier [TIER <name>] lines when
+          there is more than one tier. *)
   c_breaker : bool;  (** put a {!Circuit_breaker} on the broker *)
   c_recorder : int;  (** flight-recorder ring capacity; 0 disables *)
   c_recorder_dir : string option;

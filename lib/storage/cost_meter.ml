@@ -13,7 +13,8 @@ type t = {
   mutable writes_imprecise : int;
   mutable writes_precise : int;
   (* Per-cascade-tier breakdown of [probes]/[batches]; slot [i] is tier
-     [i].  Grown on demand so single-tier callers never touch it. *)
+     [i].  Grown on a tier's first charge; untier'd charges (relational
+     probes, planning pilots) never touch it. *)
   mutable tier_probes : int array;
   mutable tier_batches : int array;
 }
@@ -38,31 +39,27 @@ let reset t =
   t.tier_probes <- [||];
   t.tier_batches <- [||]
 
-let ensure_tier arr i =
-  let n = Array.length !arr in
-  if i >= n then begin
-    let grown = Array.make (i + 1) 0 in
-    Array.blit !arr 0 grown 0 n;
-    arr := grown
-  end
-
 let charge_read t = t.reads <- t.reads + 1
 let charge_probe t = t.probes <- t.probes + 1
-let charge_batch t = t.batches <- t.batches + 1
+
+(* Every operator probe is tier-charged, so the per-tier slots grow only
+   on a tier's first charge and the common path allocates nothing. *)
+let grown arr i =
+  let a = Array.make (i + 1) 0 in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
 
 let charge_probe_tier t i =
   if i < 0 then invalid_arg "Cost_meter.charge_probe_tier";
-  let arr = ref t.tier_probes in
-  ensure_tier arr i;
-  t.tier_probes <- !arr;
+  if i >= Array.length t.tier_probes then
+    t.tier_probes <- grown t.tier_probes i;
   t.tier_probes.(i) <- t.tier_probes.(i) + 1;
   t.probes <- t.probes + 1
 
 let charge_batch_tier t i =
   if i < 0 then invalid_arg "Cost_meter.charge_batch_tier";
-  let arr = ref t.tier_batches in
-  ensure_tier arr i;
-  t.tier_batches <- !arr;
+  if i >= Array.length t.tier_batches then
+    t.tier_batches <- grown t.tier_batches i;
   t.tier_batches.(i) <- t.tier_batches.(i) + 1;
   t.batches <- t.batches + 1
 
@@ -88,30 +85,26 @@ let cost_of_counts (m : Cost_model.t) (c : counts) =
 
 let total_cost m t = cost_of_counts m (counts t)
 
-(* Tiered total: probes/batches attributed to a tier are priced at that
-   tier's (c_p, c_b); any remainder (work charged through the untier'd
-   [charge_probe]/[charge_batch], e.g. planning pilots) is priced at the
-   base model.  With no tier charges this is exactly [total_cost]. *)
+let slot arr i = if i < Array.length arr then arr.(i) else 0
+
+(* Tiered total: every probe/batch is first priced at the base model,
+   exactly as [total_cost] does, then each tier's work is re-priced by
+   its difference from the base, [p_i·(c_p_i − c_p) + b_i·(c_b_i − c_b)].
+   A tier priced at the base therefore adds exactly [0.0], so a
+   one-tier cascade's total is bit-for-bit [total_cost] under any cost
+   model; untier'd work (e.g. planning pilots) keeps the base prices. *)
 let tiered_cost (m : Cost_model.t) ~(tiers : Probe_tier.spec array) t =
-  let sum = Array.fold_left ( + ) 0 in
-  let tp = t.tier_probes and tb = t.tier_batches in
-  let tier_part = ref 0.0 in
+  let surcharge = ref 0.0 in
   Array.iteri
     (fun i (s : Probe_tier.spec) ->
-      let p = if i < Array.length tp then tp.(i) else 0 in
-      let b = if i < Array.length tb then tb.(i) else 0 in
-      tier_part :=
-        !tier_part
-        +. (float_of_int p *. s.Probe_tier.c_p)
-        +. (float_of_int b *. s.Probe_tier.c_b))
+      let p = float_of_int (slot t.tier_probes i)
+      and b = float_of_int (slot t.tier_batches i) in
+      surcharge :=
+        !surcharge
+        +. (p *. (s.Probe_tier.c_p -. m.c_p))
+        +. (b *. (s.Probe_tier.c_b -. m.c_b)))
     tiers;
-  let base_probes = t.probes - sum tp and base_batches = t.batches - sum tb in
-  (float_of_int t.reads *. m.c_r)
-  +. (float_of_int base_probes *. m.c_p)
-  +. (float_of_int base_batches *. m.c_b)
-  +. (float_of_int t.writes_imprecise *. m.c_wi)
-  +. (float_of_int t.writes_precise *. m.c_wp)
-  +. !tier_part
+  total_cost m t +. !surcharge
 
 (* The metrics side is incremented at observability instrumentation
    sites, the meter at cost-charging sites; equality of the two is the
@@ -152,12 +145,8 @@ let reconcile_tiers snapshot ~(names : string array) t =
   let errs = ref errs in
   Array.iteri
     (fun i name ->
-      let p = if i < Array.length t.tier_probes then t.tier_probes.(i) else 0 in
-      let b =
-        if i < Array.length t.tier_batches then t.tier_batches.(i) else 0
-      in
-      errs := check (Obs.Keys.tier_probes name) p !errs;
-      errs := check (Obs.Keys.tier_batches name) b !errs)
+      errs := check (Obs.Keys.tier_probes name) (slot t.tier_probes i) !errs;
+      errs := check (Obs.Keys.tier_batches name) (slot t.tier_batches i) !errs)
     names;
   match !errs with
   | [] -> Ok ()

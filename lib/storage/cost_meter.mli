@@ -20,11 +20,6 @@ val reset : t -> unit
 val charge_read : t -> unit
 val charge_probe : t -> unit
 
-val charge_batch : t -> unit
-(** One probe batch dispatched; charged [c_b] by {!total_cost}.  A
-    scalar probe path charges one batch per probe, so with [c_b = 0]
-    (the paper model) nothing changes. *)
-
 val charge_write_imprecise : t -> unit
 val charge_write_precise : t -> unit
 
@@ -32,10 +27,14 @@ val charge_probe_tier : t -> int -> unit
 (** [charge_probe_tier t i] charges one probe attributed to cascade
     tier [i]: the aggregate {!counts}[.probes] grows by one {e and}
     tier [i]'s slot grows by one, so the base {!reconcile} invariant is
-    preserved by construction. *)
+    preserved by construction.  Allocates only on tier [i]'s first
+    charge. *)
 
 val charge_batch_tier : t -> int -> unit
-(** Per-tier analogue of {!charge_batch}. *)
+(** One probe batch dispatched at cascade tier [i]: the aggregate
+    [batches] (charged [c_b] by {!total_cost}) and tier [i]'s slot each
+    grow by one.  A scalar probe path charges one batch per probe, so
+    with [c_b = 0] (the paper model) nothing changes. *)
 
 val tier_counts : t -> int array * int array
 (** [(probes_per_tier, batches_per_tier)] — copies; empty arrays when
@@ -55,8 +54,11 @@ val tiered_cost : Cost_model.t -> tiers:Probe_tier.spec array -> t -> float
 (** Like {!total_cost} but probes/batches charged through
     {!charge_probe_tier}/{!charge_batch_tier} are priced at their own
     tier's [(c_p, c_b)]; the untier'd remainder (e.g. planning pilot
-    probes) stays at the base model's prices.  Equal to {!total_cost}
-    when no tier charge was made. *)
+    probes) stays at the base model's prices.  Computed as {!total_cost}
+    plus each tier's [p_i·(c_p_i − c_p) + b_i·(c_b_i − c_b)], so a tier
+    priced at the base model adds exactly [0.0]: a single-tier cascade
+    built by [Cascade.of_driver] costs bit-for-bit {!total_cost}, under
+    any cost model. *)
 
 val reconcile : Metrics.snapshot -> counts -> (unit, string) result
 (** Check that the independently maintained observability counters (the

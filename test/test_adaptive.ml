@@ -13,7 +13,7 @@ let run_with_adaptive ~seed ~data ~replan_every ~max_replans =
   in
   let report =
     Operator.run ~rng ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
       ~policy:(Adaptive.policy adaptive) ~requirements
       (Operator.source_of_array data)
   in
@@ -82,7 +82,7 @@ let test_adapts_to_misestimated_workload () =
         let rng = Rng.create (seed + 100) in
         let static_report =
           Operator.run ~rng ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
             ~policy:(Policy.qaq wrong_prior) ~requirements
             (Operator.source_of_array data)
         in
@@ -93,7 +93,7 @@ let test_adapts_to_misestimated_workload () =
         in
         let adaptive_report =
           Operator.run ~rng ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
             ~policy:(Adaptive.policy adaptive) ~requirements
             (Operator.source_of_array data)
         in
@@ -156,7 +156,7 @@ let test_current_params_evolve () =
   checkb "starts at initial" true (Adaptive.current_params adaptive = initial);
   let _ =
     Operator.run ~rng ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
       ~policy:(Adaptive.policy adaptive) ~requirements
       (Operator.source_of_array data)
   in

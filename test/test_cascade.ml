@@ -1,6 +1,7 @@
 (* Tiered probe cascades: soundness of interval-shrinking proxies, the
-   guarantee battery over random cascades, the single-tier golden
-   identity against the direct driver, and escalation accounting. *)
+   guarantee battery over random cascades, the oracle-only cascade
+   pinned to the direct driver's recorded fingerprints, and escalation
+   accounting. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -179,70 +180,185 @@ let prop_guarantees_survive_cascade =
           && g.Quality.recall <= a.Profile.achieved_recall +. 1e-9
           && profile.Profile.reconcile_error = None)
 
-(* --- satellite (c): single-tier golden -------------------------------- *)
+(* --- satellite (c): the oracle-only cascade is the driver path ------- *)
 
-let answer_ids result =
-  List.map
-    (fun (e : Synthetic.obj Operator.emitted) ->
-      (e.Operator.obj.Synthetic.id, e.Operator.precise))
-    result.Engine.report.Operator.answer
+(* A plain driver is the one-tier cascade [Cascade.of_driver].  These
+   fingerprints were recorded from the direct-driver path before it was
+   folded into the cascade: answer-id digest, whole-run counts,
+   guarantees, normalized cost and degradation summary, with every float
+   as its IEEE-754 bit pattern.  Both entry points — a plain [~probe] and
+   an explicit [Cascade.of_driver] — must reproduce them bit for bit, on
+   both layouts, for B in {1, 4} and domains in {1, 2}, and under a
+   finite budget, a Probe_source fault plan and a fractional cost
+   model. *)
 
-(* Counter values and histogram counts, minus the qaq.probe.tier.*
-   family the cascade path adds on top of the driver's own counters. *)
-let projection snap =
-  let tier_prefix = "qaq.probe.tier." in
-  let starts_with p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+let pin_requirements =
+  Quality.requirements ~precision:0.85 ~recall:0.7 ~laxity:8.0
+
+let pin_pred = Predicate.between 30.0 60.0
+
+let pin_data =
+  lazy
+    (Interval_data.uniform_intervals (Rng.create 41) ~n:3000
+       ~value_range:(Interval.make 0.0 100.0) ~max_width:10.0)
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let guarantee_bits (g : Quality.guarantees) =
+  Printf.sprintf "%s,%s,%s" (bits g.Quality.precision) (bits g.Quality.recall)
+    (bits g.Quality.max_laxity)
+
+let fingerprint (r : Interval_data.record Engine.result) =
+  let ids = Buffer.create 4096 in
+  List.iter
+    (fun (e : Interval_data.record Operator.emitted) ->
+      Buffer.add_string ids
+        (Printf.sprintf "%d%c;" e.Operator.obj.Interval_data.id
+           (if e.Operator.precise then 'p' else 'i')))
+    r.Engine.report.Operator.answer;
+  let c = r.Engine.counts and d = r.Engine.degradation in
+  Printf.sprintf
+    "answer=%s counts=%d/%d/%d/%d/%d g=%s cost=%s deg=%d/%d/%d/%d/%d/%s/%s/%b%s"
+    (Digest.to_hex (Digest.string (Buffer.contents ids)))
+    c.Cost_meter.reads c.probes c.batches c.writes_imprecise c.writes_precise
+    (guarantee_bits r.Engine.report.Operator.guarantees)
+    (bits r.Engine.normalized_cost)
+    d.Engine.failed_probes d.failed_attempts d.degraded_forwards
+    d.degraded_ignores d.forced_actions (bits d.wasted_cost)
+    (match d.guarantees_before with None -> "-" | Some g -> guarantee_bits g)
+    d.requirements_met
+    (match r.Engine.budget with
+    | None -> ""
+    | Some b ->
+        Printf.sprintf " budget=%s/%b/%b" (bits b.Engine.spent)
+          b.Engine.budget_limited b.Engine.stopped_early)
+
+let fractional_cost =
+  Cost_model.make ~c_r:1.1 ~c_p:93.7 ~c_wi:0.9 ~c_wp:1.3 ~c_b:2.375 ()
+
+let pinned_run ~via_cascade ?(cost = Cost_model.paper) ?budget
+    ?(faults = false) ?(columnar = false) ~batch ~domains () =
+  let data = Lazy.force pin_data in
+  let probe =
+    if faults then
+      let plan =
+        Fault_plan.make ~seed:77 ~transient_rate:0.05 ~permanent_rate:0.1
+          ~max_retries:2 ()
+      in
+      Probe_source.driver ~batch_size:batch
+        (Probe_source.create ~max_retries:2 ~faults:plan Interval_data.probe)
+    else Probe_driver.of_scalar ~batch_size:batch Interval_data.probe
   in
-  List.filter_map
-    (fun (name, v) ->
-      if starts_with tier_prefix name then None
-      else
-        match v with
-        | Metrics.Count c -> Some (name, c)
-        | Metrics.Dist d -> Some (name, d.Metrics.d_count)
-        | Metrics.Level _ -> None)
-    snap
-
-let golden_run ~batch ~domains ~via_cascade seed =
-  let data =
-    Synthetic.generate (Rng.create seed) (Synthetic.config ~total:400 ())
+  let columnar =
+    if columnar then
+      Some
+        {
+          Engine.store = Interval_data.to_store ~chunk_size:128 data;
+          of_row = Interval_data.of_row;
+          pred = pin_pred;
+          prune = false;
+        }
+    else None
   in
-  let obs = Obs.create () in
-  let probe = Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe in
-  let result =
-    if via_cascade then
-      Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~domains
-        ~batch ~obs ~instance:Synthetic.instance
-        ~cascade:(Cascade.of_driver ~cost:Cost_model.paper probe)
-        ~requirements data
-    else
-      Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~domains
-        ~batch ~obs ~instance:Synthetic.instance ~probe ~requirements data
+  let probe, cascade =
+    if via_cascade then (None, Some (Cascade.of_driver ~cost probe))
+    else (Some probe, None)
   in
-  ( answer_ids result,
-    result.Engine.counts,
-    result.Engine.report.Operator.guarantees,
-    result.Engine.normalized_cost,
-    result.Engine.degradation,
-    projection (Obs.snapshot obs) )
+  fingerprint
+    (Engine.execute ~rng:(Rng.create 43) ~max_laxity:10.0 ~cost ~batch
+       ?budget ~domains ?columnar ~instance:(Interval_data.instance pin_pred)
+       ?probe ?cascade ~requirements:pin_requirements data)
 
-(* A degenerate cascade — one Resolve tier around today's driver — is
-   bit-for-bit the direct driver path: same answer, same counts, same
-   guarantees, same cost, same metrics (minus the additional per-tier
-   counter family). *)
+let pinned_legs =
+  List.concat_map
+    (fun columnar ->
+      List.concat_map
+        (fun batch ->
+          List.map
+            (fun domains ->
+              ( Printf.sprintf "%s B=%d domains=%d"
+                  (if columnar then "columnar" else "row")
+                  batch domains,
+                fun ~via_cascade ->
+                  pinned_run ~via_cascade ~columnar ~batch ~domains () ))
+            [ 1; 2 ])
+        [ 1; 4 ])
+    [ false; true ]
+  @ [
+      ( "budget",
+        fun ~via_cascade ->
+          pinned_run ~via_cascade ~budget:9000.0 ~batch:4 ~domains:1 () );
+      ( "faults",
+        fun ~via_cascade ->
+          pinned_run ~via_cascade ~faults:true ~batch:4 ~domains:1 () );
+      ( "fractional cost",
+        fun ~via_cascade ->
+          pinned_run ~via_cascade ~cost:fractional_cost ~faults:true ~batch:4
+            ~domains:1 () );
+    ]
+
+let pinned =
+  [
+    ( "row B=1 domains=1",
+      "answer=1e75b92e4e19269b3890ca9f36bbe129 counts=3022/68/68/692/52 \
+       g=3feb70dc370dc371,3fe669190287725f,401ff4c3bd7f96e0 \
+       cost=400c2d0e56041893 deg=0/0/0/0/0/0/-/true" );
+    ( "row B=1 domains=2",
+      "answer=1e75b92e4e19269b3890ca9f36bbe129 counts=3022/68/68/692/52 \
+       g=3feb70dc370dc371,3fe669190287725f,401ff4c3bd7f96e0 \
+       cost=400c2d0e56041893 deg=0/0/0/0/0/0/-/true" );
+    ( "row B=4 domains=1",
+      "answer=814ec88d557d607ae9385189e720465d counts=3020/70/18/691/54 \
+       g=3feb7d6c3dda338b,3fe668314b9fa65f,401ff4c3bd7f96e0 \
+       cost=400cb4e81b4e81b5 deg=0/0/0/0/0/0/-/true" );
+    ( "row B=4 domains=2",
+      "answer=814ec88d557d607ae9385189e720465d counts=3020/70/18/691/54 \
+       g=3feb7d6c3dda338b,3fe668314b9fa65f,401ff4c3bd7f96e0 \
+       cost=400cb4e81b4e81b5 deg=0/0/0/0/0/0/-/true" );
+    ( "columnar B=1 domains=1",
+      "answer=1e75b92e4e19269b3890ca9f36bbe129 counts=3022/68/68/692/52 \
+       g=3feb70dc370dc371,3fe669190287725f,401ff4c3bd7f96e0 \
+       cost=400c2d0e56041893 deg=0/0/0/0/0/0/-/true" );
+    ( "columnar B=1 domains=2",
+      "answer=1e75b92e4e19269b3890ca9f36bbe129 counts=3022/68/68/692/52 \
+       g=3feb70dc370dc371,3fe669190287725f,401ff4c3bd7f96e0 \
+       cost=400c2d0e56041893 deg=0/0/0/0/0/0/-/true" );
+    ( "columnar B=4 domains=1",
+      "answer=814ec88d557d607ae9385189e720465d counts=3020/70/18/691/54 \
+       g=3feb7d6c3dda338b,3fe668314b9fa65f,401ff4c3bd7f96e0 \
+       cost=400cb4e81b4e81b5 deg=0/0/0/0/0/0/-/true" );
+    ( "columnar B=4 domains=2",
+      "answer=814ec88d557d607ae9385189e720465d counts=3020/70/18/691/54 \
+       g=3feb7d6c3dda338b,3fe668314b9fa65f,401ff4c3bd7f96e0 \
+       cost=400cb4e81b4e81b5 deg=0/0/0/0/0/0/-/true" );
+    ( "budget",
+      "answer=9d97b7be73dc885eceffa1ca5e0ec9ad counts=2272/61/16/510/44 \
+       g=3febb9c300ec9791,3fd5518b1a78731f,401ff4c3bd7f96e0 \
+       cost=4007cd7b900aec34 deg=0/0/0/0/0/0/-/false \
+       budget=40c16f0000000000/true/true" );
+    ( "faults",
+      "answer=96a27cf04e32d4297ae18f54af9c8354 counts=3021/71/20/690/53 \
+       g=3feb85572bc1fb2d,3fe66bca1af286bd,401ff4c3bd7f96e0 \
+       cost=400cf87d9c54a692 \
+       deg=7/21/1/6/2/40a0680000000000/3feb6db6db6db6db,3f70b7e6ec259dc8,401b27ce73bcb388/true" );
+    ( "fractional cost",
+      "answer=96a27cf04e32d4297ae18f54af9c8354 counts=3021/71/20/690/53 \
+       g=3feb85572bc1fb2d,3fe66bca1af286bd,401ff4c3bd7f96e0 \
+       cost=400c918b66895a3f \
+       deg=7/21/1/6/2/409ef0accccccccd/3feb6db6db6db6db,3f70b7e6ec259dc8,401b27ce73bcb388/true" );
+  ]
+
 let test_single_tier_golden () =
   List.iter
-    (fun (batch, domains) ->
-      List.iter
-        (fun seed ->
-          checkb
-            (Printf.sprintf "B=%d domains=%d seed=%d" batch domains seed)
-            true
-            (golden_run ~batch ~domains ~via_cascade:false seed
-            = golden_run ~batch ~domains ~via_cascade:true seed))
-        [ 11; 12 ])
-    [ (1, 1); (1, 2); (4, 1); (4, 2) ]
+    (fun (leg, run) ->
+      let expected = List.assoc leg pinned in
+      Alcotest.(check string)
+        (leg ^ " via ~probe") expected
+        (run ~via_cascade:false);
+      Alcotest.(check string)
+        (leg ^ " via Cascade.of_driver") expected
+        (run ~via_cascade:true))
+    pinned_legs
 
 (* --- escalation accounting ------------------------------------------- *)
 

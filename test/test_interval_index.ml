@@ -93,7 +93,8 @@ let test_operator_over_index_source () =
   let rng = Rng.create 12 in
   let report =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
-      ~probe:(Probe_driver.scalar Interval_data.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
+      ~policy:Policy.stingy
       ~requirements
       (Operator.source_of_array cands)
   in

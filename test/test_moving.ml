@@ -60,7 +60,8 @@ let test_end_to_end_window_query () =
   let requirements = Quality.requirements ~precision:0.9 ~recall:0.7 ~laxity:5.0 in
   let report =
     Operator.run ~rng ~instance:(Moving_object.instance window)
-      ~probe:(Probe_driver.scalar Moving_object.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Moving_object.probe))
+      ~policy:Policy.stingy
       ~requirements
       (Operator.source_of_array fleet)
   in

@@ -318,7 +318,9 @@ let test_operator_reconciles () =
   let meter = Cost_meter.create () in
   let report =
     Operator.run ~rng:(Rng.create 32) ~meter ~obs ~instance:Synthetic.instance
-      ~probe:(Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe)
+      ~cascade:
+        (Cascade.of_driver
+           (Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe))
       ~policy:Policy.stingy ~requirements
       (Operator.source_of_array data)
   in

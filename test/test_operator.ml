@@ -14,7 +14,9 @@ let req ?(p = 0.9) ?(r = 0.5) ?(l = 50.0) () =
 let run ?(seed = 1) ?(policy = Policy.stingy) ?(enforce = true) ?(batch = 1)
     ~requirements data =
   Operator.run ~rng:(Rng.create seed) ~enforce ~instance:Synthetic.instance
-    ~probe:(Probe_driver.of_scalar ~batch_size:batch Synthetic.probe)
+    ~cascade:
+      (Cascade.of_driver
+         (Probe_driver.of_scalar ~batch_size:batch Synthetic.probe))
     ~policy ~requirements
     (Operator.source_of_array data)
 
@@ -64,7 +66,8 @@ let test_streaming_emit_matches_collection () =
   let streamed = ref [] in
   let report =
     Operator.run ~rng:(Rng.create 3) ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~policy:Policy.greedy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+      ~policy:Policy.greedy
       ~requirements:(req ())
       ~emit:(fun e -> streamed := e :: !streamed)
       (Operator.source_of_array data)
@@ -76,7 +79,8 @@ let test_collect_false () =
   let data = gen_data ~total:200 () in
   let report =
     Operator.run ~rng:(Rng.create 3) ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+      ~policy:Policy.stingy
       ~requirements:(req ()) ~collect:false
       (Operator.source_of_array data)
   in
@@ -100,13 +104,15 @@ let test_shared_meter_delta () =
   let data = gen_data ~total:200 () in
   let r1 =
     Operator.run ~rng:(Rng.create 1) ~meter ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+      ~policy:Policy.stingy
       ~requirements:(req ())
       (Operator.source_of_array data)
   in
   let r2 =
     Operator.run ~rng:(Rng.create 2) ~meter ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+      ~policy:Policy.stingy
       ~requirements:(req ())
       (Operator.source_of_array data)
   in
@@ -122,7 +128,8 @@ let test_inconsistent_probe_raises () =
     (fun () ->
       ignore
         (Operator.run ~rng:(Rng.create 1) ~instance:Synthetic.instance
-           ~probe:(Probe_driver.scalar bad_probe) ~policy:Policy.greedy
+           ~cascade:(Cascade.of_driver (Probe_driver.scalar bad_probe))
+           ~policy:Policy.greedy
            ~requirements:(req ~p:1.0 ~r:1.0 ())
            (Operator.source_of_array data)))
 
@@ -162,7 +169,8 @@ let test_zone_map_source_is_sound () =
   let requirements = req ~p:0.9 ~r:0.8 ~l:20.0 () in
   let report =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
-      ~probe:(Probe_driver.scalar Interval_data.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
+      ~policy:Policy.stingy
       ~requirements
       (Operator.source_of_cursor cursor)
   in
@@ -368,7 +376,8 @@ let test_batch1_reproduces_scalar () =
     (fun (name, policy, g) ->
       let report =
         Operator.run ~rng:(Rng.create 7) ~instance:Synthetic.instance
-          ~probe:(Probe_driver.scalar Synthetic.probe) ~policy
+          ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+          ~policy
           ~requirements:golden_requirements
           (Operator.source_of_array data)
       in
@@ -403,7 +412,9 @@ let test_batched_guarantees_hold_throughout () =
       let violated = ref 0 in
       let report =
         Operator.run ~rng:(Rng.create 7) ~instance:Synthetic.instance
-          ~probe:(Probe_driver.of_scalar ~batch_size:batch Synthetic.probe)
+          ~cascade:
+            (Cascade.of_driver
+               (Probe_driver.of_scalar ~batch_size:batch Synthetic.probe))
           ~policy:Policy.stingy ~requirements:golden_requirements
           ~on_progress:(fun ~reads:_ (g : Quality.guarantees) ->
             if
@@ -438,7 +449,9 @@ let test_batching_reduces_cost_with_setup_charge () =
   let cost_at batch =
     let report =
       Operator.run ~rng:(Rng.create 7) ~instance:Synthetic.instance
-        ~probe:(Probe_driver.of_scalar ~batch_size:batch Synthetic.probe)
+        ~cascade:
+          (Cascade.of_driver
+             (Probe_driver.of_scalar ~batch_size:batch Synthetic.probe))
         ~policy:Policy.stingy ~requirements:golden_requirements
         (Operator.source_of_array data)
     in

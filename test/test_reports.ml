@@ -61,7 +61,7 @@ let test_probe_failure_degrades () =
   let meter = Cost_meter.create () in
   let report =
     Operator.run ~rng ~meter ~instance:Synthetic.instance
-      ~probe:(Probe_source.driver source)
+      ~cascade:(Cascade.of_driver (Probe_source.driver source))
       ~policy:Policy.greedy
       ~requirements:(Quality.requirements ~precision:1.0 ~recall:1.0 ~laxity:0.0)
       (Operator.source_of_array data)

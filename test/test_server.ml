@@ -183,6 +183,55 @@ let test_protocol_golden_telemetry_off_vs_on () =
   checki "both ran" 2 (List.length off);
   Alcotest.(check (list string)) "identical answers over the wire" off on
 
+(* A server without [c_tiers] is the oracle-only cascade at its batch
+   size: over the same two-tenant session it answers and accounts
+   exactly like a server given that one-tier cascade explicitly.  RUN
+   is pinned to one lane so the broker's batch packing, and hence the
+   STATS line, does not depend on scheduling. *)
+let test_untiered_is_oracle_only_cascade () =
+  let script =
+    [
+      "QUERY tenant=a seed=11 p=0.9 r=0.6";
+      "QUERY tenant=b seed=12 p=0.85 r=0.5 l=40";
+      "QUERY tenant=a seed=13 p=0.8 r=0.7";
+      "RUN";
+      "QUERY tenant=b seed=11 p=0.9 r=0.6";
+      "RUN";
+      "STATS";
+      "QUIT";
+    ]
+  in
+  let strip line =
+    String.split_on_char ' ' line
+    |> List.filter (fun tok ->
+           not
+             (String.starts_with ~prefix:"trace=" tok
+             || String.starts_with ~prefix:"elapsed=" tok))
+    |> String.concat " "
+  in
+  let lines cfg =
+    let _, lines = session (Server_core.create cfg) script in
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"RESULT " l then Some (strip l)
+        else if String.starts_with ~prefix:"STATS " l then Some l
+        else None)
+      lines
+  in
+  let untiered = lines { base_config with c_domains = Some 1 } in
+  let explicit =
+    lines
+      {
+        base_config with
+        c_domains = Some 1;
+        c_tiers =
+          Some (Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:8 ());
+      }
+  in
+  checki "four answers and one STATS line" 5 (List.length untiered);
+  Alcotest.(check (list string)) "identical RESULT and STATS lines" untiered
+    explicit
+
 (* Reject admission feeds the SLO rejection counter without polluting
    the latency quantiles. *)
 let test_reject_admission_slo () =
@@ -231,6 +280,8 @@ let suite =
      test_forced_anomaly_dumps);
     ("protocol golden: telemetry off vs on", `Quick,
      test_protocol_golden_telemetry_off_vs_on);
+    ("untiered server is the oracle-only cascade", `Quick,
+     test_untiered_is_oracle_only_cascade);
     ("reject admission feeds slo", `Quick, test_reject_admission_slo);
     ("protocol compatibility", `Quick, test_protocol_compat);
   ]

@@ -66,7 +66,7 @@ let test_cost_meter () =
   Cost_meter.charge_read t;
   Cost_meter.charge_read t;
   Cost_meter.charge_probe t;
-  Cost_meter.charge_batch t;
+  Cost_meter.charge_batch_tier t 0;
   Cost_meter.charge_write_imprecise t;
   Cost_meter.charge_write_precise t;
   let c = Cost_meter.counts t in
@@ -83,6 +83,37 @@ let test_cost_meter () =
   Cost_meter.reset t;
   checkf "reset" 0.0 (Cost_meter.total_cost Cost_model.paper t);
   checki "reset batches" 0 (Cost_meter.counts t).batches
+
+(* A tier priced at the base model re-prices nothing: under any
+   fractional cost model, a meter whose probes and batches are all
+   charged to such a tier totals bit-for-bit what [total_cost] does —
+   the identity that lets a plain driver run as a one-tier cascade
+   without moving a cost by one ulp. *)
+let prop_base_priced_tier_exact =
+  QCheck2.Test.make ~name:"base-priced tier costs bit-for-bit total_cost"
+    ~count:500
+    QCheck2.Gen.(
+      pair
+        (array_size (return 5) (float_range 0.0 1000.0))
+        (list_size (int_range 0 400) (int_range 0 4)))
+    (fun (c, ops) ->
+      let cost =
+        Cost_model.make ~c_r:c.(0) ~c_p:c.(1) ~c_wi:c.(2) ~c_wp:c.(3)
+          ~c_b:c.(4) ()
+      in
+      let t = Cost_meter.create () in
+      List.iter
+        (function
+          | 0 -> Cost_meter.charge_read t
+          | 1 -> Cost_meter.charge_probe_tier t 0
+          | 2 -> Cost_meter.charge_batch_tier t 0
+          | 3 -> Cost_meter.charge_write_imprecise t
+          | _ -> Cost_meter.charge_write_precise t)
+        ops;
+      let tiers = Probe_tier.oracle_only ~cost ~batch:1 () in
+      Int64.equal
+        (Int64.bits_of_float (Cost_meter.tiered_cost cost ~tiers t))
+        (Int64.bits_of_float (Cost_meter.total_cost cost t)))
 
 let test_heap_file_layout () =
   let file = Heap_file.create ~page_size:10 (Array.init 25 (fun i -> i)) in
@@ -511,7 +542,7 @@ let test_pruned_scan_regression () =
     let report =
       Operator.run ~rng:(Rng.create 5) ~meter
         ~instance:(Interval_data.instance pred)
-        ~probe:(Probe_driver.scalar Interval_data.probe)
+        ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
         ~policy:(Policy.qaq Policy.stingy_params) ~requirements source
     in
     (report, Cost_meter.counts meter)
@@ -576,5 +607,6 @@ let suite =
     ("pooled cursor", `Quick, test_pooled_cursor);
     ("zone map pruning", `Quick, test_zone_map);
     QCheck_alcotest.to_alcotest prop_zone_map_sound;
+    QCheck_alcotest.to_alcotest prop_base_priced_tier_exact;
     ("pruned scan regression", `Quick, test_pruned_scan_regression);
   ]

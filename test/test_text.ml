@@ -99,7 +99,8 @@ let test_end_to_end_selection () =
   in
   let report =
     Operator.run ~rng ~instance:(Text_query.instance qy)
-      ~probe:(Probe_driver.scalar Text_query.probe) ~policy:Policy.stingy
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Text_query.probe))
+      ~policy:Policy.stingy
       ~requirements
       (Operator.source_of_array items)
   in

@@ -131,7 +131,7 @@ let test_ts_query_end_to_end () =
   let requirements = Quality.requirements ~precision:1.0 ~recall:0.5 ~laxity:5.0 in
   let report =
     Operator.run ~rng ~instance:(Ts_query.instance q)
-      ~probe:(Probe_driver.scalar Ts_query.probe)
+      ~cascade:(Cascade.of_driver (Probe_driver.scalar Ts_query.probe))
       ~policy:Policy.stingy ~requirements
       (Operator.source_of_array items)
   in

@@ -8,7 +8,8 @@ let requirements = Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
 
 let run_trace ?(every = 1) data =
   Operator.trace ~rng:(Rng.create 3) ~every ~instance:Synthetic.instance
-    ~probe:(Probe_driver.scalar Synthetic.probe) ~policy:Policy.stingy
+    ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
+    ~policy:Policy.stingy
     ~requirements
     (Operator.source_of_array data)
 
@@ -93,7 +94,7 @@ let test_adaptive_on_drift () =
       in
       let static =
         Operator.run ~rng ~instance:Synthetic.instance
-          ~probe:(Probe_driver.scalar Synthetic.probe)
+          ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
           ~policy:(Policy.qaq average_prior) ~requirements
           (Operator.source_of_array data)
       in
@@ -103,7 +104,7 @@ let test_adaptive_on_drift () =
       in
       let adaptive =
         Operator.run ~rng ~instance:Synthetic.instance
-          ~probe:(Probe_driver.scalar Synthetic.probe)
+          ~cascade:(Cascade.of_driver (Probe_driver.scalar Synthetic.probe))
           ~policy:(Adaptive.policy adaptive_state) ~requirements
           (Operator.source_of_array data)
       in
