@@ -14,13 +14,40 @@ open Cmdliner
 
 (* ---- shared options ---------------------------------------------- *)
 
+(* Values outside a flag's range are rejected at parse time, so a bad
+   value is a usage error (exit 124) rather than an exception deep in the
+   engine. *)
+let checked conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int "a positive integer" (fun n -> n >= 1)
+let non_negative_int = checked Arg.int "a non-negative integer" (fun n -> n >= 0)
+
+let non_negative_float =
+  checked Arg.float "a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let positive_float =
+  checked Arg.float "a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
+
+let unit_interval =
+  checked Arg.float "a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+
+(* A cap: any number >= 0, where [inf] is no cap at all. *)
+let cap = checked Arg.float "a number >= 0 (inf: no cap)" (fun x -> x >= 0.0)
+
 let seed =
   let doc = "PRNG seed (runs are deterministic per seed)." in
   Arg.(value & opt int 2004 & info [ "seed" ] ~doc)
 
 let total =
   let doc = "Input size |T|." in
-  Arg.(value & opt int 10000 & info [ "total" ] ~doc)
+  Arg.(value & opt positive_int 10000 & info [ "total" ] ~doc)
 
 let f_y =
   let doc = "Fraction of YES objects." in
@@ -32,29 +59,19 @@ let f_m =
 
 let max_laxity =
   let doc = "Maximum input laxity L." in
-  Arg.(value & opt float 100.0 & info [ "max-laxity" ] ~doc)
+  Arg.(value & opt positive_float 100.0 & info [ "max-laxity" ] ~doc)
 
 let p_q =
   let doc = "Precision requirement p_q." in
-  Arg.(value & opt float 0.9 & info [ "precision"; "p" ] ~doc)
+  Arg.(value & opt unit_interval 0.9 & info [ "precision"; "p" ] ~doc)
 
 let r_q =
   let doc = "Recall requirement r_q." in
-  Arg.(value & opt float 0.5 & info [ "recall"; "r" ] ~doc)
+  Arg.(value & opt unit_interval 0.5 & info [ "recall"; "r" ] ~doc)
 
 let l_q =
   let doc = "Laxity requirement l_q^max." in
-  Arg.(value & opt float 50.0 & info [ "laxity"; "l" ] ~doc)
-
-(* Counts that must be at least 1 are rejected at parse time, so a bad
-   value is a usage error rather than an exception deep in the engine. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.(value & opt non_negative_float 50.0 & info [ "laxity"; "l" ] ~doc)
 
 let batch =
   let doc =
@@ -65,7 +82,7 @@ let batch =
 
 let c_b =
   let doc = "Per-batch probe setup cost c_b (paper model: 0)." in
-  Arg.(value & opt float 0.0 & info [ "cb" ] ~doc)
+  Arg.(value & opt non_negative_float 0.0 & info [ "cb" ] ~doc)
 
 let domains =
   let doc =
@@ -85,7 +102,7 @@ let budget_opt =
      can exceed the cap.  Precision stays a hard constraint; the budget \
      summary is printed after the run."
   in
-  Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"COST" ~doc)
+  Arg.(value & opt (some cap) None & info [ "budget" ] ~docv:"COST" ~doc)
 
 let deadline_ms_opt =
   let doc =
@@ -94,7 +111,7 @@ let deadline_ms_opt =
      wherever reproducibility matters.  Composes with --budget."
   in
   Arg.(
-    value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    value & opt (some cap) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
 let deadline_of_ms = Option.map (fun ms -> ms /. 1000.0)
 
@@ -181,7 +198,7 @@ let policy =
 
 let repetitions =
   let doc = "Independent datasets to average over." in
-  Arg.(value & opt int 5 & info [ "repetitions" ] ~doc)
+  Arg.(value & opt non_negative_int 5 & info [ "repetitions" ] ~doc)
 
 let data_file =
   let doc =

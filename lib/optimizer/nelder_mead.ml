@@ -11,6 +11,71 @@ let gamma = 2.0
 let rho = 0.5
 let sigma = 0.5
 
+(* The vertex order: [order] is a permutation of the vertex slots, sorted
+   by their values [keys].  This is the stdlib's [Array.sort] (a ternary
+   heap sort) specialised to float keys, making the same comparisons and
+   the same moves, with a [-1] sentinel in place of its [Bottom]
+   exception.  The simplex sums its centroid and picks its worst vertex
+   in this order, and ties between vertex values are common, so any other
+   sort — even a stable one — changes which plan the solver returns. *)
+let[@inline] less keys order a b =
+  Float.compare keys.(order.(a)) keys.(order.(b)) < 0
+
+let maxson keys order l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if less keys order i31 (i31 + 1) then i31 + 1 else i31 in
+    if less keys order x (i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && less keys order i31 (i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle keys order l i e =
+  let j = maxson keys order l i in
+  if j >= 0 && Float.compare keys.(order.(j)) keys.(e) > 0 then begin
+    order.(i) <- order.(j);
+    trickle keys order l j e
+  end
+  else order.(i) <- e
+
+let rec bubble keys order l i =
+  let j = maxson keys order l i in
+  if j < 0 then i
+  else begin
+    order.(i) <- order.(j);
+    bubble keys order l j
+  end
+
+let rec trickle_up keys order i e =
+  let father = (i - 1) / 3 in
+  if Float.compare keys.(order.(father)) keys.(e) < 0 then begin
+    order.(i) <- order.(father);
+    if father > 0 then trickle_up keys order father e else order.(0) <- e
+  end
+  else order.(i) <- e
+
+let sort_order keys order =
+  let l = Array.length order in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle keys order l i order.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = order.(i) in
+    order.(i) <- order.(0);
+    trickle_up keys order (bubble keys order i 0) e
+  done;
+  if l > 1 then begin
+    let e = order.(1) in
+    order.(1) <- order.(0);
+    order.(0) <- e
+  end
+
+let combine_into dst a wa b wb =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- (wa *. a.(i)) +. (wb *. b.(i))
+  done
+
 let minimize ?(options = default_options) ~lower ~upper ~init f =
   let n = Array.length init in
   if n = 0 then invalid_arg "Nelder_mead.minimize: empty dimension";
@@ -20,17 +85,21 @@ let minimize ?(options = default_options) ~lower ~upper ~init f =
     (fun i lo -> if lo > upper.(i) then invalid_arg "Nelder_mead.minimize: box")
     lower;
   let clamp x =
-    Array.mapi (fun i v -> Float.min upper.(i) (Float.max lower.(i) v)) x
+    for i = 0 to n - 1 do
+      x.(i) <- Float.min upper.(i) (Float.max lower.(i) x.(i))
+    done
   in
   let eval x =
-    let x = clamp x in
-    (x, f x)
+    clamp x;
+    f x
   in
   (* Initial simplex: the start plus one vertex per coordinate, stepped by
-     10% of the box width. *)
-  let vertices =
+     10% of the box width.  Vertex [v] lives in slot [v] for the whole
+     run; [order] ranks the slots by value. *)
+  let points =
     Array.init (n + 1) (fun v ->
-        let x = clamp (Array.copy init) in
+        let x = Array.copy init in
+        clamp x;
         if v > 0 then begin
           let i = v - 1 in
           let width = upper.(i) -. lower.(i) in
@@ -38,60 +107,80 @@ let minimize ?(options = default_options) ~lower ~upper ~init f =
           let moved = if x.(i) +. step <= upper.(i) then x.(i) +. step else x.(i) -. step in
           x.(i) <- moved
         end;
-        eval x)
+        x)
   in
-  let order () =
-    Array.sort (fun (_, fa) (_, fb) -> Float.compare fa fb) vertices
+  let values = Array.make (n + 1) 0.0 in
+  for v = 0 to n do
+    values.(v) <- eval points.(v)
+  done;
+  let order = Array.init (n + 1) Fun.id in
+  sort_order values order;
+  (* Work buffers, reused every iteration: the centroid and the
+     reflected, expanded and contracted candidates. *)
+  let centroid = Array.make n 0.0 in
+  let reflected = Array.make n 0.0 in
+  let expanded = Array.make n 0.0 in
+  let contracted = Array.make n 0.0 in
+  let replace_worst x value =
+    let w = order.(n) in
+    Array.blit x 0 points.(w) 0 n;
+    values.(w) <- value
   in
-  order ();
   let iterations = ref 0 in
-  let spread () =
-    let _, best = vertices.(0) and _, worst = vertices.(n) in
-    Float.abs (worst -. best)
-  in
-  let centroid_excluding_worst () =
-    let c = Array.make n 0.0 in
+  while
+    !iterations < options.max_iterations
+    && Float.abs (values.(order.(n)) -. values.(order.(0))) > options.tolerance
+  do
+    incr iterations;
+    Array.fill centroid 0 n 0.0;
     for v = 0 to n - 1 do
-      let x, _ = vertices.(v) in
+      let x = points.(order.(v)) in
       for i = 0 to n - 1 do
-        c.(i) <- c.(i) +. x.(i)
+        centroid.(i) <- centroid.(i) +. x.(i)
       done
     done;
-    Array.map (fun s -> s /. float_of_int n) c
-  in
-  let combine a wa b wb = Array.mapi (fun i ai -> (wa *. ai) +. (wb *. b.(i))) a in
-  while !iterations < options.max_iterations && spread () > options.tolerance do
-    incr iterations;
-    let c = centroid_excluding_worst () in
-    let worst_x, worst_f = vertices.(n) in
-    let _, best_f = vertices.(0) in
-    let _, second_worst_f = vertices.(n - 1) in
+    for i = 0 to n - 1 do
+      centroid.(i) <- centroid.(i) /. float_of_int n
+    done;
+    let worst_x = points.(order.(n)) in
+    let worst_f = values.(order.(n)) in
+    let best_f = values.(order.(0)) in
+    let second_worst_f = values.(order.(n - 1)) in
     (* Reflection. *)
-    let refl_x, refl_f = eval (combine c (1.0 +. alpha) worst_x (-.alpha)) in
+    combine_into reflected centroid (1.0 +. alpha) worst_x (-.alpha);
+    let refl_f = eval reflected in
     if refl_f < best_f then begin
       (* Expansion. *)
-      let exp_x, exp_f = eval (combine c (1.0 +. gamma) worst_x (-.gamma)) in
-      vertices.(n) <- (if exp_f < refl_f then (exp_x, exp_f) else (refl_x, refl_f))
+      combine_into expanded centroid (1.0 +. gamma) worst_x (-.gamma);
+      let exp_f = eval expanded in
+      if exp_f < refl_f then replace_worst expanded exp_f
+      else replace_worst reflected refl_f
     end
-    else if refl_f < second_worst_f then vertices.(n) <- (refl_x, refl_f)
+    else if refl_f < second_worst_f then replace_worst reflected refl_f
     else begin
       (* Contraction (outside if the reflected point improved on the
          worst, inside otherwise). *)
-      let towards, towards_f =
-        if refl_f < worst_f then (refl_x, refl_f) else (worst_x, worst_f)
-      in
-      let con_x, con_f = eval (combine c (1.0 -. rho) towards rho) in
-      if con_f < towards_f then vertices.(n) <- (con_x, con_f)
+      let outside = refl_f < worst_f in
+      let towards = if outside then reflected else worst_x in
+      combine_into contracted centroid (1.0 -. rho) towards rho;
+      let con_f = eval contracted in
+      if con_f < (if outside then refl_f else worst_f) then
+        replace_worst contracted con_f
       else begin
         (* Shrink towards the best vertex. *)
-        let best_x, _ = vertices.(0) in
+        let best_x = points.(order.(0)) in
         for v = 1 to n do
-          let x, _ = vertices.(v) in
-          vertices.(v) <- eval (combine best_x (1.0 -. sigma) x sigma)
+          let w = order.(v) in
+          let x = points.(w) in
+          combine_into x best_x (1.0 -. sigma) x sigma;
+          values.(w) <- eval x
         done
       end
     end;
-    order ()
+    sort_order values order
   done;
-  let point, value = vertices.(0) in
-  { point; value; iterations = !iterations }
+  {
+    point = Array.copy points.(order.(0));
+    value = values.(order.(0));
+    iterations = !iterations;
+  }

@@ -31,5 +31,16 @@ val minimize :
     point (clamped into the box; the initial simplex steps 10 % of each
     box width, or 0.1 for degenerate widths).
 
+    The simplex works in buffers allocated once per call, so an iteration
+    allocates nothing but what [f] does.  [f] is passed one of those
+    buffers: it is reused between calls, so [f] must not keep it or
+    change it.  [point] in the result is a fresh copy.
+
+    Vertices are ranked by value as the stdlib's [Array.sort] would rank
+    them, ties included.  The ranking decides the centroid's summation
+    order and which vertex is worst, so the points visited and the result
+    are those of a simplex that sorts [(point, value)] pairs with
+    [Array.sort], bit for bit.
+
     @raise Invalid_argument on dimension mismatches, an empty dimension,
     or [lower.(i) > upper.(i)]. *)

@@ -83,25 +83,111 @@ let evaluate t (params : Policy.params) =
     expected_precision = precision;
   }
 
-(* Penalised objective: any infeasible point costs more than any feasible
-   one, and more violation costs more, so the simplex is pulled back into
-   the feasible set. *)
-let penalized t params =
-  let e = evaluate t params in
-  if e.feasible then e.cost
-  else begin
-    let c = t.effective in
-    let worst_unit =
-      c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp
-    in
-    let ceiling = float_of_int t.total *. worst_unit in
-    (2.0 *. ceiling) +. (10.0 *. ceiling *. e.violation)
-  end
+let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
 
 let params_of_vector v =
-  let clamp x = Float.min 1.0 (Float.max 0.0 x) in
-  Policy.params ~s3:(clamp v.(0)) ~s5:(clamp v.(1)) ~p_py:(clamp v.(2))
-    ~p_fm:(clamp v.(3))
+  Policy.params ~s3:(clamp01 v.(0)) ~s5:(clamp01 v.(1)) ~p_py:(clamp01 v.(2))
+    ~p_fm:(clamp01 v.(3))
+
+(* {2 The objectives the simplex minimises}
+
+   The simplex evaluates its objective about 25,000 times per solve, so
+   the objectives below do not go through [evaluate]: each is one closure
+   per problem that hoists every term not depending on the parameters
+   (the YES mass above l_q, the MAYBE mass below it, the prices) and
+   computes the rest straight from the four coordinates, building no
+   [Policy.params], fractions or evaluation record.  Every float
+   operation is the one [Region_model.fractions], its rates and
+   [evaluate] (or [evaluate_dual]) perform, in the same order, so the
+   simplex sees bit-identical values and returns the same plans; the
+   reference tests in [test_optimizer.ml] hold them to that. *)
+
+(* What one parameter point implies per read: α, β, the expected
+   precision and the unit cost of {!Region_model}.  A flat float record,
+   overwritten in place by every evaluation. *)
+type rates = {
+  mutable alpha : float;
+  mutable beta : float;
+  mutable precision : float;
+  mutable unit_cost : float;
+}
+
+(* [Policy.params]' range check, on a clamped coordinate: only NaN fails. *)
+let[@inline] check_coordinate name x =
+  if not (Float.is_finite x && x >= 0.0 && x <= 1.0) then
+    invalid_arg (Printf.sprintf "Policy.params: %s outside [0, 1]" name)
+
+let rates t =
+  let spec = t.spec in
+  let density = spec.Region_model.density in
+  let f_y = spec.f_y and f_m = spec.f_m in
+  let max_laxity = spec.max_laxity in
+  let lq = t.requirements.Quality.laxity in
+  let yes_hi = density.yes_above lq in
+  let yes_forwarded = Float.max 0.0 (1.0 -. yes_hi) *. f_y in
+  let below_mass =
+    (density.maybe_region ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq).mass
+  in
+  let c = t.effective in
+  let r = { alpha = 0.0; beta = 0.0; precision = 0.0; unit_cost = 0.0 } in
+  let fill v =
+    let s3 = clamp01 v.(0) and s5 = clamp01 v.(1) in
+    let p_py = clamp01 v.(2) and p_fm = clamp01 v.(3) in
+    check_coordinate "s3" s3;
+    check_coordinate "s5" s5;
+    check_coordinate "p_py" p_py;
+    check_coordinate "p_fm" p_fm;
+    let r3 = density.maybe_region ~s_min:s3 ~l_min:lq ~l_max:max_laxity in
+    let r5 = density.maybe_region ~s_min:s5 ~l_min:(-1.0) ~l_max:lq in
+    let r4_mass = Float.max 0.0 (below_mass -. r5.mass) in
+    let p3 = r3.mass *. f_m in
+    let p5 = r5.mass *. f_m in
+    let yes_probed = p_py *. yes_hi *. f_y in
+    let maybe_probed = p3 +. p5 in
+    let maybe_forwarded = p_fm *. r4_mass *. f_m in
+    let maybe_probe_yes = (r3.mean_s *. p3) +. (r5.mean_s *. p5) in
+    let alpha = yes_probed +. yes_forwarded +. maybe_probe_yes in
+    let answer = alpha +. maybe_forwarded in
+    r.alpha <- alpha;
+    r.beta <- f_y +. f_m +. maybe_probe_yes -. maybe_probed -. maybe_forwarded;
+    r.precision <- (if answer <= 0.0 then 1.0 else alpha /. answer);
+    r.unit_cost <-
+      c.Cost_model.c_r
+      +. ((yes_probed +. maybe_probed) *. c.c_p)
+      +. ((yes_forwarded +. maybe_forwarded) *. c.c_wi)
+      +. ((yes_probed +. maybe_probe_yes) *. c.c_wp)
+  in
+  (r, fill)
+
+let worst_unit (c : Cost_model.t) = c.c_r +. c.c_p +. c.c_wi +. c.c_wp
+
+(* Penalised objective: any infeasible point costs more than any feasible
+   one, and more violation costs more, so the simplex is pulled back into
+   the feasible set.  Feasible points cost [evaluate]'s [cost]. *)
+let penalized t =
+  let r, fill = rates t in
+  let req = t.requirements in
+  let r_q = req.Quality.recall and p_q = req.precision in
+  let total = float_of_int t.total in
+  let ceiling = total *. worst_unit t.effective in
+  fun v ->
+    fill v;
+    let precision_violation =
+      if r_q <= 0.0 then 0.0 else Float.max 0.0 (p_q -. r.precision)
+    in
+    let gamma = r.alpha -. (r_q *. (r.beta -. 1.0)) in
+    let reads =
+      if r_q <= 0.0 then 0.0
+      else if gamma >= r_q -. tolerance then
+        Float.min total (r_q *. total /. Float.max gamma tolerance)
+      else total
+    in
+    let recall_violation =
+      if r_q <= 0.0 || gamma >= r_q -. tolerance then 0.0 else r_q -. gamma
+    in
+    let violation = precision_violation +. recall_violation in
+    if violation <= tolerance then reads *. r.unit_cost
+    else (2.0 *. ceiling) +. (10.0 *. ceiling *. violation)
 
 let default_seeds =
   let corners = ref [] in
@@ -138,7 +224,7 @@ let better a b =
 let solve ?(seeds = default_seeds) t =
   if seeds = [] then invalid_arg "Solver.solve: no seeds";
   let lower = Array.make 4 0.0 and upper = Array.make 4 1.0 in
-  let objective v = penalized t (params_of_vector v) in
+  let objective = penalized t in
   let refine (p : Policy.params) =
     let init = [| p.s3; p.s5; p.p_py; p.p_fm |] in
     let result =
@@ -239,16 +325,42 @@ let better_dual a b =
 (* Penalised dual objective: feasible points score their negated target
    recall (plus a cost term small enough to only break ties), infeasible
    points sit strictly above every feasible score, scaled by the
-   precision violation. *)
-let dual_penalized t ~budget params =
-  let e = evaluate_dual t ~budget params in
-  if e.d_feasible then begin
-    let c = t.effective in
-    let worst_unit = c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp in
-    let ceiling = Float.max 1.0 (float_of_int t.total *. worst_unit) in
-    -.e.target_recall +. (1e-4 *. e.d_cost /. ceiling)
-  end
-  else 2.0 +. (10.0 *. e.d_violation)
+   precision violation.  The target and spend are [evaluate_dual]'s. *)
+let dual_penalized t ~budget =
+  let r, fill = rates t in
+  let req = t.requirements in
+  let r_q = req.Quality.recall and p_q = req.precision in
+  let total = float_of_int t.total in
+  let budget = Float.max 0.0 budget in
+  let ceiling = Float.max 1.0 (total *. worst_unit t.effective) in
+  fun v ->
+    fill v;
+    let alpha = r.alpha and beta = r.beta and unit = r.unit_cost in
+    let r_budget =
+      if unit <= 0.0 then total else Float.min total (budget /. unit)
+    in
+    let recall_at_budget =
+      if r_budget <= 0.0 then 0.0
+      else
+        let denom = ((beta -. 1.0) *. r_budget) +. total in
+        if denom <= tolerance then 1.0
+        else Float.max 0.0 (Float.min 1.0 (alpha *. r_budget /. denom))
+    in
+    let target = Float.min r_q recall_at_budget in
+    let precision_violation =
+      if target <= 0.0 then 0.0 else Float.max 0.0 (p_q -. r.precision)
+    in
+    if precision_violation <= tolerance then begin
+      let reads =
+        if target <= 0.0 then 0.0
+        else
+          let gamma = alpha -. (target *. (beta -. 1.0)) in
+          if gamma <= tolerance then r_budget
+          else Float.min r_budget (target *. total /. gamma)
+      in
+      -.target +. (1e-4 *. (reads *. unit) /. ceiling)
+    end
+    else 2.0 +. (10.0 *. precision_violation)
 
 let solve_dual ?(seeds = default_seeds) ~budget t =
   if seeds = [] then invalid_arg "Solver.solve_dual: no seeds";
@@ -272,7 +384,7 @@ let solve_dual ?(seeds = default_seeds) ~budget t =
     }
   else begin
     let lower = Array.make 4 0.0 and upper = Array.make 4 1.0 in
-    let objective v = dual_penalized t ~budget (params_of_vector v) in
+    let objective = dual_penalized t ~budget in
     let refine (p : Policy.params) =
       let init = [| p.s3; p.s5; p.p_py; p.p_fm |] in
       let result =

@@ -263,6 +263,396 @@ let test_explain () =
      let rec go i = i + n <= String.length t && (String.sub t i n = "INFEASIBLE" || go (i + 1)) in
      go 0)
 
+(* --- reference implementations -------------------------------------- *)
+
+(* The simplex as it was before its inner loop became allocation-free,
+   copied unchanged: a tuple per vertex, a fresh array per point and
+   [Array.sort] on the vertex values.  The optimised
+   [Nelder_mead.minimize] must reproduce it bit for bit. *)
+module Reference_nm = struct
+  open Nelder_mead
+
+  let alpha = 1.0
+  let gamma = 2.0
+  let rho = 0.5
+  let sigma = 0.5
+
+  let minimize ?(options = default_options) ~lower ~upper ~init f =
+    let n = Array.length init in
+    if n = 0 then invalid_arg "Nelder_mead.minimize: empty dimension";
+    if Array.length lower <> n || Array.length upper <> n then
+      invalid_arg "Nelder_mead.minimize: dimension mismatch";
+    Array.iteri
+      (fun i lo -> if lo > upper.(i) then invalid_arg "Nelder_mead.minimize: box")
+      lower;
+    let clamp x =
+      Array.mapi (fun i v -> Float.min upper.(i) (Float.max lower.(i) v)) x
+    in
+    let eval x =
+      let x = clamp x in
+      (x, f x)
+    in
+    (* Initial simplex: the start plus one vertex per coordinate, stepped by
+       10% of the box width. *)
+    let vertices =
+      Array.init (n + 1) (fun v ->
+          let x = clamp (Array.copy init) in
+          if v > 0 then begin
+            let i = v - 1 in
+            let width = upper.(i) -. lower.(i) in
+            let step = if width > 0.0 then 0.1 *. width else 0.1 in
+            let moved = if x.(i) +. step <= upper.(i) then x.(i) +. step else x.(i) -. step in
+            x.(i) <- moved
+          end;
+          eval x)
+    in
+    let order () =
+      Array.sort (fun (_, fa) (_, fb) -> Float.compare fa fb) vertices
+    in
+    order ();
+    let iterations = ref 0 in
+    let spread () =
+      let _, best = vertices.(0) and _, worst = vertices.(n) in
+      Float.abs (worst -. best)
+    in
+    let centroid_excluding_worst () =
+      let c = Array.make n 0.0 in
+      for v = 0 to n - 1 do
+        let x, _ = vertices.(v) in
+        for i = 0 to n - 1 do
+          c.(i) <- c.(i) +. x.(i)
+        done
+      done;
+      Array.map (fun s -> s /. float_of_int n) c
+    in
+    let combine a wa b wb = Array.mapi (fun i ai -> (wa *. ai) +. (wb *. b.(i))) a in
+    while !iterations < options.max_iterations && spread () > options.tolerance do
+      incr iterations;
+      let c = centroid_excluding_worst () in
+      let worst_x, worst_f = vertices.(n) in
+      let _, best_f = vertices.(0) in
+      let _, second_worst_f = vertices.(n - 1) in
+      (* Reflection. *)
+      let refl_x, refl_f = eval (combine c (1.0 +. alpha) worst_x (-.alpha)) in
+      if refl_f < best_f then begin
+        (* Expansion. *)
+        let exp_x, exp_f = eval (combine c (1.0 +. gamma) worst_x (-.gamma)) in
+        vertices.(n) <- (if exp_f < refl_f then (exp_x, exp_f) else (refl_x, refl_f))
+      end
+      else if refl_f < second_worst_f then vertices.(n) <- (refl_x, refl_f)
+      else begin
+        (* Contraction (outside if the reflected point improved on the
+           worst, inside otherwise). *)
+        let towards, towards_f =
+          if refl_f < worst_f then (refl_x, refl_f) else (worst_x, worst_f)
+        in
+        let con_x, con_f = eval (combine c (1.0 -. rho) towards rho) in
+        if con_f < towards_f then vertices.(n) <- (con_x, con_f)
+        else begin
+          (* Shrink towards the best vertex. *)
+          let best_x, _ = vertices.(0) in
+          for v = 1 to n do
+            let x, _ = vertices.(v) in
+            vertices.(v) <- eval (combine best_x (1.0 -. sigma) x sigma)
+          done
+        end
+      end;
+      order ()
+    done;
+    let point, value = vertices.(0) in
+    { point; value; iterations = !iterations }
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_floats a b = List.length a = List.length b && List.for_all2 same_bits a b
+
+let same_result (a : Nelder_mead.result) (b : Nelder_mead.result) =
+  same_floats (Array.to_list a.point) (Array.to_list b.point)
+  && same_bits a.value b.value
+  && a.iterations = b.iterations
+
+(* A box, a start (often outside the box) and an objective.  The shapes
+   with plateaus make vertex values tie, and ties decide both the
+   centroid's summation order and which vertex is worst. *)
+type nm_case = {
+  lower : float array;
+  upper : float array;
+  init : float array;
+  shape : [ `Quadratic | `Rounded | `Steps | `Flat | `Taxicab | `Holes ];
+  centre : float array;
+  grain : float;
+  options : Nelder_mead.options;
+}
+
+let nm_objective c x =
+  let sum f =
+    let s = ref 0.0 in
+    Array.iteri (fun i xi -> s := !s +. f xi c.centre.(i)) x;
+    !s
+  in
+  let square xi ci = (xi -. ci) *. (xi -. ci) in
+  match c.shape with
+  | `Quadratic -> sum square
+  | `Rounded -> Float.round (sum square /. c.grain) *. c.grain
+  | `Steps -> sum (fun xi ci -> Float.floor ((xi -. ci) /. c.grain))
+  | `Flat -> 1.0
+  | `Taxicab -> Float.round (sum (fun xi ci -> Float.abs (xi -. ci)) /. c.grain)
+  | `Holes ->
+      (* NaN and infinite values, which rank unlike any finite one. *)
+      let q = sum square in
+      if q < c.grain then Float.nan else if q > 4.0 then Float.infinity else q
+
+let gen_nm_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let coords g = array_size (pure n) g in
+  let* lower = coords (float_range (-2.0) 2.0) in
+  let* widths = coords (frequency [ (1, pure 0.0); (3, float_range 0.01 3.0) ]) in
+  let* init = coords (float_range (-3.0) 4.0) in
+  let* centre = coords (float_range (-2.0) 2.0) in
+  let* shape =
+    oneofl [ `Quadratic; `Rounded; `Steps; `Flat; `Taxicab; `Holes ]
+  in
+  let* grain = oneofl [ 1.0; 0.5; 0.1; 0.01; 1e-3 ] in
+  let* max_iterations = int_range 0 400 in
+  let* tolerance = oneofl [ 1e-12; 1e-10; 1e-6; 0.0; -1.0 ] in
+  return
+    {
+      lower;
+      upper = Array.mapi (fun i lo -> lo +. widths.(i)) lower;
+      init;
+      shape;
+      centre;
+      grain;
+      options = { Nelder_mead.max_iterations; tolerance };
+    }
+
+let print_nm_case c =
+  let floats a = String.concat "; " (Array.to_list (Array.map string_of_float a)) in
+  Printf.sprintf
+    "lower [%s] upper [%s] init [%s] centre [%s] grain %g shape %s iterations %d tolerance %g"
+    (floats c.lower) (floats c.upper) (floats c.init) (floats c.centre) c.grain
+    (match c.shape with
+    | `Quadratic -> "quadratic"
+    | `Rounded -> "rounded"
+    | `Steps -> "steps"
+    | `Flat -> "flat"
+    | `Taxicab -> "taxicab"
+    | `Holes -> "holes")
+    c.options.max_iterations c.options.tolerance
+
+let prop_nelder_mead_matches_reference =
+  QCheck2.Test.make ~name:"nelder-mead is the reference simplex bit for bit"
+    ~count:400 ~print:print_nm_case gen_nm_case (fun c ->
+      let run (minimize : ?options:_ -> _) =
+        minimize ~options:c.options ~lower:c.lower ~upper:c.upper ~init:c.init
+          (nm_objective c)
+      in
+      same_result (run Nelder_mead.minimize) (run Reference_nm.minimize))
+
+(* The planner before its objectives became per-problem closures: the
+   reference simplex driving the penalised objectives spelled out over
+   [Solver.evaluate] and [Solver.evaluate_dual], from the same seeds,
+   with the same candidate comparators. *)
+module Reference_solver = struct
+  let params_of_vector v =
+    let clamp x = Float.min 1.0 (Float.max 0.0 x) in
+    Policy.params ~s3:(clamp v.(0)) ~s5:(clamp v.(1)) ~p_py:(clamp v.(2))
+      ~p_fm:(clamp v.(3))
+
+  let worst_unit (t : Solver.problem) =
+    let c = t.effective in
+    c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp
+
+  let penalized (t : Solver.problem) params =
+    let e = Solver.evaluate t params in
+    if e.feasible then e.cost
+    else begin
+      let ceiling = float_of_int t.total *. worst_unit t in
+      (2.0 *. ceiling) +. (10.0 *. ceiling *. e.violation)
+    end
+
+  let dual_penalized (t : Solver.problem) ~budget params =
+    let e = Solver.evaluate_dual t ~budget params in
+    if e.d_feasible then begin
+      let ceiling = Float.max 1.0 (float_of_int t.total *. worst_unit t) in
+      -.e.target_recall +. (1e-4 *. e.d_cost /. ceiling)
+    end
+    else 2.0 +. (10.0 *. e.d_violation)
+
+  (* The default seeds, in [Solver]'s order: the centre, Stingy, Greedy,
+     then the 16 corners of the unit hypercube. *)
+  let seeds =
+    let corners = ref [] in
+    List.iter
+      (fun s3 ->
+        List.iter
+          (fun s5 ->
+            List.iter
+              (fun p_py ->
+                List.iter
+                  (fun p_fm ->
+                    corners := Policy.params ~s3 ~s5 ~p_py ~p_fm :: !corners)
+                  [ 0.0; 1.0 ])
+              [ 0.0; 1.0 ])
+          [ 0.0; 1.0 ])
+      [ 0.0; 1.0 ];
+    Policy.params ~s3:0.5 ~s5:0.5 ~p_py:0.5 ~p_fm:0.5
+    :: Policy.stingy_params :: Policy.greedy_params :: !corners
+
+  let multistart objective finish better =
+    let refine (p : Policy.params) =
+      let result =
+        Reference_nm.minimize
+          ~options:{ Nelder_mead.max_iterations = 800; tolerance = 1e-12 }
+          ~lower:(Array.make 4 0.0) ~upper:(Array.make 4 1.0)
+          ~init:[| p.s3; p.s5; p.p_py; p.p_fm |]
+          (fun v -> objective (params_of_vector v))
+      in
+      finish (params_of_vector result.point)
+    in
+    match List.map refine seeds with
+    | [] -> assert false
+    | first :: rest -> List.fold_left better first rest
+
+  let solve t = multistart (penalized t) (Solver.evaluate t) Solver.better
+
+  let solve_dual ~budget (t : Solver.problem) =
+    let budget = Float.max 0.0 budget in
+    let primal = solve t in
+    if primal.feasible && primal.cost <= budget then
+      {
+        Solver.d_params = primal.params;
+        d_fractions = primal.fractions;
+        d_feasible = true;
+        d_violation = 0.0;
+        target_recall = t.requirements.Quality.recall;
+        d_reads = primal.reads;
+        d_cost = primal.cost;
+        d_budget = budget;
+        budget_limited = false;
+        d_expected_precision = primal.expected_precision;
+      }
+    else
+      multistart (dual_penalized t ~budget) (Solver.evaluate_dual t ~budget)
+        Solver.better_dual
+end
+
+let params_floats (p : Policy.params) = [ p.s3; p.s5; p.p_py; p.p_fm ]
+
+let same_evaluation (a : Solver.evaluation) (b : Solver.evaluation) =
+  a.feasible = b.feasible
+  && same_floats
+       (params_floats a.params
+       @ [ a.violation; a.reads; a.cost; a.expected_precision ])
+       (params_floats b.params
+       @ [ b.violation; b.reads; b.cost; b.expected_precision ])
+
+let same_dual (a : Solver.dual_evaluation) (b : Solver.dual_evaluation) =
+  a.d_feasible = b.d_feasible
+  && a.budget_limited = b.budget_limited
+  && same_floats
+       (params_floats a.d_params
+       @ [ a.d_violation; a.target_recall; a.d_reads; a.d_cost; a.d_budget ])
+       (params_floats b.d_params
+       @ [ b.d_violation; b.target_recall; b.d_reads; b.d_cost; b.d_budget ])
+
+let tier_specs =
+  [|
+    "proxy:cp=0.1,cb=1,B=32,shrink=0.8;oracle:cp=1,cb=5,B=8";
+    "cheap:cp=0.35,cb=2.5,B=16,shrink=0.45;mid:cp=3.7,cb=0.5,B=4,shrink=0.9;oracle:cp=60.5,cb=12.25,B=3";
+  |]
+
+(* A random planning problem: uniform or sampled-histogram density,
+   fractional prices with a batch surcharge, B in 1..16, sometimes a
+   tiered cascade; and a budget that is zero, binding or ample. *)
+let random_problem seed =
+  let rng = Rng.create seed in
+  let f_y = Rng.uniform_in rng 0.02 0.5 in
+  let f_m = Rng.uniform_in rng 0.02 (1.0 -. f_y) in
+  let max_laxity = Rng.uniform_in rng 10.0 200.0 in
+  let spec =
+    if Rng.bool rng then Region_model.uniform_spec ~f_y ~f_m ~max_laxity
+    else begin
+      let sample =
+        Synthetic.generate (Rng.split rng)
+          (Synthetic.config ~total:400 ~f_y ~f_m ~max_laxity ())
+      in
+      let estimate =
+        Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:max_laxity
+          ~laxity_bins:8 ~success_bins:8 sample
+      in
+      Region_model.spec ~f_y ~f_m ~max_laxity
+        ~density:(Density.of_estimate estimate)
+    end
+  in
+  let cost =
+    Cost_model.make ~c_r:(Rng.uniform_in rng 0.1 3.0)
+      ~c_p:(Rng.uniform_in rng 0.5 150.0) ~c_wi:(Rng.uniform_in rng 0.0 2.0)
+      ~c_wp:(Rng.uniform_in rng 0.0 2.0)
+      ~c_b:(if Rng.int rng 4 = 0 then 0.0 else Rng.uniform_in rng 0.5 40.0)
+      ()
+  in
+  let requirements =
+    Quality.requirements ~precision:(Rng.uniform_in rng 0.3 0.99)
+      ~recall:(if Rng.int rng 10 = 0 then 0.0 else Rng.uniform_in rng 0.05 0.99)
+      ~laxity:(Rng.uniform_in rng 0.0 max_laxity)
+  in
+  let batch = 1 + Rng.int rng 16 in
+  let tiers =
+    if Rng.int rng 4 = 0 then
+      Some (Probe_tier.of_string tier_specs.(Rng.int rng (Array.length tier_specs)))
+    else None
+  in
+  let budget_factor =
+    match Rng.int rng 4 with
+    | 0 -> 0.0
+    | 1 -> Rng.uniform_in rng 1.0 3.0
+    | _ -> Rng.uniform_in rng 0.02 0.9
+  in
+  ( Solver.problem ~total:(100 + Rng.int rng 20_000) ~spec ~requirements ~cost
+      ~batch ?tiers (),
+    budget_factor )
+
+let prop_solver_matches_reference =
+  QCheck2.Test.make ~name:"solve and solve_dual are the reference planner bit for bit"
+    ~count:60 ~print:(Printf.sprintf "problem seed %d")
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let t, budget_factor = random_problem seed in
+      let primal = Solver.solve t in
+      let budget = budget_factor *. primal.cost in
+      same_evaluation primal (Reference_solver.solve t)
+      && same_dual (Solver.solve_dual ~budget t)
+           (Reference_solver.solve_dual ~budget t))
+
+(* The simplex allocates per iteration only the objective's boxed return
+   values: at most n + 2 = 6 evaluations an iteration in 4-D (reflect,
+   expand or contract, and a shrink of n vertices), 2 words each, so 12
+   words; 16 leaves a margin.  Measured: 8 words per iteration; the
+   simplex that allocated a fresh array per point took 276. *)
+let test_nelder_mead_allocation () =
+  let f x =
+    let a = x.(0) -. 0.3 and b = x.(1) -. 0.7 and c = x.(2) and d = x.(3) -. 1.0 in
+    (a *. a) +. (b *. b) +. (c *. c) +. (d *. d)
+  in
+  let words max_iterations =
+    (* A negative tolerance never stops the loop early. *)
+    let options = { Nelder_mead.max_iterations; tolerance = -1.0 } in
+    let before = Gc.minor_words () in
+    let r =
+      Nelder_mead.minimize ~options ~lower:(Array.make 4 0.0)
+        ~upper:(Array.make 4 1.0) ~init:[| 0.5; 0.5; 0.5; 0.5 |] f
+    in
+    let after = Gc.minor_words () in
+    Alcotest.(check int) "ran every iteration" max_iterations r.iterations;
+    after -. before
+  in
+  let per_iteration = (words 1000 -. words 10) /. 990.0 in
+  checkb
+    (Printf.sprintf "%.1f words per iteration <= 16" per_iteration)
+    true (per_iteration <= 16.0)
+
 let suite =
   [
     ("uniform density", `Quick, test_uniform_density);
@@ -273,6 +663,9 @@ let suite =
     ("zero recall is free", `Quick, test_zero_recall_is_free);
     ("nelder-mead quadratic", `Quick, test_nelder_mead_quadratic);
     ("nelder-mead box constraints", `Quick, test_nelder_mead_respects_box);
+    ("nelder-mead allocation per iteration", `Quick, test_nelder_mead_allocation);
+    QCheck_alcotest.to_alcotest prop_nelder_mead_matches_reference;
+    QCheck_alcotest.to_alcotest prop_solver_matches_reference;
     ("better tie-break on equal violation", `Quick, test_better_tie_break);
     ("dual: ample budget is the primal plan", `Quick,
      test_dual_ample_budget_matches_primal);
