@@ -202,8 +202,9 @@ let ablation_index () =
   section "Ablation: zone-map page pruning (section 7 future work)";
   print_endline
     "Interval data, value-clustered layout, query 'value >= 900' over\n\
-     truths in [0, 1000].  The zone map skips pages whose hull is NO,\n\
-     shrinking |M_ns| for free.";
+     truths in [0, 1000].  The column store's zone hulls skip 128-row\n\
+     pages whose hull is NO, shrinking |M_ns| for free; the object\n\
+     filter drops each NO record before the scan.";
   let rng = Rng.create 99 in
   let records =
     Interval_data.uniform_intervals rng ~n:20000
@@ -212,27 +213,31 @@ let ablation_index () =
   Array.sort
     (fun (a : Interval_data.record) b -> Float.compare a.truth b.truth)
     records;
-  let file = Heap_file.create ~page_size:128 records in
+  let store = Interval_data.to_store ~chunk_size:128 records in
   let pred = Predicate.ge 900.0 in
-  let zone_map =
-    Zone_map.build file ~support:(fun (r : Interval_data.record) ->
-        Uncertain.support r.belief)
-  in
   let requirements =
     Quality.requirements ~precision:0.95 ~recall:0.9 ~laxity:40.0
   in
+  (* One chunk per wave, so the page count is what the scan consumed
+     plus at most one chunk of read-ahead. *)
   let run ~pruned =
-    let cursor =
-      if pruned then Zone_map.open_cursor zone_map pred file
-      else Heap_file.Cursor.open_ file
+    let fetched = ref 0 in
+    let counting =
+      Column_store.of_fetch ~length:(Column_store.length store)
+        ~chunk_size:(Column_store.chunk_size store)
+        ~zones:(Column_store.zones store)
+        (fun c ->
+          incr fetched;
+          Column_store.chunk store c)
     in
     let report =
-      Operator.run ~rng ~instance:(Interval_data.instance pred)
+      Column_scan.run ~rng ~wave:1 ~prune:pruned ~store:counting
+        ~of_row:Interval_data.of_row ~pred:(Predicate.compile pred)
+        ~instance:(Interval_data.instance pred)
         ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
-        ~policy:Policy.stingy ~requirements
-        (Operator.source_of_cursor cursor)
+        ~policy:Policy.stingy ~requirements ()
     in
-    (report, Heap_file.Cursor.io cursor, Heap_file.Cursor.skipped cursor)
+    (report, !fetched)
   in
   let table =
     Text_table.create ~title:"zone-map ablation"
@@ -242,23 +247,32 @@ let ablation_index () =
   in
   List.iter
     (fun (label, pruned) ->
-      let report, io, skipped = run ~pruned in
-      ignore skipped;
+      let report, pages = run ~pruned in
       Text_table.add_row table
         [ label;
-          string_of_int io.Heap_file.pages_fetched;
+          string_of_int pages;
           string_of_int report.counts.reads;
           string_of_int report.counts.probes;
           Printf.sprintf "%.0f" (Operator.cost Cost_model.paper report);
           string_of_int report.answer_size;
           Printf.sprintf "%.3f" report.guarantees.recall ])
     [ ("full scan", false); ("zone-map pruned", true) ];
-  (* Object-granular pruning via the interval index, same query. *)
-  let idx =
-    Interval_index.build records ~support:(fun (r : Interval_data.record) ->
-        Uncertain.support r.belief)
+  (* Object-granular filtering, same query: every record the predicate
+     does not call NO, in order of support upper bound. *)
+  let by_hi = Array.copy records in
+  Array.sort
+    (fun (a : Interval_data.record) b ->
+      Float.compare
+        (Interval.hi (Uncertain.support a.belief))
+        (Interval.hi (Uncertain.support b.belief)))
+    by_hi;
+  let cands =
+    Array.of_list
+      (List.filter
+         (fun (r : Interval_data.record) ->
+           not (Tvl.equal (Predicate.classify pred r.belief) Tvl.No))
+         (Array.to_list by_hi))
   in
-  let cands = Interval_index.candidates idx pred in
   let report =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
@@ -266,7 +280,7 @@ let ablation_index () =
       (Operator.source_of_array cands)
   in
   Text_table.add_row table
-    [ "interval index"; "-";
+    [ "object filter"; "-";
       string_of_int report.counts.reads;
       string_of_int report.counts.probes;
       Printf.sprintf "%.0f" (Operator.cost Cost_model.paper report);
@@ -1221,19 +1235,6 @@ let micro_tests () =
              ignore
                (Band_join.run ~rng:jrng ~collect:false ~requirements
                   ~epsilon:5.0 ~left ~right ())));
-      Test.make ~name:"core:interval-index-query"
-        (let irng = Rng.create 2001 in
-         let records =
-           Interval_data.uniform_intervals irng ~n:20000
-             ~value_range:(Interval.make 0.0 1000.0) ~max_width:30.0
-         in
-         let idx =
-           Interval_index.build records
-             ~support:(fun (r : Interval_data.record) ->
-               Uncertain.support r.belief)
-         in
-         let pred = Predicate.ge 900.0 in
-         Staged.stage (fun () -> ignore (Interval_index.candidate_count idx pred)));
     ]
   in
   opt_benches @ trial_benches @ core_benches

@@ -36,7 +36,8 @@ let positive_float =
   checked Arg.float "a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
 
 let unit_interval =
-  checked Arg.float "a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+  checked Arg.float "a finite number in [0, 1]" (fun x ->
+      Float.is_finite x && x >= 0.0 && x <= 1.0)
 
 (* A cap: any number >= 0, where [inf] is no cap at all. *)
 let cap = checked Arg.float "a number >= 0 (inf: no cap)" (fun x -> x >= 0.0)
@@ -51,11 +52,21 @@ let total =
 
 let f_y =
   let doc = "Fraction of YES objects." in
-  Arg.(value & opt float 0.2 & info [ "fy" ] ~doc)
+  Arg.(value & opt unit_interval 0.2 & info [ "fy" ] ~doc)
 
 let f_m =
   let doc = "Fraction of MAYBE objects." in
-  Arg.(value & opt float 0.2 & info [ "fm" ] ~doc)
+  Arg.(value & opt unit_interval 0.2 & info [ "fm" ] ~doc)
+
+(* [--fy] and [--fm] as a pair: no single flag can check their sum. *)
+let fractions =
+  let check f_y f_m =
+    if f_y +. f_m > 1.0 then
+      `Error
+        (true, Printf.sprintf "expected --fy + --fm <= 1, got %g + %g" f_y f_m)
+    else `Ok (f_y, f_m)
+  in
+  Term.(ret (const check $ f_y $ f_m))
 
 let max_laxity =
   let doc = "Maximum input laxity L." in
@@ -156,7 +167,7 @@ let setting total f_y f_m max_laxity p_q r_q l_q : Exp_config.setting =
 
 (* ---- solve -------------------------------------------------------- *)
 
-let solve_run total f_y f_m max_laxity p_q r_q l_q batch c_b =
+let solve_run total (f_y, f_m) max_laxity p_q r_q l_q batch c_b =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
   let cost = cost_model c_b in
   let e = Exp_runner.solve_setting ~cost ~batch s in
@@ -177,7 +188,7 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc)
     Term.(
-      const solve_run $ total $ f_y $ f_m $ max_laxity $ p_q $ r_q $ l_q
+      const solve_run $ total $ fractions $ max_laxity $ p_q $ r_q $ l_q
       $ batch $ c_b)
 
 (* ---- trial -------------------------------------------------------- *)
@@ -400,7 +411,7 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
       exit 1
     end
 
-let trial_run seed total f_y f_m max_laxity p_q r_q l_q policy repetitions
+let trial_run seed total (f_y, f_m) max_laxity p_q r_q l_q policy repetitions
     data_file batch c_b domains trace metrics_file profile_file chrome_file
     fault_rate fault_seed tiers_spec budget deadline_ms =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
@@ -494,7 +505,7 @@ let trial_cmd =
   Cmd.v
     (Cmd.info "trial" ~doc)
     Term.(
-      const trial_run $ seed $ total $ f_y $ f_m $ max_laxity $ p_q $ r_q
+      const trial_run $ seed $ total $ fractions $ max_laxity $ p_q $ r_q
       $ l_q $ policy $ repetitions $ data_file $ batch $ c_b $ domains
       $ trace_flag $ metrics_file $ profile_file $ chrome_trace_file
       $ fault_rate $ fault_seed $ tiers_opt $ budget_opt $ deadline_ms_opt)
@@ -529,7 +540,7 @@ let max_width =
   let doc = "Maximum belief-interval width (intervals model only)." in
   Arg.(value & opt float 10.0 & info [ "max-width" ] ~doc)
 
-let dataset_run seed total f_y f_m max_laxity model max_width out =
+let dataset_run seed total (f_y, f_m) max_laxity model max_width out =
   match model with
   | `Synthetic ->
       let cfg = Synthetic.config ~total ~f_y ~f_m ~max_laxity () in
@@ -552,7 +563,7 @@ let dataset_cmd =
   Cmd.v
     (Cmd.info "dataset" ~doc)
     Term.(
-      const dataset_run $ seed $ total $ f_y $ f_m $ max_laxity $ model
+      const dataset_run $ seed $ total $ fractions $ max_laxity $ model
       $ max_width $ out_file)
 
 (* ---- convert ------------------------------------------------------ *)
@@ -780,7 +791,7 @@ let tables_cmd =
 
 (* ---- regions ------------------------------------------------------ *)
 
-let regions_run p_q r_q l_q max_laxity f_y f_m total =
+let regions_run p_q r_q l_q max_laxity (f_y, f_m) total =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
   let e = Exp_runner.solve_setting s in
   let params = e.Solver.params in
@@ -816,7 +827,7 @@ let regions_cmd =
   let doc = "Show the optimal decision regions on the (s, l) plane." in
   Cmd.v
     (Cmd.info "regions" ~doc)
-    Term.(const regions_run $ p_q $ r_q $ l_q $ max_laxity $ f_y $ f_m $ total)
+    Term.(const regions_run $ p_q $ r_q $ l_q $ max_laxity $ fractions $ total)
 
 (* ---- watch: live SLO dashboard over a qaq-server socket ----------- *)
 

@@ -35,8 +35,10 @@
     With [prune:true], chunks whose zone hull is a definite NO are
     dropped before the scan: they are never fetched (the streamed store
     never reads their bytes), never enter the source's [total], and are
-    counted under [qaq.parallel.pruned_pages] — the same soundness
-    argument as {!Zone_map.open_cursor}. *)
+    counted under [qaq.parallel.pruned_pages].  This is sound because a
+    pruned chunk holds only definite NOs ({!Column_store.prunable}): they
+    can never be in the answer, so leaving them out of [|M_ns|] keeps
+    every guarantee honest with respect to the full input. *)
 
 val kernel :
   Predicate.compiled ->

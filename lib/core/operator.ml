@@ -18,12 +18,6 @@ let source_of_array objects =
   in
   { next; total = Array.length objects }
 
-let source_of_cursor cursor =
-  {
-    next = (fun () -> Heap_file.Cursor.next cursor);
-    total = Heap_file.Cursor.remaining cursor;
-  }
-
 type 'o emitted = { obj : 'o; precise : bool }
 
 type degradation = {

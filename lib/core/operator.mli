@@ -31,10 +31,6 @@ type 'o source = { next : unit -> 'o option; total : int }
 
 val source_of_array : 'o array -> 'o source
 
-val source_of_cursor : 'o Heap_file.Cursor.t -> 'o source
-(** [total] is the cursor's deliverable count: objects pruned by a
-    filtered cursor are definite NOs and never enter [|M_ns|]. *)
-
 (** One element of the answer set [A]: either the imprecise object as
     read, or the precise [ω^o] returned by a probe. *)
 type 'o emitted = { obj : 'o; precise : bool }

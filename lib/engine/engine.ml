@@ -241,7 +241,8 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     | Fixed _ -> None
     | Sampled { fraction; density; fallback } ->
         let f_y, f_m = fallback in
-        if f_y < 0.0 || f_m < 0.0 || f_y +. f_m > 1.0 then
+        (* Positive form: NaN fails every comparison and is rejected. *)
+        if not (f_y >= 0.0 && f_m >= 0.0 && f_y +. f_m <= 1.0) then
           invalid_arg "Engine.execute: invalid fallback fractions";
         Some
           (span "plan" (fun () ->

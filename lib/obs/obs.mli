@@ -80,8 +80,10 @@ module Keys : sig
       classification stage (0 on a sequential run). *)
 
   val pruned_pages : string
-  (** Whole pages skipped by a zone-map pruning cursor — work that was
-      {e not} done, hence never metered as reads. *)
+  (** Whole [Column_store] chunks a pruned [Column_scan] skipped
+      because their zone hull is a definite NO — work that was {e not}
+      done, hence never metered as reads.  A chunk counts as one
+      page. *)
 
   val parallel_domains : string
   (** Gauge: the lane count of the pool a run executed on. *)

@@ -6,7 +6,8 @@ type spec = {
 }
 
 let spec ~f_y ~f_m ~max_laxity ~density =
-  if f_y < 0.0 || f_m < 0.0 || f_y +. f_m > 1.0 +. 1e-12 then
+  (* Positive form: NaN fails every comparison and is rejected. *)
+  if not (f_y >= 0.0 && f_m >= 0.0 && f_y +. f_m <= 1.0 +. 1e-12) then
     invalid_arg "Region_model.spec: invalid selectivity fractions";
   if not (Float.is_finite max_laxity && max_laxity > 0.0) then
     invalid_arg "Region_model.spec: max_laxity <= 0";

@@ -1,8 +1,8 @@
 (* LRU via a doubly-linked order encoded with a logical clock: each entry
-   stores the tick of its last use; eviction removes the minimum unpinned
-   entry.  For the pool sizes used here (tens to hundreds of pages) the
-   O(n) eviction scan is simpler than an intrusive list and never shows
-   up in profiles.
+   stores the tick of its last use; eviction removes the minimum entry.
+   For the pool sizes used here (tens to hundreds of pages) the O(n)
+   eviction scan is simpler than an intrusive list and never shows up in
+   profiles.
 
    The pool is a monitor: every operation — including the loader call on
    a miss — runs under one mutex.  Holding the lock across the load is
@@ -14,9 +14,8 @@
    cheap decodes, so correctness wins over load concurrency. *)
 
 type 'a entry = {
-  page : 'a;  (* the cached unit: a page array, a column chunk, ... *)
+  page : 'a;  (* the cached unit, e.g. a decoded column chunk *)
   mutable last_used : int;
-  mutable pins : int;  (* > 0: immune to eviction *)
   loaded_at : float;  (* wall time of the miss; 0 when uninstrumented *)
 }
 
@@ -74,21 +73,18 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* Evict the LRU *unpinned* entry; false when every entry is pinned (the
-   pool then temporarily exceeds capacity rather than discarding a page
-   someone is using). *)
+(* Evict the least-recently-used entry (a no-op on an empty pool). *)
 let evict_lru t =
   let victim = ref None in
   Hashtbl.iter
     (fun id entry ->
-      if entry.pins = 0 then
-        match !victim with
-        | None -> victim := Some (id, entry)
-        | Some (_, best) ->
-            if entry.last_used < best.last_used then victim := Some (id, entry))
+      match !victim with
+      | None -> victim := Some (id, entry)
+      | Some (_, best) ->
+          if entry.last_used < best.last_used then victim := Some (id, entry))
     t.table;
   match !victim with
-  | None -> false
+  | None -> ()
   | Some (id, entry) ->
       (match t.ins with
       | Some i ->
@@ -97,16 +93,15 @@ let evict_lru t =
       | None -> ());
       Hashtbl.remove t.table id;
       t.evictions <- t.evictions + 1;
-      (match t.ins with Some i -> Metrics.incr i.m_evictions | None -> ());
-      true
+      (match t.ins with Some i -> Metrics.incr i.m_evictions | None -> ())
 
-let fetch_entry t page_id load =
+let fetch_locked t page_id load =
   match Hashtbl.find_opt t.table page_id with
   | Some entry ->
       t.hits <- t.hits + 1;
       (match t.ins with Some i -> Metrics.incr i.m_hits | None -> ());
       entry.last_used <- tick t;
-      entry
+      entry.page
   | None ->
       t.misses <- t.misses + 1;
       (match t.ins with Some i -> Metrics.incr i.m_misses | None -> ());
@@ -123,36 +118,11 @@ let fetch_entry t page_id load =
             Metrics.observe i.h_fetch (Float.max 0.0 (t1 -. t0));
             (page, t1)
       in
-      if Hashtbl.length t.table >= t.capacity then ignore (evict_lru t);
-      let entry = { page; last_used = tick t; pins = 0; loaded_at } in
-      Hashtbl.replace t.table page_id entry;
-      entry
+      if Hashtbl.length t.table >= t.capacity then evict_lru t;
+      Hashtbl.replace t.table page_id { page; last_used = tick t; loaded_at };
+      page
 
-let fetch t page_id load =
-  locked t (fun () -> (fetch_entry t page_id load).page)
-
-let pin t page_id load =
-  locked t (fun () ->
-      let entry = fetch_entry t page_id load in
-      entry.pins <- entry.pins + 1;
-      entry.page)
-
-let unpin t page_id =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table page_id with
-      | Some entry when entry.pins > 0 ->
-          entry.pins <- entry.pins - 1;
-          (* A pool held over capacity by pins shrinks back as soon as
-             pins release, instead of waiting for the next miss. *)
-          if entry.pins = 0 && Hashtbl.length t.table > t.capacity then
-            ignore (evict_lru t)
-      | Some _ | None -> invalid_arg "Buffer_pool.unpin: page is not pinned")
-
-let pinned t page_id =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table page_id with
-      | Some entry -> entry.pins > 0
-      | None -> false)
+let fetch t page_id load = locked t (fun () -> fetch_locked t page_id load)
 
 let contains t page_id = locked t (fun () -> Hashtbl.mem t.table page_id)
 

@@ -1,14 +1,13 @@
 (** A small LRU buffer pool over fetch-by-index storage units.
 
-    The pool caches whatever the loader produces for an integer key —
-    heap-file pages ([`'o array`], via {!Heap_file.Cursor.open_pooled})
-    or column chunks ({!Column_store.chunk}, via the streaming store of
-    [Dataset_io.open_columnar]).  The simulated storage charges one
-    fetch per miss; hits are free.  This substrate exists to make the
-    storage layer a faithful miniature of a database engine and to let
-    benchmarks show how caching interacts with partial scans (low-recall
-    queries touch a prefix of the file and benefit most from re-use
-    across queries).
+    The pool caches whatever the loader produces for an integer key — in
+    this engine, decoded column chunks ({!Column_store.chunk}, via the
+    streaming store of [Dataset_io.open_columnar]).  The simulated
+    storage charges one fetch per miss; hits are free.  This substrate
+    exists to make the storage layer a faithful miniature of a database
+    engine and to let benchmarks show how caching interacts with partial
+    scans (low-recall queries touch a prefix of the file and benefit
+    most from re-use across queries).
 
     The pool is safe for concurrent use from many domains: every
     operation, {e including the loader call on a miss}, runs under the
@@ -20,8 +19,7 @@
     single-load correctness is worth far more than load concurrency. *)
 
 type 'a t
-(** A pool caching values of type ['a] — a page array for row storage,
-    a decoded column chunk for columnar storage. *)
+(** A pool caching values of type ['a], e.g. a decoded column chunk. *)
 
 val create : ?obs:Obs.t -> capacity:int -> unit -> 'a t
 (** [obs] registers the counters [buffer_pool.hits], [buffer_pool.misses]
@@ -36,26 +34,9 @@ val fetch : 'a t -> int -> (int -> 'a) -> 'a
     cache could not serve it — but leaves the pool otherwise untouched:
     nothing is inserted, no eviction is charged, and every cached entry
     survives, because the LRU victim is only evicted after the
-    replacement actually arrived.  This holds identically for the
-    page-fetch and the chunk-fetch paths; {!stats} after a failed load
+    replacement actually arrived.  {!stats} after a failed load
     therefore shows one extra miss, unchanged evictions, and
     {!hit_rate} correspondingly counts the failure against the pool. *)
-
-val pin : 'a t -> int -> (int -> 'a) -> 'a
-(** Like {!fetch}, but additionally pins the entry: a pinned page is
-    immune to eviction until every pin is released with {!unpin} (pins
-    are counted, so nested pinners compose).  When every resident entry
-    is pinned, a miss inserts {e over} capacity rather than discard a
-    page in use; the pool shrinks back as pins release. *)
-
-val unpin : 'a t -> int -> unit
-(** Release one pin.  If the entry just became unpinned and the pool is
-    over capacity, the LRU unpinned entry is evicted immediately.
-    @raise Invalid_argument if the page is absent or not pinned —
-    unbalanced pin/unpin is a caller bug the pool refuses to absorb. *)
-
-val pinned : 'a t -> int -> bool
-(** Whether the page is resident with at least one pin. *)
 
 val contains : 'a t -> int -> bool
 

@@ -100,7 +100,6 @@ let zone t c =
   t.zones.(c)
 
 let zones t = Array.copy t.zones
-let zone_map t = Zone_map.of_zones t.zones
 
 let prunable t pred c =
   match zone t c with

@@ -1,18 +1,21 @@
-(** Columnar storage for interval records.
+(** Columnar storage for interval records — the engine's one stored
+    relation layer.
 
-    The row layout ({!Heap_file}) stores whole objects page by page; the
-    pre-classification scan then chases a pointer per object to test one
-    scalar attribute.  This module stores that attribute decomposed: one
-    flat [float64] {!Bigarray.Array1} per bound — [lo] and [hi] of the
-    belief support — plus the ground truth used by probes, split into
-    fixed-size chunks.  Classification kernels ({!Column_scan}) run
-    directly over the chunk buffers with no per-object allocation, which
-    is where the columnar layout earns its keep.
+    A row array makes the pre-classification scan chase a pointer per
+    object to test one scalar attribute.  This module stores that
+    attribute decomposed: one flat [float64] {!Bigarray.Array1} per
+    bound — [lo] and [hi] of the belief support — plus the ground truth
+    used by probes, split into fixed-size chunks.  Classification
+    kernels ({!Column_scan}) run directly over the chunk buffers with no
+    per-object allocation, which is where the columnar layout earns its
+    keep.
 
     Each chunk carries a zone hull (the interval hull of its rows'
-    supports), so whole-chunk NO pruning works exactly as the row path's
-    {!Zone_map} — and a pruned chunk is never fetched, which matters for
-    the streamed stores of [Dataset_io.open_columnar].
+    supports).  The hulls are the store's zone map: a chunk whose hull is
+    a definite NO holds only NO rows, so it can be pruned whole — and a
+    pruned chunk is never fetched, which matters for the streamed stores
+    of [Dataset_io.open_columnar].  This is the paper's §7 index-access
+    direction at chunk granularity.
 
     A store is an abstract [fetch]-by-chunk-index view: {!create} backs
     it with resident columns (chunks are zero-copy sub-views); the io
@@ -37,9 +40,8 @@ type chunk = {
 type t
 
 val create : ?chunk_size:int -> row array -> t
-(** Resident store in arrival order; [chunk_size] defaults to 64 rows
-    (matching {!Heap_file}'s default page size, so chunk pruning and page
-    pruning are comparable).  Zone hulls are computed per chunk.
+(** Resident store in arrival order; [chunk_size] defaults to 64 rows.
+    Zone hulls are computed per chunk.
     @raise Invalid_argument if [chunk_size < 1] or any row has a
     non-finite or reversed bound pair. *)
 
@@ -73,13 +75,10 @@ val zone : t -> int -> Interval.t option
 val zones : t -> Interval.t option array
 (** All hulls in chunk order (a copy) — what the codec persists. *)
 
-val zone_map : t -> Zone_map.t
-(** The hulls repackaged as a {!Zone_map} (chunk = page), for reuse of
-    the row path's pruning reports. *)
-
 val prunable : t -> Predicate.t -> int -> bool
-(** [prunable t pred c] iff every row of chunk [c] is a guaranteed NO —
-    same semantics as {!Zone_map.prunable}, decided from the hull alone. *)
+(** [prunable t pred c] iff every row of chunk [c] is a guaranteed NO,
+    decided from the hull alone ([Predicate.classify_interval] of the
+    hull is NO; the [None] hull of an empty store is prunable). *)
 
 val pruned_chunks : t -> Predicate.t -> int
 (** Number of chunks {!prunable} would skip. *)

@@ -5,9 +5,13 @@ type config = {
   max_laxity : float;
 }
 
+(* Written positively so that NaN, which fails every comparison, is
+   rejected rather than let through. *)
+let valid_fractions f_y f_m = f_y >= 0.0 && f_m >= 0.0 && f_y +. f_m <= 1.0
+
 let config ?(total = 10000) ?(f_y = 0.2) ?(f_m = 0.2) ?(max_laxity = 100.0) () =
   if total < 0 then invalid_arg "Synthetic.config: total < 0";
-  if f_y < 0.0 || f_m < 0.0 || f_y > 1.0 || f_m > 1.0 || f_y +. f_m > 1.0 then
+  if not (valid_fractions f_y f_m) then
     invalid_arg "Synthetic.config: invalid fractions";
   if not (Float.is_finite max_laxity && max_laxity > 0.0) then
     invalid_arg "Synthetic.config: max_laxity <= 0";
@@ -65,10 +69,8 @@ let generate rng cfg =
     ~draw_success:Rng.uniform
 
 let generate_drifting rng cfg ~f_y_end ~f_m_end =
-  if
-    f_y_end < 0.0 || f_m_end < 0.0 || f_y_end > 1.0 || f_m_end > 1.0
-    || f_y_end +. f_m_end > 1.0
-  then invalid_arg "Synthetic.generate_drifting: invalid end fractions";
+  if not (valid_fractions f_y_end f_m_end) then
+    invalid_arg "Synthetic.generate_drifting: invalid end fractions";
   let n = Stdlib.max 1 (cfg.total - 1) in
   Array.init cfg.total (fun id ->
       let t = float_of_int id /. float_of_int n in

@@ -193,19 +193,23 @@ let test_golden_streamed_store () =
           check_same "resident = streamed" base got))
 
 (* Pruning drops whole-NO chunks before the scan: the exact answer is
-   untouched (pruned objects are definite NOs) and pruned chunks of a
-   streamed store are never decoded. *)
+   untouched (pruned objects are definite NOs), pruned chunks of a
+   streamed store are never decoded, and pruned rows are never charged
+   as reads.  Pruned objects never consume policy randomness, so the
+   surviving objects see the rng stream of the unpruned scan. *)
 let test_prune_sound_and_lazy () =
+  let chunk_size = 32 in
   let data = dataset 19 in
-  let resident = Interval_data.to_store ~chunk_size:32 data in
+  let n = Array.length data in
+  let resident = Interval_data.to_store ~chunk_size data in
   (* A selective predicate so that many chunk hulls are whole-NO. *)
   let pred = Predicate.between 5.0 9.0 in
   let requirements =
     Quality.requirements ~precision:0.6 ~recall:1.0 ~laxity:10.0
   in
-  let run columnar =
-    Engine.execute ~rng:(Rng.create 3) ~max_laxity:10.0 ~domains:1 ~columnar
-      ~planning:(Engine.Fixed Policy.greedy_params)
+  let run ?obs columnar =
+    Engine.execute ~rng:(Rng.create 3) ~max_laxity:10.0 ~domains:1 ?obs
+      ~columnar ~planning:(Engine.Fixed Policy.greedy_params)
       ~instance:(Interval_data.instance pred)
       ~probe:(Probe_driver.scalar Interval_data.probe)
       ~requirements data
@@ -220,12 +224,34 @@ let test_prune_sound_and_lazy () =
         fetched := c :: !fetched;
         Column_store.chunk resident c)
   in
+  let obs = Obs.create () in
   let result =
-    run { Engine.store = counting; of_row = Interval_data.of_row; pred;
-          prune = true }
+    run ~obs
+      { Engine.store = counting; of_row = Interval_data.of_row; pred;
+        prune = true }
+  in
+  let unpruned =
+    run { Engine.store = resident; of_row = Interval_data.of_row; pred;
+          prune = false }
   in
   let pruned = Column_store.pruned_chunks resident pred in
   checkb "predicate prunes some chunks" true (pruned > 0);
+  checkb "the last chunk is full" true (n mod chunk_size = 0);
+  let ids (r : Interval_data.record Engine.result) =
+    List.map
+      (fun (e : Interval_data.record Operator.emitted) -> (e.obj.id, e.precise))
+      r.Engine.report.Operator.answer
+  in
+  check_same "same answer as the unpruned scan" (ids unpruned) (ids result);
+  checkb "both meet requirements" true
+    (Quality.meets unpruned.report.guarantees requirements
+    && Quality.meets result.report.guarantees requirements);
+  checki "unpruned scan reads everything" n unpruned.report.counts.reads;
+  checki "pruned chunks never charged as reads"
+    (n - (pruned * chunk_size))
+    result.report.counts.reads;
+  checki "pruned_pages metric counts pruned chunks" pruned
+    (Metrics.count_of (Obs.snapshot obs) Obs.Keys.pruned_pages);
   List.iter
     (fun c ->
       checkb "no pruned chunk was fetched" false
@@ -432,6 +458,60 @@ let test_qcol_pool_caches () =
           checki "misses" 4 s.Buffer_pool.misses;
           checki "evictions" 2 s.Buffer_pool.evictions))
 
+(* A pruned scan of a streamed store goes through the chunk pool: the
+   first scan loads each unpruned chunk once and never a pruned one, and
+   a second scan through the same pool is all hits with the same
+   answer. *)
+let test_pruned_scan_pooled () =
+  let chunk_size = 25 in
+  let data = dataset 43 ~n:1000 in
+  let resident = Interval_data.to_store ~chunk_size data in
+  let pred = Predicate.between 5.0 9.0 in
+  let chunks = Column_store.chunk_count resident in
+  let kept = chunks - Column_store.pruned_chunks resident pred in
+  checkb "some chunks pruned, some kept" true (kept > 0 && kept < chunks);
+  let path = Filename.temp_file "imprecise_qcol" ".qcol" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dataset_io.save_columnar path resident;
+      let file = Dataset_io.open_columnar ~pool_capacity:chunks path in
+      Fun.protect
+        ~finally:(fun () -> Dataset_io.close_columnar file)
+        (fun () ->
+          let store = Dataset_io.columnar_store file in
+          let scan () =
+            let result =
+              Engine.execute ~rng:(Rng.create 5) ~max_laxity:10.0 ~domains:1
+                ~columnar:
+                  { Engine.store; of_row = Interval_data.of_row; pred;
+                    prune = true }
+                ~planning:(Engine.Fixed Policy.greedy_params)
+                ~instance:(Interval_data.instance pred)
+                ~probe:(Probe_driver.scalar Interval_data.probe)
+                ~requirements data
+            in
+            List.map
+              (fun (e : Interval_data.record Operator.emitted) ->
+                (e.obj.id, e.precise))
+              result.Engine.report.Operator.answer
+          in
+          let pool = Dataset_io.columnar_pool file in
+          let first = scan () in
+          let s = Buffer_pool.stats pool in
+          checki "each unpruned chunk loaded once" kept s.Buffer_pool.misses;
+          checki "no hits on the first scan" 0 s.Buffer_pool.hits;
+          for c = 0 to chunks - 1 do
+            checkb "resident iff unpruned"
+              (not (Column_store.prunable resident pred c))
+              (Buffer_pool.contains pool c)
+          done;
+          let second = scan () in
+          let s = Buffer_pool.stats pool in
+          check_same "second scan gives the same answer" first second;
+          checki "no new misses" kept s.Buffer_pool.misses;
+          checki "second scan is all hits" kept s.Buffer_pool.hits))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_kernel_matches_instance;
@@ -447,3 +527,7 @@ let suite =
     ("fetch after close", `Quick, test_closed_file_fetch);
     ("qcol pool caches", `Quick, test_qcol_pool_caches);
   ]
+
+(* Chunk pruning through the streamed store's pool. *)
+let pruning_suite =
+  [ ("pruned scan through the chunk pool", `Quick, test_pruned_scan_pooled) ]

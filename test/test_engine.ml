@@ -153,15 +153,21 @@ let test_laxity_scanned_once () =
     (!laxity_calls < 2 * n)
 
 let test_invalid_fallback () =
-  Alcotest.check_raises "bad fallback"
-    (Invalid_argument "Engine.execute: invalid fallback fractions") (fun () ->
-      ignore
-        (Engine.execute ~rng:(Rng.create 1)
-           ~planning:
-             (Engine.Sampled
-                { fraction = 0.01; density = `Uniform; fallback = (0.9, 0.9) })
-           ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
-           (dataset 12)))
+  List.iter
+    (fun fallback ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad fallback (%g, %g)" (fst fallback) (snd fallback))
+        (Invalid_argument "Engine.execute: invalid fallback fractions")
+        (fun () ->
+          ignore
+            (Engine.execute ~rng:(Rng.create 1)
+               ~planning:
+                 (Engine.Sampled
+                    { fraction = 0.01; density = `Uniform; fallback })
+               ~instance:Synthetic.instance
+               ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+               (dataset 12))))
+    [ (0.9, 0.9); (nan, 0.2) ]
 
 let suite =
   [

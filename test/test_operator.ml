@@ -147,8 +147,8 @@ let test_raw_mode_can_violate () =
     (Quality.meets guarded.guarantees requirements)
 
 let test_zone_map_source_is_sound () =
-  (* Interval records, clustered; the filtered cursor prunes NO pages but
-     guarantees must stay honest w.r.t. the FULL input. *)
+  (* Interval records, clustered; the pruned columnar scan skips NO
+     chunks but guarantees must stay honest w.r.t. the FULL input. *)
   let rng = Rng.create 17 in
   let records =
     Interval_data.uniform_intervals rng ~n:3000
@@ -157,22 +157,15 @@ let test_zone_map_source_is_sound () =
   Array.sort
     (fun (a : Interval_data.record) b -> Float.compare a.truth b.truth)
     records;
-  let file = Heap_file.create ~page_size:64 records in
+  let store = Interval_data.to_store ~chunk_size:64 records in
   let pred = Predicate.ge 850.0 in
-  let zm =
-    Zone_map.build file ~support:(fun (r : Interval_data.record) ->
-        Uncertain.support r.belief)
-  in
-  let cursor =
-    Heap_file.Cursor.open_filtered file ~skip_page:(Zone_map.prunable zm pred)
-  in
+  checkb "some chunks pruned" true (Column_store.pruned_chunks store pred > 0);
   let requirements = req ~p:0.9 ~r:0.8 ~l:20.0 () in
   let report =
-    Operator.run ~rng ~instance:(Interval_data.instance pred)
+    Column_scan.run ~rng ~prune:true ~store ~of_row:Interval_data.of_row
+      ~pred:(Predicate.compile pred) ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
-      ~policy:Policy.stingy
-      ~requirements
-      (Operator.source_of_cursor cursor)
+      ~policy:Policy.stingy ~requirements ()
   in
   checkb "meets requirements" true (Quality.meets report.guarantees requirements);
   let answer_in_exact =

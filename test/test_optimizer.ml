@@ -52,6 +52,16 @@ let test_region_model_hand_check () =
   let w = Region_model.unit_cost Cost_model.paper f in
   checkb "unit cost near 16.1" true (Float.abs (w -. 16.1) < 0.2)
 
+let test_region_spec_rejects_non_finite () =
+  List.iter
+    (fun (f_y, f_m) ->
+      Alcotest.check_raises
+        (Printf.sprintf "f_y=%g f_m=%g" f_y f_m)
+        (Invalid_argument "Region_model.spec: invalid selectivity fractions")
+        (fun () ->
+          ignore (Region_model.uniform_spec ~f_y ~f_m ~max_laxity:100.0)))
+    [ (nan, 0.2); (0.2, nan); (infinity, 0.0); (0.6, 0.6) ]
+
 let default_problem ?(f_y = 0.2) ?(f_m = 0.2) ?(p = 0.9) ?(r = 0.5) ?(l = 50.0) () =
   Solver.problem ~total:10000
     ~spec:(Region_model.uniform_spec ~f_y ~f_m ~max_laxity:100.0)
@@ -659,6 +669,8 @@ let suite =
     ("plan explanation", `Quick, test_explain);
     ("histogram density approximates uniform", `Quick, test_histogram_density_approximates_uniform);
     ("region model hand check", `Quick, test_region_model_hand_check);
+    ("region spec rejects non-finite fractions", `Quick,
+     test_region_spec_rejects_non_finite);
     ("closed-form reads (paper R/|T|)", `Quick, test_closed_form_reads);
     ("zero recall is free", `Quick, test_zero_recall_is_free);
     ("nelder-mead quadratic", `Quick, test_nelder_mead_quadratic);

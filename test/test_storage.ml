@@ -115,56 +115,6 @@ let prop_base_priced_tier_exact =
         (Int64.bits_of_float (Cost_meter.tiered_cost cost ~tiers t))
         (Int64.bits_of_float (Cost_meter.total_cost cost t)))
 
-let test_heap_file_layout () =
-  let file = Heap_file.create ~page_size:10 (Array.init 25 (fun i -> i)) in
-  checki "length" 25 (Heap_file.length file);
-  checki "page count" 3 (Heap_file.page_count file);
-  checki "short last page" 5 (Array.length (Heap_file.page file 2));
-  checki "get" 17 (Heap_file.get file 17);
-  Alcotest.check_raises "bad index" (Invalid_argument "Heap_file.get: index")
-    (fun () -> ignore (Heap_file.get file 25));
-  Alcotest.check_raises "bad page size"
-    (Invalid_argument "Heap_file.create: page_size < 1") (fun () ->
-      ignore (Heap_file.create ~page_size:0 [| 1 |]))
-
-let test_cursor_full_scan () =
-  let file = Heap_file.create ~page_size:7 (Array.init 23 (fun i -> i)) in
-  let c = Heap_file.Cursor.open_ file in
-  checki "initial remaining" 23 (Heap_file.Cursor.remaining c);
-  let seen = ref [] in
-  let rec drain () =
-    match Heap_file.Cursor.next c with
-    | Some x ->
-        seen := x :: !seen;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "storage order"
-    (List.init 23 (fun i -> i))
-    (List.rev !seen);
-  checki "consumed" 23 (Heap_file.Cursor.consumed c);
-  checki "remaining" 0 (Heap_file.Cursor.remaining c);
-  let io = Heap_file.Cursor.io c in
-  checki "pages fetched" 4 io.pages_fetched
-
-let test_cursor_filtered () =
-  let file = Heap_file.create ~page_size:10 (Array.init 40 (fun i -> i)) in
-  (* Skip even pages. *)
-  let c = Heap_file.Cursor.open_filtered file ~skip_page:(fun p -> p mod 2 = 0) in
-  checki "deliverable excludes skipped upfront" 20
-    (Heap_file.Cursor.remaining c);
-  checki "skipped" 20 (Heap_file.Cursor.skipped c);
-  let rec count acc =
-    match Heap_file.Cursor.next c with
-    | Some x ->
-        checkb "from odd pages only" true (x / 10 mod 2 = 1);
-        count (acc + 1)
-    | None -> acc
-  in
-  checki "delivered" 20 (count 0);
-  checki "pages fetched only odd" 2 (Heap_file.Cursor.io c).pages_fetched
-
 let test_buffer_pool_lru () =
   let pool = Buffer_pool.create ~capacity:2 () in
   let loads = ref [] in
@@ -273,70 +223,6 @@ let test_buffer_pool_concurrent_single_load () =
   checki "one miss per page" pages s.misses;
   checki "no evictions below capacity" 0 s.evictions
 
-(* Pinned pages survive arbitrary eviction pressure, including pressure
-   generated from another domain. *)
-let test_buffer_pool_pin_survives_pressure () =
-  let pool = Buffer_pool.create ~capacity:2 () in
-  let load p = [| p |] in
-  ignore (Buffer_pool.pin pool 100 load);
-  checkb "pinned after pin" true (Buffer_pool.pinned pool 100);
-  let pressure =
-    Domain.spawn (fun () ->
-        for p = 0 to 19 do
-          ignore (Buffer_pool.fetch pool p load)
-        done)
-  in
-  Domain.join pressure;
-  checkb "pinned page never evicted" true (Buffer_pool.contains pool 100);
-  checkb "still pinned" true (Buffer_pool.pinned pool 100);
-  (* A fetch of the pinned page is a hit, not a reload. *)
-  let before = (Buffer_pool.stats pool).misses in
-  ignore (Buffer_pool.fetch pool 100 load);
-  checki "pinned fetch is a hit" before (Buffer_pool.stats pool).misses;
-  Buffer_pool.unpin pool 100;
-  checkb "unpinned" false (Buffer_pool.pinned pool 100)
-
-(* When every entry is pinned the pool would rather exceed capacity than
-   discard a page in use; releasing a pin shrinks it back at once. *)
-let test_buffer_pool_pin_over_capacity () =
-  let pool = Buffer_pool.create ~capacity:2 () in
-  let load p = [| p |] in
-  ignore (Buffer_pool.pin pool 1 load);
-  ignore (Buffer_pool.pin pool 2 load);
-  ignore (Buffer_pool.fetch pool 3 load);
-  (* nothing was evictable, so all three pages are resident *)
-  checkb "page 1 resident" true (Buffer_pool.contains pool 1);
-  checkb "page 2 resident" true (Buffer_pool.contains pool 2);
-  checkb "page 3 resident" true (Buffer_pool.contains pool 3);
-  checki "no eviction while all pinned" 0 (Buffer_pool.stats pool).evictions;
-  Buffer_pool.unpin pool 1;
-  (* page 1 became the LRU unpinned entry and is evicted immediately *)
-  checkb "released page evicted to shrink back" false
-    (Buffer_pool.contains pool 1);
-  checkb "page 2 survives (pinned)" true (Buffer_pool.contains pool 2);
-  checkb "page 3 survives (recent)" true (Buffer_pool.contains pool 3);
-  checki "shrink-back charged as eviction" 1 (Buffer_pool.stats pool).evictions;
-  Buffer_pool.unpin pool 2;
-  checkb "page 2 stays once within capacity" true (Buffer_pool.contains pool 2)
-
-let test_buffer_pool_unpin_validation () =
-  let pool = Buffer_pool.create ~capacity:2 () in
-  let load p = [| p |] in
-  ignore (Buffer_pool.fetch pool 1 load);
-  Alcotest.check_raises "unpinned page"
-    (Invalid_argument "Buffer_pool.unpin: page is not pinned") (fun () ->
-      Buffer_pool.unpin pool 1);
-  Alcotest.check_raises "absent page"
-    (Invalid_argument "Buffer_pool.unpin: page is not pinned") (fun () ->
-      Buffer_pool.unpin pool 42);
-  (* nested pins release one level at a time *)
-  ignore (Buffer_pool.pin pool 1 load);
-  ignore (Buffer_pool.pin pool 1 load);
-  Buffer_pool.unpin pool 1;
-  checkb "still pinned after one release" true (Buffer_pool.pinned pool 1);
-  Buffer_pool.unpin pool 1;
-  checkb "fully released" false (Buffer_pool.pinned pool 1)
-
 let test_column_store_layout () =
   let rows =
     Array.init 25 (fun id ->
@@ -377,8 +263,9 @@ let test_column_store_layout () =
         (Column_store.of_fetch ~length:25 ~chunk_size:10 ~zones:[| None |]
            (Column_store.chunk store)))
 
-(* Chunk pruning must agree with the row path's zone-map semantics: the
-   hulls repackaged as a [Zone_map] give the same prunable set. *)
+(* Chunk pruning must agree with a zone map rebuilt from the records: a
+   chunk is prunable iff the hull of its rows' supports is a definite
+   NO. *)
 let test_column_store_pruning_matches_zone_map () =
   let records =
     Interval_data.uniform_intervals (Rng.create 53) ~n:500
@@ -390,18 +277,25 @@ let test_column_store_pruning_matches_zone_map () =
         (Interval.midpoint (Uncertain.support a.belief), a.id)
         (Interval.midpoint (Uncertain.support b.belief), b.id))
     records;
-  let store = Interval_data.to_store ~chunk_size:25 records in
-  let zm = Column_store.zone_map store in
+  let chunk_size = 25 in
+  let store = Interval_data.to_store ~chunk_size records in
   let pred = Predicate.ge 60.0 in
-  checki "zone map covers every chunk"
-    (Column_store.chunk_count store)
-    (Zone_map.page_count zm);
+  let hull c =
+    let supports =
+      Array.init chunk_size (fun i ->
+          Uncertain.support records.((c * chunk_size) + i).belief)
+    in
+    Array.fold_left Interval.hull supports.(0) supports
+  in
+  checki "one chunk per 25 records" 20 (Column_store.chunk_count store);
+  let expected = ref 0 in
   for c = 0 to Column_store.chunk_count store - 1 do
-    checkb "prunable agrees with Zone_map" (Zone_map.prunable zm pred c)
+    let no = Tvl.equal (Predicate.classify_interval pred (hull c)) Tvl.No in
+    if no then incr expected;
+    checkb "prunable agrees with the rebuilt zone map" no
       (Column_store.prunable store pred c)
   done;
-  checki "pruned counts agree"
-    (Zone_map.pruned_pages zm pred)
+  checki "pruned counts agree" !expected
     (Column_store.pruned_chunks store pred);
   checkb "pruning bites on this layout" true
     (Column_store.pruned_chunks store pred > 0);
@@ -435,149 +329,51 @@ let test_row_view () =
   checki "iter covers everything" 77 !seen
 
 let test_zone_map () =
-  (* Values clustered by page: page p holds supports around 10p. *)
-  let records =
-    Array.init 100 (fun i ->
-        Interval.make (float_of_int i -. 0.4) (float_of_int i +. 0.4))
+  (* Values clustered by chunk: chunk c holds supports around 10c. *)
+  let rows =
+    Array.init 100 (fun id ->
+        let x = float_of_int id in
+        { Column_store.id; lo = x -. 0.4; hi = x +. 0.4; truth = x })
   in
-  let file = Heap_file.create ~page_size:10 records in
-  let zm = Zone_map.build file ~support:(fun i -> i) in
-  checki "zones" 10 (Zone_map.page_count zm);
+  let store = Column_store.create ~chunk_size:10 rows in
+  checki "zones" 10 (Array.length (Column_store.zones store));
   let pred = Predicate.ge 75.0 in
-  (* Pages 0..6 hold values <= 64.4 < 75: prunable.  Page 7 straddles. *)
-  checkb "page 0 prunable" true (Zone_map.prunable zm pred 0);
-  checkb "page 6 prunable" true (Zone_map.prunable zm pred 6);
-  checkb "page 7 not prunable" false (Zone_map.prunable zm pred 7);
-  checkb "page 9 not prunable" false (Zone_map.prunable zm pred 9);
-  checki "pruned count" 7 (Zone_map.pruned_pages zm pred)
+  (* Chunks 0..6 hold values <= 69.4 < 75: prunable.  Chunk 7 straddles. *)
+  checkb "chunk 0 prunable" true (Column_store.prunable store pred 0);
+  checkb "chunk 6 prunable" true (Column_store.prunable store pred 6);
+  checkb "chunk 7 not prunable" false (Column_store.prunable store pred 7);
+  checkb "chunk 9 not prunable" false (Column_store.prunable store pred 9);
+  checki "pruned count" 7 (Column_store.pruned_chunks store pred)
 
-(* Soundness of pruning: no pruned page may contain a satisfying object. *)
+(* Soundness of pruning: no pruned chunk may contain a satisfying row,
+   whatever the chunk size and threshold. *)
 let prop_zone_map_sound =
   QCheck2.Test.make ~name:"zone-map pruning never drops a YES/MAYBE object"
     ~count:100
-    QCheck2.Gen.(pair (int_range 1 200) (float_range (-50.0) 50.0))
-    (fun (n, threshold) ->
+    QCheck2.Gen.(
+      triple (int_range 1 200) (int_range 1 32) (float_range (-50.0) 50.0))
+    (fun (n, chunk_size, threshold) ->
       let rng = Rng.create (n * 31) in
-      let records =
-        Array.init n (fun _ ->
+      let rows =
+        Array.init n (fun id ->
             let lo = Rng.uniform_in rng (-60.0) 60.0 in
-            Interval.make lo (lo +. Rng.float rng 10.0))
+            { Column_store.id; lo; hi = lo +. Rng.float rng 10.0; truth = lo })
       in
-      let file = Heap_file.create ~page_size:8 records in
-      let zm = Zone_map.build file ~support:(fun i -> i) in
+      let store = Column_store.create ~chunk_size rows in
       let pred = Predicate.ge threshold in
       let sound = ref true in
-      Heap_file.iter_pages file (fun p objects ->
-          if Zone_map.prunable zm pred p then
-            Array.iter
-              (fun i ->
-                match Predicate.classify_interval pred i with
-                | Tvl.No -> ()
-                | Tvl.Yes | Tvl.Maybe -> sound := false)
-              objects);
+      for c = 0 to Column_store.chunk_count store - 1 do
+        if Column_store.prunable store pred c then begin
+          let ch = Column_store.chunk store c in
+          for i = 0 to ch.Column_store.len - 1 do
+            let r = Column_store.row ch i in
+            match Predicate.classify_interval pred (Interval.make r.lo r.hi) with
+            | Tvl.No -> ()
+            | Tvl.Yes | Tvl.Maybe -> sound := false
+          done
+        end
+      done;
       !sound)
-
-let test_pooled_cursor () =
-  let file = Heap_file.create ~page_size:10 (Array.init 100 (fun i -> i)) in
-  let pool = Buffer_pool.create ~capacity:20 () in
-  let drain cursor =
-    let rec go acc =
-      match Heap_file.Cursor.next cursor with
-      | Some x -> go (x :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  let first = drain (Heap_file.Cursor.open_pooled file ~pool) in
-  Alcotest.(check (list int)) "pooled scan correct" (List.init 100 Fun.id) first;
-  let misses_after_first = (Buffer_pool.stats pool).misses in
-  checki "all pages loaded once" 10 misses_after_first;
-  (* A second scan through the same pool is all hits. *)
-  let second = drain (Heap_file.Cursor.open_pooled file ~pool) in
-  Alcotest.(check (list int)) "second scan correct" (List.init 100 Fun.id) second;
-  checki "no new misses" misses_after_first (Buffer_pool.stats pool).misses;
-  checki "ten hits" 10 (Buffer_pool.stats pool).hits;
-  (* Skip filter composes with pooling. *)
-  let partial =
-    drain (Heap_file.Cursor.open_pooled ~skip_page:(fun p -> p > 4) file ~pool)
-  in
-  checki "first half only" 50 (List.length partial)
-
-(* Regression for the pruning-aware scan path: the operator over a
-   zone-map cursor returns the same answer as over a full scan, and is
-   charged exactly (pages - pruned_pages) * page_size reads.  Pruned
-   objects are all definite NOs, which never consume policy randomness,
-   so the surviving objects see an identical rng stream. *)
-let test_pruned_scan_regression () =
-  let page_size = 64 in
-  let n = 4096 in
-  let records =
-    Interval_data.uniform_intervals (Rng.create 77) ~n
-      ~value_range:(Interval.make 0.0 100.0) ~max_width:6.0
-  in
-  (* Cluster values by page so low pages become whole-NO for a high
-     threshold — the layout zone maps exist for. *)
-  Array.sort
-    (fun (a : Interval_data.record) b ->
-      compare
-        (Interval.midpoint (Uncertain.support a.belief), a.id)
-        (Interval.midpoint (Uncertain.support b.belief), b.id))
-    records;
-  let file = Heap_file.create ~page_size records in
-  let zm =
-    Zone_map.build file ~support:(fun (r : Interval_data.record) ->
-        Uncertain.support r.belief)
-  in
-  let pred = Predicate.ge 70.0 in
-  let pruned = Zone_map.pruned_pages zm pred in
-  checkb "some pages prunable" true (pruned > 0);
-  checkb "some pages survive" true (pruned < Heap_file.page_count file);
-  (* recall = 1 forces consumption of every deliverable object, so the
-     read charge is exactly the deliverable count. *)
-  let requirements =
-    Quality.requirements ~precision:0.0 ~recall:1.0 ~laxity:200.0
-  in
-  let scan source =
-    let meter = Cost_meter.create () in
-    let report =
-      Operator.run ~rng:(Rng.create 5) ~meter
-        ~instance:(Interval_data.instance pred)
-        ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
-        ~policy:(Policy.qaq Policy.stingy_params) ~requirements source
-    in
-    (report, Cost_meter.counts meter)
-  in
-  let full_report, full_counts =
-    scan (Operator.source_of_cursor (Heap_file.Cursor.open_ file))
-  in
-  let obs = Obs.create () in
-  let cursor = Zone_map.open_cursor ~obs zm pred file in
-  checki "cursor skips what the map prunes" pruned
-    (Heap_file.Cursor.pages_skipped cursor);
-  let pruned_report, pruned_counts =
-    scan (Operator.source_of_cursor cursor)
-  in
-  let ids (r : Interval_data.record Operator.report) =
-    List.map
-      (fun (e : Interval_data.record Operator.emitted) ->
-        (e.obj.id, e.precise))
-      r.answer
-  in
-  checkb "same answer set" true (ids full_report = ids pruned_report);
-  checkb "both meet requirements" true
-    (Quality.meets full_report.guarantees requirements
-    && Quality.meets pruned_report.guarantees requirements);
-  checki "full scan reads everything" n full_counts.reads;
-  checki "pruned pages never charged as reads"
-    (n - (pruned * page_size))
-    pruned_counts.reads;
-  checki "pruned_pages metric recorded" pruned
-    (Metrics.count_of (Obs.snapshot obs) Obs.Keys.pruned_pages);
-  Alcotest.check_raises "mismatched zone map rejected"
-    (Invalid_argument "Zone_map.open_cursor: zone map does not match the file")
-    (fun () ->
-      let other = Heap_file.create ~page_size (Array.sub records 0 128) in
-      ignore (Zone_map.open_cursor zm pred other))
 
 let suite =
   [
@@ -585,28 +381,17 @@ let suite =
     ("cost model amortized pricing", `Quick, test_cost_model_amortize);
     ("cost model pp/of_string roundtrip", `Quick, test_cost_model_roundtrip);
     ("cost meter accounting", `Quick, test_cost_meter);
-    ("heap file layout", `Quick, test_heap_file_layout);
-    ("cursor full scan", `Quick, test_cursor_full_scan);
-    ("cursor with page filter", `Quick, test_cursor_filtered);
     ("buffer pool LRU", `Quick, test_buffer_pool_lru);
     ("buffer pool failed load", `Quick, test_buffer_pool_failed_load);
     ("buffer pool failed chunk load", `Quick, test_buffer_pool_failed_chunk_load);
     ("buffer pool concurrent single load", `Quick,
      test_buffer_pool_concurrent_single_load);
-    ("buffer pool pin survives pressure", `Quick,
-     test_buffer_pool_pin_survives_pressure);
-    ("buffer pool pin over capacity", `Quick,
-     test_buffer_pool_pin_over_capacity);
-    ("buffer pool unpin validation", `Quick,
-     test_buffer_pool_unpin_validation);
     ("column store layout", `Quick, test_column_store_layout);
     ( "column pruning matches zone map",
       `Quick,
       test_column_store_pruning_matches_zone_map );
     ("row view adapter", `Quick, test_row_view);
-    ("pooled cursor", `Quick, test_pooled_cursor);
     ("zone map pruning", `Quick, test_zone_map);
     QCheck_alcotest.to_alcotest prop_zone_map_sound;
     QCheck_alcotest.to_alcotest prop_base_priced_tier_exact;
-    ("pruned scan regression", `Quick, test_pruned_scan_regression);
   ]

@@ -4,9 +4,15 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let test_config_validation () =
-  Alcotest.check_raises "fractions sum above 1"
-    (Invalid_argument "Synthetic.config: invalid fractions") (fun () ->
-      ignore (Synthetic.config ~f_y:0.6 ~f_m:0.6 ()));
+  (* NaN fails every comparison, so a check written as "reject if out of
+     range" would let it through. *)
+  List.iter
+    (fun (f_y, f_m) ->
+      Alcotest.check_raises
+        (Printf.sprintf "fractions f_y=%g f_m=%g" f_y f_m)
+        (Invalid_argument "Synthetic.config: invalid fractions") (fun () ->
+          ignore (Synthetic.config ~f_y ~f_m ())))
+    [ (0.6, 0.6); (nan, 0.2); (0.2, nan); (infinity, 0.0); (0.0, neg_infinity) ];
   Alcotest.check_raises "negative total"
     (Invalid_argument "Synthetic.config: total < 0") (fun () ->
       ignore (Synthetic.config ~total:(-1) ()))
