@@ -1,47 +1,39 @@
 (* Benchmark harness: regenerates every table of the paper's §5
-   (paper-vs-measured), runs the ablation studies from DESIGN.md §5, and
+   (paper-vs-measured), runs the ablation studies from DESIGN.md §5,
    finishes with Bechamel micro-benchmarks (one Test.make per paper
-   table, plus core-operation benches).
+   table, plus core-operation benches), and holds the three wall-clock
+   gates.  The deterministic gates live in the test suite (dune runtest)
+   and end-to-end performance in bench/ledger.
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # tables, ablations, micro
      dune exec bench/main.exe -- tables       # only reproduction tables
      dune exec bench/main.exe -- ablations    # only ablations
      dune exec bench/main.exe -- batch        # only the batch-size sweep
      dune exec bench/main.exe -- micro        # only Bechamel benches
-     dune exec bench/main.exe -- metrics [F]  # instrumented engine runs,
-                                              # metrics JSON to F
-                                              # (default BENCH_metrics.json)
-     dune exec bench/main.exe -- scaling [F]  # multicore scan sweep over
-                                              # domains 1/2/4/8, JSON to F
-                                              # (default BENCH_scaling.json)
-     dune exec bench/main.exe -- profile [F] [T]
-                                              # profiled engine runs with
-                                              # quality audit, JSON to F
-                                              # (default BENCH_profile.json),
-                                              # sample Chrome trace to T
-                                              # (default BENCH_trace.json);
-                                              # exits 1 on audit failure
-     dune exec bench/main.exe -- faults [F]   # degradation sweep over probe
-                                              # failure rates 0/1%/5%/20%,
-                                              # JSON to F
-                                              # (default BENCH_faults.json);
-                                              # exits 1 on any violated
-                                              # degradation invariant
-     dune exec bench/main.exe -- columnar [F] # row vs columnar scan
+     dune exec bench/main.exe -- columnar     # row vs columnar scan
                                               # throughput (never-probe
-                                              # workload, domains 1/4/8),
-                                              # JSON to F
-                                              # (default BENCH_columnar.json);
+                                              # workload, domains 1/4/8);
                                               # exits 1 if the layouts
                                               # disagree or columnar is
                                               # slower than row at domains=1
+     dune exec bench/main.exe -- server       # broker concurrency sweep
+                                              # (8 clients, 10 ms backend,
+                                              # domains 1/2/4/8); exits 1
+                                              # unless answers match the
+                                              # solo runs, the broker
+                                              # charges fewer probes, and
+                                              # 8 domains run >= 1.3x the
+                                              # serial queries/s
+     dune exec bench/main.exe -- telemetry    # the server scenario at 8
+                                              # domains, bare vs full live
+                                              # telemetry; exits 1 unless
+                                              # answers match and the
+                                              # overhead is <= 5%
 
    Setting QAQ_DOMAINS=N runs the trial tables (and any engine work that
    does not pin a domain count) over an N-lane pool; results are
-   bit-for-bit independent of it.  QAQ_FAULT_SEED seeds the faults
-   sweep's fault plan (default 1337); every run is deterministic per
-   seed. *)
+   bit-for-bit independent of it. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -632,18 +624,8 @@ let ablation_batching () =
      else "NO — check the batch accounting")
 
 (* ------------------------------------------------------------------ *)
-(* Shared sweep scaffolding for the instrumented modes                 *)
+(* The standard workload of the server and telemetry modes             *)
 (* ------------------------------------------------------------------ *)
-
-(* The instrumented modes — metrics, profile, scaling — sweep fixed
-   configurations over reproducible workloads and write one JSON
-   document apiece.  The configurations, the reference workload, its
-   requirements and the JSON envelope live here so the three modes (and
-   CI, which diffs their outputs across commits) agree on all of them. *)
-
-let standard_configs =
-  [ ("B1", 1, false); ("B4", 4, false); ("B16", 16, false);
-    ("B4-adaptive", 4, true) ]
 
 let standard_workload () =
   Synthetic.generate (Rng.create 606) (Synthetic.config ~total:2000 ())
@@ -652,364 +634,6 @@ let standard_requirements =
   Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
 
 let engine_seed = 607
-
-let sweep_standard_configs f =
-  List.map (fun (label, batch, adaptive) -> f ~label ~batch ~adaptive)
-    standard_configs
-
-(* One envelope for every instrumented mode's output:
-   { "bench": ..., <fields>, "runs": [ <rows> ] }. *)
-let write_bench_json ~path ~bench ~fields ~rows =
-  let oc = open_out path in
-  output_string oc
-    (Printf.sprintf "{\n  \"bench\": %S,\n%s  \"runs\": [\n%s\n  ]\n}\n" bench
-       (String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "  %S: %s,\n" k v) fields))
-       (String.concat ",\n" rows));
-  close_out oc;
-  Printf.printf "%s results written to %s\n" bench path
-
-(* ------------------------------------------------------------------ *)
-(* Metrics: instrumented engine runs, per-config JSON dump             *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_dump path =
-  section "Metrics: instrumented engine runs";
-  print_endline
-    "Small engine configurations run with the observability capability\n\
-     attached; each config's metrics registry is dumped as JSON and the\n\
-     qaq.* counters are reconciled against the run's cost meter.";
-  let data = standard_workload () in
-  let ok = ref true in
-  let rows =
-    sweep_standard_configs (fun ~label ~batch ~adaptive ->
-        let obs = Obs.create () in
-        let result =
-          Engine.execute ~rng:(Rng.create engine_seed) ~adaptive
-            ~max_laxity:100.0 ~obs ~instance:Synthetic.instance
-            ~probe:
-              (Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-            ~requirements:standard_requirements data
-        in
-        let snapshot = Obs.snapshot obs in
-        (match Cost_meter.reconcile snapshot result.Engine.counts with
-        | Ok () -> ()
-        | Error msg ->
-            ok := false;
-            Printf.printf "RECONCILE FAILED (%s): %s\n" label msg);
-        Printf.printf "%-14s W/|T| = %6.2f  reads %4d  probes %3d  batches %3d\n"
-          label result.Engine.normalized_cost result.Engine.counts.reads
-          result.Engine.counts.probes result.Engine.counts.batches;
-        Printf.sprintf "    { \"label\": %S, \"metrics\": %s }" label
-          (String.trim (Metrics.to_json snapshot)))
-  in
-  write_bench_json ~path ~bench:"instrumented-metrics"
-    ~fields:[ ("reconciled", string_of_bool !ok) ]
-    ~rows;
-  Printf.printf "metrics reconcile with the cost meter: %s\n"
-    (if !ok then "yes" else "NO");
-  if not !ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Profile: per-query profiler sweep with quality audit                *)
-(* ------------------------------------------------------------------ *)
-
-(* The profiler's quality audit is this mode's pass/fail: each standard
-   config runs under [Engine.execute ?profile] with the synthetic
-   ground-truth oracle, and any config whose achieved precision/recall
-   misses the requested bounds — or whose cost meter fails to reconcile
-   with the qaq.* counters — fails the whole mode.  CI runs it as the
-   audit smoke test. *)
-let profile_bench path ~trace =
-  section "Profile: per-query profiler with quality audit";
-  print_endline
-    "Each standard config runs under the profiler with a ground-truth\n\
-     oracle; quantile summaries land in the JSON dump and any audit or\n\
-     reconciliation failure fails the mode.";
-  let data = standard_workload () in
-  let all_passed = ref true in
-  let rows =
-    sweep_standard_configs (fun ~label ~batch ~adaptive ->
-        let obs = Obs.create () in
-        let result =
-          Engine.execute ~rng:(Rng.create engine_seed) ~adaptive
-            ~max_laxity:100.0 ~obs
-            ~profile:(Engine.profiling ~label ~oracle:Synthetic.in_exact ())
-            ~instance:Synthetic.instance
-            ~probe:
-              (Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-            ~requirements:standard_requirements data
-        in
-        let profile =
-          match result.Engine.profile with
-          | Some p -> p
-          | None -> failwith "profile_bench: engine returned no profile"
-        in
-        if not (Profile.passed profile) then begin
-          all_passed := false;
-          Printf.printf "AUDIT FAILED (%s):\n" label;
-          Profile.print profile
-        end
-        else
-          Printf.printf
-            "%-14s audit ok  W/|T| = %6.2f  reads %4d  probes %3d  answer %4d\n"
-            label result.Engine.normalized_cost result.Engine.counts.reads
-            result.Engine.counts.probes result.Engine.report.answer_size;
-        Printf.sprintf "    %s" (String.trim (Profile.to_json profile)))
-  in
-  write_bench_json ~path ~bench:"profile-quality-audit"
-    ~fields:[ ("passed", string_of_bool !all_passed) ]
-    ~rows;
-  (* Sample Chrome trace: the B4 config once more on a two-domain pool,
-     with the recorder attached — one timeline lane per worker. *)
-  let recorder = Chrome_trace.create () in
-  let domains = 2 in
-  Chrome_trace.declare_lanes recorder domains;
-  let obs = Obs.create ~trace:(Chrome_trace.sink recorder) () in
-  ignore
-    (Engine.execute ~rng:(Rng.create engine_seed) ~domains ~max_laxity:100.0
-       ~obs
-       ~on_task:(Chrome_trace.on_task recorder)
-       ~instance:Synthetic.instance
-       ~probe:(Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe)
-       ~requirements:standard_requirements data);
-  Chrome_trace.write recorder trace;
-  Printf.printf "sample chrome trace (%d events, %d lanes) written to %s\n"
-    (Chrome_trace.events recorder) domains trace;
-  Printf.printf "profile quality audits: %s\n"
-    (if !all_passed then "all passed" else "FAILED");
-  if not !all_passed then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Faults: graceful degradation sweep over probe failure rates         *)
-(* ------------------------------------------------------------------ *)
-
-(* The standard workload resolved through a fault-injected Probe_source,
-   swept over permanent-failure rates.  Every run must complete without
-   raising and hold the degradation invariants: the cost meter
-   reconciles with the qaq.* counters, the degraded flag agrees with
-   the profiler's audit, guarantees never overstate the oracle-achieved
-   precision/recall, every failure is covered by a fallback, and the
-   zero-rate plan is bit-for-bit the unfaulted baseline. *)
-let faults_bench path =
-  section "Faults: graceful degradation under permanent probe failure";
-  let fault_seed =
-    match Sys.getenv_opt "QAQ_FAULT_SEED" with
-    | None -> 1337
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n -> n
-        | None ->
-            Printf.eprintf "QAQ_FAULT_SEED must be an integer, got %S\n" s;
-            exit 2)
-  in
-  Printf.printf
-    "Standard workload (|T| = 2000, B = 16) probed through a seeded fault\n\
-     injector (QAQ_FAULT_SEED = %d); permanent probe failures degrade to\n\
-     guarantee-aware write decisions instead of aborting the run.\n\n"
-    fault_seed;
-  let data = standard_workload () in
-  let ok = ref true in
-  let violation label fmt =
-    Printf.ksprintf
-      (fun msg ->
-        ok := false;
-        Printf.printf "VIOLATION (%s): %s\n" label msg)
-      fmt
-  in
-  let run ?faults label =
-    let obs = Obs.create () in
-    let source =
-      match faults with
-      | None -> Probe_source.create ~obs Synthetic.probe
-      | Some f -> Probe_source.create ~obs ~max_retries:2 ~faults:f Synthetic.probe
-    in
-    let result =
-      Engine.execute ~rng:(Rng.create engine_seed) ~max_laxity:100.0 ~obs
-        ~profile:(Engine.profiling ~label ~oracle:Synthetic.in_exact ())
-        ~instance:Synthetic.instance
-        ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
-        ~requirements:standard_requirements data
-    in
-    (result, Obs.snapshot obs)
-  in
-  let fingerprint (result : _ Engine.result) =
-    ( List.map
-        (fun (e : _ Operator.emitted) ->
-          (e.Operator.obj.Synthetic.id, e.Operator.precise))
-        result.Engine.report.Operator.answer,
-      result.Engine.counts,
-      result.Engine.report.Operator.guarantees,
-      result.Engine.normalized_cost )
-  in
-  let baseline, _ = run "no-fault-baseline" in
-  let rows =
-    List.map
-      (fun rate ->
-        let label = Printf.sprintf "rate-%g" rate in
-        let faults =
-          Fault_plan.make ~seed:fault_seed ~permanent_rate:rate
-            ~transient_rate:(rate /. 2.0) ~max_retries:2 ()
-        in
-        let result, snapshot = run ~faults label in
-        let d = result.Engine.degradation in
-        let profile = Option.get result.Engine.profile in
-        (match profile.Profile.reconcile_error with
-        | None -> ()
-        | Some msg -> violation label "meter failed to reconcile: %s" msg);
-        if Engine.degraded result <> (d.Engine.failed_probes > 0) then
-          violation label "degraded flag disagrees with failed_probes";
-        if profile.Profile.audit.Profile.degraded_probes <> d.Engine.failed_probes
-        then
-          violation label "audit flags %d degraded probes, run reports %d"
-            profile.Profile.audit.Profile.degraded_probes d.Engine.failed_probes;
-        if
-          d.Engine.failed_probes
-          <> d.Engine.degraded_forwards + d.Engine.degraded_ignores
-        then violation label "fallbacks do not cover every failure";
-        let achieved_p, achieved_r =
-          match profile.Profile.audit.Profile.achieved with
-          | Some a -> (a.Profile.achieved_precision, a.Profile.achieved_recall)
-          | None ->
-              violation label "oracle audit missing";
-              (1.0, 1.0)
-        in
-        if d.Engine.guarantees_after.Quality.precision > achieved_p +. 1e-9 then
-          violation label "guaranteed precision %.4f overstates achieved %.4f"
-            d.Engine.guarantees_after.Quality.precision achieved_p;
-        if d.Engine.guarantees_after.Quality.recall > achieved_r +. 1e-9 then
-          violation label "guaranteed recall %.4f overstates achieved %.4f"
-            d.Engine.guarantees_after.Quality.recall achieved_r;
-        if rate = 0.0 && fingerprint result <> fingerprint baseline then
-          violation label "zero-rate plan diverged from the unfaulted baseline";
-        Printf.printf
-          "rate %-5g failed %3d/%3d attempts  forwards %3d  ignores %3d  \
-           forced %2d  wasted %6.0f  W/|T| %6.2f  p^G %.3f (achieved %.3f)  \
-           r^G %.3f (achieved %.3f)%s\n"
-          rate d.Engine.failed_probes d.Engine.failed_attempts
-          d.Engine.degraded_forwards d.Engine.degraded_ignores
-          d.Engine.forced_actions d.Engine.wasted_cost
-          result.Engine.normalized_cost
-          d.Engine.guarantees_after.Quality.precision achieved_p
-          d.Engine.guarantees_after.Quality.recall achieved_r
-          (if d.Engine.requirements_met then "" else "  REQUIREMENTS MISSED");
-        Printf.sprintf
-          "    { \"rate\": %g, \"failed_probes\": %d, \"failed_attempts\": %d, \
-           \"degraded_forwards\": %d, \"degraded_ignores\": %d, \
-           \"forced_actions\": %d, \"wasted_cost\": %.1f, \
-           \"requirements_met\": %b, \"guaranteed_precision\": %.6f, \
-           \"guaranteed_recall\": %.6f, \"achieved_precision\": %.6f, \
-           \"achieved_recall\": %.6f, \"answer_size\": %d, \
-           \"normalized_cost\": %.6f, \"injected\": %d, \"retried\": %d, \
-           \"degraded\": %d }"
-          rate d.Engine.failed_probes d.Engine.failed_attempts
-          d.Engine.degraded_forwards d.Engine.degraded_ignores
-          d.Engine.forced_actions d.Engine.wasted_cost d.Engine.requirements_met
-          d.Engine.guarantees_after.Quality.precision
-          d.Engine.guarantees_after.Quality.recall achieved_p achieved_r
-          result.Engine.report.Operator.answer_size
-          result.Engine.normalized_cost
-          (Metrics.count_of snapshot Obs.Keys.fault_injected)
-          (Metrics.count_of snapshot Obs.Keys.fault_retried)
-          (Metrics.count_of snapshot Obs.Keys.fault_degraded))
-      [ 0.0; 0.01; 0.05; 0.20 ]
-  in
-  write_bench_json ~path ~bench:"fault-degradation"
-    ~fields:
-      [
-        ("fault_seed", string_of_int fault_seed);
-        ("invariants_held", string_of_bool !ok);
-      ]
-    ~rows;
-  Printf.printf "degradation invariants: %s\n"
-    (if !ok then "all held" else "VIOLATED");
-  if not !ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Scaling: the multicore scan pipeline over domains 1/2/4/8           *)
-(* ------------------------------------------------------------------ *)
-
-(* Classification-heavy workload: Gaussian beliefs make classify/laxity/
-   success erf-bound computations, so the parallel stage has real work
-   per object.  Wall-clock is hardware-dependent (flat on a single-core
-   host); the answers are not — the sweep cross-checks that every domain
-   count produces the identical result before reporting speedups. *)
-let scaling_bench path =
-  section "Scaling: multicore scan pipeline (domains 1/2/4/8)";
-  let n = 120_000 in
-  let records =
-    Interval_data.gaussian_beliefs (Rng.create 4096) ~n ~mean:55.0
-      ~stddev:15.0 ~noise:2.0
-  in
-  let pred = Predicate.ge 60.0 in
-  let requirements =
-    Quality.requirements ~precision:0.9 ~recall:0.9 ~laxity:6.0
-  in
-  let run domains =
-    Engine.execute ~rng:(Rng.create 4097) ~domains
-      ~instance:(Interval_data.instance pred)
-      ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements
-      ~collect:false records
-  in
-  let fingerprint (r : Interval_data.record Engine.result) =
-    ( r.report.answer_size,
-      r.report.yes_seen,
-      r.counts,
-      r.report.guarantees,
-      r.normalized_cost )
-  in
-  ignore (run 1) (* warmup: page in the data, settle the allocator *);
-  let time_best domains =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = run domains in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (!best, Option.get !result)
-  in
-  let t1, base = time_best 1 in
-  let baseline = fingerprint base in
-  let deterministic = ref true in
-  let rows =
-    List.map
-      (fun domains ->
-        let dt, r = time_best domains in
-        let fp = fingerprint r in
-        if fp <> baseline then deterministic := false;
-        let speedup = t1 /. dt in
-        Printf.printf
-          "domains=%d  %.3fs  speedup %.2fx  answer %d  reads %d  probes %d%s\n"
-          domains dt speedup r.report.answer_size r.counts.reads
-          r.counts.probes
-          (if fp = baseline then "" else "  RESULT DIVERGED");
-        Printf.sprintf
-          "    { \"domains\": %d, \"seconds\": %.6f, \"speedup\": %.4f, \
-           \"answer_size\": %d, \"reads\": %d, \"probes\": %d }"
-          domains dt speedup r.report.answer_size r.counts.reads
-          r.counts.probes)
-      [ 1; 2; 4; 8 ]
-  in
-  write_bench_json ~path ~bench:"scan-pipeline-scaling"
-    ~fields:
-      [
-        ( "workload",
-          Printf.sprintf
-            "{ \"records\": %d, \"model\": \"gaussian_beliefs\", \
-             \"predicate\": \"value >= 60\", \"precision\": 0.9, \
-             \"recall\": 0.9, \"laxity\": 6.0 }"
-            n );
-        ( "recommended_domain_count",
-          string_of_int (Domain.recommended_domain_count ()) );
-        ("deterministic", string_of_bool !deterministic);
-      ]
-    ~rows;
-  Printf.printf "identical results across domain counts: %s\n"
-    (if !deterministic then "yes" else "NO — determinism broken");
-  if not !deterministic then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Columnar: row vs columnar pre-classification throughput             *)
@@ -1023,7 +647,7 @@ let scaling_bench path =
    columnar path runs the compiled kernel over chunk buffers.  Both
    must produce identical reports — throughput is only interesting on
    equal answers. *)
-let columnar_bench path =
+let columnar_bench () =
   section "Columnar: row vs columnar scan throughput (never-probe)";
   let n = 200_000 in
   let chunk_size = 64 in
@@ -1102,46 +726,26 @@ let columnar_bench path =
   let ok = ref true in
   let row_d1 = ref nan in
   let col_d1 = ref nan in
-  let rows =
-    List.concat_map
-      (fun domains ->
-        List.map
-          (fun layout ->
-            let name =
-              match layout with `Row -> "row" | `Columnar -> "columnar"
-            in
-            let dt, r = time_best ~domains layout in
-            let pps = float_of_int pages /. dt in
-            if fingerprint r <> baseline then begin
-              ok := false;
-              Printf.printf "%-8s domains=%d RESULT DIVERGED\n" name domains
-            end;
-            if domains = 1 then
-              if layout = `Row then row_d1 := pps else col_d1 := pps;
-            Printf.printf
-              "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n" name
-              domains dt pps (snd r).Cost_meter.probes;
-            Printf.sprintf
-              "    { \"layout\": %S, \"domains\": %d, \"seconds\": %.6f, \
-               \"pages_per_sec\": %.1f }"
-              name domains dt pps)
-          [ `Row; `Columnar ])
-      [ 1; 4; 8 ]
-  in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun layout ->
+          let name =
+            match layout with `Row -> "row" | `Columnar -> "columnar"
+          in
+          let dt, r = time_best ~domains layout in
+          let pps = float_of_int pages /. dt in
+          if fingerprint r <> baseline then begin
+            ok := false;
+            Printf.printf "%-8s domains=%d RESULT DIVERGED\n" name domains
+          end;
+          if domains = 1 then
+            if layout = `Row then row_d1 := pps else col_d1 := pps;
+          Printf.printf "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n"
+            name domains dt pps (snd r).Cost_meter.probes)
+        [ `Row; `Columnar ])
+    [ 1; 4; 8 ];
   let ratio = !col_d1 /. !row_d1 in
-  write_bench_json ~path ~bench:"columnar-scan-throughput"
-    ~fields:
-      [
-        ( "workload",
-          Printf.sprintf
-            "{ \"records\": %d, \"chunk_size\": %d, \"pages\": %d, \
-             \"model\": \"uniform_intervals\", \"predicate\": \"5-band \
-             union\", \"never_probe\": true }"
-            n chunk_size pages );
-        ("columnar_speedup_at_domains_1", Printf.sprintf "%.4f" ratio);
-        ("layouts_agree", string_of_bool !ok);
-      ]
-    ~rows;
   Printf.printf "row and columnar reports identical: %s\n"
     (if !ok then "yes" else "NO — layout equivalence broken");
   Printf.printf "columnar vs row at domains=1: %.2fx\n" ratio;
@@ -1265,158 +869,6 @@ let run_micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Anytime: budget sweep with monotonicity and overshoot gates         *)
-(* ------------------------------------------------------------------ *)
-
-(* The anytime contract, checked empirically: sweeping the cost budget
-   over a fixed workload and seed, achieved recall and answer size must
-   be monotone non-decreasing in the budget, achieved precision must
-   hold at every point (precision is never traded for budget), the spend
-   must never overshoot the allotment by more than one probe batch, and
-   [budget = infinity] must be bit-for-bit the unbudgeted run.  Any
-   violation fails the mode — CI runs it as the anytime smoke test. *)
-let anytime_bench path =
-  section "Anytime: budget sweep";
-  print_endline
-    "The standard workload runs under a sweep of cost budgets; each\n\
-     budgeted run plans via the dual solver, re-solves mid-scan against\n\
-     the remaining budget, and stops before overspending.  The mode\n\
-     fails on non-monotone quality, any overshoot past one probe batch,\n\
-     or an infinity-budget run that differs from the unbudgeted one.";
-  let data = standard_workload () in
-  let batch = 4 in
-  (* Every point runs with adaptivity on: a finite budget forces it
-     anyway (mid-scan dual re-solves are part of the contract), so the
-     unbudgeted ends of the sweep must use the same machinery for the
-     comparison to be apples-to-apples. *)
-  let run ?budget label =
-    let obs = Obs.create () in
-    Engine.execute ~rng:(Rng.create engine_seed) ?budget ~adaptive:true
-      ~max_laxity:100.0 ~obs
-      ~profile:(Engine.profiling ~label ~oracle:Synthetic.in_exact ())
-      ~instance:Synthetic.instance
-      ~probe:(Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-      ~requirements:standard_requirements data
-  in
-  let requested_precision = 0.9 and requested_recall = 0.6 in
-  let budgets = [ 1_500.0; 4_000.0; 10_000.0; 30_000.0; infinity ] in
-  let fingerprint (result : Synthetic.obj Engine.result) =
-    ( List.map
-        (fun (e : Synthetic.obj Operator.emitted) ->
-          (e.Operator.obj.Synthetic.id, e.Operator.precise))
-        result.Engine.report.Operator.answer,
-      result.Engine.counts,
-      result.Engine.report.Operator.guarantees,
-      result.Engine.normalized_cost )
-  in
-  let ok = ref true in
-  let fail fmt = Printf.ksprintf (fun m -> ok := false; print_endline m) fmt in
-  (* One probe batch is the overshoot the contract allows. *)
-  let batch_cost =
-    float_of_int batch
-    *. (Cost_model.amortize ~batch Cost_model.paper).Cost_model.c_p
-  in
-  let runs =
-    List.map
-      (fun b ->
-        let label =
-          if Float.is_finite b then Printf.sprintf "budget-%.0f" b
-          else "budget-inf"
-        in
-        (b, label, run ~budget:b label))
-      budgets
-  in
-  let achieved_of result =
-    match
-      (Option.get result.Engine.profile).Profile.audit.Profile.achieved
-    with
-    | Some a -> a
-    | None -> failwith "anytime_bench: engine returned no oracle audit"
-  in
-  let rows =
-    List.map
-      (fun (b, label, result) ->
-        let s = Option.get result.Engine.budget in
-        let a = achieved_of result in
-        Printf.printf
-          "%-14s spent %8.1f / %8s  target r %.3f%s  answer %4d  achieved \
-           p %.3f r %.3f%s\n"
-          label s.Engine.spent
-          (if Float.is_finite b then Printf.sprintf "%.0f" b else "inf")
-          s.Engine.target_recall
-          (if s.Engine.budget_limited then " (limited)" else "")
-          result.Engine.report.Operator.answer_size
-          a.Profile.achieved_precision a.Profile.achieved_recall
-          (if s.Engine.stopped_early then "  stopped early" else "");
-        if s.Engine.spent > s.Engine.allotted +. batch_cost then
-          fail "OVERSHOOT (%s): spent %.1f > allotted %.1f + one batch %.1f"
-            label s.Engine.spent s.Engine.allotted batch_cost;
-        if a.Profile.achieved_precision < requested_precision -. 1e-9 then
-          fail "PRECISION LOST (%s): achieved %.3f < requested %.3f" label
-            a.Profile.achieved_precision requested_precision;
-        Printf.sprintf
-          "    { \"label\": %S, \"budget\": %s, \"spent\": %.6g, \
-           \"remaining\": %s, \"target_recall\": %.6g, \"budget_limited\": \
-           %b, \"budget_replans\": %d, \"stopped_early\": %b, \
-           \"answer_size\": %d, \"achieved_precision\": %.6g, \
-           \"achieved_recall\": %.6g, \"normalized_cost\": %.6g }"
-          label
-          (if Float.is_finite b then Printf.sprintf "%.6g" b else "null")
-          s.Engine.spent
-          (if Float.is_finite s.Engine.remaining then
-             Printf.sprintf "%.6g" s.Engine.remaining
-           else "null")
-          s.Engine.target_recall s.Engine.budget_limited
-          s.Engine.budget_replans s.Engine.stopped_early
-          result.Engine.report.Operator.answer_size
-          a.Profile.achieved_precision a.Profile.achieved_recall
-          result.Engine.normalized_cost)
-      runs
-  in
-  (* Monotonicity along the sweep: recall and answer size never drop as
-     the budget grows. *)
-  let rec monotone = function
-    | (_, lo_label, lo) :: ((_, hi_label, hi) :: _ as rest) ->
-        let lo_a = achieved_of lo and hi_a = achieved_of hi in
-        if lo_a.Profile.achieved_recall > hi_a.Profile.achieved_recall +. 1e-9
-        then
-          fail "NON-MONOTONE recall: %s %.3f > %s %.3f" lo_label
-            lo_a.Profile.achieved_recall hi_label hi_a.Profile.achieved_recall;
-        if
-          lo.Engine.report.Operator.answer_size
-          > hi.Engine.report.Operator.answer_size
-        then
-          fail "NON-MONOTONE answer size: %s %d > %s %d" lo_label
-            lo.Engine.report.Operator.answer_size hi_label
-            hi.Engine.report.Operator.answer_size;
-        monotone rest
-    | _ -> ()
-  in
-  monotone runs;
-  (* The top of the sweep must actually reach the requested recall, or
-     the monotonicity gate is vacuous. *)
-  let _, _, top = List.nth runs (List.length runs - 1) in
-  if (achieved_of top).Profile.achieved_recall < requested_recall -. 1e-9 then
-    fail "SWEEP TOO SHALLOW: infinite budget achieved %.3f < requested %.3f"
-      (achieved_of top).Profile.achieved_recall requested_recall;
-  (* budget = infinity is the unbudgeted run, bit for bit. *)
-  let unbudgeted = run "unbudgeted" in
-  if fingerprint top <> fingerprint unbudgeted then
-    fail "INFINITY MISMATCH: budget = infinity differs from the unbudgeted run";
-  write_bench_json ~path ~bench:"anytime-budget-sweep"
-    ~fields:
-      [
-        ("passed", string_of_bool !ok);
-        ("requested_precision", Printf.sprintf "%.6g" requested_precision);
-        ("requested_recall", Printf.sprintf "%.6g" requested_recall);
-        ("batch", string_of_int batch);
-      ]
-    ~rows;
-  Printf.printf "anytime contract holds across the sweep: %s\n"
-    (if !ok then "yes" else "NO");
-  if not !ok then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Server: cross-query broker throughput under concurrency            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1434,7 +886,7 @@ let anytime_bench path =
    strictly fewer backend probes than the solo runs paid in total; and
    every query's result must be bit-for-bit its solo run — same answer,
    same guarantees, same per-query accounting — with requirements met. *)
-let server_bench path =
+let server_bench () =
   section "Server: cross-query probe broker concurrency sweep";
   print_endline
     "8 clients, one shared dataset, 10 ms of real backend latency per\n\
@@ -1481,83 +933,56 @@ let server_bench path =
     "serial (direct drivers): %.3f s, %.2f queries/s, %d probes paid\n"
     serial_seconds serial_qps solo_probes;
   let speedup_at_8 = ref 0.0 in
-  let rows =
-    List.map
-      (fun domains ->
-        let broker =
-          Probe_broker.create ~batch_size:batch
-            ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-            resolve
-        in
-        let queries =
-          Array.mapi
-            (fun i seed ->
-              Engine.query ~rng:(Rng.create seed) ~max_laxity:100.0
-                ~instance:Synthetic.instance
-                ~probe:
-                  (Probe_broker.client
-                     ~tenant:(Printf.sprintf "c%d" i)
-                     broker)
-                ~requirements:standard_requirements data)
-            seeds
-        in
-        let t0 = Unix.gettimeofday () in
-        let results = Engine.execute_many ~domains queries in
-        let seconds = Unix.gettimeofday () -. t0 in
-        let qps = float_of_int n_clients /. seconds in
-        let speedup = serial_seconds /. seconds in
-        if domains = 8 then speedup_at_8 := speedup;
-        let stats = Probe_broker.stats broker in
-        let identical =
-          Array.for_all2
-            (fun a b -> fingerprint a = fingerprint b)
-            solo results
-        in
-        let met =
-          Array.for_all
-            (fun r -> r.Engine.degradation.Engine.requirements_met)
-            results
-        in
-        if not identical then
-          fail "NOT IDENTICAL at %d domains: broker runs differ from solo"
-            domains;
-        if not met then
-          fail "REQUIREMENTS MISSED at %d domains" domains;
-        if stats.Probe_broker.charged >= solo_probes then
-          fail "NO PROBE SAVING at %d domains: broker charged %d >= solo %d"
-            domains stats.Probe_broker.charged solo_probes;
-        Printf.printf
-          "domains %d: %.3f s, %6.2f queries/s (%.2fx), charged %d, \
-           coalesced %d, fresh %d, %d batches%s\n"
-          domains seconds qps speedup stats.Probe_broker.charged
-          stats.Probe_broker.coalesced stats.Probe_broker.fresh_hits
-          stats.Probe_broker.batches
-          (if identical then "" else "  [MISMATCH]");
-        Printf.sprintf
-          "    { \"concurrency\": %d, \"seconds\": %.6f, \"qps\": %.3f, \
-           \"speedup\": %.3f, \"charged\": %d, \"coalesced\": %d, \
-           \"fresh_hits\": %d, \"batches\": %d, \"identical\": %b, \
-           \"requirements_met\": %b }"
-          domains seconds qps speedup stats.Probe_broker.charged
-          stats.Probe_broker.coalesced stats.Probe_broker.fresh_hits
-          stats.Probe_broker.batches identical met)
-      [ 1; 2; 4; 8 ]
-  in
+  List.iter
+    (fun domains ->
+      let broker =
+        Probe_broker.create ~batch_size:batch
+          ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
+          resolve
+      in
+      let queries =
+        Array.mapi
+          (fun i seed ->
+            Engine.query ~rng:(Rng.create seed) ~max_laxity:100.0
+              ~instance:Synthetic.instance
+              ~probe:
+                (Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker)
+              ~requirements:standard_requirements data)
+          seeds
+      in
+      let t0 = Unix.gettimeofday () in
+      let results = Engine.execute_many ~domains queries in
+      let seconds = Unix.gettimeofday () -. t0 in
+      let qps = float_of_int n_clients /. seconds in
+      let speedup = serial_seconds /. seconds in
+      if domains = 8 then speedup_at_8 := speedup;
+      let stats = Probe_broker.stats broker in
+      let identical =
+        Array.for_all2 (fun a b -> fingerprint a = fingerprint b) solo results
+      in
+      let met =
+        Array.for_all
+          (fun r -> r.Engine.degradation.Engine.requirements_met)
+          results
+      in
+      if not identical then
+        fail "NOT IDENTICAL at %d domains: broker runs differ from solo"
+          domains;
+      if not met then fail "REQUIREMENTS MISSED at %d domains" domains;
+      if stats.Probe_broker.charged >= solo_probes then
+        fail "NO PROBE SAVING at %d domains: broker charged %d >= solo %d"
+          domains stats.Probe_broker.charged solo_probes;
+      Printf.printf
+        "domains %d: %.3f s, %6.2f queries/s (%.2fx), charged %d, coalesced \
+         %d, fresh %d, %d batches%s\n"
+        domains seconds qps speedup stats.Probe_broker.charged
+        stats.Probe_broker.coalesced stats.Probe_broker.fresh_hits
+        stats.Probe_broker.batches
+        (if identical then "" else "  [MISMATCH]"))
+    [ 1; 2; 4; 8 ];
   if !speedup_at_8 < 1.3 then
     fail "TOO SLOW: %.2fx at 8 domains (gate: >= 1.3x over serial)"
       !speedup_at_8;
-  write_bench_json ~path ~bench:"server-broker-concurrency"
-    ~fields:
-      [
-        ("passed", string_of_bool !ok);
-        ("clients", string_of_int n_clients);
-        ("batch", string_of_int batch);
-        ("probe_ms", Printf.sprintf "%.3f" (probe_seconds *. 1000.0));
-        ("serial_seconds", Printf.sprintf "%.6f" serial_seconds);
-        ("serial_qps", Printf.sprintf "%.3f" serial_qps);
-        ("solo_probes", string_of_int solo_probes);
-      ]
-    ~rows;
   Printf.printf "server concurrency gates hold: %s\n"
     (if !ok then "yes" else "NO");
   if not !ok then exit 1
@@ -1573,10 +998,8 @@ let server_bench path =
    the shared trace path, rolling per-tenant SLO windows fed from every
    result.  Gates (exit 1): the telemetry run must be bit-for-bit
    identical to the bare run (telemetry is read-only), and it may cost
-   at most 5% throughput.  A forced-fault mini-run (permanent backend
-   failures tripping a breaker) then produces the sample
-   flight-recorder dump uploaded as a CI artifact. *)
-let telemetry_bench path ~dump:dump_path =
+   at most 5% throughput. *)
+let telemetry_bench () =
   section "Telemetry: live-telemetry overhead on the server scenario";
   let data = standard_workload () in
   let n_clients = 8 in
@@ -1672,263 +1095,8 @@ let telemetry_bench path ~dump:dump_path =
     (overhead *. 100.0) recorded slo_requests;
   if overhead > 0.05 then
     fail "TOO SLOW: telemetry costs %.1f%% (gate: <= 5%%)" (overhead *. 100.0);
-  (* The sample anomaly dump: a permanently failing backend behind a
-     breaker; the trip auto-dumps the failing query's ring. *)
-  let dump_recorder = Flight_recorder.create ~capacity:256 () in
-  let dump_obs = Obs.create ~trace:(Flight_recorder.sink dump_recorder) () in
-  let inj =
-    Fault_plan.injector ~site:"bench-telemetry"
-      (Fault_plan.make ~seed:1337 ~permanent_rate:1.0 ())
-  in
-  let failing objs =
-    Array.map
-      (fun _ ->
-        let el = Fault_plan.fresh_element inj in
-        ignore (Fault_plan.attempt inj el ~round:0);
-        Probe_driver.Failed { attempts = 1 })
-      objs
-  in
-  let fbroker =
-    Probe_broker.create ~obs:dump_obs
-      ~breaker:(Circuit_breaker.create ~obs:dump_obs ())
-      ~batch_size:batch
-      ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-      failing
-  in
-  let trace_id = Engine.next_trace_id () in
-  let ctx = { Trace.query = Some trace_id; tenant = Some "bench" } in
-  let fquery =
-    Engine.query ~rng:(Rng.create engine_seed) ~max_laxity:100.0
-      ~instance:Synthetic.instance
-      ~probe:
-        (Probe_broker.client
-           ~obs:(Obs.with_context dump_obs ctx)
-           ~tenant:"bench" fbroker)
-      ~obs:dump_obs ~tenant:"bench" ~trace_id
-      ~requirements:standard_requirements data
-  in
-  ignore (Engine.execute_many ~domains:1 [| fquery |]);
-  let dumps = Flight_recorder.dumps dump_recorder in
-  (match
-     List.find_opt (fun d -> d.Flight_recorder.reason = "breaker-open") dumps
-   with
-  | Some d ->
-      let oc = open_out dump_path in
-      output_string oc (Flight_recorder.dump_to_json d);
-      close_out oc;
-      Printf.printf
-        "sample dump: %s (reason %s, query %s, %d events) written to %s\n"
-        (Flight_recorder.dump_filename d)
-        d.Flight_recorder.reason
-        (match d.Flight_recorder.query with
-        | Some q -> string_of_int q
-        | None -> "-")
-        (List.length d.Flight_recorder.events)
-        dump_path
-  | None -> fail "NO DUMP: the forced fault never tripped the breaker");
-  write_bench_json ~path ~bench:"telemetry-overhead"
-    ~fields:
-      [
-        ("passed", string_of_bool !ok);
-        ("clients", string_of_int n_clients);
-        ("batch", string_of_int batch);
-        ("domains", string_of_int domains);
-        ("probe_ms", Printf.sprintf "%.3f" (probe_seconds *. 1000.0));
-        ("overhead_gate", "0.05");
-      ]
-    ~rows:
-      [
-        Printf.sprintf
-          "    { \"mode\": \"bare\", \"seconds\": %.6f, \"qps\": %.3f }"
-          bare_seconds
-          (float_of_int n_clients /. bare_seconds);
-        Printf.sprintf
-          "    { \"mode\": \"telemetry\", \"seconds\": %.6f, \"qps\": %.3f, \
-           \"overhead\": %.4f, \"identical\": %b, \"events_recorded\": %d }"
-          live_seconds
-          (float_of_int n_clients /. live_seconds)
-          overhead identical recorded;
-      ];
   Printf.printf "telemetry gates hold: %s\n" (if !ok then "yes" else "NO");
   if not !ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Cascade: tiered probe economics under a proxy hit-rate sweep        *)
-(* ------------------------------------------------------------------ *)
-
-(* A cheap interval-shrinking proxy in front of the oracle, swept over
-   proxy effectiveness (the fraction of probed objects the narrowed
-   interval settles under the query), plus a leg with the proxy
-   permanently down.  The requirements force a full scan — a recall
-   guarantee of 1.0 is only reachable once nothing is unseen — and the
-   fixed plan probes every YES and MAYBE candidate, so every leg must
-   return the same answer ids whatever tier settled each object.  The
-   mode fails unless the answers agree, every leg meets its guarantees
-   with a reconciled meter, and the 90%-effective proxy beats the
-   oracle-only total metered cost by at least 1.5x. *)
-let cascade_bench path =
-  section "Cascade: tiered probes vs the oracle";
-  print_endline
-    "A shrink proxy (c_p = 0.05, B = 32) fronts the oracle (c_p = 1,\n\
-     B = 8), swept over proxy effectiveness 0/50/90% plus a forced\n\
-     proxy outage.  Full-scan probe-everything requirements make the\n\
-     answer tier-independent; the gate demands identical answers,\n\
-     guarantees met on every leg, and a >= 1.5x win at 90%.";
-  let pred = Predicate.ge 60.0 in
-  let data =
-    Interval_data.uniform_intervals (Rng.create 808) ~n:4000
-      ~value_range:(Interval.make 0.0 100.0) ~max_width:30.0
-  in
-  let requirements =
-    Quality.requirements ~precision:0.9 ~recall:1.0 ~laxity:25.0
-  in
-  (* s3 = s5 = 0 probes every MAYBE; p_py = 1 probes every wide YES.
-     No decision is randomised away, so each leg makes the same calls. *)
-  let probe_everything = Policy.params ~s3:0.0 ~s5:0.0 ~p_py:1.0 ~p_fm:0.0 in
-  (* Reads priced near zero: the gate is about probe economics. *)
-  let cost =
-    Cost_model.make ~c_r:0.01 ~c_p:1.0 ~c_b:5.0 ~c_wi:0.1 ~c_wp:0.1 ()
-  in
-  let specs ~power =
-    [|
-      {
-        Probe_tier.name = "proxy";
-        kind = Probe_tier.Shrink { power };
-        c_p = 0.05;
-        c_b = 0.5;
-        batch = 32;
-      };
-      {
-        Probe_tier.name = "oracle";
-        kind = Probe_tier.Resolve;
-        c_p = 1.0;
-        c_b = 5.0;
-        batch = 8;
-      };
-    |]
-  in
-  let execute ~label ~obs ?probe ?cascade () =
-    Engine.execute ~rng:(Rng.create 809) ~max_laxity:30.0
-      ~planning:(Engine.Fixed probe_everything) ~cost ~batch:8 ~obs
-      ~profile:(Engine.profiling ~label ~oracle:(Interval_data.in_exact pred) ())
-      ~instance:(Interval_data.instance pred) ?probe ?cascade ~requirements
-      data
-  in
-  let run ~label kind =
-    let obs = Obs.create () in
-    match kind with
-    | `Oracle_only ->
-        let source = Probe_source.create ~obs Interval_data.probe in
-        let result =
-          execute ~label ~obs
-            ~probe:(Probe_source.driver ~obs ~batch_size:8 source)
-            ()
-        in
-        (label, result, [||])
-    | `Tiered power ->
-        let cascade, _sources =
-          Tiered.of_functions ~obs ~specs:(specs ~power)
-            ~narrow:Interval_data.shrink ~resolve:Interval_data.probe ()
-        in
-        let result = execute ~label ~obs ~cascade () in
-        (label, result, Cascade.stats cascade)
-    | `Proxy_outage power ->
-        let sources =
-          [|
-            Probe_source.create ~obs ~tier:"proxy" ~max_retries:0
-              ~faults:(Fault_plan.make ~seed:811 ~permanent_rate:1.0 ())
-              (fun o -> Interval_data.shrink ~power o);
-            Probe_source.create ~obs ~tier:"oracle" Interval_data.probe;
-          |]
-        in
-        let cascade = Tiered.cascade ~obs ~specs:(specs ~power) sources in
-        let result = execute ~label ~obs ~cascade () in
-        (label, result, Cascade.stats cascade)
-  in
-  let legs =
-    [
-      run ~label:"oracle-only" `Oracle_only;
-      run ~label:"proxy-0" (`Tiered 0.0);
-      run ~label:"proxy-50" (`Tiered 0.5);
-      run ~label:"proxy-90" (`Tiered 0.9);
-      run ~label:"proxy-outage" (`Proxy_outage 0.9);
-    ]
-  in
-  let ids (r : Interval_data.record Engine.result) =
-    List.sort compare
-      (List.map
-         (fun (e : Interval_data.record Operator.emitted) ->
-           e.Operator.obj.Interval_data.id)
-         r.Engine.report.Operator.answer)
-  in
-  let cost_of (_, (r : Interval_data.record Engine.result), _) =
-    r.Engine.normalized_cost
-  in
-  let reference_ids = ids (match legs with (_, r, _) :: _ -> r | [] -> assert false) in
-  let quality_ok (r : Interval_data.record Engine.result) =
-    Quality.meets r.Engine.report.Operator.guarantees requirements
-    && match r.Engine.profile with
-       | Some p -> Profile.passed p
-       | None -> false
-  in
-  let all_identical = ref true and all_quality = ref true in
-  let rows =
-    List.map
-      (fun (label, result, tiers) ->
-        let identical = ids result = reference_ids in
-        let quality = quality_ok result in
-        if not identical then all_identical := false;
-        if not quality then all_quality := false;
-        let tier_summary =
-          Array.to_list tiers
-          |> List.map (fun (s : Cascade.stats) ->
-                 Printf.sprintf
-                   "{ \"name\": %S, \"probes\": %d, \"shrinks\": %d, \
-                    \"failovers\": %d, \"batches\": %d }"
-                   s.Cascade.st_name s.Cascade.st_probes s.Cascade.st_shrinks
-                   s.Cascade.st_failovers s.Cascade.st_batches)
-          |> String.concat ", "
-        in
-        Printf.printf
-          "%-14s W/|T| = %8.4f  probes %5d  batches %4d  answer %4d  %s%s\n"
-          label result.Engine.normalized_cost result.Engine.counts.probes
-          result.Engine.counts.batches result.Engine.report.answer_size
-          (if quality then "guarantees ok" else "GUARANTEES MISSED")
-          (if identical then "" else "  ANSWER DIVERGED");
-        Printf.sprintf
-          "    { \"label\": %S, \"normalized_cost\": %.6f, \"probes\": %d, \
-           \"batches\": %d, \"answer\": %d, \"guarantees_met\": %b, \
-           \"identical_answer\": %b, \"tiers\": [ %s ] }"
-          label result.Engine.normalized_cost result.Engine.counts.probes
-          result.Engine.counts.batches result.Engine.report.answer_size
-          quality identical tier_summary)
-      legs
-  in
-  let oracle_cost = cost_of (List.nth legs 0) in
-  let tiered90_cost = cost_of (List.nth legs 3) in
-  let ratio = oracle_cost /. tiered90_cost in
-  let gate = ratio >= 1.5 && !all_identical && !all_quality in
-  write_bench_json ~path ~bench:"cascade-tier-sweep"
-    ~fields:
-      [
-        ("records", string_of_int (Array.length data));
-        ("gate_min_ratio", "1.5");
-        ("oracle_over_proxy90_ratio", Printf.sprintf "%.4f" ratio);
-        ("all_answers_identical", string_of_bool !all_identical);
-        ("all_guarantees_met", string_of_bool !all_quality);
-        ("passed", string_of_bool gate);
-      ]
-    ~rows;
-  Printf.printf
-    "oracle-only / proxy-90 cost ratio: %.2fx (gate >= 1.50x)\n\
-     answers identical on every leg: %s\n\
-     guarantees met on every leg: %s\n\
-     cascade gate: %s\n"
-    ratio
-    (if !all_identical then "yes" else "NO")
-    (if !all_quality then "yes" else "NO")
-    (if gate then "PASS" else "FAIL");
-  if not gate then exit 1
 
 (* ------------------------------------------------------------------ *)
 
@@ -1951,48 +1119,9 @@ let () =
   | "ablations" -> ablations ()
   | "batch" -> ablation_batching ()
   | "micro" -> run_micro ()
-  | "metrics" ->
-      metrics_dump
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_metrics.json")
-  | "scaling" ->
-      scaling_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_scaling.json")
-  | "profile" ->
-      profile_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_profile.json")
-        ~trace:
-          (if Array.length Sys.argv > 3 then Sys.argv.(3)
-           else "BENCH_trace.json")
-  | "faults" ->
-      faults_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_faults.json")
-  | "columnar" ->
-      columnar_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_columnar.json")
-  | "anytime" ->
-      anytime_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_anytime.json")
-  | "server" ->
-      server_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_server.json")
-  | "telemetry" ->
-      telemetry_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_telemetry.json")
-        ~dump:
-          (if Array.length Sys.argv > 3 then Sys.argv.(3)
-           else "BENCH_flight_dump.json")
-  | "cascade" ->
-      cascade_bench
-        (if Array.length Sys.argv > 2 then Sys.argv.(2)
-         else "BENCH_cascade.json")
+  | "columnar" -> columnar_bench ()
+  | "server" -> server_bench ()
+  | "telemetry" -> telemetry_bench ()
   | "all" ->
       tables ();
       ablations ();
@@ -2000,6 +1129,6 @@ let () =
   | other ->
       Printf.eprintf
         "unknown mode %S (expected \
-         tables|ablations|batch|micro|metrics|scaling|profile|faults|columnar|anytime|server|telemetry|cascade|all)\n"
+         tables|ablations|batch|micro|columnar|server|telemetry|all)\n"
         other;
       exit 2

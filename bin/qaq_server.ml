@@ -16,6 +16,7 @@
    time. *)
 
 open Cmdliner
+open Cli_flags
 
 let admission_conv =
   let parse = function
@@ -31,7 +32,7 @@ let admission_conv =
   in
   Arg.conv (parse, print)
 
-let run seed total f_y f_m max_laxity batch capacity freshness probe_ms
+let run seed total (f_y, f_m) max_laxity batch capacity freshness probe_ms
     admission domains fault_rate fault_seed tiers_spec breaker recorder
     recorder_dir window prom trace socket =
   let tiers =
@@ -87,33 +88,27 @@ let cmd =
   in
   let total =
     let doc = "Shared dataset size |T|." in
-    Arg.(value & opt int 10000 & info [ "total" ] ~doc)
-  in
-  let f_y =
-    let doc = "Fraction of YES objects." in
-    Arg.(value & opt float 0.2 & info [ "fy" ] ~doc)
-  in
-  let f_m =
-    let doc = "Fraction of MAYBE objects." in
-    Arg.(value & opt float 0.2 & info [ "fm" ] ~doc)
+    Arg.(value & opt positive_int 10000 & info [ "total" ] ~doc)
   in
   let max_laxity =
     let doc = "Maximum input laxity L." in
-    Arg.(value & opt float 100.0 & info [ "max-laxity" ] ~doc)
+    Arg.(value & opt positive_float 100.0 & info [ "max-laxity" ] ~doc)
   in
   let batch =
     let doc =
       "Broker batch size B: backend probes dispatch B at a time, packed \
        across tenants."
     in
-    Arg.(value & opt int 8 & info [ "batch"; "B" ] ~doc)
+    Arg.(value & opt positive_int 8 & info [ "batch"; "B" ] ~doc)
   in
   let capacity =
     let doc =
       "Shared probe capacity: admitted backend probes across the server's \
        lifetime.  Unlimited when absent."
     in
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (some non_negative_int) None
+      & info [ "capacity" ] ~docv:"N" ~doc)
   in
   let freshness =
     let doc =
@@ -121,14 +116,15 @@ let cmd =
        free hit.  Default: forever (the dataset is immutable); 0 disables \
        sharing."
     in
-    Arg.(value & opt float infinity & info [ "freshness" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt cap infinity & info [ "freshness" ] ~docv:"SECONDS" ~doc)
   in
   let probe_ms =
     let doc =
       "Simulated backend latency per probe batch, in milliseconds of real \
        wall clock — makes the concurrency saving observable."
     in
-    Arg.(value & opt float 0.0 & info [ "probe-ms" ] ~docv:"MS" ~doc)
+    Arg.(
+      value & opt non_negative_float 0.0 & info [ "probe-ms" ] ~docv:"MS" ~doc)
   in
   let admission =
     let doc =
@@ -142,14 +138,15 @@ let cmd =
     let doc =
       "Domains for RUN (default: one per queued query, capped at 16)."
     in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let fault_rate =
     let doc =
       "Probability a backend probe fails permanently (deterministic per \
        --fault-seed).  Default 0: no injection."
     in
-    Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"P" ~doc)
+    Arg.(value & opt unit_interval 0.0 & info [ "fault-rate" ] ~docv:"P" ~doc)
   in
   let fault_seed =
     let doc = "Fault-injection seed." in
@@ -175,7 +172,7 @@ let cmd =
       "Flight-recorder ring capacity (recent trace events kept per query \
        and globally).  0 disables the recorder."
     in
-    Arg.(value & opt int 256 & info [ "recorder" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 256 & info [ "recorder" ] ~docv:"N" ~doc)
   in
   let recorder_dir =
     let doc =
@@ -187,7 +184,8 @@ let cmd =
   in
   let window =
     let doc = "Rolling SLO window in seconds (HEALTH and SLO verbs)." in
-    Arg.(value & opt float 60.0 & info [ "window" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value & opt positive_float 60.0 & info [ "window" ] ~docv:"SECONDS" ~doc)
   in
   let prom =
     let doc =
@@ -208,7 +206,7 @@ let cmd =
   Cmd.v
     (Cmd.info "qaq-server" ~version:"1.0.0" ~doc)
     Term.(
-      const run $ seed $ total $ f_y $ f_m $ max_laxity $ batch $ capacity
+      const run $ seed $ total $ fractions $ max_laxity $ batch $ capacity
       $ freshness $ probe_ms $ admission $ domains $ fault_rate $ fault_seed
       $ tiers $ breaker $ recorder $ recorder_dir $ window $ prom $ trace
       $ socket)

@@ -137,6 +137,70 @@ let prop_quality_monotone_in_budget =
          <= (ladder j).Engine.report.Operator.answer_size
       && lo_s.Engine.target_recall <= hi_s.Engine.target_recall +. 1e-9)
 
+(* --- the adaptive B = 4 ladder on the standard workload ---------------- *)
+
+(* Every rung runs adaptive at B = 4, so a finite budget's mid-scan dual
+   re-solves and the unbudgeted ends share one machinery.  Batched
+   probing may overshoot the allotment by at most one probe batch;
+   precision holds on every rung; achieved recall and answer size never
+   fall as the budget grows; the top rung reaches the requested recall;
+   and an infinite budget is the unbudgeted run. *)
+let test_adaptive_ladder () =
+  let data = Standard_workload.data () in
+  let batch = 4 in
+  let run ?budget () =
+    let obs = Obs.create () in
+    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed) ?budget
+      ~adaptive:true ~max_laxity:100.0 ~obs
+      ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
+      ~instance:Synthetic.instance
+      ~probe:(Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
+      ~requirements:Standard_workload.requirements data
+  in
+  let batch_cost =
+    float_of_int batch
+    *. (Cost_model.amortize ~batch Cost_model.paper).Cost_model.c_p
+  in
+  let rungs =
+    List.map
+      (fun b -> (b, run ~budget:b ()))
+      [ 1_500.0; 4_000.0; 10_000.0; 30_000.0; infinity ]
+  in
+  List.iter
+    (fun (b, result) ->
+      let s = summary result in
+      checkb
+        (Printf.sprintf "budget %g: spent %.1f within one batch of %.1f" b
+           s.Engine.spent s.Engine.allotted)
+        true
+        (s.Engine.spent <= s.Engine.allotted +. batch_cost);
+      checkb
+        (Printf.sprintf "budget %g: achieved precision holds" b)
+        true
+        ((achieved result).Profile.achieved_precision >= 0.9 -. 1e-9))
+    rungs;
+  let rec monotone = function
+    | (lo_b, lo) :: ((hi_b, hi) :: _ as rest) ->
+        checkb
+          (Printf.sprintf "recall monotone from %g to %g" lo_b hi_b)
+          true
+          ((achieved lo).Profile.achieved_recall
+          <= (achieved hi).Profile.achieved_recall +. 1e-9);
+        checkb
+          (Printf.sprintf "answer size monotone from %g to %g" lo_b hi_b)
+          true
+          (lo.Engine.report.Operator.answer_size
+          <= hi.Engine.report.Operator.answer_size);
+        monotone rest
+    | _ -> ()
+  in
+  monotone rungs;
+  let _, top = List.nth rungs (List.length rungs - 1) in
+  checkb "top rung achieves the requested recall" true
+    ((achieved top).Profile.achieved_recall >= 0.6 -. 1e-9);
+  checkb "infinite budget is the unbudgeted run" true
+    (fingerprint top = fingerprint (run ()))
+
 (* --- deadline -------------------------------------------------------- *)
 
 let test_deadline_smoke () =
@@ -173,6 +237,8 @@ let suite =
     ("budget respected on every rung", `Slow, test_budget_is_respected);
     ("sweep spans starved to ample", `Slow, test_sweep_spans_the_contract);
     QCheck_alcotest.to_alcotest prop_quality_monotone_in_budget;
+    ("adaptive B=4 ladder on the standard workload", `Quick,
+     test_adaptive_ladder);
     ("deadline smoke", `Quick, test_deadline_smoke);
     ("validation", `Quick, test_validation);
   ]

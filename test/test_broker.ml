@@ -131,54 +131,82 @@ let test_concurrent_dedup () =
   checkb "dedup actually happened" true
     (s.Probe_broker.coalesced + s.Probe_broker.fresh_hits > 0)
 
-(* execute_many results are independent of scheduling: same queries on
-   1 domain, on 4 domains, and in reversed submission order — all equal
-   to the solo runs. *)
+(* execute_many results are independent of scheduling: the same queries
+   on one domain, on several, and in reversed submission order all equal
+   their solo runs and meet their requirements, and the shared broker
+   charges strictly fewer backend probes than the solo runs paid in
+   total.  Two inputs: four clients on a small workload, and the server
+   scenario's eight clients on the standard workload at B = 8 over 1, 2,
+   4 and 8 domains. *)
 let test_execute_many_deterministic () =
-  let data = small_data 400 in
-  let seeds = [| 11; 12; 13; 14 |] in
-  let solo =
-    Array.map
-      (fun seed ->
-        fingerprint
-          (run_engine ~seed
-             ~probe:(Probe_driver.create_outcomes ~batch_size:4 pure_resolve)
-             data))
-      seeds
-  in
-  let run ~domains ~order =
-    let broker = Probe_broker.create ~batch_size:4 ~key:obj_key pure_resolve in
-    let queries =
+  let check ~label ~data ~requirements ~batch ~seeds ~domains_list =
+    let n = Array.length seeds in
+    let solo_runs =
       Array.map
-        (fun i ->
-          Engine.query ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
+        (fun seed ->
+          Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
             ~instance:Synthetic.instance
-            ~probe:(Probe_broker.client ~tenant:(string_of_int i) broker)
+            ~probe:(Probe_driver.create_outcomes ~batch_size:batch pure_resolve)
             ~requirements data)
-        order
+        seeds
     in
-    let results = Engine.execute_many ~domains queries in
-    Array.map fingerprint results
-  in
-  let forward = [| 0; 1; 2; 3 |] in
-  let serial = run ~domains:1 ~order:forward in
-  let parallel = run ~domains:4 ~order:forward in
-  let reversed = run ~domains:4 ~order:[| 3; 2; 1; 0 |] in
-  Array.iteri
-    (fun i fp ->
-      checkb (Printf.sprintf "serial query %d = solo" i) true (fp = solo.(i)))
-    serial;
-  Array.iteri
-    (fun i fp ->
-      checkb (Printf.sprintf "parallel query %d = solo" i) true (fp = solo.(i)))
-    parallel;
-  Array.iteri
-    (fun i fp ->
+    let solo = Array.map fingerprint solo_runs in
+    let solo_probes =
+      Array.fold_left
+        (fun acc r -> acc + r.Engine.counts.Cost_meter.probes)
+        0 solo_runs
+    in
+    let run ~domains ~order =
+      let broker =
+        Probe_broker.create ~batch_size:batch ~key:obj_key pure_resolve
+      in
+      let queries =
+        Array.map
+          (fun i ->
+            Engine.query ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
+              ~instance:Synthetic.instance
+              ~probe:(Probe_broker.client ~tenant:(string_of_int i) broker)
+              ~requirements data)
+          order
+      in
+      let results = Engine.execute_many ~domains queries in
+      let tag what = Printf.sprintf "%s, domains=%d: %s" label domains what in
+      let charged = (Probe_broker.stats broker).Probe_broker.charged in
       checkb
-        (Printf.sprintf "reversed query %d = solo" i)
-        true
-        (fp = solo.(3 - i)))
-    reversed
+        (tag (Printf.sprintf "broker charged %d < solo total %d" charged
+                solo_probes))
+        true (charged < solo_probes);
+      Array.iter
+        (fun r ->
+          checkb (tag "requirements met") true
+            r.Engine.degradation.Engine.requirements_met)
+        results;
+      Array.map fingerprint results
+    in
+    List.iter
+      (fun domains ->
+        Array.iteri
+          (fun i fp ->
+            checkb
+              (Printf.sprintf "%s query %d = solo (domains=%d)" label i domains)
+              true (fp = solo.(i)))
+          (run ~domains ~order:(Array.init n Fun.id)))
+      domains_list;
+    let domains = List.nth domains_list (List.length domains_list - 1) in
+    Array.iteri
+      (fun i fp ->
+        checkb
+          (Printf.sprintf "%s reversed query %d = solo" label i)
+          true
+          (fp = solo.(n - 1 - i)))
+      (run ~domains ~order:(Array.init n (fun i -> n - 1 - i)))
+  in
+  check ~label:"small" ~data:(small_data 400) ~requirements ~batch:4
+    ~seeds:[| 11; 12; 13; 14 |] ~domains_list:[ 1; 4 ];
+  check ~label:"standard" ~data:(Standard_workload.data ())
+    ~requirements:Standard_workload.requirements ~batch:8
+    ~seeds:(Array.init 8 (fun i -> Standard_workload.engine_seed + i))
+    ~domains_list:[ 1; 2; 4; 8 ]
 
 (* Cross-query batch packing: while one dispatch is held open inside the
    backend, requests from other clients queue up; the next round merges

@@ -425,6 +425,95 @@ let test_proxy_outage_fails_over () =
   checkb "requirements met through the outage" true
     (Quality.meets result.Engine.report.Operator.guarantees requirements)
 
+(* --- metered economics: a proxy sweep against the oracle ------------- *)
+
+(* A cheap shrink proxy (c_p = 0.05, B = 32) in front of the oracle
+   (c_p = 1, B = 8), swept over proxy power 0, 0.5 and 0.9, plus a leg
+   with the proxy permanently down.  Recall 1.0 forces a full scan and
+   the fixed plan probes every YES and MAYBE candidate, so every leg
+   returns the same answer ids whatever tier settled each object.  Every
+   leg meets its guarantees with a reconciled, passing audit, and the
+   90%-effective proxy cuts the oracle-only metered cost at least 1.5x. *)
+let test_proxy_sweep_economics () =
+  let pred = Predicate.ge 60.0 in
+  let data =
+    Interval_data.uniform_intervals (Rng.create 808) ~n:4000
+      ~value_range:(Interval.make 0.0 100.0) ~max_width:30.0
+  in
+  let requirements =
+    Quality.requirements ~precision:0.9 ~recall:1.0 ~laxity:25.0
+  in
+  (* s3 = s5 = 0 probes every MAYBE; p_py = 1 probes every wide YES. *)
+  let probe_everything = Policy.params ~s3:0.0 ~s5:0.0 ~p_py:1.0 ~p_fm:0.0 in
+  (* Reads priced near zero: the gate is about probe economics. *)
+  let cost =
+    Cost_model.make ~c_r:0.01 ~c_p:1.0 ~c_b:5.0 ~c_wi:0.1 ~c_wp:0.1 ()
+  in
+  let specs ~power = specs2 ~power ~proxy_cp:0.05 ~proxy_cb:0.5 () in
+  let execute ~obs ?probe ?cascade () =
+    Engine.execute ~rng:(Rng.create 809) ~max_laxity:30.0
+      ~planning:(Engine.Fixed probe_everything) ~cost ~batch:8 ~obs
+      ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
+      ~instance:(Interval_data.instance pred) ?probe ?cascade ~requirements
+      data
+  in
+  let oracle_only () =
+    let obs = Obs.create () in
+    let source = Probe_source.create ~obs Interval_data.probe in
+    execute ~obs ~probe:(Probe_source.driver ~obs ~batch_size:8 source) ()
+  in
+  let tiered power =
+    let obs = Obs.create () in
+    let cascade, _sources =
+      Tiered.of_functions ~obs ~specs:(specs ~power)
+        ~narrow:Interval_data.shrink ~resolve:Interval_data.probe ()
+    in
+    execute ~obs ~cascade ()
+  in
+  let proxy_outage power =
+    let obs = Obs.create () in
+    let sources =
+      [|
+        Probe_source.create ~obs ~tier:"proxy" ~max_retries:0
+          ~faults:(Fault_plan.make ~seed:811 ~permanent_rate:1.0 ())
+          (fun o -> Interval_data.shrink ~power o);
+        Probe_source.create ~obs ~tier:"oracle" Interval_data.probe;
+      |]
+    in
+    let cascade = Tiered.cascade ~obs ~specs:(specs ~power) sources in
+    execute ~obs ~cascade ()
+  in
+  let ids (r : Interval_data.record Engine.result) =
+    List.sort compare
+      (List.map
+         (fun (e : Interval_data.record Operator.emitted) ->
+           e.Operator.obj.Interval_data.id)
+         r.Engine.report.Operator.answer)
+  in
+  let oracle = oracle_only () in
+  let proxy90 = tiered 0.9 in
+  List.iter
+    (fun (label, r) ->
+      checkb (label ^ ": same answer ids as oracle-only") true
+        (ids r = ids oracle);
+      checkb (label ^ ": guarantees met") true
+        (Quality.meets r.Engine.report.Operator.guarantees requirements);
+      checkb (label ^ ": profile reconciles and passes its audit") true
+        (Profile.passed (Option.get r.Engine.profile)))
+    [
+      ("oracle-only", oracle);
+      ("proxy-0", tiered 0.0);
+      ("proxy-50", tiered 0.5);
+      ("proxy-90", proxy90);
+      ("proxy-outage", proxy_outage 0.9);
+    ];
+  let ratio =
+    oracle.Engine.normalized_cost /. proxy90.Engine.normalized_cost
+  in
+  checkb
+    (Printf.sprintf "oracle-only / proxy-90 cost ratio %.2f >= 1.5" ratio)
+    true (ratio >= 1.5)
+
 let suite =
   [
     ("tier selection prices escalation", `Quick, test_tier_selection);
@@ -434,6 +523,8 @@ let suite =
     ("escalation accounting", `Quick, test_escalation_accounting);
     ("proxy outage fails over to the oracle", `Quick,
      test_proxy_outage_fails_over);
+    ("proxy sweep: same answers, 1.5x cheaper at power 0.9", `Quick,
+     test_proxy_sweep_economics);
     QCheck_alcotest.to_alcotest prop_interval_shrink_sound;
     QCheck_alcotest.to_alcotest prop_synthetic_shrink_sound;
     QCheck_alcotest.to_alcotest prop_guarantees_survive_cascade;

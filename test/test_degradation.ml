@@ -183,6 +183,75 @@ let test_wasted_cost_amortizes_batch_setup () =
     (d.Engine.wasted_cost
     > float_of_int d.Engine.failed_attempts *. cost.Cost_model.c_p +. 1e-9)
 
+(* --- fault sweep on the standard workload ----------------------------- *)
+
+(* The standard workload at B = 16 through a fault-injected source
+   (fault seed 1337), swept over permanent-failure rates 0, 1, 5 and
+   20% with half as many transient failures.  Every run completes and
+   holds six invariants: the meter reconciles with the qaq.* counters;
+   the degraded flag agrees with the failure count; the audit flags
+   exactly the failed probes; fallbacks cover every failure; the
+   guarantees never overstate the oracle-achieved precision and recall;
+   and the zero-rate plan is bit-for-bit the unfaulted run. *)
+let test_fault_sweep_invariants () =
+  let data = Standard_workload.data () in
+  let run ?faults () =
+    let obs = Obs.create () in
+    let source =
+      match faults with
+      | None -> Probe_source.create ~obs Synthetic.probe
+      | Some f ->
+          Probe_source.create ~obs ~max_retries:2 ~faults:f Synthetic.probe
+    in
+    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed)
+      ~max_laxity:100.0 ~obs
+      ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
+      ~instance:Synthetic.instance
+      ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
+      ~requirements:Standard_workload.requirements data
+  in
+  let fingerprint result =
+    ( answer_ids result,
+      result.Engine.counts,
+      result.Engine.report.Operator.guarantees,
+      result.Engine.normalized_cost )
+  in
+  let baseline = run () in
+  List.iter
+    (fun rate ->
+      let faults =
+        Fault_plan.make ~seed:1337 ~permanent_rate:rate
+          ~transient_rate:(rate /. 2.0) ~max_retries:2 ()
+      in
+      let result = run ~faults () in
+      let tag what = Printf.sprintf "%s (rate %g)" what rate in
+      let d = result.Engine.degradation in
+      let profile = Option.get result.Engine.profile in
+      checkb (tag "meter reconciles") true
+        (profile.Profile.reconcile_error = None);
+      checkb (tag "degraded flag agrees with failed probes") true
+        (Engine.degraded result = (d.Engine.failed_probes > 0));
+      checki (tag "audit flags every failed probe") d.Engine.failed_probes
+        profile.Profile.audit.Profile.degraded_probes;
+      checki (tag "fallbacks cover every failure") d.Engine.failed_probes
+        (d.Engine.degraded_forwards + d.Engine.degraded_ignores);
+      (match profile.Profile.audit.Profile.achieved with
+      | None -> Alcotest.fail (tag "oracle audit missing")
+      | Some a ->
+          checkb (tag "guaranteed precision within achieved") true
+            (d.Engine.guarantees_after.Quality.precision
+            <= a.Profile.achieved_precision +. 1e-9);
+          checkb (tag "guaranteed recall within achieved") true
+            (d.Engine.guarantees_after.Quality.recall
+            <= a.Profile.achieved_recall +. 1e-9));
+      if rate = 0.0 then
+        checkb (tag "zero-rate plan is the unfaulted run") true
+          (fingerprint result = fingerprint baseline)
+      else
+        checkb (tag "the sweep injects failures") true
+          (d.Engine.failed_attempts > 0))
+    [ 0.0; 0.01; 0.05; 0.20 ]
+
 (* --- qcheck invariants ----------------------------------------------- *)
 
 (* (a) Whatever the failure mix, the reported achieved precision and
@@ -438,6 +507,8 @@ let suite =
      test_engine_survives_20pct_permanent);
     ("wasted cost amortizes batch setup", `Quick,
      test_wasted_cost_amortizes_batch_setup);
+    ("fault sweep holds the degradation invariants", `Quick,
+     test_fault_sweep_invariants);
     ("deterministic replay", `Slow, test_deterministic_replay);
     QCheck_alcotest.to_alcotest prop_degraded_audit_honest;
     QCheck_alcotest.to_alcotest prop_meter_reconciles_under_faults;

@@ -331,41 +331,57 @@ let test_operator_reconciles () =
 
 (* The golden invariant: for every engine configuration, the qaq.*
    counters written at the instrumentation sites equal the cost meter's
-   counts written at the charge sites — planning sample included. *)
+   counts written at the charge sites — planning sample included.  Two
+   inputs: this file's own workload, and the standard workload under the
+   standard configurations. *)
 let test_engine_reconciles () =
+  let inputs =
+    [
+      ( Synthetic.generate (Rng.create 41) (Synthetic.config ~total:3000 ()),
+        42,
+        requirements,
+        [ (1, false); (4, false); (1, true); (4, true) ] );
+      ( Standard_workload.data (),
+        Standard_workload.engine_seed,
+        Standard_workload.requirements,
+        List.map (fun (_, batch, adaptive) -> (batch, adaptive))
+          Standard_workload.configs );
+    ]
+  in
   List.iter
-    (fun (batch, adaptive) ->
-      let data =
-        Synthetic.generate (Rng.create 41) (Synthetic.config ~total:3000 ())
-      in
-      let obs = Obs.create () in
-      let result =
-        Engine.execute ~rng:(Rng.create 42) ~adaptive ~max_laxity:100.0 ~obs
-          ~instance:Synthetic.instance
-          ~probe:
-            (Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-          ~requirements data
-      in
-      let snapshot = Obs.snapshot obs in
-      (match Cost_meter.reconcile snapshot result.Engine.counts with
-      | Ok () -> ()
-      | Error msg ->
-          Alcotest.failf "B=%d adaptive=%b: %s" batch adaptive msg);
-      (* The driver's own counters agree with the operator's view. *)
-      checki
-        (Printf.sprintf "driver probes (B=%d adaptive=%b)" batch adaptive)
-        result.Engine.counts.probes
-        (Metrics.count_of snapshot "probe_driver.probes");
-      checki
-        (Printf.sprintf "driver batches (B=%d adaptive=%b)" batch adaptive)
-        result.Engine.counts.batches
-        (Metrics.count_of snapshot "probe_driver.batches");
-      (* Reconcile is not vacuous: perturb one count and it must fail. *)
-      let skewed = { result.Engine.counts with reads = result.Engine.counts.reads + 1 } in
-      match Cost_meter.reconcile snapshot skewed with
-      | Ok () -> Alcotest.fail "reconcile accepted skewed counts"
-      | Error _ -> ())
-    [ (1, false); (4, false); (1, true); (4, true) ]
+    (fun (data, seed, requirements, configs) ->
+      List.iter
+        (fun (batch, adaptive) ->
+          let obs = Obs.create () in
+          let result =
+            Engine.execute ~rng:(Rng.create seed) ~adaptive ~max_laxity:100.0
+              ~obs ~instance:Synthetic.instance
+              ~probe:
+                (Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
+              ~requirements data
+          in
+          let tag what =
+            Printf.sprintf "%s (seed %d, B=%d adaptive=%b)" what seed batch
+              adaptive
+          in
+          let snapshot = Obs.snapshot obs in
+          (match Cost_meter.reconcile snapshot result.Engine.counts with
+          | Ok () -> ()
+          | Error msg -> Alcotest.fail (tag msg));
+          (* The driver's own counters agree with the operator's view. *)
+          checki (tag "driver probes") result.Engine.counts.probes
+            (Metrics.count_of snapshot "probe_driver.probes");
+          checki (tag "driver batches") result.Engine.counts.batches
+            (Metrics.count_of snapshot "probe_driver.batches");
+          (* Reconcile is not vacuous: perturb one count and it must fail. *)
+          let skewed =
+            { result.Engine.counts with reads = result.Engine.counts.reads + 1 }
+          in
+          match Cost_meter.reconcile snapshot skewed with
+          | Ok () -> Alcotest.fail (tag "reconcile accepted skewed counts")
+          | Error _ -> ())
+        configs)
+    inputs
 
 (* Observability must be pure observation: attaching it changes no
    decision, no answer, no charge. *)

@@ -103,7 +103,10 @@ let test_golden_adaptive () =
   check_same "adaptive run identical" (fingerprint base) (fingerprint par)
 
 (* The laxity cap defaults to a data scan; that scan is also pooled and
-   must not move the cap (and hence the plan) by a bit. *)
+   must not move the cap (and hence the plan) by a bit.  Two inputs: a
+   synthetic run at 4 domains, and a classification-heavy scan of 120k
+   Gaussian beliefs, whose every classify/laxity/success call is an
+   erf-bound computation, at 2, 4 and 8 domains. *)
 let test_golden_observed_cap () =
   let data = dataset 17 in
   let exec domains =
@@ -112,7 +115,35 @@ let test_golden_observed_cap () =
          ~instance:Synthetic.instance
          ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data)
   in
-  check_same "observed-cap run identical" (exec 1) (exec 4)
+  check_same "observed-cap run identical" (exec 1) (exec 4);
+  let records =
+    Interval_data.gaussian_beliefs (Rng.create 4096) ~n:120_000 ~mean:55.0
+      ~stddev:15.0 ~noise:2.0
+  in
+  let pred = Predicate.ge 60.0 in
+  let gaussian domains =
+    let r =
+      Engine.execute ~rng:(Rng.create 4097) ~domains
+        ~instance:(Interval_data.instance pred)
+        ~probe:(Probe_driver.scalar Interval_data.probe)
+        ~requirements:
+          (Quality.requirements ~precision:0.9 ~recall:0.9 ~laxity:6.0)
+        ~collect:false records
+    in
+    ( r.Engine.report.answer_size,
+      r.Engine.report.yes_seen,
+      r.Engine.counts,
+      r.Engine.report.guarantees,
+      r.Engine.normalized_cost )
+  in
+  let ((answer_size, _, _, _, _) as baseline) = gaussian 1 in
+  checkb "gaussian baseline answers" true (answer_size > 0);
+  List.iter
+    (fun domains ->
+      check_same
+        (Printf.sprintf "gaussian scan domains=%d bit-for-bit" domains)
+        baseline (gaussian domains))
+    [ 2; 4; 8 ]
 
 let test_streaming_order () =
   let data = dataset 19 in

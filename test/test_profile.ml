@@ -143,25 +143,62 @@ let test_json_validator () =
 
 let requirements = Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
 
-let run_engine ?profile ~domains () =
-  let data =
+(* One profiled-or-plain run.  [metered] attaches an observability
+   capability to the engine and its driver, as an instrumented
+   deployment would. *)
+type input = {
+  label : string;
+  data : Synthetic.obj array;
+  seed : int;
+  requirements : Quality.requirements;
+  batch : int;
+  adaptive : bool;
+  metered : bool;
+  domains : int;
+}
+
+let run_engine ?profile input =
+  let obs = if input.metered then Some (Obs.create ()) else None in
+  Engine.execute ~rng:(Rng.create input.seed) ~adaptive:input.adaptive
+    ~max_laxity:100.0 ~domains:input.domains ?obs ?profile
+    ~instance:Synthetic.instance
+    ~probe:(Probe_driver.of_scalar ?obs ~batch_size:input.batch Synthetic.probe)
+    ~requirements:input.requirements input.data
+
+(* This file's own workload at B = 4 on one and two domains, then the
+   standard workload under every standard configuration, metered. *)
+let inputs =
+  let own =
     Synthetic.generate (Rng.create 71) (Synthetic.config ~total:2000 ())
   in
-  Engine.execute ~rng:(Rng.create 72) ~max_laxity:100.0 ~domains ?profile
-    ~instance:Synthetic.instance
-    ~probe:(Probe_driver.of_scalar ~batch_size:4 Synthetic.probe)
-    ~requirements data
+  let base =
+    { label = "B4"; data = own; seed = 72; requirements; batch = 4;
+      adaptive = false; metered = false; domains = 1 }
+  in
+  let standard = Standard_workload.data () in
+  [ base; { base with domains = 2 } ]
+  @ List.map
+      (fun (label, batch, adaptive) ->
+        { label; data = standard;
+          seed = Standard_workload.engine_seed;
+          requirements = Standard_workload.requirements; batch; adaptive;
+          metered = true; domains = 1 })
+      Standard_workload.configs
 
 let test_profiled_run_is_pure () =
   List.iter
-    (fun domains ->
-      let plain = run_engine ~domains () in
+    (fun input ->
+      let plain = run_engine input in
       let profiled =
-        run_engine ~domains
-          ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-          ()
+        run_engine
+          ~profile:
+            (Engine.profiling ~label:input.label ~oracle:Synthetic.in_exact ())
+          input
       in
-      let tag msg = Printf.sprintf "%s (domains=%d)" msg domains in
+      let tag msg =
+        Printf.sprintf "%s (%s, seed %d, domains=%d)" msg input.label
+          input.seed input.domains
+      in
       checkb (tag "same counts") true
         (plain.Engine.counts = profiled.Engine.counts);
       checkb (tag "same answer, element for element") true
@@ -183,7 +220,7 @@ let test_profiled_run_is_pure () =
           checkb (tag "counters reconcile") true
             (p.Profile.reconcile_error = None);
           checkb (tag "audit passed") true (Profile.passed p))
-    [ 1; 2 ]
+    inputs
 
 (* ---- audit arithmetic --------------------------------------------- *)
 
