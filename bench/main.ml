@@ -223,11 +223,11 @@ let ablation_index () =
           Column_store.chunk store c)
     in
     let report =
-      Column_scan.run ~rng ~wave:1 ~prune:pruned ~store:counting
-        ~of_row:Interval_data.of_row ~pred:(Predicate.compile pred)
-        ~instance:(Interval_data.instance pred)
+      Scan_pipeline.run_items ~rng ~instance:(Interval_data.instance pred)
         ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
-        ~policy:Policy.stingy ~requirements ()
+        ~policy:Policy.stingy ~requirements
+        (Column_scan.source ~wave:1 ~prune:pruned ~store:counting
+           ~of_row:Interval_data.of_row ~pred:(Predicate.compile pred) ())
     in
     (report, !fetched)
   in
@@ -689,11 +689,12 @@ let columnar_bench () =
             ~policy:never_probe
             ~requirements records
       | `Columnar ->
-          Column_scan.run ~rng:(Rng.create 8193) ?pool ~meter ~collect:false
-            ~enforce:false ~store ~of_row:Interval_data.of_row
-            ~pred:(Predicate.compile pred) ~instance
+          Scan_pipeline.run_items ~rng:(Rng.create 8193) ~meter
+            ~collect:false ~enforce:false ~instance
             ~cascade:(Cascade.of_driver probe)
-            ~policy:never_probe ~requirements ()
+            ~policy:never_probe ~requirements
+            (Column_scan.source ?pool ~store ~of_row:Interval_data.of_row
+               ~pred:(Predicate.compile pred) ())
     in
     (report, Cost_meter.counts meter)
   in
@@ -940,18 +941,20 @@ let server_bench () =
           ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
           resolve
       in
-      let queries =
+      let runs =
         Array.mapi
           (fun i seed ->
-            Engine.query ~rng:(Rng.create seed) ~max_laxity:100.0
-              ~instance:Synthetic.instance
-              ~probe:
-                (Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker)
-              ~requirements:standard_requirements data)
+            let probe =
+              Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker
+            in
+            fun () ->
+              Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0
+                ~domains:1 ~instance:Synthetic.instance ~probe
+                ~requirements:standard_requirements data)
           seeds
       in
       let t0 = Unix.gettimeofday () in
-      let results = Engine.execute_many ~domains queries in
+      let results = Engine.execute_many ~domains runs in
       let seconds = Unix.gettimeofday () -. t0 in
       let qps = float_of_int n_clients /. seconds in
       let speedup = serial_seconds /. seconds in
@@ -1034,26 +1037,27 @@ let telemetry_bench () =
         ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
         resolve
     in
-    let queries =
+    let runs =
       Array.mapi
         (fun i seed ->
           let tenant = Printf.sprintf "c%d" i in
           let trace_id = Engine.next_trace_id () in
-          let client_obs =
+          let obs_q =
             Option.map
               (fun o ->
                 Obs.with_context o
                   { Trace.query = Some trace_id; tenant = Some tenant })
               obs
           in
-          Engine.query ~rng:(Rng.create seed) ~max_laxity:100.0
-            ~instance:Synthetic.instance
-            ~probe:(Probe_broker.client ?obs:client_obs ~tenant broker)
-            ?obs ~tenant ~trace_id ~requirements:standard_requirements data)
+          let probe = Probe_broker.client ?obs:obs_q ~tenant broker in
+          fun () ->
+            Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+              ?obs:obs_q ~instance:Synthetic.instance ~probe
+              ~requirements:standard_requirements data)
         seeds
     in
     let t0 = Unix.gettimeofday () in
-    let results = Engine.execute_many ~domains queries in
+    let results = Engine.execute_many ~domains runs in
     let seconds = Unix.gettimeofday () -. t0 in
     (match slo with
     | Some slo ->

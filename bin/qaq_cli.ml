@@ -552,18 +552,7 @@ let convert_cmd =
 
 (* ---- query -------------------------------------------------------- *)
 
-let layout_conv =
-  let parse = function
-    | "row" -> Ok Engine.Row
-    | "columnar" -> Ok Engine.Columnar
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown layout %S (row or columnar)" s))
-  in
-  let print ppf l =
-    Format.pp_print_string ppf
-      (match l with Engine.Row -> "row" | Engine.Columnar -> "columnar")
-  in
-  Arg.conv (parse, print)
+type layout = Row | Columnar
 
 let layout_opt =
   let doc =
@@ -571,16 +560,27 @@ let layout_opt =
      path) or columnar (vectorized classification over column chunks).  \
      Both return bit-for-bit identical results."
   in
-  let env = Cmd.Env.info Engine.layout_env ~doc:"Default for $(opt)." in
-  Arg.(value & opt (some layout_conv) None & info [ "layout" ] ~env ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("row", Row); ("columnar", Columnar) ]) Row
+    & info [ "layout" ] ~doc)
 
 let prune_flag =
   let doc =
-    "With the columnar layout, skip chunks whose zone hull proves every \
+    "With $(b,--layout columnar), skip chunks whose zone hull proves every \
      row NO; a skipped chunk is never fetched (on a QCOL file, never \
-     decoded)."
+     decoded).  A usage error with the row layout, which cannot prune."
   in
   Arg.(value & flag & info [ "prune" ] ~doc)
+
+(* [--layout] and [--prune] as a pair: pruning is columnar-only. *)
+let layout_prune =
+  let check layout prune =
+    match (layout, prune) with
+    | Row, true -> `Error (true, "--prune needs --layout columnar")
+    | _ -> `Ok (layout, prune)
+  in
+  Term.(ret (const check $ layout_opt $ prune_flag))
 
 let ge_opt =
   let doc = "Conjunct: value >= $(docv)." in
@@ -616,7 +616,7 @@ let predicate_of ges les betweens =
   | [] -> None
   | p :: rest -> Some (List.fold_left Predicate.( &&& ) p rest)
 
-let query_run seed data_path ges les betweens layout prune p_q r_q l_q batch
+let query_run seed data_path ges les betweens (layout, prune) p_q r_q l_q batch
     c_b domains metrics_file budget deadline_ms =
   let deadline = deadline_of_ms deadline_ms in
   let pred =
@@ -632,7 +632,6 @@ let query_run seed data_path ges les betweens layout prune p_q r_q l_q batch
           "query needs at least one of --ge, --le or --between@.";
         exit 2
   in
-  let layout = Engine.resolve_layout ?layout () in
   let requirements =
     Quality.requirements ~precision:p_q ~recall:r_q ~laxity:l_q
   in
@@ -641,8 +640,8 @@ let query_run seed data_path ges les betweens layout prune p_q r_q l_q batch
   let obs = if metrics_file <> None then Some (Obs.create ()) else None in
   let columnar_of store =
     match layout with
-    | Engine.Row -> None
-    | Engine.Columnar ->
+    | Row -> None
+    | Columnar ->
         Some { Engine.store; of_row = Interval_data.of_row; pred; prune }
   in
   let run data columnar =
@@ -676,8 +675,8 @@ let query_run seed data_path ges les betweens layout prune p_q r_q l_q batch
   in
   Format.printf "query: %s over %s (%d records), layout %s%s@."
     (Predicate.to_string pred) data_path total
-    (match layout with Engine.Row -> "row" | Engine.Columnar -> "columnar")
-    (if prune && layout = Engine.Columnar then " with pruning" else "");
+    (match layout with Row -> "row" | Columnar -> "columnar")
+    (if prune then " with pruning" else "");
   Format.printf
     "answer: %d object(s) (%d precise, %d imprecise); guarantees %a for \
      required %a@."
@@ -707,7 +706,7 @@ let query_cmd =
     (Cmd.info "query" ~doc)
     Term.(
       const query_run $ seed $ query_data $ ge_opt $ le_opt $ between_opt
-      $ layout_opt $ prune_flag $ p_q $ r_q $ l_q $ batch $ c_b $ domains
+      $ layout_prune $ p_q $ r_q $ l_q $ batch $ c_b $ domains
       $ metrics_file $ budget_opt $ deadline_ms_opt)
 
 (* ---- tables ------------------------------------------------------- *)

@@ -3,8 +3,8 @@
    A thin cmdliner wrapper over Server_core: the server owns one
    synthetic dataset and one cross-query Probe_broker over it; clients
    register quality-aware queries (each with its own seed, requirements
-   and tenant) and run them as a concurrent batch through
-   Engine.execute_many, every query drawing on the shared probe
+   and tenant) and run them as a concurrent batch of Engine.execute
+   calls (Engine.execute_many), every query drawing on the shared probe
    capacity through its own broker client.  Live telemetry — trace IDs
    on every query, a flight recorder with anomaly dumps, rolling
    per-tenant SLO windows behind HEALTH/SLO/RECORDER — is wired by the

@@ -204,37 +204,6 @@ let create ?obs ?clock ?freshness ?capacity ?breaker ?(batch_size = 1) ~key
   create_tiered ?obs ?clock ?freshness ?capacity ?breaker ~key
     [| { bk_resolve = resolve; bk_batch = batch_size } |]
 
-let of_source ?obs ?clock ?freshness ?capacity ?breaker ?batch_size ~key
-    source =
-  create ?obs ?clock ?freshness ?capacity ?breaker ?batch_size ~key
-    (Probe_source.resolver source)
-
-let of_sources ?obs ?clock ?freshness ?capacity ?breaker ~key
-    ~(specs : Probe_tier.spec array) sources =
-  Probe_tier.validate specs;
-  if Array.length sources <> Array.length specs then
-    invalid_arg "Probe_broker.of_sources: sources/specs length mismatch";
-  let backends =
-    Array.map2
-      (fun (spec : Probe_tier.spec) src ->
-        let resolver =
-          match spec.Probe_tier.kind with
-          | Probe_tier.Resolve -> Probe_source.resolver src
-          | Probe_tier.Shrink _ -> Tiered.shrink_resolver src
-        in
-        { bk_resolve = resolver; bk_batch = spec.Probe_tier.batch })
-      specs sources
-  in
-  create_tiered ?obs ?clock ?freshness ?capacity ?breaker ~key backends
-
-let batch_size t = t.backends.(0).bk_batch
-let tiers t = Array.length t.backends
-
-let tier_batch_size t ~tier =
-  if tier < 0 || tier >= Array.length t.backends then
-    invalid_arg "Probe_broker.tier_batch_size";
-  t.backends.(tier).bk_batch
-
 (* ---- lock-held helpers ------------------------------------------- *)
 
 let tenant_of t name =
@@ -575,10 +544,11 @@ let client ?obs ?(tenant = "default") ?quota ?(tier = 0) t =
   if tier < 0 || tier >= Array.length t.backends then
     invalid_arg "Probe_broker.client: tier out of range";
   register_quota t tenant quota;
-  (* [obs] here is the *query's* capability (its sink typically stamped
-     with the query's trace context by [Engine.execute_one]): the
-     driver's batch/failure events and any breaker transition observed
-     while this client is the dispatcher carry that attribution. *)
+  (* [obs] here is the *query's* capability (typically stamped with the
+     query's trace context by [Obs.with_context], the same capability
+     the query's [Engine.execute] runs on): the driver's batch/failure
+     events and any breaker transition observed while this client is
+     the dispatcher carry that attribution. *)
   let trace = Option.map Obs.trace obs in
   Probe_driver.create_outcomes ?obs ~batch_size:t.backends.(tier).bk_batch
     (fun objects -> resolve_many ?trace ~tier t ~tenant objects)
@@ -674,10 +644,3 @@ let tenant_stats t =
           :: acc)
         t.tenants []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "requests %d (admitted %d, coalesced %d, fresh %d, rejected %d); charged \
-     %d, failed %d, batches %d"
-    s.requests s.admitted s.coalesced s.fresh_hits s.rejected s.charged
-    s.failed s.batches

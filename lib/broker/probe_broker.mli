@@ -37,7 +37,7 @@
     whenever any object overlaps.
 
     {e Tiers.}  A broker may front a whole probe cascade
-    ({!create_tiered}, {!of_sources}): one backend per {!Probe_tier}
+    ({!create_tiered}): one backend per {!Probe_tier}
     tier, cheapest first.  Queueing, coalescing and freshness are then
     per [(object, tier)] — each dispatch round serves exactly one tier
     — with one asymmetry: a cached {e point} ([Resolved], from any
@@ -95,21 +95,6 @@ val create :
     @raise Invalid_argument if [batch_size < 1], [capacity < 0] or
     [freshness] is negative or NaN. *)
 
-val of_source :
-  ?obs:Obs.t ->
-  ?clock:(unit -> float) ->
-  ?freshness:float ->
-  ?capacity:int ->
-  ?breaker:Circuit_breaker.t ->
-  ?batch_size:int ->
-  key:('o -> int) ->
-  'o Probe_source.t ->
-  'o t
-(** A broker whose backend is a {!Probe_source} (resolved with
-    {!Probe_source.resolver}): latency simulation, transient retries
-    and fault plans all apply per dispatched batch, exactly as they
-    would under a direct {!Probe_source.driver}. *)
-
 (** {2 Tiered backends} *)
 
 type 'o backend = {
@@ -139,32 +124,6 @@ val create_tiered :
     @raise Invalid_argument on an empty backend array, a [bk_batch < 1],
     [capacity < 0], or negative/NaN [freshness]. *)
 
-val of_sources :
-  ?obs:Obs.t ->
-  ?clock:(unit -> float) ->
-  ?freshness:float ->
-  ?capacity:int ->
-  ?breaker:Circuit_breaker.t ->
-  key:('o -> int) ->
-  specs:Probe_tier.spec array ->
-  'o Probe_source.t array ->
-  'o t
-(** A tiered broker whose backends are {!Probe_source}s paired with
-    {!Probe_tier} specs ([sources.(i)] serves [specs.(i)]): [Resolve]
-    tiers resolve with {!Probe_source.resolver}, [Shrink] tiers with
-    {!Tiered.shrink_resolver}.  Batch bounds come from the specs.
-    @raise Invalid_argument on invalid specs or a length mismatch. *)
-
-val batch_size : 'o t -> int
-(** Tier 0's batch bound — for a single-backend broker, {e the} batch
-    size. *)
-
-val tiers : 'o t -> int
-(** Number of backend tiers (1 for {!create}/{!of_source}). *)
-
-val tier_batch_size : 'o t -> tier:int -> int
-(** @raise Invalid_argument if [tier] is out of range. *)
-
 val client :
   ?obs:Obs.t ->
   ?tenant:string ->
@@ -193,9 +152,10 @@ val client :
     its batch/failure events on its trace sink — and when this client
     happens to be the domain driving a dispatch round, any circuit
     breaker state change that round causes is emitted on the same sink.
-    Pass a sink stamped with {!Trace.with_context} (as
-    [Engine.execute_one] does) and everything the query triggers
-    carries its trace ID.
+    Pass an [Obs.with_context] capability stamped with the query's
+    trace ID — the same one the query's {!Engine.execute} gets, as
+    [Server_core] does — and everything the query triggers carries its
+    trace ID.
 
     [tier] (default 0) pins the client to one backend tier: its batch
     size is that tier's [bk_batch] and its flushes dispatch against
@@ -273,5 +233,3 @@ val tenant_stats : 'o t -> (string * stats) list
 (** Per-tenant totals ([batches] is 0 — dispatches are shared),
     sorted by tenant name.  A tenant appears once any client or fetch
     has named it. *)
-
-val pp_stats : Format.formatter -> stats -> unit

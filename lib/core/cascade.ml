@@ -48,11 +48,9 @@ let of_driver ?(name = "oracle") ?(cost = Cost_model.paper) driver =
   in
   create ~specs [| driver |]
 
-let tiers t = Array.length t.specs
 let specs t = t.specs
 let names t = Array.map (fun (s : Probe_tier.spec) -> s.Probe_tier.name) t.specs
 let drivers t = t.drivers
-let driver t i = t.drivers.(i)
 let oracle t = t.drivers.(Array.length t.drivers - 1)
 let start t = !(t.start)
 
@@ -60,13 +58,10 @@ let set_start t s =
   if s < 0 || s >= Array.length t.specs then invalid_arg "Cascade.set_start";
   t.start := s
 
-let replan t = set_start t (Probe_tier.select t.specs).Probe_tier.start
-
 let pending t =
   Array.fold_left (fun acc d -> acc + Probe_driver.pending d) 0 t.drivers
 
 let note_failover t i = t.failovers.(i) <- t.failovers.(i) + 1
-let failovers t = Array.copy t.failovers
 
 let premap ~into ~back t =
   {

@@ -33,11 +33,9 @@ val of_driver : ?name:string -> ?cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
     ({!Cost_meter.tiered_cost}); [Engine] passes the run's own cost
     model, so a wrapped driver costs exactly what the cost model says. *)
 
-val tiers : 'o t -> int
 val specs : 'o t -> Probe_tier.spec array
 val names : 'o t -> string array
 val drivers : 'o t -> 'o Probe_driver.t array
-val driver : 'o t -> int -> 'o Probe_driver.t
 
 val oracle : 'o t -> 'o Probe_driver.t
 (** The final [Resolve] tier's driver. *)
@@ -45,17 +43,11 @@ val oracle : 'o t -> 'o Probe_driver.t
 val start : 'o t -> int
 val set_start : 'o t -> int -> unit
 
-val replan : 'o t -> unit
-(** Re-select the cheapest starting tier from the specs — e.g. after a
-    fault plan changed which tiers are worth entering. *)
-
 val pending : 'o t -> int
 (** Submissions queued but unresolved, summed over every tier. *)
 
 val note_failover : 'o t -> int -> unit
 (** Record a permanent failure at tier [i] that escalated to [i+1]. *)
-
-val failovers : 'o t -> int array
 
 val premap : into:('a -> 'o) -> back:('o -> 'a) -> 'o t -> 'a t
 (** Per-tier {!Probe_driver.premap}; the view shares [start] and the

@@ -126,22 +126,3 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
     end
   in
   { Operator.next; total }
-
-let run ~rng ?pool ?wave ?meter ?obs ?emit ?collect ?enforce ?should_stop
-    ?prune ~store ~of_row ~pred ~instance ~cascade ~policy ~requirements () =
-  let src = source ?obs ?wave ?pool ?prune ~store ~of_row ~pred () in
-  let cascade' =
-    Cascade.premap ~into:Scan_pipeline.original
-      ~back:(Scan_pipeline.classify_one instance)
-      cascade
-  in
-  let emit' =
-    Option.map
-      (fun f (e : _ Scan_pipeline.item Operator.emitted) ->
-        f { Operator.obj = e.obj.Scan_pipeline.original; precise = e.precise })
-      emit
-  in
-  Scan_pipeline.strip_report
-    (Operator.run ~rng ?meter ?obs ?emit:emit' ?collect ?enforce ?should_stop
-       ~instance:Scan_pipeline.item_instance ~cascade:cascade' ~policy
-       ~requirements src)

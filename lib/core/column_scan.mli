@@ -16,10 +16,8 @@
        interval and exact beliefs — with the sequential loop's
        evaluation pattern (laxity only for YES/MAYBE, success only for
        MAYBE);}
-    {- the decision loop itself is the untouched {!Operator.run},
-       consuming through {!Scan_pipeline.item_instance} exactly as the
-       row pipeline does, with probes through the same
-       {!Cascade.premap}.}}
+    {- the decision loop is {!Scan_pipeline.run_items} over {!source}
+       — the same item loop the parallel row pipeline runs.}}
     So verdicts, guarantees, metered costs and the rng stream are
     bit-for-bit the row path's — the property the golden equivalence
     suite checks for every pool width.
@@ -68,31 +66,3 @@ val source :
     parallel.  [obs] counts dispatched waves under [qaq.parallel.chunks]
     and, with [prune:true] (default false), pruned chunks under
     [qaq.parallel.pruned_pages]. *)
-
-val run :
-  rng:Rng.t ->
-  ?pool:Domain_pool.t ->
-  ?wave:int ->
-  ?meter:Cost_meter.t ->
-  ?obs:Obs.t ->
-  ?emit:('o Operator.emitted -> unit) ->
-  ?collect:bool ->
-  ?enforce:bool ->
-  ?should_stop:(pending:int -> bool) ->
-  ?prune:bool ->
-  store:Column_store.t ->
-  of_row:(Column_store.row -> 'o) ->
-  pred:Predicate.compiled ->
-  instance:'o Operator.instance ->
-  cascade:'o Cascade.t ->
-  policy:Policy.t ->
-  requirements:Quality.requirements ->
-  unit ->
-  'o Operator.report
-(** {!Operator.run} over the columnar source.  [instance] is {e not}
-    used to classify stored rows (the kernel does that); it
-    re-classifies probed objects on the way back into the loop, exactly
-    as {!Scan_pipeline.run} does, so probe batching and statistics match
-    the row path.  [pred] must be the compiled form of the predicate the
-    instance classifies with — the golden suite holds the two to the
-    same answers. *)

@@ -26,18 +26,11 @@ type degradation = {
   degraded_forwards : int;
   degraded_ignores : int;
   forced_actions : int;
+  wasted_cost : float;
   guarantees_before : Quality.guarantees option;
+  guarantees_after : Quality.guarantees;
+  requirements_met : bool;
 }
-
-let no_degradation =
-  {
-    failed_probes = 0;
-    failed_attempts = 0;
-    degraded_forwards = 0;
-    degraded_ignores = 0;
-    forced_actions = 0;
-    guarantees_before = None;
-  }
 
 type 'o report = {
   answer : 'o emitted list;
@@ -497,9 +490,10 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
            reads = source.total - Counters.unseen counters;
            recall = Counters.recall_guarantee counters;
          });
+  let guarantees = Counters.guarantees counters in
   {
     answer = List.rev !answer;
-    guarantees = Counters.guarantees counters;
+    guarantees;
     requirements;
     counts =
       (let after = Cost_meter.counts meter in
@@ -523,7 +517,17 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
         degraded_forwards = !degraded_forwards;
         degraded_ignores = !degraded_ignores;
         forced_actions = !forced_actions;
+        (* Only the oracle tier can fail permanently (cheaper tiers fail
+           over instead), so each burned attempt is backend work the
+           meter never charged, priced at the oracle's amortized
+           c_p + c_b/B: the rate the solver and meter price completed
+           probes at, so degradation reports reconcile with plan
+           pricing. *)
+        wasted_cost =
+          float_of_int !failed_attempts *. Probe_tier.amortized specs.(n - 1);
         guarantees_before = !guarantees_before;
+        guarantees_after = guarantees;
+        requirements_met = Quality.meets guarantees requirements;
       };
   }
 

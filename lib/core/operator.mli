@@ -50,13 +50,23 @@ type degradation = {
   degraded_forwards : int;  (** fallbacks that forwarded imprecise *)
   degraded_ignores : int;  (** fallbacks that ignored *)
   forced_actions : int;  (** fallbacks with no feasible action left *)
+  wasted_cost : float;
+      (** [failed_attempts * (c_p + c_b/batch)] at the oracle tier's
+          prices ({!Probe_tier.amortized} of the cascade's last spec) —
+          backend work the meter never charged because no probe
+          completed, priced at the same amortized per-probe rate the
+          solver and meter use, so degradation reports reconcile with
+          plan pricing.  Only the oracle can fail permanently — cheaper
+          tiers fail over instead *)
   guarantees_before : Quality.guarantees option;
       (** the guarantees at the first failure ([None] if none failed) —
           the "before" of a degradation summary *)
+  guarantees_after : Quality.guarantees;  (** = [report.guarantees] *)
+  requirements_met : bool;
+      (** whether [guarantees_after] satisfy the requirements; under
+          enforcement this can only be [false] when
+          [forced_actions > 0] *)
 }
-
-val no_degradation : degradation
-(** All-zero — what an unfaulted run reports. *)
 
 type 'o report = {
   answer : 'o emitted list;  (** in emission order; [] if not collected *)
@@ -73,7 +83,8 @@ type 'o report = {
       (** whether [should_stop] fired — the run ended on its budget or
           deadline before the recall bound was reached *)
   degraded : degradation;
-      (** {!no_degradation} unless probes failed permanently *)
+      (** zero counts and [wasted_cost], no [guarantees_before], unless
+          probes failed permanently *)
 }
 
 exception Inconsistent_probe

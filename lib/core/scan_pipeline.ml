@@ -79,24 +79,32 @@ let strip_report (r : 'o item Operator.report) : 'o Operator.report =
     degraded = r.degraded;
   }
 
+(* The decision loop over pre-classified items: probes go through the
+   premapped cascade (re-classifying probed objects with [instance] on
+   the way back), and emissions and the report are re-expressed over the
+   original objects. *)
+let run_items ~rng ?meter ?obs ?emit ?collect ?enforce ?should_stop ~instance
+    ~cascade ~policy ~requirements src =
+  let cascade' =
+    Cascade.premap ~into:original ~back:(classify_one instance) cascade
+  in
+  let emit' =
+    Option.map
+      (fun f (e : _ item Operator.emitted) ->
+        f { Operator.obj = e.obj.original; precise = e.precise })
+      emit
+  in
+  strip_report
+    (Operator.run ~rng ?meter ?obs ?emit:emit' ?collect ?enforce ?should_stop
+       ~instance:item_instance ~cascade:cascade' ~policy ~requirements src)
+
 let run ~rng ?pool ?block ?meter ?obs ?emit ?collect ?enforce ?should_stop
     ~instance ~cascade ~policy ~requirements data =
   match pool with
   | Some pool when Domain_pool.domains pool > 1 ->
-      let src = source ?obs ?block ~pool ~instance data in
-      let cascade' =
-        Cascade.premap ~into:original ~back:(classify_one instance) cascade
-      in
-      let emit' =
-        Option.map
-          (fun f (e : _ item Operator.emitted) ->
-            f { Operator.obj = e.obj.original; precise = e.precise })
-          emit
-      in
-      strip_report
-        (Operator.run ~rng ?meter ?obs ?emit:emit' ?collect ?enforce
-           ?should_stop ~instance:item_instance ~cascade:cascade' ~policy
-           ~requirements src)
+      run_items ~rng ?meter ?obs ?emit ?collect ?enforce ?should_stop
+        ~instance ~cascade ~policy ~requirements
+        (source ?obs ?block ~pool ~instance data)
   | Some _ | None ->
       Operator.run ~rng ?meter ?obs ?emit ?collect ?enforce ?should_stop
         ~instance ~cascade ~policy ~requirements

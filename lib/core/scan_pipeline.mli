@@ -54,6 +54,30 @@ val source :
     bounded by one block past the last consumed object.  [obs] counts
     dispatched blocks under [qaq.parallel.chunks]. *)
 
+val run_items :
+  rng:Rng.t ->
+  ?meter:Cost_meter.t ->
+  ?obs:Obs.t ->
+  ?emit:('o Operator.emitted -> unit) ->
+  ?collect:bool ->
+  ?enforce:bool ->
+  ?should_stop:(pending:int -> bool) ->
+  instance:'o Operator.instance ->
+  cascade:'o Cascade.t ->
+  policy:Policy.t ->
+  requirements:Quality.requirements ->
+  'o item Operator.source ->
+  'o Operator.report
+(** {!Operator.run} over a source of pre-classified items — this
+    module's {!source} or the columnar {!Column_scan.source}.  The loop
+    runs against {!item_instance}; [instance] is {e not} used to
+    classify the items, only to re-classify probed objects on their way
+    back into the loop.  Probes go through the {!Cascade.premap} view
+    of [cascade] (a {!Probe_driver.premap} of every tier's driver), so
+    batching, statistics and instruments behave exactly as under direct
+    use.  [emit] and the report (answers included) are expressed over
+    ['o], not {!item}. *)
+
 val run :
   rng:Rng.t ->
   ?pool:Domain_pool.t ->
@@ -70,14 +94,7 @@ val run :
   requirements:Quality.requirements ->
   'o array ->
   'o Operator.report
-(** {!Operator.run} over an array, classifying on [pool] when it has
-    more than one lane and degrading to the plain sequential operator
-    otherwise (or when [pool] is omitted).  Probes go through the
-    {!Cascade.premap} view of [cascade] (a {!Probe_driver.premap} of
-    every tier's driver), so batching, statistics and instruments
-    behave exactly as under direct use.  The report (answers included)
-    is expressed over ['o], not {!item}; results are bit-for-bit the
+(** {!Operator.run} over an array: {!run_items} over {!source} when
+    [pool] has more than one lane, the plain sequential operator
+    otherwise (or when [pool] is omitted).  Results are bit-for-bit the
     sequential run's. *)
-
-val strip_report : 'o item Operator.report -> 'o Operator.report
-(** Re-express a report over the original objects. *)

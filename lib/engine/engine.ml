@@ -17,7 +17,7 @@ type planning =
 let default_planning =
   Sampled { fraction = 0.01; density = `Uniform; fallback = (0.2, 0.2) }
 
-type degradation = {
+type degradation = Operator.degradation = {
   failed_probes : int;
   failed_attempts : int;
   degraded_forwards : int;
@@ -52,34 +52,9 @@ type 'o result = {
 
 let degraded result = result.degradation.failed_probes > 0
 
-(* Wasted cost prices the attempts burned on probes that never
-   completed — work the backend did that the meter (by design) never
-   charged, since no probe was delivered.  Only the final (oracle) tier
-   can fail permanently — cheaper tiers fail over instead of degrading —
-   so each attempt is priced at the oracle tier's amortized
-   c_p + c_b/B, the rate the solver and meter price completed probes
-   at, and degradation reports reconcile with plan pricing. *)
-let degradation_of_report ~(tiers : Probe_tier.spec array)
-    ~(requirements : Quality.requirements) (report : _ Operator.report) =
-  let d = report.Operator.degraded in
-  let attempt_price = Probe_tier.amortized tiers.(Array.length tiers - 1) in
-  {
-    failed_probes = d.Operator.failed_probes;
-    failed_attempts = d.Operator.failed_attempts;
-    degraded_forwards = d.Operator.degraded_forwards;
-    degraded_ignores = d.Operator.degraded_ignores;
-    forced_actions = d.Operator.forced_actions;
-    wasted_cost = float_of_int d.Operator.failed_attempts *. attempt_price;
-    guarantees_before = d.Operator.guarantees_before;
-    guarantees_after = report.Operator.guarantees;
-    requirements_met = Quality.meets report.Operator.guarantees requirements;
-  }
-
 type 'o profiling = { prof_label : string; oracle : ('o -> bool) option }
 
 let profiling ?(label = "run") ?oracle () = { prof_label = label; oracle }
-
-let domains_env = Domain_pool.env_var
 
 type 'o columnar = {
   store : Column_store.t;
@@ -87,23 +62,6 @@ type 'o columnar = {
   pred : Predicate.t;
   prune : bool;
 }
-
-type layout = Row | Columnar
-
-let layout_env = "QAQ_LAYOUT"
-
-let resolve_layout ?layout () =
-  match layout with
-  | Some l -> l
-  | None -> (
-      match Sys.getenv_opt layout_env with
-      | None | Some "" -> Row
-      | Some "row" -> Row
-      | Some "columnar" -> Columnar
-      | Some other ->
-          invalid_arg
-            (Printf.sprintf "%s: expected \"row\" or \"columnar\", got %S"
-               layout_env other))
 
 let observed_max_laxity ?pool instance data =
   let laxities =
@@ -340,10 +298,10 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
             Scan_pipeline.run ~rng ?pool ~meter ?obs ?emit ?collect
               ?should_stop ~instance ~cascade ~policy ~requirements data
         | Some c ->
-            Column_scan.run ~rng ?pool ~meter ?obs ?emit ?collect ?should_stop
-              ~prune:c.prune ~store:c.store ~of_row:c.of_row
-              ~pred:(Predicate.compile c.pred) ~instance ~cascade ~policy
-              ~requirements ())
+            Scan_pipeline.run_items ~rng ~meter ?obs ?emit ?collect
+              ?should_stop ~instance ~cascade ~policy ~requirements
+              (Column_scan.source ?obs ?pool ~prune:c.prune ~store:c.store
+                 ~of_row:c.of_row ~pred:(Predicate.compile c.pred) ()))
   in
   let budget_summary =
     match (budget, deadline) with
@@ -443,7 +401,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
                   budget_summary)
              ?ground_truth ?reconcile_error ())
   in
-  let degradation = degradation_of_report ~tiers ~requirements report in
+  let degradation = report.Operator.degraded in
   (* The audit shortfall surfaces on the trace so the server's flight
      recorder can treat "finished but below the requested quality" as
      an anomaly; deterministic per run, so domain-count determinism
@@ -473,35 +431,30 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     elapsed_seconds = run_clock () -. run_start;
   }
 
-(* The one probe capability: a cascade, with a plain driver wrapped as
-   the oracle-only cascade priced at the run's cost model.  [batch] may
-   only restate the oracle's batch size — the planner prices probes at
-   the cascade's own batch sizes. *)
-let cascade_of ~where ~cost ?batch ?probe ?cascade () =
+let execute ~rng ?(planning = default_planning) ?(adaptive = false)
+    ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?domains
+    ?obs ?emit ?collect ?profile ?on_task ?columnar ~instance ?probe ?cascade
+    ~requirements data =
+  (* The one probe capability: a cascade, with a plain driver wrapped as
+     the oracle-only cascade priced at the run's cost model.  [batch] may
+     only restate the oracle's batch size — the planner prices probes at
+     the cascade's own batch sizes. *)
   let cascade =
     match (probe, cascade) with
     | Some p, None -> Cascade.of_driver ~cost p
     | None, Some c -> c
     | Some _, Some _ ->
-        invalid_arg (where ^ ": pass either ~probe or ~cascade, not both")
-    | None, None -> invalid_arg (where ^ ": a probe capability is required")
+        invalid_arg "Engine.execute: pass either ~probe or ~cascade, not both"
+    | None, None -> invalid_arg "Engine.execute: a probe capability is required"
   in
+  let oracle_batch = Probe_driver.batch_size (Cascade.oracle cascade) in
   (match batch with
-  | Some b when b <> Probe_driver.batch_size (Cascade.oracle cascade) ->
+  | Some b when b <> oracle_batch ->
       invalid_arg
-        (Printf.sprintf "%s: batch %d differs from the oracle's batch size %d"
-           where b
-           (Probe_driver.batch_size (Cascade.oracle cascade)))
+        (Printf.sprintf
+           "Engine.execute: batch %d differs from the oracle's batch size %d" b
+           oracle_batch)
   | _ -> ());
-  cascade
-
-let execute ~rng ?(planning = default_planning) ?(adaptive = false)
-    ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?domains
-    ?obs ?emit ?collect ?profile ?on_task ?columnar ~instance ?probe ?cascade
-    ~requirements data =
-  let cascade =
-    cascade_of ~where:"Engine.execute" ~cost ?batch ?probe ?cascade ()
-  in
   (* Profiling diffs a metrics registry; conjure a private one when the
      caller wants a profile but passed no [?obs]. *)
   let obs =
@@ -523,64 +476,8 @@ let execute ~rng ?(planning = default_planning) ?(adaptive = false)
 let trace_ids = Atomic.make 1
 let next_trace_id () = Atomic.fetch_and_add trace_ids 1
 
-type 'o query = {
-  q_rng : Rng.t;
-  q_planning : planning;
-  q_adaptive : bool;
-  q_cost : Cost_model.t;
-  q_max_laxity : float option;
-  q_budget : float option;
-  q_deadline : float option;
-  q_obs : Obs.t option;
-  q_tenant : string option;
-  q_id : int;
-  q_instance : 'o Operator.instance;
-  q_cascade : 'o Cascade.t;
-  q_requirements : Quality.requirements;
-  q_data : 'o array;
-}
-
-let query ~rng ?(planning = default_planning) ?(adaptive = false)
-    ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?obs
-    ?tenant ?trace_id ~instance ?probe ?cascade ~requirements data =
-  let cascade =
-    cascade_of ~where:"Engine.query" ~cost ?batch ?probe ?cascade ()
-  in
-  {
-    q_rng = rng;
-    q_planning = planning;
-    q_adaptive = adaptive;
-    q_cost = cost;
-    q_max_laxity = max_laxity;
-    q_budget = budget;
-    q_deadline = deadline;
-    q_obs = obs;
-    q_tenant = tenant;
-    q_id = (match trace_id with Some i -> i | None -> next_trace_id ());
-    q_instance = instance;
-    q_cascade = cascade;
-    q_requirements = requirements;
-    q_data = data;
-  }
-
-let trace_id q = q.q_id
-let query_context q = { Trace.query = Some q.q_id; tenant = q.q_tenant }
-
-let execute_one (q : 'o query) =
-  (* Each query is pinned to one lane ([domains:1]): no nested pools,
-     and [QAQ_DOMAINS] steers [execute] call sites, not the inner runs
-     of an already-parallel batch.  A supplied observability capability
-     is re-stamped so every event this query emits — through the
-     operator, the probe driver, and any broker the driver feeds —
-     carries its trace ID and tenant. *)
-  let obs = Option.map (fun o -> Obs.with_context o (query_context q)) q.q_obs in
-  execute ~rng:q.q_rng ~planning:q.q_planning ~adaptive:q.q_adaptive
-    ~cost:q.q_cost ?max_laxity:q.q_max_laxity ?budget:q.q_budget
-    ?deadline:q.q_deadline ~domains:1 ?obs ~instance:q.q_instance
-    ~cascade:q.q_cascade ~requirements:q.q_requirements q.q_data
-
-let execute_many ?domains (queries : 'o query array) =
-  let n = Array.length queries in
+let execute_many ?domains (runs : (unit -> 'o result) array) =
+  let n = Array.length runs in
   let d =
     match domains with
     | Some d when d < 1 -> invalid_arg "Engine.execute_many: domains < 1"
@@ -588,8 +485,7 @@ let execute_many ?domains (queries : 'o query array) =
     | None -> Stdlib.min (Stdlib.max 1 n) 16
   in
   if n = 0 then [||]
-  else if d = 1 || n = 1 then Array.map execute_one queries
+  else if d = 1 || n = 1 then Array.map (fun run -> run ()) runs
   else
     Domain_pool.with_pool ~domains:(Stdlib.min d n) (fun pool ->
-        Domain_pool.run_all pool
-          (Array.map (fun q () -> execute_one q) queries))
+        Domain_pool.run_all pool runs)

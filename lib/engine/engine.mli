@@ -35,29 +35,20 @@ val default_planning : planning
 (** The paper's recipe: 1% sample, uniform density,
     fallback (0.2, 0.2). *)
 
-(** What permanent probe failure cost a run — the engine-level view of
-    {!Operator.degradation}, priced and judged.  An unfaulted run
-    reports all zeros with [requirements_met = true] (the operator's
+(** What permanent probe failure cost a run — {!Operator.degradation},
+    filled in by the operator (see there for each field).  An unfaulted
+    run reports all zeros with [requirements_met = true] (the operator's
     guarantees always satisfy the requirements when nothing failed). *)
-type degradation = {
-  failed_probes : int;  (** objects whose probe failed permanently *)
-  failed_attempts : int;  (** attempts burned on those objects *)
+type degradation = Operator.degradation = {
+  failed_probes : int;
+  failed_attempts : int;
   degraded_forwards : int;
   degraded_ignores : int;
-  forced_actions : int;  (** fallbacks with no feasible action left *)
+  forced_actions : int;
   wasted_cost : float;
-      (** [failed_attempts * (c_p + c_b/batch)] at the oracle tier's
-          prices — backend work the meter never charged because no
-          probe completed, priced at the same amortized per-probe rate
-          the solver and meter use, so degradation reports reconcile
-          with plan pricing.  Only the oracle can fail permanently —
-          cheaper tiers fail over instead *)
   guarantees_before : Quality.guarantees option;
-      (** at the first failure; [None] when nothing failed *)
-  guarantees_after : Quality.guarantees;  (** = [report.guarantees] *)
+  guarantees_after : Quality.guarantees;
   requirements_met : bool;
-      (** whether the post-degradation guarantees still satisfy the
-          requirements; can only be [false] when [forced_actions > 0] *)
 }
 
 (** The anytime contract of a budgeted run, summarised.  Present on the
@@ -91,8 +82,8 @@ type 'o result = {
       (** W / |T| under the chosen cost model, over [counts] — so
           planning is priced, not free *)
   degradation : degradation;
-      (** how permanent probe failures affected the run (all zeros
-          without faults) *)
+      (** [report.degraded]: how permanent probe failures affected the
+          run (all zeros without faults) *)
   budget : budget_summary option;
       (** present iff [?budget] or [?deadline] was passed *)
   profile : Profile.t option;
@@ -117,11 +108,6 @@ val profiling : ?label:string -> ?oracle:('o -> bool) -> unit -> 'o profiling
     [report.answer], so it needs the default [collect:true].  [label]
     defaults to ["run"]. *)
 
-val domains_env : string
-(** Name of the environment variable ([QAQ_DOMAINS]) consulted when
-    {!execute}'s [domains] argument is absent.  Lets an entire test suite
-    or CI job exercise the parallel path without touching call sites. *)
-
 (** {2 Storage layout} *)
 
 (** A columnar backing for the scan: the same objects as the [data]
@@ -135,19 +121,6 @@ type 'o columnar = {
   pred : Predicate.t;
   prune : bool;
 }
-
-type layout = Row | Columnar
-
-val layout_env : string
-(** ["QAQ_LAYOUT"] — the environment variable {!resolve_layout}
-    consults.  Lets a test suite or CI job steer every entry point onto
-    the columnar engine without touching call sites, mirroring
-    [QAQ_DOMAINS] for the pool width. *)
-
-val resolve_layout : ?layout:layout -> unit -> layout
-(** The layout an entry point should use: the explicit argument if
-    given, else [QAQ_LAYOUT] (["row"] or ["columnar"]), else {!Row}.
-    @raise Invalid_argument if the variable holds anything else. *)
 
 val execute :
   rng:Rng.t ->
@@ -270,13 +243,13 @@ val execute :
     lane per worker.
 
     [columnar] switches the scan onto the vectorized columnar engine
-    ({!Column_scan}) over the given store; planning, sampling and the
+    ({!Scan_pipeline.run_items} over {!Column_scan.source}) over the
+    given store; planning, sampling and the
     laxity cap still run over [data] — the materialized row view of the
     same objects — so the rng streams are identical across layouts and
     the result is bit-for-bit the row path's for every [domains] value
     (with [prune] off; pruning shrinks [total] like a zone map does).
-    Use {!resolve_layout} to pick the layout the way [domains] picks the
-    pool width.
+    Without [columnar] the scan is the row layout.
 
     @raise Invalid_argument if [columnar] is given and the store's
     length differs from [data]'s.
@@ -290,68 +263,31 @@ val execute :
 
 (** {2 Concurrent multi-query execution} *)
 
-type 'o query
-(** One query of a concurrent batch: everything {!execute} takes, bound
-    into a value so a server can accumulate queries and run them
-    together. *)
-
-val query :
-  rng:Rng.t ->
-  ?planning:planning ->
-  ?adaptive:bool ->
-  ?cost:Cost_model.t ->
-  ?batch:int ->
-  ?max_laxity:float ->
-  ?budget:float ->
-  ?deadline:float ->
-  ?obs:Obs.t ->
-  ?tenant:string ->
-  ?trace_id:int ->
-  instance:'o Operator.instance ->
-  ?probe:'o Probe_driver.t ->
-  ?cascade:'o Cascade.t ->
-  requirements:Quality.requirements ->
-  'o array ->
-  'o query
-(** Same arguments and defaults as {!execute}; [probe] or [cascade] is
-    resolved to the query's one cascade here, with the same checks.
-    Each query of a batch must own its [rng] and its [probe] driver or
-    [cascade] (drivers are confined to one domain at a time) — to run
-    many queries against shared probe capacity, give each one its own
-    [Probe_broker.cascade_client] (or [Probe_broker.client]) of a common
-    broker.
-
-    Every query carries a process-unique trace ID — [trace_id] to
-    supply one minted earlier (e.g. with {!next_trace_id}, so a broker
-    client built before the query can share it), otherwise minted here.
-    When [obs] is given, {!execute_one} re-stamps its trace sink with
-    a {!Trace.context} holding the ID and [tenant], so every event the
-    query emits is attributed; the metrics registry is shared as-is
-    (it is concurrency-safe). *)
-
 val next_trace_id : unit -> int
-(** Mint a fresh query trace ID (process-wide atomic counter). *)
+(** Mint a fresh query trace ID (process-wide atomic counter).  A
+    caller stamps a query's events with it by passing {!execute} an
+    [obs] re-stamped with [Obs.with_context] (and the same to the
+    query's broker clients). *)
 
-val trace_id : 'o query -> int
-(** The ID this query's events are stamped with. *)
+val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
+(** Run every thunk, concurrently when [domains > 1], and return their
+    results in input order.  Each thunk is one {!execute} call and
+    {e must} pass [~domains:1]: the batch owns the pool, and a thunk
+    that opened its own (or left [domains] to [QAQ_DOMAINS]) would nest
+    pools.  [domains] (default: the number of thunks, capped at 16)
+    bounds the lane count of the {!Domain_pool} the thunks are spread
+    over.
 
-val query_context : 'o query -> Trace.context
-(** The exact context {!execute_one} stamps: the query's trace ID and
-    tenant. *)
-
-val execute_many : ?domains:int -> 'o query array -> 'o result array
-(** Run every query, concurrently when [domains > 1], and return their
-    results in input order.  [domains] (default: the number of queries,
-    capped at 16) bounds the lane count of the {!Domain_pool} the
-    queries are spread over; each query itself runs single-lane
-    ([domains:1]), so [QAQ_DOMAINS] does not nest pools here.
-
-    Results are bit-for-bit independent of scheduling — each query owns
-    its rng and probe driver, so [execute_many queries] equals
-    [Array.map] of solo {!execute} runs {e provided} the probe
-    capability behind the drivers resolves each object to a value that
-    does not depend on when other queries probe it (a pure resolver
-    behind a [Probe_broker] with the default infinite freshness
-    qualifies; so does any set of independent drivers).
+    Results are bit-for-bit independent of scheduling — provided each
+    thunk owns its [rng] and its [probe] driver or [cascade] (drivers
+    are confined to one domain at a time; to run many queries against
+    shared probe capacity, give each its own
+    [Probe_broker.cascade_client] or [Probe_broker.client] of a common
+    broker, built before the batch runs) and the probe capability
+    behind the drivers resolves each object to a value that does not
+    depend on when other queries probe it (a pure resolver behind a
+    [Probe_broker] with the default infinite freshness qualifies; so
+    does any set of independent drivers).  Then [execute_many runs]
+    equals [Array.map] of the solo calls.
 
     @raise Invalid_argument if [domains < 1]. *)

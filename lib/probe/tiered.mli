@@ -8,16 +8,6 @@
     re-classifies them instead of trusting them as points.  Failures
     pass through and fail over tier-by-tier in [Operator.run]. *)
 
-val shrink_resolver :
-  'o Probe_source.t -> 'o array -> 'o Probe_driver.outcome array
-(** The source's batch resolver with every [Resolved] re-tagged
-    [Shrunk]. *)
-
-val driver_of_tier :
-  ?obs:Obs.t -> spec:Probe_tier.spec -> 'o Probe_source.t -> 'o Probe_driver.t
-(** One tier's driver: batch size from the spec, resolver from the
-    source, outcome kind from the spec's {!Probe_tier.kind}. *)
-
 val cascade :
   ?obs:Obs.t ->
   ?start:int ->
@@ -28,24 +18,6 @@ val cascade :
     each source with its tier name ([Probe_source.create ?tier]) when
     sharing an obs registry, or the per-tier stats will collide.
     @raise Invalid_argument on a length mismatch or invalid specs. *)
-
-val sources :
-  ?obs:Obs.t ->
-  ?rng:Rng.t ->
-  ?latency:Probe_source.latency ->
-  ?failure_rate:float ->
-  ?max_retries:int ->
-  ?faults:Fault_plan.spec ->
-  specs:Probe_tier.spec array ->
-  narrow:(power:float -> 'o -> 'o) ->
-  resolve:('o -> 'o) ->
-  unit ->
-  'o Probe_source.t array
-(** One tier-labelled source per spec: [Shrink {power}] tiers use
-    [narrow ~power], the [Resolve] tier uses [resolve].  The shared
-    [faults] spec is instantiated per tier at site
-    ["probe_source.<tier>"], so each tier draws an independent fault
-    stream. *)
 
 val of_functions :
   ?obs:Obs.t ->
@@ -60,5 +32,9 @@ val of_functions :
   resolve:('o -> 'o) ->
   unit ->
   'o Cascade.t * 'o Probe_source.t array
-(** {!sources} + {!cascade} in one step — the convenience the CLI's
-    [--tiers] flag wires through. *)
+(** One tier-labelled {!Probe_source} per spec — [Shrink {power}] tiers
+    use [narrow ~power], the [Resolve] tier uses [resolve] — paired into
+    a {!cascade}; the sources come back too, for their statistics.  The
+    shared [faults] spec is instantiated per tier at site
+    ["probe_source.<tier>"], so each tier draws an independent fault
+    stream.  The convenience the CLI's [--tiers] flag wires through. *)

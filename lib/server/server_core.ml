@@ -11,8 +11,8 @@
    - Every RUN mints a process-unique trace ID per queued query
      (Engine.next_trace_id) and hands the query a broker client whose
      trace sink is stamped with that ID and tenant
-     (Obs.with_context); Engine.execute_one stamps the engine-side
-     events the same way.  Everything a query triggers — reads,
+     (Obs.with_context), and runs the query's Engine.execute on the
+     same stamped capability.  Everything a query triggers — reads,
      decisions, probe batches, breaker transitions its dispatch round
      causes — carries its ID.
    - The server's base trace sink tees the flight recorder (bounded
@@ -277,9 +277,14 @@ let handle_query srv out tokens =
             srv.next_seed <- s + 1;
             Some s
       in
+      (* A negative quota is malformed here, not an exception when RUN
+         builds the query's broker client. *)
       let quota =
         match find "quota" with
-        | Some v -> Option.map Option.some (int_of_string_opt v)
+        | Some v -> (
+            match int_of_string_opt v with
+            | Some n when n >= 0 -> Some (Some n)
+            | Some _ | None -> None)
         | None -> Some None
       in
       match
@@ -354,24 +359,25 @@ let handle_run srv out =
   else begin
     let before = Probe_broker.stats srv.broker in
     let tenant_before = Probe_broker.tenant_stats srv.broker in
-    let queries =
-      Array.map
-        (fun q ->
-          let trace_id = Engine.next_trace_id () in
+    let trace_ids = Array.map (fun _ -> Engine.next_trace_id ()) queued in
+    let runs =
+      Array.mapi
+        (fun i q ->
           let ctx =
-            { Trace.query = Some trace_id; tenant = Some q.tenant }
+            { Trace.query = Some trace_ids.(i); tenant = Some q.tenant }
           in
           let obs_q = Obs.with_context srv.srv_obs ctx in
           let cascade =
             Probe_broker.cascade_client ~obs:obs_q ~tenant:q.tenant
               ?quota:q.quota ~specs:srv.tiers srv.broker
           in
-          Engine.query ~rng:(Rng.create q.seed) ~cascade
-            ~obs:srv.srv_obs ~tenant:q.tenant ~trace_id
-            ~instance:Synthetic.instance ~requirements:q.requirements srv.data)
+          fun () ->
+            Engine.execute ~rng:(Rng.create q.seed) ~domains:1 ~obs:obs_q
+              ~cascade ~instance:Synthetic.instance
+              ~requirements:q.requirements srv.data)
         queued
     in
-    let results = Engine.execute_many ?domains:srv.cfg.c_domains queries in
+    let results = Engine.execute_many ?domains:srv.cfg.c_domains runs in
     let tenant_after = Probe_broker.tenant_stats srv.broker in
     let deltas = ref (rejection_deltas tenant_before tenant_after) in
     Array.iteri
@@ -400,10 +406,9 @@ let handle_run srv out =
           "RESULT id=%d trace=%d tenant=%s seed=%d answer=%d precision=%.4f \
            recall=%.4f laxity=%.4f met=%b probes=%d batches=%d failed=%d \
            degraded=%b cost=%.4f elapsed=%.6f"
-          q.id
-          (Engine.trace_id queries.(i))
-          q.tenant q.seed report.Operator.answer_size g.Quality.precision
-          g.Quality.recall g.Quality.max_laxity d.Engine.requirements_met
+          q.id trace_ids.(i) q.tenant q.seed report.Operator.answer_size
+          g.Quality.precision g.Quality.recall g.Quality.max_laxity
+          d.Engine.requirements_met
           result.Engine.counts.Cost_meter.probes
           result.Engine.counts.Cost_meter.batches d.Engine.failed_probes
           (Engine.degraded result) result.Engine.normalized_cost

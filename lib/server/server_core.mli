@@ -24,6 +24,10 @@
     QUIT           close the session           -> BYE
     v}
 
+    A malformed QUERY (a bare token, a non-numeric value, a negative
+    [quota], requirements out of range) is answered [ERR ...] and
+    queues nothing.
+
     Telemetry: every RUN mints a per-query trace ID, stamps the query's
     engine events and its broker client's probe events with it
     ({!Trace.context}), records everything in a bounded

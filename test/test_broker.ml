@@ -160,16 +160,17 @@ let test_execute_many_deterministic () =
       let broker =
         Probe_broker.create ~batch_size:batch ~key:obj_key pure_resolve
       in
-      let queries =
+      let runs =
         Array.map
           (fun i ->
-            Engine.query ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
-              ~instance:Synthetic.instance
-              ~probe:(Probe_broker.client ~tenant:(string_of_int i) broker)
-              ~requirements data)
+            let probe = Probe_broker.client ~tenant:(string_of_int i) broker in
+            fun () ->
+              Engine.execute ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
+                ~domains:1 ~instance:Synthetic.instance ~probe ~requirements
+                data)
           order
       in
-      let results = Engine.execute_many ~domains queries in
+      let results = Engine.execute_many ~domains runs in
       let tag what = Printf.sprintf "%s, domains=%d: %s" label domains what in
       let charged = (Probe_broker.stats broker).Probe_broker.charged in
       checkb

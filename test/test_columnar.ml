@@ -269,47 +269,7 @@ let test_prune_sound_and_lazy () =
       checkb "exact member survived pruning" true (List.mem r.id answer_ids))
     (Interval_data.exact_set pred data)
 
-(* ---- layout resolution --------------------------------------------- *)
-
-let with_env var value f =
-  let old = Sys.getenv_opt var in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
-    f
-
-let test_resolve_layout () =
-  check_same "explicit wins" Engine.Columnar
-    (with_env Engine.layout_env "row" (fun () ->
-         Engine.resolve_layout ~layout:Engine.Columnar ()));
-  check_same "env columnar"
-    Engine.Columnar
-    (with_env Engine.layout_env "columnar" (fun () ->
-         Engine.resolve_layout ()));
-  check_same "env row" Engine.Row
-    (with_env Engine.layout_env "row" (fun () -> Engine.resolve_layout ()));
-  check_same "unset defaults to row" Engine.Row
-    (with_env Engine.layout_env "" (fun () -> Engine.resolve_layout ()));
-  checkb "garbage rejected" true
-    (with_env Engine.layout_env "diagonal" (fun () ->
-         match Engine.resolve_layout () with
-         | exception Invalid_argument _ -> true
-         | _ -> false))
-
-(* The suite honours the resolved layout: under QAQ_LAYOUT=columnar this
-   exercises the columnar engine end to end (the CI matrix leg), and the
-   result must still be the row oracle's. *)
-let test_resolved_layout_run () =
-  let data = dataset 23 in
-  let row = run ~seed:9 ~batch:4 ~domains:1 data in
-  let resolved =
-    match Engine.resolve_layout () with
-    | Engine.Row -> row
-    | Engine.Columnar ->
-        run ~columnar:(columnar (Interval_data.to_store data)) ~seed:9
-          ~batch:4 ~domains:1 data
-  in
-  check_same "resolved layout equals row oracle" row resolved
+(* ---- store/data agreement ----------------------------------------- *)
 
 let test_store_length_mismatch () =
   let data = dataset 29 ~n:100 in
@@ -519,8 +479,6 @@ let suite =
     ("golden under faults", `Quick, test_golden_under_faults);
     ("golden streamed store", `Quick, test_golden_streamed_store);
     ("pruning sound and lazy", `Quick, test_prune_sound_and_lazy);
-    ("resolve_layout", `Quick, test_resolve_layout);
-    ("resolved layout run", `Quick, test_resolved_layout_run);
     ("store length mismatch", `Quick, test_store_length_mismatch);
     QCheck_alcotest.to_alcotest prop_qcol_roundtrip;
     ("qcol corruption", `Quick, test_qcol_corruption);

@@ -162,10 +162,11 @@ let test_zone_map_source_is_sound () =
   checkb "some chunks pruned" true (Column_store.pruned_chunks store pred > 0);
   let requirements = req ~p:0.9 ~r:0.8 ~l:20.0 () in
   let report =
-    Column_scan.run ~rng ~prune:true ~store ~of_row:Interval_data.of_row
-      ~pred:(Predicate.compile pred) ~instance:(Interval_data.instance pred)
+    Scan_pipeline.run_items ~rng ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
-      ~policy:Policy.stingy ~requirements ()
+      ~policy:Policy.stingy ~requirements
+      (Column_scan.source ~prune:true ~store ~of_row:Interval_data.of_row
+         ~pred:(Predicate.compile pred) ())
   in
   checkb "meets requirements" true (Quality.meets report.guarantees requirements);
   let answer_in_exact =
@@ -454,6 +455,49 @@ let test_batching_reduces_cost_with_setup_charge () =
   checkb "B=4 cheaper than B=1" true (w4 < w1);
   checkb "B=16 cheaper than B=4" true (w16 < w4)
 
+(* The operator fills the whole degradation record itself: on the
+   faulted standard workload a direct [Operator.run] reports the wasted
+   cost, post-degradation guarantees and requirements verdict that
+   [Engine.execute] reports for the same run (Fixed planning on one
+   lane, the same policy rng stream, fault plan and cost model). *)
+let test_degradation_matches_engine () =
+  let data = Standard_workload.data () in
+  let requirements = Standard_workload.requirements in
+  let cost = { Cost_model.paper with Cost_model.c_b = 64.0 } in
+  let params = Policy.greedy_params in
+  let driver () =
+    let faults =
+      Fault_plan.make ~seed:1337 ~permanent_rate:0.2 ~transient_rate:0.1
+        ~max_retries:2 ()
+    in
+    Probe_source.driver ~batch_size:16
+      (Probe_source.create ~max_retries:2 ~faults Synthetic.probe)
+  in
+  let engine =
+    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed)
+      ~planning:(Engine.Fixed params) ~cost ~domains:1
+      ~instance:Synthetic.instance ~probe:(driver ()) ~requirements data
+  in
+  let rng = Rng.create Standard_workload.engine_seed in
+  (* The engine splits its sampling stream off first, planning or not. *)
+  ignore (Rng.split rng);
+  let direct =
+    (Operator.run ~rng ~instance:Synthetic.instance
+       ~cascade:(Cascade.of_driver ~cost (driver ()))
+       ~policy:(Policy.qaq params) ~requirements
+       (Operator.source_of_array data))
+      .degraded
+  in
+  let d = engine.Engine.degradation in
+  checkb "failures happened" true (direct.failed_attempts > 0);
+  checki "same failed attempts" d.failed_attempts direct.failed_attempts;
+  Alcotest.(check (float 0.0))
+    "same wasted cost" d.wasted_cost direct.wasted_cost;
+  checkb "same guarantees after" true
+    (d.guarantees_after = direct.guarantees_after);
+  checkb "same requirements verdict" d.requirements_met
+    direct.requirements_met
+
 let suite =
   [
     ("empty input", `Quick, test_empty_input);
@@ -467,6 +511,8 @@ let suite =
     ("inconsistent probe raises", `Quick, test_inconsistent_probe_raises);
     ("raw mode can violate, guarded cannot", `Quick, test_raw_mode_can_violate);
     ("zone-map source stays sound", `Quick, test_zone_map_source_is_sound);
+    ("degradation matches the engine's", `Quick,
+     test_degradation_matches_engine);
     ("batch=1 reproduces the scalar operator", `Quick,
      test_batch1_reproduces_scalar);
     ("batched guarantees hold at every flush point", `Quick,

@@ -274,6 +274,34 @@ let test_protocol_compat () =
   ignore (find_line lines "ERR unknown command");
   ignore (find_line lines "BYE")
 
+(* A negative quota is a malformed QUERY: it is answered ERR and queues
+   nothing, so the batch's valid query runs exactly as on a fresh server
+   (a negative quota used to reach the broker at RUN and raise there,
+   taking the whole batch down). *)
+let test_negative_quota_rejected () =
+  (* The trace ID and wall time differ between servers; nothing else may. *)
+  let deterministic line =
+    String.split_on_char ' ' line
+    |> List.filter (fun tok ->
+           not
+             (String.starts_with ~prefix:"trace=" tok
+             || String.starts_with ~prefix:"elapsed=" tok))
+    |> String.concat " "
+  in
+  let run script =
+    let verdict, lines = session (Server_core.create base_config) script in
+    checkb "clean QUIT" true (verdict = `Quit);
+    lines
+  in
+  let lines = run [ "QUERY quota=-1"; "QUERY seed=1"; "RUN"; "QUIT" ] in
+  ignore (find_line lines "ERR ");
+  let results = List.filter (String.starts_with ~prefix:"RESULT ") lines in
+  checki "only the valid query ran" 1 (List.length results);
+  let fresh = run [ "QUERY seed=1"; "RUN"; "QUIT" ] in
+  Alcotest.(check string) "same RESULT as a fresh server"
+    (deterministic (find_line fresh "RESULT "))
+    (deterministic (List.hd results))
+
 let suite =
   [
     ("forced anomaly dumps attributed recording", `Quick,
@@ -284,4 +312,5 @@ let suite =
      test_untiered_is_oracle_only_cascade);
     ("reject admission feeds slo", `Quick, test_reject_admission_slo);
     ("protocol compatibility", `Quick, test_protocol_compat);
+    ("negative quota is an ERR", `Quick, test_negative_quota_rejected);
   ]

@@ -43,13 +43,14 @@ let test_traced_identical_to_untraced () =
   let obs = Obs.create ~trace:(Flight_recorder.sink recorder) () in
   let trace_id = Engine.next_trace_id () in
   let ctx = { Trace.query = Some trace_id; tenant = Some "golden" } in
+  let obs_q = Obs.with_context obs ctx in
   let traced =
     (Engine.execute_many ~domains:1
        [|
-         Engine.query ~rng:(Rng.create 607) ~max_laxity:100.0
-           ~instance:Synthetic.instance
-           ~probe:(pure_driver ~obs:(Obs.with_context obs ctx) ())
-           ~obs ~tenant:"golden" ~trace_id ~requirements data;
+         (fun () ->
+           Engine.execute ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
+             ~obs:obs_q ~instance:Synthetic.instance
+             ~probe:(pure_driver ~obs:obs_q ()) ~requirements data);
        |]).(0)
   in
   checkb "identical answer, guarantees and costs" true
