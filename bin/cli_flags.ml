@@ -28,6 +28,16 @@ let unit_interval =
   checked Arg.float "a finite number in [0, 1]" (fun x ->
       Float.is_finite x && x >= 0.0 && x <= 1.0)
 
+(* A --tiers cascade spec: [Probe_tier.of_string] parses and validates
+   it, and its [Invalid_argument] message becomes the usage error. *)
+let tiers =
+  let parse s =
+    match Probe_tier.of_string s with
+    | specs -> Ok specs
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Probe_tier.pp)
+
 (* A cap: any number >= 0, where [inf] is no cap at all. *)
 let cap = checked Arg.float "a number >= 0 (inf: no cap)" (fun x -> x >= 0.0)
 

@@ -218,7 +218,7 @@ let fault_rate =
      profiled engine path as --profile, and an audit miss that is \
      explained by flagged degradation does not fail the command."
   in
-  Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"RATE" ~doc)
+  Arg.(value & opt unit_interval 0.0 & info [ "fault-rate" ] ~docv:"RATE" ~doc)
 
 let tiers_opt =
   let doc =
@@ -233,7 +233,10 @@ let tiers_opt =
      with --fault-rate, in which case every tier draws an independent \
      fault stream and a dead proxy fails over to the tier below."
   in
-  Arg.(value & opt (some string) None & info [ "tiers" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value
+    & opt (some Cli_flags.tiers) None
+    & info [ "tiers" ] ~docv:"SPEC" ~doc)
 
 let fault_seed =
   let doc =
@@ -368,25 +371,11 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
 
 let trial_run seed total (f_y, f_m) max_laxity p_q r_q l_q policy repetitions
     data_file batch c_b domains trace metrics_file profile_file chrome_file
-    fault_rate fault_seed tiers_spec budget deadline_ms =
+    fault_rate fault_seed tiers budget deadline_ms =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
   let cost = cost_model c_b in
   let rng = Rng.create seed in
   let deadline = deadline_of_ms deadline_ms in
-  if fault_rate < 0.0 || fault_rate > 1.0 then begin
-    Format.eprintf "--fault-rate must lie in [0, 1]@.";
-    exit 2
-  end;
-  let tiers =
-    match tiers_spec with
-    | None -> None
-    | Some spec -> (
-        match Probe_tier.of_string spec with
-        | specs -> Some specs
-        | exception Invalid_argument msg ->
-            Format.eprintf "--tiers: %s@." msg;
-            exit 2)
-  in
   (* A budgeted or deadlined trial goes through the profiled engine path:
      the budget is an engine contract (dual planning, mid-scan re-solves,
      the stop closure), not something the bare operator loop offers. *)

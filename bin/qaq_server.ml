@@ -33,18 +33,8 @@ let admission_conv =
   Arg.conv (parse, print)
 
 let run seed total (f_y, f_m) max_laxity batch capacity freshness probe_ms
-    admission domains fault_rate fault_seed tiers_spec breaker recorder
+    admission domains fault_rate fault_seed tiers breaker recorder
     recorder_dir window prom trace socket =
-  let tiers =
-    match tiers_spec with
-    | None -> None
-    | Some spec -> (
-        match Probe_tier.of_string spec with
-        | specs -> Some specs
-        | exception Invalid_argument msg ->
-            Printf.eprintf "qaq-server: --tiers: %s\n%!" msg;
-            exit 2)
-  in
   let cfg =
     {
       Server_core.c_seed = seed;
@@ -161,7 +151,9 @@ let cmd =
        freshness, and a TIER line per backend in STATS.  Overrides \
        --batch with each tier's own B."
     in
-    Arg.(value & opt (some string) None & info [ "tiers" ] ~docv:"SPEC" ~doc)
+    Arg.(
+      value & opt (some Cli_flags.tiers) None
+      & info [ "tiers" ] ~docv:"SPEC" ~doc)
   in
   let breaker =
     let doc = "Put a circuit breaker on the broker's backend dispatch." in

@@ -11,30 +11,62 @@
    on another *blocked* client, whatever the lane count: the broker is
    deadlock-free even with more clients than domains. *)
 
+type stats = {
+  requests : int;
+  admitted : int;
+  charged : int;
+  failed : int;
+  coalesced : int;
+  fresh_hits : int;
+  rejected : int;
+  batches : int;
+}
+
+(* One tally of request events, held once per tier and once per
+   tenant.  The whole-broker totals are the element-wise sum of the
+   per-tier tallies; a tenant's [batches] stays 0 (dispatches are
+   shared). *)
+type tally = {
+  mutable requests : int;
+  mutable admitted : int;
+  mutable charged : int;
+  mutable failed : int;
+  mutable coalesced : int;
+  mutable fresh_hits : int;
+  mutable rejected : int;
+  mutable batches : int;
+}
+
+let new_tally () =
+  {
+    requests = 0;
+    admitted = 0;
+    charged = 0;
+    failed = 0;
+    coalesced = 0;
+    fresh_hits = 0;
+    rejected = 0;
+    batches = 0;
+  }
+
+type tenant = {
+  tn_queue : (int * int) Queue.t;
+      (* (tier, key), FIFO; requests live in [inflight] *)
+  mutable tn_quota : int option;
+  tn_tally : tally;
+}
+
 type 'o request = {
   rq_obj : 'o;
   rq_key : int;
   rq_tier : int;
-  rq_tenant : string;
+  rq_tenant : tenant;
   rq_enqueued_at : float;
   mutable rq_waiters : ('o Probe_driver.outcome -> unit) list;
       (* newest first; each writes one waiter's result slot *)
 }
 
 type 'o fresh_entry = { fe_outcome : 'o Probe_driver.outcome; fe_at : float }
-
-type tenant = {
-  tn_queue : (int * int) Queue.t;
-      (* (tier, key), FIFO; requests live in [inflight] *)
-  mutable tn_quota : int option;
-  mutable tn_requests : int;
-  mutable tn_admitted : int;
-  mutable tn_charged : int;
-  mutable tn_failed : int;
-  mutable tn_coalesced : int;
-  mutable tn_fresh : int;
-  mutable tn_rejected : int;
-}
 
 (* One probe backend — a cascade tier.  [bk_resolve] may return
    [Resolved] (an oracle) or [Shrunk] (a proxy that narrowed the
@@ -44,29 +76,6 @@ type 'o backend = {
   bk_resolve : 'o array -> 'o Probe_driver.outcome array;
   bk_batch : int;
 }
-
-type tier_counters = {
-  mutable tc_requests : int;
-  mutable tc_admitted : int;
-  mutable tc_charged : int;
-  mutable tc_failed : int;
-  mutable tc_coalesced : int;
-  mutable tc_fresh : int;
-  mutable tc_rejected : int;
-  mutable tc_batches : int;
-}
-
-let fresh_tier_counters () =
-  {
-    tc_requests = 0;
-    tc_admitted = 0;
-    tc_charged = 0;
-    tc_failed = 0;
-    tc_coalesced = 0;
-    tc_fresh = 0;
-    tc_rejected = 0;
-    tc_batches = 0;
-  }
 
 type instruments = {
   m_registry : Metrics.t;  (* for grouping related increments *)
@@ -103,31 +112,12 @@ type 'o t = {
   inflight : (int * int, 'o request) Hashtbl.t;
       (* (tier, key); queued or dispatching *)
   tenants : (string, tenant) Hashtbl.t;
-  tiers : tier_counters array;
+  tiers : tally array;  (* per backend; their sum is the broker's total *)
   mutable tenant_order : string list;  (* registration order, reversed *)
   mutable rr : int;  (* round-robin start into [tenant_order] *)
   mutable queued : int;
   mutable dispatching : bool;
   mutable rounds : int;
-  mutable s_requests : int;
-  mutable s_admitted : int;
-  mutable s_charged : int;
-  mutable s_failed : int;
-  mutable s_coalesced : int;
-  mutable s_fresh : int;
-  mutable s_rejected : int;
-  mutable s_batches : int;
-}
-
-type stats = {
-  requests : int;
-  admitted : int;
-  charged : int;
-  failed : int;
-  coalesced : int;
-  fresh_hits : int;
-  rejected : int;
-  batches : int;
 }
 
 let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker ~key
@@ -182,20 +172,12 @@ let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker ~key
     shrunk_fresh = Hashtbl.create 256;
     inflight = Hashtbl.create 64;
     tenants = Hashtbl.create 8;
-    tiers = Array.init (Array.length backends) (fun _ -> fresh_tier_counters ());
+    tiers = Array.init (Array.length backends) (fun _ -> new_tally ());
     tenant_order = [];
     rr = 0;
     queued = 0;
     dispatching = false;
     rounds = 0;
-    s_requests = 0;
-    s_admitted = 0;
-    s_charged = 0;
-    s_failed = 0;
-    s_coalesced = 0;
-    s_fresh = 0;
-    s_rejected = 0;
-    s_batches = 0;
   }
 
 let create ?obs ?clock ?freshness ?capacity ?breaker ?(batch_size = 1) ~key
@@ -211,17 +193,7 @@ let tenant_of t name =
   | Some tn -> tn
   | None ->
       let tn =
-        {
-          tn_queue = Queue.create ();
-          tn_quota = None;
-          tn_requests = 0;
-          tn_admitted = 0;
-          tn_charged = 0;
-          tn_failed = 0;
-          tn_coalesced = 0;
-          tn_fresh = 0;
-          tn_rejected = 0;
-        }
+        { tn_queue = Queue.create (); tn_quota = None; tn_tally = new_tally () }
       in
       Hashtbl.add t.tenants name tn;
       t.tenant_order <- name :: t.tenant_order;
@@ -249,9 +221,17 @@ let fresh_lookup t ~tier k now =
       | Some e when now -. e.fe_at < t.freshness -> Some e.fe_outcome
       | _ -> None)
 
+let admitted t = Array.fold_left (fun n c -> n + c.admitted) 0 t.tiers
+
 let admissible t tn =
-  (match t.capacity with Some c -> t.s_admitted < c | None -> true)
-  && match tn.tn_quota with Some q -> tn.tn_admitted < q | None -> true
+  (match t.capacity with Some c -> admitted t < c | None -> true)
+  &&
+  match tn.tn_quota with Some q -> tn.tn_tally.admitted < q | None -> true
+
+(* Count one event on its tier's and its tenant's tally. *)
+let count t ~tier tn f =
+  f t.tiers.(tier);
+  f tn.tn_tally
 
 let note t f = match t.ins with Some i -> f i | None -> ()
 
@@ -318,33 +298,24 @@ let take_batch t =
 
 let settle t rq outcome =
   Hashtbl.remove t.inflight (rq.rq_tier, rq.rq_key);
-  let tc = t.tiers.(rq.rq_tier) in
+  let count = count t ~tier:rq.rq_tier rq.rq_tenant in
   let now = t.clock () in
   (match outcome with
   | Probe_driver.Resolved _ ->
-      t.s_charged <- t.s_charged + 1;
-      tc.tc_charged <- tc.tc_charged + 1;
-      (tenant_of t rq.rq_tenant).tn_charged <-
-        (tenant_of t rq.rq_tenant).tn_charged + 1;
+      count (fun c -> c.charged <- c.charged + 1);
       note t (fun i -> Metrics.incr i.m_charged);
       (* A point answers any tier's future request. *)
       Hashtbl.replace t.fresh rq.rq_key { fe_outcome = outcome; fe_at = now }
   | Probe_driver.Shrunk _ ->
-      t.s_charged <- t.s_charged + 1;
-      tc.tc_charged <- tc.tc_charged + 1;
-      (tenant_of t rq.rq_tenant).tn_charged <-
-        (tenant_of t rq.rq_tenant).tn_charged + 1;
+      count (fun c -> c.charged <- c.charged + 1);
       note t (fun i -> Metrics.incr i.m_charged);
       (* A narrowed interval only answers this same tier again. *)
       Hashtbl.replace t.shrunk_fresh
         (rq.rq_tier, rq.rq_key)
         { fe_outcome = outcome; fe_at = now }
   | Probe_driver.Failed _ ->
-      t.s_failed <- t.s_failed + 1;
-      tc.tc_failed <- tc.tc_failed + 1;
       (* Failures are never cached: a later request retries. *)
-      (tenant_of t rq.rq_tenant).tn_failed <-
-        (tenant_of t rq.rq_tenant).tn_failed + 1;
+      count (fun c -> c.failed <- c.failed + 1);
       note t (fun i -> Metrics.incr i.m_failed));
   note t (fun i ->
       Metrics.observe i.h_wait (Float.max 0.0 (now -. rq.rq_enqueued_at)));
@@ -405,8 +376,8 @@ let dispatch_round ?(trace = Trace.null) t =
            Condition.broadcast t.cond;
            invalid_arg "Probe_broker: resolver changed the batch length"
          end;
-         t.s_batches <- t.s_batches + 1;
-         t.tiers.(tier).tc_batches <- t.tiers.(tier).tc_batches + 1;
+         let c = t.tiers.(tier) in
+         c.batches <- c.batches + 1;
          note t (fun i ->
              Metrics.incr i.m_batches;
              Metrics.observe i.h_fill (float_of_int (Array.length batch)));
@@ -452,14 +423,12 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
   let remaining = ref n in
   Mutex.lock t.lock;
   let tn = tenant_of t tenant in
-  let tc = t.tiers.(tier) in
+  let count = count t ~tier tn in
   let now = t.clock () in
   Array.iteri
     (fun i o ->
       let k = t.key o in
-      t.s_requests <- t.s_requests + 1;
-      tc.tc_requests <- tc.tc_requests + 1;
-      tn.tn_requests <- tn.tn_requests + 1;
+      count (fun c -> c.requests <- c.requests + 1);
       let deliver oc =
         results.(i) <- Some oc;
         decr remaining
@@ -469,9 +438,7 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
          request without its classification. *)
       match fresh_lookup t ~tier k now with
       | Some oc ->
-          t.s_fresh <- t.s_fresh + 1;
-          tc.tc_fresh <- tc.tc_fresh + 1;
-          tn.tn_fresh <- tn.tn_fresh + 1;
+          count (fun c -> c.fresh_hits <- c.fresh_hits + 1);
           note_atomic t (fun ins ->
               Metrics.incr ins.m_requests;
               Metrics.incr ins.m_fresh);
@@ -481,9 +448,7 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
           | Some rq ->
               (* Someone (possibly this very call) already wants this
                  object at this tier: one probe, fanned out. *)
-              t.s_coalesced <- t.s_coalesced + 1;
-              tc.tc_coalesced <- tc.tc_coalesced + 1;
-              tn.tn_coalesced <- tn.tn_coalesced + 1;
+              count (fun c -> c.coalesced <- c.coalesced + 1);
               note_atomic t (fun ins ->
                   Metrics.incr ins.m_requests;
                   Metrics.incr ins.m_coalesced);
@@ -492,18 +457,14 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
               if not (admissible t tn) then begin
                 (* Saturated: degrade, never block — the PR-5 outcome
                    the operator's fallback already understands. *)
-                t.s_rejected <- t.s_rejected + 1;
-                tc.tc_rejected <- tc.tc_rejected + 1;
-                tn.tn_rejected <- tn.tn_rejected + 1;
+                count (fun c -> c.rejected <- c.rejected + 1);
                 note_atomic t (fun ins ->
                     Metrics.incr ins.m_requests;
                     Metrics.incr ins.m_rejected);
                 deliver (Probe_driver.Failed { attempts = 0 })
               end
               else begin
-                t.s_admitted <- t.s_admitted + 1;
-                tc.tc_admitted <- tc.tc_admitted + 1;
-                tn.tn_admitted <- tn.tn_admitted + 1;
+                count (fun c -> c.admitted <- c.admitted + 1);
                 note_atomic t (fun ins ->
                     Metrics.incr ins.m_requests;
                     Metrics.incr ins.m_admitted);
@@ -512,7 +473,7 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
                     rq_obj = o;
                     rq_key = k;
                     rq_tier = tier;
-                    rq_tenant = tenant;
+                    rq_tenant = tn;
                     rq_enqueued_at = now;
                     rq_waiters = [ deliver ];
                   }
@@ -595,52 +556,40 @@ let pending t = locked t (fun () -> t.queued)
 
 let saturated t =
   locked t (fun () ->
-      match t.capacity with Some c -> t.s_admitted >= c | None -> false)
+      match t.capacity with Some c -> admitted t >= c | None -> false)
+
+let stats_of c : stats =
+  {
+    requests = c.requests;
+    admitted = c.admitted;
+    charged = c.charged;
+    failed = c.failed;
+    coalesced = c.coalesced;
+    fresh_hits = c.fresh_hits;
+    rejected = c.rejected;
+    batches = c.batches;
+  }
 
 let stats t =
   locked t (fun () ->
-      {
-        requests = t.s_requests;
-        admitted = t.s_admitted;
-        charged = t.s_charged;
-        failed = t.s_failed;
-        coalesced = t.s_coalesced;
-        fresh_hits = t.s_fresh;
-        rejected = t.s_rejected;
-        batches = t.s_batches;
-      })
+      let sum = new_tally () in
+      Array.iter
+        (fun c ->
+          sum.requests <- sum.requests + c.requests;
+          sum.admitted <- sum.admitted + c.admitted;
+          sum.charged <- sum.charged + c.charged;
+          sum.failed <- sum.failed + c.failed;
+          sum.coalesced <- sum.coalesced + c.coalesced;
+          sum.fresh_hits <- sum.fresh_hits + c.fresh_hits;
+          sum.rejected <- sum.rejected + c.rejected;
+          sum.batches <- sum.batches + c.batches)
+        t.tiers;
+      stats_of sum)
 
-let by_tier t =
-  locked t (fun () ->
-      Array.map
-        (fun tc ->
-          {
-            requests = tc.tc_requests;
-            admitted = tc.tc_admitted;
-            charged = tc.tc_charged;
-            failed = tc.tc_failed;
-            coalesced = tc.tc_coalesced;
-            fresh_hits = tc.tc_fresh;
-            rejected = tc.tc_rejected;
-            batches = tc.tc_batches;
-          })
-        t.tiers)
+let by_tier t = locked t (fun () -> Array.map stats_of t.tiers)
 
 let tenant_stats t =
   locked t (fun () ->
-      Hashtbl.fold
-        (fun name tn acc ->
-          ( name,
-            {
-              requests = tn.tn_requests;
-              admitted = tn.tn_admitted;
-              charged = tn.tn_charged;
-              failed = tn.tn_failed;
-              coalesced = tn.tn_coalesced;
-              fresh_hits = tn.tn_fresh;
-              rejected = tn.tn_rejected;
-              batches = 0;
-            } )
-          :: acc)
+      Hashtbl.fold (fun name tn acc -> (name, stats_of tn.tn_tally) :: acc)
         t.tenants []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))

@@ -158,8 +158,8 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      forward or ignore the guards admit against the lagged counters is
      also admissible against the flushed ones: deferral is conservative,
      never unsound.  With batch size 1 every submission flushes before
-     [submit] returns and this operator is the scalar Fig. 1 loop, bit
-     for bit. *)
+     [submit_outcome] returns and this operator is the scalar Fig. 1
+     loop, bit for bit. *)
   (* Degradation state: a probe that fails permanently does not abort
      the run — the object is still MAYBE (or YES) and still needs a
      write decision.  The fallback re-enters the Theorem 3.1 guards with

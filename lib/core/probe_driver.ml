@@ -3,8 +3,6 @@ type 'o outcome =
   | Shrunk of 'o
   | Failed of { attempts : int }
 
-exception Probe_failed
-
 type instruments = {
   i_obs : Obs.t;
   m_probes : Metrics.counter;
@@ -28,7 +26,8 @@ type 'o t = {
 }
 
 let create_outcomes ?obs ?(batch_size = 1) resolve_batch =
-  if batch_size < 1 then invalid_arg "Probe_driver.create: batch_size < 1";
+  if batch_size < 1 then
+    invalid_arg "Probe_driver.create_outcomes: batch_size < 1";
   let ins =
     Option.map
       (fun o ->
@@ -55,10 +54,6 @@ let create_outcomes ?obs ?(batch_size = 1) resolve_batch =
     resolving = false;
   }
 
-let create ?obs ?batch_size resolve_batch =
-  create_outcomes ?obs ?batch_size (fun objects ->
-      Array.map (fun o -> Resolved o) (resolve_batch objects))
-
 (* A proxy tier: the narrowing function maps every object to a Shrunk
    outcome — still possibly imprecise, so the consumer must re-classify
    and escalate residuals (see Cascade). *)
@@ -66,8 +61,10 @@ let shrinking ?obs ?batch_size narrow_batch =
   create_outcomes ?obs ?batch_size (fun objects ->
       Array.map (fun o -> Shrunk o) (narrow_batch objects))
 
-let scalar ?obs probe = create ?obs (Array.map probe)
-let of_scalar ?obs ~batch_size probe = create ?obs ~batch_size (Array.map probe)
+let of_scalar ?obs ~batch_size probe =
+  create_outcomes ?obs ~batch_size (Array.map (fun o -> Resolved (probe o)))
+
+let scalar ?obs probe = of_scalar ?obs ~batch_size:1 probe
 let batch_size t = t.batch_size
 let pending t = t.queued
 
@@ -133,22 +130,6 @@ let submit_outcome t o k =
   t.queue <- (o, k) :: t.queue;
   t.queued <- t.queued + 1;
   if t.queued >= t.batch_size then flush t
-
-(* Legacy callers expect the precise object or an exception; a failure
-   surfaces as [Probe_failed] from inside the flush that resolved it,
-   after the whole batch was accounted (siblings keep their results). *)
-let submit t o k =
-  submit_outcome t o (function
-    | Resolved p -> k p
-    | Shrunk _ ->
-        invalid_arg "Probe_driver.submit: shrinking tier needs outcome API"
-    | Failed _ -> raise Probe_failed)
-
-let resolve t o =
-  let result = ref None in
-  submit t o (fun precise -> result := Some precise);
-  flush t;
-  match !result with Some precise -> precise | None -> assert false
 
 let probes t = t.probes
 let shrinks t = t.shrinks

@@ -5,22 +5,20 @@
     §3.1), and real probe backends — sensor radios with duty cycles,
     remote archives, tertiary storage — charge a fixed per-request setup
     cost on top of the per-object marginal.  A driver therefore exposes
-    probing as [submit]/[flush]: submissions accumulate in a queue and
-    are resolved together, [batch_size] at a time, so that the fixed
-    cost ([c_b] in {!Cost_model}) is paid once per batch instead of once
-    per probe.
+    probing as [submit_outcome]/[flush]: submissions accumulate in a
+    queue and are resolved together, [batch_size] at a time, so that the
+    fixed cost ([c_b] in {!Cost_model}) is paid once per batch instead
+    of once per probe.
 
     A driver with [batch_size = 1] resolves every submission on the spot
     and reproduces the scalar probe semantics exactly; see
     {!Operator.run} for the invariants the operator maintains around
     deferred resolutions.
 
-    Probes can {e fail}: a backend may exhaust its retry budget on an
-    element and give up.  The outcome-based API ({!create_outcomes} /
-    {!submit_outcome}) surfaces this per element — every sibling in the
+    Every probe ends as an {!outcome}.  A backend that exhausts its
+    retry budget on an element reports it [Failed]; every sibling in the
     batch still receives its own outcome, and the batch is accounted
-    exactly once.  The legacy precise-object API is a thin adapter that
-    raises {!Probe_failed} from the failing callback. *)
+    exactly once. *)
 
 type 'o t
 
@@ -35,42 +33,33 @@ type 'o outcome =
       (** the backend gave up after [attempts] tries; the object will
           never resolve and must degrade (see {!Operator}) *)
 
-exception Probe_failed
-(** Raised by the legacy callback adapter ({!submit} / {!resolve}) when
-    an outcome is [Failed].  Outcome-based consumers never see it. *)
-
-val create : ?obs:Obs.t -> ?batch_size:int -> ('o array -> 'o array) -> 'o t
-(** [create ~batch_size resolve_batch] wraps a native batch resolver.
-    [resolve_batch] receives the queued objects in submission order and
-    must return their precise versions in the same order (same array
-    length).  [batch_size] defaults to 1.
-
-    [obs] registers the counters [probe_driver.probes],
-    [probe_driver.batches] and [probe_driver.failures], times every
-    resolver invocation under the [probe-flush] span, and emits a
-    {!Trace.Batch} event per dispatch (plus a {!Trace.Probe_failed}
-    event per failed element).
-
-    @raise Invalid_argument if [batch_size < 1]. *)
-
 val create_outcomes :
   ?obs:Obs.t -> ?batch_size:int -> ('o array -> 'o outcome array) -> 'o t
-(** Like {!create} for a resolver that reports per-element outcomes
-    instead of raising on failure — the only way a backend can fail one
-    element without discarding its resolved siblings. *)
+(** [create_outcomes ~batch_size resolve_batch] wraps a native batch
+    resolver.  [resolve_batch] receives the queued objects in submission
+    order and must return one outcome per object in the same order (same
+    array length) — the only way a backend can fail one element without
+    discarding its resolved siblings.  [batch_size] defaults to 1.
+
+    [obs] registers the counters [probe_driver.probes],
+    [probe_driver.batches], [probe_driver.shrinks] and
+    [probe_driver.failures], times every resolver invocation under the
+    [probe-flush] span, and emits a {!Trace.Batch} event per dispatch
+    (plus a {!Trace.Probe_failed} event per failed element).
+
+    @raise Invalid_argument if [batch_size < 1]. *)
 
 val shrinking :
   ?obs:Obs.t -> ?batch_size:int -> ('o array -> 'o array) -> 'o t
 (** [shrinking narrow_batch] wraps a proxy backend: every submission
     comes back [Shrunk (narrow_batch o)] — an object whose imprecision
-    interval the proxy narrowed without resolving it to a point.  Only
-    outcome-based consumers can drive such a tier; the legacy {!submit}
-    adapter raises [Invalid_argument] on a [Shrunk] outcome. *)
+    interval the proxy narrowed without resolving it to a point. *)
 
 val scalar : ?obs:Obs.t -> ('o -> 'o) -> 'o t
 (** [scalar probe] lifts a scalar resolution function into a driver with
-    batch size 1: every submission resolves immediately.  This is the
-    pre-batching behaviour, bit for bit. *)
+    batch size 1: every submission resolves immediately to
+    [Resolved (probe o)].  This is the pre-batching behaviour, bit for
+    bit. *)
 
 val of_scalar : ?obs:Obs.t -> batch_size:int -> ('o -> 'o) -> 'o t
 (** [of_scalar ~batch_size probe] lifts a scalar resolver but batches
@@ -80,27 +69,20 @@ val of_scalar : ?obs:Obs.t -> batch_size:int -> ('o -> 'o) -> 'o t
     round trip, not the per-object work. *)
 
 val batch_size : 'o t -> int
-(** The batch boundary [B]: [submit] resolves the queue whenever it
-    reaches this many pending entries. *)
+(** The batch boundary [B]: [submit_outcome] resolves the queue
+    whenever it reaches this many pending entries. *)
 
 val pending : 'o t -> int
 (** Submissions queued but not yet resolved. *)
 
-val submit : 'o t -> 'o -> ('o -> unit) -> unit
-(** [submit t o k] enqueues [o] for resolution; [k] is invoked with the
-    precise version when the batch containing [o] is resolved.  If the
-    queue reaches [batch_size t] the batch is flushed immediately, so
-    with [batch_size = 1] the callback runs before [submit] returns.
-    Callbacks run in submission order and may themselves [submit]
-    (starting a fresh queue).  If the outcome is [Failed] the adapter
-    raises {!Probe_failed} instead of invoking [k] — earlier callbacks
-    of the same batch have already run, and the whole batch was already
-    accounted. *)
-
 val submit_outcome : 'o t -> 'o -> ('o outcome -> unit) -> unit
-(** Like {!submit}, but [k] receives the {!outcome} — failures arrive
-    as values, never as exceptions.  Consumers that must survive
-    permanent probe failure (the degrading operator) use this. *)
+(** [submit_outcome t o k] enqueues [o] for resolution; [k] is invoked
+    with its {!outcome} when the batch containing [o] is resolved —
+    failures arrive as values, never as exceptions.  If the queue
+    reaches [batch_size t] the batch is flushed immediately, so with
+    [batch_size = 1] the callback runs before [submit_outcome] returns.
+    Callbacks run in submission order and may themselves submit
+    (starting a fresh queue). *)
 
 val flush : 'o t -> unit
 (** Resolve every pending submission now (a possibly short batch) and
@@ -108,11 +90,6 @@ val flush : 'o t -> unit
 
     @raise Invalid_argument when called from inside the batch resolver
     itself (a reentrant flush would resolve entries out of order). *)
-
-val resolve : 'o t -> 'o -> 'o
-(** Scalar convenience: submit [o], flush, and return its precise
-    version.  Note this flushes {e everything} pending, not just [o].
-    @raise Probe_failed when the outcome is [Failed]. *)
 
 val premap : into:('a -> 'o) -> back:('o -> 'a) -> 'o t -> 'a t
 (** [premap ~into ~back d] views a driver for ['o] as a driver for ['a]:

@@ -200,7 +200,6 @@ let save_columnar path store =
       done)
 
 type columnar_file = {
-  qcol_path : string;
   ic : in_channel;
   qcol_store : Column_store.t;
   qcol_pool : Column_store.chunk Buffer_pool.t;
@@ -291,7 +290,7 @@ let open_columnar ?obs ?(pool_capacity = 8) path =
       Buffer_pool.fetch pool c (decode_chunk ~path ~ic ~chunk_size ~length)
     in
     let store = Column_store.of_fetch ~length ~chunk_size ~zones fetch in
-    { qcol_path = path; ic; qcol_store = store; qcol_pool = pool; closed }
+    { ic; qcol_store = store; qcol_pool = pool; closed }
   with
   | t -> t
   | exception e ->
@@ -300,7 +299,6 @@ let open_columnar ?obs ?(pool_capacity = 8) path =
 
 let columnar_store t = t.qcol_store
 let columnar_pool t = t.qcol_pool
-let columnar_path t = t.qcol_path
 
 let close_columnar t =
   if not !(t.closed) then begin

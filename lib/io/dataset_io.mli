@@ -68,7 +68,6 @@ val columnar_store : columnar_file -> Column_store.t
 val columnar_pool : columnar_file -> Column_store.chunk Buffer_pool.t
 (** The decoded-chunk pool, for cache statistics. *)
 
-val columnar_path : columnar_file -> string
 val close_columnar : columnar_file -> unit
 
 val with_columnar :

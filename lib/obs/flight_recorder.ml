@@ -51,7 +51,7 @@ type t = {
   per_query : (int, ring) Hashtbl.t;
   mutable query_order : int list;  (* newest first; for LRU-bounded count *)
   max_queries : int;
-  mutable on_dump : dump -> unit;
+  on_dump : dump -> unit;
   mutable dumps : dump list;  (* newest first *)
   max_dumps : int;
   dumped : (string, unit) Hashtbl.t;  (* "(reason,query)" already dumped *)
@@ -76,8 +76,6 @@ let create ?(capacity = 256) ?(max_queries = 64) ?(max_dumps = 16)
     dumped = Hashtbl.create 8;
     recorded = 0;
   }
-
-let set_on_dump t f = Mutex.protect t.lock (fun () -> t.on_dump <- f)
 
 let query_ring t q =
   match Hashtbl.find_opt t.per_query q with

@@ -48,8 +48,6 @@ val sink : t -> Trace.sink
 val record : t -> Trace.context -> Trace.event -> unit
 (** The function behind {!sink}, for direct use. *)
 
-val set_on_dump : t -> (dump -> unit) -> unit
-
 val entries : ?query:int -> t -> stamped list
 (** Current ring contents, oldest first: the global ring, or the given
     query's (empty when that query has no ring). *)

@@ -191,7 +191,6 @@ let count c = locked c.c_lock (fun () -> c.count)
 let counter_name c = c.c_name
 let set g v = locked g.g_lock (fun () -> g.level <- v)
 let level g = locked g.g_lock (fun () -> g.level)
-let gauge_name g = g.g_name
 
 let observe h v =
   (* Same contract as Hist1d: a NaN or infinite observation is a bug at
@@ -419,16 +418,3 @@ let to_prometheus s =
           Buffer.add_string b (Printf.sprintf "%s_count %d\n" pname d.d_count))
     s;
   Buffer.contents b
-
-let pp_snapshot ppf s =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Count n -> Format.fprintf ppf "%s = %d@." name n
-      | Level l -> Format.fprintf ppf "%s = %g@." name l
-      | Dist d ->
-          if d.d_count = 0 then Format.fprintf ppf "%s = dist(empty)@." name
-          else
-            Format.fprintf ppf "%s = dist(n=%d, p50=%g, p99=%g, max=%g)@." name
-              d.d_count (quantile d 0.5) (quantile d 0.99) d.d_max)
-    s

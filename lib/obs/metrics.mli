@@ -68,7 +68,6 @@ val count : counter -> int
 val counter_name : counter -> string
 val set : gauge -> float -> unit
 val level : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
 (** Record one value.
@@ -158,5 +157,3 @@ val prometheus_name : string -> string
 
 val json_escape : string -> string
 (** JSON string-body escaping, shared with the other exporters. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

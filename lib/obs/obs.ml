@@ -5,7 +5,6 @@ let create ?(trace = Trace.null) ?(clock = Span.default_clock) () =
 
 let metrics t = t.metrics
 let trace t = t.trace
-let with_trace t trace = { t with trace }
 let with_context t ctx = { t with trace = Trace.with_context ctx t.trace }
 let clock t = t.clock
 let now t = t.clock ()

@@ -23,15 +23,11 @@ val create : ?trace:Trace.sink -> ?clock:(unit -> float) -> unit -> t
 val metrics : t -> Metrics.t
 val trace : t -> Trace.sink
 
-val with_trace : t -> Trace.sink -> t
-(** A view sharing this capability's metrics registry and clock but
-    emitting to a different sink — how a server derives per-query
-    capabilities from one shared [Obs.t]. *)
-
 val with_context : t -> Trace.context -> t
-(** [with_trace t (Trace.with_context ctx (trace t))]: the same
-    capability with every emitted event stamped as belonging to the
-    given query/tenant. *)
+(** A view sharing this capability's metrics registry and clock whose
+    sink is [Trace.with_context ctx (trace t)]: every emitted event is
+    stamped as belonging to the given query/tenant — how a server
+    derives per-query capabilities from one shared [Obs.t]. *)
 
 val clock : t -> unit -> float
 val now : t -> float

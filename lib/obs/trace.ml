@@ -61,14 +61,6 @@ let collector () =
       (fun _ctx e -> Mutex.protect lock (fun () -> events := e :: !events)),
     fun () -> Mutex.protect lock (fun () -> List.rev !events) )
 
-let collector_ctx () =
-  let lock = Mutex.create () in
-  let events = ref [] in
-  ( Callback
-      (fun ctx e ->
-        Mutex.protect lock (fun () -> events := (ctx, e) :: !events)),
-    fun () -> Mutex.protect lock (fun () -> List.rev !events) )
-
 let verdict_name = function `Yes -> "YES" | `No -> "NO" | `Maybe -> "MAYBE"
 
 let action_name = function

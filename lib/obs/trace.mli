@@ -82,9 +82,6 @@ val collector : unit -> sink * (unit -> event list)
 (** A sink that buffers events plus a function returning them in
     emission order — the test-friendly sink.  Mutex-guarded. *)
 
-val collector_ctx : unit -> sink * (unit -> (context * event) list)
-(** Like {!collector} but keeps each event's context. *)
-
 val formatter : Format.formatter -> sink
 (** Prints one line per event ([trace: ...]; [trace[q7 tenant]: ...]
     when the event carries a context).  Mutex-guarded, so concurrent

@@ -64,9 +64,3 @@ let unit_cost (c : Cost_model.t) f =
   +. ((f.yes_probed +. f.maybe_probed) *. c.c_p)
   +. ((f.yes_forwarded +. f.maybe_forwarded) *. c.c_wi)
   +. ((f.yes_probed +. f.maybe_probe_yes) *. c.c_wp)
-
-let pp_fractions ppf f =
-  Format.fprintf ppf
-    "Y=%.4f M=%.4f Yp=%.4f Yf=%.4f Mp=%.4f Mf=%.4f Mpy=%.4f" f.yes f.maybe
-    f.yes_probed f.yes_forwarded f.maybe_probed f.maybe_forwarded
-    f.maybe_probe_yes

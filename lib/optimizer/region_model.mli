@@ -61,5 +61,3 @@ val uncertainty_rate : fractions -> float
 val unit_cost : Cost_model.t -> fractions -> float
 (** Expected cost per object read:
     [c_r + (Y_p+M_p)c_p/R + (Y_f+M_f)c_wi/R + (Y_p+M_py)c_wp/R]. *)
-
-val pp_fractions : Format.formatter -> fractions -> unit

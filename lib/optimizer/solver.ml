@@ -399,14 +399,6 @@ let solve_dual ?(seeds = default_seeds) ~budget t =
     | first :: rest -> List.fold_left better_dual first rest
   end
 
-let pp_dual_evaluation ppf e =
-  Format.fprintf ppf
-    "%a%s: budget=%.4g target_recall=%.4g W=%.4g R=%.4g precision~%.4g%s"
-    Policy.pp_params e.d_params
-    (if e.d_feasible then "" else " (infeasible)")
-    e.d_budget e.target_recall e.d_cost e.d_reads e.d_expected_precision
-    (if e.budget_limited then " (budget-limited)" else "")
-
 let pp_evaluation ppf e =
   Format.fprintf ppf
     "%a%s: W=%.4g W/|T|=%.4g R/|T|=%.4g precision~%.4g"

@@ -131,8 +131,6 @@ val solve_dual :
 
 val pp_evaluation : Format.formatter -> evaluation -> unit
 
-val pp_dual_evaluation : Format.formatter -> dual_evaluation -> unit
-
 val explain : problem -> evaluation -> string
 (** A human-readable account of a plan: the chosen parameters, the
     expected handling of 1000 read objects (per Fig. 3 region), the cost

@@ -3,8 +3,6 @@ type latency =
   | Constant of float
   | Jittered of { base : float; jitter : float }
 
-exception Probe_failed = Probe_driver.Probe_failed
-
 type instruments = {
   m_wakeups : Metrics.counter;
   m_attempts : Metrics.counter;
@@ -138,7 +136,7 @@ let note_retried t =
 (* Both failure draws happen unconditionally: the injected one comes
    from the injector's own stream, the simulated one from [t.rng], and
    evaluating both keeps each stream's consumption independent of the
-   other's outcome — attaching an injector never shifts the legacy
+   other's outcome — attaching an injector never shifts the simulated
    failure stream of a source that also simulates failures itself. *)
 let roll_failure t element ~round =
   let injected =
@@ -151,23 +149,6 @@ let roll_failure t element ~round =
 
 let fresh_element t =
   match t.faults with Some f -> Some (Fault_plan.fresh_element f) | None -> None
-
-let probe t o =
-  let element = fresh_element t in
-  let rec go ~round retries_left =
-    note_attempt t;
-    wakeup t;
-    if roll_failure t element ~round then
-      if retries_left = 0 then raise Probe_failed
-      else begin
-        note_retried t;
-        go ~round:(round + 1) (retries_left - 1)
-      end
-    else t.resolve o
-  in
-  let precise = go ~round:0 t.max_retries in
-  note_resolved t;
-  precise
 
 let probe_batch_outcomes t objs =
   let n = Array.length objs in
@@ -215,19 +196,8 @@ let probe_batch_outcomes t objs =
     Array.map (function Some o -> o | None -> assert false) results
   end
 
-let probe_batch t objs =
-  let outcomes = probe_batch_outcomes t objs in
-  Array.map
-    (function
-      | Probe_driver.Resolved o -> o
-      | Probe_driver.Shrunk _ -> assert false (* sources resolve to points *)
-      | Probe_driver.Failed _ -> raise Probe_failed)
-    outcomes
-
-let resolver t = probe_batch_outcomes t
-
 let driver ?obs ?(batch_size = 1) t =
-  Probe_driver.create_outcomes ?obs ~batch_size (resolver t)
+  Probe_driver.create_outcomes ?obs ~batch_size (probe_batch_outcomes t)
 
 type stats = {
   probes : int;

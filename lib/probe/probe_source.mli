@@ -10,12 +10,12 @@
     remote stores; the QaQ operator itself only sees the {!Probe_driver}
     capability.
 
-    The source resolves natively in batches: {!probe_batch} wakes the
-    remote store once per round, resolving every pending object in that
-    round together, so a batch of [B] pays one latency sample where [B]
-    scalar probes pay [B].  {!driver} packages a source as the
-    [Probe_driver] the operator consumes — an outcome-based driver, so an
-    element that exhausts its retries degrades ({!Probe_driver.Failed})
+    The source resolves natively in batches: {!probe_batch_outcomes}
+    wakes the remote store once per round, resolving every pending
+    object in that round together, so a batch of [B] pays one latency
+    sample where [B] one-element batches pay [B].  {!driver} packages a
+    source as the [Probe_driver] the operator consumes; an element that
+    exhausts its retries settles as {!Probe_driver.Failed} and degrades
     instead of tearing down the run. *)
 
 (** Latency charged per probe attempt, in arbitrary time units. *)
@@ -74,17 +74,6 @@ val create :
     @raise Invalid_argument on a failure rate outside [0, 1) or a
     negative retry count. *)
 
-exception Probe_failed
-(** The legacy abort exception — an alias of
-    {!Probe_driver.Probe_failed} (physically the same exception, so a
-    handler for either catches both). *)
-
-val probe : 'o t -> 'o -> 'o
-(** Resolve one object, recording attempts and simulated latency.  Each
-    attempt is its own wakeup: it pays one latency sample and counts one
-    batch of size 1.  @raise Probe_failed when the retry budget is
-    exhausted (the scalar path has no outcome to degrade into). *)
-
 val probe_batch_outcomes :
   'o t -> 'o array -> 'o Probe_driver.outcome array
 (** Resolve a batch, preserving order.  Each retry {e round} is one
@@ -94,24 +83,15 @@ val probe_batch_outcomes :
     ride along to the next round.  An element that fails
     [max_retries + 1] times settles as [Failed] with its attempt count;
     every sibling still resolves and every outcome is returned, so no
-    partial-batch work is ever lost. *)
-
-val probe_batch : 'o t -> 'o array -> 'o array
-(** {!probe_batch_outcomes} for callers that cannot degrade: the batch
-    is resolved {e completely} (all siblings settle and are counted in
-    {!stats}), then @raise Probe_failed if any element failed. *)
-
-val resolver : 'o t -> 'o array -> 'o Probe_driver.outcome array
-(** {!probe_batch_outcomes} partially applied — the source as a bare
-    batch-resolution function, the shape {!Probe_driver.create_outcomes}
-    (and the cross-query probe broker) consume directly. *)
+    partial-batch work is ever lost.  A one-element batch is the scalar
+    probe: each attempt is its own wakeup. *)
 
 val driver : ?obs:Obs.t -> ?batch_size:int -> 'o t -> 'o Probe_driver.t
 (** The source as an operator-facing probe capability, resolving each
     driver flush with {!probe_batch_outcomes}.  [batch_size] defaults to
     1 (the scalar path).  [obs] instruments the driver itself (see
-    {!Probe_driver.create}); pass it to [create] as well to instrument
-    the source underneath. *)
+    {!Probe_driver.create_outcomes}); pass it to [create] as well to
+    instrument the source underneath. *)
 
 type stats = {
   probes : int;  (** successful probe operations *)

@@ -264,14 +264,6 @@ let probe_batch_outcomes t readings =
     Array.map (function Some o -> o | None -> assert false) results
   end
 
-let probe_batch t readings =
-  Array.map
-    (function
-      | Probe_driver.Resolved r -> r
-      | Probe_driver.Shrunk _ -> assert false (* the net resolves to points *)
-      | Probe_driver.Failed _ -> raise Probe_driver.Probe_failed)
-    (probe_batch_outcomes t readings)
-
 let batch_driver ?obs ?(batch_size = 1) t =
   Probe_driver.create_outcomes ?obs ~batch_size (probe_batch_outcomes t)
 

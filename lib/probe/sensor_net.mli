@@ -85,11 +85,6 @@ val probe_batch_outcomes :
     and burning no budget — while the net looks dead.  Breaker state
     changes emit {!Trace.Breaker} events when tracing. *)
 
-val probe_batch : t -> reading array -> reading array
-(** {!probe_batch_outcomes} for callers that cannot degrade: the batch
-    resolves completely (all accounting happens), then
-    @raise Probe_driver.Probe_failed if any sensor failed. *)
-
 val batch_driver : ?obs:Obs.t -> ?batch_size:int -> t -> reading Probe_driver.t
 (** The network as an operator-facing probe capability resolving through
     {!probe_batch_outcomes}; [batch_size] defaults to 1 (one wakeup per
@@ -105,10 +100,10 @@ val rounds : t -> int
     breaker run on. *)
 
 val probe_wakeups : t -> int
-(** Batch round-trips the network has served via {!probe_batch}. *)
+(** Batch round-trips the network has served via {!probe_batch_outcomes}. *)
 
 val probe_messages : t -> int
-(** Individual sensor responses served via {!probe_batch}. *)
+(** Individual sensor responses served via {!probe_batch_outcomes}. *)
 
 val retry_wakeups : t -> int
 (** Executed rounds {e beyond the first} of their batch — pure retry

@@ -17,7 +17,7 @@ let shrink_resolver src objs =
 let driver_of_tier ?obs ~(spec : Probe_tier.spec) src =
   let resolver =
     match spec.Probe_tier.kind with
-    | Probe_tier.Resolve -> Probe_source.resolver src
+    | Probe_tier.Resolve -> Probe_source.probe_batch_outcomes src
     | Probe_tier.Shrink _ -> shrink_resolver src
   in
   Probe_driver.create_outcomes ?obs ~batch_size:spec.Probe_tier.batch resolver

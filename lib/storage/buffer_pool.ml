@@ -132,19 +132,6 @@ let stats (t : _ t) : stats =
   locked t (fun () ->
       { hits = t.hits; misses = t.misses; evictions = t.evictions })
 
-let reset_stats (t : _ t) =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
 let hit_rate s =
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total

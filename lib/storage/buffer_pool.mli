@@ -43,12 +43,10 @@ val contains : 'a t -> int -> bool
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : 'a t -> stats
-(** Lifetime counters since creation (or {!reset_stats}).  [misses]
+(** Lifetime counters since creation.  [misses]
     includes fetches whose loader raised; [evictions] counts only
     entries actually removed for a successfully loaded replacement. *)
 
-val reset_stats : 'a t -> unit
-val clear : 'a t -> unit
 
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when no accesses.  Failed loads are

@@ -63,7 +63,6 @@ let charge_batch_tier t i =
   t.tier_batches.(i) <- t.tier_batches.(i) + 1;
   t.batches <- t.batches + 1
 
-let tier_counts t = (Array.copy t.tier_probes, Array.copy t.tier_batches)
 let charge_write_imprecise t = t.writes_imprecise <- t.writes_imprecise + 1
 let charge_write_precise t = t.writes_precise <- t.writes_precise + 1
 

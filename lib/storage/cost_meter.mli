@@ -36,11 +36,6 @@ val charge_batch_tier : t -> int -> unit
     grow by one.  A scalar probe path charges one batch per probe, so
     with [c_b = 0] (the paper model) nothing changes. *)
 
-val tier_counts : t -> int array * int array
-(** [(probes_per_tier, batches_per_tier)] — copies; empty arrays when
-    no tier charge was ever made.  Summed they never exceed the
-    aggregate probes/batches. *)
-
 val counts : t -> counts
 
 val total_cost : Cost_model.t -> t -> float

@@ -13,13 +13,19 @@ type kind = Resolve | Shrink of { power : float }
 
 type spec = { name : string; kind : kind; c_p : float; c_b : float; batch : int }
 
-let is_resolve s = match s.kind with Resolve -> true | Shrink _ -> false
-
 let power s = match s.kind with Resolve -> 1.0 | Shrink { power } -> power
 
 let amortized s = s.c_p +. (s.c_b /. float_of_int s.batch)
 
 let valid_cost c = Float.is_finite c && c >= 0.0
+
+(* A tier name is spliced into metric names such as
+   [qaq.probe.tier.<name>.probes]; Prometheus exposition maps every
+   other character to '_', so two distinct names like "a.b" and "a_b"
+   would claim the same series. *)
+let valid_name_char = function
+  | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true
+  | _ -> false
 
 let validate specs =
   let n = Array.length specs in
@@ -28,6 +34,11 @@ let validate specs =
   Array.iteri
     (fun i s ->
       if s.name = "" then invalid_arg "Probe_tier.validate: empty tier name";
+      if not (String.for_all valid_name_char s.name) then
+        invalid_arg
+          (Printf.sprintf
+             "Probe_tier.validate: tier name %S must use only [A-Za-z0-9_]"
+             s.name);
       if Hashtbl.mem seen s.name then
         invalid_arg
           (Printf.sprintf "Probe_tier.validate: duplicate tier name %S" s.name);

@@ -15,14 +15,15 @@ type kind =
           expected fraction of probed objects that become definite *)
 
 type spec = {
-  name : string;  (** distinct, non-empty; used for [qaq.probe.tier.*] *)
+  name : string;
+      (** distinct, non-empty, only [\[A-Za-z0-9_\]]; used for
+          [qaq.probe.tier.*] *)
   kind : kind;
   c_p : float;  (** per-probe cost at this tier *)
   c_b : float;  (** per-batch cost at this tier *)
   batch : int;  (** batch size at this tier, >= 1 *)
 }
 
-val is_resolve : spec -> bool
 val power : spec -> float
 (** [power s] is 1.0 for [Resolve], the shrink power otherwise. *)
 
@@ -35,7 +36,10 @@ val exit_probability : spec -> float
 val validate : spec array -> unit
 (** Raises [Invalid_argument] unless: non-empty; exactly the last tier
     is [Resolve]; every batch >= 1; every shrink power in [0,1]; all
-    costs finite and >= 0; names distinct and non-empty. *)
+    costs finite and >= 0; names distinct, non-empty and made only of
+    [\[A-Za-z0-9_\]] (any other character would map to ['_'] in the
+    Prometheus names of the tier's metrics, so two distinct names could
+    collide). *)
 
 val strategy_price : spec array -> start:int -> float
 (** Expected amortized cost per probed object of starting the cascade

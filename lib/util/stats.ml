@@ -62,10 +62,6 @@ let summarize xs =
     ci95 = confidence95 xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g ±%.2g (sd=%.3g, min=%.4g, max=%.4g)" s.n
-    s.mean s.ci95 s.stddev s.min s.max
-
 module Welford = struct
   type t = { mutable count : int; mutable mean : float; mutable m2 : float }
 

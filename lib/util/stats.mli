@@ -42,8 +42,6 @@ type summary = {
 
 val summarize : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Streaming mean/variance (Welford's algorithm), for aggregating values
     that are expensive to retain. *)
 module Welford : sig

@@ -66,9 +66,80 @@ let test_tier_grammar () =
   (match Probe_tier.of_string "proxy:cp=0.1,shrink=0.5" with
   | _ -> Alcotest.fail "a cascade without an oracle must be rejected"
   | exception Invalid_argument _ -> ());
-  match Probe_tier.of_string "a:cp=1;b:cp=1,shrink=0.5" with
+  (match Probe_tier.of_string "a:cp=1;b:cp=1,shrink=0.5" with
   | _ -> Alcotest.fail "a Resolve tier before a proxy must be rejected"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument _ -> ());
+  (* Tier names are spliced into metric names, and Prometheus exposition
+     maps every character outside [A-Za-z0-9_:] to '_': "a.b" and "a_b"
+     are distinct names yet claim the same series, so a name may only
+     use [A-Za-z0-9_]. *)
+  List.iter
+    (fun spec ->
+      match Probe_tier.of_string spec with
+      | _ -> Alcotest.failf "tier names of %S must be rejected" spec
+      | exception Invalid_argument _ -> ())
+    [
+      "a.b:cp=1,cb=1,B=8,shrink=0.5;a_b:cp=10,cb=5,B=8";
+      "proxy-1:cp=0.1,shrink=0.5;oracle:cp=1";
+      "tier 2:cp=1";
+    ];
+  let names = "cheap_1:cp=0.1,shrink=0.5;mid:cp=0.4,shrink=0.5;s:cp=1" in
+  checki "names over [A-Za-z0-9_] are accepted" 3
+    (Array.length (Probe_tier.of_string names))
+
+(* The --tiers parser on untrusted input: any string either raises
+   [Invalid_argument] or yields a cascade that passes [validate] and
+   whose per-tier counters all register side by side in one registry.
+   Inputs mix arbitrary strings, strings over the grammar's alphabet,
+   and near-valid specs whose short names often differ only in '.'
+   versus '_'. *)
+let gen_tier_spec =
+  let open QCheck2.Gen in
+  let alphabet = oneofl (List.of_seq (String.to_seq ":;,=.abBcps_019")) in
+  let name = string_size ~gen:(oneofl [ 'a'; '.'; '_' ]) (int_range 1 2) in
+  let number = oneofl [ "0"; "1"; "0.5"; "8"; "-1"; "nan"; "inf"; "x" ] in
+  let field =
+    map2
+      (fun k v -> k ^ "=" ^ v)
+      (oneofl [ "cp"; "cb"; "B"; "shrink"; "batch"; "q" ])
+      number
+  in
+  let tier ~proxy =
+    map3
+      (fun name cp fields ->
+        String.concat ","
+          (((name ^ ":cp=" ^ cp) :: (if proxy then [ "shrink=0.5" ] else []))
+          @ fields))
+      name
+      (oneofl [ "0.1"; "1" ])
+      (list_size (int_range 0 1) field)
+  in
+  let cascade =
+    map2
+      (fun proxies oracle -> String.concat ";" (proxies @ [ oracle ]))
+      (list_size (int_range 1 2) (tier ~proxy:true))
+      (tier ~proxy:false)
+  in
+  frequency
+    [ (1, string); (2, string_size ~gen:alphabet (int_range 0 40)); (6, cascade) ]
+
+let prop_tier_spec_parser =
+  QCheck2.Test.make ~name:"tier spec parser: specs or Invalid_argument"
+    ~count:1000 ~print:(Printf.sprintf "%S") gen_tier_spec (fun input ->
+      match Probe_tier.of_string input with
+      | exception Invalid_argument _ -> true
+      | specs ->
+          Probe_tier.validate specs;
+          let registry = Metrics.create () in
+          Array.iter
+            (fun (spec : Probe_tier.spec) ->
+              List.iter
+                (fun key -> ignore (Metrics.counter registry (key spec.name)))
+                Obs.Keys.
+                  [ tier_probes; tier_batches; tier_shrinks; tier_failovers;
+                    tier_retried ])
+            specs;
+          true)
 
 (* --- satellite (a): shrink soundness --------------------------------- *)
 
@@ -528,4 +599,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interval_shrink_sound;
     QCheck_alcotest.to_alcotest prop_synthetic_shrink_sound;
     QCheck_alcotest.to_alcotest prop_guarantees_survive_cascade;
+    QCheck_alcotest.to_alcotest prop_tier_spec_parser;
   ]

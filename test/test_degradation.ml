@@ -68,15 +68,7 @@ let test_sibling_survival () =
   checkb "their siblings still resolved" true (!resolved > 0);
   let s = Probe_source.stats source in
   checki "stats count the survivors" !resolved s.probes;
-  checki "every element attempted" (Array.length data) s.attempts;
-  (* The legacy all-or-nothing path settles the whole batch (siblings
-     resolve and are counted) before it raises. *)
-  Probe_source.reset_stats source;
-  (match Probe_source.probe_batch source data with
-  | _ -> Alcotest.fail "expected Probe_failed"
-  | exception Probe_source.Probe_failed -> ());
-  let s = Probe_source.stats source in
-  checkb "legacy path settled siblings before raising" true (s.probes > 0)
+  checki "every element attempted" (Array.length data) s.attempts
 
 (* --- acceptance: 20% permanent failure ------------------------------- *)
 

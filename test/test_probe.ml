@@ -3,10 +3,20 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+let value = function
+  | Probe_driver.Resolved x -> x
+  | Probe_driver.Shrunk _ | Probe_driver.Failed _ ->
+      Alcotest.fail "expected a Resolved outcome"
+
+(* One object through a source: a one-element batch. *)
+let probe_one source o = (Probe_source.probe_batch_outcomes source [| o |]).(0)
+
+let resolve_all f objs = Array.map value (f objs)
+
 let test_probe_source_basic () =
   let source = Probe_source.create (fun x -> x * 2) in
-  checki "resolves" 10 (Probe_source.probe source 5);
-  checki "again" 14 (Probe_source.probe source 7);
+  checki "resolves" 10 (value (probe_one source 5));
+  checki "again" 14 (value (probe_one source 7));
   let s = Probe_source.stats source in
   checki "probes" 2 s.probes;
   checki "attempts" 2 s.attempts;
@@ -14,8 +24,8 @@ let test_probe_source_basic () =
 
 let test_probe_source_latency () =
   let source = Probe_source.create ~latency:(Probe_source.Constant 3.0) Fun.id in
-  ignore (Probe_source.probe source 1);
-  ignore (Probe_source.probe source 2);
+  ignore (probe_one source 1);
+  ignore (probe_one source 2);
   Alcotest.(check (float 1e-9)) "latency accumulates" 6.0
     (Probe_source.stats source).simulated_latency;
   Probe_source.reset_stats source;
@@ -27,7 +37,7 @@ let test_probe_source_failures () =
     Probe_source.create ~failure_rate:0.5 ~max_retries:50 ~rng Fun.id
   in
   for i = 1 to 100 do
-    checki "eventually succeeds" i (Probe_source.probe source i)
+    checki "eventually succeeds" i (value (probe_one source i))
   done;
   let s = Probe_source.stats source in
   checki "100 probes" 100 s.probes;
@@ -43,13 +53,16 @@ let test_probe_source_exhausts_retries () =
   let source =
     Probe_source.create ~failure_rate:0.99 ~max_retries:0 ~rng Fun.id
   in
-  let failed = ref false in
-  (try
-     for i = 1 to 20 do
-       ignore (Probe_source.probe source i)
-     done
-   with Probe_source.Probe_failed -> failed := true);
-  checkb "a probe failed" true !failed
+  let failed =
+    List.find_map
+      (fun i ->
+        match probe_one source i with
+        | Probe_driver.Failed { attempts } -> Some attempts
+        | Probe_driver.Resolved _ | Probe_driver.Shrunk _ -> None)
+      (List.init 20 succ)
+  in
+  Alcotest.(check (option int)) "a probe failed after one attempt" (Some 1)
+    failed
 
 let test_probe_source_latency_per_attempt () =
   (* Latency is a property of the attempt, not the success: every retry
@@ -60,7 +73,7 @@ let test_probe_source_latency_per_attempt () =
       ~max_retries:50 ~rng Fun.id
   in
   for i = 1 to 50 do
-    checki "resolves" i (Probe_source.probe source i)
+    checki "resolves" i (value (probe_one source i))
   done;
   let s = Probe_source.stats source in
   checki "50 probes" 50 s.probes;
@@ -73,19 +86,17 @@ let test_probe_source_latency_per_attempt () =
     s.simulated_latency
 
 let test_probe_source_fails_only_after_retries () =
-  (* Probe_failed may only surface once max_retries + 1 attempts have
-     been spent on the element. *)
+  (* An element may only settle as Failed once max_retries + 1 attempts
+     have been spent on it. *)
   let rng = Rng.create 22 in
   let source =
     Probe_source.create ~failure_rate:0.999999 ~max_retries:4 ~rng Fun.id
   in
-  let raised =
-    try
-      ignore (Probe_source.probe source 1);
-      false
-    with Probe_source.Probe_failed -> true
-  in
-  checkb "failed" true raised;
+  (match probe_one source 1 with
+  | Probe_driver.Failed { attempts } ->
+      checki "failed after 5 attempts" 5 attempts
+  | Probe_driver.Resolved _ | Probe_driver.Shrunk _ ->
+      Alcotest.fail "resolved");
   let s = Probe_source.stats source in
   checki "all retries spent first" 5 s.attempts;
   checki "no probe recorded" 0 s.probes
@@ -96,7 +107,9 @@ let test_probe_batch_accounting () =
   let source =
     Probe_source.create ~latency:(Probe_source.Constant 2.0) (fun x -> x * 2)
   in
-  let out = Probe_source.probe_batch source [| 1; 2; 3; 4; 5 |] in
+  let out =
+    resolve_all (Probe_source.probe_batch_outcomes source) [| 1; 2; 3; 4; 5 |]
+  in
   Alcotest.(check (array int)) "order kept" [| 2; 4; 6; 8; 10 |] out;
   let s = Probe_source.stats source in
   checki "five probes" 5 s.probes;
@@ -105,7 +118,7 @@ let test_probe_batch_accounting () =
   Alcotest.(check (float 1e-9)) "one round trip" 2.0 s.simulated_latency;
   checki "empty batch is free" 0
     (Probe_source.reset_stats source;
-     ignore (Probe_source.probe_batch source [||]);
+     ignore (Probe_source.probe_batch_outcomes source [||]);
      (Probe_source.stats source).batches)
 
 let test_probe_batch_partial_failure () =
@@ -117,7 +130,7 @@ let test_probe_batch_partial_failure () =
       ~max_retries:100 ~rng (fun x -> x + 100)
   in
   let input = Array.init 16 (fun i -> i) in
-  let out = Probe_source.probe_batch source input in
+  let out = resolve_all (Probe_source.probe_batch_outcomes source) input in
   Alcotest.(check (array int))
     "all resolved in order"
     (Array.map (fun x -> x + 100) input)
@@ -137,13 +150,13 @@ let test_probe_batch_retry_exhaustion () =
   let source =
     Probe_source.create ~failure_rate:0.999999 ~max_retries:2 ~rng Fun.id
   in
-  let raised =
-    try
-      ignore (Probe_source.probe_batch source [| 1; 2; 3 |]);
-      false
-    with Probe_source.Probe_failed -> true
-  in
-  checkb "failed after retries" true raised
+  Array.iter
+    (function
+      | Probe_driver.Failed { attempts } ->
+          checki "failed after 3 attempts" 3 attempts
+      | Probe_driver.Resolved _ | Probe_driver.Shrunk _ ->
+          Alcotest.fail "resolved")
+    (Probe_source.probe_batch_outcomes source [| 1; 2; 3 |])
 
 let test_probe_source_driver () =
   (* Probe_source.driver delivers the batch path through Probe_driver:
@@ -154,7 +167,8 @@ let test_probe_source_driver () =
   let driver = Probe_source.driver ~batch_size:4 source in
   let results = ref [] in
   for i = 1 to 8 do
-    Probe_driver.submit driver i (fun r -> results := r :: !results)
+    Probe_driver.submit_outcome driver i (fun r ->
+        results := value r :: !results)
   done;
   Alcotest.(check (list int))
     "two auto-flushed batches, in order"
@@ -231,14 +245,14 @@ let test_sensor_net_batch_radio () =
     Sensor_net.step net
   done;
   let readings = Array.sub (Sensor_net.snapshot net) 0 6 in
-  let probed = Sensor_net.probe_batch net readings in
+  let probed = resolve_all (Sensor_net.probe_batch_outcomes net) readings in
   Array.iter
     (fun (r : Sensor_net.reading) -> checkb "resolved" true r.resolved)
     probed;
   checki "one wakeup" 1 (Sensor_net.probe_wakeups net);
   checki "one message per sensor" 6 (Sensor_net.probe_messages net);
   let driver = Sensor_net.batch_driver ~batch_size:3 net in
-  Array.iter (fun r -> Probe_driver.submit driver r (fun _ -> ())) readings;
+  Array.iter (fun r -> Probe_driver.submit_outcome driver r ignore) readings;
   checki "two more wakeups via driver" 3 (Sensor_net.probe_wakeups net);
   checki "messages accumulate" 12 (Sensor_net.probe_messages net)
 
@@ -257,8 +271,10 @@ let test_probe_source_per_tier_stats () =
     "proxy labelled" (Some "proxy") (Probe_source.tier proxy);
   Alcotest.(check (option string))
     "oracle labelled" (Some "oracle") (Probe_source.tier oracle);
-  ignore (Probe_source.probe_batch proxy (Array.init 32 Fun.id));
-  ignore (Probe_source.probe_batch oracle (Array.init 5 Fun.id));
+  ignore
+    (resolve_all (Probe_source.probe_batch_outcomes proxy) (Array.init 32 Fun.id));
+  ignore
+    (resolve_all (Probe_source.probe_batch_outcomes oracle) (Array.init 5 Fun.id));
   let sp = Probe_source.stats proxy and so = Probe_source.stats oracle in
   checki "proxy resolved all" 32 sp.probes;
   checki "oracle resolved all" 5 so.probes;

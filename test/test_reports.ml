@@ -83,7 +83,7 @@ let test_jittered_latency_in_range () =
       ~rng Fun.id
   in
   for i = 1 to 50 do
-    ignore (Probe_source.probe source i)
+    ignore (Probe_source.probe_batch_outcomes source [| i |])
   done;
   let s = Probe_source.stats source in
   checkb "latency within bounds" true
