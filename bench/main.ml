@@ -156,9 +156,7 @@ let ablation_ambiguity () =
       let datasets =
         List.init 5 (fun _ -> Synthetic.generate rng (Exp_config.workload setting))
       in
-      let qaq_params =
-        (Exp_runner.solve_setting setting).Solver.params
-      in
+      let qaq_params = (Exp_runner.solve_setting setting).params in
       let run policy =
         let outcomes =
           List.map
@@ -340,14 +338,12 @@ let ablation_adaptive () =
      The adaptive policy starts from the same wrong plan and re-solves\n\
      every 500 reads from what the scan itself observes.  W/|T|, 5 reps.";
   let requirements = Exp_config.requirements Exp_config.default in
-  let wrong_prior =
-    let spec = Region_model.uniform_spec ~f_y:0.05 ~f_m:0.02 ~max_laxity:100.0 in
-    (Solver.solve (Solver.problem ~total:10000 ~spec ~requirements ())).params
+  let solved ~f_y ~f_m =
+    (Planner.solve ~total:10000 ~f_y ~f_m ~max_laxity:100.0 ~requirements ())
+      .params
   in
-  let oracle =
-    let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.4 ~max_laxity:100.0 in
-    (Solver.solve (Solver.problem ~total:10000 ~spec ~requirements ())).params
-  in
+  let wrong_prior = solved ~f_y:0.05 ~f_m:0.02 in
+  let oracle = solved ~f_y:0.2 ~f_m:0.4 in
   let rng = Rng.create 31 in
   let datasets =
     List.init 5 (fun _ ->
@@ -417,8 +413,7 @@ let generality_models () =
     let result =
       Engine.execute ~rng
         ~planning:
-          (Engine.Sampled
-             { fraction = 0.02; density = `Histogram; fallback = (0.2, 0.2) })
+          (Engine.Sampled { fraction = 0.02; density = `Histogram })
         ~instance:(Interval_data.instance predicate)
         ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements records
     in

@@ -125,18 +125,12 @@ let setting total f_y f_m max_laxity p_q r_q l_q : Exp_config.setting =
 let solve_run total (f_y, f_m) max_laxity p_q r_q l_q batch c_b =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
   let cost = cost_model c_b in
-  let e = Exp_runner.solve_setting ~cost ~batch s in
+  let solution = Exp_runner.solve_setting ~cost ~batch s in
   Format.printf "problem: |T|=%d f_y=%g f_m=%g L=%g B=%d %a  %a@.@." s.total
     s.f_y s.f_m s.max_laxity batch Cost_model.pp cost Quality.pp_requirements
     (Exp_config.requirements s);
-  let problem =
-    Solver.problem ~total:s.total
-      ~spec:
-        (Region_model.uniform_spec ~f_y:s.f_y ~f_m:s.f_m
-           ~max_laxity:s.max_laxity)
-      ~requirements:(Exp_config.requirements s) ~cost ~batch ()
-  in
-  print_string (Solver.explain problem e)
+  print_string
+    (Solver.explain solution.problem (Lazy.force solution.evaluation))
 
 let solve_cmd =
   let doc = "Solve the optimization problem of paper section 4.2.2." in
@@ -736,8 +730,7 @@ let tables_cmd =
 
 let regions_run p_q r_q l_q max_laxity (f_y, f_m) total =
   let s = setting total f_y f_m max_laxity p_q r_q l_q in
-  let e = Exp_runner.solve_setting s in
-  let params = e.Solver.params in
+  let params = (Exp_runner.solve_setting s).params in
   Format.printf "decision regions (Figs. 2-3) for %a, optimal %a@."
     Quality.pp_requirements (Exp_config.requirements s) Policy.pp_params params;
   (* s on the x axis (0..1), laxity on the y axis (0..L), top-down. *)

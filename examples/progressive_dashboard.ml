@@ -34,8 +34,9 @@ let () =
       let requirements =
         Quality.requirements ~precision:0.9 ~recall:r_q ~laxity:50.0
       in
-      let params = (Exp_runner.solve_setting
-                      { Exp_config.default with r_q; label = "x" }).Solver.params
+      let params =
+        (Exp_runner.solve_setting { Exp_config.default with r_q; label = "x" })
+          .params
       in
       let report, samples =
         Operator.trace ~rng ~every:50 ~instance:Synthetic.instance

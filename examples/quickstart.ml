@@ -28,16 +28,13 @@ let () =
   let estimate =
     Selectivity.estimate ~instance:(Interval_data.instance predicate) sample
   in
-  let spec =
-    Region_model.spec ~f_y:estimate.f_y ~f_m:estimate.f_m
-      ~max_laxity:estimate.max_laxity
-      ~density:(Density.of_estimate estimate)
+  let solution =
+    Planner.solve ~total:(Array.length records) ~f_y:estimate.f_y
+      ~f_m:estimate.f_m ~density:(Density.of_estimate estimate)
+      ~max_laxity:estimate.max_laxity ~requirements ()
   in
-  let problem =
-    Solver.problem ~total:(Array.length records) ~spec ~requirements ()
-  in
-  let solution = Solver.solve problem in
-  Format.printf "optimizer: %a@." Solver.pp_evaluation solution;
+  Format.printf "optimizer: %a@." Solver.pp_evaluation
+    (Lazy.force solution.evaluation);
 
   (* 4. Evaluate.  The answer is streamed; we also collect it. *)
   let meter = Cost_meter.create () in

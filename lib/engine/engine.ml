@@ -7,15 +7,10 @@ type plan = {
 }
 
 type planning =
-  | Sampled of {
-      fraction : float;
-      density : [ `Uniform | `Histogram ];
-      fallback : float * float;
-    }
+  | Sampled of { fraction : float; density : [ `Uniform | `Histogram ] }
   | Fixed of Policy.params
 
-let default_planning =
-  Sampled { fraction = 0.01; density = `Uniform; fallback = (0.2, 0.2) }
+let default_planning = Sampled { fraction = 0.01; density = `Uniform }
 
 type degradation = Operator.degradation = {
   failed_probes : int;
@@ -72,11 +67,15 @@ let observed_max_laxity ?pool instance data =
   in
   Array.fold_left Float.max 0.0 laxities
 
+(* The plan stage: the pilot sample (charged to the run's meter) and the
+   §4.2.2 solve, the dual against whatever the pilot left of a budget. *)
 let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
-    ~instance ~requirements ~fraction ~density ~fallback data =
-  let total = Stdlib.max 1 (Array.length data) in
-  let sample = Selectivity.bernoulli_sample rng ~fraction data in
-  let n = Array.length sample in
+    ~instance ~requirements ~fraction ~density data =
+  let pilot =
+    Planner.pilot ~rng ~fraction ~instance ?pool ~max_laxity:cap
+      ~prior:Planner.default_prior ~density data
+  in
+  let n = pilot.sample_size in
   (* The pilot sample is real work: the paper's planning recipe reads
      each sampled object, so its cost belongs on the same meter as the
      scan's. *)
@@ -88,60 +87,28 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
       Metrics.add (Obs.counter o Obs.Keys.reads) n;
       Metrics.add (Obs.counter o Obs.Keys.sample_reads) n
   | None -> ());
-  let estimate =
-    if n = 0 then None
-    else Some (Selectivity.estimate ~instance ?pool ~laxity_cap:cap sample)
+  (* The pilot sample's reads are already on the meter: the scan can only
+     spend what the planning phase left over. *)
+  let budget =
+    Option.map (fun b -> Float.max 0.0 (b -. Cost_meter.total_cost cost meter))
+      budget
   in
-  let f_y, f_m =
-    match estimate with
-    | Some e -> (e.f_y, e.f_m)
-    | None -> fallback
+  let solution =
+    Planner.solve ~total:(Stdlib.max 1 (Array.length data)) ~f_y:pilot.f_y
+      ~f_m:pilot.f_m ~density:pilot.density ~max_laxity:cap ~requirements
+      ~cost ~batch ~tiers ?budget ()
   in
-  let density =
-    match (density, estimate) with
-    | `Histogram, Some e -> Density.of_estimate e
-    | (`Uniform | `Histogram), _ -> Density.uniform ~max_laxity:cap
-  in
-  let spec = Region_model.spec ~f_y ~f_m ~max_laxity:cap ~density in
-  let problem =
-    Solver.problem ~total ~spec ~requirements ~cost ~batch ~tiers ()
-  in
-  match budget with
-  | None ->
-      let evaluation = Solver.solve problem in
-      {
-        params = evaluation.params;
-        estimate;
-        evaluation;
-        dual = None;
-        sample_size = n;
-      }
-  | Some b ->
-      (* The pilot sample's reads are already on the meter: the scan can
-         only spend what the planning phase left over. *)
-      let remaining = Float.max 0.0 (b -. Cost_meter.total_cost cost meter) in
-      let dual = Solver.solve_dual ~budget:remaining problem in
-      {
-        params = dual.Solver.d_params;
-        estimate;
-        (* The primal evaluation of the chosen parameters, for uniform
-           reporting; [dual] carries the budgeted expectations. *)
-        evaluation = Solver.evaluate problem dual.Solver.d_params;
-        dual = Some dual;
-        sample_size = n;
-      }
+  {
+    params = solution.params;
+    estimate = pilot.estimate;
+    evaluation = Lazy.force solution.evaluation;
+    dual = solution.dual;
+    sample_size = n;
+  }
 
 let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     ?deadline ?obs ?emit ?collect ?profile ?columnar ~instance
     ~(cascade : _ Cascade.t) ~requirements data =
-  (match budget with
-  | Some b when Float.is_nan b || b < 0.0 ->
-      invalid_arg "Engine.execute: budget must be non-negative"
-  | _ -> ());
-  (match deadline with
-  | Some d when Float.is_nan d || d < 0.0 ->
-      invalid_arg "Engine.execute: deadline must be non-negative"
-  | _ -> ());
   let run_clock =
     match obs with Some o -> Obs.clock o | None -> Span.default_clock
   in
@@ -194,26 +161,18 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()
   in
-  let plan =
+  let plan, initial =
     match planning with
-    | Fixed _ -> None
-    | Sampled { fraction; density; fallback } ->
-        let f_y, f_m = fallback in
-        (* Positive form: NaN fails every comparison and is rejected. *)
-        if not (f_y >= 0.0 && f_m >= 0.0 && f_y +. f_m <= 1.0) then
-          invalid_arg "Engine.execute: invalid fallback fractions";
-        Some
-          (span "plan" (fun () ->
-               make_plan ~rng:sample_rng ~meter ?obs ?pool ~cost ~batch ~tiers
-                 ~cap:(Lazy.force laxity_cap)
-                 ~budget:(if budgeted then Some allotted else None)
-                 ~instance ~requirements ~fraction ~density ~fallback data))
-  in
-  let initial =
-    match (planning, plan) with
-    | Fixed params, _ -> params
-    | Sampled _, Some p -> p.params
-    | Sampled _, None -> assert false
+    | Fixed params -> (None, params)
+    | Sampled { fraction; density } ->
+        let p =
+          span "plan" (fun () ->
+              make_plan ~rng:sample_rng ~meter ?obs ?pool ~cost ~batch ~tiers
+                ~cap:(Lazy.force laxity_cap)
+                ~budget:(if budgeted then Some allotted else None)
+                ~instance ~requirements ~fraction ~density data)
+        in
+        (Some p, p.params)
   in
   (* A finite budget forces adaptivity: mid-flight dual re-solves against
      the remaining budget are what keeps a mis-estimated selectivity from
@@ -435,6 +394,18 @@ let execute ~rng ?(planning = default_planning) ?(adaptive = false)
     ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?domains
     ?obs ?emit ?collect ?profile ?on_task ?columnar ~instance ?probe ?cascade
     ~requirements data =
+  (match budget with
+  | Some b when Float.is_nan b || b < 0.0 ->
+      invalid_arg "Engine.execute: budget must be non-negative"
+  | _ -> ());
+  (match deadline with
+  | Some d when Float.is_nan d || d < 0.0 ->
+      invalid_arg "Engine.execute: deadline must be non-negative"
+  | _ -> ());
+  (match max_laxity with
+  | Some l when not (Float.is_finite l && l > 0.0) ->
+      invalid_arg "Engine.execute: max_laxity must be positive and finite"
+  | _ -> ());
   (* The one probe capability: a cascade, with a plain driver wrapped as
      the oracle-only cascade priced at the run's cost model.  [batch] may
      only restate the oracle's batch size — the planner prices probes at

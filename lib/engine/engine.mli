@@ -4,14 +4,14 @@
     decision-plane density, solve the §4.2.2 optimization problem, run
     the online operator — wired together behind a single function.  Each
     stage stays independently accessible (this module only composes
-    {!Selectivity}, {!Solver} and {!Operator}), so anything the facade
-    decides can be overridden by calling the stages directly. *)
+    {!Planner} and {!Operator}), so anything the facade decides can be
+    overridden by calling the stages directly. *)
 
 type plan = {
   params : Policy.params;  (** the solved decision parameters *)
   estimate : Selectivity.estimate option;
       (** what the sample said; [None] when the sample came back empty
-          and the fallback prior was used *)
+          and {!Planner.default_prior} was used *)
   evaluation : Solver.evaluation;  (** the optimizer's own expectations *)
   dual : Solver.dual_evaluation option;
       (** the budgeted (dual) solution a finite [?budget] planned with;
@@ -26,14 +26,13 @@ type planning =
   | Sampled of {
       fraction : float;  (** Bernoulli sampling rate, e.g. the paper's 0.01 *)
       density : [ `Uniform | `Histogram ];
-      fallback : float * float;
-          (** (f_y, f_m) prior if the sample is empty *)
     }
+      (** {!Planner.pilot} then {!Planner.solve}; an empty sample plans
+          under {!Planner.default_prior} *)
   | Fixed of Policy.params  (** skip planning *)
 
 val default_planning : planning
-(** The paper's recipe: 1% sample, uniform density,
-    fallback (0.2, 0.2). *)
+(** The paper's recipe: 1% sample, uniform density. *)
 
 (** What permanent probe failure cost a run — {!Operator.degradation},
     filled in by the operator (see there for each field).  An unfaulted
@@ -151,7 +150,8 @@ val execute :
     periodically (see {!Adaptive}); it composes with either planning
     mode, starting from the planned parameters.  [max_laxity] caps the
     histogram range when known a priori (otherwise the sample maximum is
-    used, falling back to 1).  [cost] (default {!Cost_model.paper})
+    used, falling back to 1); when given it must be positive and
+    finite, in every planning mode.  [cost] (default {!Cost_model.paper})
     prices the run for [normalized_cost] and the solver's objective.
 
     [budget] caps the run's total metered spend (cost units of [cost],
@@ -254,12 +254,12 @@ val execute :
     @raise Invalid_argument if [columnar] is given and the store's
     length differs from [data]'s.
 
-    @raise Invalid_argument on an invalid sampling fraction or fallback
-    fractions, if both or neither of [probe] and [cascade] are given, if
-    [batch] differs from the oracle tier's batch size, if [domains < 1],
-    if [budget] or
-    [deadline] is negative or NaN, or if [QAQ_DOMAINS] is set to
-    anything but a positive integer. *)
+    @raise Invalid_argument on an invalid sampling fraction, if
+    [max_laxity] is not positive and finite, if both or neither of
+    [probe] and [cascade] are given, if [batch] differs from the oracle
+    tier's batch size, if [domains < 1], if [budget] or [deadline] is
+    negative or NaN, or if [QAQ_DOMAINS] is set to anything but a
+    positive integer. *)
 
 (** {2 Concurrent multi-query execution} *)
 

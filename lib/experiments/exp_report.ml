@@ -14,7 +14,7 @@ let opt_table (sweep : Exp_config.sweep) =
   in
   List.iter2
     (fun (s : Exp_config.setting) (p : Paper_tables.opt_row) ->
-      let e = Exp_runner.solve_setting s in
+      let e = Lazy.force (Exp_runner.solve_setting s).evaluation in
       let params = e.params in
       let row =
         [ s.label; f3 params.s3; f3 params.s5; f3 params.p_py; f3 params.p_fm;

@@ -7,14 +7,8 @@ let policy_name = function
   | Fixed _ -> "Fixed"
 
 let solve_setting ?cost ?batch (s : Exp_config.setting) =
-  let spec =
-    Region_model.uniform_spec ~f_y:s.f_y ~f_m:s.f_m ~max_laxity:s.max_laxity
-  in
-  let problem =
-    Solver.problem ~total:s.total ~spec
-      ~requirements:(Exp_config.requirements s) ?cost ?batch ()
-  in
-  Solver.solve problem
+  Planner.solve ~total:s.total ~f_y:s.f_y ~f_m:s.f_m ~max_laxity:s.max_laxity
+    ~requirements:(Exp_config.requirements s) ?cost ?batch ()
 
 type outcome = {
   normalized_cost : float;
@@ -31,33 +25,18 @@ type outcome = {
 
 (* The paper's QaQ: estimate f_y, f_m from a pre-query sample, keep the
    density assumption (uniform by default), solve for the region
-   parameters.  The histogram density is the §4.2 refinement. *)
-let qaq_params ~rng ?pool ~sample_fraction ~density ?cost ?batch
+   parameters.  The histogram density is the §4.2 refinement.  An empty
+   sample plans under the setting's own fractions. *)
+let qaq_params ~rng ?pool ~sample_fraction ~density ~cost ~batch
     (s : Exp_config.setting) data =
-  let sample = Selectivity.bernoulli_sample rng ~fraction:sample_fraction data in
-  let estimate, f_y, f_m =
-    if Array.length sample = 0 then (None, s.f_y, s.f_m)
-    else begin
-      let e =
-        Selectivity.estimate ~instance:Synthetic.instance ?pool
-          ~laxity_cap:s.max_laxity sample
-      in
-      (Some e, e.f_y, e.f_m)
-    end
+  let pilot =
+    Planner.pilot ~rng ~fraction:sample_fraction ~instance:Synthetic.instance
+      ?pool ~max_laxity:s.max_laxity ~prior:(s.f_y, s.f_m) ~density data
   in
-  let density =
-    match (density, estimate) with
-    | `Histogram, Some e -> Density.of_estimate e
-    | (`Uniform | `Histogram), _ -> Density.uniform ~max_laxity:s.max_laxity
-  in
-  let spec =
-    Region_model.spec ~f_y ~f_m ~max_laxity:s.max_laxity ~density
-  in
-  let problem =
-    Solver.problem ~total:s.total ~spec
-      ~requirements:(Exp_config.requirements s) ?cost ?batch ()
-  in
-  (Solver.solve problem).params
+  (Planner.solve ~total:s.total ~f_y:pilot.f_y ~f_m:pilot.f_m
+     ~density:pilot.density ~max_laxity:s.max_laxity
+     ~requirements:(Exp_config.requirements s) ~cost ~batch ())
+    .params
 
 let trial_with ?pool ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
     ~(setting : Exp_config.setting) ~data kind =

@@ -25,16 +25,12 @@ type t = {
   m_budget_replans : Metrics.counter option;
 }
 
-let default_initial ~total ~max_laxity ~requirements ~cost ~batch ~tiers =
-  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity in
-  (Solver.solve
-     (Solver.problem ~total ~spec ~requirements ~cost ~batch ?tiers ()))
-    .params
-
 let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
     ?(batch = 1) ?tiers ?(replan_every = 500) ?(max_replans = 8) ?budget
     ?initial ?obs () =
   if total <= 0 then invalid_arg "Adaptive.create: total <= 0";
+  if not (Float.is_finite max_laxity && max_laxity > 0.0) then
+    invalid_arg "Adaptive.create: max_laxity must be positive and finite";
   if batch < 1 then invalid_arg "Adaptive.create: batch < 1";
   if replan_every < 1 then invalid_arg "Adaptive.create: replan_every < 1";
   if max_replans < 0 then invalid_arg "Adaptive.create: max_replans < 0";
@@ -43,7 +39,10 @@ let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
     match initial with
     | Some p -> p
     | None ->
-        default_initial ~total ~max_laxity ~requirements ~cost ~batch ~tiers
+        let f_y, f_m = Planner.default_prior in
+        (Planner.solve ~total ~f_y ~f_m ~max_laxity ~requirements ~cost ~batch
+           ?tiers ())
+          .params
   in
   {
     rng;
@@ -98,37 +97,28 @@ let replan t ~reads =
         maybe_plane = t.maybe_plane;
       }
     in
-    let spec =
-      Region_model.spec ~f_y:estimate.f_y ~f_m:estimate.f_m
-        ~max_laxity:t.max_laxity
-        ~density:(Density.of_estimate estimate)
-    in
+    let density = Density.of_estimate estimate in
     let solve () =
-      match t.budget with
-      | None ->
-          let problem =
-            Solver.problem ~total:t.total ~spec ~requirements:t.requirements
-              ~cost:t.cost ~batch:t.batch ?tiers:t.tiers ()
-          in
-          (Solver.solve problem).params
-      | Some b ->
-          (* Budgeted run: re-solve the dual over the remaining scan
-             against whatever budget is left on the live meter, assuming
-             the observed (s, l) density is stationary.  A mis-estimated
-             selectivity then degrades the recall target gracefully
-             instead of blowing the budget. *)
-          let remaining_total = Int.max 1 (t.total - reads) in
-          let remaining_budget = Float.max 0.0 (b.allotted -. b.spent ()) in
-          let problem =
-            Solver.problem ~total:remaining_total ~spec
-              ~requirements:t.requirements ~cost:t.cost ~batch:t.batch
-              ?tiers:t.tiers ()
-          in
-          t.budget_replans <- t.budget_replans + 1;
-          (match t.m_budget_replans with
-          | Some m -> Metrics.incr m
-          | None -> ());
-          (Solver.solve_dual ~budget:remaining_budget problem).d_params
+      let total, budget =
+        match t.budget with
+        | None -> (t.total, None)
+        | Some b ->
+            (* Budgeted run: re-solve the dual over the remaining scan
+               against whatever budget is left on the live meter,
+               assuming the observed (s, l) density is stationary.  A
+               mis-estimated selectivity then degrades the recall target
+               gracefully instead of blowing the budget. *)
+            let remaining = Float.max 0.0 (b.allotted -. b.spent ()) in
+            t.budget_replans <- t.budget_replans + 1;
+            (match t.m_budget_replans with
+            | Some m -> Metrics.incr m
+            | None -> ());
+            (Int.max 1 (t.total - reads), Some remaining)
+      in
+      (Planner.solve ~total ~f_y:estimate.f_y ~f_m:estimate.f_m ~density
+         ~max_laxity:t.max_laxity ~requirements:t.requirements ~cost:t.cost
+         ~batch:t.batch ?tiers:t.tiers ?budget ())
+        .params
     in
     t.params <-
       (match t.obs with

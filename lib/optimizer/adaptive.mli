@@ -36,18 +36,18 @@ val create :
   t
 (** [replan_every] (default 500) objects between re-solves, up to
     [max_replans] (default 8) re-solves.  [initial] (default: the
-    solution under the uniform-density assumption with an agnostic
-    [f_y = f_m = 0.2] prior) is used until the first re-plan.  [batch]
+    {!Planner.solve} solution under the uniform density and
+    {!Planner.default_prior}) is used until the first re-plan.  [batch]
     (default 1) is the probe batch size the evaluation will use; every
     re-solve prices probes at the amortized [c_p + c_b/batch] so
     mid-scan plans see the same cost surface as the initial one.
     [tiers] (default absent) is the probe cascade the evaluation will
     run through: when given, every solve — the default [initial]
     included — prices probes at the cascade's strategy price instead
-    ({!Solver.problem}'s [tiers]).
+    ({!Solver.problem}'s [tiers]).  Every solve is one {!Planner.solve}.
 
-    With [budget], every re-solve goes through {!Solver.solve_dual}
-    instead of the primal: the refreshed [(s, l)] histograms are solved
+    With [budget], every re-solve goes through the dual
+    ({!Solver.solve_dual}) instead of the primal: the refreshed [(s, l)] histograms are solved
     over the {e remaining} scan against the {e remaining} budget
     [allotted - spent ()], so a mis-estimated selectivity degrades the
     recall target gracefully instead of blowing the budget.  These dual
@@ -55,8 +55,9 @@ val create :
 
     [obs] counts re-solves under [adaptive.replans], times each under
     the [adaptive-reestimate] span and emits a {!Trace.Replan} event.
-    @raise Invalid_argument if [total <= 0], [batch < 1],
-    [replan_every < 1] or [max_replans < 0]. *)
+    @raise Invalid_argument if [total <= 0], [max_laxity] is not
+    positive and finite, [batch < 1], [replan_every < 1] or
+    [max_replans < 0]. *)
 
 val policy : t -> Policy.t
 (** The policy to pass to {!Operator.run}. *)

@@ -60,7 +60,22 @@ let of_row (row : Column_store.row) : record =
 let to_store ?chunk_size records =
   Column_store.create ?chunk_size (Array.map to_row records)
 
-let of_store store = Row_view.to_array (Row_view.create store ~of_row)
+(* One fetch per chunk, in storage order. *)
+let of_store store =
+  let out =
+    Array.make (Column_store.length store)
+      { id = 0; belief = Uncertain.exact 0.0; truth = 0.0 }
+  in
+  let pos = ref 0 in
+  for c = 0 to Column_store.chunk_count store - 1 do
+    let ch = Column_store.chunk store c in
+    for i = 0 to ch.Column_store.len - 1 do
+      out.(!pos) <- of_row (Column_store.row ch i);
+      incr pos
+    done
+  done;
+  out
+
 let in_exact pred r = Predicate.eval pred r.truth
 
 let exact_set pred records =

@@ -56,8 +56,9 @@ val to_store : ?chunk_size:int -> record array -> Column_store.t
     ({!Column_store.create}). *)
 
 val of_store : Column_store.t -> record array
-(** Materialize every record in storage order — the row view that
-    planning and equivalence oracles run from. *)
+(** Materialize every record in storage order, fetching each chunk
+    once — the row view that planning and equivalence oracles run
+    from. *)
 
 (** {2 Generators} *)
 

@@ -54,8 +54,7 @@ let test_execute_histogram_density () =
   let result =
     Engine.execute ~rng:(Rng.create 8)
       ~planning:
-        (Engine.Sampled
-           { fraction = 0.05; density = `Histogram; fallback = (0.2, 0.2) })
+        (Engine.Sampled { fraction = 0.05; density = `Histogram })
       ~max_laxity:100.0 ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe)
       ~requirements data
   in
@@ -70,7 +69,7 @@ let test_execute_empty_and_tiny () =
   checkb "empty ok" true (Quality.meets empty.report.guarantees requirements);
   Alcotest.(check (float 0.0)) "empty cost" 0.0 empty.normalized_cost;
   (* A dataset too small for the sample to catch anything exercises the
-     fallback prior. *)
+     default prior. *)
   let tiny = Synthetic.generate (Rng.create 10) (Synthetic.config ~total:5 ()) in
   let result =
     Engine.execute ~rng:(Rng.create 11) ~instance:Synthetic.instance
@@ -152,22 +151,56 @@ let test_laxity_scanned_once () =
     true
     (!laxity_calls < 2 * n)
 
-let test_invalid_fallback () =
+(* Regression: an invalid [max_laxity] is rejected up front with one
+   message in every planning mode.  It used to pass unchecked under
+   [Fixed] planning and otherwise fail in whichever planning module saw
+   it first. *)
+let test_invalid_max_laxity () =
+  let data = dataset 12 in
+  let probe () = Probe_driver.scalar Synthetic.probe in
+  let modes =
+    [
+      ("sampled", fun max_laxity ->
+          Engine.execute ~rng:(Rng.create 1) ~max_laxity
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+      ("sampled fraction 0", fun max_laxity ->
+          Engine.execute ~rng:(Rng.create 1)
+            ~planning:(Engine.Sampled { fraction = 0.0; density = `Histogram })
+            ~max_laxity ~instance:Synthetic.instance ~probe:(probe ())
+            ~requirements data);
+      ("fixed", fun max_laxity ->
+          Engine.execute ~rng:(Rng.create 1)
+            ~planning:(Engine.Fixed Policy.stingy_params) ~max_laxity
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+      ("fixed + adaptive", fun max_laxity ->
+          Engine.execute ~rng:(Rng.create 1)
+            ~planning:(Engine.Fixed Policy.stingy_params) ~adaptive:true
+            ~max_laxity ~instance:Synthetic.instance ~probe:(probe ())
+            ~requirements data);
+      ("budgeted", fun max_laxity ->
+          Engine.execute ~rng:(Rng.create 1) ~budget:5000.0 ~max_laxity
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+    ]
+  in
   List.iter
-    (fun fallback ->
+    (fun max_laxity ->
+      List.iter
+        (fun (mode, run) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, max_laxity %g" mode max_laxity)
+            (Invalid_argument
+               "Engine.execute: max_laxity must be positive and finite")
+            (fun () -> ignore (run max_laxity)))
+        modes;
       Alcotest.check_raises
-        (Printf.sprintf "bad fallback (%g, %g)" (fst fallback) (snd fallback))
-        (Invalid_argument "Engine.execute: invalid fallback fractions")
+        (Printf.sprintf "Adaptive.create, max_laxity %g" max_laxity)
+        (Invalid_argument
+           "Adaptive.create: max_laxity must be positive and finite")
         (fun () ->
           ignore
-            (Engine.execute ~rng:(Rng.create 1)
-               ~planning:
-                 (Engine.Sampled
-                    { fraction = 0.01; density = `Uniform; fallback })
-               ~instance:Synthetic.instance
-               ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
-               (dataset 12))))
-    [ (0.9, 0.9); (nan, 0.2) ]
+            (Adaptive.create ~rng:(Rng.create 1) ~total:100 ~max_laxity
+               ~requirements ())))
+    [ 0.0; -1.0; nan; infinity ]
 
 let suite =
   [
@@ -178,5 +211,5 @@ let suite =
     ("empty and tiny inputs", `Quick, test_execute_empty_and_tiny);
     ("sample reads are charged", `Quick, test_sample_reads_charged);
     ("laxity cap scanned once", `Quick, test_laxity_scanned_once);
-    ("invalid fallback", `Quick, test_invalid_fallback);
+    ("invalid max_laxity in every planning mode", `Quick, test_invalid_max_laxity);
   ]

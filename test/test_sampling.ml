@@ -1,48 +1,8 @@
-(* Tests for reservoir sampling, histograms and selectivity estimation. *)
+(* Tests for Bernoulli sampling, histograms and selectivity estimation. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checkf tol = Alcotest.(check (float tol))
-
-let test_reservoir_small_stream () =
-  let r = Reservoir.create (Rng.create 1) ~capacity:10 in
-  for i = 1 to 5 do
-    Reservoir.add r i
-  done;
-  checki "keeps everything when under capacity" 5
-    (Array.length (Reservoir.contents r));
-  checki "seen" 5 (Reservoir.seen r)
-
-let test_reservoir_capacity () =
-  let r = Reservoir.create (Rng.create 2) ~capacity:10 in
-  for i = 1 to 1000 do
-    Reservoir.add r i
-  done;
-  let c = Reservoir.contents r in
-  checki "capped" 10 (Array.length c);
-  Array.iter (fun x -> checkb "from stream" true (x >= 1 && x <= 1000)) c;
-  (* Distinctness: reservoir never duplicates stream positions. *)
-  let sorted = Array.copy c in
-  Array.sort compare sorted;
-  for i = 0 to 8 do
-    checkb "distinct" true (sorted.(i) <> sorted.(i + 1))
-  done
-
-let test_reservoir_uniformity () =
-  (* Each element of a 100-stream should appear with probability 1/10 in
-     a 10-slot reservoir; check the first element's rate over many
-     trials. *)
-  let hits = ref 0 in
-  let trials = 5000 in
-  for t = 1 to trials do
-    let r = Reservoir.create (Rng.create t) ~capacity:10 in
-    for i = 1 to 100 do
-      Reservoir.add r i
-    done;
-    if Array.exists (fun x -> x = 1) (Reservoir.contents r) then incr hits
-  done;
-  let rate = float_of_int !hits /. float_of_int trials in
-  checkb "first element rate near 0.1" true (Float.abs (rate -. 0.1) < 0.02)
 
 let test_hist1d () =
   let h = Histogram.Hist1d.create ~lo:0.0 ~hi:10.0 ~bins:10 in
@@ -138,9 +98,6 @@ let test_bernoulli_sample () =
 
 let suite =
   [
-    ("reservoir under capacity", `Quick, test_reservoir_small_stream);
-    ("reservoir at capacity", `Quick, test_reservoir_capacity);
-    ("reservoir uniformity", `Slow, test_reservoir_uniformity);
     ("hist1d masses", `Quick, test_hist1d);
     ("hist2d regions", `Quick, test_hist2d_region);
     ("histograms reject non-finite", `Quick, test_hist_non_finite);

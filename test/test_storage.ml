@@ -311,22 +311,27 @@ let test_column_store_pruning_matches_zone_map () =
     end
   done
 
-let test_row_view () =
+let test_of_store () =
   let records =
     Interval_data.uniform_intervals (Rng.create 59) ~n:77
       ~value_range:(Interval.make 0.0 10.0) ~max_width:2.0
   in
   let store = Interval_data.to_store ~chunk_size:8 records in
-  let view = Row_view.create store ~of_row:Interval_data.of_row in
-  checki "view length" 77 (Row_view.length view);
-  checkb "get matches source" true (Row_view.get view 13 = records.(13));
-  checkb "to_array is the original data in storage order" true
-    (Row_view.to_array view = records);
-  let seen = ref 0 in
-  Row_view.iter view (fun r ->
-      checkb "iter order" true (r = records.(!seen));
-      incr seen);
-  checki "iter covers everything" 77 !seen
+  (* Count the loader's calls through a streamed view of the store. *)
+  let fetches = Array.make (Column_store.chunk_count store) 0 in
+  let streamed =
+    Column_store.of_fetch ~length:(Column_store.length store)
+      ~chunk_size:(Column_store.chunk_size store) ~zones:(Column_store.zones store)
+      (fun c ->
+        fetches.(c) <- fetches.(c) + 1;
+        Column_store.chunk store c)
+  in
+  let rows = Interval_data.of_store streamed in
+  checki "length" 77 (Array.length rows);
+  checkb "the original data in storage order" true (rows = records);
+  checkb "each chunk fetched once" true (Array.for_all (( = ) 1) fetches);
+  checki "empty store" 0
+    (Array.length (Interval_data.of_store (Interval_data.to_store [||])))
 
 let test_zone_map () =
   (* Values clustered by chunk: chunk c holds supports around 10c. *)
@@ -390,7 +395,7 @@ let suite =
     ( "column pruning matches zone map",
       `Quick,
       test_column_store_pruning_matches_zone_map );
-    ("row view adapter", `Quick, test_row_view);
+    ("of_store fetches each chunk once", `Quick, test_of_store);
     ("zone map pruning", `Quick, test_zone_map);
     QCheck_alcotest.to_alcotest prop_zone_map_sound;
     QCheck_alcotest.to_alcotest prop_base_priced_tier_exact;
