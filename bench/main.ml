@@ -221,7 +221,7 @@ let ablation_index () =
           Column_store.chunk store c)
     in
     let report =
-      Scan_pipeline.run_items ~rng ~instance:(Interval_data.instance pred)
+      Operator.run ~rng ~instance:(Interval_data.instance pred)
         ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
         ~policy:Policy.stingy ~requirements
         (Column_scan.source ~wave:1 ~prune:pruned ~store:counting
@@ -638,8 +638,8 @@ let engine_seed = 607
    only part the storage layout touches: every YES is forwarded, every
    MAYBE ignored, no probe is ever issued, and recall 1 forces the scan
    to exhaustion.  The row path evaluates the instance closures per
-   object (recomputing the predicate's satisfying set each call); the
-   columnar path runs the compiled kernel over chunk buffers.  Both
+   object, inside the decision loop; the columnar path runs the
+   compiled kernel over chunk buffers ahead of it.  Both
    must produce identical reports — throughput is only interesting on
    equal answers. *)
 let columnar_bench () =
@@ -651,9 +651,8 @@ let columnar_bench () =
     Interval_data.uniform_intervals (Rng.create 8192) ~n
       ~value_range:(Interval.make 0.0 100.0) ~max_width:10.0
   in
-  (* A multi-band selection: the row path rebuilds this predicate's
-     satisfying set for every classify/success call, which is exactly
-     the per-object work compilation hoists out of the scan. *)
+  (* A multi-band selection: five components to test per object, and
+     a success probability to integrate for every MAYBE. *)
   let pred =
     Predicate.(
       between 10.0 18.0 ||| between 26.0 34.0 ||| between 42.0 50.0
@@ -678,13 +677,12 @@ let columnar_bench () =
     let report =
       match layout with
       | `Row ->
-          Scan_pipeline.run ~rng:(Rng.create 8193) ?pool ~meter
-            ~collect:false ~enforce:false ~instance
-            ~cascade:(Cascade.of_driver probe)
-            ~policy:never_probe
-            ~requirements records
+          Operator.run ~rng:(Rng.create 8193) ~meter ~collect:false
+            ~enforce:false ~instance ~cascade:(Cascade.of_driver probe)
+            ~policy:never_probe ~requirements
+            (Scan_pipeline.source ?pool ~instance records)
       | `Columnar ->
-          Scan_pipeline.run_items ~rng:(Rng.create 8193) ~meter
+          Operator.run ~rng:(Rng.create 8193) ~meter
             ~collect:false ~enforce:false ~instance
             ~cascade:(Cascade.of_driver probe)
             ~policy:never_probe ~requirements

@@ -2,14 +2,12 @@
    Shrink proxies first, the Resolve oracle last.  The cascade itself
    is passive plumbing — escalation and re-classification live in the
    operator ([Operator.run ~cascade]) so the Theorem 3.1 counter
-   discipline stays in one place.  [start] and [failovers] are shared
-   across {!premap} views: a pre-classified view escalating an object
-   must be visible to anyone holding the unmapped cascade. *)
+   discipline stays in one place. *)
 
 type 'o t = {
   specs : Probe_tier.spec array;
   drivers : 'o Probe_driver.t array;
-  start : int ref;
+  mutable start : int;
   failovers : int array;
 }
 
@@ -36,7 +34,7 @@ let create ?start ~specs drivers =
   {
     specs;
     drivers;
-    start = ref start;
+    start;
     failovers = Array.make (Array.length specs) 0;
   }
 
@@ -52,24 +50,21 @@ let specs t = t.specs
 let names t = Array.map (fun (s : Probe_tier.spec) -> s.Probe_tier.name) t.specs
 let drivers t = t.drivers
 let oracle t = t.drivers.(Array.length t.drivers - 1)
-let start t = !(t.start)
+let start t = t.start
 
 let set_start t s =
   if s < 0 || s >= Array.length t.specs then invalid_arg "Cascade.set_start";
-  t.start := s
+  t.start <- s
 
+(* Asked before every read of a scan. *)
 let pending t =
-  Array.fold_left (fun acc d -> acc + Probe_driver.pending d) 0 t.drivers
+  let n = ref 0 in
+  for i = 0 to Array.length t.drivers - 1 do
+    n := !n + Probe_driver.pending (Array.unsafe_get t.drivers i)
+  done;
+  !n
 
 let note_failover t i = t.failovers.(i) <- t.failovers.(i) + 1
-
-let premap ~into ~back t =
-  {
-    specs = t.specs;
-    drivers = Array.map (Probe_driver.premap ~into ~back) t.drivers;
-    start = t.start;
-    failovers = t.failovers;
-  }
 
 type stats = { st_name : string; st_probes : int; st_shrinks : int;
                st_failures : int; st_batches : int; st_failovers : int }

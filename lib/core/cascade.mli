@@ -49,10 +49,6 @@ val pending : 'o t -> int
 val note_failover : 'o t -> int -> unit
 (** Record a permanent failure at tier [i] that escalated to [i+1]. *)
 
-val premap : into:('a -> 'o) -> back:('o -> 'a) -> 'o t -> 'a t
-(** Per-tier {!Probe_driver.premap}; the view shares [start] and the
-    failover counters with the original. *)
-
 type stats = {
   st_name : string;
   st_probes : int;  (** [Resolved] outcomes at this tier *)

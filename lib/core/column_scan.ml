@@ -1,34 +1,13 @@
 (* The vectorized sibling of [Scan_pipeline.source]: instead of mapping
    an instance closure over an object array, classification runs as
    tight loops over column chunks, writing verdict/laxity/success into
-   flat wave buffers.  Objects are only materialized ([of_row]) when the
-   decision loop consumes them, on the caller's lane. *)
+   flat wave buffers.  The decision loop reads its answers from those
+   buffers; an object is materialized ([of_row]) only when the loop
+   forwards or probes it, on the caller's lane. *)
 
-let kernel (pred : Predicate.compiled) (ch : Column_store.chunk) ~off ~verdicts
-    ~laxities ~successes =
-  let lo = ch.Column_store.lo and hi = ch.Column_store.hi in
-  for i = 0 to ch.Column_store.len - 1 do
-    let l = Bigarray.Array1.unsafe_get lo i in
-    let h = Bigarray.Array1.unsafe_get hi i in
-    let v = Predicate.classify_bounds pred ~lo:l ~hi:h in
-    Bytes.unsafe_set verdicts (off + i) (Tvl.to_char v);
-    (* Same evaluation pattern as [Scan_pipeline.classify_one]: laxity
-       only for YES/MAYBE, success only for MAYBE.  Laxity is the
-       support width ([Uncertain.laxity] of an interval or exact
-       belief), success mirrors [Predicate.success] on the flat
-       schema. *)
-    match v with
-    | Tvl.No ->
-        Array.unsafe_set laxities (off + i) 0.0;
-        Array.unsafe_set successes (off + i) 0.0
-    | Tvl.Yes ->
-        Array.unsafe_set laxities (off + i) (h -. l);
-        Array.unsafe_set successes (off + i) 1.0
-    | Tvl.Maybe ->
-        Array.unsafe_set laxities (off + i) (h -. l);
-        Array.unsafe_set successes (off + i)
-          (Predicate.success_bounds pred ~lo:l ~hi:h)
-  done
+let kernel pred (ch : Column_store.chunk) ~off ~verdicts ~laxities ~successes =
+  Predicate.classify_column pred ~lo:ch.Column_store.lo ~hi:ch.Column_store.hi
+    ~len:ch.Column_store.len ~off ~verdicts ~laxities ~successes
 
 let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
   if wave < 1 then invalid_arg "Column_scan.source: wave < 1";
@@ -67,10 +46,10 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
   let successes = Array.make cap 0.0 in
   let chunks = ref [||] in
   (* chunks of the current wave *)
-  let chunk_pos = ref 0 in
-  (* index into [!chunks] *)
-  let row_pos = ref 0 in
-  (* row within the current chunk *)
+  let filled = ref 0 in
+  (* rows of the current wave: slots [0, filled) *)
+  let off = ref (-1) in
+  (* buffer slot of the current object *)
   let frontier = ref 0 in
   (* index into [surviving] *)
   let dispatch () =
@@ -78,9 +57,17 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
     let len = Stdlib.min wave (Array.length surviving - lo) in
     frontier := lo + len;
     (* Chunk fetches stay on the caller's lane: a streamed store may do
-       file io through a buffer pool, neither of which is domain-safe. *)
+       file io through a buffer pool, neither of which is domain-safe.
+       Only a store's last chunk can be short, so the wave's rows fill
+       the slots without gaps; a loader that disagrees with the layout
+       would also break [total]. *)
     let wave_chunks =
-      Array.init len (fun k -> Column_store.chunk store surviving.(lo + k))
+      Array.init len (fun k ->
+          let c = surviving.(lo + k) in
+          let ch = Column_store.chunk store c in
+          if ch.Column_store.len <> snd (Column_store.chunk_bounds store c) then
+            invalid_arg "Column_scan.source: chunk length differs from the layout";
+          ch)
     in
     let tasks =
       Array.mapi
@@ -95,34 +82,20 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
     | _ -> Array.iter (fun task -> task ()) tasks);
     (match m_waves with Some c -> Metrics.incr c | None -> ());
     chunks := wave_chunks;
-    chunk_pos := 0;
-    row_pos := 0
+    filled := ((len - 1) * cs) + wave_chunks.(len - 1).Column_store.len;
+    off := -1
   in
-  let rec next () =
-    if !chunk_pos < Array.length !chunks then begin
-      let ch = (!chunks).(!chunk_pos) in
-      if !row_pos >= ch.Column_store.len then begin
-        incr chunk_pos;
-        row_pos := 0;
-        next ()
-      end
-      else begin
-        let i = !row_pos in
-        incr row_pos;
-        let off = (!chunk_pos * cs) + i in
-        Some
-          {
-            Scan_pipeline.original = of_row (Column_store.row ch i);
-            verdict = Tvl.of_char (Bytes.unsafe_get verdicts off);
-            laxity = Array.unsafe_get laxities off;
-            success = Array.unsafe_get successes off;
-          }
-      end
-    end
-    else if !frontier >= Array.length surviving then None
-    else begin
-      dispatch ();
-      next ()
-    end
-  in
-  { Operator.next; total }
+  {
+    Operator.total;
+    advance =
+      (fun () ->
+        incr off;
+        !off < !filled
+        || (!frontier < Array.length surviving && (dispatch (); incr off; true)));
+    verdict = (fun _ -> Tvl.of_char (Bytes.get verdicts !off));
+    laxity = (fun _ -> laxities.(!off));
+    success = (fun _ -> successes.(!off));
+    current =
+      (fun () ->
+        of_row (Column_store.row (!chunks).(!off / cs) (!off mod cs)));
+  }

@@ -5,19 +5,20 @@
     classified by a {!Predicate.compiled} in a tight loop that reads two
     floats per row and writes verdict/laxity/success into flat,
     preallocated wave buffers — no per-object allocation and no object
-    materialization during classification.  Objects come into existence
-    ([of_row]) only when the sequential decision loop consumes them.
+    materialization during classification.  The sequential decision loop
+    reads each verdict, laxity and success straight from those buffers
+    through its cursor ({!Operator.source}); an object comes into
+    existence ([of_row]) only when the loop forwards or probes it, so a
+    NO or an ignored MAYBE is never built at all.
 
     Equivalence with the row path is by construction, in two layers:
     {ul
-    {- the kernel evaluates [Predicate.classify_bounds] /
-       [success_bounds] and the support width — exact mirrors of
-       [Predicate.classify] / [success] / [Uncertain.laxity] on
-       interval and exact beliefs — with the sequential loop's
-       evaluation pattern (laxity only for YES/MAYBE, success only for
-       MAYBE);}
-    {- the decision loop is {!Scan_pipeline.run_items} over {!source}
-       — the same item loop the parallel row pipeline runs.}}
+    {- the kernel ({!Predicate.classify_column}) evaluates the
+       compiled predicate's tests and the support width — exact
+       mirrors of [Predicate.classify] / [success] /
+       [Uncertain.laxity] on interval and exact beliefs;}
+    {- the decision loop is {!Operator.run} over {!source} — the same
+       loop, through the same cursor, that the row path runs.}}
     So verdicts, guarantees, metered costs and the rng stream are
     bit-for-bit the row path's — the property the golden equivalence
     suite checks for every pool width.
@@ -47,8 +48,9 @@ val kernel :
   successes:float array ->
   unit
 (** Classify one chunk into buffer slices starting at [off]: verdict
-    [Tvl.to_char]-packed, laxity and success as floats.  Pure in the
-    columns, writes only [off .. off + len - 1]. *)
+    [Tvl.to_char]-packed, laxity and success as floats
+    ({!Predicate.classify_column}).  Pure in the columns, writes only
+    [off .. off + len - 1]. *)
 
 val source :
   ?obs:Obs.t ->
@@ -59,8 +61,11 @@ val source :
   of_row:(Column_store.row -> 'o) ->
   pred:Predicate.compiled ->
   unit ->
-  'o Scan_pipeline.item Operator.source
-(** A source of pre-classified items in storage order.  [wave] (default
+  'o Operator.source
+(** A cursor over the store in storage order.  Its [verdict], [laxity]
+    and [success] read the wave buffers (they ignore the instance they
+    are given: [pred] is what the kernel evaluates); [current] is
+    [of_row] of the chunk row.  [wave] (default
     16 chunks) bounds speculation; without a [pool] (or with one lane)
     kernels run on the caller's lane — still vectorized, just not
     parallel.  [obs] counts dispatched waves under [qaq.parallel.chunks]

@@ -78,12 +78,15 @@ let answer_size t = t.answer_size
 let maybe_ignored t = t.maybe_ignored
 let max_laxity t = t.max_laxity
 
-let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
+let[@inline] ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 
 let precision_guarantee t = ratio t.answer_yes t.answer_size
 
-let recall_guarantee t =
+let[@inline] recall_guarantee t =
   ratio t.answer_yes (t.yes_seen + t.unseen + t.maybe_ignored)
+
+let recall_met t (requirements : Quality.requirements) =
+  recall_guarantee t >= requirements.recall
 
 let worst_case_final_recall t = ratio t.answer_yes (t.yes_seen + t.maybe_ignored)
 

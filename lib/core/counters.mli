@@ -65,6 +65,10 @@ val recall_guarantee : t -> float
 (** Eq. 9: [|A∩Y| / (|Y| + |M_ns| + |M_s−A|)], 1 when the denominator is
     0 (then the exact set is provably empty or fully captured). *)
 
+val recall_met : t -> Quality.requirements -> bool
+(** [recall_guarantee t >= requirements.recall], without boxing the
+    guarantee: the operator's stopping test, asked before every read. *)
+
 val worst_case_final_recall : t -> float
 (** The recall guarantee that would hold if every remaining unseen object
     turned out NO: [|A∩Y| / (|Y| + |M_s−A|)].  This is the quantity

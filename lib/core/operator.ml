@@ -4,19 +4,31 @@ type 'o instance = {
   success : 'o -> float;
 }
 
-type 'o source = { next : unit -> 'o option; total : int }
+type 'o source = {
+  total : int;
+  advance : unit -> bool;
+  verdict : 'o instance -> Tvl.t;
+  laxity : 'o instance -> float;
+  success : 'o instance -> float;
+  current : unit -> 'o;
+}
 
+(* The plain cursor: every question goes to the instance, on the object
+   in place, so an array costs no more per read than the instance calls
+   themselves. *)
 let source_of_array objects =
-  let pos = ref 0 in
-  let next () =
-    if !pos >= Array.length objects then None
-    else begin
-      let o = objects.(!pos) in
-      incr pos;
-      Some o
-    end
-  in
-  { next; total = Array.length objects }
+  let pos = ref (-1) in
+  {
+    total = Array.length objects;
+    advance =
+      (fun () ->
+        incr pos;
+        !pos < Array.length objects);
+    verdict = (fun instance -> instance.classify objects.(!pos));
+    laxity = (fun instance -> instance.laxity objects.(!pos));
+    success = (fun instance -> instance.success objects.(!pos));
+    current = (fun () -> objects.(!pos));
+  }
 
 type 'o emitted = { obj : 'o; precise : bool }
 
@@ -58,7 +70,7 @@ let trace_action = function
   | Decision.Ignore -> `Ignore
 
 let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
-    ?(should_stop = fun ~pending:_ -> false) ?on_progress ~instance
+    ?(should_stop = fun ~pending:_ -> false) ?on_progress ~(instance : _ instance)
     ~(cascade : _ Cascade.t) ~policy ~(requirements : Quality.requirements)
     source =
   let meter = match meter with Some m -> m | None -> Cost_meter.create () in
@@ -345,16 +357,13 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     sync_batches ()
   in
   let pending_probes () = Cascade.pending cascade in
-  let finished () =
-    Counters.recall_guarantee counters >= requirements.Quality.recall
-  in
+  let finished () = Counters.recall_met counters requirements in
   (* A pending resolution can only raise the recall guarantee: a YES
      grows the numerator with the denominator unchanged, a NO shrinks
      the denominator.  Flush as soon as the most favourable outcome mix
      could reach r_q, so batching never reads past the early-termination
      point by more than the probes already in flight. *)
-  let pending_could_finish () =
-    let n = pending_probes () in
+  let pending_could_finish n =
     n > 0
     &&
     let ay = Counters.answer_yes counters in
@@ -375,8 +384,9 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   let stopped_early = ref false in
   let stop = ref false in
   while not !stop do
+    let pending = pending_probes () in
     if finished () then stop := true
-    else if should_stop ~pending:(pending_probes ()) then begin
+    else if should_stop ~pending then begin
       (* The budget (or deadline) cannot pay for another read: stop
          here, keeping whatever answer has accumulated — the anytime
          contract.  Pending probes were committed before the check and
@@ -391,91 +401,96 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
                recall = Counters.recall_guarantee counters;
              })
     end
-    else if pending_could_finish () then flush_probes ()
-    else
-      match source.next () with
-      | None ->
-          exhausted := true;
-          stop := true
-      | Some o -> (
-          Cost_meter.charge_read meter;
-          note_read ();
-          let verdict = instance.classify o in
+    else if pending_could_finish pending then flush_probes ()
+    else if not (source.advance ()) then begin
+      exhausted := true;
+      stop := true
+    end
+    else begin
+      Cost_meter.charge_read meter;
+      note_read ();
+      (* Late materialisation: the verdict, laxity and success come
+         from the cursor; the object itself is built only when it is
+         forwarded or probed. *)
+      let verdict = source.verdict instance in
+      if tracing then
+        trace_event (Trace.Read { verdict = trace_verdict verdict });
+      match verdict with
+      | Tvl.No ->
+          Counters.saw_no counters;
+          note_progress ()
+      | Tvl.Yes as verdict -> (
+          let laxity = source.laxity instance in
+          let preference =
+            Policy.preference policy ~rng ~requirements ~counters ~verdict
+              ~laxity ~success:1.0
+          in
+          let decision = choose ~verdict ~laxity preference in
           if tracing then
-            trace_event (Trace.Read { verdict = trace_verdict verdict });
-          match verdict with
-          | Tvl.No ->
-              Counters.saw_no counters;
+            trace_event
+              (Trace.Decision
+                 {
+                   verdict = `Yes;
+                   action = trace_action decision;
+                   laxity;
+                   success = 1.0;
+                 });
+          match decision with
+          | Decision.Forward ->
+              Counters.forward_yes counters ~laxity;
+              forward_imprecise (source.current ());
               note_progress ()
-          | Tvl.Yes as verdict -> (
-              let laxity = instance.laxity o in
-              let preference =
-                Policy.preference policy ~rng ~requirements ~counters ~verdict
-                  ~laxity ~success:1.0
-              in
-              let decision = choose ~verdict ~laxity preference in
-              if tracing then
-                trace_event
-                  (Trace.Decision
-                     {
-                       verdict = `Yes;
-                       action = trace_action decision;
-                       laxity;
-                       success = 1.0;
-                     });
-              match decision with
-              | Decision.Forward ->
-                  Counters.forward_yes counters ~laxity;
-                  forward_imprecise o;
-                  note_progress ()
-              | Decision.Probe ->
-                  submit_probe ~verdict ~laxity ~preference o (fun precise ->
-                      (* A YES object's precise version must still
-                         satisfy λ. *)
-                      (match instance.classify precise with
-                      | Tvl.Yes -> ()
-                      | Tvl.No | Tvl.Maybe -> raise Inconsistent_probe);
+          | Decision.Probe ->
+              submit_probe ~verdict ~laxity ~preference (source.current ())
+                (fun precise ->
+                  (* A YES object's precise version must still
+                     satisfy λ. *)
+                  (match instance.classify precise with
+                  | Tvl.Yes -> ()
+                  | Tvl.No | Tvl.Maybe -> raise Inconsistent_probe);
+                  require_resolved precise;
+                  Counters.probe_yes counters;
+                  forward_precise precise)
+          | Decision.Ignore ->
+              Counters.ignore_yes counters;
+              note_progress ())
+      | Tvl.Maybe as verdict -> (
+          let laxity = source.laxity instance in
+          let success = source.success instance in
+          note_maybe ~laxity ~success;
+          let preference =
+            Policy.preference policy ~rng ~requirements ~counters ~verdict
+              ~laxity ~success
+          in
+          let decision = choose ~verdict ~laxity preference in
+          if tracing then
+            trace_event
+              (Trace.Decision
+                 {
+                   verdict = `Maybe;
+                   action = trace_action decision;
+                   laxity;
+                   success;
+                 });
+          match decision with
+          | Decision.Forward ->
+              Counters.forward_maybe counters ~laxity;
+              forward_imprecise (source.current ());
+              note_progress ()
+          | Decision.Probe ->
+              submit_probe ~verdict ~laxity ~preference (source.current ())
+                (fun precise ->
+                  match instance.classify precise with
+                  | Tvl.Yes ->
                       require_resolved precise;
-                      Counters.probe_yes counters;
-                      forward_precise precise)
-              | Decision.Ignore ->
-                  Counters.ignore_yes counters;
-                  note_progress ())
-          | Tvl.Maybe as verdict -> (
-              let laxity = instance.laxity o in
-              let success = instance.success o in
-              note_maybe ~laxity ~success;
-              let preference =
-                Policy.preference policy ~rng ~requirements ~counters ~verdict
-                  ~laxity ~success
-              in
-              let decision = choose ~verdict ~laxity preference in
-              if tracing then
-                trace_event
-                  (Trace.Decision
-                     {
-                       verdict = `Maybe;
-                       action = trace_action decision;
-                       laxity;
-                       success;
-                     });
-              match decision with
-              | Decision.Forward ->
-                  Counters.forward_maybe counters ~laxity;
-                  forward_imprecise o;
-                  note_progress ()
-              | Decision.Probe ->
-                  submit_probe ~verdict ~laxity ~preference o (fun precise ->
-                      match instance.classify precise with
-                      | Tvl.Yes ->
-                          require_resolved precise;
-                          Counters.probe_maybe_yes counters;
-                          forward_precise precise
-                      | Tvl.No -> Counters.probe_maybe_no counters
-                      | Tvl.Maybe -> raise Inconsistent_probe)
-              | Decision.Ignore ->
-                  Counters.ignore_maybe counters;
-                  note_progress ()))
+                      Counters.probe_maybe_yes counters;
+                      forward_precise precise
+                  | Tvl.No -> Counters.probe_maybe_no counters
+                  | Tvl.Maybe -> raise Inconsistent_probe)
+          | Decision.Ignore ->
+              Counters.ignore_maybe counters;
+              note_progress ())
+    end
   done;
   (* Objects already read and committed to a probe must be resolved, on
      early termination as much as on exhaustion: the answer and the

@@ -24,12 +24,30 @@ type 'o instance = {
           (§4.1). *)
 }
 
-(** A sequential input.  [total] is the number of objects the source will
-    deliver — the initial [|M_ns|].  It must be exact: guarantees are
-    computed from it. *)
-type 'o source = { next : unit -> 'o option; total : int }
+(** A sequential input, read through a cursor.  [advance] moves to the
+    next object ([false] once the input is exhausted); [verdict],
+    [laxity] and [success] answer λ(o), l(o) and s(o) for the object the
+    cursor is on, and [current] builds it.  The loop asks for the laxity
+    of YES/MAYBE objects and the success of MAYBE objects only, and calls
+    [current] only to forward or probe: a NO or an ignored MAYBE never
+    has to exist as an OCaml value (late materialisation).  The three
+    questions receive the run's instance; a pre-classifying source
+    ([Scan_pipeline], [Column_scan]) ignores it, but must answer what
+    the instance would say of [current ()].  [total] is the number of
+    objects the source will deliver — the initial [|M_ns|] — and must be
+    exact: guarantees are computed from it. *)
+type 'o source = {
+  total : int;
+  advance : unit -> bool;
+  verdict : 'o instance -> Tvl.t;
+  laxity : 'o instance -> float;
+  success : 'o instance -> float;
+  current : unit -> 'o;
+}
 
 val source_of_array : 'o array -> 'o source
+(** A cursor over the array in index order that asks the instance about
+    each element in place. *)
 
 (** One element of the answer set [A]: either the imprecise object as
     read, or the precise [ω^o] returned by a probe. *)

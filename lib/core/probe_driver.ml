@@ -135,29 +135,3 @@ let probes t = t.probes
 let shrinks t = t.shrinks
 let failures t = t.failures
 let batches t = t.batches
-
-(* The wrapper batches on its own queue with the inner driver's batch
-   size, so a full wrapper batch arrives at the inner driver as one full
-   batch: the inner driver flushes exactly when it would have had the
-   caller submitted the unwrapped objects directly.  Accounting
-   (probes/batches, instruments, latency simulation) therefore happens
-   on the inner driver precisely as in the unwrapped case; the wrapper
-   mirrors the same counts through its own queue for the consumer's
-   delta metering.  Failures pass through untouched, so a degraded
-   outcome reaches the consumer with the inner driver's attempt count. *)
-let premap ~into ~back inner =
-  create_outcomes ~batch_size:inner.batch_size (fun items ->
-      let n = Array.length items in
-      let resolved = Array.make n None in
-      Array.iteri
-        (fun i a ->
-          submit_outcome inner (into a) (fun p -> resolved.(i) <- Some p))
-        items;
-      flush inner;
-      Array.map
-        (function
-          | Some (Resolved p) -> Resolved (back p)
-          | Some (Shrunk p) -> Shrunk (back p)
-          | Some (Failed { attempts }) -> Failed { attempts }
-          | None -> assert false)
-        resolved)

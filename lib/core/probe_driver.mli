@@ -91,18 +91,6 @@ val flush : 'o t -> unit
     @raise Invalid_argument when called from inside the batch resolver
     itself (a reentrant flush would resolve entries out of order). *)
 
-val premap : into:('a -> 'o) -> back:('o -> 'a) -> 'o t -> 'a t
-(** [premap ~into ~back d] views a driver for ['o] as a driver for ['a]:
-    submissions are unwrapped with [into], resolutions re-wrapped with
-    [back].  The view batches with [d]'s batch size and forwards each of
-    its batches to [d] whole, so [d] flushes exactly as it would under
-    direct submission — its lifetime statistics, instruments and any
-    latency simulation are preserved; the view's own {!probes} and
-    {!batches} mirror the same counts starting from zero.  Do not attach
-    a separate [obs] to the view on top of an instrumented [d]: the
-    probes would be counted twice.  Used by the parallel scan pipeline
-    to probe pre-classified records through an unmodified backend. *)
-
 val probes : 'o t -> int
 (** Total objects {e successfully} resolved over the driver's lifetime
     — failed elements are counted by {!failures}, not here, so probe

@@ -58,14 +58,12 @@ type 'o columnar = {
   prune : bool;
 }
 
-let observed_max_laxity ?pool instance data =
-  let laxities =
-    match pool with
-    | Some p when Domain_pool.domains p > 1 ->
-        Domain_pool.parallel_map p instance.Operator.laxity data
-    | _ -> Array.map instance.Operator.laxity data
-  in
-  Array.fold_left Float.max 0.0 laxities
+let observed_max_laxity ?pool (instance : _ Operator.instance) data =
+  match pool with
+  | Some p when Domain_pool.domains p > 1 ->
+      Array.fold_left Float.max 0.0
+        (Domain_pool.parallel_map p instance.laxity data)
+  | _ -> Array.fold_left (fun m o -> Float.max m (instance.laxity o)) 0.0 data
 
 (* The plan stage: the pilot sample (charged to the run's meter) and the
    §4.2.2 solve, the dual against whatever the pilot left of a budget. *)
@@ -252,15 +250,13 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
   in
   let report =
     span "scan" (fun () ->
-        match columnar with
-        | None ->
-            Scan_pipeline.run ~rng ?pool ~meter ?obs ?emit ?collect
-              ?should_stop ~instance ~cascade ~policy ~requirements data
-        | Some c ->
-            Scan_pipeline.run_items ~rng ~meter ?obs ?emit ?collect
-              ?should_stop ~instance ~cascade ~policy ~requirements
-              (Column_scan.source ?obs ?pool ~prune:c.prune ~store:c.store
-                 ~of_row:c.of_row ~pred:(Predicate.compile c.pred) ()))
+        Operator.run ~rng ~meter ?obs ?emit ?collect ?should_stop ~instance
+          ~cascade ~policy ~requirements
+          (match columnar with
+          | None -> Scan_pipeline.source ?obs ?pool ~instance data
+          | Some c ->
+              Column_scan.source ?obs ?pool ~prune:c.prune ~store:c.store
+                ~of_row:c.of_row ~pred:(Predicate.compile c.pred) ()))
   in
   let budget_summary =
     match (budget, deadline) with

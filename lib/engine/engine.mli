@@ -243,8 +243,10 @@ val execute :
     lane per worker.
 
     [columnar] switches the scan onto the vectorized columnar engine
-    ({!Scan_pipeline.run_items} over {!Column_scan.source}) over the
-    given store; planning, sampling and the
+    ({!Operator.run} over the {!Column_scan.source} cursor, which reads
+    verdicts from the kernel's buffers and builds an object with
+    [of_row] only to forward or probe it) over the given store;
+    planning, sampling and the
     laxity cap still run over [data] — the materialized row view of the
     same objects — so the rng streams are identical across layouts and
     the result is bit-for-bit the row path's for every [domains] value

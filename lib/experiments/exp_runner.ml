@@ -61,11 +61,12 @@ let trial_with ?pool ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
   in
   let requirements = Exp_config.requirements setting in
   let report =
-    Scan_pipeline.run ~rng ?pool ?obs ~enforce ~instance:Synthetic.instance
+    Operator.run ~rng ?obs ~enforce ~instance:Synthetic.instance
       ~cascade:
         (Cascade.of_driver
            (Probe_driver.of_scalar ?obs ~batch_size:batch Synthetic.probe))
-      ~policy:(Policy.qaq params) ~requirements data
+      ~policy:(Policy.qaq params) ~requirements
+      (Scan_pipeline.source ?obs ?pool ~instance:Synthetic.instance data)
   in
   let answer_in_exact =
     List.fold_left

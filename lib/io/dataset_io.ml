@@ -152,6 +152,16 @@ let corrupt path fmt =
 
 let qcol_header_bytes ~chunks = String.length qcol_magic + 16 + (chunks * qcol_zone_bytes)
 
+(* The byte size the header declares, or [None] when it does not fit in
+   an [int]: a header's fields are untrusted, and a product that wraps
+   round could otherwise match a tiny file. *)
+let qcol_layout_bytes ~length ~chunks =
+  let header_max = (max_int - String.length qcol_magic - 16) / qcol_zone_bytes in
+  if chunks > header_max || length > max_int / qcol_row_bytes then None
+  else
+    let header = qcol_header_bytes ~chunks and body = length * qcol_row_bytes in
+    if header > max_int - body then None else Some (header + body)
+
 let buf_add_int64 buf i = Buffer.add_int64_le buf i
 let buf_add_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
@@ -206,38 +216,44 @@ type columnar_file = {
   closed : bool ref;
 }
 
-let read_exactly file path ~at ~len =
-  let b = Bytes.create len in
-  (try
-     seek_in file at;
-     really_input file b 0 len
-   with End_of_file -> corrupt path "truncated file: wanted %d bytes at %d" len at);
-  b
+let read_exactly file path b ~at ~len =
+  try
+    seek_in file at;
+    really_input file b 0 len
+  with End_of_file -> corrupt path "truncated file: wanted %d bytes at %d" len at
 
-let bytes_float b off = Int64.float_of_bits (Bytes.get_int64_le b off)
+let[@inline] bytes_float b off = Int64.float_of_bits (Bytes.get_int64_le b off)
 
-let decode_chunk ~path ~ic ~chunk_size ~length c =
+(* [scratch] holds the raw bytes of one chunk.  One buffer serves every
+   fetch of an open file: the pool calls this loader under its lock, so
+   two decodes never overlap, and the decoded columns are fresh arrays
+   that do not alias it. *)
+let decode_chunk ~path ~ic ~chunk_size ~length ~scratch c =
   let base = c * chunk_size in
   let len = Stdlib.min chunk_size (length - base) in
   let chunks = if length = 0 then 0 else ((length - 1) / chunk_size) + 1 in
   let at = qcol_header_bytes ~chunks + (base * qcol_row_bytes) in
-  let b = read_exactly ic path ~at ~len:(len * qcol_row_bytes) in
+  let need = len * qcol_row_bytes in
+  if Bytes.length !scratch < need then scratch := Bytes.create need;
+  let b = !scratch in
+  read_exactly ic path b ~at ~len:need;
   let ids = Array.make len 0 in
   let lo = Bigarray.(Array1.create float64 c_layout len) in
   let hi = Bigarray.(Array1.create float64 c_layout len) in
   let truth = Bigarray.(Array1.create float64 c_layout len) in
+  let max_id = Int64.of_int max_int in
   for i = 0 to len - 1 do
+    (* Compared and converted in place: no boxed int64, no option. *)
     let id = Bytes.get_int64_le b (i * 8) in
-    (match Int64.unsigned_to_int id with
-    | Some v -> ids.(i) <- v
-    | None -> corrupt path "chunk %d: id out of range" c);
+    if id < 0L || id > max_id then corrupt path "chunk %d: id out of range" c;
+    Array.unsafe_set ids i (Int64.to_int id);
     let l = bytes_float b ((len + i) * 8) in
     let h = bytes_float b (((2 * len) + i) * 8) in
     if not (Float.is_finite l && Float.is_finite h) || l > h then
       corrupt path "chunk %d row %d: bad support [%h, %h]" c i l h;
-    Bigarray.Array1.set lo i l;
-    Bigarray.Array1.set hi i h;
-    Bigarray.Array1.set truth i (bytes_float b (((3 * len) + i) * 8))
+    Bigarray.Array1.unsafe_set lo i l;
+    Bigarray.Array1.unsafe_set hi i h;
+    Bigarray.Array1.unsafe_set truth i (bytes_float b (((3 * len) + i) * 8))
   done;
   { Column_store.base; len; ids; lo; hi; truth }
 
@@ -249,7 +265,8 @@ let open_columnar ?obs ?(pool_capacity = 8) path =
       with End_of_file -> corrupt path "truncated file: no magic"
     in
     if magic <> qcol_magic then corrupt path "bad magic %S" magic;
-    let header = read_exactly ic path ~at:(String.length qcol_magic) ~len:16 in
+    let header = Bytes.create 16 in
+    read_exactly ic path header ~at:(String.length qcol_magic) ~len:16;
     let length =
       match Int64.unsigned_to_int (Bytes.get_int64_le header 0) with
       | Some v -> v
@@ -262,14 +279,19 @@ let open_columnar ?obs ?(pool_capacity = 8) path =
       | None -> corrupt path "chunk_size out of range"
     in
     let chunks = if length = 0 then 0 else ((length - 1) / chunk_size) + 1 in
-    let expected = qcol_header_bytes ~chunks + (length * qcol_row_bytes) in
+    let expected =
+      match qcol_layout_bytes ~length ~chunks with
+      | Some bytes -> bytes
+      | None ->
+          corrupt path "layout of %d rows in chunks of %d overflows" length
+            chunk_size
+    in
     if in_channel_length ic <> expected then
       corrupt path "wrong size: %d bytes, layout needs %d" (in_channel_length ic)
         expected;
-    let zb =
-      read_exactly ic path ~at:(String.length qcol_magic + 16)
-        ~len:(chunks * qcol_zone_bytes)
-    in
+    let zb = Bytes.create (chunks * qcol_zone_bytes) in
+    read_exactly ic path zb ~at:(String.length qcol_magic + 16)
+      ~len:(chunks * qcol_zone_bytes);
     let zones =
       Array.init chunks (fun c ->
           let off = c * qcol_zone_bytes in
@@ -285,9 +307,10 @@ let open_columnar ?obs ?(pool_capacity = 8) path =
     in
     let pool = Buffer_pool.create ?obs ~capacity:pool_capacity () in
     let closed = ref false in
+    let load = decode_chunk ~path ~ic ~chunk_size ~length ~scratch:(ref Bytes.empty) in
     let fetch c =
       if !closed then invalid_arg "Dataset_io: columnar file is closed";
-      Buffer_pool.fetch pool c (decode_chunk ~path ~ic ~chunk_size ~length)
+      Buffer_pool.fetch pool c load
     in
     let store = Column_store.of_fetch ~length ~chunk_size ~zones fetch in
     { ic; qcol_store = store; qcol_pool = pool; closed }

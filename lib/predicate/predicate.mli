@@ -55,11 +55,13 @@ val success : t -> Uncertain.t -> float
 (** {2 Compiled form}
 
     {!classify} and {!success} recompute the satisfying set on every
-    call.  A {!compiled} predicate computes it once; the [_bounds] entry
-    points then take an interval support as two floats and allocate
-    nothing on the YES/NO path — the shape the columnar classification
-    kernel needs.  Results are bit-for-bit those of {!classify} /
-    {!success} on the corresponding [Exact]/[Interval] belief. *)
+    call.  A {!compiled} predicate computes it once and keeps it as a
+    flat array of component bounds; the [_bounds] entry points then take
+    an interval support as two floats, and {!classify_column} runs the
+    same tests over whole bound columns — the columnar classification
+    kernel — without allocating.  Results are bit-for-bit those of
+    {!classify} / {!success} on the corresponding [Exact]/[Interval]
+    belief. *)
 
 type compiled
 
@@ -69,13 +71,34 @@ val source : compiled -> t
 (** The predicate the kernel was compiled from. *)
 
 val classify_bounds : compiled -> lo:float -> hi:float -> Tvl.t
-(** {!classify} of an object whose support is [\[lo, hi\]]. *)
+(** {!classify} of an object whose support is [\[lo, hi\]] ([lo <= hi];
+    a reversed pair is not a support and gets an unspecified verdict). *)
 
 val success_bounds : compiled -> lo:float -> hi:float -> float
 (** {!success} of a flat-schema belief with support [\[lo, hi\]]: a
     point support reads as an exact value (membership), a proper
     interval as a uniform interval belief (covered measure over
     width). *)
+
+type column = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val classify_column :
+  compiled ->
+  lo:column ->
+  hi:column ->
+  len:int ->
+  off:int ->
+  verdicts:Bytes.t ->
+  laxities:float array ->
+  successes:float array ->
+  unit
+(** For each row [i < len] of the support columns [lo]/[hi], write slot
+    [off + i]: the verdict ({!classify_bounds}, [Tvl.to_char]-packed),
+    the laxity (the support width [hi - lo], the laxity of an exact or
+    interval belief) and the success ({!success_bounds}: 1 for YES, 0
+    for NO).  Supports must satisfy [lo <= hi].
+    @raise Invalid_argument if a column is shorter than [len] or a
+    buffer shorter than [off + len]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

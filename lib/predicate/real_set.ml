@@ -70,22 +70,6 @@ let disjoint t i =
 
 let components t = t
 
-(* The [_bounds] variants are the same tests over a support given as two
-   floats, written as manual recursions so the columnar classification
-   kernel can call them in a tight loop without allocating a closure or
-   an interval per object.  They must stay exact mirrors of the
-   interval-taking versions above: the golden row≡columnar equivalence
-   suite depends on bit-for-bit identical answers. *)
-let rec covers_bounds t ~lo ~hi =
-  match t with
-  | [] -> false
-  | (clo, chi) :: rest -> (clo <= lo && hi <= chi) || covers_bounds rest ~lo ~hi
-
-let rec disjoint_bounds t ~lo ~hi =
-  match t with
-  | [] -> true
-  | (clo, chi) :: rest -> not (clo <= hi && lo <= chi) && disjoint_bounds rest ~lo ~hi
-
 let measure_within t i =
   let lo = Interval.lo i and hi = Interval.hi i in
   List.fold_left
@@ -93,16 +77,6 @@ let measure_within t i =
       let l = Float.max clo lo and h = Float.min chi hi in
       if l < h then acc +. (h -. l) else acc)
     0.0 t
-
-let measure_within_bounds t ~lo ~hi =
-  (* Same accumulation order as [measure_within]'s fold. *)
-  let rec go acc = function
-    | [] -> acc
-    | (clo, chi) :: rest ->
-        let l = Float.max clo lo and h = Float.min chi hi in
-        go (if l < h then acc +. (h -. l) else acc) rest
-  in
-  go 0.0 t
 
 let pp ppf t =
   match t with

@@ -47,16 +47,5 @@ val components : t -> (float * float) list
 val measure_within : t -> Interval.t -> float
 (** Total length of the intersection of [s] with the (finite) interval. *)
 
-(** {2 Allocation-free variants}
-
-    The same tests over a support given as two floats, for tight loops
-    over column chunks.  Each is an exact mirror of its interval-taking
-    namesake — same comparisons, same accumulation order — so columnar
-    classification is bit-for-bit the row path's. *)
-
-val covers_bounds : t -> lo:float -> hi:float -> bool
-val disjoint_bounds : t -> lo:float -> hi:float -> bool
-val measure_within_bounds : t -> lo:float -> hi:float -> float
-
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -54,24 +54,25 @@ let create ?(chunk_size = default_chunk_size) rows =
       Bigarray.Array1.unsafe_set truth i r.truth)
     rows;
   let chunks = chunk_count_of ~length:n ~chunk_size in
-  let zones = Array.make chunks None in
-  for c = 0 to chunks - 1 do
-    let off = c * chunk_size in
-    let len = min chunk_size (n - off) in
-    zones.(c) <- hull_of_slice lo hi ~off ~len
-  done;
+  (* Every chunk is cut once, here: a fetch is then an array lookup,
+     which is what a scan pays per chunk. *)
+  let cut =
+    Array.init chunks (fun c ->
+        let base = c * chunk_size in
+        let len = min chunk_size (n - base) in
+        {
+          base;
+          len;
+          ids = Array.sub ids base len;
+          lo = Bigarray.Array1.sub lo base len;
+          hi = Bigarray.Array1.sub hi base len;
+          truth = Bigarray.Array1.sub truth base len;
+        })
+  in
+  let zones = Array.map (fun ch -> hull_of_slice ch.lo ch.hi ~off:0 ~len:ch.len) cut in
   let fetch c =
     if c < 0 || c >= chunks then invalid_arg "Column_store.fetch: chunk index";
-    let base = c * chunk_size in
-    let len = min chunk_size (n - base) in
-    {
-      base;
-      len;
-      ids = Array.sub ids base len;
-      lo = Bigarray.Array1.sub lo base len;
-      hi = Bigarray.Array1.sub hi base len;
-      truth = Bigarray.Array1.sub truth base len;
-    }
+    cut.(c)
   in
   { length = n; chunk_size; zones; fetch }
 

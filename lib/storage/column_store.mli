@@ -65,8 +65,10 @@ val chunk_bounds : t -> int -> int * int
 (** [(base, len)] of chunk [c] without fetching it. *)
 
 val chunk : t -> int -> chunk
-(** Fetch chunk [c].  Resident stores return zero-copy column views;
-    streamed stores decode from file (possibly through a buffer pool).
+(** Fetch chunk [c].  Resident stores return the chunk cut once at
+    {!create} (column views into the store: read them, do not write
+    them); streamed stores decode from file (possibly through a buffer
+    pool).
     @raise Invalid_argument on out-of-range index. *)
 
 val zone : t -> int -> Interval.t option

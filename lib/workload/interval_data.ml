@@ -4,11 +4,23 @@ type record = {
   truth : float;
 }
 
+(* The predicate is compiled once per instance: exact and interval
+   beliefs go through the compiled [_bounds] entry points, which are
+   bit-for-bit [Predicate.classify]/[success] on those beliefs without
+   rebuilding the satisfying set per call.  Gaussian beliefs keep the
+   general functions. *)
 let instance pred : record Operator.instance =
+  let compiled = Predicate.compile pred in
+  let on_support flat general r =
+    match r.belief with
+    | Uncertain.Exact x -> flat compiled ~lo:x ~hi:x
+    | Uncertain.Interval i -> flat compiled ~lo:(Interval.lo i) ~hi:(Interval.hi i)
+    | Uncertain.Gaussian _ -> general pred r.belief
+  in
   {
-    classify = (fun r -> Predicate.classify pred r.belief);
+    classify = on_support Predicate.classify_bounds Predicate.classify;
     laxity = (fun r -> Uncertain.laxity r.belief);
-    success = (fun r -> Predicate.success pred r.belief);
+    success = on_support Predicate.success_bounds Predicate.success;
   }
 
 let probe r = { r with belief = Uncertain.exact r.truth }
@@ -47,20 +59,22 @@ let to_row (r : record) : Column_store.row =
   | Uncertain.Gaussian _ ->
       invalid_arg "Interval_data.to_row: gaussian beliefs have no flat columnar form"
 
-let of_row (row : Column_store.row) : record =
+let of_bounds ~id ~lo ~hi ~truth =
   {
-    id = row.Column_store.id;
-    belief =
-      (if row.Column_store.lo = row.Column_store.hi then
-         Uncertain.exact row.Column_store.lo
-       else Uncertain.interval row.Column_store.lo row.Column_store.hi);
-    truth = row.Column_store.truth;
+    id;
+    belief = (if lo = hi then Uncertain.exact lo else Uncertain.interval lo hi);
+    truth;
   }
+
+let of_row (row : Column_store.row) : record =
+  of_bounds ~id:row.Column_store.id ~lo:row.Column_store.lo
+    ~hi:row.Column_store.hi ~truth:row.Column_store.truth
 
 let to_store ?chunk_size records =
   Column_store.create ?chunk_size (Array.map to_row records)
 
-(* One fetch per chunk, in storage order. *)
+(* One fetch per chunk, in storage order; each record is built straight
+   from the chunk's columns, with no [Column_store.row] in between. *)
 let of_store store =
   let out =
     Array.make (Column_store.length store)
@@ -70,7 +84,11 @@ let of_store store =
   for c = 0 to Column_store.chunk_count store - 1 do
     let ch = Column_store.chunk store c in
     for i = 0 to ch.Column_store.len - 1 do
-      out.(!pos) <- of_row (Column_store.row ch i);
+      out.(!pos) <-
+        of_bounds ~id:ch.Column_store.ids.(i)
+          ~lo:(Bigarray.Array1.get ch.Column_store.lo i)
+          ~hi:(Bigarray.Array1.get ch.Column_store.hi i)
+          ~truth:(Bigarray.Array1.get ch.Column_store.truth i);
       incr pos
     done
   done;

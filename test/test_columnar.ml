@@ -20,9 +20,11 @@ let pred = Predicate.between 30.0 60.0
 
 (* ---- kernel vs instance -------------------------------------------- *)
 
-(* The kernel must reproduce [Scan_pipeline.classify_one] — verdict,
-   laxity and success — bit for bit, on arbitrary exact/interval
-   records and arbitrary predicates. *)
+(* The kernel must reproduce the instance — verdict, laxity and success,
+   with the kernel's fill for the slots the decision loop never reads
+   (a NO's laxity is still the support width, its success 0; a YES's
+   success 1) — bit for bit, on arbitrary exact/interval records and
+   arbitrary predicates. *)
 let record_gen =
   QCheck2.Gen.(
     let value = float_range (-50.0) 50.0 in
@@ -75,12 +77,18 @@ let prop_kernel_matches_instance =
       done;
       Array.for_all
         (fun (r : Interval_data.record) ->
-          let expect = Scan_pipeline.classify_one instance r in
+          let verdict = instance.classify r in
+          let success =
+            match verdict with
+            | Tvl.No -> 0.0
+            | Tvl.Yes -> 1.0
+            | Tvl.Maybe -> instance.success r
+          in
           let i = r.id in
-          Tvl.equal expect.Scan_pipeline.verdict
-            (Tvl.of_char (Bytes.get verdicts i))
-          && expect.Scan_pipeline.laxity = laxities.(i)
-          && expect.Scan_pipeline.success = successes.(i))
+          let bits = Int64.bits_of_float in
+          Tvl.equal verdict (Tvl.of_char (Bytes.get verdicts i))
+          && bits (instance.laxity r) = bits laxities.(i)
+          && bits success = bits successes.(i))
         records)
 
 (* ---- engine equivalence -------------------------------------------- *)
@@ -375,6 +383,189 @@ let test_qcol_corruption () =
           Dataset_io.with_columnar path (fun s ->
               ignore (Column_store.chunk s 0))))
 
+(* A header whose layout size wraps round: 2^58 + 1 rows of 32 bytes
+   in one chunk of [max_int] rows.  Unchecked, 24 + 17 + (2^58 + 1) * 32
+   is exactly this file's 73 bytes, and the file opened as a store of
+   2^58 + 1 rows whose first fetch died in [Array.make]. *)
+let wrapping_qcol () =
+  let b = Buffer.create 73 in
+  Buffer.add_string b "QCOLv001";
+  Buffer.add_int64_le b (Int64.add (Int64.shift_left 1L 58) 1L);
+  Buffer.add_int64_le b (Int64.of_int max_int);
+  Buffer.add_char b '\001';
+  Buffer.add_int64_le b (Int64.bits_of_float 0.0);
+  Buffer.add_int64_le b (Int64.bits_of_float 1.0);
+  List.iter
+    (fun bits -> Buffer.add_int64_le b bits)
+    [ 0L; Int64.bits_of_float 0.0; Int64.bits_of_float 1.0;
+      Int64.bits_of_float 0.5 ];
+  Buffer.contents b
+
+let test_qcol_layout_overflow () =
+  let bytes = wrapping_qcol () in
+  checki "the crafted file is 73 bytes" 73 (String.length bytes);
+  let path = Filename.temp_file "imprecise_qcol" ".qcol" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path bytes;
+      expect_corrupt "overflowing layout rejected at open" (fun () ->
+          Dataset_io.with_columnar path Interval_data.of_store))
+
+(* Untrusted QCOL bytes either open and decode every chunk or raise
+   [Corrupt_columnar] — never another exception.  Inputs are a small
+   valid file with its header fields set to edge values (the file then
+   resized to the size the fields would declare with wrapping
+   arithmetic, as a crafted file would be), bytes flipped, or cut
+   short. *)
+let qcol_case_gen =
+  QCheck2.Gen.(
+    let edge =
+      oneof
+        [
+          oneofl [ 0L; 1L; 2L; Int64.of_int max_int; Int64.shift_left 1L 62;
+                   -1L ];
+          map
+            (fun k -> Int64.add (Int64.shift_left 1L 58) (Int64.of_int k))
+            (int_range 0 3);
+        ]
+    in
+    let header =
+      map2
+        (fun length chunk_size -> `Header (length, chunk_size))
+        (opt edge) (opt edge)
+    in
+    let flips =
+      map (fun l -> `Flip l)
+        (list_size (int_range 1 4) (pair nat (int_range 1 255)))
+    in
+    let cut = map (fun k -> `Cut k) nat in
+    triple (int_range 1 9)
+      (list_size (int_range 0 40) record_gen)
+      (oneof [ header; flips; cut ]))
+
+let damage good = function
+  | `Header (length, chunk_size) ->
+      let b = Bytes.of_string good in
+      Option.iter (fun v -> Bytes.set_int64_le b 8 v) length;
+      Option.iter (fun v -> Bytes.set_int64_le b 16 v) chunk_size;
+      (* The size an unchecked reader would expect, wrapping as [int]
+         arithmetic does. *)
+      let length = Int64.to_int (Bytes.get_int64_le b 8) in
+      let chunk_size = Int64.to_int (Bytes.get_int64_le b 16) in
+      let declared =
+        if length <= 0 || chunk_size <= 0 then None
+        else
+          let chunks = ((length - 1) / chunk_size) + 1 in
+          Some (24 + (chunks * 17) + (length * 32))
+      in
+      (match declared with
+      | Some size when size >= 24 && size <= 4096 ->
+          let padded = Bytes.make size '\000' in
+          Bytes.blit b 0 padded 0 (Stdlib.min size (Bytes.length b));
+          Bytes.to_string padded
+      | _ -> Bytes.to_string b)
+  | `Flip flips ->
+      let b = Bytes.of_string good in
+      List.iter
+        (fun (pos, mask) ->
+          let i = pos mod Bytes.length b in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+        flips;
+      Bytes.to_string b
+  | `Cut k -> String.sub good 0 (k mod String.length good)
+
+let prop_qcol_untrusted_bytes =
+  QCheck2.Test.make ~name:"qcol bytes decode or raise Corrupt_columnar"
+    ~count:500 qcol_case_gen (fun (chunk_size, bounds, how) ->
+      let records =
+        Array.of_list bounds
+        |> Array.mapi (fun id (lo, hi) ->
+               {
+                 Interval_data.id;
+                 belief =
+                   (if lo = hi then Uncertain.exact lo
+                    else Uncertain.interval lo hi);
+                 truth = lo;
+               })
+      in
+      let path = Filename.temp_file "imprecise_qcol" ".qcol" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Dataset_io.save_columnar path
+            (Interval_data.to_store ~chunk_size records);
+          write_file path (damage (read_file path) how);
+          match
+            Dataset_io.with_columnar path (fun store ->
+                for c = 0 to Column_store.chunk_count store - 1 do
+                  ignore (Column_store.chunk store c)
+                done;
+                ignore (Interval_data.of_store store))
+          with
+          | () | (exception Dataset_io.Corrupt_columnar _) -> true))
+
+(* Every fetch of an open file decodes through one scratch buffer.  A
+   store whose last chunk is short reads back identical columns in any
+   fetch order, through a pool small enough to re-decode; a bad row in a
+   later chunk still raises [Corrupt_columnar] after good chunks were
+   decoded, and good chunks still decode after it. *)
+let test_qcol_shared_decode_buffer () =
+  let records = dataset 47 ~n:100 in
+  let resident = Interval_data.to_store ~chunk_size:16 records in
+  let chunks = Column_store.chunk_count resident in
+  checki "the last chunk is short" 4 (snd (Column_store.chunk_bounds resident (chunks - 1)));
+  let same_chunk (a : Column_store.chunk) (b : Column_store.chunk) =
+    a.base = b.base && a.len = b.len && a.ids = b.ids
+    && List.for_all
+         (fun (x, y) ->
+           List.for_all
+             (fun i -> Bigarray.Array1.get x i = Bigarray.Array1.get y i)
+             (List.init a.len Fun.id))
+         [ (a.lo, b.lo); (a.hi, b.hi); (a.truth, b.truth) ]
+  in
+  let path = Filename.temp_file "imprecise_qcol" ".qcol" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dataset_io.save_columnar path resident;
+      Dataset_io.with_columnar ~pool_capacity:1 path (fun streamed ->
+          let order =
+            (chunks - 1) :: List.init chunks Fun.id
+            @ List.rev (List.init chunks Fun.id)
+          in
+          List.iter
+            (fun c ->
+              checkb
+                (Printf.sprintf "chunk %d reads back" c)
+                true
+                (same_chunk (Column_store.chunk resident c)
+                   (Column_store.chunk streamed c)))
+            order);
+      (* Reverse row 2 of chunk 3: its hi column takes the lo value
+         minus one. *)
+      let good = read_file path in
+      let body = Bytes.of_string good in
+      let header = 8 + 16 + (chunks * 17) in
+      let chunk3 = header + (3 * 16 * 32) in
+      let lo = Bytes.get_int64_le body (chunk3 + (16 * 8) + (2 * 8)) in
+      Bytes.set_int64_le body
+        (chunk3 + (32 * 8) + (2 * 8))
+        (Int64.bits_of_float (Int64.float_of_bits lo -. 1.0));
+      write_file path (Bytes.to_string body);
+      Dataset_io.with_columnar ~pool_capacity:1 path (fun streamed ->
+          for c = 0 to 2 do
+            checkb "good chunk before" true
+              (same_chunk (Column_store.chunk resident c)
+                 (Column_store.chunk streamed c))
+          done;
+          expect_corrupt "bad row in chunk 3" (fun () ->
+              Column_store.chunk streamed 3);
+          checkb "good chunk after" true
+            (same_chunk
+               (Column_store.chunk resident (chunks - 1))
+               (Column_store.chunk streamed (chunks - 1)))))
+
 let test_closed_file_fetch () =
   let records = dataset 37 ~n:50 in
   let store = Interval_data.to_store ~chunk_size:16 records in
@@ -482,6 +673,9 @@ let suite =
     ("store length mismatch", `Quick, test_store_length_mismatch);
     QCheck_alcotest.to_alcotest prop_qcol_roundtrip;
     ("qcol corruption", `Quick, test_qcol_corruption);
+    ("qcol layout overflow", `Quick, test_qcol_layout_overflow);
+    QCheck_alcotest.to_alcotest prop_qcol_untrusted_bytes;
+    ("qcol shared decode buffer", `Quick, test_qcol_shared_decode_buffer);
     ("fetch after close", `Quick, test_closed_file_fetch);
     ("qcol pool caches", `Quick, test_qcol_pool_caches);
   ]

@@ -1,0 +1,293 @@
+(* The cursor source ([Operator.source]) against the item loop it
+   replaced ([Reference_loop]): every path into [Operator.run] — the
+   plain array, the parallel row pipeline, the columnar scan with and
+   without pruning — must give the reference's answer, emission
+   stream, report, meter charges, per-tier statistics, metrics and
+   trace events bit for bit.  Plus the allocation bound the late
+   materialisation is for. *)
+
+let checkb = Alcotest.(check bool)
+
+(* What one run leaves behind, compared with [=]. *)
+type outcome = {
+  report : Interval_data.record Operator.report;
+  emitted : (Interval_data.record * bool) list;
+  counts : Cost_meter.counts;
+  tiers : (string * int * int * int * int) list;
+  snapshot : Metrics.snapshot;
+  events : Trace.event list;
+}
+
+type case = {
+  seed : int;
+  n : int;
+  chunk_size : int;
+  block : int;
+  wave : int;
+  pred : Predicate.t;
+  requirements : Quality.requirements;
+  params : Policy.params;
+  batch : int;
+  domains : int;
+  layout : [ `Row | `Columnar | `Pruned ];
+  budget : float option;
+  faults : int option;
+  tiered : float option;  (** proxy shrink power, when cascaded *)
+}
+
+let show c =
+  Printf.sprintf
+    "seed=%d n=%d chunk=%d block=%d wave=%d pred=%s req=%s params=%s B=%d \
+     d=%d layout=%s budget=%s faults=%s tiered=%s"
+    c.seed c.n c.chunk_size c.block c.wave (Predicate.to_string c.pred)
+    (Format.asprintf "%a" Quality.pp_requirements c.requirements)
+    (Format.asprintf "%a" Policy.pp_params c.params)
+    c.batch c.domains
+    (match c.layout with
+    | `Row -> "row"
+    | `Columnar -> "columnar"
+    | `Pruned -> "pruned")
+    (match c.budget with Some b -> string_of_float b | None -> "none")
+    (match c.faults with Some s -> string_of_int s | None -> "none")
+    (match c.tiered with Some p -> string_of_float p | None -> "none")
+
+let case_gen =
+  QCheck2.Gen.(
+    let bound = float_range 0.0 100.0 in
+    let pred =
+      oneof
+        [
+          map Predicate.ge bound;
+          map Predicate.le bound;
+          map
+            (fun (a, w) -> Predicate.between a (a +. w))
+            (pair bound (float_range 0.0 40.0));
+          map
+            (fun (a, b) ->
+              Predicate.(
+                between (Float.min a b) (Float.max a b) ||| ge 90.0))
+            (pair bound bound);
+        ]
+    in
+    let unit = float_range 0.0 1.0 in
+    let* seed = int_range 0 100_000 in
+    let* n = int_range 0 700 in
+    let* chunk_size = int_range 1 40 in
+    let* block = int_range 1 64 in
+    let* wave = int_range 1 4 in
+    let* pred = pred in
+    let* p = float_range 0.4 1.0 in
+    let* r = unit in
+    let* l = float_range 0.0 12.0 in
+    let* s3 = unit and* s5 = unit and* p_py = unit and* p_fm = unit in
+    let* batch = oneofl [ 1; 4 ] in
+    let* domains = oneofl [ 1; 2 ] in
+    let* layout = oneofl [ `Row; `Columnar; `Pruned ] in
+    let* budget = opt ~ratio:0.3 (float_range 0.0 300.0) in
+    let* faults = opt ~ratio:0.3 (int_range 0 1000) in
+    let* tiered = opt ~ratio:0.3 (float_range 0.0 1.0) in
+    return
+      {
+        seed;
+        n;
+        chunk_size;
+        block;
+        wave;
+        pred;
+        requirements = Quality.requirements ~precision:p ~recall:r ~laxity:l;
+        params = Policy.params ~s3 ~s5 ~p_py ~p_fm;
+        batch;
+        domains;
+        layout;
+        budget;
+        faults;
+        tiered;
+      })
+
+(* Fresh probe backends per run: drivers and fault injectors are
+   stateful, and both sides must start from the same state. *)
+let cascade ?obs c =
+  let specs =
+    match c.tiered with
+    | None -> Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:c.batch ()
+    | Some power ->
+        [|
+          {
+            Probe_tier.name = "proxy";
+            kind = Probe_tier.Shrink { power };
+            c_p = 0.1;
+            c_b = 1.0;
+            batch = c.batch + 1;
+          };
+          {
+            Probe_tier.name = "oracle";
+            kind = Probe_tier.Resolve;
+            c_p = 1.0;
+            c_b = 5.0;
+            batch = c.batch;
+          };
+        |]
+  in
+  let faults =
+    Option.map
+      (fun seed ->
+        Fault_plan.make ~seed ~transient_rate:0.05 ~permanent_rate:0.1
+          ~max_retries:2 ())
+      c.faults
+  in
+  fst
+    (Tiered.of_functions ?obs ~start:0 ?faults ~specs
+       ~narrow:(fun ~power r -> Interval_data.shrink ~power r)
+       ~resolve:Interval_data.probe ())
+
+let data_of c =
+  let records =
+    Interval_data.uniform_intervals (Rng.create c.seed) ~n:c.n
+      ~value_range:(Interval.make 0.0 100.0) ~max_width:10.0
+  in
+  (* Clustered by truth, so zone maps have whole-NO chunks to prune. *)
+  if c.layout = `Pruned then
+    Array.sort
+      (fun (a : Interval_data.record) b -> Float.compare a.truth b.truth)
+      records;
+  records
+
+(* Runs [go] with everything it compares set up afresh: the obs registry
+   (a fixed clock, so span events are reproducible), the meter, the
+   cascade and the budget stop. *)
+let observe c go =
+  let sink, events = Trace.collector () in
+  let obs = Obs.create ~trace:sink ~clock:(fun () -> 0.0) () in
+  let meter = Cost_meter.create () in
+  let cascade = cascade ~obs c in
+  let should_stop =
+    Option.map
+      (fun b ~pending ->
+        Cost_meter.total_cost Cost_model.paper meter
+        +. (float_of_int pending *. 101.0)
+        > b)
+      c.budget
+  in
+  let emitted = ref [] in
+  let emit (e : Interval_data.record Operator.emitted) =
+    emitted := (e.obj, e.precise) :: !emitted
+  in
+  let report = go ~obs ~meter ~cascade ~should_stop ~emit in
+  {
+    report;
+    emitted = List.rev !emitted;
+    counts = Cost_meter.counts meter;
+    tiers =
+      Array.to_list
+        (Array.map
+           (fun (s : Cascade.stats) ->
+             (s.st_name, s.st_probes, s.st_shrinks, s.st_failures, s.st_batches))
+           (Cascade.stats cascade));
+    snapshot = Obs.snapshot obs;
+    events = events ();
+  }
+
+let with_lanes c f =
+  if c.domains = 1 then f None
+  else Domain_pool.with_pool ~domains:c.domains (fun p -> f (Some p))
+
+let cursor_run c data =
+  let instance = Interval_data.instance c.pred in
+  let store = Interval_data.to_store ~chunk_size:c.chunk_size data in
+  with_lanes c (fun pool ->
+      observe c (fun ~obs ~meter ~cascade ~should_stop ~emit ->
+          let source =
+            match (c.layout, pool) with
+            | `Row, None -> Operator.source_of_array data
+            | `Row, Some pool ->
+                Scan_pipeline.source ~obs ~block:c.block ~pool ~instance data
+            | (`Columnar | `Pruned), _ ->
+                Column_scan.source ~obs ~wave:c.wave ?pool
+                  ~prune:(c.layout = `Pruned) ~store
+                  ~of_row:Interval_data.of_row
+                  ~pred:(Predicate.compile c.pred) ()
+          in
+          Operator.run ~rng:(Rng.create (c.seed + 1)) ~meter ~obs ~emit
+            ?should_stop ~instance ~cascade ~policy:(Policy.qaq c.params)
+            ~requirements:c.requirements source))
+
+(* The item loop exactly as the engine drove it: the plain loop over the
+   array at one lane, the item loop over pre-classified sources
+   otherwise. *)
+let reference_run c data =
+  let open Reference_loop in
+  let instance = Interval_data.instance c.pred in
+  let store = Interval_data.to_store ~chunk_size:c.chunk_size data in
+  with_lanes c (fun pool ->
+      observe c (fun ~obs ~meter ~cascade ~should_stop ~emit ->
+          let rng = Rng.create (c.seed + 1) in
+          let policy = Policy.qaq c.params in
+          let requirements = c.requirements in
+          let items source =
+            Scan_pipeline_ref.run_items ~rng ~meter ~obs ~emit ?should_stop
+              ~instance ~cascade ~policy ~requirements source
+          in
+          match (c.layout, pool) with
+          | `Row, None ->
+              Operator_ref.run ~rng ~meter ~obs ~emit ?should_stop ~instance
+                ~cascade ~policy ~requirements
+                (Operator_ref.source_of_array data)
+          | `Row, Some pool ->
+              items
+                (Scan_pipeline_ref.source ~obs ~block:c.block ~pool ~instance
+                   data)
+          | (`Columnar | `Pruned), _ ->
+              items
+                (Column_scan_ref.source ~obs ~wave:c.wave ?pool
+                   ~prune:(c.layout = `Pruned) ~store
+                   ~of_row:Interval_data.of_row
+                   ~pred:(Predicate.compile c.pred) ())))
+
+let prop_cursor_is_reference =
+  QCheck2.Test.make ~name:"cursor loop is the reference item loop bit for bit"
+    ~count:150 ~print:show case_gen (fun c ->
+      let data = data_of c in
+      cursor_run c data = reference_run c data)
+
+(* Late materialisation is an allocation claim, so it is pinned by one:
+   an untraced columnar scan of a resident store under a fixed plan.
+   The item loop allocated 72 words per read here (an option, an item
+   record with two boxed floats, a [Column_store.row] and a record for
+   every object); the cursor builds an object only to forward or probe
+   it and stays under 50. *)
+let test_columnar_words_per_read () =
+  let data =
+    Interval_data.uniform_intervals (Rng.create 5) ~n:20_000
+      ~value_range:(Interval.make 0.0 100.0) ~max_width:10.0
+  in
+  let store = Interval_data.to_store data in
+  let pred = Predicate.ge 50.0 in
+  let requirements =
+    Quality.requirements ~precision:0.9 ~recall:0.8 ~laxity:5.0
+  in
+  let params = Policy.params ~s3:1.0 ~s5:1.0 ~p_py:0.65 ~p_fm:1.0 in
+  let run () =
+    Engine.execute ~rng:(Rng.create 1) ~domains:1 ~max_laxity:10.0
+      ~planning:(Engine.Fixed params) ~batch:16
+      ~columnar:
+        { Engine.store; of_row = Interval_data.of_row; pred; prune = false }
+      ~instance:(Interval_data.instance pred)
+      ~probe:(Probe_driver.of_scalar ~batch_size:16 Interval_data.probe)
+      ~requirements data
+  in
+  ignore (run ());
+  let before = Gc.allocated_bytes () in
+  let result = run () in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let reads = result.Engine.counts.Cost_meter.reads in
+  checkb "the scan reads most of the store" true (reads > 15_000);
+  let per_read = words /. float_of_int reads in
+  checkb
+    (Printf.sprintf "%.1f words per read <= 50" per_read)
+    true (per_read <= 50.0)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_cursor_is_reference;
+    ("columnar words per read", `Quick, test_columnar_words_per_read);
+  ]

@@ -162,7 +162,7 @@ let test_zone_map_source_is_sound () =
   checkb "some chunks pruned" true (Column_store.pruned_chunks store pred > 0);
   let requirements = req ~p:0.9 ~r:0.8 ~l:20.0 () in
   let report =
-    Scan_pipeline.run_items ~rng ~instance:(Interval_data.instance pred)
+    Operator.run ~rng ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
       ~policy:Policy.stingy ~requirements
       (Column_scan.source ~prune:true ~store ~of_row:Interval_data.of_row

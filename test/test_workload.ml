@@ -151,6 +151,48 @@ let test_gaussian_beliefs () =
   let probed = Interval_data.probe records.(0) in
   checkb "probe collapses" true (Uncertain.laxity probed.belief = 0.0)
 
+(* [Interval_data.instance] compiles its predicate once and classifies
+   exact and interval beliefs through the compiled entry points; every
+   answer must still be [Predicate.classify]/[success] bit for bit —
+   Gaussian beliefs included, which keep the general functions. *)
+let prop_instance_is_predicate =
+  let belief_gen =
+    QCheck2.Gen.(
+      let value =
+        oneof
+          [
+            map float_of_int (int_range (-25) 25);
+            float_range (-25.0) 25.0;
+            oneofl [ 0.0; -0.0 ];
+          ]
+      in
+      oneof
+        [
+          map Uncertain.exact value;
+          map (fun x -> Uncertain.interval x x) value;
+          map2
+            (fun lo w -> Uncertain.interval lo (lo +. w))
+            value
+            (oneof [ map float_of_int (int_range 1 10); float_range 0.0 10.0 ]);
+          map2
+            (fun mean stddev -> Uncertain.gaussian ~mean ~stddev ())
+            value (float_range 0.1 5.0);
+        ])
+  in
+  QCheck2.Test.make ~name:"interval_data instance is Predicate bit for bit"
+    ~count:500
+    QCheck2.Gen.(pair Test_predicate.pred_gen (list_size (int_range 1 20) belief_gen))
+    (fun (pred, beliefs) ->
+      let instance = Interval_data.instance pred in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun belief ->
+          let r = { Interval_data.id = 0; belief; truth = 0.0 } in
+          Tvl.equal (instance.classify r) (Predicate.classify pred belief)
+          && bits (instance.success r) = bits (Predicate.success pred belief)
+          && bits (instance.laxity r) = bits (Uncertain.laxity belief))
+        beliefs)
+
 let suite =
   [
     ("config validation", `Quick, test_config_validation);
@@ -160,5 +202,6 @@ let suite =
     ("skewed generator", `Quick, test_skewed_generator);
     ("exact set size", `Quick, test_exact_size);
     QCheck_alcotest.to_alcotest prop_interval_data_sound;
+    QCheck_alcotest.to_alcotest prop_instance_is_predicate;
     ("gaussian beliefs", `Quick, test_gaussian_beliefs);
   ]
