@@ -8,14 +8,17 @@
     exact distance interval of {!Pair_distance}; the pair's laxity is
     that interval's width (0 exactly when both sides are resolved).
 
-    Evaluation streams over the [|L| × |R|] pair space in block
-    nested-loop order with the selection operator's machinery — the same
-    counters, guarantees (Eqs. 8–10 over pairs) and Theorem 3.1 rules.
-    The join-specific twist is probing: resolving a pair probes {e
-    objects}, and a probed object benefits every later pair it appears
-    in.  Object probes are therefore cached and charged at most once per
-    object — this cache is what makes QaQ joins dramatically cheaper
-    than per-pair probing, and the bench quantifies it. *)
+    The join {e is} the selection operator: {!run} is {!Operator.run}
+    over a cursor that steps the [|L| × |R|] pair space in block
+    nested-loop order, so the counters, guarantees (Eqs. 8–10 over
+    pairs) and Theorem 3.1 rules are the selection's own.  The cursor
+    classifies each pair from its two supports and builds the pair only
+    to forward or probe it.  The join-specific twist is probing:
+    resolving a pair probes {e objects}, and a probed object benefits
+    every later pair it appears in.  Object probes are therefore cached
+    and charged at most once per object — this cache is what makes QaQ
+    joins dramatically cheaper than per-pair probing, and the bench
+    quantifies it. *)
 
 type pair = { left : Interval_data.record; right : Interval_data.record }
 
@@ -48,10 +51,8 @@ type report = {
 
 val run :
   rng:Rng.t ->
-  ?meter:Cost_meter.t ->
   ?emit:(pair Operator.emitted -> unit) ->
   ?collect:bool ->
-  ?enforce:bool ->
   ?share_probes:bool ->
   ?policy:Policy.t ->
   requirements:Quality.requirements ->
@@ -60,16 +61,21 @@ val run :
   right:Interval_data.record array ->
   unit ->
   report
-(** Evaluate the band join.  [policy] defaults to {!Policy.stingy}.
+(** Evaluate the band join: {!Operator.run} over the pair cursor, with
+    [emit] and [collect] as there.  [policy] defaults to
+    {!Policy.stingy}; the Theorem 3.1 guards always apply, so the
+    guarantees, over the pair space, satisfy the requirements.
     A [Probe] decision fully resolves both sides of the pair (so the
     emitted pair has laxity 0), consulting the probe cache first.
     [share_probes] (default [true]) enables the cache; with [false]
     every probe request re-fetches and re-charges — the per-pair probing
     baseline the cache ablation compares against (classification still
     sees earlier results, only the charging changes).
-    Guarantees are over the pair space and, with [enforce] (default
-    [true]), always satisfy the requirements.
-    @raise Invalid_argument if [epsilon < 0]. *)
+    @raise Invalid_argument if [epsilon] is negative or NaN.
+    @raise Operator.Inconsistent_probe if a probed pair contradicts its
+    verdict — a YES pair that no longer joins, or a MAYBE that stays
+    unresolved — which only records whose truth lies outside their
+    belief's support can cause. *)
 
 val cost : Cost_model.t -> report -> float
 (** [W] with [c_r] per pair evaluation, [c_p] per distinct object probe,

@@ -11,7 +11,7 @@ let make_item ~id ~segments series =
 type query = { pattern : Time_series.t; epsilon : float }
 
 let query ~pattern ~epsilon =
-  if epsilon < 0.0 then invalid_arg "Ts_query.query: epsilon < 0";
+  if not (epsilon >= 0.0) then invalid_arg "Ts_query.query: epsilon < 0";
   { pattern; epsilon }
 
 let distance_interval q item =

@@ -22,7 +22,7 @@ val make_item : id:int -> segments:int -> Time_series.t -> item
 type query = { pattern : Time_series.t; epsilon : float }
 
 val query : pattern:Time_series.t -> epsilon:float -> query
-(** @raise Invalid_argument if [epsilon < 0]. *)
+(** @raise Invalid_argument if [epsilon] is negative or NaN. *)
 
 val distance_interval : query -> item -> Interval.t
 (** Bounds on the item's true distance to the pattern (a point interval

@@ -185,7 +185,13 @@ let test_join_validation () =
       ignore
         (Band_join.run ~rng:(Rng.create 1)
            ~requirements:(Quality.requirements ~precision:0.5 ~recall:0.5 ~laxity:10.0)
-           ~epsilon:(-1.0) ~left ~right ()))
+           ~epsilon:(-1.0) ~left ~right ()));
+  Alcotest.check_raises "NaN epsilon"
+    (Invalid_argument "Band_join.run: epsilon < 0") (fun () ->
+      ignore
+        (Band_join.run ~rng:(Rng.create 1)
+           ~requirements:(Quality.requirements ~precision:0.5 ~recall:0.5 ~laxity:10.0)
+           ~epsilon:Float.nan ~left ~right ()))
 
 let prop_join_soundness_random =
   QCheck2.Test.make ~name:"join guarantees sound on random relations"
@@ -213,6 +219,108 @@ let prop_join_soundness_random =
            ~answer_in_exact
          >= report.guarantees.precision -. 1e-9)
 
+(* [Band_join.run] against the hand-written pair loop it replaced
+   ([Reference_band_join]): the whole report and the emission stream,
+   in order, bit for bit.  Some records are stored exact, so the cache
+   refresh and the probe's stored-pair view both matter. *)
+type join_case = {
+  seed : int;
+  n_left : int;
+  n_right : int;
+  exact_share : float;
+  epsilon : float;
+  requirements : Quality.requirements;
+  policy : [ `Stingy | `Greedy | `Qaq of Policy.params ];
+  share_probes : bool;
+  collect : bool;
+}
+
+let show_join_case c =
+  Printf.sprintf
+    "seed=%d %dx%d exact=%.2f eps=%g req=%s policy=%s share=%b collect=%b"
+    c.seed c.n_left c.n_right c.exact_share c.epsilon
+    (Format.asprintf "%a" Quality.pp_requirements c.requirements)
+    (match c.policy with
+    | `Stingy -> "stingy"
+    | `Greedy -> "greedy"
+    | `Qaq p -> Format.asprintf "qaq %a" Policy.pp_params p)
+    c.share_probes c.collect
+
+let join_case_gen =
+  QCheck2.Gen.(
+    let unit = float_range 0.0 1.0 in
+    let* seed = int_range 0 100_000 in
+    let* n_left = int_range 0 14 in
+    let* n_right = int_range 0 14 in
+    let* exact_share = oneofl [ 0.0; 0.3 ] in
+    let* epsilon = float_range 0.0 12.0 in
+    let* p = unit and* r = unit and* l = float_range 0.0 15.0 in
+    let* policy =
+      oneof
+        [
+          return `Stingy;
+          return `Greedy;
+          (let* s3 = unit and* s5 = unit and* p_py = unit and* p_fm = unit in
+           return (`Qaq (Policy.params ~s3 ~s5 ~p_py ~p_fm)));
+        ]
+    in
+    let* share_probes = bool and* collect = bool in
+    return
+      {
+        seed;
+        n_left;
+        n_right;
+        exact_share;
+        epsilon;
+        requirements = Quality.requirements ~precision:p ~recall:r ~laxity:l;
+        policy;
+        share_probes;
+        collect;
+      })
+
+let prop_join_is_reference =
+  QCheck2.Test.make ~name:"join on Operator.run is the reference pair loop"
+    ~count:400 ~print:show_join_case join_case_gen (fun c ->
+      let rng = Rng.create c.seed in
+      let gen n =
+        Array.map
+          (fun r ->
+            if Rng.float rng 1.0 < c.exact_share then Interval_data.probe r
+            else r)
+          (Interval_data.uniform_intervals rng ~n
+             ~value_range:(iv 0.0 40.0) ~max_width:8.0)
+      in
+      let left = gen c.n_left in
+      let right = gen c.n_right in
+      let policy =
+        match c.policy with
+        | `Stingy -> Policy.stingy
+        | `Greedy -> Policy.greedy
+        | `Qaq p -> Policy.qaq p
+      in
+      let outcome run =
+        let emitted = ref [] in
+        let emit (e : Band_join.pair Operator.emitted) =
+          emitted := e :: !emitted
+        in
+        match run ~rng:(Rng.create (c.seed + 1)) ~emit with
+        | report -> Ok (report, List.rev !emitted)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let library =
+        outcome (fun ~rng ~emit ->
+            Band_join.run ~rng ~emit ~collect:c.collect
+              ~share_probes:c.share_probes ~policy
+              ~requirements:c.requirements ~epsilon:c.epsilon ~left ~right ())
+      in
+      let reference =
+        outcome (fun ~rng ~emit ->
+            Reference_band_join.run ~rng ~emit ~collect:c.collect
+              ~share_probes:c.share_probes ~policy
+              ~requirements:c.requirements ~epsilon:c.epsilon ~left ~right ())
+      in
+      library = reference)
+
 let suite =
   [
     ("distance interval", `Quick, test_distance_interval);
@@ -227,4 +335,5 @@ let suite =
     ("early termination", `Quick, test_join_early_termination);
     ("validation", `Quick, test_join_validation);
     QCheck_alcotest.to_alcotest prop_join_soundness_random;
+    QCheck_alcotest.to_alcotest prop_join_is_reference;
   ]

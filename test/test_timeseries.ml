@@ -111,7 +111,10 @@ let test_ts_query_classification () =
   checkb "near truly matches" true (Ts_query.in_exact q item_near);
   Alcotest.check_raises "negative epsilon"
     (Invalid_argument "Ts_query.query: epsilon < 0") (fun () ->
-      ignore (Ts_query.query ~pattern ~epsilon:(-1.0)))
+      ignore (Ts_query.query ~pattern ~epsilon:(-1.0)));
+  Alcotest.check_raises "NaN epsilon"
+    (Invalid_argument "Ts_query.query: epsilon < 0") (fun () ->
+      ignore (Ts_query.query ~pattern ~epsilon:Float.nan))
 
 let test_ts_query_end_to_end () =
   (* Full QaQ over sketched series with perfect precision: every answer
