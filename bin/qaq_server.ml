@@ -59,7 +59,12 @@ let run seed total (f_y, f_m) max_laxity batch capacity freshness probe_ms
       c_trace = trace;
     }
   in
-  let srv = Server_core.create cfg in
+  let srv =
+    try Server_core.create cfg
+    with Server_core.Recorder_dir_error { dir; reason } ->
+      Printf.eprintf "qaq-server: --recorder-dir %s: %s\n" dir reason;
+      exit 2
+  in
   match socket with
   | Some path -> Server_core.serve_socket srv path
   | None ->
@@ -161,8 +166,10 @@ let cmd =
   in
   let recorder =
     let doc =
-      "Flight-recorder ring capacity (recent trace events kept per query \
-       and globally).  0 disables the recorder."
+      "Flight-recorder ring capacity: the recent run-level trace events \
+       (phases, batches, probe failures, breaker changes, anomalies; no \
+       per-object reads or decisions) kept in one ring shared by every \
+       query.  0 disables the recorder."
     in
     Arg.(value & opt non_negative_int 256 & info [ "recorder" ] ~docv:"N" ~doc)
   in

@@ -1,6 +1,9 @@
 (* Chrome-trace ("catapult") JSON recorder: a Trace sink plus a
-   Domain_pool task hook feeding one event list, exported in the
-   trace-event format chrome://tracing and Perfetto load directly.
+   Domain_pool task hook feeding one list — the stamped
+   (time, context, event) triples a flight recorder keeps, and pool
+   tasks — converted at export, through the renderer flight-recorder
+   dumps use, into the trace-event format chrome://tracing and Perfetto
+   load directly.
    Spans become complete ("X") slices, per-lane pool tasks become slices
    on their lane's tid, and everything else becomes instants — on lane 0
    (the sequential decision loop) when uncorrelated, or on a dedicated
@@ -18,13 +21,18 @@ type entry = {
   e_args : (string * string) list;  (* values pre-encoded as JSON *)
 }
 
+(* Stamped trace events and pool tasks, in recording order; both become
+   entries at export. *)
+type item =
+  | Event of (float * Trace.context * Trace.event)
+  | Task of { lane : int; start : float; finish : float }
+
 type t = {
   clock : unit -> float;
   epoch : float;  (* creation time; exported ts are relative to it *)
   mutex : Mutex.t;
-  mutable entries : entry list;  (* newest first *)
+  mutable items : item list;  (* newest first *)
   mutable lanes : int;
-  query_names : (int, string) Hashtbl.t;  (* tid -> row label *)
 }
 
 (* Per-query rows live far above any plausible pool lane count. *)
@@ -32,18 +40,11 @@ let query_tid_base = 1000
 let query_tid q = query_tid_base + q
 
 let create ?(clock = Span.default_clock) () =
-  {
-    clock;
-    epoch = clock ();
-    mutex = Mutex.create ();
-    entries = [];
-    lanes = 1;
-    query_names = Hashtbl.create 8;
-  }
+  { clock; epoch = clock (); mutex = Mutex.create (); items = []; lanes = 1 }
 
-let record t e =
+let record t item =
   Mutex.lock t.mutex;
-  t.entries <- e :: t.entries;
+  t.items <- item :: t.items;
   Mutex.unlock t.mutex
 
 let declare_lanes t n =
@@ -52,16 +53,9 @@ let declare_lanes t n =
   t.lanes <- Stdlib.max t.lanes n;
   Mutex.unlock t.mutex
 
-let on_task t ~lane ~start ~finish =
-  record t
-    {
-      e_name = "task";
-      e_ph = `Complete;
-      e_tid = lane;
-      e_ts = start;
-      e_dur = Float.max 0.0 (finish -. start);
-      e_args = [];
-    }
+let on_task t ~lane ~start ~finish = record t (Task { lane; start; finish })
+let sink t =
+  Trace.callback_ctx (fun ctx ev -> record t (Event (t.clock (), ctx, ev)))
 
 let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
 
@@ -165,26 +159,36 @@ let entry_of_event ts (ctx : Trace.context) ev =
         e_args = args @ ctx_args ctx;
       }
 
-let note_query t (ctx : Trace.context) =
-  match ctx.Trace.query with
-  | None -> ()
-  | Some q ->
-      let tid = query_tid q in
-      Mutex.lock t.mutex;
-      if not (Hashtbl.mem t.query_names tid) then
-        Hashtbl.add t.query_names tid (query_label q ctx.Trace.tenant);
-      Mutex.unlock t.mutex
-
-let sink t =
-  Trace.callback_ctx (fun ctx ev ->
-      note_query t ctx;
-      record t (entry_of_event (t.clock ()) ctx ev))
-
-(* Shared document renderer: lane metadata rows 0..lanes-1, one named
-   row per query tid, then every entry in timestamp order. *)
-let render ~epoch ~lanes ~query_names entries =
+(* The one document renderer, shared by the live recorder and the
+   flight-recorder dumps.  [items] come in recording order, so events
+   with equal timestamps keep it.  Output: lane metadata rows
+   0..lanes-1, one named row per query tid (labelled by the query's
+   first event), then every entry in timestamp order. *)
+let render ~epoch ~lanes items =
+  let query_names = Hashtbl.create 8 in
+  let entry = function
+    | Event (ts, ctx, ev) ->
+        (match ctx.Trace.query with
+        | Some q ->
+            let tid = query_tid q in
+            if not (Hashtbl.mem query_names tid) then
+              Hashtbl.add query_names tid (query_label q ctx.Trace.tenant)
+        | None -> ());
+        entry_of_event ts ctx ev
+    | Task { lane; start; finish } ->
+        {
+          e_name = "task";
+          e_ph = `Complete;
+          e_tid = lane;
+          e_ts = start;
+          e_dur = Float.max 0.0 (finish -. start);
+          e_args = [];
+        }
+  in
   let entries =
-    List.stable_sort (fun a b -> Float.compare a.e_ts b.e_ts) entries
+    List.stable_sort
+      (fun a b -> Float.compare a.e_ts b.e_ts)
+      (List.map entry items)
   in
   let max_lane =
     List.fold_left
@@ -258,11 +262,10 @@ let render ~epoch ~lanes ~query_names entries =
 
 let to_json t =
   Mutex.lock t.mutex;
-  let entries = List.rev t.entries in
+  let items = List.rev t.items in
   let lanes = t.lanes in
-  let query_names = Hashtbl.copy t.query_names in
   Mutex.unlock t.mutex;
-  render ~epoch:t.epoch ~lanes ~query_names entries
+  render ~epoch:t.epoch ~lanes items
 
 let json_of_entries ?epoch events =
   let epoch =
@@ -273,20 +276,7 @@ let json_of_entries ?epoch events =
           events
         |> fun m -> if Float.is_finite m then m else 0.0
   in
-  let query_names = Hashtbl.create 8 in
-  let entries =
-    List.map
-      (fun (ts, ctx, ev) ->
-        (match ctx.Trace.query with
-        | Some q ->
-            let tid = query_tid q in
-            if not (Hashtbl.mem query_names tid) then
-              Hashtbl.add query_names tid (query_label q ctx.Trace.tenant)
-        | None -> ());
-        entry_of_event ts ctx ev)
-      events
-  in
-  render ~epoch ~lanes:1 ~query_names entries
+  render ~epoch ~lanes:1 (List.map (fun s -> Event s) events)
 
 let write t path =
   let oc = open_out path in
@@ -296,6 +286,6 @@ let write t path =
 
 let events t =
   Mutex.lock t.mutex;
-  let n = List.length t.entries in
+  let n = List.length t.items in
   Mutex.unlock t.mutex;
   n

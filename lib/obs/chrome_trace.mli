@@ -10,8 +10,15 @@
 
     Events carrying a {!Trace.context} with a query trace ID render on
     a dedicated per-query timeline row (tid [1000 + id], named
-    ["query N (tenant)"]) with explicit [query]/[tenant] args, so one
-    query's events read straight out of interleaved server traffic.
+    ["query N (tenant)"] after the query's first event) with explicit
+    [query]/[tenant] args, so one query's events read straight out of
+    interleaved server traffic.
+
+    The recorder stores what a {!Flight_recorder} stores — stamped
+    [(time, context, event)] triples — plus pool tasks, in recording
+    order, and renders them at export through {!json_of_entries}'s code
+    path: for one event stream and clock, with one lane and no tasks,
+    {!to_json} is [json_of_entries ~epoch] of the same triples.
 
     The recorder is thread-safe: {!on_task} may fire from worker
     domains while lane 0 emits trace events. *)
@@ -54,6 +61,3 @@ val json_of_entries :
     the same per-query rows and args as the live {!sink}.  [epoch]
     defaults to the earliest timestamp in the list, so the dump starts
     at t=0. *)
-
-val query_tid : int -> int
-(** The timeline row a given query trace ID renders on ([1000 + id]). *)

@@ -1,39 +1,16 @@
-(* Bounded black-box recorder for trace events.
+(* Bounded black-box recorder for run-level trace events.
 
-   One global ring plus one ring per query trace ID keep the last N
-   events each; when an anomaly event passes through (degradation,
-   breaker trip, budget stop, guarantee shortfall) the recorder
-   snapshots the implicated query's ring — or the global ring for
-   uncorrelated anomalies — and hands it to the dump callback as a
-   chrome-trace JSON document.  Everything is mutex-guarded: the sink
+   One ring keeps the last N run-level events — everything but the
+   per-object reads, decisions and probe resolutions, which are dropped
+   before the clock is read or the lock taken.  When an anomaly event
+   passes through (degradation, breaker trip, budget stop, guarantee
+   shortfall) the recorder snapshots the ring — filtered to the
+   implicated query's trace ID when the anomaly is attributed — and
+   hands it to the dump callback.  Everything is mutex-guarded: the sink
    is designed to sit on a server's shared trace path with queries
    emitting from many domains at once. *)
 
 type stamped = float * Trace.context * Trace.event
-
-(* Fixed-capacity ring; oldest overwritten first.  [to_list] returns
-   oldest -> newest. *)
-type ring = {
-  slots : stamped option array;
-  mutable next : int;  (* next write position *)
-  mutable stored : int;  (* min stored capacity *)
-}
-
-let ring_create capacity = { slots = Array.make capacity None; next = 0; stored = 0 }
-
-let ring_push r s =
-  let cap = Array.length r.slots in
-  r.slots.(r.next) <- Some s;
-  r.next <- (r.next + 1) mod cap;
-  if r.stored < cap then r.stored <- r.stored + 1
-
-let ring_to_list r =
-  let cap = Array.length r.slots in
-  let start = (r.next - r.stored + cap * 2) mod cap in
-  List.init r.stored (fun i ->
-      match r.slots.((start + i) mod cap) with
-      | Some s -> s
-      | None -> assert false)
 
 type dump = {
   reason : string;
@@ -43,57 +20,54 @@ type dump = {
   events : stamped list;  (* oldest first *)
 }
 
+(* A flapping breaker cannot flood the disk: at most this many
+   automatic dumps are kept. *)
+let max_dumps = 16
+
 type t = {
-  capacity : int;
   clock : unit -> float;
   lock : Mutex.t;
-  global : ring;
-  per_query : (int, ring) Hashtbl.t;
-  mutable query_order : int list;  (* newest first; for LRU-bounded count *)
-  max_queries : int;
+  slots : stamped option array;  (* the ring; oldest overwritten first *)
+  mutable next : int;  (* next write position *)
+  mutable stored : int;  (* min stored capacity *)
   on_dump : dump -> unit;
   mutable dumps : dump list;  (* newest first *)
-  max_dumps : int;
   dumped : (string, unit) Hashtbl.t;  (* "(reason,query)" already dumped *)
   mutable recorded : int;
 }
 
-let create ?(capacity = 256) ?(max_queries = 64) ?(max_dumps = 16)
-    ?(clock = Span.default_clock) ?(on_dump = fun _ -> ()) () =
+let create ?(capacity = 256) ?(clock = Span.default_clock)
+    ?(on_dump = fun _ -> ()) () =
   if capacity < 1 then invalid_arg "Flight_recorder.create: capacity < 1";
-  if max_queries < 1 then invalid_arg "Flight_recorder.create: max_queries < 1";
   {
-    capacity;
     clock;
     lock = Mutex.create ();
-    global = ring_create capacity;
-    per_query = Hashtbl.create 16;
-    query_order = [];
-    max_queries;
+    slots = Array.make capacity None;
+    next = 0;
+    stored = 0;
     on_dump;
     dumps = [];
-    max_dumps;
     dumped = Hashtbl.create 8;
     recorded = 0;
   }
 
-let query_ring t q =
-  match Hashtbl.find_opt t.per_query q with
-  | Some r -> r
-  | None ->
-      let r = ring_create t.capacity in
-      Hashtbl.add t.per_query q r;
-      t.query_order <- q :: List.filter (fun x -> x <> q) t.query_order;
-      (* Evict the least recently active query's ring so an immortal
-         server cannot grow without bound. *)
-      if List.length t.query_order > t.max_queries then begin
-        match List.rev t.query_order with
-        | oldest :: _ ->
-            Hashtbl.remove t.per_query oldest;
-            t.query_order <- List.filter (fun x -> x <> oldest) t.query_order
-        | [] -> ()
-      end;
-      r
+let push t s =
+  let cap = Array.length t.slots in
+  t.slots.(t.next) <- Some s;
+  t.next <- (t.next + 1) mod cap;
+  if t.stored < cap then t.stored <- t.stored + 1
+
+(* The ring, oldest first, keeping the entries of [query] when given.
+   Call with the lock held. *)
+let ring ?query t =
+  let cap = Array.length t.slots in
+  let start = (t.next - t.stored + cap) mod cap in
+  let all =
+    List.init t.stored (fun i -> Option.get t.slots.((start + i) mod cap))
+  in
+  match query with
+  | None -> all
+  | Some q -> List.filter (fun (_, c, _) -> c.Trace.query = Some q) all
 
 (* Which events are anomalies worth a reflexive dump.  A breaker event
    only counts when it reports the trip into "open" — recoveries are
@@ -105,16 +79,12 @@ let anomaly_reason = function
   | Trace.Shortfall _ -> Some "shortfall"
   | _ -> None
 
-let record t (ctx : Trace.context) ev =
+let record_run_level t (ctx : Trace.context) ev =
   let now = t.clock () in
-  let stamped = (now, ctx, ev) in
   let fire =
     Mutex.protect t.lock (fun () ->
         t.recorded <- t.recorded + 1;
-        ring_push t.global stamped;
-        (match ctx.Trace.query with
-        | Some q -> ring_push (query_ring t q) stamped
-        | None -> ());
+        push t (now, ctx, ev);
         match anomaly_reason ev with
         | None -> None
         | Some reason ->
@@ -124,22 +94,17 @@ let record t (ctx : Trace.context) ev =
                 | Some q -> string_of_int q
                 | None -> "-")
             in
-            if Hashtbl.mem t.dumped key || List.length t.dumps >= t.max_dumps
+            if Hashtbl.mem t.dumped key || List.length t.dumps >= max_dumps
             then None
             else begin
               Hashtbl.add t.dumped key ();
-              let events =
-                match ctx.Trace.query with
-                | Some q -> ring_to_list (query_ring t q)
-                | None -> ring_to_list t.global
-              in
               let d =
                 {
                   reason;
                   query = ctx.Trace.query;
                   tenant = ctx.Trace.tenant;
                   at = now;
-                  events;
+                  events = ring ?query:ctx.Trace.query t;
                 }
               in
               t.dumps <- d :: t.dumps;
@@ -151,33 +116,19 @@ let record t (ctx : Trace.context) ev =
      (or deadlock by re-entering the recorder). *)
   match fire with None -> () | Some (d, f) -> f d
 
+let record t ctx ev =
+  match ev with
+  | Trace.Read _ | Trace.Decision _ | Trace.Probe_resolved -> ()
+  | _ -> record_run_level t ctx ev
+
 let sink t = Trace.callback_ctx (fun ctx ev -> record t ctx ev)
-
-let entries ?query t =
-  Mutex.protect t.lock (fun () ->
-      match query with
-      | None -> ring_to_list t.global
-      | Some q -> (
-          match Hashtbl.find_opt t.per_query q with
-          | Some r -> ring_to_list r
-          | None -> []))
-
+let entries ?query t = Mutex.protect t.lock (fun () -> ring ?query t)
 let dumps t = Mutex.protect t.lock (fun () -> List.rev t.dumps)
 let recorded t = Mutex.protect t.lock (fun () -> t.recorded)
-let capacity t = t.capacity
 
 let manual_dump ?query t ~reason =
   let now = t.clock () in
-  Mutex.protect t.lock (fun () ->
-      let events =
-        match query with
-        | Some q -> (
-            match Hashtbl.find_opt t.per_query q with
-            | Some r -> ring_to_list r
-            | None -> [])
-        | None -> ring_to_list t.global
-      in
-      { reason; query; tenant = None; at = now; events })
+  { reason; query; tenant = None; at = now; events = entries ?query t }
 
 let dump_to_json d = Chrome_trace.json_of_entries d.events
 

@@ -1,15 +1,24 @@
-(** Bounded black-box recorder ("flight recorder") for trace events.
+(** Bounded black-box recorder ("flight recorder") for run-level trace
+    events.
 
-    Keeps the last [capacity] events in a global ring and per-query
-    rings keyed by trace ID, all behind one mutex so the {!sink} can
-    sit on a concurrent server's shared trace path.  When an anomaly
-    event passes through — {!Trace.Degraded}, a {!Trace.Breaker} trip
-    into ["open"], {!Trace.Budget_stop}, or {!Trace.Shortfall} — the
-    recorder snapshots the implicated query's recent history (the
-    global ring for uncorrelated anomalies) into a {!dump} and hands it
-    to the [on_dump] callback, outside the lock.  Each (reason, query)
-    pair dumps at most once and at most [max_dumps] dumps are retained,
-    so a flapping breaker cannot flood the disk. *)
+    Keeps the last [capacity] run-level events — phases, batches, probe
+    failures, degradations, breaker changes, replans, budget stops,
+    early terminations, shortfalls and notes — in one ring behind one
+    mutex, so the {!sink} can sit on a concurrent server's shared trace
+    path.  The per-object events ({!Trace.Read}, {!Trace.Decision},
+    {!Trace.Probe_resolved}) are dropped at the door, before the clock
+    read and the lock: a ring of a few hundred slots cannot usefully
+    keep a scan's thousands of them, and every served query would pay
+    for the attempt.  A query's history is the ring filtered by its
+    trace ID.
+
+    When an anomaly event passes through — {!Trace.Degraded}, a
+    {!Trace.Breaker} trip into ["open"], {!Trace.Budget_stop}, or
+    {!Trace.Shortfall} — the recorder snapshots the implicated query's
+    recent history (the whole ring for uncorrelated anomalies) into a
+    {!dump} and hands it to the [on_dump] callback, outside the lock.
+    Each (reason, query) pair dumps at most once and at most 16 dumps
+    are retained, so a flapping breaker cannot flood the disk. *)
 
 type t
 
@@ -29,35 +38,32 @@ type dump = {
 
 val create :
   ?capacity:int ->
-  ?max_queries:int ->
-  ?max_dumps:int ->
   ?clock:(unit -> float) ->
   ?on_dump:(dump -> unit) ->
   unit ->
   t
-(** [capacity] (default 256) bounds each ring; [max_queries] (default
-    64) bounds how many per-query rings are kept, evicting the least
-    recently active; [max_dumps] (default 16) bounds retained automatic
-    dumps.  [on_dump] fires on every automatic dump, after the lock is
-    released.
-    @raise Invalid_argument if [capacity < 1] or [max_queries < 1]. *)
+(** [capacity] (default 256) bounds the ring.  [on_dump] fires on every
+    automatic dump, after the lock is released.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val sink : t -> Trace.sink
-(** Records every event with its context; tee with other sinks. *)
+(** Records every run-level event with its context; tee with other
+    sinks. *)
 
 val record : t -> Trace.context -> Trace.event -> unit
 (** The function behind {!sink}, for direct use. *)
 
 val entries : ?query:int -> t -> stamped list
-(** Current ring contents, oldest first: the global ring, or the given
-    query's (empty when that query has no ring). *)
+(** Current ring contents, oldest first: all of it, or only the given
+    query's entries. *)
 
 val dumps : t -> dump list
 (** Automatic dumps so far, oldest first. *)
 
 val manual_dump : ?query:int -> t -> reason:string -> dump
-(** Snapshot the current ring on demand (the [RECORDER] verb); not
-    counted against [max_dumps] and not handed to [on_dump]. *)
+(** Snapshot the current ring ({!entries}) on demand (the [RECORDER]
+    verb); not counted against the 16 retained dumps and not handed to
+    [on_dump]. *)
 
 val dump_to_json : dump -> string
 (** The dump as a standalone chrome-trace document
@@ -68,6 +74,4 @@ val dump_filename : dump -> string
     (["flight-q7-breaker-open.json"]). *)
 
 val recorded : t -> int
-(** Total events recorded since creation (not bounded by capacity). *)
-
-val capacity : t -> int
+(** Run-level events recorded since creation (not bounded by capacity). *)

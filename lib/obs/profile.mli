@@ -106,12 +106,6 @@ val audit_passed : t -> bool
 val passed : t -> bool
 (** {!audit_passed} and no reconciliation error. *)
 
-val histograms : t -> (string * Metrics.dist) list
-(** Every distribution in the snapshot, name-sorted. *)
-
-val spans_of_snapshot : Metrics.snapshot -> span_row list
-(** The [span.<name>.calls]/[.seconds] pairs of a snapshot. *)
-
 val to_json : t -> string
 (** One self-contained JSON object (label, passed, counts, audit,
     spans, and the full metric snapshot under ["metrics"]). *)

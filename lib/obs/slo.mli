@@ -63,8 +63,6 @@ val tenants : t -> string list
 val reports : t -> report list
 (** One {!report} per tenant in {!tenants} order. *)
 
-val window_seconds : t -> float
-
 val to_prometheus : t -> string
 (** Text exposition of the [qaq_slo_*] gauge family with
     [{tenant="..."}] labels (idle [nan] quantiles are elided). *)

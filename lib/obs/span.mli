@@ -8,7 +8,6 @@
     parallel phase is comparable to the lanes' busy time); inject a fake
     clock in tests for deterministic durations. *)
 
-val calls_key : string -> string
 val seconds_key : string -> string
 
 val default_clock : unit -> float

@@ -33,7 +33,6 @@ type event =
 type sink = Null | Callback of (context -> event -> unit)
 
 let null = Null
-let callback f = Callback (fun _ctx e -> f e)
 let callback_ctx f = Callback f
 let enabled = function Null -> false | Callback _ -> true
 let emit_ctx sink ctx e = match sink with Null -> () | Callback f -> f ctx e

@@ -9,9 +9,9 @@
     Every emission carries a {!context} — which query (trace ID) and
     which tenant the event belongs to — so that sinks observing a
     concurrent server can attribute interleaved events.  Code that does
-    not care about attribution keeps using {!callback} / {!emit}; the
-    engine stamps a context onto a whole sink with {!with_context} so
-    downstream emitters stay context-oblivious.
+    not care about attribution keeps using {!emit}; the engine stamps a
+    context onto a whole sink with {!with_context} so downstream
+    emitters stay context-oblivious.
 
     The {!tee}, {!formatter} and collector sinks serialise emission
     with an internal mutex and are safe to share across domains.
@@ -71,10 +71,6 @@ type sink
 val null : sink
 (** Discards everything; {!enabled} is [false]. *)
 
-val callback : (event -> unit) -> sink
-(** A sink that ignores the context — for consumers that only care
-    about the event stream. *)
-
 val callback_ctx : (context -> event -> unit) -> sink
 (** A sink that receives the full attribution with every event. *)
 
@@ -107,14 +103,9 @@ val emit : sink -> event -> unit
 (** Emit with {!no_context}. *)
 
 val emit_ctx : sink -> context -> event -> unit
-val pp_event : Format.formatter -> event -> unit
-
-val context_label : context -> string
-(** [""] for {!no_context}, ["[q7]"] / ["[q7 tenant]"] otherwise — the
-    prefix {!formatter} uses. *)
 
 val verdict_name : verdict -> string
-(** ["YES"] / ["NO"] / ["MAYBE"], as printed by {!pp_event}. *)
+(** ["YES"] / ["NO"] / ["MAYBE"], as {!formatter} prints them. *)
 
 val action_name : action -> string
 (** ["forward"] / ["probe"] / ["ignore"]. *)

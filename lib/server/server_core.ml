@@ -16,8 +16,8 @@
      decisions, probe batches, breaker transitions its dispatch round
      causes — carries its ID.
    - The server's base trace sink tees the flight recorder (bounded
-     ring of recent events, auto-dumping on anomalies) with an optional
-     stderr formatter.  Dumps land in [c_recorder_dir] as chrome-trace
+     ring of recent run-level events, auto-dumping on anomalies) with
+     an optional stderr formatter.  Dumps land in [c_recorder_dir] as chrome-trace
      JSON and stay queryable over the protocol (RECORDER).
    - Each finished query feeds one Slo.sample (latency from
      result.elapsed_seconds, charged probes, degradation, broker
@@ -101,7 +101,6 @@ type t = {
 let obs t = t.srv_obs
 let broker t = t.broker
 let recorder t = t.srv_recorder
-let slo t = t.srv_slo
 
 (* Dump writing must never take a query down: a full disk loses the
    dump, not the answer. *)
@@ -115,12 +114,23 @@ let write_dump dir dump =
   with Sys_error msg ->
     Printf.eprintf "qaq-server: flight-recorder dump failed: %s\n%!" msg
 
+exception Recorder_dir_error of { dir : string; reason : string }
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+(* The dump directory is checked once, up front: a path that cannot be a
+   directory is a configuration error, not a crash on the first dump. *)
+let recorder_dir dir =
+  match mkdir_p dir with
+  | () when Sys.is_directory dir -> ()
+  | () -> raise (Recorder_dir_error { dir; reason = "not a directory" })
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Recorder_dir_error { dir; reason = Unix.error_message e })
 
 let create ?clock cfg =
   let syn =
@@ -133,7 +143,7 @@ let create ?clock cfg =
       let on_dump =
         match cfg.c_recorder_dir with
         | Some dir ->
-            mkdir_p dir;
+            recorder_dir dir;
             fun d -> write_dump dir d
         | None -> fun _ -> ()
       in
@@ -263,6 +273,10 @@ let parse_kvs tokens =
 let handle_query srv out tokens =
   match parse_kvs tokens with
   | Error tok -> pr out "ERR expected key=value, got %S" tok
+  | Ok kvs when List.assoc_opt "tenant" kvs = Some Slo.all_tenant ->
+      (* A tenant named like the SLO aggregate would have no window of
+         its own. *)
+      pr out "ERR tenant %s is reserved" Slo.all_tenant
   | Ok kvs -> (
       let find k = List.assoc_opt k kvs in
       let float_of k default =
@@ -469,8 +483,8 @@ let handle_slo srv out args =
         (Slo.reports srv.srv_slo));
   pr out "OK"
 
-(* RECORDER            the global ring as one chrome-trace document
-   RECORDER <trace-id> that query's ring
+(* RECORDER            the whole ring as one chrome-trace document
+   RECORDER <trace-id> that query's entries in it
    RECORDER last       the most recent automatic anomaly dump *)
 let handle_recorder srv out args =
   match srv.srv_recorder with

@@ -18,24 +18,29 @@
     HEALTH         overall rolling SLO + recorder/breaker state
     SLO [tenant]   per-tenant rolling SLO      -> SLO ... lines, OK
     RECORDER [trace-id|last]
-                   flight-recorder ring / last anomaly dump as
-                   chrome-trace JSON, then OK
+                   flight-recorder ring (all of it, or one query's
+                   entries) / last anomaly dump as chrome-trace JSON,
+                   then OK
     HELP           command summary
     QUIT           close the session           -> BYE
     v}
 
     A malformed QUERY (a bare token, a non-numeric value, a negative
-    [quota], requirements out of range) is answered [ERR ...] and
-    queues nothing.
+    [quota], requirements out of range, or the reserved tenant name
+    {!Slo.all_tenant}, ["_all"], which names the SLO aggregate) is
+    answered [ERR ...] and queues nothing.
 
     Telemetry: every RUN mints a per-query trace ID, stamps the query's
     engine events and its broker client's probe events with it
-    ({!Trace.context}), records everything in a bounded
-    {!Flight_recorder} (auto-dumping on degradation, breaker trips,
-    budget stops and guarantee shortfalls), and feeds each finished
-    query into rolling per-tenant {!Slo} windows.  [RESULT] lines carry
-    [trace=N] and [elapsed=seconds] so a client can correlate protocol
-    responses with trace dumps. *)
+    ({!Trace.context}), records the run-level ones — phases, batches,
+    probe failures, degradations, breaker changes, stops, shortfalls,
+    not per-object reads and decisions — in one bounded
+    {!Flight_recorder} ring (auto-dumping the implicated query's
+    entries on degradation, breaker trips, budget stops and guarantee
+    shortfalls), and feeds each finished query into rolling per-tenant
+    {!Slo} windows.  [HEALTH recorded=N] counts those run-level events.
+    [RESULT] lines carry [trace=N] and [elapsed=seconds] so a client
+    can correlate protocol responses with trace dumps. *)
 
 type admission = Degrade | Reject
 
@@ -65,7 +70,9 @@ type config = {
           [c_fault_seed].  STATS adds per-tier [TIER <name>] lines when
           there is more than one tier. *)
   c_breaker : bool;  (** put a {!Circuit_breaker} on the broker *)
-  c_recorder : int;  (** flight-recorder ring capacity; 0 disables *)
+  c_recorder : int;
+      (** flight-recorder ring capacity, in run-level events shared by
+          every query; 0 disables *)
   c_recorder_dir : string option;
       (** where automatic anomaly dumps are written as chrome-trace
           JSON files (kept in memory regardless) *)
@@ -83,16 +90,21 @@ val default_config : config
 
 type t
 
+exception Recorder_dir_error of { dir : string; reason : string }
+(** [c_recorder_dir] names a path that is not, and cannot be made, a
+    directory. *)
+
 val create : ?clock:(unit -> float) -> config -> t
 (** Build a server: generate the dataset, wire the broker (with fault
     injection and breaker per the config) and the telemetry stack.
     [clock] (default wall time) drives the recorder timestamps and the
-    SLO windows — inject a fake clock in tests. *)
+    SLO windows — inject a fake clock in tests.
+    @raise Recorder_dir_error when the recorder is on and
+    [c_recorder_dir] cannot be created as a directory. *)
 
 val obs : t -> Obs.t
 val broker : t -> Synthetic.obj Probe_broker.t
 val recorder : t -> Flight_recorder.t option
-val slo : t -> Slo.t
 
 val serve : t -> in_channel -> out_channel -> [ `Quit | `Eof ]
 (** One session over a channel pair; [`Quit] when the client asked to

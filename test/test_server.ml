@@ -293,14 +293,38 @@ let test_negative_quota_rejected () =
     checkb "clean QUIT" true (verdict = `Quit);
     lines
   in
-  let lines = run [ "QUERY quota=-1"; "QUERY seed=1"; "RUN"; "QUIT" ] in
-  ignore (find_line lines "ERR ");
-  let results = List.filter (String.starts_with ~prefix:"RESULT ") lines in
-  checki "only the valid query ran" 1 (List.length results);
   let fresh = run [ "QUERY seed=1"; "RUN"; "QUIT" ] in
-  Alcotest.(check string) "same RESULT as a fresh server"
-    (deterministic (find_line fresh "RESULT "))
-    (deterministic (List.hd results))
+  (* The reserved SLO aggregate name is malformed the same way: a tenant
+     called [_all] would have no window of its own. *)
+  List.iter
+    (fun bad ->
+      let lines = run [ bad; "QUERY seed=1"; "RUN"; "QUIT" ] in
+      ignore (find_line lines "ERR ");
+      let results = List.filter (String.starts_with ~prefix:"RESULT ") lines in
+      checki "only the valid query ran" 1 (List.length results);
+      Alcotest.(check string) "same RESULT as a fresh server"
+        (deterministic (find_line fresh "RESULT "))
+        (deterministic (List.hd results)))
+    [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant ]
+
+(* A recorder directory that cannot be created is a typed error naming
+   the path, raised before the server serves anything (it used to
+   escape as a raw [Unix_error] from [mkdir]). *)
+let test_recorder_dir_unusable () =
+  let file = Filename.temp_file "qaq-test-not-a-dir" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun dir ->
+          match
+            Server_core.create { base_config with c_recorder_dir = Some dir }
+          with
+          | _ -> Alcotest.failf "created a server with recorder dir %s" dir
+          | exception Server_core.Recorder_dir_error { dir = d; reason } ->
+              Alcotest.(check string) "names the path" dir d;
+              checkb "gives a reason" true (reason <> ""))
+        [ Filename.concat file "dumps"; file ])
 
 let suite =
   [
@@ -313,4 +337,6 @@ let suite =
     ("reject admission feeds slo", `Quick, test_reject_admission_slo);
     ("protocol compatibility", `Quick, test_protocol_compat);
     ("negative quota is an ERR", `Quick, test_negative_quota_rejected);
+    ("unusable recorder dir is a typed error", `Quick,
+     test_recorder_dir_unusable);
   ]

@@ -137,6 +137,145 @@ let test_recorder_anomaly_dumps () =
     "filename" "flight-q7-degraded-forced.json"
     (Flight_recorder.dump_filename d7)
 
+(* The recorder keeps run-level events only.  Teed next to a collector
+   on one engine run, its entries are exactly the collector's events
+   minus the per-object ones, in order, each stamped with the query's
+   context. *)
+let per_object = function
+  | Trace.Read _ | Trace.Decision _ | Trace.Probe_resolved -> true
+  | _ -> false
+
+let test_recorder_keeps_run_level_events () =
+  let data = workload 800 in
+  let recorder = Flight_recorder.create ~capacity:4096 () in
+  let collect, collected = Trace.collector () in
+  let obs =
+    Obs.create ~trace:(Trace.tee (Flight_recorder.sink recorder) collect) ()
+  in
+  let ctx = { Trace.query = Some 41; tenant = Some "tee" } in
+  let obs_q = Obs.with_context obs ctx in
+  ignore
+    (Engine.execute ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
+       ~obs:obs_q ~instance:Synthetic.instance
+       ~probe:(pure_driver ~obs:obs_q ()) ~requirements data);
+  let all = collected () in
+  checkb "the run emitted per-object events" true (List.exists per_object all);
+  let expect = List.filter (fun e -> not (per_object e)) all in
+  let entries = Flight_recorder.entries recorder in
+  checki "recorded counts the kept events" (List.length expect)
+    (Flight_recorder.recorded recorder);
+  checkb "entries are the run-level events, in order" true
+    (List.map (fun (_, _, e) -> e) entries = expect);
+  List.iter
+    (fun (_, c, _) -> checkb "stamped with the query" true (c = ctx))
+    entries
+
+let gen_context =
+  QCheck2.Gen.(
+    map2
+      (fun query tenant -> { Trace.query; tenant })
+      (oneofl [ None; Some 7; Some 9 ])
+      (oneofl [ None; Some "acme"; Some "b\"q" ]))
+
+(* One ring: a query's entries (and its manual dump) are the ring
+   filtered by trace ID, oldest first, whatever the interleaving. *)
+let prop_query_entries_filter_the_ring =
+  QCheck2.Test.make ~name:"per-query entries are the ring filtered"
+    ~count:200
+    QCheck2.Gen.(pair (int_range 1 40) (list_size (int_range 0 120) gen_context))
+    (fun (capacity, ctxs) ->
+      let r = Flight_recorder.create ~capacity ~clock:(fun () -> 0.0) () in
+      List.iteri
+        (fun i ctx ->
+          Flight_recorder.record r ctx (Trace.Batch { size = i }))
+        ctxs;
+      let ring = Flight_recorder.entries r in
+      List.for_all
+        (fun q ->
+          let expect =
+            List.filter (fun (_, c, _) -> c.Trace.query = Some q) ring
+          in
+          Flight_recorder.entries ~query:q r = expect
+          && (Flight_recorder.manual_dump ~query:q r ~reason:"t")
+               .Flight_recorder.events
+             = expect)
+        [ 7; 9; 11 ])
+
+let gen_float =
+  QCheck2.Gen.oneofl [ 0.0; 1e-3; 0.25; 2.0; -1.0; Float.nan; Float.infinity ]
+
+let gen_event =
+  let open QCheck2.Gen in
+  let verdict = oneofl [ `Yes; `No; `Maybe ] in
+  let action = oneofl [ `Forward; `Probe; `Ignore ] in
+  oneof
+    [
+      map (fun verdict -> Trace.Read { verdict }) verdict;
+      map4
+        (fun verdict action laxity success ->
+          Trace.Decision { verdict; action; laxity; success })
+        verdict action gen_float gen_float;
+      pure Trace.Probe_resolved;
+      map (fun attempts -> Trace.Probe_failed { attempts }) small_nat;
+      map3
+        (fun verdict action forced -> Trace.Degraded { verdict; action; forced })
+        verdict action bool;
+      map2
+        (fun state round -> Trace.Breaker { state; round })
+        (oneofl [ "open"; "half-open"; "closed" ])
+        small_nat;
+      map (fun size -> Trace.Batch { size }) small_nat;
+      map2
+        (fun reads recall -> Trace.Early_termination { reads; recall })
+        small_nat gen_float;
+      map2
+        (fun reads recall -> Trace.Budget_stop { reads; recall })
+        small_nat gen_float;
+      map (fun reads -> Trace.Replan { reads }) small_nat;
+      map4
+        (fun a b c d ->
+          Trace.Shortfall
+            {
+              requested_precision = a;
+              requested_recall = b;
+              guaranteed_precision = c;
+              guaranteed_recall = d;
+            })
+        gen_float gen_float gen_float gen_float;
+      map2
+        (fun name seconds -> Trace.Phase { name; seconds })
+        (oneofl [ "plan"; "scan"; "a \"quoted\" span" ])
+        gen_float;
+      map (fun s -> Trace.Note s) (oneofl [ ""; "note"; "tab\there" ]);
+    ]
+
+(* The live chrome-trace sink and the dump renderer are one code path:
+   a stamped stream recorded under a fake clock (one lane, no pool
+   tasks) exports exactly the document [json_of_entries] renders from
+   the same triples.  Timestamps repeat on purpose, so equal-time
+   events must keep their recording order in both. *)
+let prop_chrome_sink_is_json_of_entries =
+  QCheck2.Test.make ~name:"chrome-trace sink exports json_of_entries"
+    ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (triple (oneofl [ 0.0; 0.0; 1e-4; 0.5 ]) gen_context gen_event))
+    (fun stream ->
+      let now = ref 100.0 in
+      let chrome = Chrome_trace.create ~clock:(fun () -> !now) () in
+      let sink = Chrome_trace.sink chrome in
+      let stamped =
+        List.map
+          (fun (dt, ctx, ev) ->
+            now := !now +. dt;
+            Trace.emit_ctx sink ctx ev;
+            (!now, ctx, ev))
+          stream
+      in
+      Chrome_trace.events chrome = List.length stream
+      && Chrome_trace.to_json chrome
+         = Chrome_trace.json_of_entries ~epoch:100.0 stamped)
+
 (* Rolling windows under a fake clock: totals age out, rates divide by
    the window, quantiles come from the windowed distribution. *)
 let test_rolling_window () =
@@ -295,6 +434,10 @@ let suite =
      test_traced_identical_to_untraced);
     QCheck_alcotest.to_alcotest prop_recorder_ring;
     ("recorder anomaly dumps", `Quick, test_recorder_anomaly_dumps);
+    ("recorder keeps run-level events only", `Quick,
+     test_recorder_keeps_run_level_events);
+    QCheck_alcotest.to_alcotest prop_query_entries_filter_the_ring;
+    QCheck_alcotest.to_alcotest prop_chrome_sink_is_json_of_entries;
     ("rolling windows age out", `Quick, test_rolling_window);
     ("slo reports and prometheus family", `Quick, test_slo_reports);
     ("histogram exposition across merge/diff", `Quick,
