@@ -13,10 +13,12 @@
      dune exec bench/main.exe -- micro        # only Bechamel benches
      dune exec bench/main.exe -- columnar     # row vs columnar scan
                                               # throughput (never-probe
-                                              # workload, domains 1/4/8);
-                                              # exits 1 if the layouts
-                                              # disagree or columnar is
-                                              # slower than row at domains=1
+                                              # workload, 15 alternating
+                                              # pairs at domains=1, then
+                                              # domains 4/8); exits 1 if
+                                              # the layouts disagree or
+                                              # the median pair has
+                                              # columnar slower than row
      dune exec bench/main.exe -- server       # broker concurrency sweep
                                               # (8 clients, 10 ms backend,
                                               # domains 1/2/4/8); exits 1
@@ -225,7 +227,7 @@ let ablation_index () =
       Operator.run ~rng ~instance:(Interval_data.instance pred)
         ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
         ~policy:Policy.stingy ~requirements
-        (Column_scan.source ~wave:1 ~prune:pruned ~store:counting
+        (Scan_pipeline.columnar ~wave:1 ~prune:pruned ~store:counting
            ~of_row:Interval_data.of_row ~pred:(Predicate.compile pred) ())
     in
     (report, !fetched)
@@ -642,7 +644,12 @@ let engine_seed = 607
    object, inside the decision loop; the columnar path runs the
    compiled kernel over chunk buffers ahead of it.  Both
    must produce identical reports — throughput is only interesting on
-   equal answers. *)
+   equal answers.  The gate runs at domains=1 in fifteen row/columnar
+   pairs that alternate which layout runs first, so drift on a shared
+   box lands on both sides; every run must match the baseline report,
+   and the median per-pair speedup (row time over columnar time) must
+   be at least 1.  Domains 4 and 8 are one identity-checked run per
+   layout, reported but not gated. *)
 let columnar_bench () =
   section "Columnar: row vs columnar scan throughput (never-probe)";
   let n = 200_000 in
@@ -675,20 +682,17 @@ let columnar_bench () =
   let probe = Probe_driver.scalar Interval_data.probe in
   let scan ?pool layout =
     let meter = Cost_meter.create () in
-    let report =
+    let source =
       match layout with
-      | `Row ->
-          Operator.run ~rng:(Rng.create 8193) ~meter ~collect:false
-            ~enforce:false ~instance ~cascade:(Cascade.of_driver probe)
-            ~policy:never_probe ~requirements
-            (Scan_pipeline.source ?pool ~instance records)
+      | `Row -> Scan_pipeline.source ?pool ~instance records
       | `Columnar ->
-          Operator.run ~rng:(Rng.create 8193) ~meter
-            ~collect:false ~enforce:false ~instance
-            ~cascade:(Cascade.of_driver probe)
-            ~policy:never_probe ~requirements
-            (Column_scan.source ?pool ~store ~of_row:Interval_data.of_row
-               ~pred:(Predicate.compile pred) ())
+          Scan_pipeline.columnar ?pool ~store ~of_row:Interval_data.of_row
+            ~pred:(Predicate.compile pred) ()
+    in
+    let report =
+      Operator.run ~rng:(Rng.create 8193) ~meter ~collect:false
+        ~enforce:false ~instance ~cascade:(Cascade.of_driver probe)
+        ~policy:never_probe ~requirements source
     in
     (report, Cost_meter.counts meter)
   in
@@ -699,51 +703,58 @@ let columnar_bench () =
       report.guarantees,
       counts )
   in
-  let time_best ~domains layout =
-    let go ?pool () =
-      let best = ref infinity in
-      let result = ref None in
-      for _ = 1 to 3 do
-        let t0 = Unix.gettimeofday () in
-        let r = scan ?pool layout in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt;
-        result := Some r
-      done;
-      (!best, Option.get !result)
-    in
-    if domains = 1 then go ()
-    else Domain_pool.with_pool ~domains (fun pool -> go ~pool ())
-  in
+  let name = function `Row -> "row" | `Columnar -> "columnar" in
   ignore (scan `Row) (* warmup *);
   ignore (scan `Columnar);
   let baseline = fingerprint (scan `Row) in
   let ok = ref true in
-  let row_d1 = ref nan in
-  let col_d1 = ref nan in
+  let timed ?pool ~domains layout =
+    let t0 = Unix.gettimeofday () in
+    let r = scan ?pool layout in
+    let dt = Unix.gettimeofday () -. t0 in
+    if fingerprint r <> baseline then begin
+      ok := false;
+      Printf.printf "%-8s domains=%d RESULT DIVERGED\n" (name layout) domains
+    end;
+    (dt, snd r)
+  in
+  let pairs = 15 in
+  let speedups =
+    Array.init pairs (fun i ->
+        let row, col =
+          if i mod 2 = 0 then
+            let row = timed ~domains:1 `Row in
+            (row, timed ~domains:1 `Columnar)
+          else
+            let col = timed ~domains:1 `Columnar in
+            (timed ~domains:1 `Row, col)
+        in
+        let speedup = fst row /. fst col in
+        Printf.printf "pair %2d (%s first): row %.3f s, columnar %.3f s (%.2fx)\n"
+          i
+          (if i mod 2 = 0 then "row" else "columnar")
+          (fst row) (fst col) speedup;
+        speedup)
+  in
   List.iter
     (fun domains ->
-      List.iter
-        (fun layout ->
-          let name =
-            match layout with `Row -> "row" | `Columnar -> "columnar"
-          in
-          let dt, r = time_best ~domains layout in
-          let pps = float_of_int pages /. dt in
-          if fingerprint r <> baseline then begin
-            ok := false;
-            Printf.printf "%-8s domains=%d RESULT DIVERGED\n" name domains
-          end;
-          if domains = 1 then
-            if layout = `Row then row_d1 := pps else col_d1 := pps;
-          Printf.printf "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n"
-            name domains dt pps (snd r).Cost_meter.probes)
-        [ `Row; `Columnar ])
-    [ 1; 4; 8 ];
-  let ratio = !col_d1 /. !row_d1 in
+      Domain_pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun layout ->
+              let dt, counts = timed ~pool ~domains layout in
+              Printf.printf
+                "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n"
+                (name layout) domains dt
+                (float_of_int pages /. dt)
+                counts.Cost_meter.probes)
+            [ `Row; `Columnar ]))
+    [ 4; 8 ];
+  Array.sort Float.compare speedups;
+  let ratio = speedups.(pairs / 2) in
   Printf.printf "row and columnar reports identical: %s\n"
     (if !ok then "yes" else "NO — layout equivalence broken");
-  Printf.printf "columnar vs row at domains=1: %.2fx\n" ratio;
+  Printf.printf "columnar vs row at domains=1, median of %d pairs: %.2fx\n"
+    pairs ratio;
   if not !ok then exit 1;
   if Float.is_nan ratio || ratio < 1.0 then begin
     print_endline "columnar slower than row at domains=1 — FAIL";

@@ -32,7 +32,8 @@ type 'o instance = {
     [current] only to forward or probe: a NO or an ignored MAYBE never
     has to exist as an OCaml value (late materialisation).  The three
     questions receive the run's instance; a pre-classifying source
-    ([Scan_pipeline], [Column_scan]) ignores it, but must answer what
+    ([Scan_pipeline.source] on a pool, [Scan_pipeline.columnar])
+    ignores it, but must answer what
     the instance would say of [current ()].  [total] is the number of
     objects the source will deliver — the initial [|M_ns|] — and must be
     exact: guarantees are computed from it. *)

@@ -255,7 +255,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
           (match columnar with
           | None -> Scan_pipeline.source ?obs ?pool ~instance data
           | Some c ->
-              Column_scan.source ?obs ?pool ~prune:c.prune ~store:c.store
+              Scan_pipeline.columnar ?obs ?pool ~prune:c.prune ~store:c.store
                 ~of_row:c.of_row ~pred:(Predicate.compile c.pred) ()))
   in
   let budget_summary =

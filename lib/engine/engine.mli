@@ -111,7 +111,8 @@ val profiling : ?label:string -> ?oracle:('o -> bool) -> unit -> 'o profiling
 
 (** A columnar backing for the scan: the same objects as the [data]
     array, decomposed into a {!Column_store} plus the rebuild function
-    and the scan predicate ({!Column_scan} needs it in compiled form).
+    and the scan predicate ({!Scan_pipeline.columnar} needs it in
+    compiled form).
     With [prune] set, whole-NO chunks are skipped without being
     fetched. *)
 type 'o columnar = {
@@ -243,7 +244,7 @@ val execute :
     lane per worker.
 
     [columnar] switches the scan onto the vectorized columnar engine
-    ({!Operator.run} over the {!Column_scan.source} cursor, which reads
+    ({!Operator.run} over the {!Scan_pipeline.columnar} cursor, which reads
     verdicts from the kernel's buffers and builds an object with
     [of_row] only to forward or probe it) over the given store;
     planning, sampling and the

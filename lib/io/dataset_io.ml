@@ -99,16 +99,27 @@ let records_of_rows rows =
   check_header records_header rows
   |> List.map (function
        | [ id; lo; hi; truth ] ->
+           let id = int_of_field "id" id in
            let lo = float_of_field "belief_lo" lo in
            let hi = float_of_field "belief_hi" hi in
+           let truth = float_of_field "truth" truth in
+           (* A row must be a sound imprecise object: a finite support
+              that contains its truth.  Anything else would crash the
+              query (or its first probe) far from the file. *)
+           let sound =
+             Float.is_finite lo && Float.is_finite hi && lo <= truth
+             && truth <= hi
+           in
+           if not sound then
+             failwith
+               (Printf.sprintf
+                  "Dataset_io: record %d: support [%g, %g] is not finite or \
+                   does not contain the truth %g"
+                  id lo hi truth);
            let belief =
              if lo = hi then Uncertain.exact lo else Uncertain.interval lo hi
            in
-           {
-             Interval_data.id = int_of_field "id" id;
-             belief;
-             truth = float_of_field "truth" truth;
-           }
+           { Interval_data.id; belief; truth }
        | row ->
            failwith
              (Printf.sprintf "Dataset_io: bad record row arity %d"
@@ -249,11 +260,15 @@ let decode_chunk ~path ~ic ~chunk_size ~length ~scratch c =
     Array.unsafe_set ids i (Int64.to_int id);
     let l = bytes_float b ((len + i) * 8) in
     let h = bytes_float b (((2 * len) + i) * 8) in
-    if not (Float.is_finite l && Float.is_finite h) || l > h then
-      corrupt path "chunk %d row %d: bad support [%h, %h]" c i l h;
+    let t = bytes_float b (((3 * len) + i) * 8) in
+    if not (Float.is_finite l && Float.is_finite h && l <= t && t <= h) then
+      corrupt path
+        "chunk %d row %d: support [%h, %h] is not finite or does not contain \
+         the truth %h"
+        c i l h t;
     Bigarray.Array1.unsafe_set lo i l;
     Bigarray.Array1.unsafe_set hi i h;
-    Bigarray.Array1.unsafe_set truth i (bytes_float b (((3 * len) + i) * 8))
+    Bigarray.Array1.unsafe_set truth i t
   done;
   { Column_store.base; len; ids; lo; hi; truth }
 

@@ -25,6 +25,12 @@ val records_to_rows : Interval_data.record array -> string list list
     this flat schema). *)
 
 val records_of_rows : string list list -> Interval_data.record array
+(** Parse a header and [id, belief_lo, belief_hi, truth] rows (a point
+    support is an exact belief).
+    @raise Failure ["Dataset_io: ..."] on a bad header, arity or number,
+    a support bound that is not finite, a reversed support, or a truth
+    that is not finite or lies outside [\[belief_lo, belief_hi\]]. *)
+
 val write_records : string -> Interval_data.record array -> unit
 val read_records : string -> Interval_data.record array
 
@@ -43,8 +49,9 @@ val read_records : string -> Interval_data.record array
 exception Corrupt_columnar of { path : string; reason : string }
 (** The file is not a well-formed QCOL file: bad magic, impossible
     header fields, a size that disagrees with the declared layout
-    (truncated or padded), a malformed zone entry, or a chunk whose
-    decoded bounds are non-finite or reversed.  Raised by
+    (truncated or padded), a malformed zone entry, or a chunk with a
+    row whose decoded bounds are non-finite or reversed or whose truth
+    lies outside its support.  Raised by
     {!open_columnar} for header damage and by chunk fetches for body
     damage. *)
 

@@ -72,11 +72,12 @@ module Keys : sig
       the remaining budget — a subset of {!replans}. *)
 
   val parallel_chunks : string
-  (** Blocks dispatched to the domain pool by the parallel
-      classification stage (0 on a sequential run). *)
+  (** Blocks classified by {!Scan_pipeline}'s cursor: row blocks on a
+      pool of more than one lane, columnar waves on any pool (0 on a
+      sequential row run). *)
 
   val pruned_pages : string
-  (** Whole [Column_store] chunks a pruned [Column_scan] skipped
+  (** Whole [Column_store] chunks a pruned [Scan_pipeline.columnar] skipped
       because their zone hull is a definite NO — work that was {e not}
       done, hence never metered as reads.  A chunk counts as one
       page. *)

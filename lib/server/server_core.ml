@@ -254,7 +254,11 @@ let print_stats out label (s : Probe_broker.stats) =
     label s.requests s.admitted s.charged s.failed s.coalesced s.fresh_hits
     s.rejected s.batches
 
-(* key=value tokens; bare tokens are errors the client can see. *)
+let query_keys = [ "tenant"; "seed"; "p"; "r"; "l"; "quota" ]
+
+(* key=value tokens over [query_keys]; a bare token or an unknown key
+   (a typo such as [recal=0.99] would otherwise run at the default) is
+   an error the client can see. *)
 let parse_kvs tokens =
   List.fold_left
     (fun acc tok ->
@@ -262,17 +266,21 @@ let parse_kvs tokens =
       | Error _ as e -> e
       | Ok kvs -> (
           match String.index_opt tok '=' with
+          | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
           | Some i ->
-              Ok
-                ((String.sub tok 0 i,
-                  String.sub tok (i + 1) (String.length tok - i - 1))
-                :: kvs)
-          | None -> Error tok))
+              let key = String.sub tok 0 i in
+              if List.mem key query_keys then
+                Ok ((key, String.sub tok (i + 1) (String.length tok - i - 1))
+                   :: kvs)
+              else
+                Error
+                  (Printf.sprintf "unknown QUERY key %S (keys: %s)" key
+                     (String.concat " " query_keys))))
     (Ok []) tokens
 
 let handle_query srv out tokens =
   match parse_kvs tokens with
-  | Error tok -> pr out "ERR expected key=value, got %S" tok
+  | Error msg -> pr out "ERR %s" msg
   | Ok kvs when List.assoc_opt "tenant" kvs = Some Slo.all_tenant ->
       (* A tenant named like the SLO aggregate would have no window of
          its own. *)

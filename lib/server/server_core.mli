@@ -25,10 +25,11 @@
     QUIT           close the session           -> BYE
     v}
 
-    A malformed QUERY (a bare token, a non-numeric value, a negative
-    [quota], requirements out of range, or the reserved tenant name
-    {!Slo.all_tenant}, ["_all"], which names the SLO aggregate) is
-    answered [ERR ...] and queues nothing.
+    A malformed QUERY (a bare token, a key other than the six above —
+    a typo such as [recal=0.99], or an empty one as in [=1] — a
+    non-numeric value, a negative [quota], requirements out of range,
+    or the reserved tenant name {!Slo.all_tenant}, ["_all"], which
+    names the SLO aggregate) is answered [ERR ...] and queues nothing.
 
     Telemetry: every RUN mints a per-query trace ID, stamps the query's
     engine events and its broker client's probe events with it

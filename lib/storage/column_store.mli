@@ -5,8 +5,9 @@
     object to test one scalar attribute.  This module stores that
     attribute decomposed: one flat [float64] {!Bigarray.Array1} per
     bound — [lo] and [hi] of the belief support — plus the ground truth
-    used by probes, split into fixed-size chunks.  Classification
-    kernels ({!Column_scan}) run directly over the chunk buffers with no
+    used by probes, split into fixed-size chunks.  The classification
+    kernel ([Predicate.classify_column], driven by
+    [Scan_pipeline.columnar]) runs directly over the chunk buffers with no
     per-object allocation, which is where the columnar layout earns its
     keep.
 

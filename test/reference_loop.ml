@@ -735,7 +735,9 @@ module Column_scan_ref = struct
       let tasks =
         Array.mapi
           (fun k ch () ->
-            Column_scan.kernel pred ch ~off:(k * cs) ~verdicts ~laxities ~successes)
+            Predicate.classify_column pred ~lo:ch.Column_store.lo
+              ~hi:ch.Column_store.hi ~len:ch.Column_store.len ~off:(k * cs)
+              ~verdicts ~laxities ~successes)
           wave_chunks
       in
       (* Each task writes a disjoint buffer slice indexed by its wave

@@ -72,8 +72,9 @@ let prop_kernel_matches_instance =
       let successes = Array.make n nan in
       for c = 0 to Column_store.chunk_count store - 1 do
         let ch = Column_store.chunk store c in
-        Column_scan.kernel compiled ch ~off:ch.Column_store.base ~verdicts
-          ~laxities ~successes
+        Predicate.classify_column compiled ~lo:ch.Column_store.lo
+          ~hi:ch.Column_store.hi ~len:ch.Column_store.len
+          ~off:ch.Column_store.base ~verdicts ~laxities ~successes
       done;
       Array.for_all
         (fun (r : Interval_data.record) ->
@@ -381,7 +382,20 @@ let test_qcol_corruption () =
       write_file path (Bytes.to_string body);
       expect_corrupt "reversed bounds in chunk" (fun () ->
           Dataset_io.with_columnar path (fun s ->
-              ignore (Column_store.chunk s 0))))
+              ignore (Column_store.chunk s 0)));
+      (* A truth that is not finite or lies outside its support: the
+         first probe of that row would otherwise fail the query. *)
+      let truth_off = header + (len * 8 * 3) in
+      List.iter
+        (fun (name, t) ->
+          let body = Bytes.of_string good in
+          Bytes.set_int64_le body truth_off (Int64.bits_of_float t);
+          write_file path (Bytes.to_string body);
+          expect_corrupt name (fun () ->
+              Dataset_io.with_columnar path (fun s ->
+                  ignore (Column_store.chunk s 0))))
+        [ ("nan truth", nan); ("infinite truth", infinity);
+          ("truth outside the support", -1.0) ])
 
 (* A header whose layout size wraps round: 2^58 + 1 rows of 32 bytes
    in one chunk of [max_int] rows.  Unchecked, 24 + 17 + (2^58 + 1) * 32

@@ -202,7 +202,7 @@ let cursor_run c data =
             | `Row, Some pool ->
                 Scan_pipeline.source ~obs ~block:c.block ~pool ~instance data
             | (`Columnar | `Pruned), _ ->
-                Column_scan.source ~obs ~wave:c.wave ?pool
+                Scan_pipeline.columnar ~obs ~wave:c.wave ?pool
                   ~prune:(c.layout = `Pruned) ~store
                   ~of_row:Interval_data.of_row
                   ~pred:(Predicate.compile c.pred) ()

@@ -125,6 +125,32 @@ let test_records_reject_gaussian () =
         in the flat schema") (fun () ->
       ignore (Dataset_io.records_to_rows records))
 
+(* A row that is not a sound imprecise object is a loader error, not a
+   crash deep in the query or at its first probe. *)
+let test_records_reject_unsound () =
+  let reject name row =
+    Alcotest.check_raises name
+      (Failure
+         (Printf.sprintf
+            "Dataset_io: record 0: support [%s, %s] is not finite or does \
+             not contain the truth %s"
+            (List.nth row 1) (List.nth row 2) (List.nth row 3)))
+      (fun () ->
+        ignore (Dataset_io.records_of_rows [ Dataset_io.records_header; row ]))
+  in
+  reject "nan bound" [ "0"; "nan"; "2"; "1.5" ];
+  reject "reversed support" [ "0"; "3"; "2"; "2.5" ];
+  reject "infinite point" [ "0"; "inf"; "inf"; "inf" ];
+  reject "nan truth" [ "0"; "1"; "2"; "nan" ];
+  reject "infinite truth" [ "0"; "1"; "2"; "inf" ];
+  reject "truth below support" [ "0"; "1"; "2"; "0" ];
+  reject "truth off a point support" [ "0"; "1"; "1"; "1.5" ];
+  let ok =
+    Dataset_io.records_of_rows
+      [ Dataset_io.records_header; [ "0"; "1"; "1"; "1" ]; [ "1"; "1"; "2"; "2" ] ]
+  in
+  Alcotest.(check int) "sound rows load" 2 (Array.length ok)
+
 (* Arbitrary strings — including quotes, commas, newlines, CRs — must
    round-trip through encode/decode. *)
 let prop_csv_roundtrip =
@@ -152,4 +178,5 @@ let suite =
     ("synthetic bad input", `Quick, test_synthetic_bad_input);
     ("records roundtrip", `Quick, test_records_roundtrip);
     ("records reject gaussian", `Quick, test_records_reject_gaussian);
+    ("records reject unsound rows", `Quick, test_records_reject_unsound);
   ]

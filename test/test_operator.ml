@@ -165,7 +165,7 @@ let test_zone_map_source_is_sound () =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
       ~policy:Policy.stingy ~requirements
-      (Column_scan.source ~prune:true ~store ~of_row:Interval_data.of_row
+      (Scan_pipeline.columnar ~prune:true ~store ~of_row:Interval_data.of_row
          ~pred:(Predicate.compile pred) ())
   in
   checkb "meets requirements" true (Quality.meets report.guarantees requirements);

@@ -305,7 +305,13 @@ let test_negative_quota_rejected () =
       Alcotest.(check string) "same RESULT as a fresh server"
         (deterministic (find_line fresh "RESULT "))
         (deterministic (List.hd results)))
-    [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant ]
+    [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant;
+      "QUERY recal=0.99"; "QUERY =1" ];
+  (* An unknown key is named, not run at the default it shadows. *)
+  let lines = run [ "QUERY seed=1 recal=0.99"; "QUIT" ] in
+  checkb "the ERR names the key" true
+    (String.starts_with ~prefix:"ERR unknown QUERY key \"recal\""
+       (find_line lines "ERR "))
 
 (* A recorder directory that cannot be created is a typed error naming
    the path, raised before the server serves anything (it used to
