@@ -21,12 +21,14 @@
                                               # columnar slower than row
      dune exec bench/main.exe -- server       # broker concurrency sweep
                                               # (8 clients, 10 ms backend,
-                                              # domains 1/2/4/8); exits 1
-                                              # unless answers match the
-                                              # solo runs, the broker
-                                              # charges fewer probes, and
-                                              # 8 domains run >= 1.3x the
-                                              # serial queries/s
+                                              # domains 1/2/4, then 5
+                                              # alternating serial/8-domain
+                                              # pairs); exits 1 unless
+                                              # answers match the solo
+                                              # runs, the broker charges
+                                              # fewer probes, and the
+                                              # median pair runs 8 domains
+                                              # >= 1.3x faster than serial
      dune exec bench/main.exe -- telemetry    # the server scenario at 8
                                               # domains, 7 alternating
                                               # bare/full-telemetry pairs;
@@ -887,11 +889,15 @@ let run_micro () =
    [Engine.execute_many] overlaps one query's classification with
    another's backend wait.
 
-   Gates (exit 1): at concurrency 8 the shared path must run at least
-   1.3x the serial queries/sec; at every level the broker must charge
-   strictly fewer backend probes than the solo runs paid in total; and
-   every query's result must be bit-for-bit its solo run — same answer,
-   same guarantees, same per-query accounting — with requirements met. *)
+   Domains 1, 2 and 4 are one run each, reported.  The 8-domain gate
+   runs five serial/shared pairs that alternate which side runs first,
+   so drift on a shared box lands on both sides.  Gates (exit 1): the
+   median per-pair speedup (serial time over shared time) must be at
+   least 1.3; on every run the broker must charge strictly fewer
+   backend probes than the solo runs paid in total; and on every run
+   each query's result must be bit-for-bit its solo run — same answer,
+   same guarantees, same per-query accounting — with requirements
+   met. *)
 let server_bench () =
   section "Server: cross-query probe broker concurrency sweep";
   print_endline
@@ -918,79 +924,119 @@ let server_bench () =
   in
   let ok = ref true in
   let fail fmt = Printf.ksprintf (fun m -> ok := false; print_endline m) fmt in
-  let t0 = Unix.gettimeofday () in
-  let solo =
-    Array.map
-      (fun seed ->
-        Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
-          ~instance:Synthetic.instance
-          ~probe:(Probe_driver.create_outcomes ~batch_size:batch resolve)
-          ~requirements:standard_requirements data)
-      seeds
+  let serial () =
+    let t0 = Unix.gettimeofday () in
+    let results =
+      Array.map
+        (fun seed ->
+          Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+            ~instance:Synthetic.instance
+            ~probe:(Probe_driver.create_outcomes ~batch_size:batch resolve)
+            ~requirements:standard_requirements data)
+        seeds
+    in
+    (results, Unix.gettimeofday () -. t0)
   in
-  let serial_seconds = Unix.gettimeofday () -. t0 in
+  let solo, serial_seconds = serial () in
   let solo_probes =
     Array.fold_left
       (fun acc r -> acc + r.Engine.counts.Cost_meter.probes)
       0 solo
   in
-  let serial_qps = float_of_int n_clients /. serial_seconds in
   Printf.printf
     "serial (direct drivers): %.3f s, %.2f queries/s, %d probes paid\n"
-    serial_seconds serial_qps solo_probes;
-  let speedup_at_8 = ref 0.0 in
+    serial_seconds
+    (float_of_int n_clients /. serial_seconds)
+    solo_probes;
+  let identical results =
+    Array.for_all2 (fun a b -> fingerprint a = fingerprint b) solo results
+  in
+  (* One shared-broker run, checked against the solo runs. *)
+  let shared ~domains =
+    let broker =
+      Probe_broker.create ~batch_size:batch
+        ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
+        resolve
+    in
+    let runs =
+      Array.mapi
+        (fun i seed ->
+          let probe =
+            Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker
+          in
+          fun () ->
+            Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0
+              ~domains:1 ~instance:Synthetic.instance ~probe
+              ~requirements:standard_requirements data)
+        seeds
+    in
+    let t0 = Unix.gettimeofday () in
+    let results = Engine.execute_many ~domains runs in
+    let seconds = Unix.gettimeofday () -. t0 in
+    let stats = Probe_broker.stats broker in
+    let same = identical results in
+    if not same then
+      fail "NOT IDENTICAL at %d domains: broker runs differ from solo" domains;
+    if
+      not
+        (Array.for_all
+           (fun r -> r.Engine.degradation.Engine.requirements_met)
+           results)
+    then fail "REQUIREMENTS MISSED at %d domains" domains;
+    if stats.Probe_broker.charged >= solo_probes then
+      fail "NO PROBE SAVING at %d domains: broker charged %d >= solo %d"
+        domains stats.Probe_broker.charged solo_probes;
+    (seconds, stats, same)
+  in
   List.iter
     (fun domains ->
-      let broker =
-        Probe_broker.create ~batch_size:batch
-          ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-          resolve
-      in
-      let runs =
-        Array.mapi
-          (fun i seed ->
-            let probe =
-              Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker
-            in
-            fun () ->
-              Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0
-                ~domains:1 ~instance:Synthetic.instance ~probe
-                ~requirements:standard_requirements data)
-          seeds
-      in
-      let t0 = Unix.gettimeofday () in
-      let results = Engine.execute_many ~domains runs in
-      let seconds = Unix.gettimeofday () -. t0 in
-      let qps = float_of_int n_clients /. seconds in
-      let speedup = serial_seconds /. seconds in
-      if domains = 8 then speedup_at_8 := speedup;
-      let stats = Probe_broker.stats broker in
-      let identical =
-        Array.for_all2 (fun a b -> fingerprint a = fingerprint b) solo results
-      in
-      let met =
-        Array.for_all
-          (fun r -> r.Engine.degradation.Engine.requirements_met)
-          results
-      in
-      if not identical then
-        fail "NOT IDENTICAL at %d domains: broker runs differ from solo"
-          domains;
-      if not met then fail "REQUIREMENTS MISSED at %d domains" domains;
-      if stats.Probe_broker.charged >= solo_probes then
-        fail "NO PROBE SAVING at %d domains: broker charged %d >= solo %d"
-          domains stats.Probe_broker.charged solo_probes;
+      let seconds, stats, same = shared ~domains in
       Printf.printf
         "domains %d: %.3f s, %6.2f queries/s (%.2fx), charged %d, coalesced \
          %d, fresh %d, %d batches%s\n"
-        domains seconds qps speedup stats.Probe_broker.charged
-        stats.Probe_broker.coalesced stats.Probe_broker.fresh_hits
-        stats.Probe_broker.batches
-        (if identical then "" else "  [MISMATCH]"))
-    [ 1; 2; 4; 8 ];
-  if !speedup_at_8 < 1.3 then
-    fail "TOO SLOW: %.2fx at 8 domains (gate: >= 1.3x over serial)"
-      !speedup_at_8;
+        domains seconds
+        (float_of_int n_clients /. seconds)
+        (serial_seconds /. seconds)
+        stats.Probe_broker.charged stats.Probe_broker.coalesced
+        stats.Probe_broker.fresh_hits stats.Probe_broker.batches
+        (if same then "" else "  [MISMATCH]"))
+    [ 1; 2; 4 ];
+  let pairs = 5 in
+  let speedups =
+    Array.init pairs (fun i ->
+        let timed_serial () =
+          let results, seconds = serial () in
+          if not (identical results) then
+            fail "NOT IDENTICAL: pair %d serial run differs from the first" i;
+          seconds
+        in
+        let serial_s, (shared_s, stats, same) =
+          if i mod 2 = 0 then
+            let serial_s = timed_serial () in
+            (serial_s, shared ~domains:8)
+          else
+            let sh = shared ~domains:8 in
+            (timed_serial (), sh)
+        in
+        let speedup = serial_s /. shared_s in
+        Printf.printf
+          "pair %d (%s first): serial %.3f s, domains 8 %.3f s (%.2fx), \
+           charged %d, coalesced %d, fresh %d, %d batches%s\n"
+          i
+          (if i mod 2 = 0 then "serial" else "shared")
+          serial_s shared_s speedup stats.Probe_broker.charged
+          stats.Probe_broker.coalesced stats.Probe_broker.fresh_hits
+          stats.Probe_broker.batches
+          (if same then "" else "  [MISMATCH]");
+        speedup)
+  in
+  Array.sort Float.compare speedups;
+  let speedup_at_8 = speedups.(pairs / 2) in
+  Printf.printf "domains 8 vs serial, median of %d pairs: %.2fx\n" pairs
+    speedup_at_8;
+  if Float.is_nan speedup_at_8 || speedup_at_8 < 1.3 then
+    fail "TOO SLOW: %.2fx at 8 domains (gate: median pair >= 1.3x over serial)"
+      speedup_at_8;
   Printf.printf "server concurrency gates hold: %s\n"
     (if !ok then "yes" else "NO");
   if not !ok then exit 1

@@ -78,49 +78,80 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      counts cover this run only. *)
   let counts_before = Cost_meter.counts meter in
   let counters = Counters.create ~total:source.total in
-  (* Counter handles resolve once per run; with [obs] absent every note
-     is a no-op closure, so the per-object path allocates nothing. *)
-  let note_read, note_probe, note_batch, note_write_imprecise,
-      note_write_precise =
-    match obs with
-    | None ->
-        let nop () = () in
-        (nop, nop, nop, nop, nop)
-    | Some o ->
-        let r = Obs.counter o Obs.Keys.reads
-        and p = Obs.counter o Obs.Keys.probes
-        and b = Obs.counter o Obs.Keys.batches
-        and wi = Obs.counter o Obs.Keys.writes_imprecise
-        and wp = Obs.counter o Obs.Keys.writes_precise in
-        ( (fun () -> Metrics.incr r),
-          (fun () -> Metrics.incr p),
-          (fun () -> Metrics.incr b),
-          (fun () -> Metrics.incr wi),
-          (fun () -> Metrics.incr wp) )
-  in
+  let specs = Cascade.specs cascade in
+  let drivers = Cascade.drivers cascade in
+  let n = Array.length drivers in
+  (* Telemetry tallies: plain run-local counts, bumped at the meter's
+     charge sites but apart from the meter (so Cost_meter.reconcile stays
+     a cross-check), and written to the registry once per run by
+     [publish].  The per-object path takes no lock. *)
+  let reads = ref 0
+  and probes = ref 0
+  and batches = ref 0
+  and writes_imprecise = ref 0
+  and writes_precise = ref 0
+  and degraded = ref 0 in
+  let tier_probes = Array.make n 0
+  and tier_batches = Array.make n 0
+  and tier_shrinks = Array.make n 0
+  and tier_failovers = Array.make n 0 in
+  let bump a i = a.(i) <- a.(i) + 1 in
   (* The MAYBE set is what the optimizer gambles on; record the laxity
-     and success-probability distributions it actually faced.  Guarded
-     observations so a pathological instance (negative or non-finite
-     laxity) degrades to "not recorded" rather than turning a profiled
-     run into a crashed one. *)
-  let note_maybe =
+     and success-probability distributions it actually faced, in two
+     run-local tallies.  Guarded observations so a pathological instance
+     (negative or non-finite laxity) degrades to "not recorded" rather
+     than turning a profiled run into a crashed one.  The registry
+     handles resolve here, at run start, so a run registers the same
+     keys however it ends; [publish] writes every tally in one
+     [atomically] section, so a snapshot sees whole runs only. *)
+  let note_maybe, publish =
     match obs with
-    | None -> fun ~laxity:_ ~success:_ -> ()
+    | None -> ((fun ~laxity:_ ~success:_ -> ()), fun () -> ())
     | Some o ->
+        let laxities = Metrics.tally () and successes = Metrics.tally () in
+        let note_maybe ~laxity ~success =
+          if Float.is_finite laxity && laxity >= 0.0 then
+            Metrics.tally_observe laxities laxity;
+          if Float.is_finite success && success >= 0.0 then
+            Metrics.tally_observe successes success
+        in
+        let c = Obs.counter o in
+        let r = c Obs.Keys.reads
+        and p = c Obs.Keys.probes
+        and b = c Obs.Keys.batches
+        and wi = c Obs.Keys.writes_imprecise
+        and wp = c Obs.Keys.writes_precise
+        and d = c Obs.Keys.fault_degraded in
+        let tier key =
+          Array.map
+            (fun (s : Probe_tier.spec) -> c (key s.Probe_tier.name))
+            specs
+        in
+        let tp = tier Obs.Keys.tier_probes
+        and tb = tier Obs.Keys.tier_batches
+        and ts = tier Obs.Keys.tier_shrinks
+        and tf = tier Obs.Keys.tier_failovers in
         let hl = Obs.histogram o Obs.Keys.maybe_laxity
         and hs = Obs.histogram o Obs.Keys.maybe_success in
-        fun ~laxity ~success ->
-          if Float.is_finite laxity && laxity >= 0.0 then
-            Metrics.observe hl laxity;
-          if Float.is_finite success && success >= 0.0 then
-            Metrics.observe hs success
-  in
-  let note_degraded =
-    match obs with
-    | None -> fun () -> ()
-    | Some o ->
-        let c = Obs.counter o Obs.Keys.fault_degraded in
-        fun () -> Metrics.incr c
+        let add_all handles counts =
+          Array.iteri (fun i h -> Metrics.add h counts.(i)) handles
+        in
+        let publish () =
+          Metrics.atomically (Obs.metrics o) (fun () ->
+              Metrics.add r !reads;
+              Metrics.add p !probes;
+              Metrics.add b !batches;
+              Metrics.add wi !writes_imprecise;
+              Metrics.add wp !writes_precise;
+              Metrics.add d !degraded;
+              add_all tp tier_probes;
+              add_all tb tier_batches;
+              add_all ts tier_shrinks;
+              add_all tf tier_failovers;
+              Metrics.merge_tally hl laxities;
+              Metrics.merge_tally hs successes)
+        in
+        (note_maybe, publish)
   in
   let tracing = match obs with Some o -> Obs.tracing o | None -> false in
   let trace_event e = match obs with Some o -> Obs.event o e | None -> () in
@@ -131,12 +162,12 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   in
   let forward_imprecise o =
     Cost_meter.charge_write_imprecise meter;
-    note_write_imprecise ();
+    incr writes_imprecise;
     deliver { obj = o; precise = false }
   in
   let forward_precise o =
     Cost_meter.charge_write_precise meter;
-    note_write_precise ();
+    incr writes_precise;
     deliver { obj = o; precise = true }
   in
   (* A probe must yield a laxity-0 object whenever the result is going to
@@ -215,7 +246,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     failed_attempts := !failed_attempts + attempts;
     if !guarantees_before = None then
       guarantees_before := Some (Counters.guarantees counters);
-    note_degraded ();
+    incr degraded;
     let action, forced = degraded_fallback ~verdict ~laxity preference in
     if forced then incr forced_actions;
     if tracing then
@@ -246,31 +277,6 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      re-classified (a narrower interval may be definite, saving the
      oracle probe) and residuals escalate tier by tier.  A plain driver
      is the one-tier cascade, where this is exactly the paper's probe. *)
-  let specs = Cascade.specs cascade in
-  let drivers = Cascade.drivers cascade in
-  let n = Array.length drivers in
-  let note_tier_probe, note_tier_batch, note_tier_shrink,
-      note_tier_failover =
-    match obs with
-    | None ->
-        let nop (_ : int) = () in
-        (nop, nop, nop, nop)
-    | Some o ->
-        let mk key =
-          Array.map
-            (fun (s : Probe_tier.spec) ->
-              Obs.counter o (key s.Probe_tier.name))
-            specs
-        in
-        let p = mk Obs.Keys.tier_probes
-        and b = mk Obs.Keys.tier_batches
-        and s = mk Obs.Keys.tier_shrinks
-        and f = mk Obs.Keys.tier_failovers in
-        ( (fun i -> Metrics.incr p.(i)),
-          (fun i -> Metrics.incr b.(i)),
-          (fun i -> Metrics.incr s.(i)),
-          (fun i -> Metrics.incr f.(i)) )
-  in
   let batches_seen = Array.map Probe_driver.batches drivers in
   let sync_batches () =
     (* Drivers flush autonomously at batch boundaries; meter their
@@ -279,16 +285,16 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
       let b = Probe_driver.batches drivers.(i) in
       for _ = 1 to b - batches_seen.(i) do
         Cost_meter.charge_batch_tier meter i;
-        note_batch ();
-        note_tier_batch i
+        incr batches;
+        bump tier_batches i
       done;
       batches_seen.(i) <- b
     done
   in
   let charge_probe_at i =
     Cost_meter.charge_probe_tier meter i;
-    note_probe ();
-    note_tier_probe i
+    incr probes;
+    bump tier_probes i
   in
   (* A shrunk object that became definite YES forwards imprecise
      when its residual laxity is admissible — exactly rule (a),
@@ -305,7 +311,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
           note_progress ()
       | Probe_driver.Shrunk narrowed ->
           charge_probe_at i;
-          note_tier_shrink i;
+          bump tier_shrinks i;
           (* The final tier is Resolve by construction; a Shrunk
              outcome there is a broken backend. *)
           if i >= n - 1 then raise Inconsistent_probe;
@@ -340,7 +346,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
                tier — the answer only degrades when the oracle
                itself fails. *)
             Cascade.note_failover cascade i;
-            note_tier_failover i;
+            bump tier_failovers i;
             submit_tier (i + 1) ~verdict ~laxity ~preference o complete
           end
           else degrade o ~verdict ~laxity ~attempts preference)
@@ -383,6 +389,9 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   let exhausted = ref false in
   let stopped_early = ref false in
   let stop = ref false in
+  (* Publish on the way out, on a raise too, so the registry always
+     holds what the run charged. *)
+  Fun.protect ~finally:publish @@ fun () ->
   while not !stop do
     let pending = pending_probes () in
     if finished () then stop := true
@@ -408,7 +417,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     end
     else begin
       Cost_meter.charge_read meter;
-      note_read ();
+      incr reads;
       (* Late materialisation: the verdict, laxity and success come
          from the cursor; the object itself is built only when it is
          forwarded or probed. *)

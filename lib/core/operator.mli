@@ -147,17 +147,24 @@ val run :
 
     [obs] attaches observability: the counters [qaq.reads],
     [qaq.probes], [qaq.batches], [qaq.writes_imprecise] and
-    [qaq.writes_precise] mirror the meter's charges (incremented at the
-    instrumentation sites, independently of the meter, so
-    {!Cost_meter.reconcile} is a real cross-check), and — when the obs
-    handle carries a live trace sink — every read, decision, probe
-    resolution and early termination emits a {!Trace} event.  Permanent
-    probe failures additionally increment [qaq.fault.degraded] and emit
-    {!Trace.Degraded} events; the failed attempts are {e not} charged to
-    the meter (no probe completed), so reconciliation holds under
-    faults.  Counter
-    handles are resolved once per run; with [obs] absent the per-object
-    path runs no-op closures and allocates nothing.  [emit] is
+    [qaq.writes_precise] (and, per cascade tier, the
+    [qaq.probe.tier.<name>.*] probes, batches, shrinks and failovers)
+    mirror the meter's charges; they are counted at the instrumentation
+    sites, independently of the meter, so {!Cost_meter.reconcile} is a
+    real cross-check.  Every MAYBE adds its laxity and success
+    probability to the [qaq.maybe.laxity] / [qaq.maybe.success]
+    histograms.  Permanent probe failures additionally count
+    [qaq.fault.degraded] and emit {!Trace.Degraded} events; the failed
+    attempts are {e not} charged to the meter (no probe completed), so
+    reconciliation holds under faults.  The counts and histograms are
+    run-local tallies: the registry handles are resolved at run start,
+    and everything reaches the registry once, in one
+    {!Metrics.atomically} section when the run ends — also when it
+    raises — so the per-object path takes no lock and a snapshot sees
+    whole runs only.  When the obs handle carries a live trace sink,
+    every read, decision, probe resolution and early termination emits
+    a {!Trace} event as it happens.  With [obs] absent the per-object
+    path allocates nothing.  [emit] is
     called on each answer object as soon as it is decided — the
     streaming interface.  [collect] (default [true]) additionally
     accumulates the answer in the report.

@@ -65,15 +65,34 @@ let bucket_of v =
     let i = int_of_float (Float.ceil (4.0 *. Float.log2 (v /. first_bound))) in
     if i >= bucket_count - 1 then bucket_count - 1 else Stdlib.max 1 i
 
-type histogram = {
-  h_name : string;
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;  (* +inf while empty *)
-  mutable h_max : float;  (* -inf while empty *)
-  h_buckets : int array;
-  h_lock : rlock;
+(* A histogram's contents.  Sum, min and max sit in a float array,
+   which stores them unboxed, so recording a value allocates nothing.
+   A registry histogram is a tally under the registry lock; a bare
+   tally is the unlocked run-local form one owner fills and then merges
+   in one locked step. *)
+type tally = {
+  mutable t_count : int;
+  t_moments : float array;  (* sum; min (+inf while empty); max (-inf) *)
+  t_buckets : int array;
 }
+
+let tally () =
+  {
+    t_count = 0;
+    t_moments = [| 0.0; Float.infinity; Float.neg_infinity |];
+    t_buckets = Array.make bucket_count 0;
+  }
+
+let tally_add t v =
+  t.t_count <- t.t_count + 1;
+  let m = t.t_moments in
+  m.(0) <- m.(0) +. v;
+  if v < m.(1) then m.(1) <- v;
+  if v > m.(2) then m.(2) <- v;
+  let i = bucket_of v in
+  t.t_buckets.(i) <- t.t_buckets.(i) + 1
+
+type histogram = { h_name : string; h_tally : tally; h_lock : rlock }
 
 type cell =
   | Counter_cell of counter
@@ -167,46 +186,68 @@ let histogram t name =
           reserve t name (p ^ "_bucket");
           reserve t name (p ^ "_sum");
           reserve t name (p ^ "_count");
-          let h =
-            {
-              h_name = name;
-              h_count = 0;
-              h_sum = 0.0;
-              h_min = Float.infinity;
-              h_max = Float.neg_infinity;
-              h_buckets = Array.make bucket_count 0;
-              h_lock = t.lock;
-            }
-          in
+          let h = { h_name = name; h_tally = tally (); h_lock = t.lock } in
           Hashtbl.add t.cells name (Histogram_cell h);
           h)
 
-let incr c = locked c.c_lock (fun () -> c.count <- c.count + 1)
+(* The updates below take the lock inline rather than through [locked]:
+   a [fun () -> ...] capturing the cell would allocate on every call.
+   None of their locked bodies can raise (arguments are validated before
+   the acquire), so the release needs no handler. *)
+let incr c =
+  rlock_acquire c.c_lock;
+  c.count <- c.count + 1;
+  rlock_release c.c_lock
 
 let add c n =
   if n < 0 then invalid_arg "Metrics.add: negative increment";
-  locked c.c_lock (fun () -> c.count <- c.count + n)
+  rlock_acquire c.c_lock;
+  c.count <- c.count + n;
+  rlock_release c.c_lock
 
 let count c = locked c.c_lock (fun () -> c.count)
 let counter_name c = c.c_name
-let set g v = locked g.g_lock (fun () -> g.level <- v)
+
+let set g v =
+  rlock_acquire g.g_lock;
+  g.level <- v;
+  rlock_release g.g_lock
+
 let level g = locked g.g_lock (fun () -> g.level)
 
+(* Same contract as Hist1d: a NaN or infinite observation is a bug at
+   the call site, not a value to bucket. *)
+let check_observation fn v =
+  if not (Float.is_finite v) then invalid_arg (fn ^ ": non-finite value");
+  if v < 0.0 then invalid_arg (fn ^ ": negative value")
+
 let observe h v =
-  (* Same contract as Hist1d: a NaN or infinite observation is a bug at
-     the call site, not a value to bucket. *)
-  if not (Float.is_finite v) then invalid_arg "Metrics.observe: non-finite value";
-  if v < 0.0 then invalid_arg "Metrics.observe: negative value";
-  locked h.h_lock (fun () ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      let i = bucket_of v in
-      h.h_buckets.(i) <- h.h_buckets.(i) + 1)
+  check_observation "Metrics.observe" v;
+  rlock_acquire h.h_lock;
+  tally_add h.h_tally v;
+  rlock_release h.h_lock
+
+let tally_observe t v =
+  check_observation "Metrics.tally_observe" v;
+  tally_add t v
+
+let merge_tally h t =
+  if t.t_count > 0 then begin
+    rlock_acquire h.h_lock;
+    let into = h.h_tally and m = t.t_moments in
+    let mi = into.t_moments in
+    into.t_count <- into.t_count + t.t_count;
+    mi.(0) <- mi.(0) +. m.(0);
+    if m.(1) < mi.(1) then mi.(1) <- m.(1);
+    if m.(2) > mi.(2) then mi.(2) <- m.(2);
+    for i = 0 to bucket_count - 1 do
+      into.t_buckets.(i) <- into.t_buckets.(i) + t.t_buckets.(i)
+    done;
+    rlock_release h.h_lock
+  end
 
 let histogram_name h = h.h_name
-let observations h = locked h.h_lock (fun () -> h.h_count)
+let observations h = locked h.h_lock (fun () -> h.h_tally.t_count)
 
 type dist = {
   d_count : int;
@@ -226,12 +267,13 @@ let empty_dist =
   }
 
 let dist_of_histogram h =
+  let t = h.h_tally in
   {
-    d_count = h.h_count;
-    d_sum = h.h_sum;
-    d_min = h.h_min;
-    d_max = h.h_max;
-    d_buckets = Array.copy h.h_buckets;
+    d_count = t.t_count;
+    d_sum = t.t_moments.(0);
+    d_min = t.t_moments.(1);
+    d_max = t.t_moments.(2);
+    d_buckets = Array.copy t.t_buckets;
   }
 
 let quantile d q =
@@ -260,9 +302,7 @@ let quantile d q =
   end
 
 let dist_observe d v =
-  if not (Float.is_finite v) then
-    invalid_arg "Metrics.dist_observe: non-finite value";
-  if v < 0.0 then invalid_arg "Metrics.dist_observe: negative value";
+  check_observation "Metrics.dist_observe" v;
   let buckets = Array.copy d.d_buckets in
   let i = bucket_of v in
   buckets.(i) <- buckets.(i) + 1;

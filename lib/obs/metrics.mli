@@ -76,6 +76,34 @@ val observe : histogram -> float -> unit
 
 val histogram_name : histogram -> string
 
+(** {2 Run-local tallies}
+
+    A hot loop that would otherwise take the registry lock on every
+    observation fills a {!tally} of its own instead and merges it once
+    ({!merge_tally}), so the loop pays neither the lock nor contention
+    with other writers, and a snapshot sees the whole batch or none of
+    it. *)
+
+type tally
+(** An unlocked histogram accumulator: count, sum, min, max and the
+    fixed {!bucket_count} buckets, in constant space.  Owned by one
+    domain at a time. *)
+
+val tally : unit -> tally
+(** An empty tally. *)
+
+val tally_observe : tally -> float -> unit
+(** Record one value, without locking or allocating.
+    @raise Invalid_argument as for {!observe}. *)
+
+val merge_tally : histogram -> tally -> unit
+(** Add the tally's count, sum and buckets to the histogram and fold in
+    its extrema, in one step under the registry lock (inside an
+    enclosing {!atomically} block too).  Counts and buckets equal those
+    of observing the same values one by one; the sum may differ in the
+    last bits once the histogram already held values.  Merging an
+    empty tally changes nothing. *)
+
 val observations : histogram -> int
 (** Values observed so far. *)
 

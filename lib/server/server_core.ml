@@ -285,6 +285,11 @@ let handle_query srv out tokens =
       (* A tenant named like the SLO aggregate would have no window of
          its own. *)
       pr out "ERR tenant %s is reserved" Slo.all_tenant
+  | Ok kvs when List.assoc_opt "tenant" kvs = Some "" ->
+      (* TENANTS prints the name as one whitespace-separated field and
+         [SLO <tenant>] takes it as one token: an empty name could be
+         neither read back nor addressed. *)
+      pr out "ERR tenant name is empty"
   | Ok kvs -> (
       let find k = List.assoc_opt k kvs in
       let float_of k default =

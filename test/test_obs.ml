@@ -84,6 +84,24 @@ let test_prometheus_export () =
   checkb "gauge typed" true
     (contains text "# TYPE span_plan_seconds gauge")
 
+(* An update takes the registry lock inline: no closure per call, so an
+   uncontended counter costs no minor-heap words at all. *)
+let test_incr_allocates_nothing () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "alloc.incr" in
+  Metrics.incr c;
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Metrics.incr c
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "%.0f minor words over %d incr (< 1 per call)" words calls)
+    true
+    (words < float_of_int calls);
+  checki "every incr counted" (calls + 1) (Metrics.count c)
+
 (* ---- histograms --------------------------------------------------- *)
 
 let test_histogram_basics () =
@@ -169,6 +187,40 @@ let test_histogram_merge_disjoint () =
   checki "merge with empty keeps count" 3 id.Metrics.d_count;
   checkf 0.0 "merge with empty keeps min" 1e-6 id.Metrics.d_min;
   checkf 0.0 "merge with empty keeps max" 3e-6 id.Metrics.d_max
+
+(* A tally merged into a histogram leaves the counts, buckets and
+   extrema observing the same values one by one would; the sum agrees
+   to rounding. *)
+let test_tally_merge () =
+  let values =
+    List.init 200 (fun i -> float_of_int ((i * 37) mod 101) *. 0.25)
+  in
+  let m = Metrics.create () in
+  let direct = Metrics.histogram m "direct"
+  and merged = Metrics.histogram m "merged" in
+  List.iter (Metrics.observe direct) [ 3.0; 0.5 ];
+  List.iter (Metrics.observe merged) [ 3.0; 0.5 ];
+  let t = Metrics.tally () in
+  Metrics.merge_tally merged t;
+  List.iter (Metrics.observe direct) values;
+  List.iter (Metrics.tally_observe t) values;
+  let d0 = Option.get (Metrics.dist_of (Metrics.snapshot m) "merged") in
+  checki "an empty tally merges as nothing" 2 d0.Metrics.d_count;
+  Metrics.merge_tally merged t;
+  let s = Metrics.snapshot m in
+  let a = Option.get (Metrics.dist_of s "direct")
+  and b = Option.get (Metrics.dist_of s "merged") in
+  checki "count" a.Metrics.d_count b.Metrics.d_count;
+  checkb "buckets" true (a.Metrics.d_buckets = b.Metrics.d_buckets);
+  checkf 0.0 "min" a.Metrics.d_min b.Metrics.d_min;
+  checkf 0.0 "max" a.Metrics.d_max b.Metrics.d_max;
+  checkf 1e-9 "sum" a.Metrics.d_sum b.Metrics.d_sum;
+  Alcotest.check_raises "nan rejected"
+    (Invalid_argument "Metrics.tally_observe: non-finite value") (fun () ->
+      Metrics.tally_observe t Float.nan);
+  Alcotest.check_raises "negative rejected"
+    (Invalid_argument "Metrics.tally_observe: negative value") (fun () ->
+      Metrics.tally_observe t (-1.0))
 
 let test_histogram_diff_and_json () =
   let m = Metrics.create () in
@@ -383,6 +435,168 @@ let test_engine_reconciles () =
         configs)
     inputs
 
+(* The operator's counters reach the registry once per run.  Four
+   engine runs through a two-tier cascade with faults (so probes,
+   shrinks, failovers and degradations all occur) run two at a time on
+   one shared registry: every qaq.* base counter equals the sum of the
+   runs' meter counts, every per-tier counter the sum over the same runs
+   on private registries (whose profiles reconcile the per-tier probes
+   and batches with their meters), and the MAYBE histograms' counts,
+   buckets and extrema the merge of the private ones. *)
+let test_concurrent_runs_sum_exactly () =
+  let pred = Predicate.ge 60.0 in
+  let data =
+    Interval_data.uniform_intervals (Rng.create 61) ~n:800
+      ~value_range:(Interval.make 0.0 100.0) ~max_width:30.0
+  in
+  let specs =
+    [|
+      { Probe_tier.name = "proxy"; kind = Probe_tier.Shrink { power = 0.8 };
+        c_p = 0.05; c_b = 0.5; batch = 16 };
+      { Probe_tier.name = "oracle"; kind = Probe_tier.Resolve; c_p = 1.0;
+        c_b = 5.0; batch = 4 };
+    |]
+  in
+  let requirements =
+    Quality.requirements ~precision:0.85 ~recall:0.7 ~laxity:20.0
+  in
+  let runs = 4 in
+  let run ?profile obs i =
+    let faults =
+      Fault_plan.make ~seed:(70 + i) ~transient_rate:0.05
+        ~permanent_rate:0.05 ~max_retries:1 ()
+    in
+    let cascade, _ =
+      Tiered.of_functions ~faults ~max_retries:1 ~specs
+        ~narrow:Interval_data.shrink ~resolve:Interval_data.probe ()
+    in
+    let result =
+      Engine.execute ~rng:(Rng.create (80 + i)) ~max_laxity:30.0 ~domains:1
+        ~obs ?profile ~instance:(Interval_data.instance pred) ~cascade
+        ~requirements data
+    in
+    (result, Cascade.stats cascade)
+  in
+  let shared = Obs.create () in
+  let stats = Array.make runs [||] in
+  let results =
+    Engine.execute_many ~domains:2
+      (Array.init runs (fun i () ->
+           let result, st = run shared i in
+           stats.(i) <- st;
+           result))
+  in
+  let privates =
+    Array.init runs (fun i ->
+        let obs = Obs.create () in
+        let result, _ = run ~profile:(Engine.profiling ()) obs i in
+        (result, Obs.snapshot obs))
+  in
+  let snap = Obs.snapshot shared in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
+  Array.iteri
+    (fun i (r, _) ->
+      checkb (Printf.sprintf "run %d: same counts alone" i) true
+        (r.Engine.counts = results.(i).Engine.counts);
+      Alcotest.(check (option string))
+        (Printf.sprintf "run %d: private per-tier registry reconciles" i)
+        None (Option.get r.Engine.profile).Profile.reconcile_error)
+    privates;
+  List.iter
+    (fun (key, f) -> checki key (sum f) (Metrics.count_of snap key))
+    [
+      (Obs.Keys.reads, fun r -> r.Engine.counts.Cost_meter.reads);
+      (Obs.Keys.probes, fun r -> r.Engine.counts.Cost_meter.probes);
+      (Obs.Keys.batches, fun r -> r.Engine.counts.Cost_meter.batches);
+      ( Obs.Keys.writes_imprecise,
+        fun r -> r.Engine.counts.Cost_meter.writes_imprecise );
+      ( Obs.Keys.writes_precise,
+        fun r -> r.Engine.counts.Cost_meter.writes_precise );
+      ( Obs.Keys.fault_degraded,
+        fun r -> r.Engine.degradation.Engine.failed_probes );
+    ];
+  let private_sum key =
+    Array.fold_left (fun acc (_, s) -> acc + Metrics.count_of s key) 0 privates
+  in
+  Array.iteri
+    (fun t (spec : Probe_tier.spec) ->
+      let name = spec.Probe_tier.name in
+      List.iter
+        (fun key -> checki key (private_sum key) (Metrics.count_of snap key))
+        [
+          Obs.Keys.tier_probes name;
+          Obs.Keys.tier_batches name;
+          Obs.Keys.tier_shrinks name;
+          Obs.Keys.tier_failovers name;
+        ];
+      let stat f = Array.fold_left (fun acc st -> acc + f st.(t)) 0 stats in
+      checki (name ^ " shrinks = the drivers' count")
+        (stat (fun st -> st.Cascade.st_shrinks))
+        (Metrics.count_of snap (Obs.Keys.tier_shrinks name));
+      checki (name ^ " failovers = the cascades' count")
+        (stat (fun st -> st.Cascade.st_failovers))
+        (Metrics.count_of snap (Obs.Keys.tier_failovers name)))
+    specs;
+  checkb "probes happened at both tiers" true
+    (Array.for_all
+       (fun (spec : Probe_tier.spec) ->
+         Metrics.count_of snap (Obs.Keys.tier_probes spec.Probe_tier.name) > 0)
+       specs);
+  checkb "a proxy failed over" true
+    (Metrics.count_of snap (Obs.Keys.tier_failovers "proxy") > 0);
+  checkb "an oracle failure degraded" true
+    (Metrics.count_of snap Obs.Keys.fault_degraded > 0);
+  List.iter
+    (fun key ->
+      let whole = Option.get (Metrics.dist_of snap key) in
+      let parts =
+        Array.fold_left
+          (fun acc (_, s) ->
+            Metrics.merge_dist acc (Option.get (Metrics.dist_of s key)))
+          Metrics.empty_dist privates
+      in
+      checkb (key ^ " observed") true (whole.Metrics.d_count > 0);
+      checki (key ^ " count") parts.Metrics.d_count whole.Metrics.d_count;
+      checkb (key ^ " buckets") true
+        (parts.Metrics.d_buckets = whole.Metrics.d_buckets);
+      checkf 0.0 (key ^ " min") parts.Metrics.d_min whole.Metrics.d_min;
+      checkf 0.0 (key ^ " max") parts.Metrics.d_max whole.Metrics.d_max)
+    [ Obs.Keys.maybe_laxity; Obs.Keys.maybe_success ]
+
+(* A run that raises still publishes what it charged: a probe that
+   stops resolving after twenty calls makes the run raise
+   [Inconsistent_probe], and the registry then holds exactly the
+   meter's counts at the raise. *)
+let test_raising_run_publishes () =
+  let data =
+    Synthetic.generate (Rng.create 33) (Synthetic.config ~total:2000 ())
+  in
+  let obs = Obs.create () in
+  let meter = Cost_meter.create () in
+  let calls = ref 0 in
+  let probe o =
+    incr calls;
+    if !calls <= 20 then Synthetic.probe o else o
+  in
+  (match
+     Operator.run ~rng:(Rng.create 34) ~meter ~obs
+       ~instance:Synthetic.instance
+       ~cascade:(Cascade.of_driver (Probe_driver.scalar probe))
+       ~policy:Policy.stingy ~requirements
+       (Operator.source_of_array data)
+   with
+  | _ -> Alcotest.fail "the unresolved probe did not raise"
+  | exception Operator.Inconsistent_probe -> ());
+  let counts = Cost_meter.counts meter in
+  let snap = Obs.snapshot obs in
+  checkb "the run probed before raising" true (counts.probes > 20);
+  checki "reads" counts.reads (Metrics.count_of snap Obs.Keys.reads);
+  checki "probes" counts.probes (Metrics.count_of snap Obs.Keys.probes);
+  checki "batches" counts.batches (Metrics.count_of snap Obs.Keys.batches);
+  match Cost_meter.reconcile snap counts with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
 (* Observability must be pure observation: attaching it changes no
    decision, no answer, no charge. *)
 let test_obs_does_not_perturb () =
@@ -409,12 +623,14 @@ let test_obs_does_not_perturb () =
 let suite =
   [
     ("metrics registry", `Quick, test_metrics_registry);
+    ("incr allocates nothing", `Quick, test_incr_allocates_nothing);
     ("snapshot and diff", `Quick, test_snapshot_and_diff);
     ("json export", `Quick, test_json_export);
     ("prometheus export", `Quick, test_prometheus_export);
     ("histogram basics", `Quick, test_histogram_basics);
     ("histogram edge cases", `Quick, test_histogram_edge_cases);
     ("histogram merge of disjoint ranges", `Quick, test_histogram_merge_disjoint);
+    ("tally merges like observing", `Quick, test_tally_merge);
     ("histogram diff and json", `Quick, test_histogram_diff_and_json);
     ("prometheus histogram exposition", `Quick, test_prometheus_histogram);
     ("prometheus name collisions rejected", `Quick,
@@ -425,5 +641,7 @@ let suite =
      test_span_wall_clock_covers_pool_busy);
     ("operator reconciles with meter", `Quick, test_operator_reconciles);
     ("engine reconciles across configs", `Quick, test_engine_reconciles);
+    ("concurrent runs sum exactly", `Quick, test_concurrent_runs_sum_exactly);
+    ("a raising run still publishes", `Quick, test_raising_run_publishes);
     ("observability does not perturb the run", `Quick, test_obs_does_not_perturb);
   ]

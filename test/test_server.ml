@@ -295,7 +295,8 @@ let test_negative_quota_rejected () =
   in
   let fresh = run [ "QUERY seed=1"; "RUN"; "QUIT" ] in
   (* The reserved SLO aggregate name is malformed the same way: a tenant
-     called [_all] would have no window of its own. *)
+     called [_all] would have no window of its own.  So is the empty
+     name, which TENANTS could not print as a field of its own. *)
   List.iter
     (fun bad ->
       let lines = run [ bad; "QUERY seed=1"; "RUN"; "QUIT" ] in
@@ -305,7 +306,7 @@ let test_negative_quota_rejected () =
       Alcotest.(check string) "same RESULT as a fresh server"
         (deterministic (find_line fresh "RESULT "))
         (deterministic (List.hd results)))
-    [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant;
+    [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant; "QUERY tenant=";
       "QUERY recal=0.99"; "QUERY =1" ];
   (* An unknown key is named, not run at the default it shadows. *)
   let lines = run [ "QUERY seed=1 recal=0.99"; "QUIT" ] in
