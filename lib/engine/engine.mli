@@ -150,10 +150,12 @@ val execute :
     [false]) re-estimates the workload mid-scan and re-solves
     periodically (see {!Adaptive}); it composes with either planning
     mode, starting from the planned parameters.  [max_laxity] caps the
-    histogram range when known a priori (otherwise the sample maximum is
-    used, falling back to 1); when given it must be positive and
-    finite, in every planning mode.  [cost] (default {!Cost_model.paper})
-    prices the run for [normalized_cost] and the solver's objective.
+    histogram range when known a priori.  Otherwise the largest laxity
+    over all of [data] is used (1 if that is not positive), so omitting
+    it plans exactly like passing that maximum.  When given it must be
+    positive and finite, in every planning mode.  [cost] (default
+    {!Cost_model.paper}) prices the run for [normalized_cost] and the
+    solver's objective.
 
     [budget] caps the run's total metered spend (cost units of [cost],
     planning included) — the anytime contract: planning solves the

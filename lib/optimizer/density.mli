@@ -6,15 +6,28 @@
     setting under a uniformity assumption and notes that a histogram
     estimated from a sample could replace it; both are provided. *)
 
-type region_stats = { mass : float; mean_s : float }
-(** [mass]: fraction of MAYBE objects in the region; [mean_s]: their mean
-    success probability (0 when the region is empty). *)
+type region = {
+  mutable s_min : float;
+  mutable l_min : float;
+  mutable l_max : float;  (** the region: [s > s_min], [l_min < l <= l_max] *)
+  mutable mass : float;  (** fraction of MAYBE objects in the region *)
+  mutable mean_s : float;
+      (** their mean success probability (0 when the region is empty) *)
+}
+(** A rectangle of the decision plane and what a density says about it.
+    The caller owns it and sets the bounds; {!t.maybe_region} fills in
+    [mass] and [mean_s].  The optimizer evaluates thousands of regions per
+    solve, so it reuses one record rather than getting a fresh one back
+    from every call. *)
+
+val region : s_min:float -> l_min:float -> l_max:float -> region
+(** A region with these bounds and nothing filled in yet. *)
 
 type t = {
   yes_above : float -> float;
       (** [yes_above x]: fraction of YES objects with laxity > x. *)
-  maybe_region : s_min:float -> l_min:float -> l_max:float -> region_stats;
-      (** MAYBE objects with [s > s_min] and [l_min < l <= l_max]. *)
+  maybe_region : region -> unit;
+      (** Sets the region's [mass] and [mean_s] from its bounds. *)
 }
 
 val uniform : max_laxity:float -> t

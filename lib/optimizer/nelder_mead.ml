@@ -71,6 +71,42 @@ let sort_order keys order =
     order.(0) <- e
   end
 
+(* After a reflect, expand or contract step only the worst slot
+   [order.(n)] has a new value, and the slots ranked before it are still
+   sorted: insert it among them.  If the keys then rise strictly (under
+   [Float.compare], which ranks NaN too), the sorted permutation is
+   unique, so it is the one [sort_order] returns.  On a tie or a repeated
+   NaN [sort_order]'s answer depends on the order it starts from, so the
+   saved order is restored and sorted in full, exactly as before. *)
+let rerank_worst keys order saved =
+  let n = Array.length order - 1 in
+  Array.blit order 0 saved 0 (n + 1);
+  let w = order.(n) in
+  let key = keys.(w) in
+  let j = ref (n - 1) in
+  while !j >= 0 && Float.compare keys.(order.(!j)) key > 0 do
+    order.(!j + 1) <- order.(!j);
+    decr j
+  done;
+  order.(!j + 1) <- w;
+  let strict = ref true in
+  for i = 0 to n - 1 do
+    if Float.compare keys.(order.(i)) keys.(order.(i + 1)) >= 0 then
+      strict := false
+  done;
+  if not !strict then begin
+    Array.blit saved 0 order 0 (n + 1);
+    sort_order keys order
+  end
+
+(* [Float.min] and [Float.max] with the strict cases decided by one
+   comparison: the stdlib tests sign bits (a C call) whenever its first
+   comparison fails.  Ties and NaNs go to the stdlib, so every result,
+   -0.0 and NaN included, is the stdlib's bit for bit. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+
+let[@inline] fmax x y = if x < y then y else if y < x then x else Float.max x y
+
 let combine_into dst a wa b wb =
   for i = 0 to Array.length dst - 1 do
     dst.(i) <- (wa *. a.(i)) +. (wb *. b.(i))
@@ -86,7 +122,7 @@ let minimize ?(options = default_options) ~lower ~upper ~init f =
     lower;
   let clamp x =
     for i = 0 to n - 1 do
-      x.(i) <- Float.min upper.(i) (Float.max lower.(i) x.(i))
+      x.(i) <- fmin upper.(i) (fmax lower.(i) x.(i))
     done
   in
   let eval x =
@@ -115,16 +151,19 @@ let minimize ?(options = default_options) ~lower ~upper ~init f =
   done;
   let order = Array.init (n + 1) Fun.id in
   sort_order values order;
-  (* Work buffers, reused every iteration: the centroid and the
-     reflected, expanded and contracted candidates. *)
+  (* Work buffers, reused every iteration: the centroid, the
+     reflected, expanded and contracted candidates, and the order a
+     re-rank falls back to. *)
   let centroid = Array.make n 0.0 in
   let reflected = Array.make n 0.0 in
   let expanded = Array.make n 0.0 in
   let contracted = Array.make n 0.0 in
+  let saved = Array.make (n + 1) 0 in
   let replace_worst x value =
     let w = order.(n) in
     Array.blit x 0 points.(w) 0 n;
-    values.(w) <- value
+    values.(w) <- value;
+    rerank_worst values order saved
   in
   let iterations = ref 0 in
   while
@@ -167,17 +206,18 @@ let minimize ?(options = default_options) ~lower ~upper ~init f =
       if con_f < (if outside then refl_f else worst_f) then
         replace_worst contracted con_f
       else begin
-        (* Shrink towards the best vertex. *)
+        (* Shrink towards the best vertex: every slot but the best
+           moves, so the order is sorted in full. *)
         let best_x = points.(order.(0)) in
         for v = 1 to n do
           let w = order.(v) in
           let x = points.(w) in
           combine_into x best_x (1.0 -. sigma) x sigma;
           values.(w) <- eval x
-        done
+        done;
+        sort_order values order
       end
-    end;
-    sort_order values order
+    end
   done;
   {
     point = Array.copy points.(order.(0));

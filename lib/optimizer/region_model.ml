@@ -30,15 +30,25 @@ let fractions t ~laxity_bound (p : Policy.params) =
   let lq = laxity_bound in
   let yes_hi = t.density.yes_above lq in
   let yes_lo = Float.max 0.0 (1.0 -. yes_hi) in
+  (* One region, refilled for each rectangle of the plane. *)
+  let r = Density.region ~s_min:0.0 ~l_min:0.0 ~l_max:0.0 in
+  let fill ~s_min ~l_min ~l_max =
+    r.s_min <- s_min;
+    r.l_min <- l_min;
+    r.l_max <- l_max;
+    t.density.maybe_region r
+  in
   (* Region 3: MAYBE above the laxity bound with s > s3, probed. *)
-  let r3 = t.density.maybe_region ~s_min:p.s3 ~l_min:lq ~l_max:t.max_laxity in
+  fill ~s_min:p.s3 ~l_min:lq ~l_max:t.max_laxity;
+  let r3_mass = r.mass and r3_mean_s = r.mean_s in
   (* Region 5: MAYBE below the bound with s > s5, probed. *)
-  let r5 = t.density.maybe_region ~s_min:p.s5 ~l_min:(-1.0) ~l_max:lq in
+  fill ~s_min:p.s5 ~l_min:(-1.0) ~l_max:lq;
+  let r5_mass = r.mass and r5_mean_s = r.mean_s in
   (* Region 4: the rest of the MAYBEs below the bound. *)
-  let below_all = t.density.maybe_region ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq in
-  let r4_mass = Float.max 0.0 (below_all.mass -. r5.mass) in
-  let p3 = r3.mass *. t.f_m in
-  let p5 = r5.mass *. t.f_m in
+  fill ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq;
+  let r4_mass = Float.max 0.0 (r.mass -. r5_mass) in
+  let p3 = r3_mass *. t.f_m in
+  let p5 = r5_mass *. t.f_m in
   {
     yes = t.f_y;
     maybe = t.f_m;
@@ -46,7 +56,7 @@ let fractions t ~laxity_bound (p : Policy.params) =
     yes_forwarded = yes_lo *. t.f_y;
     maybe_probed = p3 +. p5;
     maybe_forwarded = p.p_fm *. r4_mass *. t.f_m;
-    maybe_probe_yes = (r3.mean_s *. p3) +. (r5.mean_s *. p5);
+    maybe_probe_yes = (r3_mean_s *. p3) +. (r5_mean_s *. p5);
   }
 
 let answer_yes_rate f = f.yes_probed +. f.yes_forwarded +. f.maybe_probe_yes

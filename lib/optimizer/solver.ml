@@ -83,7 +83,19 @@ let evaluate t (params : Policy.params) =
     expected_precision = precision;
   }
 
-let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
+(* [Float.min] and [Float.max] with the strict cases decided by one
+   comparison: the stdlib tests sign bits (a C call) whenever its first
+   comparison fails.  Ties and NaNs go to the stdlib, so every result,
+   -0.0 and NaN included, is the stdlib's bit for bit.  [Density] and
+   [Nelder_mead] keep copies of their own: the objectives run ~28 of
+   these an evaluation, and a library module is compiled [-opaque] in
+   the default build, so a helper shared across modules would be a real
+   call that boxes its result. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+
+let[@inline] fmax x y = if x < y then y else if y < x then x else Float.max x y
+
+let[@inline] clamp01 x = fmin 1.0 (fmax 0.0 x)
 
 let params_of_vector v =
   Policy.params ~s3:(clamp01 v.(0)) ~s5:(clamp01 v.(1)) ~p_py:(clamp01 v.(2))
@@ -125,9 +137,12 @@ let rates t =
   let lq = t.requirements.Quality.laxity in
   let yes_hi = density.yes_above lq in
   let yes_forwarded = Float.max 0.0 (1.0 -. yes_hi) *. f_y in
-  let below_mass =
-    (density.maybe_region ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq).mass
-  in
+  (* Regions 3 and 5 keep their laxity bounds; each evaluation moves
+     their s bound and has the density fill them in place. *)
+  let r3 = Density.region ~s_min:0.0 ~l_min:lq ~l_max:max_laxity in
+  let r5 = Density.region ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq in
+  density.maybe_region r5;
+  let below_mass = r5.mass in
   let c = t.effective in
   let r = { alpha = 0.0; beta = 0.0; precision = 0.0; unit_cost = 0.0 } in
   let fill v =
@@ -137,9 +152,11 @@ let rates t =
     check_coordinate "s5" s5;
     check_coordinate "p_py" p_py;
     check_coordinate "p_fm" p_fm;
-    let r3 = density.maybe_region ~s_min:s3 ~l_min:lq ~l_max:max_laxity in
-    let r5 = density.maybe_region ~s_min:s5 ~l_min:(-1.0) ~l_max:lq in
-    let r4_mass = Float.max 0.0 (below_mass -. r5.mass) in
+    r3.s_min <- s3;
+    density.maybe_region r3;
+    r5.s_min <- s5;
+    density.maybe_region r5;
+    let r4_mass = fmax 0.0 (below_mass -. r5.mass) in
     let p3 = r3.mass *. f_m in
     let p5 = r5.mass *. f_m in
     let yes_probed = p_py *. yes_hi *. f_y in
@@ -173,13 +190,13 @@ let penalized t =
   fun v ->
     fill v;
     let precision_violation =
-      if r_q <= 0.0 then 0.0 else Float.max 0.0 (p_q -. r.precision)
+      if r_q <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
     in
     let gamma = r.alpha -. (r_q *. (r.beta -. 1.0)) in
     let reads =
       if r_q <= 0.0 then 0.0
       else if gamma >= r_q -. tolerance then
-        Float.min total (r_q *. total /. Float.max gamma tolerance)
+        fmin total (r_q *. total /. fmax gamma tolerance)
       else total
     in
     let recall_violation =
@@ -337,18 +354,18 @@ let dual_penalized t ~budget =
     fill v;
     let alpha = r.alpha and beta = r.beta and unit = r.unit_cost in
     let r_budget =
-      if unit <= 0.0 then total else Float.min total (budget /. unit)
+      if unit <= 0.0 then total else fmin total (budget /. unit)
     in
     let recall_at_budget =
       if r_budget <= 0.0 then 0.0
       else
         let denom = ((beta -. 1.0) *. r_budget) +. total in
         if denom <= tolerance then 1.0
-        else Float.max 0.0 (Float.min 1.0 (alpha *. r_budget /. denom))
+        else fmax 0.0 (fmin 1.0 (alpha *. r_budget /. denom))
     in
-    let target = Float.min r_q recall_at_budget in
+    let target = fmin r_q recall_at_budget in
     let precision_violation =
-      if target <= 0.0 then 0.0 else Float.max 0.0 (p_q -. r.precision)
+      if target <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
     in
     if precision_violation <= tolerance then begin
       let reads =
@@ -356,7 +373,7 @@ let dual_penalized t ~budget =
         else
           let gamma = alpha -. (target *. (beta -. 1.0)) in
           if gamma <= tolerance then r_budget
-          else Float.min r_budget (target *. total /. gamma)
+          else fmin r_budget (target *. total /. gamma)
       in
       -.target +. (1e-4 *. (reads *. unit) /. ceiling)
     end

@@ -55,11 +55,10 @@ val problem :
     [c_p] and every pre-batching solution is unchanged); [tiers]
     defaults to absent — every pre-cascade solution is bit-for-bit
     unchanged.
-    @raise Invalid_argument if [total <= 0], [batch < 1], [tiers] is
-    invalid per {!Probe_tier.validate}, or the
-    requirements' laxity bound exceeds the spec's [max_laxity] by more
-    than the spec allows (a bound above L is simply clamped: everything
-    is forwardable). *)
+    A laxity bound above the spec's [max_laxity] is accepted: the
+    density clamps it, so everything is forwardable.
+    @raise Invalid_argument if [total <= 0], [batch < 1] or [tiers] is
+    invalid per {!Probe_tier.validate}. *)
 
 (** The outcome of instantiating the model at one parameter point. *)
 type evaluation = {

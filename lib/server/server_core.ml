@@ -278,6 +278,9 @@ let parse_kvs tokens =
                      (String.concat " " query_keys))))
     (Ok []) tokens
 
+(* Bytes 0x21-0x7E: printable ASCII, space excluded. *)
+let visible_ascii c = c > ' ' && c <= '~'
+
 let handle_query srv out tokens =
   match parse_kvs tokens with
   | Error msg -> pr out "ERR %s" msg
@@ -290,6 +293,14 @@ let handle_query srv out tokens =
          [SLO <tenant>] takes it as one token: an empty name could be
          neither read back nor addressed. *)
       pr out "ERR tenant name is empty"
+  | Ok kvs
+    when match List.assoc_opt "tenant" kvs with
+         | Some name -> not (String.for_all visible_ascii name)
+         | None -> false ->
+      (* A tab would split the name into two TENANTS fields, and a
+         control byte reaches the Prometheus file as a label escape the
+         text format does not have, so scrapers reject the whole file. *)
+      pr out "ERR tenant name must be printable ASCII without spaces"
   | Ok kvs -> (
       let find k = List.assoc_opt k kvs in
       let float_of k default =

@@ -5,15 +5,21 @@
 let checkf tol = Alcotest.(check (float tol))
 let checkb = Alcotest.(check bool)
 
+(* A fresh region of the plane, filled in by [d]. *)
+let maybe_region (d : Density.t) ~s_min ~l_min ~l_max =
+  let r = Density.region ~s_min ~l_min ~l_max in
+  d.maybe_region r;
+  r
+
 let test_uniform_density () =
   let d = Density.uniform ~max_laxity:100.0 in
   checkf 1e-12 "yes above" 0.3 (d.yes_above 70.0);
   checkf 1e-12 "yes above 0" 1.0 (d.yes_above 0.0);
   checkf 1e-12 "yes above L" 0.0 (d.yes_above 100.0);
-  let r = d.maybe_region ~s_min:0.6 ~l_min:20.0 ~l_max:70.0 in
+  let r = maybe_region d ~s_min:0.6 ~l_min:20.0 ~l_max:70.0 in
   checkf 1e-12 "region mass" (0.4 *. 0.5) r.mass;
   checkf 1e-12 "region mean s" 0.8 r.mean_s;
-  let empty = d.maybe_region ~s_min:1.0 ~l_min:0.0 ~l_max:100.0 in
+  let empty = maybe_region d ~s_min:1.0 ~l_min:0.0 ~l_max:100.0 in
   checkf 1e-12 "empty region" 0.0 empty.mass
 
 let test_histogram_density_approximates_uniform () =
@@ -29,8 +35,8 @@ let test_histogram_density_approximates_uniform () =
   let d = Density.of_estimate e in
   let u = Density.uniform ~max_laxity:100.0 in
   checkb "yes_above close" true (Float.abs (d.yes_above 50.0 -. u.yes_above 50.0) < 0.03);
-  let rd = d.maybe_region ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
-  let ru = u.maybe_region ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
+  let rd = maybe_region d ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
+  let ru = maybe_region u ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
   checkb "region mass close" true (Float.abs (rd.mass -. ru.mass) < 0.03);
   checkb "mean s close" true (Float.abs (rd.mean_s -. ru.mean_s) < 0.05)
 
@@ -462,9 +468,13 @@ let prop_nelder_mead_matches_reference =
 
 (* The planner before its objectives became per-problem closures: the
    reference simplex driving the penalised objectives spelled out over
-   [Solver.evaluate] and [Solver.evaluate_dual], from the same seeds,
-   with the same candidate comparators. *)
+   [evaluate] and [evaluate_dual], from the same seeds, with the same
+   candidate comparators.  Both evaluations are the pinned copies of
+   [Reference_density], over a density of that copy built from the same
+   inputs as the problem's. *)
 module Reference_solver = struct
+  open Reference_density
+
   let params_of_vector v =
     let clamp x = Float.min 1.0 (Float.max 0.0 x) in
     Policy.params ~s3:(clamp v.(0)) ~s5:(clamp v.(1)) ~p_py:(clamp v.(2))
@@ -474,16 +484,16 @@ module Reference_solver = struct
     let c = t.effective in
     c.Cost_model.c_r +. c.c_p +. c.c_wi +. c.c_wp
 
-  let penalized (t : Solver.problem) params =
-    let e = Solver.evaluate t params in
+  let penalized density (t : Solver.problem) params =
+    let e = Solver_ref.evaluate density t params in
     if e.feasible then e.cost
     else begin
       let ceiling = float_of_int t.total *. worst_unit t in
       (2.0 *. ceiling) +. (10.0 *. ceiling *. e.violation)
     end
 
-  let dual_penalized (t : Solver.problem) ~budget params =
-    let e = Solver.evaluate_dual t ~budget params in
+  let dual_penalized density (t : Solver.problem) ~budget params =
+    let e = Solver_ref.evaluate_dual density t ~budget params in
     if e.d_feasible then begin
       let ceiling = Float.max 1.0 (float_of_int t.total *. worst_unit t) in
       -.e.target_recall +. (1e-4 *. e.d_cost /. ceiling)
@@ -525,11 +535,13 @@ module Reference_solver = struct
     | [] -> assert false
     | first :: rest -> List.fold_left better first rest
 
-  let solve t = multistart (penalized t) (Solver.evaluate t) Solver.better
+  let solve density t =
+    multistart (penalized density t) (Solver_ref.evaluate density t)
+      Solver.better
 
-  let solve_dual ~budget (t : Solver.problem) =
+  let solve_dual density ~budget (t : Solver.problem) =
     let budget = Float.max 0.0 budget in
-    let primal = solve t in
+    let primal = solve density t in
     if primal.feasible && primal.cost <= budget then
       {
         Solver.d_params = primal.params;
@@ -544,7 +556,9 @@ module Reference_solver = struct
         d_expected_precision = primal.expected_precision;
       }
     else
-      multistart (dual_penalized t ~budget) (Solver.evaluate_dual t ~budget)
+      multistart
+        (dual_penalized density t ~budget)
+        (Solver_ref.evaluate_dual density t ~budget)
         Solver.better_dual
 end
 
@@ -575,14 +589,17 @@ let tier_specs =
 
 (* A random planning problem: uniform or sampled-histogram density,
    fractional prices with a batch surcharge, B in 1..16, sometimes a
-   tiered cascade; and a budget that is zero, binding or ample. *)
+   tiered cascade; and a budget that is zero, binding or ample.  With it
+   the same density built by [Reference_density]. *)
 let random_problem seed =
   let rng = Rng.create seed in
   let f_y = Rng.uniform_in rng 0.02 0.5 in
   let f_m = Rng.uniform_in rng 0.02 (1.0 -. f_y) in
   let max_laxity = Rng.uniform_in rng 10.0 200.0 in
-  let spec =
-    if Rng.bool rng then Region_model.uniform_spec ~f_y ~f_m ~max_laxity
+  let spec, reference_density =
+    if Rng.bool rng then
+      ( Region_model.uniform_spec ~f_y ~f_m ~max_laxity,
+        Reference_density.Density_ref.uniform ~max_laxity )
     else begin
       let sample =
         Synthetic.generate (Rng.split rng)
@@ -592,8 +609,9 @@ let random_problem seed =
         Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:max_laxity
           ~laxity_bins:8 ~success_bins:8 sample
       in
-      Region_model.spec ~f_y ~f_m ~max_laxity
-        ~density:(Density.of_estimate estimate)
+      ( Region_model.spec ~f_y ~f_m ~max_laxity
+          ~density:(Density.of_estimate estimate),
+        Reference_density.Density_ref.of_estimate estimate )
     end
   in
   let cost =
@@ -622,6 +640,7 @@ let random_problem seed =
   in
   ( Solver.problem ~total:(100 + Rng.int rng 20_000) ~spec ~requirements ~cost
       ~batch ?tiers (),
+    reference_density,
     budget_factor )
 
 let prop_solver_matches_reference =
@@ -629,12 +648,12 @@ let prop_solver_matches_reference =
     ~count:60 ~print:(Printf.sprintf "problem seed %d")
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
-      let t, budget_factor = random_problem seed in
+      let t, density, budget_factor = random_problem seed in
       let primal = Solver.solve t in
       let budget = budget_factor *. primal.cost in
-      same_evaluation primal (Reference_solver.solve t)
+      same_evaluation primal (Reference_solver.solve density t)
       && same_dual (Solver.solve_dual ~budget t)
-           (Reference_solver.solve_dual ~budget t))
+           (Reference_solver.solve_dual density ~budget t))
 
 (* The simplex allocates per iteration only the objective's boxed return
    values: at most n + 2 = 6 evaluations an iteration in 4-D (reflect,
@@ -663,6 +682,39 @@ let test_nelder_mead_allocation () =
     (Printf.sprintf "%.1f words per iteration <= 16" per_iteration)
     true (per_iteration <= 16.0)
 
+(* A solve allocates little beyond the objective's boxed return values
+   (2 words an evaluation): regions are filled in place and the clamps
+   return unboxed.  Over the 27 problems shaped like the server's warm
+   workload (|T| = 10,000, B = 8, paper costs, uniform density, p x r x l
+   in {0.8, 0.9, 0.95} x {0.5, 0.6, 0.8} x {30, 50, 80}) a solve took
+   53,546 words; with a fresh region record per density call and boxed
+   clamps it took 502,534. *)
+let test_solve_allocation () =
+  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
+  let problems =
+    List.concat_map
+      (fun precision ->
+        List.concat_map
+          (fun recall ->
+            List.map
+              (fun laxity ->
+                Solver.problem ~total:10_000 ~spec ~batch:8
+                  ~requirements:
+                    (Quality.requirements ~precision ~recall ~laxity)
+                  ())
+              [ 30.0; 50.0; 80.0 ])
+          [ 0.5; 0.6; 0.8 ])
+      [ 0.8; 0.9; 0.95 ]
+  in
+  let before = Gc.minor_words () in
+  List.iter (fun t -> ignore (Solver.solve t)) problems;
+  let per_solve =
+    (Gc.minor_words () -. before) /. float_of_int (List.length problems)
+  in
+  checkb
+    (Printf.sprintf "%.0f words per solve <= 100,000" per_solve)
+    true (per_solve <= 100_000.0)
+
 let suite =
   [
     ("uniform density", `Quick, test_uniform_density);
@@ -676,6 +728,7 @@ let suite =
     ("nelder-mead quadratic", `Quick, test_nelder_mead_quadratic);
     ("nelder-mead box constraints", `Quick, test_nelder_mead_respects_box);
     ("nelder-mead allocation per iteration", `Quick, test_nelder_mead_allocation);
+    ("solve allocation", `Quick, test_solve_allocation);
     QCheck_alcotest.to_alcotest prop_nelder_mead_matches_reference;
     QCheck_alcotest.to_alcotest prop_solver_matches_reference;
     ("better tie-break on equal violation", `Quick, test_better_tie_break);

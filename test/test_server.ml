@@ -296,7 +296,9 @@ let test_negative_quota_rejected () =
   let fresh = run [ "QUERY seed=1"; "RUN"; "QUIT" ] in
   (* The reserved SLO aggregate name is malformed the same way: a tenant
      called [_all] would have no window of its own.  So is the empty
-     name, which TENANTS could not print as a field of its own. *)
+     name, which TENANTS could not print as a field of its own, and a
+     name with a tab or a control byte, which TENANTS would split and
+     the Prometheus file could not quote. *)
   List.iter
     (fun bad ->
       let lines = run [ bad; "QUERY seed=1"; "RUN"; "QUIT" ] in
@@ -307,7 +309,8 @@ let test_negative_quota_rejected () =
         (deterministic (find_line fresh "RESULT "))
         (deterministic (List.hd results)))
     [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant; "QUERY tenant=";
-      "QUERY recal=0.99"; "QUERY =1" ];
+      "QUERY tenant=a\tb"; "QUERY tenant=c\001d"; "QUERY recal=0.99";
+      "QUERY =1" ];
   (* An unknown key is named, not run at the default it shadows. *)
   let lines = run [ "QUERY seed=1 recal=0.99"; "QUIT" ] in
   checkb "the ERR names the key" true
