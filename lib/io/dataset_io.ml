@@ -55,13 +55,19 @@ let check_header expected = function
 let synthetic_of_rows rows =
   check_header synthetic_header rows
   |> List.map (function
-       | [ id; label; laxity; success; probe_yes; resolved ] ->
-           Synthetic.make ~id:(int_of_field "id" id)
-             ~label:(label_of_field label)
-             ~laxity:(float_of_field "laxity" laxity)
-             ~success:(float_of_field "success" success)
-             ~probe_yes:(bool_of_field "probe_yes" probe_yes)
-             ~resolved:(bool_of_field "resolved" resolved)
+       | [ id; label; laxity; success; probe_yes; resolved ] -> (
+           let id = int_of_field "id" id in
+           (* Fields that parse but make an incoherent object are a
+              loader error naming the row. *)
+           try
+             Synthetic.make ~id ~label:(label_of_field label)
+               ~laxity:(float_of_field "laxity" laxity)
+               ~success:(float_of_field "success" success)
+               ~probe_yes:(bool_of_field "probe_yes" probe_yes)
+               ~resolved:(bool_of_field "resolved" resolved)
+           with Invalid_argument reason ->
+             failwith
+               (Printf.sprintf "Dataset_io: synthetic row %d: %s" id reason))
        | row ->
            failwith
              (Printf.sprintf "Dataset_io: bad synthetic row arity %d"

@@ -12,7 +12,8 @@ val synthetic_to_rows : Synthetic.obj array -> string list list
 (** Header row included. *)
 
 val synthetic_of_rows : string list list -> Synthetic.obj array
-(** @raise Failure on a malformed header, row arity or field. *)
+(** @raise Failure on a malformed header, row arity or field, or on a
+    row {!Synthetic.make} rejects (naming the row's id). *)
 
 val write_synthetic : string -> Synthetic.obj array -> unit
 val read_synthetic : string -> Synthetic.obj array

@@ -180,8 +180,5 @@ val to_prometheus : snapshot -> string
     expose the standard cumulative [_bucket{le="..."}] series (empty
     buckets elided, ["+Inf"] always present) plus [_sum] and [_count]. *)
 
-val prometheus_name : string -> string
-(** The mangling {!to_prometheus} applies to one metric name. *)
-
 val json_escape : string -> string
 (** JSON string-body escaping, shared with the other exporters. *)

@@ -1,11 +1,12 @@
 (* Per-tenant rolling SLO tracking for a long-running server.
 
-   Each tenant owns a family of Rolling counters/series (request count,
-   latency, charged probes, degraded requests, quota rejections,
-   guarantee shortfalls); one synthetic "_all" tenant aggregates every
-   request.  A report merges a tenant's windows into the live numbers
-   the HEALTH/SLO verbs, the Prometheus file and the watch dashboard
-   show. *)
+   Each tenant, and the synthetic "_all" aggregate, owns one ring of
+   time slices addressed by absolute slot, floor (now / slice_seconds).
+   A slice holds every field of the samples that landed in it; a writer
+   landing on a slice from another slot replaces it, so stale data
+   self-invalidates without a sweeper thread.  One mutex guards the
+   table and every ring, and each call reads the clock once: a sample's
+   fields land in, and age out of, one slice.  Reads register nothing. *)
 
 let all_tenant = "_all"
 
@@ -18,58 +19,100 @@ type sample = {
   shortfall : bool;  (* finished without meeting requested quality *)
 }
 
-type cell = {
-  requests : Rolling.counter;
-  latency : Rolling.series;
-  probes_c : Rolling.counter;
-  degraded_c : Rolling.counter;
-  rejections_c : Rolling.counter;
-  shortfalls_c : Rolling.counter;
+type slice = {
+  slot : int;  (* the absolute slot this slice serves *)
+  n_requests : float;
+  n_probes : float;
+  n_degraded : float;
+  n_rejections : float;
+  n_shortfalls : float;
+  latency : Metrics.dist;
 }
+
+let idle =
+  {
+    slot = min_int;
+    n_requests = 0.0;
+    n_probes = 0.0;
+    n_degraded = 0.0;
+    n_rejections = 0.0;
+    n_shortfalls = 0.0;
+    latency = Metrics.empty_dist;
+  }
+
+(* Field-wise sum, keeping [a]'s slot. *)
+let sum a b =
+  {
+    slot = a.slot;
+    n_requests = a.n_requests +. b.n_requests;
+    n_probes = a.n_probes +. b.n_probes;
+    n_degraded = a.n_degraded +. b.n_degraded;
+    n_rejections = a.n_rejections +. b.n_rejections;
+    n_shortfalls = a.n_shortfalls +. b.n_shortfalls;
+    latency = Metrics.merge_dist a.latency b.latency;
+  }
 
 type t = {
-  spec : Rolling.spec;
+  slices : int;
+  slice_seconds : float;
+  clock : unit -> float;
   lock : Mutex.t;
-  cells : (string, cell) Hashtbl.t;
+  rings : (string, slice array) Hashtbl.t;  (* tenants and "_all" *)
 }
 
-let create ?(window_seconds = 60.0) ?slices ?clock () =
-  let spec = Rolling.spec ?slices ?clock ~window_seconds () in
-  { spec; lock = Mutex.create (); cells = Hashtbl.create 8 }
+let create ?(window_seconds = 60.0) ?(slices = 12)
+    ?(clock = Span.default_clock) () =
+  if slices < 1 then invalid_arg "Slo.create: slices < 1";
+  if not (Float.is_finite window_seconds) || window_seconds <= 0.0 then
+    invalid_arg "Slo.create: window_seconds must be finite and positive";
+  {
+    slices;
+    slice_seconds = window_seconds /. float_of_int slices;
+    clock;
+    lock = Mutex.create ();
+    rings = Hashtbl.create 8;
+  }
 
-let window_seconds t = Rolling.window_seconds t.spec
+let window_seconds t = t.slice_seconds *. float_of_int t.slices
 
-let cell t tenant =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.cells tenant with
-      | Some c -> c
-      | None ->
-          let c =
-            {
-              requests = Rolling.counter t.spec;
-              latency = Rolling.series t.spec;
-              probes_c = Rolling.counter t.spec;
-              degraded_c = Rolling.counter t.spec;
-              rejections_c = Rolling.counter t.spec;
-              shortfalls_c = Rolling.counter t.spec;
-            }
-          in
-          Hashtbl.add t.cells tenant c;
-          c)
+(* Called under the lock. *)
+let now_slot t = int_of_float (Float.floor (t.clock () /. t.slice_seconds))
 
-let observe_cell c s =
-  Rolling.counter_incr c.requests;
-  if Float.is_finite s.latency_seconds && s.latency_seconds >= 0.0 then
-    Rolling.series_observe c.latency s.latency_seconds;
-  Rolling.counter_add c.probes_c (float_of_int (Stdlib.max 0 s.probes));
-  if s.degraded then Rolling.counter_incr c.degraded_c;
-  Rolling.counter_add c.rejections_c (float_of_int (Stdlib.max 0 s.rejections));
-  if s.shortfall then Rolling.counter_incr c.shortfalls_c
+(* One sample as a slice of its own.  Rejected-at-admission samples
+   carry a [nan] latency: counted, but kept out of the quantiles. *)
+let of_sample slot s =
+  let count b = if b then 1.0 else 0.0 in
+  {
+    slot;
+    n_requests = 1.0;
+    n_probes = float_of_int (Stdlib.max 0 s.probes);
+    n_degraded = count s.degraded;
+    n_rejections = float_of_int (Stdlib.max 0 s.rejections);
+    n_shortfalls = count s.shortfall;
+    latency =
+      (if Float.is_finite s.latency_seconds && s.latency_seconds >= 0.0 then
+         Metrics.dist_observe Metrics.empty_dist s.latency_seconds
+       else Metrics.empty_dist);
+  }
+
+let add t ring one =
+  let i = ((one.slot mod t.slices) + t.slices) mod t.slices in
+  ring.(i) <- (if ring.(i).slot = one.slot then sum ring.(i) one else one)
+
+(* Called under the lock; registers [tenant]. *)
+let ring t tenant =
+  match Hashtbl.find_opt t.rings tenant with
+  | Some ring -> ring
+  | None ->
+      let ring = Array.make t.slices idle in
+      Hashtbl.add t.rings tenant ring;
+      ring
 
 let observe t s =
-  observe_cell (cell t s.tenant) s;
-  if not (String.equal s.tenant all_tenant) then
-    observe_cell (cell t all_tenant) s
+  Mutex.protect t.lock (fun () ->
+      let one = of_sample (now_slot t) s in
+      add t (ring t all_tenant) one;
+      if not (String.equal s.tenant all_tenant) then add t (ring t s.tenant) one)
 
 type report = {
   r_tenant : string;
@@ -84,77 +127,86 @@ type report = {
   r_shortfalls : float;  (* guarantee shortfalls inside the window *)
 }
 
-let report_cell t tenant c =
-  let requests = Rolling.counter_total c.requests in
-  let dist = Rolling.series_dist c.latency in
+(* The sum of the slices inside the window ending at slot [newest], in
+   ring-index order. *)
+let window_total t ring newest =
+  Array.fold_left
+    (fun acc sl ->
+      if sl.slot > newest - t.slices && sl.slot <= newest then sum acc sl
+      else acc)
+    idle ring
+
+(* Called under the lock; an unknown tenant sums an empty window. *)
+let report_at t newest tenant =
+  let w =
+    match Hashtbl.find_opt t.rings tenant with
+    | Some ring -> window_total t ring newest
+    | None -> idle
+  in
   {
     r_tenant = tenant;
     r_window = window_seconds t;
-    r_requests = requests;
-    r_rate = Rolling.counter_rate c.requests;
-    r_p50 = Metrics.quantile dist 0.5;
-    r_p99 = Metrics.quantile dist 0.99;
-    r_probe_rate = Rolling.counter_rate c.probes_c;
+    r_requests = w.n_requests;
+    r_rate = w.n_requests /. window_seconds t;
+    r_p50 = Metrics.quantile w.latency 0.5;
+    r_p99 = Metrics.quantile w.latency 0.99;
+    r_probe_rate = w.n_probes /. window_seconds t;
     r_degraded =
-      (if requests > 0.0 then Rolling.counter_total c.degraded_c /. requests
-       else 0.0);
-    r_rejections = Rolling.counter_total c.rejections_c;
-    r_shortfalls = Rolling.counter_total c.shortfalls_c;
+      (if w.n_requests > 0.0 then w.n_degraded /. w.n_requests else 0.0);
+    r_rejections = w.n_rejections;
+    r_shortfalls = w.n_shortfalls;
   }
 
-let report t tenant = report_cell t tenant (cell t tenant)
-let overall t = report t all_tenant
-
-let tenants t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) t.cells [])
+(* Called under the lock. *)
+let sorted_tenants t =
+  Hashtbl.fold (fun name _ acc -> name :: acc) t.rings []
   |> List.filter (fun n -> not (String.equal n all_tenant))
   |> List.sort String.compare
 
-let reports t = List.map (report t) (tenants t)
+(* Reports for the names [names ()] picks, at one clock read. *)
+let read t names =
+  Mutex.protect t.lock (fun () ->
+      let newest = now_slot t in
+      List.map (report_at t newest) (names ()))
+
+let report t tenant = List.hd (read t (fun () -> [ tenant ]))
+let overall t = report t all_tenant
+let tenants t = Mutex.protect t.lock (fun () -> sorted_tenants t)
+let reports t = read t (fun () -> sorted_tenants t)
 
 (* Prometheus text exposition with tenant labels.  The cumulative
    Metrics registry has no label support (names are flat), so the SLO
    family is written by hand here; every series is a gauge because a
    windowed value can fall. *)
+let gauges =
+  [
+    ("qaq_slo_request_rate", "windowed requests per second", fun r -> r.r_rate);
+    ("qaq_slo_latency_p50_seconds", "windowed median query latency",
+     fun r -> r.r_p50);
+    ("qaq_slo_latency_p99_seconds", "windowed p99 query latency",
+     fun r -> r.r_p99);
+    ("qaq_slo_probe_rate", "windowed charged probes per second",
+     fun r -> r.r_probe_rate);
+    ("qaq_slo_degraded_fraction", "fraction of windowed requests degraded",
+     fun r -> r.r_degraded);
+    ("qaq_slo_rejections", "windowed quota/capacity rejections",
+     fun r -> r.r_rejections);
+    ("qaq_slo_shortfalls", "windowed guarantee shortfalls",
+     fun r -> r.r_shortfalls);
+  ]
+
 let to_prometheus t =
+  let rs = read t (fun () -> sorted_tenants t @ [ all_tenant ]) in
   let b = Buffer.create 512 in
-  let esc = Metrics.json_escape in
-  let series name help =
-    Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name)
-  in
-  let sample name tenant v =
-    if Float.is_finite v then
-      Buffer.add_string b
-        (Printf.sprintf "%s{tenant=\"%s\"} %.17g\n" name (esc tenant) v)
-  in
-  let names = tenants t @ [ all_tenant ] in
-  let rs = List.map (fun n -> report t n) names in
-  series "qaq_slo_request_rate" "windowed requests per second";
-  List.iter (fun r -> sample "qaq_slo_request_rate" r.r_tenant r.r_rate) rs;
-  series "qaq_slo_latency_p50_seconds" "windowed median query latency";
   List.iter
-    (fun r -> sample "qaq_slo_latency_p50_seconds" r.r_tenant r.r_p50)
-    rs;
-  series "qaq_slo_latency_p99_seconds" "windowed p99 query latency";
-  List.iter
-    (fun r -> sample "qaq_slo_latency_p99_seconds" r.r_tenant r.r_p99)
-    rs;
-  series "qaq_slo_probe_rate" "windowed charged probes per second";
-  List.iter
-    (fun r -> sample "qaq_slo_probe_rate" r.r_tenant r.r_probe_rate)
-    rs;
-  series "qaq_slo_degraded_fraction" "fraction of windowed requests degraded";
-  List.iter
-    (fun r -> sample "qaq_slo_degraded_fraction" r.r_tenant r.r_degraded)
-    rs;
-  series "qaq_slo_rejections" "windowed quota/capacity rejections";
-  List.iter
-    (fun r -> sample "qaq_slo_rejections" r.r_tenant r.r_rejections)
-    rs;
-  series "qaq_slo_shortfalls" "windowed guarantee shortfalls";
-  List.iter
-    (fun r -> sample "qaq_slo_shortfalls" r.r_tenant r.r_shortfalls)
-    rs;
+    (fun (name, help, value) ->
+      Printf.bprintf b "# HELP %s %s\n# TYPE %s gauge\n" name help name;
+      List.iter
+        (fun r ->
+          let v = value r in
+          if Float.is_finite v then
+            Printf.bprintf b "%s{tenant=\"%s\"} %.17g\n" name
+              (Metrics.json_escape r.r_tenant) v)
+        rs)
+    gauges;
   Buffer.contents b

@@ -2,9 +2,14 @@
 
     A live, time-windowed view of how each tenant's queries are doing
     right now — request rate, p50/p99 latency, charged-probe rate,
-    degraded fraction, quota rejections, guarantee shortfalls — built
-    on {!Rolling} windows so quiet history ages out.  One synthetic
-    ["_all"] tenant aggregates everything for the [HEALTH] verb.
+    degraded fraction, quota rejections, guarantee shortfalls — so
+    quiet history ages out.  One synthetic ["_all"] tenant aggregates
+    everything for the [HEALTH] verb.
+
+    Each tenant owns one ring of [slices] time slices; every field of a
+    sample lands in the same slice, at one clock read, and ages out
+    with it.  A report merges the slices still inside the window, so it
+    covers between [window - slice] and [window] seconds of history.
 
     Concurrency-safe: {!observe} may run from many query domains while
     a reader renders reports. *)
@@ -31,8 +36,10 @@ val create :
   ?clock:(unit -> float) ->
   unit ->
   t
-(** [window_seconds] defaults to 60; [slices] and [clock] as in
-    {!Rolling.spec}. *)
+(** [window_seconds] defaults to 60, [slices] to 12 (a 60 s window in
+    5 s steps) and [clock] to the wall clock.
+    @raise Invalid_argument if [slices < 1] or [window_seconds] is not
+    finite and positive. *)
 
 val observe : t -> sample -> unit
 (** Record one finished request against its tenant and ["_all"]. *)
@@ -52,7 +59,7 @@ type report = {
 
 val report : t -> string -> report
 (** A tenant's live numbers (all zero / [nan] quantiles when idle or
-    unknown). *)
+    unknown).  An unknown tenant is not added to {!tenants}. *)
 
 val overall : t -> report
 (** [report t all_tenant]. *)

@@ -256,9 +256,10 @@ let print_stats out label (s : Probe_broker.stats) =
 
 let query_keys = [ "tenant"; "seed"; "p"; "r"; "l"; "quota" ]
 
-(* key=value tokens over [query_keys]; a bare token or an unknown key
-   (a typo such as [recal=0.99] would otherwise run at the default) is
-   an error the client can see. *)
+(* key=value tokens over [query_keys]; a bare token, an unknown key (a
+   typo such as [recal=0.99] would otherwise run at the default) or a
+   repeated key (the last one would otherwise silently win) is an error
+   the client can see. *)
 let parse_kvs tokens =
   List.fold_left
     (fun acc tok ->
@@ -269,7 +270,9 @@ let parse_kvs tokens =
           | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
           | Some i ->
               let key = String.sub tok 0 i in
-              if List.mem key query_keys then
+              if List.mem_assoc key kvs then
+                Error (Printf.sprintf "duplicate QUERY key %S" key)
+              else if List.mem key query_keys then
                 Ok ((key, String.sub tok (i + 1) (String.length tok - i - 1))
                    :: kvs)
               else
@@ -280,6 +283,8 @@ let parse_kvs tokens =
 
 (* Bytes 0x21-0x7E: printable ASCII, space excluded. *)
 let visible_ascii c = c > ' ' && c <= '~'
+
+let unprintable_tenant = "tenant name must be printable ASCII without spaces"
 
 let handle_query srv out tokens =
   match parse_kvs tokens with
@@ -300,7 +305,7 @@ let handle_query srv out tokens =
       (* A tab would split the name into two TENANTS fields, and a
          control byte reaches the Prometheus file as a label escape the
          text format does not have, so scrapers reject the whole file. *)
-      pr out "ERR tenant name must be printable ASCII without spaces"
+      pr out "ERR %s" unprintable_tenant
   | Ok kvs -> (
       let find k = List.assoc_opt k kvs in
       let float_of k default =
@@ -470,42 +475,39 @@ let breaker_state srv =
   | Some b -> Circuit_breaker.state_name (Circuit_breaker.state b)
   | None -> "none"
 
-let print_report out label (r : Slo.report) =
-  pr out
-    "%s window=%g requests=%g rate=%.4f p50=%.6f p99=%.6f probe_rate=%.4f \
+let report_fields (r : Slo.report) =
+  Printf.sprintf
+    "window=%g requests=%g rate=%.4f p50=%.6f p99=%.6f probe_rate=%.4f \
      degraded=%.4f rejections=%g shortfalls=%g"
-    label r.Slo.r_window r.Slo.r_requests r.Slo.r_rate r.Slo.r_p50
-    r.Slo.r_p99 r.Slo.r_probe_rate r.Slo.r_degraded r.Slo.r_rejections
-    r.Slo.r_shortfalls
+    r.Slo.r_window r.Slo.r_requests r.Slo.r_rate r.Slo.r_p50 r.Slo.r_p99
+    r.Slo.r_probe_rate r.Slo.r_degraded r.Slo.r_rejections r.Slo.r_shortfalls
 
 let handle_health srv out =
-  let r = Slo.overall srv.srv_slo in
   let recorded, dumps =
     match srv.srv_recorder with
     | Some rec_ ->
         (Flight_recorder.recorded rec_, List.length (Flight_recorder.dumps rec_))
     | None -> (0, 0)
   in
-  pr out
-    "HEALTH window=%g requests=%g rate=%.4f p50=%.6f p99=%.6f \
-     probe_rate=%.4f degraded=%.4f rejections=%g shortfalls=%g recorded=%d \
-     dumps=%d breaker=%s"
-    r.Slo.r_window r.Slo.r_requests r.Slo.r_rate r.Slo.r_p50 r.Slo.r_p99
-    r.Slo.r_probe_rate r.Slo.r_degraded r.Slo.r_rejections r.Slo.r_shortfalls
+  pr out "HEALTH %s recorded=%d dumps=%d breaker=%s"
+    (report_fields (Slo.overall srv.srv_slo))
     recorded dumps (breaker_state srv)
 
+(* SLO reads name a tenant the way QUERY does: a name QUERY refuses has
+   no window to read. *)
 let handle_slo srv out args =
-  (match args with
-  | [ tenant ] ->
-      print_report out
-        (Printf.sprintf "SLO tenant=%s" tenant)
-        (Slo.report srv.srv_slo tenant)
-  | _ ->
-      List.iter
-        (fun (r : Slo.report) ->
-          print_report out (Printf.sprintf "SLO tenant=%s" r.Slo.r_tenant) r)
-        (Slo.reports srv.srv_slo));
-  pr out "OK"
+  let print (r : Slo.report) =
+    pr out "SLO tenant=%s %s" r.Slo.r_tenant (report_fields r)
+  in
+  match args with
+  | [] ->
+      List.iter print (Slo.reports srv.srv_slo);
+      pr out "OK"
+  | [ tenant ] when String.for_all visible_ascii tenant ->
+      print (Slo.report srv.srv_slo tenant);
+      pr out "OK"
+  | [ _ ] -> pr out "ERR %s" unprintable_tenant
+  | _ -> pr out "ERR usage: SLO [tenant]"
 
 (* RECORDER            the whole ring as one chrome-trace document
    RECORDER <trace-id> that query's entries in it

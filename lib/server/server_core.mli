@@ -26,12 +26,18 @@
     v}
 
     A malformed QUERY (a bare token, a key other than the six above —
-    a typo such as [recal=0.99], or an empty one as in [=1] — a
-    non-numeric value, a negative [quota], requirements out of range,
-    the reserved tenant name {!Slo.all_tenant}, ["_all"], which names
-    the SLO aggregate, or a tenant name that is empty or has a byte
-    outside 0x21-0x7E, such as a tab or a control character) is
-    answered [ERR ...] and queues nothing.
+    a typo such as [recal=0.99], or an empty one as in [=1] — a key
+    given twice, as in [r=0.99 r=0.5], a non-numeric value, a negative
+    [quota], requirements out of range, the reserved tenant name
+    {!Slo.all_tenant}, ["_all"], which names the SLO aggregate, or a
+    tenant name that is empty or has a byte outside 0x21-0x7E, such as
+    a tab or a control character) is answered [ERR ...] and queues
+    nothing.
+
+    [SLO a b] is [ERR usage: SLO [tenant]]; [SLO T] with a byte outside
+    0x21-0x7E in [T] gets the QUERY name's [ERR].  An [SLO] read never
+    registers a tenant: an unknown one reads as idle and stays out of
+    the [SLO] listing and the Prometheus file.
 
     Telemetry: every RUN mints a per-query trace ID, stamps the query's
     engine events and its broker client's probe events with it

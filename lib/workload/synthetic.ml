@@ -28,7 +28,7 @@ type obj = {
 
 let make ~id ~label ~laxity ~success ~probe_yes ~resolved =
   if not (Float.is_finite laxity && laxity >= 0.0) then
-    invalid_arg "Synthetic.make: negative laxity";
+    invalid_arg "Synthetic.make: laxity is negative or not finite";
   if not (success >= 0.0 && success <= 1.0) then
     invalid_arg "Synthetic.make: success outside [0, 1]";
   (match (label : Tvl.t) with

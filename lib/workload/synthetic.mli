@@ -43,8 +43,8 @@ val make :
   obj
 (** Build an object directly (deserialisation, hand-written tests).
     @raise Invalid_argument if the fields are incoherent: negative
-    laxity, success outside [0, 1], a YES whose probe outcome is not
-    YES (or success not 1), or a NO that would probe YES. *)
+    or non-finite laxity, success outside [0, 1], a YES whose probe
+    outcome is not YES (or success not 1), or a NO that would probe YES. *)
 
 val generate : Rng.t -> config -> obj array
 

@@ -97,7 +97,23 @@ let test_synthetic_bad_input () =
   let rows = [ Dataset_io.synthetic_header; [ "1"; "YES"; "x"; "1"; "1"; "0" ] ] in
   Alcotest.check_raises "bad float"
     (Failure "Dataset_io: bad float in laxity: \"x\"") (fun () ->
-      ignore (Dataset_io.synthetic_of_rows rows))
+      ignore (Dataset_io.synthetic_of_rows rows));
+  (* Fields that parse but make an object Synthetic.make rejects are a
+     loader error naming the row, not an escaping Invalid_argument. *)
+  List.iter
+    (fun (row, reason) ->
+      Alcotest.check_raises reason
+        (Failure ("Dataset_io: synthetic row 0: Synthetic.make: " ^ reason))
+        (fun () ->
+          ignore
+            (Dataset_io.synthetic_of_rows [ Dataset_io.synthetic_header; row ])))
+    [
+      ([ "0"; "MAYBE"; "-1"; "0.5"; "1"; "0" ], "laxity is negative or not finite");
+      ([ "0"; "MAYBE"; "nan"; "0.5"; "1"; "0" ], "laxity is negative or not finite");
+      ([ "0"; "MAYBE"; "1"; "1.5"; "1"; "0" ], "success outside [0, 1]");
+      ([ "0"; "YES"; "1"; "0.5"; "1"; "0" ],
+       "YES object must probe YES with success 1");
+    ]
 
 let test_records_roundtrip () =
   let records =

@@ -61,6 +61,28 @@ let find_line lines prefix =
 let base_config =
   { Server_core.default_config with c_total = 2000; c_seed = 2004 }
 
+(* The trace ID and wall time differ between servers; nothing else in a
+   RESULT line may. *)
+let deterministic line =
+  String.split_on_char ' ' line
+  |> List.filter (fun tok ->
+         not
+           (String.starts_with ~prefix:"trace=" tok
+           || String.starts_with ~prefix:"elapsed=" tok))
+  |> String.concat " "
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Run [f] on a fresh temp path for the Prometheus file, removed after. *)
+let with_prom f =
+  let path = Filename.temp_file "qaq-test-prom" ".txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
 (* The acceptance path: a fault plan that fails every backend probe
    behind a breaker.  One query through the protocol must come back
    degraded with a trace ID, trip the breaker, and leave an
@@ -279,15 +301,6 @@ let test_protocol_compat () =
    (a negative quota used to reach the broker at RUN and raise there,
    taking the whole batch down). *)
 let test_negative_quota_rejected () =
-  (* The trace ID and wall time differ between servers; nothing else may. *)
-  let deterministic line =
-    String.split_on_char ' ' line
-    |> List.filter (fun tok ->
-           not
-             (String.starts_with ~prefix:"trace=" tok
-             || String.starts_with ~prefix:"elapsed=" tok))
-    |> String.concat " "
-  in
   let run script =
     let verdict, lines = session (Server_core.create base_config) script in
     checkb "clean QUIT" true (verdict = `Quit);
@@ -298,7 +311,8 @@ let test_negative_quota_rejected () =
      called [_all] would have no window of its own.  So is the empty
      name, which TENANTS could not print as a field of its own, and a
      name with a tab or a control byte, which TENANTS would split and
-     the Prometheus file could not quote. *)
+     the Prometheus file could not quote.  A repeated key is malformed
+     rather than last-wins, and SLO takes at most one tenant. *)
   List.iter
     (fun bad ->
       let lines = run [ bad; "QUERY seed=1"; "RUN"; "QUIT" ] in
@@ -310,12 +324,169 @@ let test_negative_quota_rejected () =
         (deterministic (List.hd results)))
     [ "QUERY quota=-1"; "QUERY tenant=" ^ Slo.all_tenant; "QUERY tenant=";
       "QUERY tenant=a\tb"; "QUERY tenant=c\001d"; "QUERY recal=0.99";
-      "QUERY =1" ];
+      "QUERY =1"; "QUERY r=0.99 r=0.5"; "SLO a b" ];
   (* An unknown key is named, not run at the default it shadows. *)
   let lines = run [ "QUERY seed=1 recal=0.99"; "QUIT" ] in
   checkb "the ERR names the key" true
     (String.starts_with ~prefix:"ERR unknown QUERY key \"recal\""
        (find_line lines "ERR "))
+
+(* Reading a tenant's SLO registers nothing: neither a name never
+   queried nor one QUERY would refuse shows up in the SLO listing or the
+   Prometheus file (a control byte would reach it as a [\u] escape the
+   text format does not have, and scrapers reject the whole file). *)
+let test_slo_reads_register_nothing () =
+  with_prom (fun prom ->
+      let srv = Server_core.create { base_config with c_prom = Some prom } in
+      let verdict, lines =
+        session srv
+          [ "SLO ghost"; "SLO c\001d"; "QUERY tenant=a seed=1"; "RUN"; "SLO";
+            "QUIT" ]
+      in
+      checkb "clean QUIT" true (verdict = `Quit);
+      Alcotest.(check (option string)) "ghost reads as idle" (Some "0")
+        (kv (find_line lines "SLO tenant=ghost") "requests");
+      ignore (find_line lines "ERR tenant name");
+      let rec after_run = function
+        | [] -> []
+        | l :: rest ->
+            if String.starts_with ~prefix:"DONE " l then rest else after_run rest
+      in
+      let listed =
+        List.filter (String.starts_with ~prefix:"SLO tenant=") (after_run lines)
+        |> List.filter_map (fun l -> kv l "tenant")
+      in
+      Alcotest.(check (list string)) "the listing names only a" [ "a" ] listed;
+      let text = read_file prom in
+      checkb "tenant a exported" true (contains text "tenant=\"a\"");
+      checkb "no ghost exported" false (contains text "ghost");
+      checkb "no \\u escape" false (contains text "\\u"))
+
+(* The line protocol under random input: 1-8 lines of verbs in any case
+   with 0-3 tokens (valid and unknown key=value pairs, bare tokens,
+   extreme numbers, names of bytes 0x01-0x7E) or raw bytes, then a
+   fixed query.  Whatever came before, the session ends on QUIT without
+   raising, every Prometheus tenant label is printable ASCII without a
+   [\u] escape, and the fixed query answers as on a fresh server.  QUIT
+   is not drawn: it would end the session before the fixed query. *)
+let fuzz_config = { Server_core.default_config with c_total = 200 }
+
+let fuzz_lines =
+  let open QCheck2.Gen in
+  let bytes lo hi size =
+    string_size ~gen:(map Char.chr (int_range lo hi)) size
+  in
+  let name =
+    bytes 0x01 0x7E (int_range 1 6) >|= fun n -> if n = "zz" then "zy" else n
+  in
+  let number =
+    oneof
+      [
+        oneofl
+          [ "nan"; "inf"; "-inf"; "-1"; "0"; "1"; "0.5"; "0.99"; "1e308";
+            "99999999999999999999" ];
+        map string_of_int (int_range (-5) 1000);
+        map (Printf.sprintf "%g") (float_range 0.0 2.0);
+      ]
+  in
+  let key =
+    oneofl [ "tenant"; "seed"; "p"; "r"; "l"; "quota"; "recal"; ""; "TENANT" ]
+  in
+  let token =
+    oneof
+      [
+        map2 (fun k v -> k ^ "=" ^ v) key number;
+        map (fun n -> "tenant=" ^ n) name;
+        name;
+        number;
+        pure "last";
+      ]
+  in
+  let verb =
+    oneofl
+      [ "QUERY"; "RUN"; "STATS"; "TENANTS"; "METRICS"; "HEALTH"; "SLO";
+        "RECORDER"; "HELP"; "BOGUS" ]
+    >>= fun v ->
+    array_size (pure (String.length v)) bool >|= fun lower ->
+    String.mapi (fun i c -> if lower.(i) then Char.lowercase_ascii c else c) v
+  in
+  let line =
+    frequency
+      [
+        (6, map2 (fun v toks -> String.concat " " (v :: toks)) verb
+              (list_size (int_range 0 3) token));
+        (1, bytes 0x00 0xFF (int_range 0 12));
+      ]
+  in
+  (* A name or raw bytes may hold a newline; drop any line it makes that
+     the server would read as QUIT. *)
+  let no_quit l =
+    String.split_on_char '\n' l
+    |> List.filter (fun l -> String.uppercase_ascii (String.trim l) <> "QUIT")
+    |> String.concat "\n"
+  in
+  list_size (int_range 1 8) (map no_quit line)
+
+(* The tenant labels of a Prometheus text, as written (escapes kept). *)
+let tenant_labels text =
+  let open_ = "{tenant=\"" in
+  let n = String.length text and m = String.length open_ in
+  let rec label i j =
+    if j >= n || text.[j] = '"' then String.sub text i (j - i)
+    else label i (if text.[j] = '\\' then j + 2 else j + 1)
+  in
+  let rec go i acc =
+    if i + m > n then List.rev acc
+    else if String.sub text i m = open_ then
+      let l = label (i + m) (i + m) in
+      go (i + m + String.length l) (l :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let prop_line_protocol =
+  let tail = [ "QUERY tenant=zz seed=7"; "RUN"; "QUIT" ] in
+  let fresh =
+    lazy
+      (let _, lines = session (Server_core.create fuzz_config) tail in
+       deterministic (find_line lines "RESULT "))
+  in
+  let last_with prefix lines =
+    List.fold_left
+      (fun acc l -> if String.starts_with ~prefix l then Some l else acc)
+      None lines
+  in
+  QCheck2.Test.make ~name:"line protocol: random lines never break a session"
+    ~count:300
+    ~print:(fun lines -> String.concat "\n" (List.map String.escaped lines))
+    fuzz_lines
+    (fun lines ->
+      with_prom (fun prom ->
+          let srv =
+            Server_core.create { fuzz_config with c_prom = Some prom }
+          in
+          let verdict, out = session srv (lines @ tail) in
+          let labels = tenant_labels (read_file prom) in
+          (* The fixed query is queued last, so its RESULT comes last; its
+             id is whatever its QUEUED reply announced. *)
+          let id = Option.bind (last_with "QUEUED " out) (fun l -> kv l "id") in
+          let expected =
+            String.split_on_char ' ' (Lazy.force fresh)
+            |> List.map (fun tok ->
+                   if String.starts_with ~prefix:"id=" tok then
+                     "id=" ^ Option.value id ~default:"?"
+                   else tok)
+            |> String.concat " "
+          in
+          verdict = `Quit
+          && labels <> []
+          && List.for_all
+               (fun l ->
+                 String.for_all (fun c -> c > ' ' && c <= '~') l
+                 && not (contains l "\\u"))
+               labels
+          && Option.map deterministic (last_with "RESULT " out)
+             = Some expected))
 
 (* A recorder directory that cannot be created is a typed error naming
    the path, raised before the server serves anything (it used to
@@ -349,4 +520,7 @@ let suite =
     ("negative quota is an ERR", `Quick, test_negative_quota_rejected);
     ("unusable recorder dir is a typed error", `Quick,
      test_recorder_dir_unusable);
+    ("slo reads register nothing", `Quick, test_slo_reads_register_nothing);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+      prop_line_protocol;
   ]

@@ -276,28 +276,71 @@ let prop_chrome_sink_is_json_of_entries =
       && Chrome_trace.to_json chrome
          = Chrome_trace.json_of_entries ~epoch:100.0 stamped)
 
-(* Rolling windows under a fake clock: totals age out, rates divide by
-   the window, quantiles come from the windowed distribution. *)
+(* Rolling SLO windows under a fake clock: totals age out slice by
+   slice, rates divide by the window, quantiles come from the windowed
+   distribution.  Every field of one sample lands in one slice, even
+   under a clock that moves on each read, and reading a tenant
+   registers nothing. *)
 let test_rolling_window () =
   let now = ref 0.0 in
-  let spec = Rolling.spec ~window_seconds:10.0 ~slices:5 ~clock:(fun () -> !now) () in
-  let c = Rolling.counter spec in
-  Rolling.counter_add c 5.0;
+  let sample slo ?(latency = nan) ?(degraded = false) ?(shortfall = false)
+      probes =
+    Slo.observe slo
+      {
+        Slo.tenant = "a";
+        latency_seconds = latency;
+        probes;
+        degraded;
+        rejections = 0;
+        shortfall;
+      }
+  in
+  let slo =
+    Slo.create ~window_seconds:10.0 ~slices:5 ~clock:(fun () -> !now) ()
+  in
+  sample slo 5;
   now := 4.0;
-  Rolling.counter_add c 3.0;
-  checkf 1e-9 "both inside the window" 8.0 (Rolling.counter_total c);
-  checkf 1e-9 "rate = total / window" 0.8 (Rolling.counter_rate c);
+  sample slo 3;
+  let r () = Slo.report slo "a" in
+  checkf 1e-9 "both inside the window" 2.0 (r ()).Slo.r_requests;
+  checkf 1e-9 "rate = total / window" 0.2 (r ()).Slo.r_rate;
+  checkf 1e-9 "probe rate = total / window" 0.8 (r ()).Slo.r_probe_rate;
   now := 11.0;
-  checkf 1e-9 "first slice aged out" 3.0 (Rolling.counter_total c);
+  checkf 1e-9 "first slice aged out" 1.0 (r ()).Slo.r_requests;
+  checkf 1e-9 "its probes with it" 0.3 (r ()).Slo.r_probe_rate;
   now := 25.0;
-  checkf 1e-9 "all history aged out" 0.0 (Rolling.counter_total c);
-  let s = Rolling.series spec in
-  Rolling.series_observe s 2.0;
-  checkf 1e-9 "single observation is exact" 2.0 (Rolling.series_quantile s 0.5);
+  checkf 1e-9 "all history aged out" 0.0 (r ()).Slo.r_requests;
+  sample slo ~latency:2.0 0;
+  checkf 1e-9 "single observation is exact" 2.0 (r ()).Slo.r_p50;
   now := 40.0;
-  checki "series ages out too" 0 (Rolling.series_count s);
-  checkb "idle quantile is nan" true
-    (Float.is_nan (Rolling.series_quantile s 0.5))
+  checkf 1e-9 "latency ages out too" 0.0 (r ()).Slo.r_requests;
+  checkb "idle quantile is nan" true (Float.is_nan (r ()).Slo.r_p50);
+  (* A clock that moves 0.25 s on every read: one sample's fields must
+     not straddle slices, or they age out at different times. *)
+  let clock () =
+    let t = !now in
+    now := t +. 0.25;
+    t
+  in
+  let slo = Slo.create ~window_seconds:10.0 ~slices:10 ~clock () in
+  now := 8.9;
+  sample slo ~latency:0.1 ~degraded:true ~shortfall:true 1;
+  now := 18.5;
+  let r = Slo.report slo "a" in
+  checkf 1e-9 "the sample aged out" 0.0 r.Slo.r_requests;
+  checkf 1e-9 "its shortfall with it" 0.0 r.Slo.r_shortfalls;
+  now := 12.0;
+  sample slo ~latency:0.2 1;
+  now := 18.5;
+  let r = Slo.report slo "a" in
+  checkf 1e-9 "the healthy sample is in" 1.0 r.Slo.r_requests;
+  checkf 1e-9 "no degraded fraction left behind" 0.0 r.Slo.r_degraded;
+  checkf 1e-9 "no latency left behind" 0.2 r.Slo.r_p50;
+  checkf 1e-9 "no shortfall left behind" 0.0 r.Slo.r_shortfalls;
+  let ghost = Slo.report slo "ghost" in
+  checkf 1e-9 "an unknown tenant reads as idle" 0.0 ghost.Slo.r_requests;
+  Alcotest.(check (list string))
+    "reading a tenant registers nothing" [ "a" ] (Slo.tenants slo)
 
 (* The SLO tracker: per-tenant and aggregate reports, and the
    hand-labelled Prometheus family. *)
