@@ -229,8 +229,9 @@ let ablation_index () =
       Operator.run ~rng ~instance:(Interval_data.instance pred)
         ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
         ~policy:Policy.stingy ~requirements
-        (Scan_pipeline.columnar ~wave:1 ~prune:pruned ~store:counting
-           ~of_row:Interval_data.of_row ~pred:(Predicate.compile pred) ())
+        ((Scan_pipeline.store ~wave:1 ~prune:pruned
+            ~of_row:Interval_data.of_row ~pred counting)
+           .cursor ())
     in
     (report, !fetched)
   in
@@ -416,11 +417,12 @@ let generality_models () =
   let run label records =
     let rng = Rng.create 1234 in
     let result =
-      Engine.execute ~rng
+      Engine.run ~rng
         ~planning:
           (Engine.Sampled { fraction = 0.02; density = `Histogram })
         ~instance:(Interval_data.instance predicate)
-        ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements records
+        ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements
+        (Scan_pipeline.rows ~instance:(Interval_data.instance predicate) records)
     in
     let report = result.report in
     let answer_in_exact =
@@ -686,10 +688,10 @@ let columnar_bench () =
     let meter = Cost_meter.create () in
     let source =
       match layout with
-      | `Row -> Scan_pipeline.source ?pool ~instance records
+      | `Row -> (Scan_pipeline.rows ~instance records).cursor ?pool ()
       | `Columnar ->
-          Scan_pipeline.columnar ?pool ~store ~of_row:Interval_data.of_row
-            ~pred:(Predicate.compile pred) ()
+          (Scan_pipeline.store ~of_row:Interval_data.of_row ~pred store).cursor
+            ?pool ()
     in
     let report =
       Operator.run ~rng:(Rng.create 8193) ~meter ~collect:false
@@ -929,10 +931,11 @@ let server_bench () =
     let results =
       Array.map
         (fun seed ->
-          Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+          Engine.run ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
             ~instance:Synthetic.instance
             ~probe:(Probe_driver.create_outcomes ~batch_size:batch resolve)
-            ~requirements:standard_requirements data)
+            ~requirements:standard_requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data))
         seeds
     in
     (results, Unix.gettimeofday () -. t0)
@@ -965,9 +968,10 @@ let server_bench () =
             Probe_broker.client ~tenant:(Printf.sprintf "c%d" i) broker
           in
           fun () ->
-            Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0
+            Engine.run ~rng:(Rng.create seed) ~max_laxity:100.0
               ~domains:1 ~instance:Synthetic.instance ~probe
-              ~requirements:standard_requirements data)
+              ~requirements:standard_requirements
+              (Scan_pipeline.rows ~instance:Synthetic.instance data))
         seeds
     in
     let t0 = Unix.gettimeofday () in
@@ -1104,9 +1108,10 @@ let telemetry_bench () =
           in
           let probe = Probe_broker.client ?obs:obs_q ~tenant broker in
           fun () ->
-            Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+            Engine.run ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
               ?obs:obs_q ~instance:Synthetic.instance ~probe
-              ~requirements:standard_requirements data)
+              ~requirements:standard_requirements
+              (Scan_pipeline.rows ~instance:Synthetic.instance data))
         seeds
     in
     let t0 = Unix.gettimeofday () in

@@ -296,7 +296,7 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
           | None -> Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
   in
   let result =
-    Engine.execute ~rng ~planning ~cost ~max_laxity:s.max_laxity ?budget
+    Engine.run ~rng ~planning ~cost ~max_laxity:s.max_laxity ?budget
       ?deadline ?domains ~obs ?on_task
       ~profile:
         (Engine.profiling
@@ -304,7 +304,7 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
            ~oracle:Synthetic.in_exact ())
       ~instance:Synthetic.instance ~cascade
       ~requirements:(Exp_config.requirements s)
-      data
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   Format.printf "%s (profiled): W/|T| = %.3f (%d probes in %d batches)@.@."
     (Exp_runner.policy_name policy)
@@ -551,8 +551,9 @@ let layout_opt =
 let prune_flag =
   let doc =
     "With $(b,--layout columnar), skip chunks whose zone hull proves every \
-     row NO; a skipped chunk is never fetched (on a QCOL file, never \
-     decoded).  A usage error with the row layout, which cannot prune."
+     row NO: the scan never fetches a skipped chunk (planning's laxity \
+     pass still reads every chunk once).  A usage error with the row \
+     layout, which cannot prune."
   in
   Arg.(value & flag & info [ "prune" ] ~doc)
 
@@ -621,35 +622,37 @@ let query_run seed data_path ges les betweens (layout, prune) p_q r_q l_q batch
   let cost = cost_model c_b in
   let rng = Rng.create seed in
   let obs = if metrics_file <> None then Some (Obs.create ()) else None in
-  let columnar_of store =
+  let instance = Interval_data.instance pred in
+  (* The columnar layout plans and scans the store itself; the row layout
+     scans the records, rebuilt from a QCOL file as the reference path. *)
+  let source_of_store store =
     match layout with
-    | Row -> None
+    | Row -> Scan_pipeline.rows ~instance (Interval_data.of_store store)
     | Columnar ->
-        Some { Engine.store; of_row = Interval_data.of_row; pred; prune }
+        Scan_pipeline.store ~prune ~of_row:Interval_data.of_row ~pred store
   in
-  let run data columnar =
+  let run (source : _ Scan_pipeline.t) =
     let probe =
       Probe_driver.of_scalar ?obs ~batch_size:batch Interval_data.probe
     in
-    Engine.execute ~rng ~cost ~batch ?budget ?deadline ?domains ?obs
-      ?columnar
-      ~instance:(Interval_data.instance pred)
-      ~probe ~requirements data
+    ( Engine.run ~rng ~cost ?budget ?deadline ?domains ?obs ~instance ~probe
+        ~requirements source,
+      source.length )
   in
   let result, total =
     if Filename.check_suffix data_path ".qcol" then
       load
         (fun path ->
           Dataset_io.with_columnar ?obs path (fun store ->
-              let data = Interval_data.of_store store in
-              (run data (columnar_of store), Array.length data)))
+              run (source_of_store store)))
         data_path
     else
       let data = load Dataset_io.read_records data_path in
-      let columnar =
-        columnar_of (Interval_data.to_store ~chunk_size:64 data)
-      in
-      (run data columnar, Array.length data)
+      run
+        (match layout with
+        | Row -> Scan_pipeline.rows ~instance data
+        | Columnar ->
+            source_of_store (Interval_data.to_store ~chunk_size:64 data))
   in
   let report = result.Engine.report in
   let precise =

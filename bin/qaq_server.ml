@@ -3,7 +3,7 @@
    A thin cmdliner wrapper over Server_core: the server owns one
    synthetic dataset and one cross-query Probe_broker over it; clients
    register quality-aware queries (each with its own seed, requirements
-   and tenant) and run them as a concurrent batch of Engine.execute
+   and tenant) and run them as a concurrent batch of Engine.run
    calls (Engine.execute_many), every query drawing on the shared probe
    capacity through its own broker client.  Live telemetry — trace IDs
    on every query, a flight recorder with anomaly dumps, rolling

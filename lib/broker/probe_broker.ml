@@ -507,7 +507,7 @@ let client ?obs ?(tenant = "default") ?quota ?(tier = 0) t =
   register_quota t tenant quota;
   (* [obs] here is the *query's* capability (typically stamped with the
      query's trace context by [Obs.with_context], the same capability
-     the query's [Engine.execute] runs on): the driver's batch/failure
+     the query's [Engine.run] runs on): the driver's batch/failure
      events and any breaker transition observed while this client is
      the dispatcher carry that attribution. *)
   let trace = Option.map Obs.trace obs in

@@ -133,7 +133,7 @@ val client :
   'o Probe_driver.t
 (** [client t] is the broker as a per-query probe capability: a driver
     with the broker's batch size whose flushes resolve through the
-    shared broker.  Hand one to {!Engine.execute} (or, wrapped by
+    shared broker.  Hand one to {!Engine.run} (or, wrapped by
     [Cascade.of_driver], to {!Operator.run}) and the query runs
     unchanged — its own
     probes/batches accounting is what it would have been solo, while
@@ -153,7 +153,7 @@ val client :
     happens to be the domain driving a dispatch round, any circuit
     breaker state change that round causes is emitted on the same sink.
     Pass an [Obs.with_context] capability stamped with the query's
-    trace ID — the same one the query's {!Engine.execute} gets, as
+    trace ID — the same one the query's {!Engine.run} gets, as
     [Server_core] does — and everything the query triggers carries its
     trace ID.
 

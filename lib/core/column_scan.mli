@@ -1,5 +1,5 @@
 (** The columnar classification kernel under its old name.  The scan
-    itself is {!Scan_pipeline.columnar}; this module is kept only
+    itself is the {!Scan_pipeline.store} cursor; this module is kept only
     because the performance ledger ([bench/ledger]) times the kernel
     through it.  New code calls {!Predicate.classify_column}. *)
 

@@ -31,10 +31,10 @@ type 'o instance = {
     of YES/MAYBE objects and the success of MAYBE objects only, and calls
     [current] only to forward or probe: a NO or an ignored MAYBE never
     has to exist as an OCaml value (late materialisation).  The three
-    questions receive the run's instance; a pre-classifying source
-    ([Scan_pipeline.source] on a pool, [Scan_pipeline.columnar])
-    ignores it, but must answer what
-    the instance would say of [current ()].  [total] is the number of
+    questions receive the run's instance; a pre-classifying source (a
+    {!Scan_pipeline} cursor: the rows backend's on a pool, the store
+    backend's) ignores it, but must answer what the instance would say
+    of [current ()].  [total] is the number of
     objects the source will deliver — the initial [|M_ns|] — and must be
     exact: guarantees are computed from it. *)
 type 'o source = {

@@ -4,6 +4,7 @@ type plan = {
   evaluation : Solver.evaluation;
   dual : Solver.dual_evaluation option;
   sample_size : int;
+  max_laxity : float;
 }
 
 type planning =
@@ -58,20 +59,13 @@ type 'o columnar = {
   prune : bool;
 }
 
-let observed_max_laxity ?pool (instance : _ Operator.instance) data =
-  match pool with
-  | Some p when Domain_pool.domains p > 1 ->
-      Array.fold_left Float.max 0.0
-        (Domain_pool.parallel_map p instance.laxity data)
-  | _ -> Array.fold_left (fun m o -> Float.max m (instance.laxity o)) 0.0 data
-
 (* The plan stage: the pilot sample (charged to the run's meter) and the
    §4.2.2 solve, the dual against whatever the pilot left of a budget. *)
-let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
-    ~instance ~requirements ~fraction ~density data =
+let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ?max_laxity ~budget
+    ~instance ~requirements ~fraction ~density (source : _ Scan_pipeline.t) =
   let pilot =
-    Planner.pilot ~rng ~fraction ~instance ?pool ~max_laxity:cap
-      ~prior:Planner.default_prior ~density data
+    Planner.pilot ~rng ~fraction ~instance ?pool ?max_laxity
+      ~prior:Planner.default_prior ~density source
   in
   let n = pilot.sample_size in
   (* The pilot sample is real work: the paper's planning recipe reads
@@ -92,9 +86,9 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
       budget
   in
   let solution =
-    Planner.solve ~total:(Stdlib.max 1 (Array.length data)) ~f_y:pilot.f_y
-      ~f_m:pilot.f_m ~density:pilot.density ~max_laxity:cap ~requirements
-      ~cost ~batch ~tiers ?budget ()
+    Planner.solve ~total:(Stdlib.max 1 source.length) ~f_y:pilot.f_y
+      ~f_m:pilot.f_m ~density:pilot.density ~max_laxity:pilot.max_laxity
+      ~requirements ~cost ~batch ~tiers ?budget ()
   in
   {
     params = solution.params;
@@ -102,11 +96,12 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ~cap ~budget
     evaluation = Lazy.force solution.evaluation;
     dual = solution.dual;
     sample_size = n;
+    max_laxity = pilot.max_laxity;
   }
 
-let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
-    ?deadline ?obs ?emit ?collect ?profile ?columnar ~instance
-    ~(cascade : _ Cascade.t) ~requirements data =
+let run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
+    ?deadline ?obs ?emit ?collect ?profile ~instance ~(cascade : _ Cascade.t)
+    ~requirements (source : _ Scan_pipeline.t) =
   let run_clock =
     match obs with Some o -> Obs.clock o | None -> Span.default_clock
   in
@@ -119,13 +114,6 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
   let deadline_start =
     match deadline with Some _ -> Span.default_clock () | None -> 0.0
   in
-  (* Planning always runs over [data] — the materialized row view of the
-     same objects — so sampling, the rng streams and the laxity cap are
-     identical across layouts; only the scan itself switches engines. *)
-  (match columnar with
-  | Some c when Column_store.length c.store <> Array.length data ->
-      invalid_arg "Engine.execute: columnar store length differs from data"
-  | _ -> ());
   (* The planner prices probes at the cascade's strategy price — for the
      oracle-only cascade, exactly the amortized c_p + c_b/B at the
      oracle's batch size — and the run's spend is read off the meter per
@@ -146,16 +134,6 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     | Some _, Some o -> Obs.snapshot o
     | _ -> []
   in
-  (* The laxity cap needs one scan of the data at most, shared between
-     planning and the adaptive estimator. *)
-  let laxity_cap =
-    lazy
-      (match max_laxity with
-      | Some l -> l
-      | None ->
-          let m = observed_max_laxity ?pool instance data in
-          if m > 0.0 then m else 1.0)
-  in
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()
   in
@@ -166,11 +144,19 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
         let p =
           span "plan" (fun () ->
               make_plan ~rng:sample_rng ~meter ?obs ?pool ~cost ~batch ~tiers
-                ~cap:(Lazy.force laxity_cap)
+                ?max_laxity
                 ~budget:(if budgeted then Some allotted else None)
-                ~instance ~requirements ~fraction ~density data)
+                ~instance ~requirements ~fraction ~density source)
         in
         (Some p, p.params)
+  in
+  (* The plan's laxity cap came from the pilot's own pass over the
+     source; an unplanned adaptive run reads the source for it. *)
+  let laxity_cap =
+    lazy
+      (match plan with
+      | Some p -> p.max_laxity
+      | None -> snd (source.sample ?max_laxity [||]))
   in
   (* A finite budget forces adaptivity: mid-flight dual re-solves against
      the remaining budget are what keeps a mis-estimated selectivity from
@@ -180,7 +166,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     if adaptive then
       Some
         (Adaptive.create ~rng:(Rng.split rng)
-           ~total:(Stdlib.max 1 (Array.length data))
+           ~total:(Stdlib.max 1 source.length)
            ~max_laxity:(Lazy.force laxity_cap) ~requirements ~cost ~batch
            ~tiers
            ?budget:
@@ -252,11 +238,7 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     span "scan" (fun () ->
         Operator.run ~rng ~meter ?obs ?emit ?collect ?should_stop ~instance
           ~cascade ~policy ~requirements
-          (match columnar with
-          | None -> Scan_pipeline.source ?obs ?pool ~instance data
-          | Some c ->
-              Scan_pipeline.columnar ?obs ?pool ~prune:c.prune ~store:c.store
-                ~of_row:c.of_row ~pred:(Predicate.compile c.pred) ()))
+          (source.cursor ?obs ?pool ()))
   in
   let budget_summary =
     match (budget, deadline) with
@@ -308,7 +290,9 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
           | Error msg -> Some msg
         in
         (* The oracle audit is pure arithmetic over the answer the run
-           already produced — profiling cannot perturb the run. *)
+           already produced and a fresh cursor over the source —
+           profiling cannot perturb the run.  A pruned store's cursor
+           skips chunks with no exact member. *)
         let ground_truth =
           Option.map
             (fun oracle ->
@@ -319,9 +303,12 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
                   0 report.Operator.answer
               in
               let exact_size =
-                Array.fold_left
-                  (fun acc o -> if oracle o then acc + 1 else acc)
-                  0 data
+                let c = source.cursor () in
+                let n = ref 0 in
+                while c.Operator.advance () do
+                  if oracle (c.Operator.current ()) then incr n
+                done;
+                !n
               in
               (in_answer, exact_size))
             pr.oracle
@@ -378,63 +365,79 @@ let execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
     plan;
     counts;
     normalized_cost =
-      (if Array.length data = 0 then 0.0
-       else spent_total () /. float_of_int (Array.length data));
+      (if source.length = 0 then 0.0
+       else spent_total () /. float_of_int source.length);
     degradation;
     budget = budget_summary;
     profile;
     elapsed_seconds = run_clock () -. run_start;
   }
 
-let execute ~rng ?(planning = default_planning) ?(adaptive = false)
-    ?(cost = Cost_model.paper) ?batch ?max_laxity ?budget ?deadline ?domains
-    ?obs ?emit ?collect ?profile ?on_task ?columnar ~instance ?probe ?cascade
-    ~requirements data =
+let run ~rng ?(planning = default_planning) ?(adaptive = false)
+    ?(cost = Cost_model.paper) ?max_laxity ?budget ?deadline ?domains ?obs
+    ?emit ?collect ?profile ?on_task ~instance ?probe ?cascade ~requirements
+    source =
   (match budget with
   | Some b when Float.is_nan b || b < 0.0 ->
-      invalid_arg "Engine.execute: budget must be non-negative"
+      invalid_arg "Engine.run: budget must be non-negative"
   | _ -> ());
   (match deadline with
   | Some d when Float.is_nan d || d < 0.0 ->
-      invalid_arg "Engine.execute: deadline must be non-negative"
+      invalid_arg "Engine.run: deadline must be non-negative"
   | _ -> ());
   (match max_laxity with
   | Some l when not (Float.is_finite l && l > 0.0) ->
-      invalid_arg "Engine.execute: max_laxity must be positive and finite"
+      invalid_arg "Engine.run: max_laxity must be positive and finite"
   | _ -> ());
   (* The one probe capability: a cascade, with a plain driver wrapped as
-     the oracle-only cascade priced at the run's cost model.  [batch] may
-     only restate the oracle's batch size — the planner prices probes at
-     the cascade's own batch sizes. *)
+     the oracle-only cascade priced at the run's cost model. *)
   let cascade =
     match (probe, cascade) with
     | Some p, None -> Cascade.of_driver ~cost p
     | None, Some c -> c
     | Some _, Some _ ->
-        invalid_arg "Engine.execute: pass either ~probe or ~cascade, not both"
-    | None, None -> invalid_arg "Engine.execute: a probe capability is required"
+        invalid_arg "Engine.run: pass either ~probe or ~cascade, not both"
+    | None, None -> invalid_arg "Engine.run: a probe capability is required"
   in
-  let oracle_batch = Probe_driver.batch_size (Cascade.oracle cascade) in
-  (match batch with
-  | Some b when b <> oracle_batch ->
-      invalid_arg
-        (Printf.sprintf
-           "Engine.execute: batch %d differs from the oracle's batch size %d" b
-           oracle_batch)
-  | _ -> ());
   (* Profiling diffs a metrics registry; conjure a private one when the
      caller wants a profile but passed no [?obs]. *)
   let obs =
     match (obs, profile) with None, Some _ -> Some (Obs.create ()) | o, _ -> o
   in
-  let run ?pool () =
-    execute_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
-      ?deadline ?obs ?emit ?collect ?profile ?columnar ~instance ~cascade
-      ~requirements data
+  let go ?pool () =
+    run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
+      ?deadline ?obs ?emit ?collect ?profile ~instance ~cascade ~requirements
+      source
   in
   match Domain_pool.resolve ?domains () with
-  | 1 -> run ()
-  | d -> Domain_pool.with_pool ?on_task ~domains:d (fun pool -> run ~pool ())
+  | 1 -> go ()
+  | d -> Domain_pool.with_pool ?on_task ~domains:d (fun pool -> go ~pool ())
+
+let execute ~rng ?cost ?batch ?domains ?obs ?columnar ~instance ?probe
+    ?cascade ~requirements data =
+  let oracle =
+    match probe with Some d -> Some d | None -> Option.map Cascade.oracle cascade
+  in
+  (match (batch, oracle) with
+  | Some b, Some d when b <> Probe_driver.batch_size d ->
+      invalid_arg
+        (Printf.sprintf
+           "Engine.execute: batch %d differs from the oracle's batch size %d" b
+           (Probe_driver.batch_size d))
+  | _ -> ());
+  let rows = Scan_pipeline.rows ~instance data in
+  let cursor =
+    match columnar with
+    | None -> rows.cursor
+    | Some c ->
+        if Column_store.length c.store <> Array.length data then
+          invalid_arg "Engine.execute: columnar store length differs from data";
+        (Scan_pipeline.store ~prune:c.prune ~of_row:c.of_row ~pred:c.pred
+           c.store)
+          .cursor
+  in
+  run ~rng ?cost ?domains ?obs ~instance ?probe ?cascade ~requirements
+    { rows with cursor }
 
 (* ---- concurrent multi-query execution ----------------------------- *)
 

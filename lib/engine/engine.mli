@@ -19,6 +19,7 @@ type plan = {
           optimum, otherwise the primal re-pricing of [dual]'s params *)
   sample_size : int;
       (** objects the pilot sample read (and charged to the run) *)
+  max_laxity : float;  (** the laxity cap [L] the plan was solved with *)
 }
 
 (** How to plan the query. *)
@@ -51,7 +52,7 @@ type degradation = Operator.degradation = {
 }
 
 (** The anytime contract of a budgeted run, summarised.  Present on the
-    result iff [?budget] or [?deadline] was passed to {!execute}. *)
+    result iff [?budget] or [?deadline] was passed to {!run}. *)
 type budget_summary = {
   allotted : float;  (** the requested budget ([infinity] = deadline only) *)
   spent : float;  (** total metered spend, planning included *)
@@ -86,7 +87,7 @@ type 'o result = {
   budget : budget_summary option;
       (** present iff [?budget] or [?deadline] was passed *)
   profile : Profile.t option;
-      (** present iff [?profile] was passed to {!execute} *)
+      (** present iff [?profile] was passed to {!run} *)
   elapsed_seconds : float;
       (** end-to-end wall time of the run on the observability clock
           (the default clock without [?obs]) — for latency SLOs; not
@@ -107,27 +108,13 @@ val profiling : ?label:string -> ?oracle:('o -> bool) -> unit -> 'o profiling
     [report.answer], so it needs the default [collect:true].  [label]
     defaults to ["run"]. *)
 
-(** {2 Storage layout} *)
+(** {2 Running a query} *)
 
-(** A columnar backing for the scan: the same objects as the [data]
-    array, decomposed into a {!Column_store} plus the rebuild function
-    and the scan predicate ({!Scan_pipeline.columnar} needs it in
-    compiled form).
-    With [prune] set, whole-NO chunks are skipped without being
-    fetched. *)
-type 'o columnar = {
-  store : Column_store.t;
-  of_row : Column_store.row -> 'o;
-  pred : Predicate.t;
-  prune : bool;
-}
-
-val execute :
+val run :
   rng:Rng.t ->
   ?planning:planning ->
   ?adaptive:bool ->
   ?cost:Cost_model.t ->
-  ?batch:int ->
   ?max_laxity:float ->
   ?budget:float ->
   ?deadline:float ->
@@ -137,23 +124,23 @@ val execute :
   ?collect:bool ->
   ?profile:'o profiling ->
   ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
-  ?columnar:'o columnar ->
   instance:'o Operator.instance ->
   ?probe:'o Probe_driver.t ->
   ?cascade:'o Cascade.t ->
   requirements:Quality.requirements ->
-  'o array ->
+  'o Scan_pipeline.t ->
   'o result
-(** Evaluate a Quality-Aware Query over an in-memory collection.
+(** Evaluate a Quality-Aware Query over a scan source.
 
     [planning] defaults to {!default_planning}.  [adaptive] (default
     [false]) re-estimates the workload mid-scan and re-solves
     periodically (see {!Adaptive}); it composes with either planning
     mode, starting from the planned parameters.  [max_laxity] caps the
     histogram range when known a priori.  Otherwise the largest laxity
-    over all of [data] is used (1 if that is not positive), so omitting
-    it plans exactly like passing that maximum.  When given it must be
-    positive and finite, in every planning mode.  [cost] (default
+    over the whole source is used (1 if that is not positive), taken in
+    the pilot sample's own pass, so omitting it plans exactly like
+    passing that maximum.  When given it must be positive and finite, in
+    every planning mode.  [cost] (default
     {!Cost_model.paper}) prices the run for [normalized_cost] and the
     solver's objective.
 
@@ -194,8 +181,7 @@ val execute :
     ({!Cost_meter.tiered_cost}), so [normalized_cost], the budget stop
     and the [budget] summary price every probe at its own tier's rates,
     and [degradation.wasted_cost] prices failed attempts at the oracle
-    tier's amortized rate.  [batch] may only restate the oracle tier's
-    batch size; the planner always uses the cascade's own.
+    tier's amortized rate.
 
     The returned report's guarantees always satisfy the requirements —
     unless the probe capability failed permanently on some objects
@@ -204,6 +190,15 @@ val execute :
     [degradation] summarises what happened, including whether the
     recomputed guarantees still meet the requirements (only a {e forced}
     fallback can break them).
+
+    The source ({!Scan_pipeline.t}) is the run's one input: the pilot
+    sample, the laxity cap, [|T|], the scan's cursor and the profile's
+    oracle audit all read it.  {!Scan_pipeline.store} plans and scans a
+    {!Column_store} directly, building only the sampled rows before the
+    scan, and is bit-for-bit {!Scan_pipeline.rows} over the store's rows
+    for every [domains] value (with [prune] off; pruning shrinks the
+    scan's [total] like a zone map does).  [instance] describes the
+    source's objects.
 
     The engine accounts the whole run on one meter: the pilot sample's
     reads are charged before the scan, so [counts] (and hence
@@ -216,11 +211,12 @@ val execute :
     [domains] (default: the [QAQ_DOMAINS] environment variable, else 1)
     sets the number of domains the run may use.  With more than one, a
     {!Domain_pool} is created for the duration of the call and the
-    pure per-object work — the laxity-cap scan, the pilot sample's
-    classify/laxity/success evaluation, and the scan's classification
-    stage ({!Scan_pipeline}) — fans out across it, while every decision,
-    rng draw, counter and charge stays on the sequential path: the
-    result is bit-for-bit identical for every [domains] value.
+    pure per-object work — the pilot sample's classify/laxity/success
+    evaluation and the scan's classification stage ({!Scan_pipeline}) —
+    fans out across it, while
+    every decision, rng draw, counter and charge stays on the sequential
+    path: the result is bit-for-bit identical for every [domains]
+    value.
 
     [obs] threads observability through every stage: the [plan] and
     [scan] spans (plus [probe-flush] and [adaptive-reestimate] further
@@ -245,38 +241,54 @@ val execute :
     [domains > 1]; together with [Chrome_trace] it yields one timeline
     lane per worker.
 
-    [columnar] switches the scan onto the vectorized columnar engine
-    ({!Operator.run} over the {!Scan_pipeline.columnar} cursor, which reads
-    verdicts from the kernel's buffers and builds an object with
-    [of_row] only to forward or probe it) over the given store;
-    planning, sampling and the
-    laxity cap still run over [data] — the materialized row view of the
-    same objects — so the rng streams are identical across layouts and
-    the result is bit-for-bit the row path's for every [domains] value
-    (with [prune] off; pruning shrinks [total] like a zone map does).
-    Without [columnar] the scan is the row layout.
-
-    @raise Invalid_argument if [columnar] is given and the store's
-    length differs from [data]'s.
-
     @raise Invalid_argument on an invalid sampling fraction, if
     [max_laxity] is not positive and finite, if both or neither of
-    [probe] and [cascade] are given, if [batch] differs from the oracle
-    tier's batch size, if [domains < 1], if [budget] or [deadline] is
-    negative or NaN, or if [QAQ_DOMAINS] is set to anything but a
-    positive integer. *)
+    [probe] and [cascade] are given, if [domains < 1], if [budget] or
+    [deadline] is negative or NaN, or if [QAQ_DOMAINS] is set to
+    anything but a positive integer. *)
+
+(** {2 The array entry point} *)
+
+(** A store of the same objects as {!execute}'s [data], with what
+    {!Scan_pipeline.store} takes beside it. *)
+type 'o columnar = {
+  store : Column_store.t;
+  of_row : Column_store.row -> 'o;
+  pred : Predicate.t;
+  prune : bool;
+}
+
+val execute :
+  rng:Rng.t ->
+  ?cost:Cost_model.t ->
+  ?batch:int ->
+  ?domains:int ->
+  ?obs:Obs.t ->
+  ?columnar:'o columnar ->
+  instance:'o Operator.instance ->
+  ?probe:'o Probe_driver.t ->
+  ?cascade:'o Cascade.t ->
+  requirements:Quality.requirements ->
+  'o array ->
+  'o result
+(** {!run} over [Scan_pipeline.rows ~instance data], for a caller that
+    already holds the rows; with [columnar], the scan reads the store
+    while the pilot still reads [data].  [batch] may only restate the
+    oracle's batch size.  New code calls {!run}.
+    @raise Invalid_argument as {!run} does, if [batch] differs from the
+    oracle's batch size, or if the store's length differs from [data]'s. *)
 
 (** {2 Concurrent multi-query execution} *)
 
 val next_trace_id : unit -> int
 (** Mint a fresh query trace ID (process-wide atomic counter).  A
-    caller stamps a query's events with it by passing {!execute} an
+    caller stamps a query's events with it by passing {!run} an
     [obs] re-stamped with [Obs.with_context] (and the same to the
     query's broker clients). *)
 
 val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
 (** Run every thunk, concurrently when [domains > 1], and return their
-    results in input order.  Each thunk is one {!execute} call and
+    results in input order.  Each thunk is one {!run} call and
     {e must} pass [~domains:1]: the batch owns the pool, and a thunk
     that opened its own (or left [domains] to [QAQ_DOMAINS]) would nest
     pools.  [domains] (default: the number of thunks, capped at 16)

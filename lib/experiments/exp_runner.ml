@@ -31,7 +31,8 @@ let qaq_params ~rng ?pool ~sample_fraction ~density ~cost ~batch
     (s : Exp_config.setting) data =
   let pilot =
     Planner.pilot ~rng ~fraction:sample_fraction ~instance:Synthetic.instance
-      ?pool ~max_laxity:s.max_laxity ~prior:(s.f_y, s.f_m) ~density data
+      ?pool ~max_laxity:s.max_laxity ~prior:(s.f_y, s.f_m) ~density
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   (Planner.solve ~total:s.total ~f_y:pilot.f_y ~f_m:pilot.f_m
      ~density:pilot.density ~max_laxity:s.max_laxity
@@ -66,7 +67,8 @@ let trial_with ?pool ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
         (Cascade.of_driver
            (Probe_driver.of_scalar ?obs ~batch_size:batch Synthetic.probe))
       ~policy:(Policy.qaq params) ~requirements
-      (Scan_pipeline.source ?obs ?pool ~instance:Synthetic.instance data)
+      ((Scan_pipeline.rows ~instance:Synthetic.instance data).cursor ?obs ?pool
+         ())
   in
   let answer_in_exact =
     List.fold_left

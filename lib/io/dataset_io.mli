@@ -44,8 +44,8 @@ val read_records : string -> Interval_data.record array
     row, little-endian throughout.  Because every chunk's byte offset is
     computable from the header, an opened file serves chunk fetches
     directly by [seek]: a scan streams chunk by chunk through a
-    {!Buffer_pool}, and a chunk pruned by its persisted zone hull is
-    {e never read from disk}. *)
+    {!Buffer_pool}, and the scan never reads a chunk pruned by its
+    persisted zone hull from disk. *)
 
 exception Corrupt_columnar of { path : string; reason : string }
 (** The file is not a well-formed QCOL file: bad magic, impossible

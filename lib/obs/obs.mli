@@ -77,7 +77,7 @@ module Keys : sig
       sequential row run). *)
 
   val pruned_pages : string
-  (** Whole [Column_store] chunks a pruned [Scan_pipeline.columnar] skipped
+  (** Whole [Column_store] chunks a pruned [Scan_pipeline.store] scan skipped
       because their zone hull is a definite NO — work that was {e not}
       done, hence never metered as reads.  A chunk counts as one
       page. *)

@@ -11,7 +11,7 @@
 
     Construction is pure: everything is computed from a metric snapshot
     and the numbers the caller already has, so profiling a run cannot
-    perturb it.  [Engine.execute ?profile] assembles one per query. *)
+    perturb it.  [Engine.run ?profile] assembles one per query. *)
 
 type counts = {
   reads : int;

@@ -6,10 +6,15 @@ type pilot = {
   f_y : float;
   f_m : float;
   density : Density.t;
+  max_laxity : float;
 }
 
-let pilot ~rng ~fraction ~instance ?pool ~max_laxity ~prior ~density data =
-  let sample = Selectivity.bernoulli_sample rng ~fraction data in
+let pilot ~rng ~fraction ~instance ?pool ?max_laxity ~prior ~density
+    (source : _ Scan_pipeline.t) =
+  let sample, max_laxity =
+    source.sample ?max_laxity
+      (Scan_pipeline.sample_indices rng ~fraction source.length)
+  in
   let estimate =
     if Array.length sample = 0 then None
     else
@@ -23,7 +28,7 @@ let pilot ~rng ~fraction ~instance ?pool ~max_laxity ~prior ~density data =
     | `Histogram, Some e -> Density.of_estimate e
     | (`Uniform | `Histogram), _ -> Density.uniform ~max_laxity
   in
-  { sample_size = Array.length sample; estimate; f_y; f_m; density }
+  { sample_size = Array.length sample; estimate; f_y; f_m; density; max_laxity }
 
 type solution = {
   problem : Solver.problem;

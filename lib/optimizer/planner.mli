@@ -23,6 +23,7 @@ type pilot = {
   density : Density.t;
       (** the sample's histograms under [`Histogram] with a non-empty
           sample, else the uniform density over [\[0,1\] x \[0,L\]] *)
+  max_laxity : float;  (** the laxity cap [L] the estimate used *)
 }
 
 val pilot :
@@ -30,15 +31,18 @@ val pilot :
   fraction:float ->
   instance:'o Operator.instance ->
   ?pool:Domain_pool.t ->
-  max_laxity:float ->
+  ?max_laxity:float ->
   prior:float * float ->
   density:[ `Uniform | `Histogram ] ->
-  'o array ->
+  'o Scan_pipeline.t ->
   pilot
-(** Draw a Bernoulli sample of [data] at rate [fraction] from [rng]
-    ({!Selectivity.bernoulli_sample}) and estimate from it with the
+(** Draw a Bernoulli sample of the source at rate [fraction] from [rng]
+    ({!Scan_pipeline.sample_indices}, the draws of
+    {!Selectivity.bernoulli_sample}) and estimate from it with the
     laxity cap [max_laxity] ({!Selectivity.estimate}, fanned out over
-    [pool]).  Charges nothing: a caller that prices the pilot charges
+    [pool]).  Without [max_laxity] the cap is the source's largest
+    laxity (1 when none is positive), taken in the sample's own pass.
+    Charges nothing: a caller that prices the pilot charges
     [sample_size] reads itself.
     @raise Invalid_argument if [fraction] is outside [\[0, 1\]] or
     [max_laxity] is not positive. *)

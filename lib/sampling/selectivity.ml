@@ -65,9 +65,5 @@ let estimate ~(instance : 'o Operator.instance) ?pool ?laxity_cap
   }
 
 let bernoulli_sample rng ~fraction objects =
-  if not (fraction >= 0.0 && fraction <= 1.0) then
-    invalid_arg "Selectivity.bernoulli_sample: fraction outside [0, 1]";
-  Array.of_list
-    (Array.fold_right
-       (fun o acc -> if Rng.bernoulli rng fraction then o :: acc else acc)
-       objects [])
+  Array.map (Array.get objects)
+    (Scan_pipeline.sample_indices rng ~fraction (Array.length objects))

@@ -40,5 +40,7 @@ val estimate :
 
 val bernoulli_sample : Rng.t -> fraction:float -> 'o array -> 'o array
 (** Each object independently enters the sample with the given
-    probability — the paper's "random sample of size 1 %".
+    probability — the paper's "random sample of size 1 %": the objects
+    at {!Scan_pipeline.sample_indices}, the draws every scan source's
+    pilot makes.
     @raise Invalid_argument if the fraction is outside [0, 1]. *)

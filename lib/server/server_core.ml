@@ -11,7 +11,7 @@
    - Every RUN mints a process-unique trace ID per queued query
      (Engine.next_trace_id) and hands the query a broker client whose
      trace sink is stamped with that ID and tenant
-     (Obs.with_context), and runs the query's Engine.execute on the
+     (Obs.with_context), and runs the query's Engine.run on the
      same stamped capability.  Everything a query triggers — reads,
      decisions, probe batches, breaker transitions its dispatch round
      causes — carries its ID.
@@ -84,7 +84,8 @@ type pending = {
 
 type t = {
   cfg : config;
-  data : Synthetic.obj array;
+  source : Synthetic.obj Scan_pipeline.t;
+      (* the generated relation, built once: every query reads it *)
   broker : Synthetic.obj Probe_broker.t;
   tiers : Probe_tier.spec array;
       (* the broker's backends; [c_tiers = None] is the oracle-only
@@ -227,7 +228,7 @@ let create ?clock cfg =
   let srv_slo = Slo.create ~window_seconds:cfg.c_window ?clock () in
   {
     cfg;
-    data;
+    source = Scan_pipeline.rows ~instance:Synthetic.instance data;
     broker;
     tiers;
     srv_obs;
@@ -312,13 +313,12 @@ let handle_query srv out tokens =
         match find k with Some v -> float_of_string_opt v | None -> Some default
       in
       let tenant = Option.value (find "tenant") ~default:"default" in
+      (* [Some None]: no seed given, so the query takes the server's next
+         one once it is queued — a rejected line takes none. *)
       let seed =
         match find "seed" with
-        | Some v -> int_of_string_opt v
-        | None ->
-            let s = srv.next_seed in
-            srv.next_seed <- s + 1;
-            Some s
+        | Some v -> Option.map Option.some (int_of_string_opt v)
+        | None -> Some None
       in
       (* A negative quota is malformed here, not an exception when RUN
          builds the query's broker client. *)
@@ -336,6 +336,14 @@ let handle_query srv out tokens =
       | Some seed, Some quota, Some p, Some r, Some l -> (
           match Quality.requirements ~precision:p ~recall:r ~laxity:l with
           | requirements ->
+              let seed =
+                match seed with
+                | Some s -> s
+                | None ->
+                    let s = srv.next_seed in
+                    srv.next_seed <- s + 1;
+                    s
+              in
               let id = srv.next_id in
               srv.next_id <- id + 1;
               srv.queue <-
@@ -415,9 +423,9 @@ let handle_run srv out =
               ?quota:q.quota ~specs:srv.tiers srv.broker
           in
           fun () ->
-            Engine.execute ~rng:(Rng.create q.seed) ~domains:1 ~obs:obs_q
+            Engine.run ~rng:(Rng.create q.seed) ~domains:1 ~obs:obs_q
               ~cascade ~instance:Synthetic.instance
-              ~requirements:q.requirements srv.data)
+              ~requirements:q.requirements srv.source)
         queued
     in
     let results = Engine.execute_many ?domains:srv.cfg.c_domains runs in

@@ -7,14 +7,14 @@
     bound — [lo] and [hi] of the belief support — plus the ground truth
     used by probes, split into fixed-size chunks.  The classification
     kernel ([Predicate.classify_column], driven by
-    [Scan_pipeline.columnar]) runs directly over the chunk buffers with no
+    [Scan_pipeline.store]) runs directly over the chunk buffers with no
     per-object allocation, which is where the columnar layout earns its
     keep.
 
     Each chunk carries a zone hull (the interval hull of its rows'
     supports).  The hulls are the store's zone map: a chunk whose hull is
-    a definite NO holds only NO rows, so it can be pruned whole — and a
-    pruned chunk is never fetched, which matters for the streamed stores
+    a definite NO holds only NO rows, so it can be pruned whole — and the
+    scan never fetches a pruned chunk, which matters for the streamed stores
     of [Dataset_io.open_columnar].  This is the paper's §7 index-access
     direction at chunk granularity.
 

@@ -11,12 +11,12 @@ let total = 3000
 let data = Synthetic.generate (Rng.create 101) (Synthetic.config ~total ())
 
 let run ?budget ?deadline ?(domains = 1) () =
-  Engine.execute ~rng:(Rng.create 102) ~max_laxity:100.0 ~domains ?budget
+  Engine.run ~rng:(Rng.create 102) ~max_laxity:100.0 ~domains ?budget
     ?deadline
     ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
     ~instance:Synthetic.instance
     ~probe:(Probe_driver.scalar Synthetic.probe)
-    ~requirements data
+    ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
 
 let achieved result =
   match (Option.get result.Engine.profile).Profile.audit.Profile.achieved with
@@ -150,12 +150,13 @@ let test_adaptive_ladder () =
   let batch = 4 in
   let run ?budget () =
     let obs = Obs.create () in
-    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed) ?budget
+    Engine.run ~rng:(Rng.create Standard_workload.engine_seed) ?budget
       ~adaptive:true ~max_laxity:100.0 ~obs
       ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
       ~instance:Synthetic.instance
       ~probe:(Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-      ~requirements:Standard_workload.requirements data
+      ~requirements:Standard_workload.requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let batch_cost =
     float_of_int batch
@@ -224,10 +225,10 @@ let test_deadline_smoke () =
 
 let test_validation () =
   Alcotest.check_raises "negative budget"
-    (Invalid_argument "Engine.execute: budget must be non-negative") (fun () ->
+    (Invalid_argument "Engine.run: budget must be non-negative") (fun () ->
       ignore (run ~budget:(-1.0) ()));
   Alcotest.check_raises "negative deadline"
-    (Invalid_argument "Engine.execute: deadline must be non-negative")
+    (Invalid_argument "Engine.run: deadline must be non-negative")
     (fun () -> ignore (run ~deadline:(-0.5) ()))
 
 let suite =

@@ -17,8 +17,9 @@ let requirements =
   Quality.requirements ~precision:0.9 ~recall:0.7 ~laxity:40.0
 
 let run_engine ~seed ~probe data =
-  Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
-    ~instance:Synthetic.instance ~probe ~requirements data
+  Engine.run ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+    ~instance:Synthetic.instance ~probe ~requirements
+    (Scan_pipeline.rows ~instance:Synthetic.instance data)
 
 let fingerprint (r : Synthetic.obj Engine.result) =
   ( List.map
@@ -144,10 +145,11 @@ let test_execute_many_deterministic () =
     let solo_runs =
       Array.map
         (fun seed ->
-          Engine.execute ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
+          Engine.run ~rng:(Rng.create seed) ~max_laxity:100.0 ~domains:1
             ~instance:Synthetic.instance
             ~probe:(Probe_driver.create_outcomes ~batch_size:batch pure_resolve)
-            ~requirements data)
+            ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data))
         seeds
     in
     let solo = Array.map fingerprint solo_runs in
@@ -165,9 +167,9 @@ let test_execute_many_deterministic () =
           (fun i ->
             let probe = Probe_broker.client ~tenant:(string_of_int i) broker in
             fun () ->
-              Engine.execute ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
+              Engine.run ~rng:(Rng.create seeds.(i)) ~max_laxity:100.0
                 ~domains:1 ~instance:Synthetic.instance ~probe ~requirements
-                data)
+                (Scan_pipeline.rows ~instance:Synthetic.instance data))
           order
       in
       let results = Engine.execute_many ~domains runs in

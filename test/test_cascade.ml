@@ -237,9 +237,10 @@ let prop_guarantees_survive_cascade =
         synthetic_cascade ~obs ~specs:(specs2 ~power ()) ()
       in
       let result =
-        Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~obs
+        Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~obs
           ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-          ~instance:Synthetic.instance ~cascade ~requirements data
+          ~instance:Synthetic.instance ~cascade ~requirements
+          (Scan_pipeline.rows ~instance:Synthetic.instance data)
       in
       let profile = Option.get result.Engine.profile in
       let g = result.Engine.report.Operator.guarantees in
@@ -320,25 +321,20 @@ let pinned_run ~via_cascade ?(cost = Cost_model.paper) ?budget
         (Probe_source.create ~max_retries:2 ~faults:plan Interval_data.probe)
     else Probe_driver.of_scalar ~batch_size:batch Interval_data.probe
   in
-  let columnar =
+  let source =
     if columnar then
-      Some
-        {
-          Engine.store = Interval_data.to_store ~chunk_size:128 data;
-          of_row = Interval_data.of_row;
-          pred = pin_pred;
-          prune = false;
-        }
-    else None
+      Scan_pipeline.store ~of_row:Interval_data.of_row ~pred:pin_pred
+        (Interval_data.to_store ~chunk_size:128 data)
+    else Scan_pipeline.rows ~instance:(Interval_data.instance pin_pred) data
   in
   let probe, cascade =
     if via_cascade then (None, Some (Cascade.of_driver ~cost probe))
     else (Some probe, None)
   in
   fingerprint
-    (Engine.execute ~rng:(Rng.create 43) ~max_laxity:10.0 ~cost ~batch
-       ?budget ~domains ?columnar ~instance:(Interval_data.instance pin_pred)
-       ?probe ?cascade ~requirements:pin_requirements data)
+    (Engine.run ~rng:(Rng.create 43) ~max_laxity:10.0 ~cost ?budget ~domains
+       ~instance:(Interval_data.instance pin_pred) ?probe ?cascade
+       ~requirements:pin_requirements source)
 
 let pinned_legs =
   List.concat_map
@@ -447,8 +443,9 @@ let escalation_run ~power =
      escalation accounting, not the start-tier selection. *)
   Cascade.set_start cascade 0;
   let result =
-    Engine.execute ~rng:(Rng.create 22) ~max_laxity:100.0
-      ~instance:Synthetic.instance ~cascade ~requirements data
+    Engine.run ~rng:(Rng.create 22) ~max_laxity:100.0
+      ~instance:Synthetic.instance ~cascade ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   (result, Cascade.stats cascade)
 
@@ -481,8 +478,9 @@ let test_proxy_outage_fails_over () =
   let oracle = Probe_source.create ~tier:"oracle" Synthetic.probe in
   let cascade = Tiered.cascade ~specs [| proxy; oracle |] in
   let result =
-    Engine.execute ~rng:(Rng.create 33) ~max_laxity:100.0
-      ~instance:Synthetic.instance ~cascade ~requirements data
+    Engine.run ~rng:(Rng.create 33) ~max_laxity:100.0
+      ~instance:Synthetic.instance ~cascade ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let stats = Cascade.stats cascade in
   checkb "the proxy was down" true (stats.(0).Cascade.st_failures > 0);
@@ -522,11 +520,11 @@ let test_proxy_sweep_economics () =
   in
   let specs ~power = specs2 ~power ~proxy_cp:0.05 ~proxy_cb:0.5 () in
   let execute ~obs ?probe ?cascade () =
-    Engine.execute ~rng:(Rng.create 809) ~max_laxity:30.0
-      ~planning:(Engine.Fixed probe_everything) ~cost ~batch:8 ~obs
+    Engine.run ~rng:(Rng.create 809) ~max_laxity:30.0
+      ~planning:(Engine.Fixed probe_everything) ~cost ~obs
       ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
       ~instance:(Interval_data.instance pred) ?probe ?cascade ~requirements
-      data
+      (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
   in
   let oracle_only () =
     let obs = Obs.create () in

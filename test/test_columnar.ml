@@ -127,10 +127,15 @@ let fingerprint (result : Interval_data.record Engine.result) =
     degradation = result.degradation;
   }
 
-let columnar ?(prune = false) store =
-  { Engine.store; of_row = Interval_data.of_row; pred; prune }
+(* The rows backend over [data], or the store backend over [store]:
+   planned and scanned from the store alone. *)
+let source ?store data =
+  match store with
+  | None -> Scan_pipeline.rows ~instance:(Interval_data.instance pred) data
+  | Some store ->
+      Scan_pipeline.store ~of_row:Interval_data.of_row ~pred store
 
-let run ?columnar ?faults ~seed ~batch ~domains data =
+let run ?store ?faults ~seed ~batch ~domains data =
   let probe =
     match faults with
     | None -> Probe_driver.of_scalar ~batch_size:batch Interval_data.probe
@@ -143,9 +148,9 @@ let run ?columnar ?faults ~seed ~batch ~domains data =
           (Probe_source.create ~max_retries:2 ~faults:plan Interval_data.probe)
   in
   fingerprint
-    (Engine.execute ~rng:(Rng.create seed) ~max_laxity:10.0 ~batch ~domains
-       ?columnar ~instance:(Interval_data.instance pred) ~probe ~requirements
-       data)
+    (Engine.run ~rng:(Rng.create seed) ~max_laxity:10.0 ~domains
+       ~instance:(Interval_data.instance pred) ~probe ~requirements
+       (source ?store data))
 
 let test_golden_row_vs_columnar () =
   let data = dataset 11 in
@@ -159,7 +164,7 @@ let test_golden_row_vs_columnar () =
             (Printf.sprintf "B=%d d=%d baseline answers" batch domains)
             true (row.answer_size > 0);
           let col =
-            run ~columnar:(columnar store) ~seed:21 ~batch ~domains data
+            run ~store ~seed:21 ~batch ~domains data
           in
           check_same
             (Printf.sprintf "B=%d domains=%d row = columnar" batch domains)
@@ -174,8 +179,7 @@ let test_golden_under_faults () =
     (fun domains ->
       let row = run ~faults:99 ~seed:5 ~batch:4 ~domains data in
       let col =
-        run ~columnar:(columnar store) ~faults:99 ~seed:5 ~batch:4 ~domains
-          data
+        run ~store ~faults:99 ~seed:5 ~batch:4 ~domains data
       in
       checkb "faults actually degraded the run" true
         (row.degradation.Engine.failed_probes > 0);
@@ -193,12 +197,8 @@ let test_golden_streamed_store () =
     (fun () ->
       Dataset_io.save_columnar path resident;
       Dataset_io.with_columnar ~pool_capacity:4 path (fun streamed ->
-          let base = run ~columnar:(columnar resident) ~seed:7 ~batch:4
-              ~domains:2 data
-          in
-          let got = run ~columnar:(columnar streamed) ~seed:7 ~batch:4
-              ~domains:2 data
-          in
+          let base = run ~store:resident ~seed:7 ~batch:4 ~domains:2 data in
+          let got = run ~store:streamed ~seed:7 ~batch:4 ~domains:2 data in
           check_same "resident = streamed" base got))
 
 (* Pruning drops whole-NO chunks before the scan: the exact answer is
@@ -216,12 +216,13 @@ let test_prune_sound_and_lazy () =
   let requirements =
     Quality.requirements ~precision:0.6 ~recall:1.0 ~laxity:10.0
   in
-  let run ?obs columnar =
-    Engine.execute ~rng:(Rng.create 3) ~max_laxity:10.0 ~domains:1 ?obs
-      ~columnar ~planning:(Engine.Fixed Policy.greedy_params)
+  let run ?obs ~prune store =
+    Engine.run ~rng:(Rng.create 3) ~max_laxity:10.0 ~domains:1 ?obs
+      ~planning:(Engine.Fixed Policy.greedy_params)
       ~instance:(Interval_data.instance pred)
       ~probe:(Probe_driver.scalar Interval_data.probe)
-      ~requirements data
+      ~requirements
+      (Scan_pipeline.store ~prune ~of_row:Interval_data.of_row ~pred store)
   in
   let fetched = ref [] in
   let counting =
@@ -234,15 +235,8 @@ let test_prune_sound_and_lazy () =
         Column_store.chunk resident c)
   in
   let obs = Obs.create () in
-  let result =
-    run ~obs
-      { Engine.store = counting; of_row = Interval_data.of_row; pred;
-        prune = true }
-  in
-  let unpruned =
-    run { Engine.store = resident; of_row = Interval_data.of_row; pred;
-          prune = false }
-  in
+  let result = run ~obs ~prune:true counting in
+  let unpruned = run ~prune:false resident in
   let pruned = Column_store.pruned_chunks resident pred in
   checkb "predicate prunes some chunks" true (pruned > 0);
   checkb "the last chunk is full" true (n mod chunk_size = 0);
@@ -280,11 +274,19 @@ let test_prune_sound_and_lazy () =
 
 (* ---- store/data agreement ----------------------------------------- *)
 
+(* [Engine.execute] plans over its rows and scans the store given
+   beside them, so the two must hold the same objects. *)
 let test_store_length_mismatch () =
   let data = dataset 29 ~n:100 in
   let store = Interval_data.to_store (Array.sub data 0 99) in
   checkb "length mismatch rejected" true
-    (match run ~columnar:(columnar store) ~seed:1 ~batch:1 ~domains:1 data with
+    (match
+       Engine.execute ~rng:(Rng.create 1)
+         ~columnar:
+           { Engine.store; of_row = Interval_data.of_row; pred; prune = false }
+         ~instance:(Interval_data.instance pred)
+         ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements data
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -298,6 +300,126 @@ let same_records (a : Interval_data.record array)
          x.id = y.id && x.truth = y.truth
          && Uncertain.equal x.belief y.belief)
        a b
+
+(* ---- the store backend's pilot -------------------------------------- *)
+
+(* The store backend's pilot is the rows backend's over the same store's
+   rows, and both are the old fold over the array: the same sampled
+   objects, the same rng state after the draws, and the same laxity cap
+   bit for bit — also on an empty store, a short last chunk, exact rows
+   and the fractions 0 and 1. *)
+let prop_store_sample_is_rows_sample =
+  QCheck2.Test.make ~name:"store backend samples as the rows backend"
+    ~count:300
+    QCheck2.Gen.(
+      let* chunk_size = int_range 1 9 in
+      let* bounds = list_size (int_range 0 40) record_gen in
+      let* fraction = oneof [ return 0.0; return 1.0; float_range 0.0 1.0 ] in
+      let* seed = int_range 0 10_000 in
+      let* max_laxity = oneof [ return None; return (Some 10.0) ] in
+      return (chunk_size, bounds, fraction, seed, max_laxity))
+    (fun (chunk_size, bounds, fraction, seed, max_laxity) ->
+      let records =
+        Array.of_list bounds
+        |> Array.mapi (fun id (lo, hi) ->
+               Interval_data.of_row { Column_store.id; lo; hi; truth = lo })
+      in
+      let store = Interval_data.to_store ~chunk_size records in
+      let rows = Interval_data.of_store store in
+      let pilot (source : _ Scan_pipeline.t) =
+        let rng = Rng.create seed in
+        let indices =
+          Scan_pipeline.sample_indices rng ~fraction source.length
+        in
+        let sample, m = source.sample ?max_laxity indices in
+        (sample, Int64.bits_of_float m, Rng.bits64 rng)
+      in
+      let s_sample, s_max, s_next =
+        pilot (Scan_pipeline.store ~of_row:Interval_data.of_row ~pred store)
+      in
+      let r_sample, r_max, r_next =
+        pilot (Scan_pipeline.rows ~instance:(Interval_data.instance pred) rows)
+      in
+      (* The stream the pilot drew when it folded over the array. *)
+      let old_rng = Rng.create seed in
+      let old_sample =
+        Array.of_list
+          (Array.fold_right
+             (fun o acc -> if Rng.bernoulli old_rng fraction then o :: acc else acc)
+             rows [])
+      in
+      let old_max =
+        match max_laxity with
+        | Some l -> l
+        | None ->
+            let m =
+              Array.fold_left
+                (fun m (r : Interval_data.record) ->
+                  Float.max m (Uncertain.laxity r.belief))
+                0.0 rows
+            in
+            if m > 0.0 then m else 1.0
+      in
+      same_records s_sample r_sample
+      && same_records s_sample old_sample
+      && s_max = r_max
+      && s_max = Int64.bits_of_float old_max
+      && s_next = r_next
+      && s_next = Rng.bits64 old_rng)
+
+(* A [Sampled] query over a store loads each chunk at most once before
+   its scan: the pilot and the laxity maximum share one pass over every
+   chunk, and with [~max_laxity] the pilot fetches only the chunks that
+   hold sampled rows.  The plan span ends before the scan starts, so its
+   [Phase] event splits the fetch log. *)
+let test_store_pilot_fetches () =
+  let chunk_size = 50 in
+  let data = dataset 53 in
+  let resident = Interval_data.to_store ~chunk_size data in
+  let chunks = Column_store.chunk_count resident in
+  let seed = 61 in
+  let pre_scan ?max_laxity () =
+    let log = ref [] and planned = ref false in
+    let counting =
+      Column_store.of_fetch ~length:(Column_store.length resident)
+        ~chunk_size ~zones:(Column_store.zones resident)
+        (fun c ->
+          if not !planned then log := c :: !log;
+          Column_store.chunk resident c)
+    in
+    let trace =
+      Trace.callback_ctx (fun _ -> function
+        | Trace.Phase { name = "plan"; _ } -> planned := true
+        | _ -> ())
+    in
+    let result =
+      Engine.run ~rng:(Rng.create seed) ?max_laxity ~domains:1
+        ~obs:(Obs.create ~trace ())
+        ~instance:(Interval_data.instance pred)
+        ~probe:(Probe_driver.scalar Interval_data.probe) ~requirements
+        (Scan_pipeline.store ~of_row:Interval_data.of_row ~pred counting)
+    in
+    checkb "the plan span ended" true !planned;
+    (List.rev !log, result)
+  in
+  let sampled_chunks =
+    Scan_pipeline.sample_indices
+      (Rng.split (Rng.create seed))
+      ~fraction:0.01 (Array.length data)
+    |> Array.map (fun i -> i / chunk_size)
+    |> Array.to_list |> List.sort_uniq compare
+  in
+  let fetched, result = pre_scan () in
+  Alcotest.(check (list int))
+    "every chunk once, in storage order" (List.init chunks Fun.id) fetched;
+  (match result.Engine.plan with
+  | Some p -> checkb "the pilot drew rows" true (p.Engine.sample_size > 0)
+  | None -> Alcotest.fail "a Sampled run has a plan");
+  let fetched, _ = pre_scan ~max_laxity:10.0 () in
+  checkb "some chunks hold no sampled row" true
+    (List.length sampled_chunks < chunks);
+  Alcotest.(check (list int))
+    "with max_laxity, only the sampled rows' chunks" sampled_chunks fetched
 
 let prop_qcol_roundtrip =
   QCheck2.Test.make ~name:"qcol file roundtrip" ~count:60
@@ -647,14 +769,13 @@ let test_pruned_scan_pooled () =
           let store = Dataset_io.columnar_store file in
           let scan () =
             let result =
-              Engine.execute ~rng:(Rng.create 5) ~max_laxity:10.0 ~domains:1
-                ~columnar:
-                  { Engine.store; of_row = Interval_data.of_row; pred;
-                    prune = true }
+              Engine.run ~rng:(Rng.create 5) ~max_laxity:10.0 ~domains:1
                 ~planning:(Engine.Fixed Policy.greedy_params)
                 ~instance:(Interval_data.instance pred)
                 ~probe:(Probe_driver.scalar Interval_data.probe)
-                ~requirements data
+                ~requirements
+                (Scan_pipeline.store ~prune:true ~of_row:Interval_data.of_row
+                   ~pred store)
             in
             List.map
               (fun (e : Interval_data.record Operator.emitted) ->
@@ -692,6 +813,8 @@ let suite =
     ("qcol shared decode buffer", `Quick, test_qcol_shared_decode_buffer);
     ("fetch after close", `Quick, test_closed_file_fetch);
     ("qcol pool caches", `Quick, test_qcol_pool_caches);
+    QCheck_alcotest.to_alcotest prop_store_sample_is_rows_sample;
+    ("store pilot fetches each chunk once", `Quick, test_store_pilot_fetches);
   ]
 
 (* Chunk pruning through the streamed store's pool. *)

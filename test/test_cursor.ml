@@ -200,12 +200,12 @@ let cursor_run c data =
             match (c.layout, pool) with
             | `Row, None -> Operator.source_of_array data
             | `Row, Some pool ->
-                Scan_pipeline.source ~obs ~block:c.block ~pool ~instance data
+                (Scan_pipeline.rows ~block:c.block ~instance data).cursor ~obs
+                  ~pool ()
             | (`Columnar | `Pruned), _ ->
-                Scan_pipeline.columnar ~obs ~wave:c.wave ?pool
-                  ~prune:(c.layout = `Pruned) ~store
-                  ~of_row:Interval_data.of_row
-                  ~pred:(Predicate.compile c.pred) ()
+                (Scan_pipeline.store ~wave:c.wave ~prune:(c.layout = `Pruned)
+                   ~of_row:Interval_data.of_row ~pred:c.pred store)
+                  .cursor ~obs ?pool ()
           in
           Operator.run ~rng:(Rng.create (c.seed + 1)) ~meter ~obs ~emit
             ?should_stop ~instance ~cascade ~policy:(Policy.qaq c.params)
@@ -267,13 +267,12 @@ let test_columnar_words_per_read () =
   in
   let params = Policy.params ~s3:1.0 ~s5:1.0 ~p_py:0.65 ~p_fm:1.0 in
   let run () =
-    Engine.execute ~rng:(Rng.create 1) ~domains:1 ~max_laxity:10.0
-      ~planning:(Engine.Fixed params) ~batch:16
-      ~columnar:
-        { Engine.store; of_row = Interval_data.of_row; pred; prune = false }
+    Engine.run ~rng:(Rng.create 1) ~domains:1 ~max_laxity:10.0
+      ~planning:(Engine.Fixed params)
       ~instance:(Interval_data.instance pred)
       ~probe:(Probe_driver.of_scalar ~batch_size:16 Interval_data.probe)
-      ~requirements data
+      ~requirements
+      (Scan_pipeline.store ~of_row:Interval_data.of_row ~pred store)
   in
   ignore (run ());
   let before = Gc.allocated_bytes () in

@@ -83,10 +83,10 @@ let faulted_engine_run ?(domains = 1) ?obs ?profile ~total ~fault_seed
   in
   let source = Probe_source.create ?obs ~max_retries:2 ~faults Synthetic.probe in
   let result =
-    Engine.execute ~rng:(Rng.create engine_seed) ~max_laxity:100.0 ~domains
+    Engine.run ~rng:(Rng.create engine_seed) ~max_laxity:100.0 ~domains
       ?obs ?profile ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ?obs ~batch_size:16 source)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   (result, data)
 
@@ -160,10 +160,10 @@ let test_wasted_cost_amortizes_batch_setup () =
   in
   let source = Probe_source.create ~max_retries:2 ~faults Synthetic.probe in
   let result =
-    Engine.execute ~rng:(Rng.create 52) ~max_laxity:100.0 ~cost ~batch:16
+    Engine.run ~rng:(Rng.create 52) ~max_laxity:100.0 ~cost
       ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ~batch_size:16 source)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let d = result.Engine.degradation in
   checkb "failures happened" true (d.Engine.failed_attempts > 0);
@@ -195,12 +195,13 @@ let test_fault_sweep_invariants () =
       | Some f ->
           Probe_source.create ~obs ~max_retries:2 ~faults:f Synthetic.probe
     in
-    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed)
+    Engine.run ~rng:(Rng.create Standard_workload.engine_seed)
       ~max_laxity:100.0 ~obs
       ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
       ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
-      ~requirements:Standard_workload.requirements data
+      ~requirements:Standard_workload.requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let fingerprint result =
     ( answer_ids result,
@@ -310,10 +311,10 @@ let golden_run ~domains ~faults seed =
     | Some f -> Probe_source.create ~obs ~faults:f Synthetic.probe
   in
   let result =
-    Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~domains ~obs
+    Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~domains ~obs
       ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ~obs ~batch_size:8 source)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   ( answer_ids result,
     result.Engine.counts,
@@ -384,23 +385,25 @@ let interval_run ?cascade_power ?faults ~seed () =
               Probe_source.create ~obs ~max_retries:2 ~faults:f
                 Interval_data.probe
         in
-        Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
-          ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~batch:8 ~obs
+        Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
+          ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~obs
           ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
           ~instance:(Interval_data.instance pred)
           ~probe:(Probe_source.driver ~obs ~batch_size:8 source)
-          ~requirements:interval_requirements data
+          ~requirements:interval_requirements
+          (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
     | Some power ->
         let cascade, _sources =
           Tiered.of_functions ~obs ?faults ~max_retries:2
             ~specs:(cascade_specs ~power) ~narrow:Interval_data.shrink
             ~resolve:Interval_data.probe ()
         in
-        Engine.execute ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
-          ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~batch:8 ~obs
+        Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
+          ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~obs
           ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
           ~instance:(Interval_data.instance pred)
-          ~cascade ~requirements:interval_requirements data
+          ~cascade ~requirements:interval_requirements
+          (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
   in
   (result, obs)
 
@@ -460,10 +463,10 @@ let replay_run ~domains () =
   in
   let source = Probe_source.create ~obs ~max_retries:2 ~faults Synthetic.probe in
   let result =
-    Engine.execute ~rng:(Rng.create 72) ~max_laxity:100.0 ~domains ~obs
+    Engine.run ~rng:(Rng.create 72) ~max_laxity:100.0 ~domains ~obs
       ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let non_phase =
     List.filter (function Trace.Phase _ -> false | _ -> true) (events ())

@@ -9,8 +9,9 @@ let dataset seed = Synthetic.generate (Rng.create seed) (Synthetic.config ~total
 let test_execute_default () =
   let data = dataset 1 in
   let result =
-    Engine.execute ~rng:(Rng.create 2) ~max_laxity:100.0
-      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+    Engine.run ~rng:(Rng.create 2) ~max_laxity:100.0
+      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   checkb "meets" true (Quality.meets result.report.guarantees requirements);
   (match result.plan with
@@ -30,9 +31,10 @@ let test_execute_default () =
 let test_execute_fixed () =
   let data = dataset 3 in
   let result =
-    Engine.execute ~rng:(Rng.create 4)
+    Engine.run ~rng:(Rng.create 4)
       ~planning:(Engine.Fixed Policy.stingy_params)
-      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   checkb "no plan for fixed" true (result.plan = None);
   checkb "still meets" true (Quality.meets result.report.guarantees requirements)
@@ -40,8 +42,9 @@ let test_execute_fixed () =
 let test_execute_adaptive () =
   let data = dataset 5 in
   let result =
-    Engine.execute ~rng:(Rng.create 6) ~adaptive:true ~max_laxity:100.0
-      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+    Engine.run ~rng:(Rng.create 6) ~adaptive:true ~max_laxity:100.0
+      ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   checkb "adaptive meets" true (Quality.meets result.report.guarantees requirements)
 
@@ -52,19 +55,20 @@ let test_execute_histogram_density () =
       ~laxity_exponent:4.0 ~success_exponent:1.0
   in
   let result =
-    Engine.execute ~rng:(Rng.create 8)
+    Engine.run ~rng:(Rng.create 8)
       ~planning:
         (Engine.Sampled { fraction = 0.05; density = `Histogram })
       ~max_laxity:100.0 ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   checkb "histogram-planned run meets" true
     (Quality.meets result.report.guarantees requirements)
 
 let test_execute_empty_and_tiny () =
   let empty =
-    Engine.execute ~rng:(Rng.create 9) ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements [||]
+    Engine.run ~rng:(Rng.create 9) ~instance:Synthetic.instance
+      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance [||])
   in
   checkb "empty ok" true (Quality.meets empty.report.guarantees requirements);
   Alcotest.(check (float 0.0)) "empty cost" 0.0 empty.normalized_cost;
@@ -72,8 +76,9 @@ let test_execute_empty_and_tiny () =
      default prior. *)
   let tiny = Synthetic.generate (Rng.create 10) (Synthetic.config ~total:5 ()) in
   let result =
-    Engine.execute ~rng:(Rng.create 11) ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements tiny
+    Engine.run ~rng:(Rng.create 11) ~instance:Synthetic.instance
+      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance tiny)
   in
   checkb "tiny ok" true (Quality.meets result.report.guarantees requirements)
 
@@ -85,19 +90,19 @@ let test_execute_empty_and_tiny () =
 let test_sample_reads_charged () =
   let data = dataset 21 in
   let planned =
-    Engine.execute ~rng:(Rng.create 22) ~max_laxity:100.0
+    Engine.run ~rng:(Rng.create 22) ~max_laxity:100.0
       ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let plan =
     match planned.plan with Some p -> p | None -> Alcotest.fail "no plan"
   in
   Alcotest.(check bool) "sample was non-empty" true (plan.sample_size > 0);
   let fixed =
-    Engine.execute ~rng:(Rng.create 22)
+    Engine.run ~rng:(Rng.create 22)
       ~planning:(Engine.Fixed plan.params) ~max_laxity:100.0
       ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let pc = planned.counts and fc = fixed.counts in
   Alcotest.(check int) "reads differ by the sample" (fc.reads + plan.sample_size)
@@ -139,10 +144,10 @@ let test_laxity_scanned_once () =
   in
   let data = Array.init n Fun.id in
   let result =
-    Engine.execute ~rng:(Rng.create 23) ~adaptive:true ~instance
+    Engine.run ~rng:(Rng.create 23) ~adaptive:true ~instance
       ~probe:(Probe_driver.scalar Fun.id)
       ~requirements:(Quality.requirements ~precision:0.9 ~recall:0.5 ~laxity:50.0)
-      data
+      (Scan_pipeline.rows ~instance data)
   in
   ignore result;
   Alcotest.(check bool)
@@ -161,25 +166,30 @@ let test_invalid_max_laxity () =
   let modes =
     [
       ("sampled", fun max_laxity ->
-          Engine.execute ~rng:(Rng.create 1) ~max_laxity
-            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+          Engine.run ~rng:(Rng.create 1) ~max_laxity
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data));
       ("sampled fraction 0", fun max_laxity ->
-          Engine.execute ~rng:(Rng.create 1)
+          Engine.run ~rng:(Rng.create 1)
             ~planning:(Engine.Sampled { fraction = 0.0; density = `Histogram })
             ~max_laxity ~instance:Synthetic.instance ~probe:(probe ())
-            ~requirements data);
+            ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data));
       ("fixed", fun max_laxity ->
-          Engine.execute ~rng:(Rng.create 1)
+          Engine.run ~rng:(Rng.create 1)
             ~planning:(Engine.Fixed Policy.stingy_params) ~max_laxity
-            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data));
       ("fixed + adaptive", fun max_laxity ->
-          Engine.execute ~rng:(Rng.create 1)
+          Engine.run ~rng:(Rng.create 1)
             ~planning:(Engine.Fixed Policy.stingy_params) ~adaptive:true
             ~max_laxity ~instance:Synthetic.instance ~probe:(probe ())
-            ~requirements data);
+            ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data));
       ("budgeted", fun max_laxity ->
-          Engine.execute ~rng:(Rng.create 1) ~budget:5000.0 ~max_laxity
-            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements data);
+          Engine.run ~rng:(Rng.create 1) ~budget:5000.0 ~max_laxity
+            ~instance:Synthetic.instance ~probe:(probe ()) ~requirements
+            (Scan_pipeline.rows ~instance:Synthetic.instance data));
     ]
   in
   List.iter
@@ -189,7 +199,7 @@ let test_invalid_max_laxity () =
           Alcotest.check_raises
             (Printf.sprintf "%s, max_laxity %g" mode max_laxity)
             (Invalid_argument
-               "Engine.execute: max_laxity must be positive and finite")
+               "Engine.run: max_laxity must be positive and finite")
             (fun () -> ignore (run max_laxity)))
         modes;
       Alcotest.check_raises

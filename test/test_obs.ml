@@ -406,11 +406,12 @@ let test_engine_reconciles () =
         (fun (batch, adaptive) ->
           let obs = Obs.create () in
           let result =
-            Engine.execute ~rng:(Rng.create seed) ~adaptive ~max_laxity:100.0
+            Engine.run ~rng:(Rng.create seed) ~adaptive ~max_laxity:100.0
               ~obs ~instance:Synthetic.instance
               ~probe:
                 (Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
-              ~requirements data
+              ~requirements
+              (Scan_pipeline.rows ~instance:Synthetic.instance data)
           in
           let tag what =
             Printf.sprintf "%s (seed %d, B=%d adaptive=%b)" what seed batch
@@ -471,9 +472,10 @@ let test_concurrent_runs_sum_exactly () =
         ~narrow:Interval_data.shrink ~resolve:Interval_data.probe ()
     in
     let result =
-      Engine.execute ~rng:(Rng.create (80 + i)) ~max_laxity:30.0 ~domains:1
+      Engine.run ~rng:(Rng.create (80 + i)) ~max_laxity:30.0 ~domains:1
         ~obs ?profile ~instance:(Interval_data.instance pred) ~cascade
-        ~requirements data
+        ~requirements
+        (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
     in
     (result, Cascade.stats cascade)
   in
@@ -606,10 +608,10 @@ let test_obs_does_not_perturb () =
   let run obs_opt =
     let sink, _ = Trace.collector () in
     ignore sink;
-    Engine.execute ~rng:(Rng.create 52) ~max_laxity:100.0 ?obs:obs_opt
+    Engine.run ~rng:(Rng.create 52) ~max_laxity:100.0 ?obs:obs_opt
       ~instance:Synthetic.instance
       ~probe:(Probe_driver.of_scalar ~batch_size:4 Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let plain = run None in
   let sink, _events = Trace.collector () in

@@ -165,8 +165,9 @@ let test_zone_map_source_is_sound () =
     Operator.run ~rng ~instance:(Interval_data.instance pred)
       ~cascade:(Cascade.of_driver (Probe_driver.scalar Interval_data.probe))
       ~policy:Policy.stingy ~requirements
-      (Scan_pipeline.columnar ~prune:true ~store ~of_row:Interval_data.of_row
-         ~pred:(Predicate.compile pred) ())
+      ((Scan_pipeline.store ~prune:true ~of_row:Interval_data.of_row ~pred
+          store)
+         .cursor ())
   in
   checkb "meets requirements" true (Quality.meets report.guarantees requirements);
   let answer_in_exact =
@@ -458,7 +459,7 @@ let test_batching_reduces_cost_with_setup_charge () =
 (* The operator fills the whole degradation record itself: on the
    faulted standard workload a direct [Operator.run] reports the wasted
    cost, post-degradation guarantees and requirements verdict that
-   [Engine.execute] reports for the same run (Fixed planning on one
+   [Engine.run] reports for the same run (Fixed planning on one
    lane, the same policy rng stream, fault plan and cost model). *)
 let test_degradation_matches_engine () =
   let data = Standard_workload.data () in
@@ -474,9 +475,10 @@ let test_degradation_matches_engine () =
       (Probe_source.create ~max_retries:2 ~faults Synthetic.probe)
   in
   let engine =
-    Engine.execute ~rng:(Rng.create Standard_workload.engine_seed)
+    Engine.run ~rng:(Rng.create Standard_workload.engine_seed)
       ~planning:(Engine.Fixed params) ~cost ~domains:1
-      ~instance:Synthetic.instance ~probe:(driver ()) ~requirements data
+      ~instance:Synthetic.instance ~probe:(driver ()) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let rng = Rng.create Standard_workload.engine_seed in
   (* The engine splits its sampling stream off first, planning or not. *)

@@ -50,10 +50,10 @@ let fingerprint (result : Synthetic.obj Engine.result) =
 
 let run ~seed ~planning ~batch ~domains data =
   fingerprint
-    (Engine.execute ~rng:(Rng.create seed) ~planning ~batch ~max_laxity:100.0
+    (Engine.run ~rng:(Rng.create seed) ~planning ~max_laxity:100.0
        ~domains ~instance:Synthetic.instance
        ~probe:(Probe_driver.of_scalar ~batch_size:batch Synthetic.probe)
-       ~requirements data)
+       ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data))
 
 (* Structural equality is the point: every field, floats included, must
    be bitwise identical (no NaNs arise in these runs). *)
@@ -91,14 +91,16 @@ let test_golden_adaptive () =
   let data = dataset 13 in
   let planning = Engine.default_planning in
   let base =
-    Engine.execute ~rng:(Rng.create 5) ~planning ~adaptive:true
+    Engine.run ~rng:(Rng.create 5) ~planning ~adaptive:true
       ~max_laxity:100.0 ~domains:1 ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let par =
-    Engine.execute ~rng:(Rng.create 5) ~planning ~adaptive:true
+    Engine.run ~rng:(Rng.create 5) ~planning ~adaptive:true
       ~max_laxity:100.0 ~domains:2 ~instance:Synthetic.instance
-      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+      ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   check_same "adaptive run identical" (fingerprint base) (fingerprint par)
 
@@ -111,9 +113,10 @@ let test_golden_observed_cap () =
   let data = dataset 17 in
   let exec domains =
     fingerprint
-      (Engine.execute ~rng:(Rng.create 7) ~domains
+      (Engine.run ~rng:(Rng.create 7) ~domains
          ~instance:Synthetic.instance
-         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data)
+         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+         (Scan_pipeline.rows ~instance:Synthetic.instance data))
   in
   check_same "observed-cap run identical" (exec 1) (exec 4);
   let records =
@@ -123,12 +126,13 @@ let test_golden_observed_cap () =
   let pred = Predicate.ge 60.0 in
   let gaussian domains =
     let r =
-      Engine.execute ~rng:(Rng.create 4097) ~domains
+      Engine.run ~rng:(Rng.create 4097) ~domains
         ~instance:(Interval_data.instance pred)
         ~probe:(Probe_driver.scalar Interval_data.probe)
         ~requirements:
           (Quality.requirements ~precision:0.9 ~recall:0.9 ~laxity:6.0)
-        ~collect:false records
+        ~collect:false
+        (Scan_pipeline.rows ~instance:(Interval_data.instance pred) records)
     in
     ( r.Engine.report.answer_size,
       r.Engine.report.yes_seen,
@@ -153,10 +157,11 @@ let test_streaming_order () =
       acc := (e.obj.id, e.precise) :: !acc
     in
     ignore
-      (Engine.execute ~rng:(Rng.create 3)
+      (Engine.run ~rng:(Rng.create 3)
          ~planning:(Engine.Fixed Policy.stingy_params) ~max_laxity:100.0
          ~domains ~emit ~instance:Synthetic.instance
-         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data);
+         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+         (Scan_pipeline.rows ~instance:Synthetic.instance data));
     List.rev !acc
   in
   let base = emitted 1 in
@@ -168,9 +173,10 @@ let test_parallel_metrics () =
   let snapshot domains =
     let obs = Obs.create () in
     let result =
-      Engine.execute ~rng:(Rng.create 9) ~max_laxity:100.0 ~domains ~obs
+      Engine.run ~rng:(Rng.create 9) ~max_laxity:100.0 ~domains ~obs
         ~instance:Synthetic.instance
-        ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements data
+        ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+        (Scan_pipeline.rows ~instance:Synthetic.instance data)
     in
     (result, Obs.snapshot obs)
   in

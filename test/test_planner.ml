@@ -15,7 +15,8 @@ let test_empty_pilot () =
   let p =
     Planner.pilot ~rng:(Rng.create 1) ~fraction:0.0
       ~instance:Synthetic.instance ~max_laxity:100.0 ~prior:(0.3, 0.1)
-      ~density:`Histogram (dataset 2)
+      ~density:`Histogram
+      (Scan_pipeline.rows ~instance:Synthetic.instance (dataset 2))
   in
   checki "nothing sampled" 0 p.sample_size;
   checkb "no estimate" true (p.estimate = None);
@@ -48,9 +49,9 @@ let test_engine_plans_through_halves () =
   let data = dataset 3 in
   let cost = Cost_model.paper in
   let result =
-    Engine.execute ~rng:(Rng.create 4) ~max_laxity:100.0
+    Engine.run ~rng:(Rng.create 4) ~max_laxity:100.0
       ~instance:Synthetic.instance ~probe:(Probe_driver.scalar Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let plan =
     match result.plan with Some p -> p | None -> Alcotest.fail "no plan"
@@ -58,7 +59,8 @@ let test_engine_plans_through_halves () =
   let pilot =
     Planner.pilot ~rng:(Rng.split (Rng.create 4)) ~fraction:0.01
       ~instance:Synthetic.instance ~max_laxity:100.0
-      ~prior:Planner.default_prior ~density:`Uniform data
+      ~prior:Planner.default_prior ~density:`Uniform
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let solution =
     Planner.solve ~total:(Array.length data) ~f_y:pilot.f_y ~f_m:pilot.f_m
@@ -85,7 +87,8 @@ let test_trial_plans_through_halves () =
   let pilot =
     Planner.pilot ~rng:(Rng.create 6) ~fraction:0.01
       ~instance:Synthetic.instance ~max_laxity:setting.max_laxity
-      ~prior:(setting.f_y, setting.f_m) ~density:`Uniform data
+      ~prior:(setting.f_y, setting.f_m) ~density:`Uniform
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let solution =
     Planner.solve ~total:setting.total ~f_y:pilot.f_y ~f_m:pilot.f_m

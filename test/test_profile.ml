@@ -159,11 +159,12 @@ type input = {
 
 let run_engine ?profile input =
   let obs = if input.metered then Some (Obs.create ()) else None in
-  Engine.execute ~rng:(Rng.create input.seed) ~adaptive:input.adaptive
+  Engine.run ~rng:(Rng.create input.seed) ~adaptive:input.adaptive
     ~max_laxity:100.0 ~domains:input.domains ?obs ?profile
     ~instance:Synthetic.instance
     ~probe:(Probe_driver.of_scalar ?obs ~batch_size:input.batch Synthetic.probe)
-    ~requirements:input.requirements input.data
+    ~requirements:input.requirements
+    (Scan_pipeline.rows ~instance:Synthetic.instance input.data)
 
 (* This file's own workload at B = 4 on one and two domains, then the
    standard workload under every standard configuration, metered. *)
@@ -284,11 +285,11 @@ let instrumented_run () =
   in
   let obs = Obs.create () in
   let result =
-    Engine.execute ~rng:(Rng.create 82) ~max_laxity:100.0 ~obs
+    Engine.run ~rng:(Rng.create 82) ~max_laxity:100.0 ~obs
       ~profile:(Engine.profiling ~label:"instrumented" ~oracle:Synthetic.in_exact ())
       ~instance:Synthetic.instance
       ~probe:(Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe)
-      ~requirements data
+      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   (result, Option.get result.Engine.profile)
 
@@ -342,11 +343,11 @@ let test_chrome_trace_export () =
     Synthetic.generate (Rng.create 91) (Synthetic.config ~total:1000 ())
   in
   ignore
-    (Engine.execute ~rng:(Rng.create 92) ~max_laxity:100.0 ~domains ~obs
+    (Engine.run ~rng:(Rng.create 92) ~max_laxity:100.0 ~domains ~obs
        ~on_task:(Chrome_trace.on_task recorder)
        ~instance:Synthetic.instance
        ~probe:(Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe)
-       ~requirements data);
+       ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data));
   checkb "events recorded" true (Chrome_trace.events recorder > 0);
   let json = Chrome_trace.to_json recorder in
   checkb "trace JSON is valid" true (json_valid json);

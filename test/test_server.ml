@@ -365,10 +365,13 @@ let test_slo_reads_register_nothing () =
 (* The line protocol under random input: 1-8 lines of verbs in any case
    with 0-3 tokens (valid and unknown key=value pairs, bare tokens,
    extreme numbers, names of bytes 0x01-0x7E) or raw bytes, then a
-   fixed query.  Whatever came before, the session ends on QUIT without
-   raising, every Prometheus tenant label is printable ASCII without a
-   [\u] escape, and the fixed query answers as on a fresh server.  QUIT
-   is not drawn: it would end the session before the fixed query. *)
+   fixed query and a seedless one.  Whatever came before, the session
+   ends on QUIT without raising, every Prometheus tenant label is
+   printable ASCII without a [\u] escape, and both queries answer as on
+   a fresh server: the seedless one takes the seed a fresh server gives
+   it, moved on only by the seedless queries the random lines queued (a
+   rejected line takes no seed).  QUIT is not drawn: it would end the
+   session before the fixed queries. *)
 let fuzz_config = { Server_core.default_config with c_total = 200 }
 
 let fuzz_lines =
@@ -445,16 +448,51 @@ let tenant_labels text =
   go 0 []
 
 let prop_line_protocol =
-  let tail = [ "QUERY tenant=zz seed=7"; "RUN"; "QUIT" ] in
-  let fresh =
-    lazy
-      (let _, lines = session (Server_core.create fuzz_config) tail in
-       deterministic (find_line lines "RESULT "))
-  in
+  let fixed = "QUERY tenant=zz seed=7" in
+  let tail = [ fixed; "QUERY tenant=zz"; "RUN"; "QUIT" ] in
   let last_with prefix lines =
     List.fold_left
       (fun acc l -> if String.starts_with ~prefix l then Some l else acc)
       None lines
+  in
+  let seed_of line = Option.bind (kv line "seed") int_of_string_opt in
+  let fresh_session script =
+    snd (session (Server_core.create fuzz_config) script)
+  in
+  let fresh_seed =
+    lazy
+      (match Option.bind (last_with "QUEUED " (fresh_session tail)) seed_of with
+      | Some s -> s
+      | None -> Alcotest.fail "a fresh server announced no seed")
+  in
+  (* A fresh server's RESULT lines for the two queries when the seedless
+     one takes [seed]: [tail] itself for the seed a fresh server gives
+     it, else [tail] with that seed pinned. *)
+  let fresh = Hashtbl.create 8 in
+  let fresh_results seed =
+    match Hashtbl.find_opt fresh seed with
+    | Some r -> r
+    | None ->
+        let script =
+          if seed = Lazy.force fresh_seed then tail
+          else [ fixed; Printf.sprintf "QUERY tenant=zz seed=%d" seed; "RUN"; "QUIT" ]
+        in
+        let r =
+          fresh_session script
+          |> List.filter (String.starts_with ~prefix:"RESULT ")
+          |> List.map deterministic
+        in
+        Hashtbl.add fresh seed r;
+        r
+  in
+  let with_id id line =
+    String.split_on_char ' ' line
+    |> List.map (fun tok ->
+           if String.starts_with ~prefix:"id=" tok then "id=" ^ id else tok)
+    |> String.concat " "
+  in
+  let last_two l =
+    match List.rev l with b :: a :: _ -> Some (a, b) | _ -> None
   in
   QCheck2.Test.make ~name:"line protocol: random lines never break a session"
     ~count:300
@@ -467,16 +505,34 @@ let prop_line_protocol =
           in
           let verdict, out = session srv (lines @ tail) in
           let labels = tenant_labels (read_file prom) in
-          (* The fixed query is queued last, so its RESULT comes last; its
-             id is whatever its QUEUED reply announced. *)
-          let id = Option.bind (last_with "QUEUED " out) (fun l -> kv l "id") in
+          let queued = List.filter (String.starts_with ~prefix:"QUEUED ") out in
+          let fresh_seed = Lazy.force fresh_seed in
+          (* The random lines' explicit seeds are at most 1000 and the
+             server's own start at [fresh_seed], so an earlier reply at or
+             above it queued a seedless query. *)
+          let taken =
+            List.filteri (fun i _ -> i < List.length queued - 2) queued
+            |> List.filter (fun l ->
+                   match seed_of l with Some s -> s >= fresh_seed | None -> false)
+            |> List.length
+          in
+          let seed = fresh_seed + taken in
+          (* The fixed queries are queued last, so their RESULTs come
+             last; their ids are whatever their QUEUED replies announced. *)
+          let ids =
+            Option.map
+              (fun (a, b) -> (kv a "id", kv b "id"))
+              (last_two queued)
+          in
           let expected =
-            String.split_on_char ' ' (Lazy.force fresh)
-            |> List.map (fun tok ->
-                   if String.starts_with ~prefix:"id=" tok then
-                     "id=" ^ Option.value id ~default:"?"
-                   else tok)
-            |> String.concat " "
+            match (ids, fresh_results seed) with
+            | Some (Some a, Some b), [ ra; rb ] ->
+                Some (with_id a ra, with_id b rb)
+            | _ -> None
+          in
+          let results =
+            List.filter (String.starts_with ~prefix:"RESULT ") out
+            |> List.map deterministic |> last_two
           in
           verdict = `Quit
           && labels <> []
@@ -485,8 +541,8 @@ let prop_line_protocol =
                  String.for_all (fun c -> c > ' ' && c <= '~') l
                  && not (contains l "\\u"))
                labels
-          && Option.map deterministic (last_with "RESULT " out)
-             = Some expected))
+          && Option.bind (last_with "QUEUED " out) seed_of = Some seed
+          && expected <> None && results = expected))
 
 (* A recorder directory that cannot be created is a typed error naming
    the path, raised before the server serves anything (it used to

@@ -36,8 +36,9 @@ let fingerprint (r : Synthetic.obj Engine.result) =
 let test_traced_identical_to_untraced () =
   let data = workload 800 in
   let bare =
-    Engine.execute ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
-      ~instance:Synthetic.instance ~probe:(pure_driver ()) ~requirements data
+    Engine.run ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
+      ~instance:Synthetic.instance ~probe:(pure_driver ()) ~requirements
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   let recorder = Flight_recorder.create ~capacity:64 () in
   let obs = Obs.create ~trace:(Flight_recorder.sink recorder) () in
@@ -48,9 +49,10 @@ let test_traced_identical_to_untraced () =
     (Engine.execute_many ~domains:1
        [|
          (fun () ->
-           Engine.execute ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
+           Engine.run ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
              ~obs:obs_q ~instance:Synthetic.instance
-             ~probe:(pure_driver ~obs:obs_q ()) ~requirements data);
+             ~probe:(pure_driver ~obs:obs_q ()) ~requirements
+             (Scan_pipeline.rows ~instance:Synthetic.instance data));
        |]).(0)
   in
   checkb "identical answer, guarantees and costs" true
@@ -155,9 +157,10 @@ let test_recorder_keeps_run_level_events () =
   let ctx = { Trace.query = Some 41; tenant = Some "tee" } in
   let obs_q = Obs.with_context obs ctx in
   ignore
-    (Engine.execute ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
+    (Engine.run ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
        ~obs:obs_q ~instance:Synthetic.instance
-       ~probe:(pure_driver ~obs:obs_q ()) ~requirements data);
+       ~probe:(pure_driver ~obs:obs_q ()) ~requirements
+       (Scan_pipeline.rows ~instance:Synthetic.instance data));
   let all = collected () in
   checkb "the run emitted per-object events" true (List.exists per_object all);
   let expect = List.filter (fun e -> not (per_object e)) all in
