@@ -112,6 +112,29 @@ let load read path =
       fail (Printf.sprintf "%s at byte %d" reason offset)
   | exception Dataset_io.Corrupt_columnar { reason; _ } -> fail reason
 
+(* Every file the CLI writes goes through [save]: an output path that
+   cannot be written is one [<path>: <reason>] line and exit 2, as an
+   unreadable input is for [load]. *)
+let save path write =
+  let fail msg =
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix)
+          (String.length msg - String.length prefix)
+      else msg
+    in
+    Format.eprintf "%s: %s@." path reason;
+    exit 2
+  in
+  match write path with
+  | () -> ()
+  | exception (Sys_error msg | Fun.Finally_raised (Sys_error msg)) -> fail msg
+
+let save_text path text =
+  save path (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text))
+
 let cost_model c_b =
   let paper = Cost_model.paper in
   Cost_model.make ~c_r:paper.Cost_model.c_r ~c_p:paper.Cost_model.c_p
@@ -295,16 +318,18 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
               Probe_source.driver ~obs ~batch_size:batch source
           | None -> Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
   in
+  let source = Scan_pipeline.rows ~instance:Synthetic.instance data in
+  let earlier = Obs.snapshot obs in
   let result =
     Engine.run ~rng ~planning ~cost ~max_laxity:s.max_laxity ?budget
-      ?deadline ?domains ~obs ?on_task
-      ~profile:
-        (Engine.profiling
-           ~label:(Exp_runner.policy_name policy)
-           ~oracle:Synthetic.in_exact ())
-      ~instance:Synthetic.instance ~cascade
+      ?deadline ?domains ~obs ?on_task ~instance:Synthetic.instance ~cascade
       ~requirements:(Exp_config.requirements s)
-      (Scan_pipeline.rows ~instance:Synthetic.instance data)
+      source
+  in
+  let profile =
+    Profile.of_run
+      ~label:(Exp_runner.policy_name policy)
+      ~oracle:Synthetic.in_exact ~earlier obs source result
   in
   Format.printf "%s (profiled): W/|T| = %.3f (%d probes in %d batches)@.@."
     (Exp_runner.policy_name policy)
@@ -322,7 +347,6 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
           st.st_batches st.st_failovers)
       (Cascade.stats cascade)
   end;
-  let profile = Option.get result.Engine.profile in
   Profile.print profile;
   (let d = result.Engine.degradation in
    if d.Engine.failed_probes > 0 then
@@ -336,21 +360,17 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
        (if d.Engine.requirements_met then "still meet" else "MISS"));
   (match profile_file with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Profile.to_json profile);
-      close_out oc;
+      save_text path (Profile.to_json profile);
       Format.printf "profile written to %s@." path
   | None -> ());
   (match (recorder, chrome_file) with
   | Some r, Some path ->
-      Chrome_trace.write r path;
+      save path (Chrome_trace.write r);
       Format.printf "chrome trace (%d events) written to %s@." (Chrome_trace.events r) path
   | _ -> ());
   (match metrics_file with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Metrics.to_json (Obs.snapshot obs));
-      close_out oc;
+      save_text path (Metrics.to_json (Obs.snapshot obs));
       Format.printf "metrics written to %s@." path
   | None -> ());
   if not (Profile.passed profile) then
@@ -431,10 +451,7 @@ let trial_run seed total (f_y, f_m) max_laxity p_q r_q l_q policy repetitions
         results);
   match (obs, metrics_file) with
   | Some o, Some path ->
-      let oc = open_out path in
-      output_string oc (Metrics.to_json (Obs.snapshot o));
-      output_char oc '\n';
-      close_out oc;
+      save_text path (Metrics.to_json (Obs.snapshot o) ^ "\n");
       Format.printf "metrics written to %s@." path
   | _ -> ()
 
@@ -483,7 +500,7 @@ let dataset_run seed total (f_y, f_m) max_laxity model max_width out =
   | `Synthetic ->
       let cfg = Synthetic.config ~total ~f_y ~f_m ~max_laxity () in
       let data = Synthetic.generate (Rng.create seed) cfg in
-      Dataset_io.write_synthetic out data;
+      save out (fun out -> Dataset_io.write_synthetic out data);
       Format.printf "wrote %d objects to %s (exact set: %d)@." total out
         (Synthetic.exact_size data)
   | `Intervals ->
@@ -491,7 +508,7 @@ let dataset_run seed total (f_y, f_m) max_laxity model max_width out =
         Interval_data.uniform_intervals (Rng.create seed) ~n:total
           ~value_range:(Interval.make 0.0 max_laxity) ~max_width
       in
-      Dataset_io.write_records out data;
+      save out (fun out -> Dataset_io.write_records out data);
       Format.printf
         "wrote %d interval records to %s (truths in [0, %g], width <= %g)@."
         total out max_laxity max_width
@@ -517,7 +534,7 @@ let chunk_size =
 let convert_run input out chunk_size =
   let records = load Dataset_io.read_records input in
   let store = Interval_data.to_store ~chunk_size records in
-  Dataset_io.save_columnar out store;
+  save out (fun out -> Dataset_io.save_columnar out store);
   Format.printf "wrote %d records in %d chunks of <= %d rows to %s@."
     (Column_store.length store)
     (Column_store.chunk_count store)
@@ -677,10 +694,7 @@ let query_run seed data_path ges les betweens (layout, prune) p_q r_q l_q batch
   print_budget_summary result;
   match (obs, metrics_file) with
   | Some o, Some path ->
-      let oc = open_out path in
-      output_string oc (Metrics.to_json (Obs.snapshot o));
-      output_char oc '\n';
-      close_out oc;
+      save_text path (Metrics.to_json (Obs.snapshot o) ^ "\n");
       Format.printf "metrics written to %s@." path
   | _ -> ()
 

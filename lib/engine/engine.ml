@@ -42,15 +42,11 @@ type 'o result = {
   normalized_cost : float;
   degradation : degradation;
   budget : budget_summary option;
-  profile : Profile.t option;
+  reconcile : Metrics.snapshot -> (unit, string) Stdlib.result;
   elapsed_seconds : float;
 }
 
 let degraded result = result.degradation.failed_probes > 0
-
-type 'o profiling = { prof_label : string; oracle : ('o -> bool) option }
-
-let profiling ?(label = "run") ?oracle () = { prof_label = label; oracle }
 
 type 'o columnar = {
   store : Column_store.t;
@@ -100,7 +96,7 @@ let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ~tiers ?max_laxity ~budget
   }
 
 let run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
-    ?deadline ?obs ?emit ?collect ?profile ~instance ~(cascade : _ Cascade.t)
+    ?deadline ?obs ?emit ?collect ~instance ~(cascade : _ Cascade.t)
     ~requirements (source : _ Scan_pipeline.t) =
   let run_clock =
     match obs with Some o -> Obs.clock o | None -> Span.default_clock
@@ -127,13 +123,6 @@ let run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
   let sample_rng = Rng.split rng in
   let meter = Cost_meter.create () in
   let spent_total () = Cost_meter.tiered_cost cost ~tiers meter in
-  (* The profile diffs the metric registry across the run, so a shared
-     [?obs] carrying earlier runs' totals still profiles this run alone. *)
-  let snap0 =
-    match (profile, obs) with
-    | Some _, Some o -> Obs.snapshot o
-    | _ -> []
-  in
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()
   in
@@ -275,74 +264,6 @@ let run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
         (fun i busy -> Metrics.set (Obs.gauge o (Obs.Keys.domain_busy i)) busy)
         (Domain_pool.busy_seconds p)
   | _ -> ());
-  let counts = Cost_meter.counts meter in
-  let profile =
-    match (profile, obs) with
-    | None, _ | _, None -> None
-    | Some pr, Some o ->
-        let snap = Metrics.diff ~later:(Obs.snapshot o) ~earlier:snap0 in
-        let reconcile_error =
-          match
-            Cost_meter.reconcile_tiers snap ~names:(Cascade.names cascade)
-              meter
-          with
-          | Ok () -> None
-          | Error msg -> Some msg
-        in
-        (* The oracle audit is pure arithmetic over the answer the run
-           already produced and a fresh cursor over the source —
-           profiling cannot perturb the run.  A pruned store's cursor
-           skips chunks with no exact member. *)
-        let ground_truth =
-          Option.map
-            (fun oracle ->
-              let in_answer =
-                List.fold_left
-                  (fun acc (e : _ Operator.emitted) ->
-                    if oracle e.obj then acc + 1 else acc)
-                  0 report.Operator.answer
-              in
-              let exact_size =
-                let c = source.cursor () in
-                let n = ref 0 in
-                while c.Operator.advance () do
-                  if oracle (c.Operator.current ()) then incr n
-                done;
-                !n
-              in
-              (in_answer, exact_size))
-            pr.oracle
-        in
-        let g = report.Operator.guarantees in
-        Some
-          (Profile.make ~label:pr.prof_label
-             ~counts:
-               {
-                 Profile.reads = counts.Cost_meter.reads;
-                 probes = counts.probes;
-                 batches = counts.batches;
-                 writes_imprecise = counts.writes_imprecise;
-                 writes_precise = counts.writes_precise;
-               }
-             ~snapshot:snap
-             ~requested_precision:requirements.Quality.precision
-             ~requested_recall:requirements.Quality.recall
-             ~guaranteed_precision:g.precision ~guaranteed_recall:g.recall
-             ~guarantees_met:(Quality.meets g requirements)
-             ~answer_size:report.Operator.answer_size
-             ~degraded_probes:report.Operator.degraded.Operator.failed_probes
-             ?budget:
-               (Option.map
-                  (fun (b : budget_summary) ->
-                    {
-                      Profile.b_allotted = b.allotted;
-                      b_spent = b.spent;
-                      b_target_recall = b.target_recall;
-                      b_limited = b.budget_limited;
-                    })
-                  budget_summary)
-             ?ground_truth ?reconcile_error ())
-  in
   let degradation = report.Operator.degraded in
   (* The audit shortfall surfaces on the trace so the server's flight
      recorder can treat "finished but below the requested quality" as
@@ -363,19 +284,22 @@ let run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
   {
     report;
     plan;
-    counts;
+    counts = Cost_meter.counts meter;
     normalized_cost =
       (if source.length = 0 then 0.0
        else spent_total () /. float_of_int source.length);
     degradation;
     budget = budget_summary;
-    profile;
+    reconcile =
+      (fun snapshot ->
+        let names = Array.map (fun (s : Probe_tier.spec) -> s.name) tiers in
+        Cost_meter.reconcile_tiers snapshot ~names meter);
     elapsed_seconds = run_clock () -. run_start;
   }
 
 let run ~rng ?(planning = default_planning) ?(adaptive = false)
     ?(cost = Cost_model.paper) ?max_laxity ?budget ?deadline ?domains ?obs
-    ?emit ?collect ?profile ?on_task ~instance ?probe ?cascade ~requirements
+    ?emit ?collect ?on_task ~instance ?probe ?cascade ~requirements
     source =
   (match budget with
   | Some b when Float.is_nan b || b < 0.0 ->
@@ -399,14 +323,9 @@ let run ~rng ?(planning = default_planning) ?(adaptive = false)
         invalid_arg "Engine.run: pass either ~probe or ~cascade, not both"
     | None, None -> invalid_arg "Engine.run: a probe capability is required"
   in
-  (* Profiling diffs a metrics registry; conjure a private one when the
-     caller wants a profile but passed no [?obs]. *)
-  let obs =
-    match (obs, profile) with None, Some _ -> Some (Obs.create ()) | o, _ -> o
-  in
   let go ?pool () =
     run_with ?pool ~rng ~planning ~adaptive ~cost ?max_laxity ?budget
-      ?deadline ?obs ?emit ?collect ?profile ~instance ~cascade ~requirements
+      ?deadline ?obs ?emit ?collect ~instance ~cascade ~requirements
       source
   in
   match Domain_pool.resolve ?domains () with

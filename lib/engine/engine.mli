@@ -86,8 +86,13 @@ type 'o result = {
           run (all zeros without faults) *)
   budget : budget_summary option;
       (** present iff [?budget] or [?deadline] was passed *)
-  profile : Profile.t option;
-      (** present iff [?profile] was passed to {!run} *)
+  reconcile : Metrics.snapshot -> (unit, string) Stdlib.result;
+      (** [reconcile delta] checks a metric delta that covers exactly
+          this run against the run's meter: {!Cost_meter.reconcile_tiers}
+          with the cascade's tier names, so every [qaq.*] counter and
+          every [qaq.probe.tier.<name>.probes]/[.batches] counter must
+          equal the meter's count.  {!Profile.of_run} reports its
+          [Error] as [reconcile_error]. *)
   elapsed_seconds : float;
       (** end-to-end wall time of the run on the observability clock
           (the default clock without [?obs]) — for latency SLOs; not
@@ -96,17 +101,6 @@ type 'o result = {
 
 val degraded : 'o result -> bool
 (** [result.degradation.failed_probes > 0]. *)
-
-type 'o profiling
-(** What to profile: a report label and, optionally, a ground-truth
-    oracle for the quality audit. *)
-
-val profiling : ?label:string -> ?oracle:('o -> bool) -> unit -> 'o profiling
-(** [oracle o] must answer whether [o] belongs to the exact (precise)
-    answer; when given, the profile audits {e achieved} precision and
-    recall against the requested bounds.  The audit inspects
-    [report.answer], so it needs the default [collect:true].  [label]
-    defaults to ["run"]. *)
 
 (** {2 Running a query} *)
 
@@ -122,7 +116,6 @@ val run :
   ?obs:Obs.t ->
   ?emit:('o Operator.emitted -> unit) ->
   ?collect:bool ->
-  ?profile:'o profiling ->
   ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
   instance:'o Operator.instance ->
   ?probe:'o Probe_driver.t ->
@@ -192,12 +185,13 @@ val run :
     fallback can break them).
 
     The source ({!Scan_pipeline.t}) is the run's one input: the pilot
-    sample, the laxity cap, [|T|], the scan's cursor and the profile's
-    oracle audit all read it.  {!Scan_pipeline.store} plans and scans a
-    {!Column_store} directly, building only the sampled rows before the
-    scan, and is bit-for-bit {!Scan_pipeline.rows} over the store's rows
-    for every [domains] value (with [prune] off; pruning shrinks the
-    scan's [total] like a zone map does).  [instance] describes the
+    sample, the laxity cap, [|T|] and the scan's cursor all read it, and
+    so does {!Profile.of_run}'s oracle audit afterwards.
+    {!Scan_pipeline.store} plans and scans a {!Column_store} directly,
+    building only the sampled rows before the scan, and is bit-for-bit
+    {!Scan_pipeline.rows} over the store's rows for every [domains] value
+    (with [prune] off; pruning shrinks the scan's [total] like a zone map
+    does).  [instance] describes the
     source's objects.
 
     The engine accounts the whole run on one meter: the pilot sample's
@@ -226,16 +220,11 @@ val run :
     [domains > 1] it also carries [qaq.parallel.chunks], the
     [qaq.parallel.domains] gauge and one
     [qaq.parallel.domain<i>.busy_seconds] gauge per lane.
-    {!Cost_meter.reconcile} against [counts] checks the instrumentation
-    covers all metered work.
-
-    [profile] asks for a {!Profile.t} in the result: the run's metric
-    delta, cost counts (already reconciled — any mismatch lands in
-    [reconcile_error] rather than raising), spans, histogram quantiles
-    and the quality audit (see {!profiling}).  Profiling only reads
-    state the run produced anyway, so a profiled run is bit-for-bit
-    identical in answer and costs to an unprofiled one; when no [?obs]
-    is passed, a private registry is created for the diff.
+    The result's [reconcile] checks the instrumentation covers all
+    metered work.  A run's profile is a fold over what it produced:
+    {!Profile.of_run} diffs [obs] against a snapshot the caller took
+    before the call, reconciles the delta and audits the answer against
+    a ground-truth oracle.
 
     [on_task] is handed to the pool ({!Domain_pool.create}) when
     [domains > 1]; together with [Chrome_trace] it yields one timeline

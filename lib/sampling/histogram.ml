@@ -1,4 +1,12 @@
-let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
+(* [Float.min] and [Float.max] with the strict cases decided by one
+   comparison: the stdlib tests sign bits (a C call) whenever its first
+   comparison fails.  Ties and NaNs go to the stdlib, so every result,
+   -0.0 and NaN included, is the stdlib's bit for bit. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+
+let[@inline] fmax x y = if x < y then y else if y < x then x else Float.max x y
+
+let[@inline] clamp01 x = fmin 1.0 (fmax 0.0 x)
 
 module Hist1d = struct
   type t = {
@@ -40,9 +48,9 @@ module Hist1d = struct
     (lo, lo +. t.width)
 
   (* Fraction of bin [i] intersecting (a, b], assuming uniform mass. *)
-  let overlap t i a b =
-    let lo, hi = bin_range t i in
-    let l = Float.max lo a and h = Float.min hi b in
+  let[@inline] overlap t i a b =
+    let lo = t.lo +. (float_of_int i *. t.width) in
+    let l = fmax lo a and h = fmin (lo +. t.width) b in
     if h <= l then 0.0 else (h -. l) /. t.width
 
   let mass_between t a b =
@@ -127,7 +135,7 @@ module Hist2d = struct
       for cx = 0 to t.x_bins - 1 do
         let x_cell_lo = t.x_lo +. (float_of_int cx *. t.x_width) in
         let x_cell_hi = x_cell_lo +. t.x_width in
-        let x_frac = clamp01 ((x_cell_hi -. Float.max x_min x_cell_lo) /. t.x_width) in
+        let x_frac = clamp01 ((x_cell_hi -. fmax x_min x_cell_lo) /. t.x_width) in
         if x_frac > 0.0 then
           for cy = 0 to t.y_bins - 1 do
             let cell = t.cells.(cx).(cy) in
@@ -135,7 +143,7 @@ module Hist2d = struct
               let y_cell_lo = t.y_lo +. (float_of_int cy *. t.y_width) in
               let y_cell_hi = y_cell_lo +. t.y_width in
               let y_overlap =
-                Float.min y_cell_hi y_max -. Float.max y_cell_lo y_min
+                fmin y_cell_hi y_max -. fmax y_cell_lo y_min
               in
               let y_frac = clamp01 (y_overlap /. t.y_width) in
               if y_frac > 0.0 then begin
@@ -145,7 +153,7 @@ module Hist2d = struct
                    sub-range when the x_min cut crosses the cell. *)
                 let mx =
                   if x_frac >= 1.0 then cell.sum_x /. float_of_int cell.count
-                  else (Float.max x_min x_cell_lo +. x_cell_hi) /. 2.0
+                  else (fmax x_min x_cell_lo +. x_cell_hi) /. 2.0
                 in
                 mass := !mass +. m;
                 weighted_x := !weighted_x +. (m *. mx)

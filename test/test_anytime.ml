@@ -12,16 +12,16 @@ let data = Synthetic.generate (Rng.create 101) (Synthetic.config ~total ())
 
 let run ?budget ?deadline ?(domains = 1) () =
   Engine.run ~rng:(Rng.create 102) ~max_laxity:100.0 ~domains ?budget
-    ?deadline
-    ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-    ~instance:Synthetic.instance
+    ?deadline ~instance:Synthetic.instance
     ~probe:(Probe_driver.scalar Synthetic.probe)
     ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
 
-let achieved result =
-  match (Option.get result.Engine.profile).Profile.audit.Profile.achieved with
-  | Some a -> a
-  | None -> Alcotest.fail "expected an oracle audit"
+(* The oracle audit of a run over [data] (the module's own workload, or
+   the one a local ladder scans). *)
+let achieved ?(data = data) result =
+  Profile.achieved ~oracle:Synthetic.in_exact
+    (Scan_pipeline.rows ~instance:Synthetic.instance data)
+    result
 
 let summary result =
   match result.Engine.budget with
@@ -151,13 +151,12 @@ let test_adaptive_ladder () =
   let run ?budget () =
     let obs = Obs.create () in
     Engine.run ~rng:(Rng.create Standard_workload.engine_seed) ?budget
-      ~adaptive:true ~max_laxity:100.0 ~obs
-      ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-      ~instance:Synthetic.instance
+      ~adaptive:true ~max_laxity:100.0 ~obs ~instance:Synthetic.instance
       ~probe:(Probe_driver.of_scalar ~obs ~batch_size:batch Synthetic.probe)
       ~requirements:Standard_workload.requirements
       (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
+  let achieved = achieved ~data in
   let batch_cost =
     float_of_int batch
     *. (Cost_model.amortize ~batch Cost_model.paper).Cost_model.c_p

@@ -236,13 +236,15 @@ let prop_guarantees_survive_cascade =
       let cascade =
         synthetic_cascade ~obs ~specs:(specs2 ~power ()) ()
       in
+      let source = Scan_pipeline.rows ~instance:Synthetic.instance data in
+      let earlier = Obs.snapshot obs in
       let result =
         Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:100.0 ~obs
-          ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-          ~instance:Synthetic.instance ~cascade ~requirements
-          (Scan_pipeline.rows ~instance:Synthetic.instance data)
+          ~instance:Synthetic.instance ~cascade ~requirements source
       in
-      let profile = Option.get result.Engine.profile in
+      let profile =
+        Profile.of_run ~oracle:Synthetic.in_exact ~earlier obs source result
+      in
       let g = result.Engine.report.Operator.guarantees in
       match profile.Profile.audit.Profile.achieved with
       | None -> false
@@ -519,12 +521,18 @@ let test_proxy_sweep_economics () =
     Cost_model.make ~c_r:0.01 ~c_p:1.0 ~c_b:5.0 ~c_wi:0.1 ~c_wp:0.1 ()
   in
   let specs ~power = specs2 ~power ~proxy_cp:0.05 ~proxy_cb:0.5 () in
+  let source = Scan_pipeline.rows ~instance:(Interval_data.instance pred) data in
   let execute ~obs ?probe ?cascade () =
-    Engine.run ~rng:(Rng.create 809) ~max_laxity:30.0
-      ~planning:(Engine.Fixed probe_everything) ~cost ~obs
-      ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
-      ~instance:(Interval_data.instance pred) ?probe ?cascade ~requirements
-      (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
+    let earlier = Obs.snapshot obs in
+    let result =
+      Engine.run ~rng:(Rng.create 809) ~max_laxity:30.0
+        ~planning:(Engine.Fixed probe_everything) ~cost ~obs
+        ~instance:(Interval_data.instance pred) ?probe ?cascade ~requirements
+        source
+    in
+    ( result,
+      Profile.of_run ~oracle:(Interval_data.in_exact pred) ~earlier obs source
+        result )
   in
   let oracle_only () =
     let obs = Obs.create () in
@@ -559,21 +567,21 @@ let test_proxy_sweep_economics () =
            e.Operator.obj.Interval_data.id)
          r.Engine.report.Operator.answer)
   in
-  let oracle = oracle_only () in
-  let proxy90 = tiered 0.9 in
+  let ((oracle, _) as oracle_run) = oracle_only () in
+  let ((proxy90, _) as proxy90_run) = tiered 0.9 in
   List.iter
-    (fun (label, r) ->
+    (fun (label, (r, profile)) ->
       checkb (label ^ ": same answer ids as oracle-only") true
         (ids r = ids oracle);
       checkb (label ^ ": guarantees met") true
         (Quality.meets r.Engine.report.Operator.guarantees requirements);
       checkb (label ^ ": profile reconciles and passes its audit") true
-        (Profile.passed (Option.get r.Engine.profile)))
+        (Profile.passed profile))
     [
-      ("oracle-only", oracle);
+      ("oracle-only", oracle_run);
       ("proxy-0", tiered 0.0);
       ("proxy-50", tiered 0.5);
-      ("proxy-90", proxy90);
+      ("proxy-90", proxy90_run);
       ("proxy-outage", proxy_outage 0.9);
     ];
   let ratio =

@@ -72,7 +72,7 @@ let test_sibling_survival () =
 
 (* --- acceptance: 20% permanent failure ------------------------------- *)
 
-let faulted_engine_run ?(domains = 1) ?obs ?profile ~total ~fault_seed
+let faulted_engine_run ?(domains = 1) ?obs ~total ~fault_seed
     ~transient_rate ~permanent_rate ~engine_seed () =
   let data =
     Synthetic.generate (Rng.create 51) (Synthetic.config ~total ())
@@ -84,11 +84,26 @@ let faulted_engine_run ?(domains = 1) ?obs ?profile ~total ~fault_seed
   let source = Probe_source.create ?obs ~max_retries:2 ~faults Synthetic.probe in
   let result =
     Engine.run ~rng:(Rng.create engine_seed) ~max_laxity:100.0 ~domains
-      ?obs ?profile ~instance:Synthetic.instance
+      ?obs ~instance:Synthetic.instance
       ~probe:(Probe_source.driver ?obs ~batch_size:16 source)
       ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
   (result, data)
+
+(* The oracle-audited profile of a [faulted_engine_run] on a registry
+   of its own. *)
+let profiled_faulted_run ~total ~fault_seed ~transient_rate ~permanent_rate
+    ~engine_seed () =
+  let obs = Obs.create () in
+  let earlier = Obs.snapshot obs in
+  let ((result, data) as run) =
+    faulted_engine_run ~obs ~total ~fault_seed ~transient_rate ~permanent_rate
+      ~engine_seed ()
+  in
+  ( run,
+    Profile.of_run ~oracle:Synthetic.in_exact ~earlier obs
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
+      result )
 
 (* The oracle recount an honest degradation summary must agree with. *)
 let recount (result, data) =
@@ -105,12 +120,9 @@ let recount (result, data) =
   (in_exact, exact, p, r)
 
 let test_engine_survives_20pct_permanent () =
-  let obs = Obs.create () in
-  let ((result, _) as run) =
-    faulted_engine_run ~obs
-      ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-      ~total:2000 ~fault_seed:7 ~transient_rate:0.0 ~permanent_rate:0.2
-      ~engine_seed:52 ()
+  let ((result, _) as run), profile =
+    profiled_faulted_run ~total:2000 ~fault_seed:7 ~transient_rate:0.0
+      ~permanent_rate:0.2 ~engine_seed:52 ()
   in
   let d = result.Engine.degradation in
   checkb "run completed with failures" true (d.Engine.failed_probes > 0);
@@ -122,11 +134,6 @@ let test_engine_survives_20pct_permanent () =
     (float_of_int d.Engine.failed_attempts *. Cost_model.paper.Cost_model.c_p)
     d.Engine.wasted_cost;
   checkb "before-snapshot captured" true (d.Engine.guarantees_before <> None);
-  let profile =
-    match result.Engine.profile with
-    | Some p -> p
-    | None -> Alcotest.fail "expected a profile"
-  in
   checki "audit flags the degradation" d.Engine.failed_probes
     profile.Profile.audit.Profile.degraded_probes;
   checkb "meter reconciles under faults" true
@@ -187,6 +194,7 @@ let test_wasted_cost_amortizes_batch_setup () =
    and the zero-rate plan is bit-for-bit the unfaulted run. *)
 let test_fault_sweep_invariants () =
   let data = Standard_workload.data () in
+  let scan = Scan_pipeline.rows ~instance:Synthetic.instance data in
   let run ?faults () =
     let obs = Obs.create () in
     let source =
@@ -195,13 +203,14 @@ let test_fault_sweep_invariants () =
       | Some f ->
           Probe_source.create ~obs ~max_retries:2 ~faults:f Synthetic.probe
     in
-    Engine.run ~rng:(Rng.create Standard_workload.engine_seed)
-      ~max_laxity:100.0 ~obs
-      ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-      ~instance:Synthetic.instance
-      ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
-      ~requirements:Standard_workload.requirements
-      (Scan_pipeline.rows ~instance:Synthetic.instance data)
+    let earlier = Obs.snapshot obs in
+    let result =
+      Engine.run ~rng:(Rng.create Standard_workload.engine_seed)
+        ~max_laxity:100.0 ~obs ~instance:Synthetic.instance
+        ~probe:(Probe_source.driver ~obs ~batch_size:16 source)
+        ~requirements:Standard_workload.requirements scan
+    in
+    (result, Profile.of_run ~oracle:Synthetic.in_exact ~earlier obs scan result)
   in
   let fingerprint result =
     ( answer_ids result,
@@ -209,17 +218,16 @@ let test_fault_sweep_invariants () =
       result.Engine.report.Operator.guarantees,
       result.Engine.normalized_cost )
   in
-  let baseline = run () in
+  let baseline, _ = run () in
   List.iter
     (fun rate ->
       let faults =
         Fault_plan.make ~seed:1337 ~permanent_rate:rate
           ~transient_rate:(rate /. 2.0) ~max_retries:2 ()
       in
-      let result = run ~faults () in
+      let result, profile = run ~faults () in
       let tag what = Printf.sprintf "%s (rate %g)" what rate in
       let d = result.Engine.degradation in
-      let profile = Option.get result.Engine.profile in
       checkb (tag "meter reconciles") true
         (profile.Profile.reconcile_error = None);
       checkb (tag "degraded flag agrees with failed probes") true
@@ -254,15 +262,12 @@ let prop_degraded_audit_honest =
   QCheck2.Test.make ~name:"degraded audit matches the oracle recount" ~count:8
     QCheck2.Gen.(pair (int_range 1 10_000) (int_range 0 25))
     (fun (fault_seed, pct) ->
-      let ((result, _) as run) =
-        faulted_engine_run
-          ~profile:(Engine.profiling ~oracle:Synthetic.in_exact ())
-          ~total:600 ~fault_seed
+      let ((result, _) as run), profile =
+        profiled_faulted_run ~total:600 ~fault_seed
           ~transient_rate:(float_of_int pct /. 200.0)
           ~permanent_rate:(float_of_int pct /. 100.0)
           ~engine_seed:(fault_seed + 1) ()
       in
-      let profile = Option.get result.Engine.profile in
       let in_exact, exact, p, r = recount run in
       match profile.Profile.audit.Profile.achieved with
       | None -> false
@@ -368,6 +373,7 @@ let interval_run ?cascade_power ?faults ~seed () =
     Interval_data.uniform_intervals (Rng.create seed) ~n:500
       ~value_range:(Interval.make 0.0 100.0) ~max_width:30.0
   in
+  let scan = Scan_pipeline.rows ~instance:(Interval_data.instance pred) data in
   let obs = Obs.create () in
   (* Reads priced near zero: the dominance property is about probe
      economics, and the two runs' early-stop points may differ by a few
@@ -375,6 +381,7 @@ let interval_run ?cascade_power ?faults ~seed () =
      Region-policy decisions never read the cost model, so this changes
      no decision. *)
   let cost = Cost_model.make ~c_r:0.01 ~c_p:1.0 ~c_b:5.0 ~c_wi:0.1 ~c_wp:0.1 () in
+  let earlier = Obs.snapshot obs in
   let result =
     match cascade_power with
     | None ->
@@ -387,11 +394,9 @@ let interval_run ?cascade_power ?faults ~seed () =
         in
         Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
           ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~obs
-          ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
           ~instance:(Interval_data.instance pred)
           ~probe:(Probe_source.driver ~obs ~batch_size:8 source)
-          ~requirements:interval_requirements
-          (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
+          ~requirements:interval_requirements scan
     | Some power ->
         let cascade, _sources =
           Tiered.of_functions ~obs ?faults ~max_retries:2
@@ -400,12 +405,12 @@ let interval_run ?cascade_power ?faults ~seed () =
         in
         Engine.run ~rng:(Rng.create (seed + 1)) ~max_laxity:30.0
           ~planning:(Engine.Fixed Policy.greedy_params) ~cost ~obs
-          ~profile:(Engine.profiling ~oracle:(Interval_data.in_exact pred) ())
           ~instance:(Interval_data.instance pred)
-          ~cascade ~requirements:interval_requirements
-          (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
+          ~cascade ~requirements:interval_requirements scan
   in
-  (result, obs)
+  ( result,
+    Profile.of_run ~oracle:(Interval_data.in_exact pred) ~earlier obs scan
+      result )
 
 (* (d) Cost dominance: with an effective proxy in front of the oracle,
    the same Fixed plan and the same seed, the metered total of the
@@ -417,20 +422,20 @@ let prop_tiered_cost_dominates =
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let oracle_only, _ = interval_run ~seed () in
-      let tiered, _ = interval_run ~cascade_power:0.9 ~seed () in
+      let tiered, profile = interval_run ~cascade_power:0.9 ~seed () in
       tiered.Engine.normalized_cost
       <= oracle_only.Engine.normalized_cost +. 1e-9
       && Quality.meets oracle_only.Engine.report.Operator.guarantees
            interval_requirements
       && Quality.meets tiered.Engine.report.Operator.guarantees
            interval_requirements
-      && (Option.get tiered.Engine.profile).Profile.reconcile_error = None)
+      && profile.Profile.reconcile_error = None)
 
 (* (e) The per-tier meter and the qaq.probe.tier.* counters reconcile
    whatever the fault mix — failed attempts are neither metered nor
    counted at any tier, so injection cannot skew the accountings
-   apart.  The engine's profile audit runs reconcile_tiers when a
-   cascade is present, so one flag covers both layers. *)
+   apart.  The profile's reconcile runs reconcile_tiers over the run's
+   cascade, so one flag covers both layers. *)
 let prop_tier_meter_reconciles_under_faults =
   QCheck2.Test.make
     ~name:"per-tier meter reconciles with metrics under faults" ~count:8
@@ -442,10 +447,10 @@ let prop_tier_meter_reconciles_under_faults =
           ~permanent_rate:(float_of_int pct /. 150.0)
           ~max_retries:2 ()
       in
-      let result, _ =
+      let _, profile =
         interval_run ~cascade_power:0.8 ~faults ~seed:(fault_seed + 3) ()
       in
-      match (Option.get result.Engine.profile).Profile.reconcile_error with
+      match profile.Profile.reconcile_error with
       | None -> true
       | Some msg -> QCheck2.Test.fail_report msg)
 

@@ -441,8 +441,8 @@ let test_engine_reconciles () =
    shrinks, failovers and degradations all occur) run two at a time on
    one shared registry: every qaq.* base counter equals the sum of the
    runs' meter counts, every per-tier counter the sum over the same runs
-   on private registries (whose profiles reconcile the per-tier probes
-   and batches with their meters), and the MAYBE histograms' counts,
+   on private registries (each reconciled per tier with its run's meter
+   by [result.reconcile]), and the MAYBE histograms' counts,
    buckets and extrema the merge of the private ones. *)
 let test_concurrent_runs_sum_exactly () =
   let pred = Predicate.ge 60.0 in
@@ -462,7 +462,7 @@ let test_concurrent_runs_sum_exactly () =
     Quality.requirements ~precision:0.85 ~recall:0.7 ~laxity:20.0
   in
   let runs = 4 in
-  let run ?profile obs i =
+  let run obs i =
     let faults =
       Fault_plan.make ~seed:(70 + i) ~transient_rate:0.05
         ~permanent_rate:0.05 ~max_retries:1 ()
@@ -473,8 +473,7 @@ let test_concurrent_runs_sum_exactly () =
     in
     let result =
       Engine.run ~rng:(Rng.create (80 + i)) ~max_laxity:30.0 ~domains:1
-        ~obs ?profile ~instance:(Interval_data.instance pred) ~cascade
-        ~requirements
+        ~obs ~instance:(Interval_data.instance pred) ~cascade ~requirements
         (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
     in
     (result, Cascade.stats cascade)
@@ -491,18 +490,18 @@ let test_concurrent_runs_sum_exactly () =
   let privates =
     Array.init runs (fun i ->
         let obs = Obs.create () in
-        let result, _ = run ~profile:(Engine.profiling ()) obs i in
+        let result, _ = run obs i in
         (result, Obs.snapshot obs))
   in
   let snap = Obs.snapshot shared in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   Array.iteri
-    (fun i (r, _) ->
+    (fun i (r, s) ->
       checkb (Printf.sprintf "run %d: same counts alone" i) true
         (r.Engine.counts = results.(i).Engine.counts);
-      Alcotest.(check (option string))
+      Alcotest.(check (result unit string))
         (Printf.sprintf "run %d: private per-tier registry reconciles" i)
-        None (Option.get r.Engine.profile).Profile.reconcile_error)
+        (Ok ()) (r.Engine.reconcile s))
     privates;
   List.iter
     (fun (key, f) -> checki key (sum f) (Metrics.count_of snap key))

@@ -655,6 +655,66 @@ let prop_solver_matches_reference =
       && same_dual (Solver.solve_dual ~budget t)
            (Reference_solver.solve_dual density ~budget t))
 
+(* The histogram's range queries are the pinned copies in
+   [Reference_density] bit for bit: random fills (empty ones included,
+   values past either edge landing in the boundary bins) queried at
+   random bounds, the edges themselves, -0.0, infinities and NaN. *)
+let prop_histogram_matches_reference =
+  let module R = Reference_density.Histogram_ref in
+  QCheck2.Test.make
+    ~name:"histogram range queries are the pinned copies bit for bit"
+    ~count:200 ~print:(Printf.sprintf "histogram seed %d")
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let bound lo hi =
+        match Rng.int rng 9 with
+        | 0 -> Float.nan
+        | 1 -> -0.0
+        | 2 -> Float.infinity
+        | 3 -> Float.neg_infinity
+        | 4 -> lo
+        | 5 -> hi
+        | _ -> Rng.uniform_in rng (lo -. 5.0) (hi +. 5.0)
+      in
+      let lo = Rng.uniform_in rng (-10.0) 10.0 in
+      let hi = lo +. Rng.uniform_in rng 0.5 100.0 in
+      let bins = 1 + Rng.int rng 9 in
+      let h = Histogram.Hist1d.create ~lo ~hi ~bins
+      and r = R.Hist1d.create ~lo ~hi ~bins in
+      for _ = 1 to Rng.int rng 60 do
+        let v = Rng.uniform_in rng (lo -. 10.0) (hi +. 10.0) in
+        Histogram.Hist1d.add h v;
+        R.Hist1d.add r v
+      done;
+      let x_lo = Rng.uniform_in rng (-1.0) 0.5 in
+      let x_hi = x_lo +. Rng.uniform_in rng 0.1 2.0 in
+      let y_hi = Rng.uniform_in rng 1.0 200.0 in
+      let x_bins = 1 + Rng.int rng 9 and y_bins = 1 + Rng.int rng 9 in
+      let h2 =
+        Histogram.Hist2d.create ~x_lo ~x_hi ~x_bins ~y_lo:0.0 ~y_hi ~y_bins
+      and r2 = R.Hist2d.create ~x_lo ~x_hi ~x_bins ~y_lo:0.0 ~y_hi ~y_bins in
+      for _ = 1 to Rng.int rng 60 do
+        let x = Rng.uniform_in rng (x_lo -. 0.5) (x_hi +. 0.5)
+        and y = Rng.uniform_in rng (-10.0) (y_hi +. 10.0) in
+        Histogram.Hist2d.add h2 ~x ~y;
+        R.Hist2d.add r2 ~x ~y
+      done;
+      List.for_all
+        (fun _ ->
+          let a = bound lo hi and b = bound lo hi in
+          let x_min = bound x_lo x_hi
+          and y_min = bound 0.0 y_hi
+          and y_max = bound 0.0 y_hi in
+          let live = Histogram.Hist2d.region h2 ~x_min ~y_min ~y_max
+          and pinned = R.Hist2d.region r2 ~x_min ~y_min ~y_max in
+          same (Histogram.Hist1d.mass_between h a b) (R.Hist1d.mass_between r a b)
+          && same (Histogram.Hist1d.mass_above h a) (R.Hist1d.mass_above r a)
+          && same live.mass pinned.mass
+          && same live.mean_x pinned.mean_x)
+        (List.init 40 Fun.id))
+
 (* The simplex allocates per iteration only the objective's boxed return
    values: at most n + 2 = 6 evaluations an iteration in 4-D (reflect,
    expand or contract, and a shrink of n vertices), 2 words each, so 12
@@ -682,38 +742,66 @@ let test_nelder_mead_allocation () =
     (Printf.sprintf "%.1f words per iteration <= 16" per_iteration)
     true (per_iteration <= 16.0)
 
-(* A solve allocates little beyond the objective's boxed return values
-   (2 words an evaluation): regions are filled in place and the clamps
-   return unboxed.  Over the 27 problems shaped like the server's warm
-   workload (|T| = 10,000, B = 8, paper costs, uniform density, p x r x l
-   in {0.8, 0.9, 0.95} x {0.5, 0.6, 0.8} x {30, 50, 80}) a solve took
-   53,546 words; with a fresh region record per density call and boxed
-   clamps it took 502,534. *)
-let test_solve_allocation () =
-  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
-  let problems =
-    List.concat_map
-      (fun precision ->
-        List.concat_map
-          (fun recall ->
-            List.map
-              (fun laxity ->
-                Solver.problem ~total:10_000 ~spec ~batch:8
-                  ~requirements:
-                    (Quality.requirements ~precision ~recall ~laxity)
-                  ())
-              [ 30.0; 50.0; 80.0 ])
-          [ 0.5; 0.6; 0.8 ])
-      [ 0.8; 0.9; 0.95 ]
-  in
+(* The 27 problems shaped like the server's warm workload: |T| =
+   10,000, B = 8, paper costs, p x r x l in {0.8, 0.9, 0.95} x
+   {0.5, 0.6, 0.8} x {30, 50, 80}. *)
+let warm_problems spec =
+  List.concat_map
+    (fun precision ->
+      List.concat_map
+        (fun recall ->
+          List.map
+            (fun laxity ->
+              Solver.problem ~total:10_000 ~spec ~batch:8
+                ~requirements:(Quality.requirements ~precision ~recall ~laxity)
+                ())
+            [ 30.0; 50.0; 80.0 ])
+        [ 0.5; 0.6; 0.8 ])
+    [ 0.8; 0.9; 0.95 ]
+
+let words_per_solve problems =
   let before = Gc.minor_words () in
   List.iter (fun t -> ignore (Solver.solve t)) problems;
+  (Gc.minor_words () -. before) /. float_of_int (List.length problems)
+
+(* A solve allocates little beyond the objective's boxed return values
+   (2 words an evaluation): regions are filled in place and the clamps
+   return unboxed.  Over the warm problems with the uniform density a
+   solve took 53,546 words; with a fresh region record per density call
+   and boxed clamps it took 502,534. *)
+let test_solve_allocation () =
   let per_solve =
-    (Gc.minor_words () -. before) /. float_of_int (List.length problems)
+    words_per_solve
+      (warm_problems
+         (Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0))
   in
   checkb
     (Printf.sprintf "%.0f words per solve <= 100,000" per_solve)
     true (per_solve <= 100_000.0)
+
+(* The warm problems over the histogram density a 1% pilot of a
+   20,000-object workload estimates (default bins).  Each density call
+   still returns a fresh region record and a boxed float, but the
+   histogram's per-cell clamps and bounds no longer call the stdlib's
+   [Float.min]/[Float.max] (and through them [caml_signbit]): a solve
+   took 334,699 words, against 2,742,276 before. *)
+let test_histogram_solve_allocation () =
+  let sample =
+    Synthetic.generate (Rng.create 17)
+      (Synthetic.config ~total:200 ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 ())
+  in
+  let estimate =
+    Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:100.0 sample
+  in
+  let per_solve =
+    words_per_solve
+      (warm_problems
+         (Region_model.spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0
+            ~density:(Density.of_estimate estimate)))
+  in
+  checkb
+    (Printf.sprintf "%.0f words per histogram solve <= 500,000" per_solve)
+    true (per_solve <= 500_000.0)
 
 let suite =
   [
@@ -729,8 +817,10 @@ let suite =
     ("nelder-mead box constraints", `Quick, test_nelder_mead_respects_box);
     ("nelder-mead allocation per iteration", `Quick, test_nelder_mead_allocation);
     ("solve allocation", `Quick, test_solve_allocation);
+    ("histogram solve allocation", `Quick, test_histogram_solve_allocation);
     QCheck_alcotest.to_alcotest prop_nelder_mead_matches_reference;
     QCheck_alcotest.to_alcotest prop_solver_matches_reference;
+    QCheck_alcotest.to_alcotest prop_histogram_matches_reference;
     ("better tie-break on equal violation", `Quick, test_better_tie_break);
     ("dual: ample budget is the primal plan", `Quick,
      test_dual_ample_budget_matches_primal);

@@ -143,9 +143,10 @@ let test_json_validator () =
 
 let requirements = Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
 
-(* One profiled-or-plain run.  [metered] attaches an observability
+(* One plain-or-profiled run.  [metered] attaches an observability
    capability to the engine and its driver, as an instrumented
-   deployment would. *)
+   deployment would; a profiled run always hands the engine a registry
+   to fold over. *)
 type input = {
   label : string;
   data : Synthetic.obj array;
@@ -157,14 +158,23 @@ type input = {
   domains : int;
 }
 
-let run_engine ?profile input =
-  let obs = if input.metered then Some (Obs.create ()) else None in
+let source input = Scan_pipeline.rows ~instance:Synthetic.instance input.data
+
+let run_engine ?obs input =
+  let driver_obs = if input.metered then obs else None in
   Engine.run ~rng:(Rng.create input.seed) ~adaptive:input.adaptive
-    ~max_laxity:100.0 ~domains:input.domains ?obs ?profile
+    ~max_laxity:100.0 ~domains:input.domains ?obs
     ~instance:Synthetic.instance
-    ~probe:(Probe_driver.of_scalar ?obs ~batch_size:input.batch Synthetic.probe)
-    ~requirements:input.requirements
-    (Scan_pipeline.rows ~instance:Synthetic.instance input.data)
+    ~probe:
+      (Probe_driver.of_scalar ?obs:driver_obs ~batch_size:input.batch
+         Synthetic.probe)
+    ~requirements:input.requirements (source input)
+
+let profiled_run ?label ?oracle input =
+  let obs = Obs.create () in
+  let earlier = Obs.snapshot obs in
+  let result = run_engine ~obs input in
+  (result, Profile.of_run ?label ?oracle ~earlier obs (source input) result)
 
 (* This file's own workload at B = 4 on one and two domains, then the
    standard workload under every standard configuration, metered. *)
@@ -189,12 +199,12 @@ let inputs =
 let test_profiled_run_is_pure () =
   List.iter
     (fun input ->
-      let plain = run_engine input in
-      let profiled =
-        run_engine
-          ~profile:
-            (Engine.profiling ~label:input.label ~oracle:Synthetic.in_exact ())
+      let plain =
+        run_engine ?obs:(if input.metered then Some (Obs.create ()) else None)
           input
+      in
+      let profiled, p =
+        profiled_run ~label:input.label ~oracle:Synthetic.in_exact input
       in
       let tag msg =
         Printf.sprintf "%s (%s, seed %d, domains=%d)" msg input.label
@@ -213,55 +223,51 @@ let test_profiled_run_is_pure () =
       checkb (tag "same guarantees") true
         (plain.Engine.report.Operator.guarantees
         = profiled.Engine.report.Operator.guarantees);
-      checkb (tag "plain run has no profile") true
-        (plain.Engine.profile = None);
-      match profiled.Engine.profile with
-      | None -> Alcotest.fail (tag "profiled run returned no profile")
-      | Some p ->
-          checkb (tag "counters reconcile") true
-            (p.Profile.reconcile_error = None);
-          checkb (tag "audit passed") true (Profile.passed p))
+      checkb (tag "counters reconcile") true (p.Profile.reconcile_error = None);
+      checkb (tag "audit passed") true (Profile.passed p))
     inputs
 
 (* ---- audit arithmetic --------------------------------------------- *)
 
-let mk_counts =
-  {
-    Profile.reads = 100;
-    probes = 10;
-    batches = 3;
-    writes_imprecise = 0;
-    writes_precise = 0;
-  }
-
-let make_profile ?reconcile_error ~answer_size ~ground_truth () =
-  Profile.make ~counts:mk_counts ~snapshot:[] ~requested_precision:0.8
-    ~requested_recall:0.5 ~guaranteed_precision:0.9 ~guaranteed_recall:0.6
-    ~guarantees_met:true ~answer_size ~ground_truth ?reconcile_error ()
-
+(* The achieved rates are the oracle's counts over the answer and over
+   the source, recounted here independently; a pass is achieved >=
+   requested. *)
 let test_audit_math () =
-  let p = make_profile ~answer_size:10 ~ground_truth:(9, 12) () in
+  let input = List.hd inputs in
+  let result, p = profiled_run ~oracle:Synthetic.in_exact input in
+  let answer = result.Engine.report.Operator.answer in
+  let answer_in_exact =
+    List.length
+      (List.filter (fun (e : _ Operator.emitted) -> Synthetic.in_exact e.obj)
+         answer)
+  in
+  let exact_size = Synthetic.exact_size input.data in
+  let precision =
+    float_of_int answer_in_exact /. float_of_int (List.length answer)
+  and recall = float_of_int answer_in_exact /. float_of_int exact_size in
   (match p.Profile.audit.achieved with
   | None -> Alcotest.fail "achieved missing despite ground truth"
   | Some a ->
-      checki "answer_in_exact" 9 a.Profile.answer_in_exact;
-      checki "exact_size" 12 a.Profile.exact_size;
-      checkf 1e-12 "achieved precision" 0.9 a.Profile.achieved_precision;
-      checkf 1e-12 "achieved recall" 0.75 a.Profile.achieved_recall;
+      checki "answer_in_exact" answer_in_exact a.Profile.answer_in_exact;
+      checki "exact_size" exact_size a.Profile.exact_size;
+      checkf 1e-12 "achieved precision" precision a.Profile.achieved_precision;
+      checkf 1e-12 "achieved recall" recall a.Profile.achieved_recall;
       checkb "precision passes" true a.Profile.precision_pass;
       checkb "recall passes" true a.Profile.recall_pass);
   checkb "audit passed" true (Profile.audit_passed p);
   checkb "profile passed" true (Profile.passed p);
-  (* Missed precision: 6/10 = 0.6 < 0.8 requested. *)
-  let miss = make_profile ~answer_size:10 ~ground_truth:(6, 12) () in
-  (match miss.Profile.audit.achieved with
-  | Some a -> checkb "precision fails" false a.Profile.precision_pass
-  | None -> Alcotest.fail "achieved missing");
-  checkb "missed audit fails the profile" false (Profile.passed miss);
+  (* Missed precision: an oracle that accepts nothing puts the achieved
+     precision of a non-empty answer at 0 < 0.9 requested. *)
+  let miss = Profile.achieved ~oracle:(fun _ -> false) (source input) result in
+  checkb "non-empty answer" true (answer <> []);
+  checkf 0.0 "nothing exact: precision 0" 0.0 miss.Profile.achieved_precision;
+  checkb "precision fails" false miss.Profile.precision_pass;
+  checkb "missed audit fails the profile" false
+    (Profile.passed
+       { p with audit = { p.Profile.audit with achieved = Some miss } });
   (* A reconcile error fails the profile even when the audit is clean. *)
   let r =
-    make_profile ~reconcile_error:"qaq.reads: metrics say 1, meter says 2"
-      ~answer_size:10 ~ground_truth:(9, 12) ()
+    { p with reconcile_error = Some "qaq.reads: metrics say 1, meter says 2" }
   in
   checkb "audit still passes" true (Profile.audit_passed r);
   checkb "reconcile error fails the profile" false (Profile.passed r)
@@ -269,10 +275,13 @@ let test_audit_math () =
 (* Degenerate denominators follow Quality.Diagnostics: an empty answer
    is vacuously precise, an empty exact answer fully recalled. *)
 let test_audit_degenerate () =
-  let p = make_profile ~answer_size:0 ~ground_truth:(0, 0) () in
+  let input = { (List.hd inputs) with data = [||] } in
+  let result, p = profiled_run ~oracle:Synthetic.in_exact input in
+  checki "empty answer" 0 result.Engine.report.Operator.answer_size;
   match p.Profile.audit.achieved with
   | None -> Alcotest.fail "achieved missing"
   | Some a ->
+      checki "empty exact answer" 0 a.Profile.exact_size;
       checkf 0.0 "empty answer precision" 1.0 a.Profile.achieved_precision;
       checkf 0.0 "empty exact recall" 1.0 a.Profile.achieved_recall;
       checkb "both pass" true (a.Profile.precision_pass && a.Profile.recall_pass)
@@ -283,23 +292,24 @@ let instrumented_run () =
   let data =
     Synthetic.generate (Rng.create 81) (Synthetic.config ~total:2000 ())
   in
+  let source = Scan_pipeline.rows ~instance:Synthetic.instance data in
   let obs = Obs.create () in
+  let earlier = Obs.snapshot obs in
   let result =
     Engine.run ~rng:(Rng.create 82) ~max_laxity:100.0 ~obs
-      ~profile:(Engine.profiling ~label:"instrumented" ~oracle:Synthetic.in_exact ())
       ~instance:Synthetic.instance
       ~probe:(Probe_driver.of_scalar ~obs ~batch_size:4 Synthetic.probe)
-      ~requirements (Scan_pipeline.rows ~instance:Synthetic.instance data)
+      ~requirements source
   in
-  (result, Option.get result.Engine.profile)
+  ( result,
+    Profile.of_run ~label:"instrumented" ~oracle:Synthetic.in_exact ~earlier
+      obs source result )
 
 let test_profile_of_run () =
   let result, p = instrumented_run () in
   Alcotest.(check string) "label" "instrumented" p.Profile.label;
-  checki "profile reads mirror the meter" result.Engine.counts.Cost_meter.reads
-    p.Profile.counts.Profile.reads;
-  checki "profile probes mirror the meter"
-    result.Engine.counts.Cost_meter.probes p.Profile.counts.Profile.probes;
+  checkb "profile counts are the meter's" true
+    (Profile.(p.counts) = result.Engine.counts);
   checkf 1e-12 "requested precision" 0.9
     p.Profile.audit.Profile.requested_precision;
   checkb "guarantees met" true p.Profile.audit.Profile.guarantees_met;
@@ -331,6 +341,81 @@ let test_profile_of_run () =
   let text = Profile.render p in
   checkb "render mentions the quality audit" true
     (contains text "quality audit")
+
+(* ---- the fold's two contracts -------------------------------------- *)
+
+let tiered_specs =
+  [|
+    { Probe_tier.name = "proxy"; kind = Probe_tier.Shrink { power = 0.8 };
+      c_p = 0.1; c_b = 1.0; batch = 16 };
+    { Probe_tier.name = "oracle"; kind = Probe_tier.Resolve; c_p = 1.0;
+      c_b = 5.0; batch = 8 };
+  |]
+
+(* One adaptive run through a proxy+oracle cascade instrumented on
+   [obs], folded against the snapshot taken just before it. *)
+let tiered_profile ~seed obs =
+  let data =
+    Synthetic.generate (Rng.create 61) (Synthetic.config ~total:1500 ())
+  in
+  let source = Scan_pipeline.rows ~instance:Synthetic.instance data in
+  let cascade, _ =
+    Tiered.of_functions ~obs ~specs:tiered_specs
+      ~narrow:(fun ~power o -> Synthetic.shrink ~power o)
+      ~resolve:Synthetic.probe ()
+  in
+  let earlier = Obs.snapshot obs in
+  let result =
+    Engine.run ~rng:(Rng.create seed) ~adaptive:true ~max_laxity:100.0 ~obs
+      ~instance:Synthetic.instance ~cascade ~requirements source
+  in
+  (obs, source, result, earlier)
+
+let fold (obs, source, result, earlier) =
+  Profile.of_run ~oracle:Synthetic.in_exact ~earlier obs source result
+
+(* A registry shared with an earlier run still profiles the second run
+   alone: the fold against the snapshot taken just before it equals the
+   same run's profile on a registry of its own. *)
+let test_shared_registry_profiles_one_run () =
+  let shared = Obs.create () in
+  let first = fold (tiered_profile ~seed:62 shared) in
+  let second = fold (tiered_profile ~seed:63 shared) in
+  let alone = fold (tiered_profile ~seed:63 (Obs.create ())) in
+  let calls p =
+    List.map (fun r -> (r.Profile.span_name, r.Profile.calls)) p.Profile.spans
+  in
+  checkb "the first run did work" true (Profile.(first.counts).reads > 0);
+  checkb "same counts" true (Profile.(second.counts = alone.counts));
+  checkb "same span call counts" true (calls second = calls alone);
+  checkb "spans present" true (calls alone <> []);
+  checkb "same audit" true (second.Profile.audit = alone.Profile.audit);
+  Alcotest.(check (option string))
+    "shared registry reconciles" None second.Profile.reconcile_error;
+  Alcotest.(check (option string))
+    "private registry reconciles" None alone.Profile.reconcile_error;
+  checki "same probe counter delta"
+    (Metrics.count_of alone.Profile.snapshot Obs.Keys.probes)
+    (Metrics.count_of second.Profile.snapshot Obs.Keys.probes)
+
+(* The per-tier reconcile catches a counter the meter never charged:
+   one extra proxy probe on the registry names that key and fails the
+   profile. *)
+let test_tier_mismatch_is_caught () =
+  let ((obs, _, _, _) as run) = tiered_profile ~seed:64 (Obs.create ()) in
+  let key = Obs.Keys.tier_probes "proxy" in
+  let clean = fold run in
+  checkb "the proxy probed" true (Metrics.count_of clean.Profile.snapshot key > 0);
+  Alcotest.(check (option string))
+    "reconciles before the bump" None clean.Profile.reconcile_error;
+  Metrics.add (Obs.counter obs key) 1;
+  let p = fold run in
+  (match p.Profile.reconcile_error with
+  | None -> Alcotest.fail "a per-tier mismatch went unreported"
+  | Some msg ->
+      checkb (Printf.sprintf "%S names %s" msg key) true (contains msg key));
+  checkb "audit itself still passes" true (Profile.audit_passed p);
+  checkb "the profile fails" false (Profile.passed p)
 
 (* ---- Chrome-trace export ------------------------------------------ *)
 
@@ -375,6 +460,9 @@ let suite =
     ("audit arithmetic", `Quick, test_audit_math);
     ("audit degenerate denominators", `Quick, test_audit_degenerate);
     ("profile of an instrumented run", `Quick, test_profile_of_run);
+    ("shared registry profiles one run", `Quick,
+     test_shared_registry_profiles_one_run);
+    ("per-tier mismatch is caught", `Quick, test_tier_mismatch_is_caught);
     ("chrome trace export", `Quick, test_chrome_trace_export);
     ("chrome trace lane validation", `Quick, test_chrome_trace_lane_validation);
   ]
