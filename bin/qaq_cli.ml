@@ -451,7 +451,7 @@ let trial_run seed total (f_y, f_m) max_laxity p_q r_q l_q policy repetitions
         results);
   match (obs, metrics_file) with
   | Some o, Some path ->
-      save_text path (Metrics.to_json (Obs.snapshot o) ^ "\n");
+      save_text path (Metrics.to_json (Obs.snapshot o));
       Format.printf "metrics written to %s@." path
   | _ -> ()
 
@@ -694,7 +694,7 @@ let query_run seed data_path ges les betweens (layout, prune) p_q r_q l_q batch
   print_budget_summary result;
   match (obs, metrics_file) with
   | Some o, Some path ->
-      save_text path (Metrics.to_json (Obs.snapshot o) ^ "\n");
+      save_text path (Metrics.to_json (Obs.snapshot o));
       Format.printf "metrics written to %s@." path
   | _ -> ()
 

@@ -1,14 +1,17 @@
 (* Shared probe capacity behind a monitor (one mutex + one condition
    variable).  All broker state is touched only with the lock held; the
-   backend resolver runs outside the lock, guarded by the [dispatching]
-   flag so only one domain talks to the backend at a time.
+   backend resolvers run outside the lock, and the [in_flight] count
+   keeps at most [rounds] dispatch rounds talking to the backends at
+   once (one by default).
 
    Liveness invariant: a request a client is waiting on is always
-   either (a) in some tenant queue — and any waiting client whose
-   requests are unresolved will become the dispatcher when no dispatch
-   is in progress — or (b) part of the in-progress dispatch, which
-   settles it and broadcasts.  A blocked client therefore never depends
-   on another *blocked* client, whatever the lane count: the broker is
+   either (a) in some tenant queue — and whenever fewer than [rounds]
+   rounds are in flight, any waiting client whose requests are
+   unresolved becomes a dispatcher; each in-flight round ends by
+   broadcasting, so a full set of rounds always frees a slot and wakes
+   the waiters — or (b) part of an in-flight round, which settles it
+   and broadcasts.  A blocked client therefore never depends on another
+   *blocked* client, whatever the lane count or [rounds]: the broker is
    deadlock-free even with more clients than domains. *)
 
 type stats = {
@@ -115,13 +118,14 @@ type 'o t = {
   tiers : tally array;  (* per backend; their sum is the broker's total *)
   mutable tenant_order : string list;  (* registration order, reversed *)
   mutable rr : int;  (* round-robin start into [tenant_order] *)
+  rounds : int;  (* bound on dispatch rounds in flight at once *)
   mutable queued : int;
-  mutable dispatching : bool;
-  mutable rounds : int;
+  mutable in_flight : int;  (* dispatch rounds now running *)
+  mutable next_round : int;  (* number of the next round (breaker clock) *)
 }
 
-let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker ~key
-    backends =
+let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker
+    ?(rounds = 1) ~key backends =
   if Array.length backends = 0 then
     invalid_arg "Probe_broker.create_tiered: no backends";
   Array.iter
@@ -134,6 +138,7 @@ let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker ~key
   (match capacity with
   | Some c when c < 0 -> invalid_arg "Probe_broker.create_tiered: capacity < 0"
   | _ -> ());
+  if rounds < 1 then invalid_arg "Probe_broker.create_tiered: rounds < 1";
   let clock =
     match (clock, obs) with
     | Some c, _ -> c
@@ -175,15 +180,16 @@ let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker ~key
     tiers = Array.init (Array.length backends) (fun _ -> new_tally ());
     tenant_order = [];
     rr = 0;
+    rounds;
     queued = 0;
-    dispatching = false;
-    rounds = 0;
+    in_flight = 0;
+    next_round = 0;
   }
 
-let create ?obs ?clock ?freshness ?capacity ?breaker ?(batch_size = 1) ~key
-    resolve =
+let create ?obs ?clock ?freshness ?capacity ?breaker ?rounds ?(batch_size = 1)
+    ~key resolve =
   if batch_size < 1 then invalid_arg "Probe_broker.create: batch_size < 1";
-  create_tiered ?obs ?clock ?freshness ?capacity ?breaker ~key
+  create_tiered ?obs ?clock ?freshness ?capacity ?breaker ?rounds ~key
     [| { bk_resolve = resolve; bk_batch = batch_size } |]
 
 (* ---- lock-held helpers ------------------------------------------- *)
@@ -330,17 +336,17 @@ let breaker_transition ~trace ~round before after =
     Trace.emit trace
       (Trace.Breaker { state = Circuit_breaker.state_name after; round })
 
-(* One backend round.  Called with the lock held and [dispatching]
-   false; returns with the lock held and [dispatching] false again,
-   having broadcast.  The resolver itself runs unlocked — only the
-   [dispatching] flag keeps it single-threaded.  [trace] is the
-   dispatching caller's sink; breaker state changes this round causes
-   are emitted there. *)
-let dispatch_round ?(trace = Trace.null) t =
-  t.dispatching <- true;
+(* One backend round.  Called with the lock held, runs unlocked only
+   inside the resolver, and returns (or raises) with the lock held.
+   [trace] is the dispatching caller's sink; breaker state changes this
+   round causes are emitted there. *)
+let run_round ~trace t =
   let tier, batch = take_batch t in
-  let round = t.rounds in
-  t.rounds <- t.rounds + 1;
+  let round = t.next_round in
+  t.next_round <- t.next_round + 1;
+  let fail_batch () =
+    Array.iter (fun rq -> settle t rq (Probe_driver.Failed { attempts = 0 })) batch
+  in
   let allowed =
     match t.breaker with
     | Some b ->
@@ -350,68 +356,62 @@ let dispatch_round ?(trace = Trace.null) t =
         allowed
     | None -> true
   in
-  (if not allowed then
-     (* Refused round: burn no backend budget, degrade the batch.  The
-        refused requests were admitted, so they count against capacity
-        — the breaker protects the backend, not the budget. *)
-     Array.iter
-       (fun rq -> settle t rq (Probe_driver.Failed { attempts = 0 }))
-       batch
-   else begin
-     Mutex.unlock t.lock;
-     let outcomes =
-       try Ok (t.backends.(tier).bk_resolve (Array.map (fun rq -> rq.rq_obj) batch))
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Error (e, bt)
-     in
-     Mutex.lock t.lock;
-     match outcomes with
-     | Ok outcomes ->
-         if Array.length outcomes <> Array.length batch then begin
-           Array.iter
-             (fun rq -> settle t rq (Probe_driver.Failed { attempts = 0 }))
-             batch;
-           t.dispatching <- false;
-           Condition.broadcast t.cond;
-           invalid_arg "Probe_broker: resolver changed the batch length"
-         end;
-         let c = t.tiers.(tier) in
-         c.batches <- c.batches + 1;
-         note t (fun i ->
-             Metrics.incr i.m_batches;
-             Metrics.observe i.h_fill (float_of_int (Array.length batch)));
-         let any_resolved = ref false in
-         Array.iteri
-           (fun i oc ->
-             (match oc with
-             | Probe_driver.Resolved _ | Probe_driver.Shrunk _ ->
-                 any_resolved := true
-             | Probe_driver.Failed _ -> ());
-             settle t batch.(i) oc)
-           outcomes;
-         (match t.breaker with
-         | Some b ->
-             let before = Circuit_breaker.state b in
-             if !any_resolved then Circuit_breaker.record_success b ~round
-             else if Array.length batch > 0 then
-               Circuit_breaker.record_failure b ~round;
-             breaker_transition ~trace ~round before (Circuit_breaker.state b)
-         | None -> ())
-     | Error (e, bt) ->
-         (* A raising resolver would strand every waiter; settle the
-            batch as failed, restore the monitor, then re-raise in the
-            dispatching client.  Backends should not raise — use
-            outcome-based resolvers. *)
-         Array.iter
-           (fun rq -> settle t rq (Probe_driver.Failed { attempts = 0 }))
-           batch;
-         t.dispatching <- false;
-         Condition.broadcast t.cond;
-         Printexc.raise_with_backtrace e bt
-   end);
-  t.dispatching <- false;
-  Condition.broadcast t.cond
+  if not allowed then
+    (* Refused round: burn no backend budget, degrade the batch.  The
+       refused requests were admitted, so they count against capacity
+       — the breaker protects the backend, not the budget. *)
+    fail_batch ()
+  else begin
+    Mutex.unlock t.lock;
+    let outcomes =
+      try Ok (t.backends.(tier).bk_resolve (Array.map (fun rq -> rq.rq_obj) batch))
+      with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    Mutex.lock t.lock;
+    match outcomes with
+    | Ok outcomes when Array.length outcomes <> Array.length batch ->
+        fail_batch ();
+        invalid_arg "Probe_broker: resolver changed the batch length"
+    | Ok outcomes ->
+        let c = t.tiers.(tier) in
+        c.batches <- c.batches + 1;
+        note t (fun i ->
+            Metrics.incr i.m_batches;
+            Metrics.observe i.h_fill (float_of_int (Array.length batch)));
+        let any_resolved = ref false in
+        Array.iteri
+          (fun i oc ->
+            (match oc with
+            | Probe_driver.Resolved _ | Probe_driver.Shrunk _ ->
+                any_resolved := true
+            | Probe_driver.Failed _ -> ());
+            settle t batch.(i) oc)
+          outcomes;
+        (match t.breaker with
+        | Some b ->
+            let before = Circuit_breaker.state b in
+            if !any_resolved then Circuit_breaker.record_success b ~round
+            else if Array.length batch > 0 then
+              Circuit_breaker.record_failure b ~round;
+            breaker_transition ~trace ~round before (Circuit_breaker.state b)
+        | None -> ())
+    | Error (e, bt) ->
+        (* A raising resolver would strand every waiter; settle the
+           batch as failed, then re-raise in the dispatching client.
+           Backends should not raise — use outcome-based resolvers. *)
+        fail_batch ();
+        Printexc.raise_with_backtrace e bt
+  end
+
+(* A round counted in [in_flight] on every exit, normal or raising, and
+   ended with a broadcast: it settled requests, and it freed a slot. *)
+let dispatch_round ?(trace = Trace.null) t =
+  t.in_flight <- t.in_flight + 1;
+  Fun.protect
+    ~finally:(fun () ->
+      t.in_flight <- t.in_flight - 1;
+      Condition.broadcast t.cond)
+    (fun () -> run_round ~trace t)
 
 (* ---- the client path --------------------------------------------- *)
 
@@ -484,12 +484,12 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
               end))
     objects;
   (* Drive the monitor until every request of this call is settled:
-     dispatch whenever the channel is free and work is queued (ours or
+     dispatch whenever a round slot is free and work is queued (ours or
      anyone's — fair FIFO means helping drains the queue towards our
-     own requests), otherwise wait for the in-flight round. *)
+     own requests), otherwise wait for an in-flight round. *)
   (try
      while !remaining > 0 do
-       if (not t.dispatching) && t.queued > 0 then dispatch_round ?trace t
+       if t.in_flight < t.rounds && t.queued > 0 then dispatch_round ?trace t
        else Condition.wait t.cond t.lock
      done
    with e ->
@@ -553,6 +553,7 @@ let invalidate t k =
       Hashtbl.remove t.fresh k;
       Array.iteri (fun i _ -> Hashtbl.remove t.shrunk_fresh (i, k)) t.backends)
 let pending t = locked t (fun () -> t.queued)
+let rounds t = t.rounds
 
 let saturated t =
   locked t (fun () ->

@@ -50,11 +50,14 @@
     The broker is safe for concurrent use from many domains.  Each
     {e client driver} must still be confined to one domain at a time
     (drivers are not thread-safe); give every concurrent query its own
-    client.  The backend resolver is only ever invoked by one domain at
-    a time — the current dispatcher — so an unsynchronised backend
-    (e.g. {!Probe_source}) works unmodified.  For results to be
-    independent of scheduling, the resolver must be a pure function of
-    the submitted object. *)
+    client.  The backend resolvers are invoked by at most [rounds]
+    domains at a time — the current dispatchers, one per round in
+    flight ([rounds] defaults to 1) — so with the default an
+    unsynchronised backend (e.g. {!Probe_source}) works unmodified; a
+    broker created with [rounds > 1] needs resolvers that are safe to
+    call from that many domains at once.  For results to be independent
+    of scheduling, the resolver must be a pure function of the
+    submitted object. *)
 
 type 'o t
 
@@ -64,6 +67,7 @@ val create :
   ?freshness:float ->
   ?capacity:int ->
   ?breaker:Circuit_breaker.t ->
+  ?rounds:int ->
   ?batch_size:int ->
   key:('o -> int) ->
   ('o array -> 'o Probe_driver.outcome array) ->
@@ -86,14 +90,23 @@ val create :
     touching the backend, and backend rounds feed
     [record_success]/[record_failure].
 
+    [rounds] (default 1) bounds the dispatch rounds in flight at once.
+    With 1, a client whose requests are queued waits while another
+    client's round is in the backend, and those requests pack into the
+    next round's batch.  With [k > 1], up to [k] clients each drive a
+    round of their own concurrently, so concurrent queries stop taking
+    turns on a slow backend; the resolver must then be safe to call
+    from [k] domains at once.  Per-query accounting is unaffected
+    either way.
+
     [batch_size] (default 1) is the backend batch bound [B]: a
     dispatch drains at most [B] requests, round-robin across tenants.
     [clock] (default: [obs]'s clock, else wall time) stamps freshness
     and the queue-wait histogram.  [obs] registers the
     [qaq.broker.*] counters and histograms ({!Obs.Keys}).
 
-    @raise Invalid_argument if [batch_size < 1], [capacity < 0] or
-    [freshness] is negative or NaN. *)
+    @raise Invalid_argument if [batch_size < 1], [capacity < 0],
+    [rounds < 1] or [freshness] is negative or NaN. *)
 
 (** {2 Tiered backends} *)
 
@@ -111,6 +124,7 @@ val create_tiered :
   ?freshness:float ->
   ?capacity:int ->
   ?breaker:Circuit_breaker.t ->
+  ?rounds:int ->
   key:('o -> int) ->
   'o backend array ->
   'o t
@@ -120,9 +134,11 @@ val create_tiered :
     ({!client}'s [?tier]); each dispatch round drains one tier's
     requests into that tier's resolver at that tier's batch bound.
     Admission (capacity, quotas) and the breaker are shared across
-    tiers — they protect the probe subsystem as a whole.
+    tiers — they protect the probe subsystem as a whole.  [rounds]
+    (default 1) bounds the dispatch rounds in flight at once across all
+    tiers, as for {!create}.
     @raise Invalid_argument on an empty backend array, a [bk_batch < 1],
-    [capacity < 0], or negative/NaN [freshness]. *)
+    [capacity < 0], [rounds < 1], or negative/NaN [freshness]. *)
 
 val client :
   ?obs:Obs.t ->
@@ -200,6 +216,9 @@ val invalidate : 'o t -> int -> unit
 val pending : 'o t -> int
 (** Requests admitted but not yet handed to the backend — the shared
     queue depth at this instant. *)
+
+val rounds : 'o t -> int
+(** The bound on dispatch rounds in flight at once, as created. *)
 
 val saturated : 'o t -> bool
 (** Whether the shared capacity is exhausted: every new probe target

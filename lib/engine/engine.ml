@@ -365,13 +365,15 @@ let execute ~rng ?cost ?batch ?domains ?obs ?columnar ~instance ?probe
 let trace_ids = Atomic.make 1
 let next_trace_id () = Atomic.fetch_and_add trace_ids 1
 
+let default_lanes = 16
+
 let execute_many ?domains (runs : (unit -> 'o result) array) =
   let n = Array.length runs in
   let d =
     match domains with
     | Some d when d < 1 -> invalid_arg "Engine.execute_many: domains < 1"
     | Some d -> d
-    | None -> Stdlib.min (Stdlib.max 1 n) 16
+    | None -> default_lanes
   in
   if n = 0 then [||]
   else if d = 1 || n = 1 then Array.map (fun run -> run ()) runs

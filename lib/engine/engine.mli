@@ -275,14 +275,17 @@ val next_trace_id : unit -> int
     [obs] re-stamped with [Obs.with_context] (and the same to the
     query's broker clients). *)
 
+val default_lanes : int
+(** The lane bound of {!execute_many} when [domains] is not given. *)
+
 val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
 (** Run every thunk, concurrently when [domains > 1], and return their
     results in input order.  Each thunk is one {!run} call and
     {e must} pass [~domains:1]: the batch owns the pool, and a thunk
     that opened its own (or left [domains] to [QAQ_DOMAINS]) would nest
-    pools.  [domains] (default: the number of thunks, capped at 16)
-    bounds the lane count of the {!Domain_pool} the thunks are spread
-    over.
+    pools.  [domains] (default: the number of thunks, capped at
+    {!default_lanes}) bounds the lane count of the {!Domain_pool} the
+    thunks are spread over.
 
     Results are bit-for-bit independent of scheduling — provided each
     thunk owns its [rng] and its [probe] driver or [cascade] (drivers

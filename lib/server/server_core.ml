@@ -219,9 +219,18 @@ let create ?clock cfg =
         })
       tiers
   in
+  (* Each lane may keep a backend round of its own in flight only over
+     pure backends.  An injector's element stream is not domain-safe,
+     and a breaker's verdicts follow round order, so either keeps one
+     round at a time and [--fault-seed] replays stay put. *)
+  let rounds =
+    if cfg.c_fault_rate = 0.0 && not cfg.c_breaker then
+      Option.value cfg.c_domains ~default:Engine.default_lanes
+    else 1
+  in
   let broker =
     Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
-      ?capacity:cfg.c_capacity ?breaker:srv_breaker
+      ?capacity:cfg.c_capacity ?breaker:srv_breaker ~rounds
       ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
       backends
   in

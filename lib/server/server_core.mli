@@ -64,7 +64,12 @@ type config = {
   c_freshness : float;  (** freshness window, seconds *)
   c_probe_ms : float;  (** simulated backend latency per batch *)
   c_admission : admission;
-  c_domains : int option;  (** domains for RUN *)
+  c_domains : int option;
+      (** domains for RUN (default {!Engine.default_lanes} at most).
+          Without fault injection and without a breaker the backends
+          are pure, and the broker lets each lane keep a backend round
+          in flight ({!Probe_broker.create}'s [rounds]); otherwise one
+          round at a time. *)
   c_fault_rate : float;
       (** probability a backend probe fails permanently (deterministic
           per [c_fault_seed]); 0 disables injection entirely *)

@@ -2,41 +2,52 @@
    pseudorandom number generators", OOPSLA 2014.  The golden-gamma
    constant 0x9e3779b97f4a7c15 is the odd integer closest to 2^64/phi. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes, so a draw reads and
+   writes it in place: with the helpers below inlined, [int], [uniform]
+   and [bernoulli] allocate nothing (a [mutable int64] field would box
+   a fresh state on every draw).  Only a [bits64] result returned out
+   of this module is boxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+(* Advance the state by the golden gamma; return the new state. *)
+let[@inline] next_state t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  state
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
+let[@inline] bits64 t = mix64 (next_state t)
+let split t = of_state (mix64 (bits64 t))
 
 (* Uniform int in [0, bound) by rejection on the top bits, avoiding the
    modulo bias of a plain [mod]. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let bound64 = Int64.of_int bound in
-  let rec draw () =
+  let result = ref (-1) in
+  while !result < 0 do
     let raw = Int64.shift_right_logical (bits64 t) 1 in
     let v = Int64.rem raw bound64 in
     (* Reject the final partial block so every residue is equally likely. *)
-    if Int64.sub (Int64.add raw (Int64.sub bound64 1L)) v < 0L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+    if Int64.sub (Int64.add raw (Int64.sub bound64 1L)) v >= 0L then
+      result := Int64.to_int v
+  done;
+  !result
 
-let uniform t =
+let[@inline] uniform t =
   (* 53 uniformly random mantissa bits, as in the standard doubles trick. *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53

@@ -255,6 +255,119 @@ let test_cross_query_packing () =
   checki "backend called twice" 2 (Atomic.get calls);
   checki "three backend probes" 3 s.Probe_broker.charged
 
+(* The same three clients over a broker with two round slots: the
+   second client does not wait behind the first client's held round but
+   drives one of its own, so the backend sees exactly two overlapping
+   calls, and only the third client's request queues until a slot
+   frees. *)
+let test_two_rounds_in_flight () =
+  let gate = Atomic.make false in
+  let calls = Atomic.make 0 in
+  let inside = Atomic.make 0 in
+  let peak = Atomic.make 0 in
+  let resolve objs =
+    let now = Atomic.fetch_and_add inside 1 + 1 in
+    let rec raise_peak () =
+      let p = Atomic.get peak in
+      if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+    in
+    raise_peak ();
+    if Atomic.fetch_and_add calls 1 < 2 then
+      while not (Atomic.get gate) do
+        Unix.sleepf 0.0005
+      done;
+    Atomic.decr inside;
+    Array.map (fun k -> Probe_driver.Resolved k) objs
+  in
+  let broker = Probe_broker.create ~rounds:2 ~batch_size:4 ~key:Fun.id resolve in
+  checki "two round slots" 2 (Probe_broker.rounds broker);
+  let await ?(what = "condition") p =
+    let tries = ref 0 in
+    while not (p ()) do
+      incr tries;
+      if !tries > 4000 then Alcotest.failf "timed out waiting for %s" what;
+      Unix.sleepf 0.0005
+    done
+  in
+  let a = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"a" broker 1) in
+  await ~what:"the first round to enter the backend" (fun () ->
+      Atomic.get inside = 1);
+  let b = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"b" broker 2) in
+  await ~what:"a second round to enter the backend alongside it" (fun () ->
+      Atomic.get inside = 2);
+  checki "nothing queued while both rounds are out" 0
+    (Probe_broker.pending broker);
+  let c = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"c" broker 3) in
+  await ~what:"the third request to queue" (fun () ->
+      Probe_broker.pending broker = 1);
+  checki "the third request waits for a slot" 2 (Atomic.get calls);
+  Atomic.set gate true;
+  let oa = Domain.join a and ob = Domain.join b and oc = Domain.join c in
+  (match (oa, ob, oc) with
+  | Probe_driver.Resolved 1, Probe_driver.Resolved 2, Probe_driver.Resolved 3
+    ->
+      ()
+  | _ -> Alcotest.fail "wrong outcomes");
+  let s = Probe_broker.stats broker in
+  checki "two overlapping backend calls at most" 2 (Atomic.get peak);
+  checki "three rounds for three queries" 3 s.Probe_broker.batches;
+  checki "backend called three times" 3 (Atomic.get calls);
+  checki "three backend probes" 3 s.Probe_broker.charged;
+  checki "nothing left queued" 0 (Probe_broker.pending broker)
+
+(* A round that ends in an exception — the resolver raising, or
+   returning the wrong number of outcomes — fails its batch, re-raises
+   in its dispatcher and still gives its slot back: after two such
+   rounds a broker with one or two slots serves the next fetch.  Each
+   fetch runs on a domain of its own, so a leaked slot fails the test
+   instead of hanging it. *)
+let test_raising_round_frees_its_slot () =
+  let fetch_within ~rounds broker k =
+    let finished = Atomic.make false in
+    let d =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.set finished true)
+            (fun () ->
+              match Probe_broker.fetch broker k with
+              | oc -> Ok oc
+              | exception e -> Error e))
+    in
+    let tries = ref 0 in
+    while (not (Atomic.get finished)) && !tries < 4000 do
+      incr tries;
+      Unix.sleepf 0.0005
+    done;
+    if not (Atomic.get finished) then
+      Alcotest.failf "rounds %d: fetch %d found no free round slot" rounds k;
+    Domain.join d
+  in
+  List.iter
+    (fun rounds ->
+      let calls = Atomic.make 0 in
+      let resolve objs =
+        match Atomic.fetch_and_add calls 1 with
+        | 0 -> failwith "backend down"
+        | 1 -> [||]
+        | _ -> Array.map (fun k -> Probe_driver.Resolved k) objs
+      in
+      let broker = Probe_broker.create ~rounds ~key:Fun.id resolve in
+      (match fetch_within ~rounds broker 1 with
+      | Error (Failure msg) when msg = "backend down" -> ()
+      | _ -> Alcotest.fail "the resolver's exception must reach the dispatcher");
+      (match fetch_within ~rounds broker 2 with
+      | Error (Invalid_argument msg)
+        when msg = "Probe_broker: resolver changed the batch length" ->
+          ()
+      | _ -> Alcotest.fail "a wrong-length batch must be an error");
+      (match fetch_within ~rounds broker 3 with
+      | Ok (Probe_driver.Resolved 3) -> ()
+      | _ -> Alcotest.fail "wrong outcome after two failed rounds");
+      let s = Probe_broker.stats broker in
+      checki "both failed requests settled" 2 s.Probe_broker.failed;
+      checki "one request charged" 1 s.Probe_broker.charged)
+    [ 1; 2 ]
+
 (* Shared capacity: once the admitted budget is spent, new probe targets
    degrade to [Failed { attempts = 0 }] while fresh hits stay free. *)
 let test_capacity_saturation () =
@@ -544,15 +657,18 @@ let test_tier_freshness_asymmetry () =
 
 (* Two domains hammering both tiers of the same broker concurrently:
    every waiter gets an outcome, the stats identity holds per tier, and
-   the per-tier totals still sum to the whole-broker totals. *)
-let test_tier_hammer_stats_identity () =
+   the per-tier totals still sum to the whole-broker totals — with one
+   round in flight at a time and with one per domain. *)
+let tier_hammer ~rounds =
+  let checki what = checki (Printf.sprintf "%s (rounds %d)" what rounds) in
+  let checkb what = checkb (Printf.sprintf "%s (rounds %d)" what rounds) in
   let nkeys = 40 in
   let slow resolve objs =
     Unix.sleepf 0.0005;
     resolve objs
   in
   let broker =
-    Probe_broker.create_tiered ~key:Fun.id
+    Probe_broker.create_tiered ~rounds ~key:Fun.id
       [|
         {
           Probe_broker.bk_resolve =
@@ -623,6 +739,10 @@ let test_tier_hammer_stats_identity () =
   checki "nothing failed" 0 whole.Probe_broker.failed;
   checki "nothing rejected" 0 whole.Probe_broker.rejected
 
+let test_tier_hammer_stats_identity () =
+  tier_hammer ~rounds:1;
+  tier_hammer ~rounds:2
+
 let test_validation () =
   let resolve objs =
     Array.map (fun k -> Probe_driver.Resolved k) objs
@@ -638,7 +758,11 @@ let test_validation () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Probe_broker.create_tiered: capacity < 0") (fun () ->
       ignore (Probe_broker.create ~capacity:(-1) ~key:Fun.id resolve));
+  Alcotest.check_raises "no round slot"
+    (Invalid_argument "Probe_broker.create_tiered: rounds < 1") (fun () ->
+      ignore (Probe_broker.create ~rounds:0 ~key:Fun.id resolve));
   let broker = Probe_broker.create ~key:Fun.id resolve in
+  checki "one round slot by default" 1 (Probe_broker.rounds broker);
   Alcotest.check_raises "bad quota"
     (Invalid_argument "Probe_broker.client: quota < 0") (fun () ->
       ignore (Probe_broker.client ~quota:(-1) broker))
@@ -651,6 +775,10 @@ let suite =
     ("execute_many is scheduling-independent", `Quick,
      test_execute_many_deterministic);
     ("cross-query batch packing", `Quick, test_cross_query_packing);
+    ("two rounds in flight overlap in the backend", `Quick,
+     test_two_rounds_in_flight);
+    ("a raising round frees its slot", `Quick,
+     test_raising_round_frees_its_slot);
     ("capacity saturation degrades", `Quick, test_capacity_saturation);
     ("saturated engine run degrades gracefully", `Quick,
      test_saturated_engine_run_degrades);

@@ -141,6 +141,80 @@ let test_sample_without_replacement () =
     (Invalid_argument "Rng.sample_without_replacement: k > n") (fun () ->
       ignore (Rng.sample_without_replacement rng 5 3))
 
+(* One draw of each kind, applied to the live generator and to the
+   boxed-state copy in [Reference_rng]; a split or copy swaps the pair
+   for the derived pair, so later draws check the derived stream. *)
+type op = Bits | Int of int | Uniform | Bernoulli of float | Gaussian | Split | Copy
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Bits);
+        (3, map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]));
+        (2, return Uniform);
+        (3, map (fun p -> Bernoulli p) (float_range (-0.1) 1.1));
+        (1, return Gaussian);
+        (1, return Split);
+        (1, return Copy);
+      ])
+
+let show_op = function
+  | Bits -> "bits"
+  | Int b -> Printf.sprintf "int %d" b
+  | Uniform -> "uniform"
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Gaussian -> "gaussian"
+  | Split -> "split"
+  | Copy -> "copy"
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"stream equals the boxed-state generator" ~count:300
+    QCheck.(
+      pair small_int
+        (make ~print:(Print.list show_op) Gen.(list_size (int_range 1 200) op_gen)))
+    (fun (seed, ops) ->
+      let live = ref (Rng.create seed) and old = ref (Reference_rng.create seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Bits -> Rng.bits64 !live = Reference_rng.bits64 !old
+          | Int b -> Rng.int !live b = Reference_rng.int !old b
+          | Uniform ->
+              Int64.bits_of_float (Rng.uniform !live)
+              = Int64.bits_of_float (Reference_rng.uniform !old)
+          | Bernoulli p -> Rng.bernoulli !live p = Reference_rng.bernoulli !old p
+          | Gaussian ->
+              Int64.bits_of_float (Rng.gaussian !live ~mean:1.0 ~stddev:2.0)
+              = Int64.bits_of_float
+                  (Reference_rng.gaussian !old ~mean:1.0 ~stddev:2.0)
+          | Split ->
+              live := Rng.split !live;
+              old := Reference_rng.split !old;
+              true
+          | Copy ->
+              live := Rng.copy !live;
+              old := Reference_rng.copy !old;
+              true)
+        ops)
+
+(* The pilot draws one Bernoulli per row; with the state kept unboxed a
+   draw allocates nothing, so a 1% pilot over 262,144 rows allocates
+   only its result (a list cell and an array slot per sampled index) —
+   the boxed state cost 8 words per row. *)
+let test_sample_indices_allocation () =
+  let n = 262_144 in
+  let rng = Rng.create 21 in
+  ignore (Scan_pipeline.sample_indices rng ~fraction:0.01 64);
+  let before = Gc.minor_words () in
+  let sample = Scan_pipeline.sample_indices rng ~fraction:0.01 n in
+  let words = Gc.minor_words () -. before in
+  check "some rows sampled" true (Array.length sample > 0);
+  let per_index = words /. float_of_int n in
+  if per_index >= 0.25 then
+    Alcotest.failf "sample_indices allocated %.3f words per index (bound 0.25)"
+      per_index
+
 let suite =
   [
     ("determinism", `Quick, test_determinism);
@@ -157,4 +231,7 @@ let suite =
     ("exponential", `Quick, test_exponential);
     ("shuffle is a permutation", `Quick, test_shuffle_permutation);
     ("sample without replacement", `Quick, test_sample_without_replacement);
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    ("pilot sampling allocates under 0.25 words per index", `Quick,
+     test_sample_indices_allocation);
   ]

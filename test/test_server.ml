@@ -563,6 +563,55 @@ let test_recorder_dir_unusable () =
               checkb "gives a reason" true (reason <> ""))
         [ Filename.concat file "dumps"; file ])
 
+(* Over pure backends each lane keeps a backend round of its own in
+   flight, and that moves only wall time: a four-tenant batch against a
+   slow backend with no freshness cache answers and accounts the same
+   on two lanes as on one.  A fault injector or a breaker keeps one
+   round at a time. *)
+let test_latency_server_pipelines () =
+  let latency = { base_config with c_probe_ms = 1.0; c_freshness = 0.0 } in
+  let script =
+    [
+      "QUERY tenant=a seed=11 p=0.9 r=0.6";
+      "QUERY tenant=b seed=12 p=0.8 r=0.5 l=30";
+      "QUERY tenant=c seed=13 p=0.95 r=0.8 l=80";
+      "QUERY tenant=d seed=14 p=0.9 r=0.6 l=50";
+      "RUN";
+      "QUIT";
+    ]
+  in
+  let results domains =
+    let srv = Server_core.create { latency with c_domains = Some domains } in
+    checki
+      (Printf.sprintf "%d lanes, %d round slots" domains domains)
+      domains
+      (Probe_broker.rounds (Server_core.broker srv));
+    let _, lines = session srv script in
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"RESULT " l then Some (deterministic l)
+        else None)
+      lines
+  in
+  let one = results 1 in
+  checki "four answers" 4 (List.length one);
+  List.iter
+    (fun l ->
+      List.iter
+        (fun key -> checkb ("RESULT has " ^ key) true (kv l key <> None))
+        [ "answer"; "precision"; "recall"; "laxity"; "probes"; "batches"; "cost" ])
+    one;
+  Alcotest.(check (list string)) "two lanes answer as one" one (results 2);
+  List.iter
+    (fun (what, cfg) ->
+      checki what 1
+        (Probe_broker.rounds
+           (Server_core.broker (Server_core.create { cfg with c_domains = Some 2 }))))
+    [
+      ("fault injection keeps one round", { latency with c_fault_rate = 0.2 });
+      ("a breaker keeps one round", { latency with c_breaker = true });
+    ]
+
 let suite =
   [
     ("forced anomaly dumps attributed recording", `Quick,
@@ -577,6 +626,8 @@ let suite =
     ("unusable recorder dir is a typed error", `Quick,
      test_recorder_dir_unusable);
     ("slo reads register nothing", `Quick, test_slo_reads_register_nothing);
+    ("latency server pipelines rounds, same answers", `Quick,
+     test_latency_server_pipelines);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
       prop_line_protocol;
   ]
