@@ -12,7 +12,10 @@
    the waiters — or (b) part of an in-flight round, which settles it
    and broadcasts.  A blocked client therefore never depends on another
    *blocked* client, whatever the lane count or [rounds]: the broker is
-   deadlock-free even with more clients than domains. *)
+   deadlock-free even with more clients than domains.  That holds for
+   clients sharing a lane too, because a waiting client gives its
+   lane's token up ([Domain_pool.wait]) and retakes it before the
+   broker lock, never while holding it. *)
 
 type stats = {
   requests : int;
@@ -490,7 +493,7 @@ let resolve_many ?trace ?(tier = 0) t ~tenant objects =
   (try
      while !remaining > 0 do
        if t.in_flight < t.rounds && t.queued > 0 then dispatch_round ?trace t
-       else Condition.wait t.cond t.lock
+       else Domain_pool.wait t.cond t.lock
      done
    with e ->
      Mutex.unlock t.lock;

@@ -51,13 +51,20 @@
     {e client driver} must still be confined to one domain at a time
     (drivers are not thread-safe); give every concurrent query its own
     client.  The backend resolvers are invoked by at most [rounds]
-    domains at a time — the current dispatchers, one per round in
+    threads at a time — the current dispatchers, one per round in
     flight ([rounds] defaults to 1) — so with the default an
     unsynchronised backend (e.g. {!Probe_source}) works unmodified; a
     broker created with [rounds > 1] needs resolvers that are safe to
-    call from that many domains at once.  For results to be independent
+    call from that many threads at once.  For results to be independent
     of scheduling, the resolver must be a pure function of the
-    submitted object. *)
+    submitted object.
+
+    A client waiting for a round in flight waits with
+    {!Domain_pool.wait}: inside a {!Domain_pool.run_lanes} lane it
+    gives the lane's token up (so another query of the lane can run,
+    possibly the one whose round it waits on) and on waking retakes the
+    token before the broker lock.  A resolver may wait on its backend
+    with {!Domain_pool.blocking}; it runs without the broker lock. *)
 
 type 'o t
 
@@ -96,8 +103,11 @@ val create :
     next round's batch.  With [k > 1], up to [k] clients each drive a
     round of their own concurrently, so concurrent queries stop taking
     turns on a slow backend; the resolver must then be safe to call
-    from [k] domains at once.  Per-query accounting is unaffected
-    either way.
+    from [k] threads at once.  Size [k] by the queries in flight, not
+    by the domains: a lane that lends itself out while its query waits
+    ({!Domain_pool.blocking}) has several queries in flight, each
+    of which may want a round of its own.  Per-query accounting is
+    unaffected either way.
 
     [batch_size] (default 1) is the backend batch bound [B]: a
     dispatch drains at most [B] requests, round-robin across tenants.

@@ -367,16 +367,6 @@ let next_trace_id () = Atomic.fetch_and_add trace_ids 1
 
 let default_lanes = 16
 
-let execute_many ?domains (runs : (unit -> 'o result) array) =
-  let n = Array.length runs in
-  let d =
-    match domains with
-    | Some d when d < 1 -> invalid_arg "Engine.execute_many: domains < 1"
-    | Some d -> d
-    | None -> default_lanes
-  in
-  if n = 0 then [||]
-  else if d = 1 || n = 1 then Array.map (fun run -> run ()) runs
-  else
-    Domain_pool.with_pool ~domains:(Stdlib.min d n) (fun pool ->
-        Domain_pool.run_all pool runs)
+let execute_many ?(domains = default_lanes) (runs : (unit -> 'o result) array) =
+  if domains < 1 then invalid_arg "Engine.execute_many: domains < 1";
+  Domain_pool.run_lanes ~lanes:domains runs

@@ -279,13 +279,15 @@ val default_lanes : int
 (** The lane bound of {!execute_many} when [domains] is not given. *)
 
 val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
-(** Run every thunk, concurrently when [domains > 1], and return their
-    results in input order.  Each thunk is one {!run} call and
-    {e must} pass [~domains:1]: the batch owns the pool, and a thunk
-    that opened its own (or left [domains] to [QAQ_DOMAINS]) would nest
-    pools.  [domains] (default: the number of thunks, capped at
-    {!default_lanes}) bounds the lane count of the {!Domain_pool} the
-    thunks are spread over.
+(** Run every thunk and return their results in input order.  The
+    thunks run on [min domains n] lanes ({!Domain_pool.run_lanes}; the
+    caller is lane 0, [domains] defaults to {!default_lanes}) that take
+    them in index order.  A lane runs its next thunk while its thunk
+    waits on backend I/O inside {!Domain_pool.blocking}, so even one
+    lane can have several queries in flight.  Each thunk is one {!run}
+    call and {e must} pass [~domains:1]: a thunk that opened a pool of
+    its own (or left [domains] to [QAQ_DOMAINS]) would nest pools.  A
+    raising thunk re-raises once every thunk has finished.
 
     Results are bit-for-bit independent of scheduling — provided each
     thunk owns its [rng] and its [probe] driver or [cascade] (drivers

@@ -1,4 +1,4 @@
-type region = {
+type region = Histogram.Hist2d.plane_region = {
   mutable s_min : float;
   mutable l_min : float;
   mutable l_max : float;
@@ -45,12 +45,5 @@ let uniform ~max_laxity =
 let of_estimate (e : Selectivity.estimate) =
   {
     yes_above = (fun x -> Histogram.Hist1d.mass_above e.yes_laxity x);
-    maybe_region =
-      (fun r ->
-        let h =
-          Histogram.Hist2d.region e.maybe_plane ~x_min:r.s_min ~y_min:r.l_min
-            ~y_max:r.l_max
-        in
-        r.mass <- h.mass;
-        r.mean_s <- h.mean_x);
+    maybe_region = Histogram.Hist2d.fill_region e.maybe_plane;
   }

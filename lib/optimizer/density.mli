@@ -6,7 +6,7 @@
     setting under a uniformity assumption and notes that a histogram
     estimated from a sample could replace it; both are provided. *)
 
-type region = {
+type region = Histogram.Hist2d.plane_region = {
   mutable s_min : float;
   mutable l_min : float;
   mutable l_max : float;  (** the region: [s > s_min], [l_min < l <= l_max] *)

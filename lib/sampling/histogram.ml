@@ -126,10 +126,25 @@ module Hist2d = struct
 
   let count t = t.total
 
+  type plane_region = {
+    mutable s_min : float;
+    mutable l_min : float;
+    mutable l_max : float;
+    mutable mass : float;
+    mutable mean_s : float;
+  }
+
   type region_stats = { mass : float; mean_x : float }
 
-  let region t ~x_min ~y_min ~y_max =
-    if t.total = 0 then { mass = 0.0; mean_x = 0.0 }
+  (* The bounds are read once into locals and the two results written
+     back, so a call allocates nothing: float arguments and a result
+     record would each be boxed. *)
+  let fill_region t (r : plane_region) =
+    let x_min = r.s_min and y_min = r.l_min and y_max = r.l_max in
+    if t.total = 0 then begin
+      r.mass <- 0.0;
+      r.mean_s <- 0.0
+    end
     else begin
       let mass = ref 0.0 and weighted_x = ref 0.0 in
       for cx = 0 to t.x_bins - 1 do
@@ -161,11 +176,20 @@ module Hist2d = struct
             end
           done
       done;
-      if !mass = 0.0 then { mass = 0.0; mean_x = 0.0 }
-      else
-        {
-          mass = clamp01 (!mass /. float_of_int t.total);
-          mean_x = !weighted_x /. !mass;
-        }
+      if !mass = 0.0 then begin
+        r.mass <- 0.0;
+        r.mean_s <- 0.0
+      end
+      else begin
+        r.mass <- clamp01 (!mass /. float_of_int t.total);
+        r.mean_s <- !weighted_x /. !mass
+      end
     end
+
+  let region t ~x_min ~y_min ~y_max =
+    let r =
+      { s_min = x_min; l_min = y_min; l_max = y_max; mass = 0.0; mean_s = 0.0 }
+    in
+    fill_region t r;
+    { mass = r.mass; mean_x = r.mean_s }
 end

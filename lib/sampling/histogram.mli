@@ -43,6 +43,21 @@ module Hist2d : sig
 
   val count : t -> int
 
+  type plane_region = {
+    mutable s_min : float;
+    mutable l_min : float;
+    mutable l_max : float;  (** the region: [x > s_min], [l_min < y <= l_max] *)
+    mutable mass : float;  (** fraction of observations in the region *)
+    mutable mean_s : float;  (** mean of [x] within it (0 if empty) *)
+  }
+  (** A region of the decision plane, with [x] as [s(o)] and [y] as
+      [l(o)], that {!fill_region} fills in place; [Density.region] is
+      this record. *)
+
+  val fill_region : t -> plane_region -> unit
+  (** Sets [mass] and [mean_s] from the bounds, as {!region} computes
+      them, allocating nothing. *)
+
   type region_stats = {
     mass : float;  (** fraction of observations in the region *)
     mean_x : float;  (** mean of the x coordinate within it (0 if empty) *)
@@ -51,5 +66,6 @@ module Hist2d : sig
   val region : t -> x_min:float -> y_min:float -> y_max:float -> region_stats
   (** Observations with [x > x_min] and [y_min < y <= y_max], with
       fractional boundary bins.  Exactly the region shape of the paper's
-      decision plane: [x] plays [s(o)], [y] plays [l(o)]. *)
+      decision plane: [x] plays [s(o)], [y] plays [l(o)].  Allocates
+      its result; the optimizer's hot path uses {!fill_region}. *)
 end

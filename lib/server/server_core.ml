@@ -170,8 +170,19 @@ let create ?clock cfg =
     Fault_plan.injector_opt ~obs:srv_obs ~site
       (Fault_plan.make ~seed ~permanent_rate:cfg.c_fault_rate ())
   in
+  (* Over pure backends a lane runs its next query while this one waits
+     on the backend ([Domain_pool.blocking]), and every query in flight
+     may keep a round of its own.  An injector's element stream is not
+     domain-safe, and a breaker's verdicts follow round order, so
+     either keeps one query per lane and one round at a time, and
+     [--fault-seed] replays stay put. *)
+  let pure = cfg.c_fault_rate = 0.0 && not cfg.c_breaker in
+  let wait_backend () =
+    if pure then Domain_pool.blocking (fun () -> Unix.sleepf latency)
+    else Unix.sleepf latency
+  in
   let resolver inj to_outcome objs =
-    if latency > 0.0 then Unix.sleepf latency;
+    if latency > 0.0 then wait_backend ();
     Array.map
       (fun o ->
         let failed =
@@ -219,15 +230,7 @@ let create ?clock cfg =
         })
       tiers
   in
-  (* Each lane may keep a backend round of its own in flight only over
-     pure backends.  An injector's element stream is not domain-safe,
-     and a breaker's verdicts follow round order, so either keeps one
-     round at a time and [--fault-seed] replays stay put. *)
-  let rounds =
-    if cfg.c_fault_rate = 0.0 && not cfg.c_breaker then
-      Option.value cfg.c_domains ~default:Engine.default_lanes
-    else 1
-  in
+  let rounds = if pure then Engine.default_lanes else 1 in
   let broker =
     Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
       ?capacity:cfg.c_capacity ?breaker:srv_breaker ~rounds

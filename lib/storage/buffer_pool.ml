@@ -28,11 +28,17 @@ type instruments = {
   h_residency : Metrics.histogram;  (* page lifetime in the pool, at eviction *)
 }
 
+(* The eviction scan's running minimum, kept in the pool so the scan
+   allocates nothing per entry. *)
+type lru = { mutable victim : int; mutable victim_used : int }
+
 type 'a t = {
   capacity : int;
   table : (int, 'a entry) Hashtbl.t;
   ins : instruments option;
   lock : Mutex.t;
+  lru : lru;
+  consider : int -> 'a entry -> unit;  (* the scan step, closed over [lru] *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -54,11 +60,19 @@ let create ?obs ~capacity () =
         })
       obs
   in
+  let lru = { victim = 0; victim_used = max_int } in
   {
     capacity;
     table = Hashtbl.create (2 * capacity);
     ins;
     lock = Mutex.create ();
+    lru;
+    consider =
+      (fun id entry ->
+        if entry.last_used < lru.victim_used then begin
+          lru.victim <- id;
+          lru.victim_used <- entry.last_used
+        end);
     clock = 0;
     hits = 0;
     misses = 0;
@@ -73,56 +87,64 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* Evict the least-recently-used entry (a no-op on an empty pool). *)
+(* Evict the least-recently-used entry (a no-op on an empty pool).
+   Ticks are distinct, so the minimum is unique. *)
 let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun id entry ->
-      match !victim with
-      | None -> victim := Some (id, entry)
-      | Some (_, best) ->
-          if entry.last_used < best.last_used then victim := Some (id, entry))
-    t.table;
-  match !victim with
-  | None -> ()
-  | Some (id, entry) ->
-      (match t.ins with
-      | Some i ->
-          Metrics.observe i.h_residency
-            (Float.max 0.0 (Obs.now i.i_obs -. entry.loaded_at))
-      | None -> ());
-      Hashtbl.remove t.table id;
-      t.evictions <- t.evictions + 1;
-      (match t.ins with Some i -> Metrics.incr i.m_evictions | None -> ())
+  t.lru.victim_used <- max_int;
+  Hashtbl.iter t.consider t.table;
+  if t.lru.victim_used < max_int then begin
+    let id = t.lru.victim in
+    (match t.ins with
+    | Some i ->
+        let entry = Hashtbl.find t.table id in
+        Metrics.observe i.h_residency
+          (Float.max 0.0 (Obs.now i.i_obs -. entry.loaded_at))
+    | None -> ());
+    Hashtbl.remove t.table id;
+    t.evictions <- t.evictions + 1;
+    match t.ins with Some i -> Metrics.incr i.m_evictions | None -> ()
+  end
 
-let fetch_locked t page_id load =
-  match Hashtbl.find_opt t.table page_id with
-  | Some entry ->
+let load_locked t page_id load =
+  t.misses <- t.misses + 1;
+  (match t.ins with Some i -> Metrics.incr i.m_misses | None -> ());
+  (* Load before making room: if the loader raises, the pool must keep
+     its cached pages and not charge an eviction for a fetch that never
+     completed. *)
+  let entry =
+    match t.ins with
+    | None -> { page = load page_id; last_used = 0; loaded_at = 0.0 }
+    | Some i ->
+        let t0 = Obs.now i.i_obs in
+        let page = load page_id in
+        let t1 = Obs.now i.i_obs in
+        Metrics.observe i.h_fetch (Float.max 0.0 (t1 -. t0));
+        { page; last_used = 0; loaded_at = t1 }
+  in
+  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  entry.last_used <- tick t;
+  Hashtbl.replace t.table page_id entry;
+  entry.page
+
+(* A hit allocates nothing: no closure, no [Fun.protect], no option. *)
+let fetch t page_id load =
+  Mutex.lock t.lock;
+  match Hashtbl.find t.table page_id with
+  | entry ->
       t.hits <- t.hits + 1;
       (match t.ins with Some i -> Metrics.incr i.m_hits | None -> ());
       entry.last_used <- tick t;
+      Mutex.unlock t.lock;
       entry.page
-  | None ->
-      t.misses <- t.misses + 1;
-      (match t.ins with Some i -> Metrics.incr i.m_misses | None -> ());
-      (* Load before making room: if the loader raises, the pool must
-         keep its cached pages and not charge an eviction for a fetch
-         that never completed. *)
-      let page, loaded_at =
-        match t.ins with
-        | None -> (load page_id, 0.0)
-        | Some i ->
-            let t0 = Obs.now i.i_obs in
-            let page = load page_id in
-            let t1 = Obs.now i.i_obs in
-            Metrics.observe i.h_fetch (Float.max 0.0 (t1 -. t0));
-            (page, t1)
-      in
-      if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      Hashtbl.replace t.table page_id { page; last_used = tick t; loaded_at };
-      page
-
-let fetch t page_id load = locked t (fun () -> fetch_locked t page_id load)
+  | exception Not_found -> (
+      match load_locked t page_id load with
+      | page ->
+          Mutex.unlock t.lock;
+          page
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Mutex.unlock t.lock;
+          Printexc.raise_with_backtrace e bt)
 
 let contains t page_id = locked t (fun () -> Hashtbl.mem t.table page_id)
 

@@ -157,6 +157,141 @@ let parallel_map (type b) t ?chunk_size f arr =
 
 let run_all t thunks = parallel_map t ~chunk_size:1 (fun g -> g ()) thunks
 
+(* ---- lanes ------------------------------------------------------- *)
+
+(* A lane is one domain's share of a [run_lanes] call.  Its threads (the
+   domain's own, plus helper systhreads) run task code only while they
+   hold [token], so the lane computes on one thread at a time and
+   switches threads only where a holder gives the token up: in
+   [blocking] and in [wait].  Every field but [queued]/[step] is read
+   and written by the token holder only. *)
+type lane = {
+  token : Mutex.t;
+  mutable holder : int;  (* [Thread.id] of the thread holding [token], or -1 *)
+  mutable idle : int;  (* helpers started that have not taken [token] yet *)
+  mutable threads : int;  (* live threads of the lane, its own included *)
+  mutable helpers : Thread.t list;
+  queued : unit -> bool;  (* is a task still waiting for a lane? *)
+  step : unit -> bool;  (* run the next task; [false] once none is left *)
+}
+
+(* The most threads one lane keeps alive: a lane lends itself only this
+   many times over, however many tasks are queued behind it. *)
+let max_lane_threads = 16
+
+(* Domain-local: a domain's helper threads share their lane with it. *)
+let current : lane option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let[@inline] self () = Thread.id (Thread.self ())
+
+let take lane =
+  Mutex.lock lane.token;
+  lane.holder <- self ()
+
+let give lane =
+  lane.holder <- -1;
+  Mutex.unlock lane.token
+
+let rec drain lane = if lane.step () then drain lane
+
+let helper lane () =
+  take lane;
+  lane.idle <- lane.idle - 1;
+  drain lane;
+  lane.threads <- lane.threads - 1;
+  give lane
+
+(* A helper takes the token (and the next task) only once its lender
+   gives the token up, so starting one before giving up is safe. *)
+let lend lane =
+  if lane.idle = 0 && lane.threads < max_lane_threads && lane.queued () then
+    match Thread.create (helper lane) () with
+    | th ->
+        lane.idle <- lane.idle + 1;
+        lane.threads <- lane.threads + 1;
+        lane.helpers <- th :: lane.helpers
+    | exception Sys_error _ -> (* no thread to spare: just wait *) ()
+
+let blocking f =
+  match Domain.DLS.get current with
+  | Some lane when lane.holder = self () -> (
+      lend lane;
+      give lane;
+      match f () with
+      | v ->
+          take lane;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          take lane;
+          Printexc.raise_with_backtrace e bt)
+  | Some _ | None -> f ()
+
+let wait cond m =
+  match Domain.DLS.get current with
+  | Some lane when lane.holder = self () ->
+      give lane;
+      Condition.wait cond m;
+      (* Token first, [m] second: a thread waiting for the token never
+         holds [m], so the token's holder can always take [m]. *)
+      Mutex.unlock m;
+      take lane;
+      Mutex.lock m
+  | Some _ | None -> Condition.wait cond m
+
+let run_lanes ~lanes tasks =
+  if lanes < 1 then invalid_arg "Domain_pool.run_lanes: lanes < 1";
+  let n = Array.length tasks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let queued () = Atomic.get next < n in
+  let step () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then
+      results.(i) <-
+        Some
+          (match tasks.(i) () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+    i < n
+  in
+  let run_lane () =
+    let lane =
+      {
+        token = Mutex.create ();
+        holder = -1;
+        idle = 0;
+        threads = 1;
+        helpers = [];
+        queued;
+        step;
+      }
+    in
+    let outer = Domain.DLS.get current in
+    Domain.DLS.set current (Some lane);
+    take lane;
+    drain lane;
+    (* The queue is empty, so no thread of this lane starts another
+       helper: the list is complete. *)
+    let helpers = lane.helpers in
+    give lane;
+    List.iter Thread.join helpers;
+    Domain.DLS.set current outer
+  in
+  let spawned =
+    List.init
+      (Stdlib.max 0 (Stdlib.min lanes n - 1))
+      (fun _ -> Domain.spawn run_lane)
+  in
+  run_lane ();
+  List.iter Domain.join spawned;
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false)
+    results
+
 let env_var = "QAQ_DOMAINS"
 
 let resolve ?domains () =

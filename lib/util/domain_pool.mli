@@ -79,6 +79,57 @@ val with_pool :
 (** [with_pool ~domains f] runs [f] over a fresh pool and shuts it down
     on exit, normal or exceptional. *)
 
+(** {2 Lanes that lend themselves out while a task waits on I/O}
+
+    {!run_lanes} runs independent tasks (a server's batch of queries) on
+    a few lanes.  A lane runs one task at a time: only the thread holding
+    the lane's {e token} (a mutex) runs task code.  When that thread is
+    about to wait on a remote backend it calls {!blocking}, which gives
+    the token up for the wait; if tasks are still queued, the lane first
+    starts a helper thread that takes the token and the next task, so
+    the lane computes while its task waits.  The holder takes the token
+    back when the wait ends (after the helper next gives it up).  Waits
+    that are not I/O go through {!wait}, which gives the token up but
+    starts no helper. *)
+
+val run_lanes : lanes:int -> (unit -> 'a) array -> 'a array
+(** [run_lanes ~lanes tasks] runs every task and returns their results
+    in input order.  [min lanes n] lanes (the caller's domain is lane 0,
+    the others are domains spawned for the call) take the tasks from
+    one shared queue in index order.  A lane keeps at most 16 threads
+    alive, its own included, and every helper has finished when the
+    call returns.
+
+    A raising task does not stop the others: once every task has
+    finished, the exception of the lowest-indexed raising task is
+    re-raised with its backtrace.
+
+    Tasks run concurrently, so results equal [Array.map] of the solo
+    calls only when the tasks share no state that depends on their
+    interleaving.  A task must not call {!run_lanes}, and tasks must
+    not share a pool (a pool is owned by one domain).
+    @raise Invalid_argument if [lanes < 1]. *)
+
+val blocking : (unit -> 'a) -> 'a
+(** [blocking f] is [f ()], run by a thread of a {!run_lanes} lane with
+    the lane's token given up, so that other tasks of the lane run while
+    [f] waits.  If tasks are still queued and the lane has no helper
+    waiting for the token already, a helper thread is started first.
+    [f] must only wait (sleep, read a socket, ...): it runs concurrently
+    with the lane's next task, and must not touch the lane's state or
+    hold a lock that task code takes.  Outside a lane it is just
+    [f ()].  The token is retaken before [blocking] returns or
+    re-raises. *)
+
+val wait : Condition.t -> Mutex.t -> unit
+(** [wait c m] is [Condition.wait c m] that gives the calling lane's
+    token up while it waits, and starts no helper.  On waking it
+    releases [m], retakes the token and then retakes [m]: the lock order
+    is token first, [m] second, so a thread waiting for a token never
+    holds [m].  Callers re-check their condition in a loop, as with
+    [Condition.wait]; state guarded by [m] may change while [m] is
+    released.  Outside a lane it is just [Condition.wait c m]. *)
+
 val env_var : string
 (** ["QAQ_DOMAINS"] — the environment variable {!resolve} consults. *)
 

@@ -743,6 +743,87 @@ let test_tier_hammer_stats_identity () =
   tier_hammer ~rounds:1;
   tier_hammer ~rounds:2
 
+(* Tasks of one lane over a broker whose backend waits with
+   [Domain_pool.blocking]: while a task's round is in the backend, the
+   lane runs the next task, which asks for the same objects and waits on
+   that round.  The waiter must give the lane's token up, or the round's
+   dispatcher could never take it back to settle the round. *)
+let test_lane_waits_on_own_round () =
+  List.iter
+    (fun rounds ->
+      let resolve objs =
+        Domain_pool.blocking (fun () -> Unix.sleepf 0.005);
+        Array.map (fun k -> Probe_driver.Resolved k) objs
+      in
+      let broker = Probe_broker.create ~rounds ~batch_size:4 ~key:Fun.id resolve in
+      let got =
+        Test_domain_pool.within
+          (Printf.sprintf "rounds %d: a lane waiting on its own round" rounds)
+          (fun () ->
+            Domain_pool.run_lanes ~lanes:1
+              (Array.init 8 (fun i () ->
+                   Probe_broker.fetch
+                     ~tenant:(string_of_int (i mod 2))
+                     broker (i mod 3))))
+      in
+      Array.iteri
+        (fun i oc ->
+          match oc with
+          | Probe_driver.Resolved k when k = i mod 3 -> ()
+          | _ -> Alcotest.failf "rounds %d: task %d got a wrong outcome" rounds i)
+        got;
+      checki
+        (Printf.sprintf "rounds %d: each object charged once" rounds)
+        3 (Probe_broker.stats broker).Probe_broker.charged)
+    [ 1; 2; 16 ]
+
+(* A lend and retake inside a raising round: the resolver gives the
+   lane up while it "waits", then raises.  Every request is still
+   classified exactly once, the raising batch settles as failed, and
+   the next fetch finds a free slot. *)
+let test_lane_raising_round_identity () =
+  let calls = Atomic.make 0 in
+  let resolve objs =
+    Domain_pool.blocking (fun () -> Unix.sleepf 0.005);
+    if Atomic.fetch_and_add calls 1 = 0 then failwith "backend down";
+    Array.map (fun k -> Probe_driver.Resolved k) objs
+  in
+  let broker = Probe_broker.create ~rounds:2 ~batch_size:2 ~key:Fun.id resolve in
+  let got =
+    Test_domain_pool.within "lanes over a raising round" (fun () ->
+        Domain_pool.run_lanes ~lanes:2
+          (Array.init 8 (fun i () ->
+               match
+                 Probe_broker.fetch ~tenant:(string_of_int (i mod 3)) broker
+                   (i mod 5)
+               with
+               | oc -> Ok oc
+               | exception Failure msg -> Error msg)))
+  in
+  let raised =
+    Array.fold_left
+      (fun n r ->
+        match r with
+        | Error "backend down" -> n + 1
+        | Error msg -> Alcotest.failf "unexpected failure %S" msg
+        | Ok _ -> n)
+      0 got
+  in
+  checki "one dispatcher saw the resolver raise" 1 raised;
+  let s = Probe_broker.stats broker in
+  checkb "requests = admitted + coalesced + fresh + rejected" true
+    (s.Probe_broker.requests
+    = s.Probe_broker.admitted + s.Probe_broker.coalesced
+      + s.Probe_broker.fresh_hits + s.Probe_broker.rejected);
+  checkb "every admitted request settled" true
+    (s.Probe_broker.charged + s.Probe_broker.failed = s.Probe_broker.admitted);
+  checkb "the raising batch failed" true (s.Probe_broker.failed >= 1);
+  match Test_domain_pool.within "a fetch after the raise" (fun () ->
+            Probe_broker.fetch broker 99)
+  with
+  | Probe_driver.Resolved 99 -> ()
+  | _ -> Alcotest.fail "the slot of the raising round must be free again"
+
 let test_validation () =
   let resolve objs =
     Array.map (fun k -> Probe_driver.Resolved k) objs
@@ -777,6 +858,10 @@ let suite =
     ("cross-query batch packing", `Quick, test_cross_query_packing);
     ("two rounds in flight overlap in the backend", `Quick,
      test_two_rounds_in_flight);
+    ("a lane task waits on its own lane's round", `Quick,
+     test_lane_waits_on_own_round);
+    ("a lend inside a raising round keeps the identity", `Quick,
+     test_lane_raising_round_identity);
     ("a raising round frees its slot", `Quick,
      test_raising_round_frees_its_slot);
     ("capacity saturation degrades", `Quick, test_capacity_saturation);

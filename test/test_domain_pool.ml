@@ -118,6 +118,93 @@ let test_resolve_env () =
   Unix.putenv Domain_pool.env_var "";
   checki "empty env means one" 1 (Domain_pool.resolve ())
 
+(* Run [f] on a domain of its own and fail the test if it has not
+   returned within [seconds]: a lane that deadlocks fails its test
+   instead of stalling the suite.  Returns [f]'s result, or re-raises
+   its exception. *)
+let within ?(seconds = 5.0) what f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.failf "%s did not finish within %g s" what seconds;
+  Domain.join d
+
+(* One lane, eight tasks that each wait 20 ms on "I/O": the lane lends
+   itself out at every wait, so the waits overlap, and the results still
+   come back in input order. *)
+let test_lane_overlaps_io () =
+  let got, seconds =
+    within "eight blocking tasks on one lane" (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let got =
+          Domain_pool.run_lanes ~lanes:1
+            (Array.init 8 (fun i () ->
+                 Domain_pool.blocking (fun () -> Unix.sleepf 0.02);
+                 i * i))
+        in
+        (got, Unix.gettimeofday () -. t0))
+  in
+  Alcotest.(check (array int))
+    "results in input order"
+    (Array.init 8 (fun i -> i * i))
+    got;
+  checkb
+    (Printf.sprintf "the waits overlap (%.0f ms, serial is 160 ms)"
+       (seconds *. 1000.0))
+    true (seconds < 0.1)
+
+(* A raising task does not cut the run short: every other task
+   finishes first, and the lowest-indexed exception is the one that
+   reaches the caller. *)
+let test_lane_raise_after_all () =
+  List.iter
+    (fun lanes ->
+      let finished = Atomic.make 0 in
+      let tasks =
+        Array.init 6 (fun i () ->
+            if i = 1 then failwith "first"
+            else if i = 4 then failwith "second"
+            else begin
+              Domain_pool.blocking (fun () -> Unix.sleepf 0.01);
+              Atomic.incr finished
+            end)
+      in
+      let outcome =
+        within "a raising run" (fun () ->
+            match Domain_pool.run_lanes ~lanes tasks with
+            | _ -> Ok ()
+            | exception Failure msg -> Error (msg, Atomic.get finished))
+      in
+      match outcome with
+      | Error (msg, done_) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d lanes: lowest index wins" lanes)
+            "first" msg;
+          checki
+            (Printf.sprintf "%d lanes: the others finished first" lanes)
+            4 done_
+      | Ok () -> Alcotest.failf "%d lanes: the run must raise" lanes)
+    [ 1; 2 ]
+
+(* Outside a lane, [blocking] and [wait] are the plain calls, and
+   [run_lanes] validates its lane count. *)
+let test_lane_edges () =
+  checki "blocking outside a lane" 7 (Domain_pool.blocking (fun () -> 7));
+  Alcotest.(check (array int)) "no tasks" [||] (Domain_pool.run_lanes ~lanes:3 [||]);
+  Alcotest.(check (array int))
+    "more lanes than tasks" [| 0; 1 |]
+    (Domain_pool.run_lanes ~lanes:4 [| (fun () -> 0); (fun () -> 1) |]);
+  Alcotest.check_raises "lanes < 1"
+    (Invalid_argument "Domain_pool.run_lanes: lanes < 1") (fun () ->
+      ignore (Domain_pool.run_lanes ~lanes:0 [| (fun () -> 0) |]))
+
 let suite =
   [
     ("parallel_map matches Array.map", `Quick, test_map_matches_sequential);
@@ -130,4 +217,8 @@ let suite =
     ("shutdown idempotent, pools cycle", `Quick, test_shutdown_idempotent);
     ("invalid arguments", `Quick, test_invalid_arguments);
     ("resolve and QAQ_DOMAINS", `Quick, test_resolve_env);
+    ("a lane overlaps its tasks' I/O waits", `Quick, test_lane_overlaps_io);
+    ("a raising lane task re-raises after the others", `Quick,
+     test_lane_raise_after_all);
+    ("lane edge cases", `Quick, test_lane_edges);
   ]

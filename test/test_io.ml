@@ -181,6 +181,150 @@ let prop_csv_roundtrip =
       let rows = List.map (fun r -> r @ [ "end" ]) rows in
       Csv.decode (Csv.encode rows) = rows)
 
+(* ---- fuzzing the CSV reader and the loaders on top of it ---------- *)
+
+(* Bytes that steer the CSV and number parsers, plus any byte at all. *)
+let csv_byte =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, oneofl [ ','; '"'; '\n'; '\r'; ' ' ]);
+        (6, oneofl [ '0'; '1'; '2'; '5'; '9'; '.'; '-'; '+'; 'e'; 'E'; '_'; 'x'; 'p' ]);
+        (3, oneofl [ 'n'; 'a'; 'i'; 'f'; 'Y'; 'E'; 'S'; 'N'; 'O'; 'M' ]);
+        (2, char);
+      ])
+
+(* Fields a loader may choke on: numbers at and beyond the edges,
+   non-finite spellings, OCaml-only literals, labels, stray bytes. *)
+let loader_field =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map string_of_int (int_range (-3) 12));
+        (4, map (Printf.sprintf "%g") (float_range (-5.0) 15.0));
+        ( 4,
+          oneofl
+            [
+              "-0"; "1e308"; "-1e308"; "1e309"; "nan"; "inf"; "-inf";
+              "infinity"; "0x1p3"; "1_000"; " 1"; ""; "4611686018427387904";
+              "-4611686018427387905"; "YES"; "NO"; "MAYBE"; "maybe"; "true";
+            ] );
+        (1, string_size ~gen:csv_byte (int_range 0 6));
+      ])
+
+(* Random text under one of the loader headers (or a damaged one):
+   mostly rows of the header's arity, some quoted, joined by commas and
+   line ends. *)
+let loader_text header =
+  QCheck2.Gen.(
+    let arity = List.length header in
+    let row =
+      frequency
+        [
+          (6, list_repeat arity loader_field);
+          (1, list_size (int_range 0 7) loader_field);
+        ]
+    in
+    let* header =
+      frequency [ (8, return header); (1, row); (1, return []) ]
+    in
+    let* rows = list_size (int_range 0 4) row in
+    let* quote = bool in
+    let* crlf = bool in
+    let field f = if quote then Csv.escape_field f else f in
+    let line r = String.concat "," (List.map field r) in
+    return
+      (String.concat (if crlf then "\r\n" else "\n")
+         (List.map line (header :: rows))))
+
+(* Each text either parses or fails with the reader's or the loader's
+   own error; any other exception fails the property. *)
+let parses_or_typed_error f text =
+  match f text with
+  | _ -> true
+  | exception Csv.Parse_error _ -> true
+  | exception Failure msg when String.starts_with ~prefix:"Dataset_io: " msg ->
+      true
+  | exception e ->
+      QCheck2.Test.fail_reportf "%S raised %s" text (Printexc.to_string e)
+
+let sound_records text =
+  let records = Dataset_io.records_of_rows (Csv.decode text) in
+  Array.iter
+    (fun (r : Interval_data.record) ->
+      let lo, hi =
+        match r.Interval_data.belief with
+        | Uncertain.Exact x -> (x, x)
+        | Uncertain.Interval i -> (Interval.lo i, Interval.hi i)
+        | Uncertain.Gaussian _ -> assert false
+      in
+      assert (
+        Float.is_finite lo && Float.is_finite hi && lo <= r.Interval_data.truth
+        && r.Interval_data.truth <= hi))
+    records
+
+let prop_csv_random_bytes =
+  QCheck2.Test.make ~name:"csv: random bytes parse or raise Parse_error"
+    ~count:500 ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:csv_byte (int_range 0 200))
+    (fun text ->
+      match Csv.decode text with
+      | rows -> List.for_all (fun r -> r <> []) rows
+      | exception Csv.Parse_error { offset; _ } ->
+          offset >= 0 && offset < String.length text
+      | exception e ->
+          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let prop_record_loader_fuzz =
+  QCheck2.Test.make
+    ~name:"record loader: random rows load soundly or are a typed error"
+    ~count:500 ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [
+          loader_text Dataset_io.records_header;
+          string_size ~gen:csv_byte (int_range 0 200);
+        ])
+    (parses_or_typed_error sound_records)
+
+let prop_synthetic_loader_fuzz =
+  QCheck2.Test.make
+    ~name:"synthetic loader: random rows load or are a typed error"
+    ~count:300 ~print:(Printf.sprintf "%S")
+    (loader_text Dataset_io.synthetic_header)
+    (parses_or_typed_error (fun text ->
+         Dataset_io.synthetic_of_rows (Csv.decode text)))
+
+(* A fuzz property as a test case, all its cases under one timeout: a
+   parser that loops fails the case instead of stalling the suite. *)
+let fuzz seed prop =
+  let (QCheck2.Test.Test cell) = prop in
+  let name = QCheck2.Test.get_name cell in
+  ( name,
+    `Quick,
+    fun () ->
+      Test_domain_pool.within ~seconds:30.0 name (fun () ->
+          QCheck2.Test.check_exn ~rand:(Random.State.make [| seed |]) prop) )
+
+(* The file entry point goes through the same reader and loader. *)
+let test_read_records_garbage_file () =
+  let path = Filename.temp_file "qaq_fuzz" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let rng = Random.State.make [| 7 |] in
+      for _ = 1 to 50 do
+        let text =
+          QCheck2.Gen.generate1 ~rand:rng (loader_text Dataset_io.records_header)
+        in
+        let oc = open_out_bin path in
+        output_string oc text;
+        close_out oc;
+        Alcotest.(check bool)
+          "read_records parses or gives a typed error" true
+          (parses_or_typed_error (fun _ -> Dataset_io.read_records path) text)
+      done)
+
 let suite =
   [
     ("field escaping", `Quick, test_escape);
@@ -195,4 +339,8 @@ let suite =
     ("records roundtrip", `Quick, test_records_roundtrip);
     ("records reject gaussian", `Quick, test_records_reject_gaussian);
     ("records reject unsound rows", `Quick, test_records_reject_unsound);
+    fuzz 30 prop_csv_random_bytes;
+    fuzz 31 prop_record_loader_fuzz;
+    fuzz 32 prop_synthetic_loader_fuzz;
+    ("record file loader on garbage", `Quick, test_read_records_garbage_file);
   ]

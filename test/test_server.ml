@@ -583,8 +583,8 @@ let test_latency_server_pipelines () =
   let results domains =
     let srv = Server_core.create { latency with c_domains = Some domains } in
     checki
-      (Printf.sprintf "%d lanes, %d round slots" domains domains)
-      domains
+      (Printf.sprintf "%d lanes, %d round slots" domains Engine.default_lanes)
+      Engine.default_lanes
       (Probe_broker.rounds (Server_core.broker srv));
     let _, lines = session srv script in
     List.filter_map

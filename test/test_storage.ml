@@ -142,6 +142,69 @@ let test_buffer_pool_lru () =
 (* Regression: a loader that raises must leave the pool exactly as it
    was — in particular the LRU victim must not be evicted for a page
    that never arrived. *)
+(* The pool against a list model of LRU (most recent first): over
+   random access sequences, with and without raising loads, the same
+   pages stay cached and the same hits, misses and evictions are
+   counted. *)
+let prop_buffer_pool_is_lru =
+  QCheck2.Test.make ~name:"buffer pool evicts as an LRU list" ~count:200
+    QCheck2.Gen.(
+      pair (int_range 1 5)
+        (list_size (int_range 0 120) (pair (int_range 0 9) (int_range 0 9))))
+    (fun (capacity, accesses) ->
+      let pool = Buffer_pool.create ~capacity () in
+      let model = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      List.for_all
+        (fun (page, roll) ->
+          let fails = roll = 0 in
+          let load p = if fails then raise Exit else p * 10 in
+          (match Buffer_pool.fetch pool page load with
+          | v -> assert (v = page * 10)
+          | exception Exit -> ());
+          if List.mem page !model then begin
+            incr hits;
+            model := page :: List.filter (( <> ) page) !model
+          end
+          else begin
+            incr misses;
+            if not fails then begin
+              if List.length !model >= capacity then begin
+                incr evictions;
+                model := List.filteri (fun i _ -> i < capacity - 1) !model
+              end;
+              model := page :: !model
+            end
+          end;
+          let s = Buffer_pool.stats pool in
+          s.hits = !hits && s.misses = !misses && s.evictions = !evictions
+          && List.for_all
+               (fun p -> Buffer_pool.contains pool p = List.mem p !model)
+               (List.init 10 Fun.id))
+        accesses)
+
+(* A hit takes the lock, bumps the clock and returns the page: no
+   closure, no [Fun.protect], no option, so no minor words, with or
+   without instruments. *)
+let test_buffer_pool_hit_allocation () =
+  List.iter
+    (fun (what, obs) ->
+      let pool = Buffer_pool.create ?obs ~capacity:4 () in
+      let load p = [| p |] in
+      for p = 0 to 3 do
+        ignore (Buffer_pool.fetch pool p load)
+      done;
+      let n = 100_000 in
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        ignore (Buffer_pool.fetch pool (i land 3) load)
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      checkb
+        (Printf.sprintf "%s: %.4f words per hit <= 0.01" what words)
+        true (words <= 0.01);
+      checki (what ^ ": all hits") n (Buffer_pool.stats pool).hits)
+    [ ("bare", None); ("instrumented", Some (Obs.create ())) ]
+
 let test_buffer_pool_failed_load () =
   let pool = Buffer_pool.create ~capacity:2 () in
   let load p = [| p |] in
@@ -388,6 +451,8 @@ let suite =
     ("cost meter accounting", `Quick, test_cost_meter);
     ("buffer pool LRU", `Quick, test_buffer_pool_lru);
     ("buffer pool failed load", `Quick, test_buffer_pool_failed_load);
+    QCheck_alcotest.to_alcotest prop_buffer_pool_is_lru;
+    ("buffer pool hit allocation", `Quick, test_buffer_pool_hit_allocation);
     ("buffer pool failed chunk load", `Quick, test_buffer_pool_failed_chunk_load);
     ("buffer pool concurrent single load", `Quick,
      test_buffer_pool_concurrent_single_load);
