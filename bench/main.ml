@@ -684,14 +684,14 @@ let columnar_bench () =
   in
   let instance = Interval_data.instance pred in
   let probe = Probe_driver.scalar Interval_data.probe in
-  let scan ?pool layout =
+  let scan ?lanes layout =
     let meter = Cost_meter.create () in
     let source =
       match layout with
-      | `Row -> (Scan_pipeline.rows ~instance records).cursor ?pool ()
+      | `Row -> (Scan_pipeline.rows ~instance records).cursor ?lanes ()
       | `Columnar ->
           (Scan_pipeline.store ~of_row:Interval_data.of_row ~pred store).cursor
-            ?pool ()
+            ?lanes ()
     in
     let report =
       Operator.run ~rng:(Rng.create 8193) ~meter ~collect:false
@@ -712,9 +712,9 @@ let columnar_bench () =
   ignore (scan `Columnar);
   let baseline = fingerprint (scan `Row) in
   let ok = ref true in
-  let timed ?pool ~domains layout =
+  let timed ~domains layout =
     let t0 = Unix.gettimeofday () in
-    let r = scan ?pool layout in
+    let r = scan ~lanes:domains layout in
     let dt = Unix.gettimeofday () -. t0 in
     if fingerprint r <> baseline then begin
       ok := false;
@@ -742,16 +742,14 @@ let columnar_bench () =
   in
   List.iter
     (fun domains ->
-      Domain_pool.with_pool ~domains (fun pool ->
-          List.iter
-            (fun layout ->
-              let dt, counts = timed ~pool ~domains layout in
-              Printf.printf
-                "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n"
-                (name layout) domains dt
-                (float_of_int pages /. dt)
-                counts.Cost_meter.probes)
-            [ `Row; `Columnar ]))
+      List.iter
+        (fun layout ->
+          let dt, counts = timed ~domains layout in
+          Printf.printf "%-8s domains=%d  %.3fs  %10.0f pages/sec  probes %d\n"
+            (name layout) domains dt
+            (float_of_int pages /. dt)
+            counts.Cost_meter.probes)
+        [ `Row; `Columnar ])
     [ 4; 8 ];
   Array.sort Float.compare speedups;
   let ratio = speedups.(pairs / 2) in
@@ -911,8 +909,11 @@ let server_bench () =
   let n_clients = 8 in
   let batch = 8 in
   let probe_seconds = 0.010 in
+  (* The backend wait gives the lane up, as the server's resolver does:
+     lanes stop at the core count, and a lane runs the batch's next
+     query while its query waits. *)
   let resolve objs =
-    Unix.sleepf probe_seconds;
+    Domain_pool.blocking (fun () -> Unix.sleepf probe_seconds);
     Array.map (fun o -> Probe_driver.Resolved (Synthetic.probe o)) objs
   in
   let seeds = Array.init n_clients (fun i -> engine_seed + i) in

@@ -52,10 +52,10 @@ let c_b =
 
 let domains =
   let doc =
-    "Worker domains for the scan pipeline (default: the QAQ_DOMAINS \
-     environment variable, else 1).  Classification fans out across \
-     domains while every decision stays sequential, so results are \
-     identical for any value."
+    "Lanes for the scan pipeline (default: the QAQ_DOMAINS environment \
+     variable, else 1; at most one lane per core runs at once).  \
+     Classification fans out across lanes while every decision stays \
+     sequential, so results are identical for any value."
   in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 

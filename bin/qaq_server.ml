@@ -131,9 +131,10 @@ let cmd =
   in
   let domains =
     let doc =
-      "Lanes (domains) for RUN (default: one per queued query, capped at \
-       16).  Without --fault-rate and --breaker, a lane runs the batch's \
-       next query while its query waits on --probe-ms."
+      "Lanes for RUN (default: one per core, and never more than the \
+       queued queries or the cores).  Without --fault-rate and --breaker, \
+       a lane runs the batch's next query while its query waits on \
+       --probe-ms."
     in
     Arg.(
       value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)

@@ -60,7 +60,7 @@
     submitted object.
 
     A client waiting for a round in flight waits with
-    {!Domain_pool.wait}: inside a {!Domain_pool.run_lanes} lane it
+    {!Domain_pool.wait}: inside a {!Domain_pool.run} lane it
     gives the lane's token up (so another query of the lane can run,
     possibly the one whose round it waits on) and on waking retakes the
     token before the broker lock.  A resolver may wait on its backend

@@ -32,7 +32,7 @@ type 'o instance = {
     [current] only to forward or probe: a NO or an ignored MAYBE never
     has to exist as an OCaml value (late materialisation).  The three
     questions receive the run's instance; a pre-classifying source (a
-    {!Scan_pipeline} cursor: the rows backend's on a pool, the store
+    {!Scan_pipeline} cursor: the rows backend's on lanes, the store
     backend's) ignores it, but must answer what the instance would say
     of [current ()].  [total] is the number of
     objects the source will deliver — the initial [|M_ns|] — and must be

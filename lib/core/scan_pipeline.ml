@@ -1,13 +1,13 @@
 (* The one pre-classifying cursor, over [units] input units (objects or
    chunks) taken [block] at a time.  [fill ~lo ~len] classifies units
    [lo, lo + len) into the flat buffers: it returns the block's slot
-   count and its classification tasks, which run on the pool's lanes.
+   count and its classification tasks, which run on [lanes] lanes.
    Each task writes a disjoint slice of the buffers, so the result is
    scheduling-independent.  [current ~lo k] builds the object in slot
    [k] of the block that starts at unit [lo].  The buffers are reused:
    the consumer drains a block completely before the next is
    classified, so one allocation serves the whole scan. *)
-let cursor ?obs ?pool ~total ~units ~block ~cap ~fill ~current () :
+let cursor ?obs ?on_task ~lanes ~total ~units ~block ~cap ~fill ~current () :
     'o Operator.source =
   let verdicts = Bytes.create cap in
   let laxities = Array.make cap 0.0 in
@@ -26,10 +26,8 @@ let cursor ?obs ?pool ~total ~units ~block ~cap ~fill ~current () :
          let lo = !frontier in
          let len = Stdlib.min block (units - lo) in
          let slots, tasks = fill ~lo ~len ~verdicts ~laxities ~successes in
-         (match pool with
-         | Some p when Domain_pool.domains p > 1 ->
-             ignore (Domain_pool.run_all p tasks)
-         | _ -> Array.iter (fun task -> task ()) tasks);
+         if lanes > 1 then ignore (Domain_pool.run ?on_task ~lanes tasks)
+         else Array.iter (fun task -> task ()) tasks;
          Option.iter Metrics.incr m_blocks;
          block_lo := lo;
          frontier := lo + len;
@@ -68,7 +66,12 @@ let classify_into (instance : 'o Operator.instance) o ~verdicts ~laxities
 type 'o t = {
   length : int;
   sample : ?max_laxity:float -> int array -> 'o array * float;
-  cursor : ?obs:Obs.t -> ?pool:Domain_pool.t -> unit -> 'o Operator.source;
+  cursor :
+    ?obs:Obs.t ->
+    ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
+    ?lanes:int ->
+    unit ->
+    'o Operator.source;
 }
 
 (* [Array.fold_right]'s order, n - 1 down to 0, so the draws are the ones
@@ -99,26 +102,25 @@ let rows ?(block = 4096) ~(instance : _ Operator.instance) data =
   let sample ?max_laxity indices =
     (Array.map (fun i -> data.(i)) indices, laxity_cap ?max_laxity widest)
   in
-  let cursor ?obs ?pool () =
-    match pool with
-    | Some pool when Domain_pool.domains pool > 1 ->
-        (* About eight slices per lane, so a slow slice cannot leave the
-           other lanes idle for long. *)
-        let lanes = 8 * Domain_pool.domains pool in
-        let fill ~lo ~len ~verdicts ~laxities ~successes =
-          let slice = (len + lanes - 1) / lanes in
-          ( len,
-            Array.init ((len + slice - 1) / slice) (fun t () ->
-                for k = t * slice to Stdlib.min len ((t + 1) * slice) - 1 do
-                  classify_into instance data.(lo + k) ~verdicts ~laxities
-                    ~successes k
-                done) )
-        in
-        cursor ?obs ~pool ~total:n ~units:n ~block ~cap:(Stdlib.min block n)
-          ~fill
-          ~current:(fun ~lo k -> data.(lo + k))
-          ()
-    | Some _ | None -> Operator.source_of_array data
+  let cursor ?obs ?on_task ?(lanes = 1) () =
+    if lanes > 1 then
+      (* About eight slices per lane, so a slow slice cannot leave the
+         other lanes idle for long. *)
+      let slices = 8 * lanes in
+      let fill ~lo ~len ~verdicts ~laxities ~successes =
+        let slice = (len + slices - 1) / slices in
+        ( len,
+          Array.init ((len + slice - 1) / slice) (fun t () ->
+              for k = t * slice to Stdlib.min len ((t + 1) * slice) - 1 do
+                classify_into instance data.(lo + k) ~verdicts ~laxities
+                  ~successes k
+              done) )
+      in
+      cursor ?obs ?on_task ~lanes ~total:n ~units:n ~block
+        ~cap:(Stdlib.min block n) ~fill
+        ~current:(fun ~lo k -> data.(lo + k))
+        ()
+    else Operator.source_of_array data
   in
   { length = n; sample; cursor }
 
@@ -165,7 +167,7 @@ let sample_store store ~of_row ?max_laxity indices =
 let store ?(wave = 16) ?(prune = false) ~of_row ~pred store =
   if wave < 1 then invalid_arg "Scan_pipeline.store: wave < 1";
   let compiled = Predicate.compile pred in
-  let cursor ?obs ?pool () =
+  let cursor ?obs ?on_task ?(lanes = 1) () =
     let chunk_count = Column_store.chunk_count store in
     let surviving =
       List.init chunk_count Fun.id
@@ -197,7 +199,8 @@ let store ?(wave = 16) ?(prune = false) ~of_row ~pred store =
               ~off:(k * cs) ~verdicts ~laxities ~successes)
           !chunks )
     in
-    cursor ?obs ?pool ~total ~units:(Array.length surviving) ~block:wave
+    cursor ?obs ?on_task ~lanes ~total ~units:(Array.length surviving)
+      ~block:wave
       ~cap:(wave * cs) ~fill
       ~current:(fun ~lo:_ k ->
         of_row (Column_store.row (!chunks).(k / cs) (k mod cs)))

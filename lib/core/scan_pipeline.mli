@@ -16,10 +16,10 @@
     the policy's randomized choices) is sequential.  So both cursors
     classify a block of input into flat verdict ([Tvl.to_char]-packed),
     laxity and success buffers, one disjoint slice per task on the
-    pool's lanes, and {!Operator.run} reads them through one shared
-    cursor ({!Operator.source}): its [verdict], [laxity] and [success]
-    read the buffers (they ignore the instance they are given), and
-    [current] builds the object only when the loop forwards or probes
+    cursor's lanes ({!Domain_pool.run}), and {!Operator.run} reads them
+    through one shared cursor ({!Operator.source}): its [verdict],
+    [laxity] and [success] read the buffers (they ignore the instance
+    they are given), and [current] builds the object only when the loop forwards or probes
     it.  The two backends differ only in how a block is filled and how a
     slot becomes an object.
 
@@ -38,10 +38,16 @@ type 'o t = {
           {!sample_indices}) and the laxity cap to plan with — the given
           [max_laxity], else the largest l(o) over the whole input (1
           when none is positive), both from one pass in storage order. *)
-  cursor : ?obs:Obs.t -> ?pool:Domain_pool.t -> unit -> 'o Operator.source;
-      (** A fresh cursor over the input for one scan.  A source holds no
-          scan state, so one source serves any number of runs, also
-          concurrently. *)
+  cursor :
+    ?obs:Obs.t ->
+    ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
+    ?lanes:int ->
+    unit ->
+    'o Operator.source;
+      (** A fresh cursor over the input for one scan, classifying on
+          [lanes] lanes (default 1); [on_task] is {!Domain_pool.run}'s
+          hook.  A source holds no scan state, so one source serves any
+          number of runs, also concurrently. *)
 }
 
 val sample_indices : Rng.t -> fraction:float -> int -> int array
@@ -53,8 +59,7 @@ val sample_indices : Rng.t -> fraction:float -> int -> int array
 
 val rows : ?block:int -> instance:'o Operator.instance -> 'o array -> 'o t
 (** The array as a source.  The laxity maximum is a fold of
-    [instance.laxity].  The cursor on a pool
-    of more than one lane classifies [block] objects (default 4096) at a
+    [instance.laxity].  The cursor on more than one lane classifies [block] objects (default 4096) at a
     time on the lanes, evaluating [instance] as the loop would
     ([classify] for every object, [laxity] only for YES/MAYBE, [success]
     only for MAYBE); [current] is the array element.  Otherwise it is
@@ -79,8 +84,8 @@ val store :
     the chunks are fetched on the caller's lane (a streamed store does
     file io), then each is classified by the
     {!Predicate.classify_column} kernel on the lanes — two floats read
-    per row, no allocation.  Without a [pool] (or with one lane) the
-    kernels run on the caller's lane.  [current] is [of_row] of the
+    per row, no allocation.  With one lane the kernels run on the
+    caller's lane.  [current] is [of_row] of the
     chunk row, so a NO or an ignored MAYBE is never built.  The kernel
     mirrors [Predicate.classify] / [success] / [Uncertain.laxity] on
     interval and exact beliefs, so a run is bit-for-bit the row path's.

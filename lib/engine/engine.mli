@@ -203,11 +203,11 @@ val run :
     and differ in cost by exactly [sample_size * c_r].
 
     [domains] (default: the [QAQ_DOMAINS] environment variable, else 1)
-    sets the number of domains the run may use.  With more than one, a
-    {!Domain_pool} is created for the duration of the call and the
+    sets the number of lanes the run may use.  With more than one, the
     pure per-object work — the pilot sample's classify/laxity/success
     evaluation and the scan's classification stage ({!Scan_pipeline}) —
-    fans out across it, while
+    runs as tasks on that many lanes of the process's {!Domain_pool}
+    (at most one per core), while
     every decision, rng draw, counter and charge stays on the sequential
     path: the result is bit-for-bit identical for every [domains]
     value.
@@ -226,9 +226,9 @@ val run :
     before the call, reconciles the delta and audits the answer against
     a ground-truth oracle.
 
-    [on_task] is handed to the pool ({!Domain_pool.create}) when
+    [on_task] is handed to every {!Domain_pool} call of the run when
     [domains > 1]; together with [Chrome_trace] it yields one timeline
-    lane per worker.
+    row per lane.
 
     @raise Invalid_argument on an invalid sampling fraction, if
     [max_laxity] is not positive and finite, if both or neither of
@@ -276,18 +276,22 @@ val next_trace_id : unit -> int
     query's broker clients). *)
 
 val default_lanes : int
-(** The lane bound of {!execute_many} when [domains] is not given. *)
+(** How many queries in flight may each keep a backend round of their
+    own: a server's {!Probe_broker} [rounds] bound over pure backends. *)
 
 val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
 (** Run every thunk and return their results in input order.  The
-    thunks run on [min domains n] lanes ({!Domain_pool.run_lanes}; the
-    caller is lane 0, [domains] defaults to {!default_lanes}) that take
-    them in index order.  A lane runs its next thunk while its thunk
-    waits on backend I/O inside {!Domain_pool.blocking}, so even one
-    lane can have several queries in flight.  Each thunk is one {!run}
-    call and {e must} pass [~domains:1]: a thunk that opened a pool of
-    its own (or left [domains] to [QAQ_DOMAINS]) would nest pools.  A
-    raising thunk re-raises once every thunk has finished.
+    thunks run as tasks of {!Domain_pool.run} on [min domains n] lanes,
+    capped at the core count; the caller is lane 0, and [domains]
+    defaults to [Domain.recommended_domain_count ()].  A lane runs its
+    next thunk while its thunk waits on backend I/O inside
+    {!Domain_pool.blocking}, so even one lane can have several queries
+    in flight, and more lanes than cores would buy no more overlap.
+    Each thunk is one {!run} call and should pass [~domains:1]
+    (leaving [domains] out reads [QAQ_DOMAINS]): the batch's queries
+    already keep every lane busy, so a query's own classification tasks
+    would find no idle lane and only add task overhead.  A raising
+    thunk re-raises once every thunk has finished.
 
     Results are bit-for-bit independent of scheduling — provided each
     thunk owns its [rng] and its [probe] driver or [cascade] (drivers

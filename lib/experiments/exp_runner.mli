@@ -63,8 +63,8 @@ val trial_run :
     trials run raw (see {!Operator.run}).  [obs] instruments the
     operator and the probe driver (see {!Operator.run}).  [domains]
     (default: {!Domain_pool.resolve} over [QAQ_DOMAINS], else 1) fans
-    the pure per-object work out across a {!Domain_pool} for the
-    duration of the trial; the outcome is bit-for-bit identical for
+    the pure per-object work out over that many lanes of the process's
+    {!Domain_pool}; the outcome is bit-for-bit identical for
     every value (see [Scan_pipeline]). *)
 
 type aggregate = {
@@ -94,14 +94,15 @@ val trial_series :
   policy_kind list ->
   (policy_kind * aggregate) list
 (** [repetitions] (default 5) independent datasets; all policies run on
-    the same datasets for paired comparison.  With [domains > 1] a
-    single {!Domain_pool} is shared by every trial in the series. *)
+    the same datasets for paired comparison.  [domains] is as in
+    {!trial_run}. *)
 
 val parallel_configs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Run independent experiment configurations — whole sweeps, not
     single objects — on separate domains, returning their results in
     input order.  Each thunk must be self-contained (own rng, no shared
     mutable state, no printing): thunks run concurrently on different
-    domains.  With [domains] resolved to 1 ({!Domain_pool.resolve}) the
-    thunks run sequentially in order, so results never depend on the
-    lane count. *)
+    domains ({!Domain_pool.run}).  With [domains] resolved to 1
+    ({!Domain_pool.resolve}) the thunks run sequentially in order, so
+    results never depend on the lane count; if thunks raise, the first
+    raising thunk's exception is re-raised once all have run. *)

@@ -72,8 +72,8 @@ module Keys : sig
       the remaining budget — a subset of {!replans}. *)
 
   val parallel_chunks : string
-  (** Blocks classified by {!Scan_pipeline}'s cursor: row blocks on a
-      pool of more than one lane, columnar waves on any pool (0 on a
+  (** Blocks classified by {!Scan_pipeline}'s cursor: row blocks on
+      more than one lane, columnar waves on any lane count (0 on a
       sequential row run). *)
 
   val pruned_pages : string
@@ -83,7 +83,7 @@ module Keys : sig
       page. *)
 
   val parallel_domains : string
-  (** Gauge: the lane count of the pool a run executed on. *)
+  (** Gauge: the lane count a run asked for. *)
 
   val domain_busy : int -> string
   (** [domain_busy i] names the gauge holding lane [i]'s busy seconds

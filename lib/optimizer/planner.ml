@@ -9,7 +9,7 @@ type pilot = {
   max_laxity : float;
 }
 
-let pilot ~rng ~fraction ~instance ?pool ?max_laxity ~prior ~density
+let pilot ~rng ~fraction ~instance ?on_task ?lanes ?max_laxity ~prior ~density
     (source : _ Scan_pipeline.t) =
   let sample, max_laxity =
     source.sample ?max_laxity
@@ -18,7 +18,9 @@ let pilot ~rng ~fraction ~instance ?pool ?max_laxity ~prior ~density
   let estimate =
     if Array.length sample = 0 then None
     else
-      Some (Selectivity.estimate ~instance ?pool ~laxity_cap:max_laxity sample)
+      Some
+        (Selectivity.estimate ~instance ?on_task ?lanes ~laxity_cap:max_laxity
+           sample)
   in
   let f_y, f_m =
     match estimate with Some e -> (e.f_y, e.f_m) | None -> prior

@@ -30,7 +30,8 @@ val pilot :
   rng:Rng.t ->
   fraction:float ->
   instance:'o Operator.instance ->
-  ?pool:Domain_pool.t ->
+  ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
+  ?lanes:int ->
   ?max_laxity:float ->
   prior:float * float ->
   density:[ `Uniform | `Histogram ] ->
@@ -39,8 +40,8 @@ val pilot :
 (** Draw a Bernoulli sample of the source at rate [fraction] from [rng]
     ({!Scan_pipeline.sample_indices}, the draws of
     {!Selectivity.bernoulli_sample}) and estimate from it with the
-    laxity cap [max_laxity] ({!Selectivity.estimate}, fanned out over
-    [pool]).  Without [max_laxity] the cap is the source's largest
+    laxity cap [max_laxity] ({!Selectivity.estimate}, on [lanes]
+    lanes).  Without [max_laxity] the cap is the source's largest
     laxity (1 when none is positive), taken in the sample's own pass.
     Charges nothing: a caller that prices the pilot charges
     [sample_size] reads itself.

@@ -7,13 +7,13 @@ type estimate = {
   maybe_plane : Histogram.Hist2d.t;
 }
 
-let estimate ~(instance : 'o Operator.instance) ?pool ?laxity_cap
-    ?(laxity_bins = 20) ?(success_bins = 20) sample =
+let estimate ~(instance : 'o Operator.instance) ?on_task ?(lanes = 1)
+    ?laxity_cap ?(laxity_bins = 20) ?(success_bins = 20) sample =
   let n = Array.length sample in
   if n = 0 then invalid_arg "Selectivity.estimate: empty sample";
   (* Per-object evaluation is pure, so it may fan out across domains; the
      histogram accumulation below stays sequential in sample order because
-     float summation is not associative — this keeps the pooled estimate
+     float summation is not associative — this keeps the parallel estimate
      bit-for-bit equal to the sequential one. *)
   let triple o =
     let v = instance.classify o in
@@ -21,11 +21,7 @@ let estimate ~(instance : 'o Operator.instance) ?pool ?laxity_cap
     let s = match v with Tvl.Maybe -> instance.success o | _ -> 0.0 in
     (v, l, s)
   in
-  let triples =
-    match pool with
-    | Some p when Domain_pool.domains p > 1 -> Domain_pool.parallel_map p triple sample
-    | _ -> Array.map triple sample
-  in
+  let triples = Domain_pool.map ?on_task ~lanes triple sample in
   let laxities = Array.map (fun (_, l, _) -> l) triples in
   let cap =
     match laxity_cap with

@@ -20,7 +20,8 @@ type estimate = {
 
 val estimate :
   instance:'o Operator.instance ->
-  ?pool:Domain_pool.t ->
+  ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
+  ?lanes:int ->
   ?laxity_cap:float ->
   ?laxity_bins:int ->
   ?success_bins:int ->
@@ -31,10 +32,11 @@ val estimate :
     paper's setting); by default the sample maximum is used.  Histogram
     resolutions default to 20 bins per axis.
 
-    [pool] fans the per-object classify/laxity/success evaluation out
-    across domains; the histogram accumulation itself stays sequential in
-    sample order (float summation is order-sensitive), so the result is
-    bit-for-bit identical with and without a pool.
+    [lanes] (default 1) fans the per-object classify/laxity/success
+    evaluation out ({!Domain_pool.map}, which calls [on_task]); the
+    histogram accumulation itself stays sequential in sample order
+    (float summation is order-sensitive), so the result is bit-for-bit
+    identical at every lane count.
 
     @raise Invalid_argument on an empty sample. *)
 

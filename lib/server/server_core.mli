@@ -65,16 +65,16 @@ type config = {
   c_probe_ms : float;  (** simulated backend latency per batch *)
   c_admission : admission;
   c_domains : int option;
-      (** lanes for RUN (default {!Engine.default_lanes} at most).
-          Without fault injection and without a breaker the backends
-          are pure: a lane runs its next query while its query waits on
-          the backend latency ({!Domain_pool.blocking}), so one lane can
-          have several queries in flight, and the broker lets every
-          query in flight keep a backend round of its own
-          ({!Probe_broker.create}'s [rounds] is
-          {!Engine.default_lanes}, whatever the lane count).  Otherwise
-          a lane runs one query at a time and the broker one round at a
-          time. *)
+      (** lanes for RUN (default: one per core; a RUN never takes more
+          lanes than cores, see {!Engine.execute_many}).  Without fault
+          injection and without a breaker the backends are pure: a lane
+          runs its next query while its query waits on the backend
+          latency ({!Domain_pool.blocking}), so one lane can have
+          several queries in flight, and the broker lets every query in
+          flight keep a backend round of its own ({!Probe_broker.create}'s
+          [rounds] is {!Engine.default_lanes}, whatever the lane count).
+          Otherwise a lane runs one query at a time and the broker one
+          round at a time. *)
   c_fault_rate : float;
       (** probability a backend probe fails permanently (deterministic
           per [c_fault_seed]); 0 disables injection entirely *)

@@ -1,165 +1,8 @@
-type t = {
-  domains : int;  (* lanes, including the caller's lane 0 *)
-  mutex : Mutex.t;
-  work : Condition.t;
-  queue : (unit -> unit) Queue.t;
-  busy : float array;  (* per-lane task seconds; written under [mutex] *)
-  on_task : (lane:int -> start:float -> finish:float -> unit) option;
-  mutable closing : bool;
-  mutable workers : unit Domain.t list;
-}
-
 let now = Unix.gettimeofday
-
-let note_task t lane t0 t1 =
-  Mutex.lock t.mutex;
-  t.busy.(lane) <- t.busy.(lane) +. (t1 -. t0);
-  Mutex.unlock t.mutex;
-  (* The hook runs outside the mutex (it may fire on any lane
-     concurrently) and must not unwind a worker: a tracing hook that
-     throws would kill the lane, not the run. *)
-  match t.on_task with
-  | None -> ()
-  | Some f -> ( try f ~lane ~start:t0 ~finish:t1 with _ -> ())
-
-(* Tasks are always the chunk closures built by [parallel_map], which
-   capture their own exceptions — a worker never unwinds. *)
-let rec worker_loop t lane =
-  Mutex.lock t.mutex;
-  while Queue.is_empty t.queue && not t.closing do
-    Condition.wait t.work t.mutex
-  done;
-  if Queue.is_empty t.queue then Mutex.unlock t.mutex
-  else begin
-    let task = Queue.pop t.queue in
-    Mutex.unlock t.mutex;
-    let t0 = now () in
-    task ();
-    note_task t lane t0 (now ());
-    worker_loop t lane
-  end
-
-let create ?on_task ?domains () =
-  let domains =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  if domains < 1 then invalid_arg "Domain_pool.create: domains < 1";
-  let t =
-    {
-      domains;
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      queue = Queue.create ();
-      busy = Array.make domains 0.0;
-      on_task;
-      closing = false;
-      workers = [];
-    }
-  in
-  t.workers <-
-    List.init (domains - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t (i + 1)));
-  t
-
-let domains t = t.domains
-
-let busy_seconds t =
-  Mutex.lock t.mutex;
-  let b = Array.copy t.busy in
-  Mutex.unlock t.mutex;
-  b
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  if t.closing then Mutex.unlock t.mutex
-  else begin
-    t.closing <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
-
-let with_pool ?on_task ?domains f =
-  let t = create ?on_task ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Aim for several chunks per lane so a slow chunk cannot leave the
-   other lanes idle for long, without paying queue traffic per element. *)
-let default_chunk t n = Stdlib.max 1 ((n + (8 * t.domains) - 1) / (8 * t.domains))
-
-let parallel_map (type b) t ?chunk_size f arr =
-  let n = Array.length arr in
-  let chunk =
-    match chunk_size with
-    | Some c ->
-        if c < 1 then invalid_arg "Domain_pool.parallel_map: chunk_size < 1"
-        else c
-    | None -> default_chunk t n
-  in
-  if n = 0 then [||]
-  else if t.domains = 1 || n <= chunk then Array.map f arr
-  else begin
-    let nchunks = (n + chunk - 1) / chunk in
-    (* One result array per chunk, merged by chunk index at the end: the
-       deterministic merge that makes the map equal to [Array.map]
-       regardless of which lane ran which chunk.  (Per-chunk arrays also
-       sidestep writing a shared ['b array] before knowing a ['b].) *)
-    let parts : b array option array = Array.make nchunks None in
-    let first_error = Atomic.make None in
-    let remaining = Atomic.make nchunks in
-    let run_chunk c () =
-      (try
-         let lo = c * chunk in
-         let len = Stdlib.min chunk (n - lo) in
-         parts.(c) <- Some (Array.init len (fun k -> f arr.(lo + k)))
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         ignore (Atomic.compare_and_set first_error None (Some (e, bt))));
-      (* The decrement publishes the part write: the caller reads
-         [parts] only after observing [remaining = 0]. *)
-      ignore (Atomic.fetch_and_add remaining (-1))
-    in
-    Mutex.lock t.mutex;
-    for c = 0 to nchunks - 1 do
-      Queue.add (run_chunk c) t.queue
-    done;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    (* Lane 0: the caller works the queue rather than blocking on it. *)
-    let rec help () =
-      Mutex.lock t.mutex;
-      let task =
-        if Queue.is_empty t.queue then None else Some (Queue.pop t.queue)
-      in
-      Mutex.unlock t.mutex;
-      match task with
-      | Some task ->
-          let t0 = now () in
-          task ();
-          note_task t 0 t0 (now ());
-          help ()
-      | None -> ()
-    in
-    help ();
-    while Atomic.get remaining > 0 do
-      Domain.cpu_relax ()
-    done;
-    match Atomic.get first_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.concat
-          (Array.to_list
-             (Array.map
-                (function Some p -> p | None -> assert false)
-                parts))
-  end
-
-let run_all t thunks = parallel_map t ~chunk_size:1 (fun g -> g ()) thunks
 
 (* ---- lanes ------------------------------------------------------- *)
 
-(* A lane is one domain's share of a [run_lanes] call.  Its threads (the
+(* A lane is one domain's share of a [run] call.  Its threads (the
    domain's own, plus helper systhreads) run task code only while they
    hold [token], so the lane computes on one thread at a time and
    switches threads only where a holder gives the token up: in
@@ -239,58 +82,170 @@ let wait cond m =
       Mutex.lock m
   | Some _ | None -> Condition.wait cond m
 
-let run_lanes ~lanes tasks =
-  if lanes < 1 then invalid_arg "Domain_pool.run_lanes: lanes < 1";
+(* Run one lane of a call on the calling thread: take tasks until none
+   is left, then wait for the lane's helpers.  The enclosing lane, if
+   the call is nested in a task, is the current one again on return. *)
+let run_lane ~queued ~step =
+  let lane =
+    { token = Mutex.create (); holder = -1; idle = 0; threads = 1;
+      helpers = []; queued; step }
+  in
+  let outer = Domain.DLS.get current in
+  Domain.DLS.set current (Some lane);
+  take lane;
+  drain lane;
+  (* The queue is empty, so no thread of this lane starts another
+     helper: the list is complete. *)
+  let helpers = lane.helpers in
+  give lane;
+  List.iter Thread.join helpers;
+  Domain.DLS.set current outer
+
+(* ---- the process-wide pool --------------------------------------- *)
+
+(* A call that wants more lanes than its caller's posts a job; an idle
+   worker domain that takes it runs one lane of the call and comes back
+   for the next job.  [lock] guards every mutable field below and in
+   the jobs. *)
+type job = {
+  wanted : int;  (* worker lanes the call takes *)
+  mutable joined : int;
+  mutable settled : int;  (* joined lanes that have finished *)
+  settle : Condition.t;
+  lane : int -> unit;  (* run lane [i >= 1] of the call *)
+}
+
+let lock = Mutex.create ()
+let work = Condition.create ()
+let jobs : job list ref = ref []  (* oldest first *)
+let workers = ref 0  (* worker domains spawned *)
+let idle = ref 0  (* workers not running a lane *)
+
+(* Every domain beyond the core count would only wait for a core, and an
+   idle domain still takes part in every minor collection. *)
+let max_lanes = Domain.recommended_domain_count ()
+
+(* A job stays listed while it still wants lanes: the worker that takes
+   its last lane, or its caller closing it, unlists it. *)
+let rec next_job () =
+  match !jobs with
+  | [] ->
+      Condition.wait work lock;
+      next_job ()
+  | j :: rest ->
+      j.joined <- j.joined + 1;
+      if j.joined = j.wanted then jobs := rest;
+      j
+
+(* A worker never unwinds: [run] captures every task's exception, and
+   [on_task] hooks' exceptions are swallowed. *)
+let rec worker () =
+  Mutex.lock lock;
+  let j = next_job () in
+  let i = j.joined in
+  decr idle;
+  Mutex.unlock lock;
+  j.lane i;
+  Mutex.lock lock;
+  incr idle;
+  j.settled <- j.settled + 1;
+  Condition.signal j.settle;
+  Mutex.unlock lock;
+  worker ()
+
+(* Post [j] and spawn the workers its lanes lack, as long as the pool
+   stays below the core count; called with [lock] held. *)
+let post j =
+  jobs := !jobs @ [ j ];
+  let demand = List.fold_left (fun d q -> d + q.wanted - q.joined) 0 !jobs in
+  let rec spawn k =
+    if k > 0 && !workers < max_lanes - 1 then
+      match Domain.spawn worker with
+      | _ ->
+          incr workers;
+          incr idle;
+          spawn (k - 1)
+      | exception Failure _ -> (* no domain to spare: fewer lanes *) ()
+  in
+  spawn (demand - !idle);
+  Condition.broadcast work
+
+let run ?on_task ~lanes tasks =
+  if lanes < 1 then invalid_arg "Domain_pool.run: lanes < 1";
   let n = Array.length tasks in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let queued () = Atomic.get next < n in
-  let step () =
+  let step lane () =
     let i = Atomic.fetch_and_add next 1 in
-    if i < n then
+    if i < n then begin
+      let t0 = match on_task with Some _ -> now () | None -> 0.0 in
       results.(i) <-
         Some
           (match tasks.(i) () with
           | v -> Ok v
           | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      match on_task with
+      | Some f -> ( try f ~lane ~start:t0 ~finish:(now ()) with _ -> ())
+      | None -> ()
+    end;
     i < n
   in
-  let run_lane () =
-    let lane =
-      {
-        token = Mutex.create ();
-        holder = -1;
-        idle = 0;
-        threads = 1;
-        helpers = [];
-        queued;
-        step;
-      }
+  let lane i = run_lane ~queued ~step:(step i) in
+  let l = Stdlib.min max_lanes (Stdlib.min lanes n) in
+  if l <= 1 then lane 0
+  else begin
+    let j =
+      { wanted = l - 1; joined = 0; settled = 0;
+        settle = Condition.create (); lane }
     in
-    let outer = Domain.DLS.get current in
-    Domain.DLS.set current (Some lane);
-    take lane;
-    drain lane;
-    (* The queue is empty, so no thread of this lane starts another
-       helper: the list is complete. *)
-    let helpers = lane.helpers in
-    give lane;
-    List.iter Thread.join helpers;
-    Domain.DLS.set current outer
-  in
-  let spawned =
-    List.init
-      (Stdlib.max 0 (Stdlib.min lanes n - 1))
-      (fun _ -> Domain.spawn run_lane)
-  in
-  run_lane ();
-  List.iter Domain.join spawned;
+    Mutex.lock lock;
+    post j;
+    Mutex.unlock lock;
+    lane 0;
+    (* Close the job, then wait for the lanes that joined: each is
+       running a task of this call, so each finishes.  A nested call
+       gives its enclosing lane's token up meanwhile. *)
+    Mutex.lock lock;
+    jobs := List.filter (fun q -> q != j) !jobs;
+    while j.settled < j.joined do
+      wait j.settle lock
+    done;
+    Mutex.unlock lock
+  end;
+  (* Index order: the lowest-indexed raising task's exception wins. *)
   Array.map
     (function
       | Some (Ok v) -> v
       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
       | None -> assert false)
     results
+
+let map ?on_task ~lanes ?chunk_size f arr =
+  if lanes < 1 then invalid_arg "Domain_pool.map: lanes < 1";
+  let n = Array.length arr in
+  let chunk =
+    match chunk_size with
+    | Some c ->
+        if c < 1 then invalid_arg "Domain_pool.map: chunk_size < 1" else c
+    | None ->
+        (* Several chunks per lane, so a slow chunk cannot leave the
+           other lanes idle for long. *)
+        Stdlib.max 1 ((n + (8 * lanes) - 1) / (8 * lanes))
+  in
+  if lanes = 1 || n <= chunk then Array.map f arr
+  else
+    (* Each chunk maps its slice in index order and the parts join in
+       chunk order, so the result is [Array.map f arr] and the first
+       raising element of the lowest raising chunk is the lowest raising
+       element. *)
+    Array.concat
+      (Array.to_list
+         (run ?on_task ~lanes
+            (Array.init ((n + chunk - 1) / chunk) (fun c () ->
+                 let lo = c * chunk in
+                 Array.init (Stdlib.min chunk (n - lo)) (fun k ->
+                     f arr.(lo + k))))))
 
 let env_var = "QAQ_DOMAINS"
 

@@ -612,7 +612,7 @@ module Scan_pipeline_ref = struct
       success = (fun it -> it.success);
     }
 
-  let source ?obs ?(block = 4096) ~pool ~(instance : 'o Operator_ref.instance) data =
+  let source ?obs ?(block = 4096) ~lanes ~(instance : 'o Operator_ref.instance) data =
     if block < 1 then invalid_arg "Scan_pipeline.source: block < 1";
     let n = Array.length data in
     let m_chunks =
@@ -633,7 +633,7 @@ module Scan_pipeline_ref = struct
         let len = Stdlib.min block (n - lo) in
         frontier := lo + len;
         let slice = Array.sub data lo len in
-        buf := Domain_pool.parallel_map pool (classify_one instance) slice;
+        buf := Domain_pool.map ~lanes (classify_one instance) slice;
         buf_pos := 0;
         (match m_chunks with Some c -> Metrics.incr c | None -> ());
         next ()
@@ -680,7 +680,7 @@ module Scan_pipeline_ref = struct
 end
 
 module Column_scan_ref = struct
-  let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
+  let source ?obs ?(wave = 16) ?lanes ?(prune = false) ~store ~of_row ~pred () =
     if wave < 1 then invalid_arg "Column_scan.source: wave < 1";
     let chunk_count = Column_store.chunk_count store in
     let surviving =
@@ -742,8 +742,8 @@ module Column_scan_ref = struct
       in
       (* Each task writes a disjoint buffer slice indexed by its wave
          position, so the result is scheduling-independent. *)
-      (match pool with
-      | Some p when Domain_pool.domains p > 1 -> ignore (Domain_pool.run_all p tasks)
+      (match lanes with
+      | Some l when l > 1 -> ignore (Domain_pool.run ~lanes:l tasks)
       | _ -> Array.iter (fun task -> task ()) tasks);
       (match m_waves with Some c -> Metrics.incr c | None -> ());
       chunks := wave_chunks;

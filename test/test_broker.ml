@@ -760,7 +760,7 @@ let test_lane_waits_on_own_round () =
         Test_domain_pool.within
           (Printf.sprintf "rounds %d: a lane waiting on its own round" rounds)
           (fun () ->
-            Domain_pool.run_lanes ~lanes:1
+            Domain_pool.run ~lanes:1
               (Array.init 8 (fun i () ->
                    Probe_broker.fetch
                      ~tenant:(string_of_int (i mod 2))
@@ -791,7 +791,7 @@ let test_lane_raising_round_identity () =
   let broker = Probe_broker.create ~rounds:2 ~batch_size:2 ~key:Fun.id resolve in
   let got =
     Test_domain_pool.within "lanes over a raising round" (fun () ->
-        Domain_pool.run_lanes ~lanes:2
+        Domain_pool.run ~lanes:2
           (Array.init 8 (fun i () ->
                match
                  Probe_broker.fetch ~tenant:(string_of_int (i mod 3)) broker

@@ -187,25 +187,23 @@ let observe c go =
     events = events ();
   }
 
-let with_lanes c f =
-  if c.domains = 1 then f None
-  else Domain_pool.with_pool ~domains:c.domains (fun p -> f (Some p))
+let with_lanes c f = if c.domains = 1 then f None else f (Some c.domains)
 
 let cursor_run c data =
   let instance = Interval_data.instance c.pred in
   let store = Interval_data.to_store ~chunk_size:c.chunk_size data in
-  with_lanes c (fun pool ->
+  with_lanes c (fun lanes ->
       observe c (fun ~obs ~meter ~cascade ~should_stop ~emit ->
           let source =
-            match (c.layout, pool) with
+            match (c.layout, lanes) with
             | `Row, None -> Operator.source_of_array data
-            | `Row, Some pool ->
+            | `Row, Some lanes ->
                 (Scan_pipeline.rows ~block:c.block ~instance data).cursor ~obs
-                  ~pool ()
+                  ~lanes ()
             | (`Columnar | `Pruned), _ ->
                 (Scan_pipeline.store ~wave:c.wave ~prune:(c.layout = `Pruned)
                    ~of_row:Interval_data.of_row ~pred:c.pred store)
-                  .cursor ~obs ?pool ()
+                  .cursor ~obs ?lanes ()
           in
           Operator.run ~rng:(Rng.create (c.seed + 1)) ~meter ~obs ~emit
             ?should_stop ~instance ~cascade ~policy:(Policy.qaq c.params)
@@ -218,7 +216,7 @@ let reference_run c data =
   let open Reference_loop in
   let instance = Interval_data.instance c.pred in
   let store = Interval_data.to_store ~chunk_size:c.chunk_size data in
-  with_lanes c (fun pool ->
+  with_lanes c (fun lanes ->
       observe c (fun ~obs ~meter ~cascade ~should_stop ~emit ->
           let rng = Rng.create (c.seed + 1) in
           let policy = Policy.qaq c.params in
@@ -227,18 +225,18 @@ let reference_run c data =
             Scan_pipeline_ref.run_items ~rng ~meter ~obs ~emit ?should_stop
               ~instance ~cascade ~policy ~requirements source
           in
-          match (c.layout, pool) with
+          match (c.layout, lanes) with
           | `Row, None ->
               Operator_ref.run ~rng ~meter ~obs ~emit ?should_stop ~instance
                 ~cascade ~policy ~requirements
                 (Operator_ref.source_of_array data)
-          | `Row, Some pool ->
+          | `Row, Some lanes ->
               items
-                (Scan_pipeline_ref.source ~obs ~block:c.block ~pool ~instance
+                (Scan_pipeline_ref.source ~obs ~block:c.block ~lanes ~instance
                    data)
           | (`Columnar | `Pruned), _ ->
               items
-                (Column_scan_ref.source ~obs ~wave:c.wave ?pool
+                (Column_scan_ref.source ~obs ~wave:c.wave ?lanes
                    ~prune:(c.layout = `Pruned) ~store
                    ~of_row:Interval_data.of_row
                    ~pred:(Predicate.compile c.pred) ())))

@@ -326,37 +326,39 @@ let test_span_timing () =
   checki "raising call counted" 3
     (Metrics.count_of (Obs.snapshot obs) "span.phase.calls")
 
-(* Spans and the pool's busy accounting share one wall clock
+(* Spans and the lanes' task intervals share one wall clock
    (Unix.gettimeofday).  Under the old CPU-time clock (Sys.time) a span
-   around sleeping workers read ~0 while the pool accumulated real
+   around sleeping workers read ~0 while the lanes accumulated real
    seconds — the regression this pins down: the span must cover at least
-   the pool's busy time spread across its lanes. *)
+   the call's busy time (its [on_task] intervals) spread across its
+   lanes. *)
 let test_span_wall_clock_covers_pool_busy () =
-  Domain_pool.with_pool ~domains:2 (fun pool ->
-      let obs = Obs.create () in
-      let tasks = Array.init 8 (fun i -> i) in
-      let result =
-        Obs.span obs "pool-work" (fun () ->
-            Domain_pool.parallel_map pool ~chunk_size:1
-              (fun i ->
-                Unix.sleepf 0.02;
-                i)
-              tasks)
-      in
-      Alcotest.(check (array int)) "map result intact" tasks result;
-      let lanes = Domain_pool.domains pool in
-      let busy =
-        Array.fold_left ( +. ) 0.0 (Domain_pool.busy_seconds pool)
-      in
-      checkb "pool accumulated real busy time" true (busy > 0.1);
-      match Metrics.get (Obs.snapshot obs) "span.pool-work.seconds" with
-      | Some (Metrics.Level s) ->
-          checkb
-            (Printf.sprintf "span %.4fs covers busy %.4fs over %d lanes" s
-               busy lanes)
-            true
-            (s >= busy /. float_of_int lanes *. 0.5)
-      | _ -> Alcotest.fail "span gauge missing")
+  let obs = Obs.create () in
+  let lanes = 2 in
+  let busy = ref 0.0 and busy_lock = Mutex.create () in
+  let on_task ~lane:_ ~start ~finish =
+    Mutex.protect busy_lock (fun () -> busy := !busy +. (finish -. start))
+  in
+  let tasks = Array.init 8 (fun i -> i) in
+  let result =
+    Obs.span obs "pool-work" (fun () ->
+        Domain_pool.map ~on_task ~lanes ~chunk_size:1
+          (fun i ->
+            Unix.sleepf 0.02;
+            i)
+          tasks)
+  in
+  Alcotest.(check (array int)) "map result intact" tasks result;
+  let busy = !busy in
+  checkb "pool accumulated real busy time" true (busy > 0.1);
+  match Metrics.get (Obs.snapshot obs) "span.pool-work.seconds" with
+  | Some (Metrics.Level s) ->
+      checkb
+        (Printf.sprintf "span %.4fs covers busy %.4fs over %d lanes" s busy
+           lanes)
+        true
+        (s >= busy /. float_of_int lanes *. 0.5)
+  | _ -> Alcotest.fail "span gauge missing"
 
 (* ---- reconciliation: metrics vs the cost meter ------------------- *)
 
