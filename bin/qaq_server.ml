@@ -132,22 +132,26 @@ let cmd =
   let domains =
     let doc =
       "Lanes for RUN (default: one per core, and never more than the \
-       queued queries or the cores).  Without --fault-rate and --breaker, \
-       a lane runs the batch's next query while its query waits on \
-       --probe-ms."
+       queued queries or the cores).  Without --breaker, a lane runs the \
+       batch's next query while its query waits on --probe-ms."
     in
     Arg.(
       value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let fault_rate =
     let doc =
-      "Probability a backend probe fails permanently (deterministic per \
-       --fault-seed).  Default 0: no injection."
+      "Probability a backend probe fails permanently.  A fault is decided \
+       per object and tier from --fault-seed, so a failed object fails for \
+       every query that asks for it, and a replay does not depend on \
+       --domains.  Default 0: no injection."
     in
     Arg.(value & opt unit_interval 0.0 & info [ "fault-rate" ] ~docv:"P" ~doc)
   in
   let fault_seed =
-    let doc = "Fault-injection seed." in
+    let doc =
+      "Fault-injection seed: with the tier and the object's id it decides \
+       each fault."
+    in
     Arg.(value & opt int 1337 & info [ "fault-seed" ] ~doc)
   in
   let tiers =

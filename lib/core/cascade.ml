@@ -47,7 +47,6 @@ let of_driver ?(name = "oracle") ?(cost = Cost_model.paper) driver =
   create ~specs [| driver |]
 
 let specs t = t.specs
-let names t = Array.map (fun (s : Probe_tier.spec) -> s.Probe_tier.name) t.specs
 let drivers t = t.drivers
 let oracle t = t.drivers.(Array.length t.drivers - 1)
 let start t = t.start

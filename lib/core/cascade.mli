@@ -34,7 +34,6 @@ val of_driver : ?name:string -> ?cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
     model, so a wrapped driver costs exactly what the cost model says. *)
 
 val specs : 'o t -> Probe_tier.spec array
-val names : 'o t -> string array
 val drivers : 'o t -> 'o Probe_driver.t array
 
 val oracle : 'o t -> 'o Probe_driver.t

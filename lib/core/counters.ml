@@ -96,9 +96,3 @@ let guarantees t : Quality.guarantees =
     recall = recall_guarantee t;
     max_laxity = t.max_laxity;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "unseen=%d yes_seen=%d answer_yes=%d answer_size=%d maybe_ignored=%d \
-     max_laxity=%g"
-    t.unseen t.yes_seen t.answer_yes t.answer_size t.maybe_ignored t.max_laxity

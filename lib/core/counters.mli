@@ -77,4 +77,3 @@ val worst_case_final_recall : t -> float
     [r_q]. *)
 
 val guarantees : t -> Quality.guarantees
-val pp : Format.formatter -> t -> unit

@@ -202,8 +202,9 @@ val run :
     [Fixed] run given the planned parameters make identical decisions
     and differ in cost by exactly [sample_size * c_r].
 
-    [domains] (default: the [QAQ_DOMAINS] environment variable, else 1)
-    sets the number of lanes the run may use.  With more than one, the
+    [domains] (default: the [QAQ_DOMAINS] environment variable, else 1,
+    capped at the core count by {!Domain_pool.resolve}) sets the number
+    of lanes the run may use.  With more than one, the
     pure per-object work — the pilot sample's classify/laxity/success
     evaluation and the scan's classification stage ({!Scan_pipeline}) —
     runs as tasks on that many lanes of the process's {!Domain_pool}
@@ -218,7 +219,7 @@ val run :
     [engine.sample_reads], and the [qaq.maybe.laxity] /
     [qaq.maybe.success] histograms over the MAYBE set.  With
     [domains > 1] it also carries [qaq.parallel.chunks], the
-    [qaq.parallel.domains] gauge and one
+    [qaq.parallel.domains] gauge (the capped lane count) and one
     [qaq.parallel.domain<i>.busy_seconds] gauge per lane.
     The result's [reconcile] checks the instrumentation covers all
     metered work.  A run's profile is a fold over what it produced:

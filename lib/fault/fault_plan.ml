@@ -78,8 +78,6 @@ let injector ?obs ~site plan =
 let injector_opt ?obs ~site plan =
   if is_null plan then None else Some (injector ?obs ~site plan)
 
-let spec t = t.plan
-
 type element = { permanent : bool }
 
 let fresh_element t =
@@ -121,3 +119,14 @@ let latency t l =
   else l
 
 let injected t = t.injected
+
+(* Mix the site's seed fully once, then fold the key in: keys of two
+   sites then seed unrelated generators, and [Rng.create] mixes again. *)
+let permanent plan ~site =
+  let rate = plan.permanent_rate in
+  if rate = 0.0 then fun _ -> false
+  else
+    let base =
+      Int64.to_int (Rng.bits64 (Rng.create (site_seed plan.seed site)))
+    in
+    fun key -> Rng.bernoulli (Rng.create (base lxor key)) rate

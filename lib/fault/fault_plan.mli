@@ -15,7 +15,11 @@
     {!latency} once per wakeup, {!outage_active} once per (node, round)
     pair.  A spec with every rate at zero and no outages is {!is_null}:
     callers are expected to skip injection entirely then, which keeps
-    the zero-rate plan bit-for-bit identical to an unfaulted run. *)
+    the zero-rate plan bit-for-bit identical to an unfaulted run.
+
+    A site that serves many callers at once (the server's backends)
+    uses the keyed draw {!permanent} instead of an injector: its
+    decisions follow from the element's key, not from call order. *)
 
 (** A scripted outage: [node] answers nothing during rounds
     [\[from_round, from_round + rounds)]. *)
@@ -71,8 +75,6 @@ val injector : ?obs:Obs.t -> site:string -> spec -> t
     latency spike) and observes each scripted outage's length into the
     [qaq.fault.outage_rounds] histogram. *)
 
-val spec : t -> spec
-
 type element
 (** Per-element fault state: whether this element is permanently
     unresolvable. *)
@@ -98,3 +100,13 @@ val latency : t -> float -> float
 
 val injected : t -> int
 (** Fault decisions that fired so far (failures + spikes). *)
+
+(** {2 Keyed draws} *)
+
+val permanent : spec -> site:string -> int -> bool
+(** [permanent spec ~site key] is whether the element with key [key]
+    never resolves at [site]: [true] with probability
+    [spec.permanent_rate], a pure function of [(spec.seed, site, key)].
+    It keeps no state, so a decision does not depend on which keys were
+    asked before it, and any domain may ask.  Partial application
+    ([permanent spec ~site]) folds the site in once. *)

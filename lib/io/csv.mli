@@ -14,9 +14,6 @@ exception Parse_error of { offset : int; reason : string }
 val escape_field : string -> string
 (** Quote a field if it needs quoting, else return it unchanged. *)
 
-val encode_row : string list -> string
-(** One CSV line, without the trailing newline. *)
-
 val decode_row : string -> string list
 (** Parse one line.  @raise Parse_error on an unterminated quoted
     field. *)

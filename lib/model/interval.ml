@@ -23,12 +23,7 @@ let intersection a b =
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
-let compare a b =
-  let c = Float.compare a.lo b.lo in
-  if c <> 0 then c else Float.compare a.hi b.hi
-
 let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi
-let to_string t = Format.asprintf "%a" pp t
 let clamp t x = Float.min t.hi (Float.max t.lo x)
 let sample rng t = if is_point t then t.lo else Rng.uniform_in rng t.lo t.hi
 

@@ -36,11 +36,8 @@ val hull : t -> t -> t
 (** Smallest interval containing both arguments. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Lexicographic on [(lo, hi)]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val clamp : t -> float -> float
 (** [clamp i x] is [x] forced into [i]. *)

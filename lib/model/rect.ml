@@ -60,6 +60,3 @@ let success_in o window =
 
 let sample rng t =
   { x = Interval.sample rng t.xr; y = Interval.sample rng t.yr }
-
-let pp ppf t = Format.fprintf ppf "%a x %a" Interval.pp t.xr Interval.pp t.yr
-let equal a b = Interval.equal a.xr b.xr && Interval.equal a.yr b.yr

@@ -21,8 +21,6 @@ val laxity : t -> float
 
 val area : t -> float
 val contains : t -> point -> bool
-val subset : t -> t -> bool
-val intersects : t -> t -> bool
 
 val classify_in : t -> t -> Tvl.t
 (** [classify_in o window]: verdict of "the object's true position lies in
@@ -33,5 +31,3 @@ val success_in : t -> t -> float
     fraction of [o] covered by the window (1 or 0 for degenerate [o]). *)
 
 val sample : Rng.t -> t -> point
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

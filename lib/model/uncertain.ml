@@ -27,8 +27,6 @@ let support = function
       Interval.make (mean -. (cut *. stddev)) (mean +. (cut *. stddev))
 
 let classify_ge t x = Interval.classify_ge (support t) x
-let classify_le t x = Interval.classify_le (support t) x
-let classify_between t a b = Interval.classify_between (support t) a b
 
 let success_ge t x =
   match t with
@@ -62,12 +60,6 @@ let sample rng = function
         if Float.abs (x -. mean) <= cut *. stddev then x else draw ()
       in
       draw ()
-
-let pp ppf = function
-  | Exact x -> Format.fprintf ppf "exact %g" x
-  | Interval i -> Interval.pp ppf i
-  | Gaussian { mean; stddev; cut } ->
-      Format.fprintf ppf "N(%g, %g^2)|%g" mean stddev cut
 
 let equal a b =
   match (a, b) with

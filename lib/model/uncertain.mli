@@ -37,9 +37,6 @@ val support : t -> Interval.t
 val classify_ge : t -> float -> Tvl.t
 (** Verdict of [value >= x] based on the support. *)
 
-val classify_le : t -> float -> Tvl.t
-val classify_between : t -> float -> float -> Tvl.t
-
 val success_ge : t -> float -> float
 (** [P(value >= x)] under the model's belief: 0/1 for [Exact], the uniform
     mass for [Interval], the Gaussian tail for [Gaussian]. *)
@@ -53,5 +50,4 @@ val sample : Rng.t -> t -> float
     Gaussian draws are rejected onto the support so that classification
     and ground truth can never contradict each other. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

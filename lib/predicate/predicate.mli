@@ -100,5 +100,4 @@ val classify_column :
     @raise Invalid_argument if a column is shorter than [len] or a
     buffer shorter than [off + len]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

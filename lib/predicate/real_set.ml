@@ -78,15 +78,6 @@ let measure_within t i =
       if l < h then acc +. (h -. l) else acc)
     0.0 t
 
-let pp ppf t =
-  match t with
-  | [] -> Format.pp_print_string ppf "{}"
-  | _ ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " u ")
-        (fun ppf (lo, hi) -> Format.fprintf ppf "[%g, %g]" lo hi)
-        ppf t
-
 let equal a b =
   List.length a = List.length b
   && List.for_all2 (fun (l1, h1) (l2, h2) -> l1 = l2 && h1 = h2) a b

@@ -47,5 +47,4 @@ val components : t -> (float * float) list
 val measure_within : t -> Interval.t -> float
 (** Total length of the intersection of [s] with the (finite) interval. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -40,8 +40,6 @@ let tuple ~id ~beliefs ~truths =
     truths;
   { id; beliefs = Array.copy beliefs; truths = Array.copy truths }
 
-let belief t i = t.beliefs.(i)
-
 type condition =
   | Atom of int * Predicate.t
   | Not of condition
@@ -49,15 +47,6 @@ type condition =
   | Or of condition * condition
 
 let atom s name p = Atom (attr s name, p)
-
-let rec validate s = function
-  | Atom (i, _) ->
-      if i < 0 || i >= arity s then
-        invalid_arg (Printf.sprintf "Relation.validate: attribute %d" i)
-  | Not c -> validate s c
-  | And (a, b) | Or (a, b) ->
-      validate s a;
-      validate s b
 
 let mentioned c =
   let rec collect acc = function

@@ -23,12 +23,12 @@
       connective are merged into a single atom whose compound
       {!Predicate.t} has exact satisfying-set semantics, which recovers
       completeness for per-attribute combinations like the above;
-    - {!probe_plan} picks which single attribute to probe next: the
+    - {!next_probe} picks which single attribute to probe next: the
       MAYBE attribute whose resolution is most likely to decide the
       whole condition, estimated from the belief models.
 
-    The QaQ operator runs unchanged on top via {!instance} and
-    {!probe_step}; condition laxity is the largest laxity among the
+    The QaQ operator runs unchanged on top via {!select} and
+    {!resolve}; condition laxity is the largest laxity among the
     attributes the condition mentions that are still imprecise. *)
 
 type schema = private { names : string array }
@@ -51,8 +51,6 @@ val tuple : id:int -> beliefs:Uncertain.t array -> truths:float array -> tuple
 (** @raise Invalid_argument on arity mismatch or a truth outside its
     belief's support. *)
 
-val belief : tuple -> int -> Uncertain.t
-
 (** Conditions over a schema. *)
 type condition =
   | Atom of int * Predicate.t  (** attribute index, scalar predicate *)
@@ -62,12 +60,6 @@ type condition =
 
 val atom : schema -> string -> Predicate.t -> condition
 (** By attribute name.  @raise Not_found if absent. *)
-
-val validate : schema -> condition -> unit
-(** @raise Invalid_argument if an atom's index is out of range. *)
-
-val mentioned : condition -> int list
-(** Attribute indices used, ascending, without duplicates. *)
 
 val eval_truth : condition -> tuple -> bool
 (** Ground-truth evaluation (tests/experiments only). *)
@@ -88,11 +80,8 @@ val laxity : condition -> tuple -> float
 (** Largest laxity among mentioned, still-imprecise attributes; 0 when
     every mentioned attribute is precise. *)
 
-val probe_attribute : tuple -> int -> tuple
-(** Reveal one attribute ([belief] becomes exact).  Idempotent. *)
-
 val next_probe : condition -> tuple -> int option
-(** The attribute {!probe_plan} would fetch next: among mentioned
+(** The attribute {!resolve} would fetch next: among mentioned
     attributes still imprecise, the one with the greatest chance of
     deciding the condition (decision probability estimated by
     resolving that attribute to YES/NO extremes); [None] if the
@@ -103,10 +92,6 @@ val resolve : ?meter:Cost_meter.t -> condition -> tuple -> tuple
 (** Probe attributes ({!next_probe} order, one [c_p] charge on [meter]
     each) until the condition is definite.  Total fetches bounded by the
     number of mentioned attributes. *)
-
-val instance : condition -> tuple Operator.instance
-(** Plug into {!Operator.run} (use {!select} for correct per-attribute
-    probe accounting). *)
 
 type report = {
   answer : tuple Operator.emitted list;

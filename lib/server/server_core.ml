@@ -166,56 +166,54 @@ let create ?clock cfg =
     else None
   in
   let latency = cfg.c_probe_ms /. 1000.0 in
-  let injector ~site ~seed =
-    Fault_plan.injector_opt ~obs:srv_obs ~site
-      (Fault_plan.make ~seed ~permanent_rate:cfg.c_fault_rate ())
-  in
-  (* Over pure backends a lane runs its next query while this one waits
-     on the backend ([Domain_pool.blocking]), and every query in flight
-     may keep a round of its own.  An injector's element stream is not
-     domain-safe, and a breaker's verdicts follow round order, so
-     either keeps one query per lane and one round at a time, and
-     [--fault-seed] replays stay put. *)
-  let pure = cfg.c_fault_rate = 0.0 && not cfg.c_breaker in
+  (* A fault is decided per object and tier, from the object's key
+     ([Fault_plan.permanent]), so the resolver's answers depend only on
+     the objects asked.  A lane therefore runs its next query while this
+     one waits on the backend ([Domain_pool.blocking]), and every query
+     in flight may keep a round of its own.  A breaker's verdicts follow
+     round order, so a breaker keeps one query per lane and one round at
+     a time. *)
+  let lends = not cfg.c_breaker in
   let wait_backend () =
-    if pure then Domain_pool.blocking (fun () -> Unix.sleepf latency)
+    if lends then Domain_pool.blocking (fun () -> Unix.sleepf latency)
     else Unix.sleepf latency
   in
-  let resolver inj to_outcome objs =
+  let faults =
+    Fault_plan.make ~seed:cfg.c_fault_seed ~permanent_rate:cfg.c_fault_rate ()
+  in
+  let injected =
+    if cfg.c_fault_rate > 0.0 then
+      Some (Obs.counter srv_obs Obs.Keys.fault_injected)
+    else None
+  in
+  let resolver fails to_outcome objs =
     if latency > 0.0 then wait_backend ();
     Array.map
-      (fun o ->
-        let failed =
-          match inj with
-          | None -> false
-          | Some inj ->
-              let el = Fault_plan.fresh_element inj in
-              Fault_plan.attempt inj el ~round:0
-        in
-        if failed then Probe_driver.Failed { attempts = 1 } else to_outcome o)
+      (fun (o : Synthetic.obj) ->
+        if fails o.Synthetic.id then begin
+          Option.iter Metrics.incr injected;
+          Probe_driver.Failed { attempts = 1 }
+        end
+        else to_outcome o)
       objs
   in
-  (* Every backend configuration is a cascade.  The oracle-only one
-     draws its faults at site "server-backend", a name [--fault-seed]
-     replays depend on, so it must not become "server-backend.oracle". *)
-  let tiers, site =
+  (* Every backend configuration is a cascade, [c_tiers = None] the
+     oracle-only one.  Each tier draws its faults at a site of its own,
+     so a dead proxy does not imply a dead oracle. *)
+  let tiers =
     match cfg.c_tiers with
     | Some specs ->
         Probe_tier.validate specs;
-        (specs, fun name -> "server-backend." ^ name)
+        specs
     | None ->
-        ( Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:cfg.c_batch (),
-          fun _ -> "server-backend" )
+        Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:cfg.c_batch ()
   in
-  (* One backend per tier; each tier draws an independent fault stream
-     so a dead proxy does not imply a dead oracle. *)
   let backends =
-    Array.mapi
-      (fun i (spec : Probe_tier.spec) ->
-        let inj =
-          injector
-            ~site:(site spec.Probe_tier.name)
-            ~seed:(cfg.c_fault_seed + i)
+    Array.map
+      (fun (spec : Probe_tier.spec) ->
+        let fails =
+          Fault_plan.permanent faults
+            ~site:("server-backend." ^ spec.Probe_tier.name)
         in
         let to_outcome =
           match spec.Probe_tier.kind with
@@ -225,12 +223,12 @@ let create ?clock cfg =
               fun o -> Probe_driver.Shrunk (Synthetic.shrink ~power o)
         in
         {
-          Probe_broker.bk_resolve = resolver inj to_outcome;
+          Probe_broker.bk_resolve = resolver fails to_outcome;
           bk_batch = spec.Probe_tier.batch;
         })
       tiers
   in
-  let rounds = if pure then Engine.default_lanes else 1 in
+  let rounds = if lends then Engine.default_lanes else 1 in
   let broker =
     Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
       ?capacity:cfg.c_capacity ?breaker:srv_breaker ~rounds

@@ -66,28 +66,33 @@ type config = {
   c_admission : admission;
   c_domains : int option;
       (** lanes for RUN (default: one per core; a RUN never takes more
-          lanes than cores, see {!Engine.execute_many}).  Without fault
-          injection and without a breaker the backends are pure: a lane
-          runs its next query while its query waits on the backend
-          latency ({!Domain_pool.blocking}), so one lane can have
-          several queries in flight, and the broker lets every query in
-          flight keep a backend round of its own ({!Probe_broker.create}'s
-          [rounds] is {!Engine.default_lanes}, whatever the lane count).
-          Otherwise a lane runs one query at a time and the broker one
-          round at a time. *)
+          lanes than cores, see {!Engine.execute_many}).  Without a
+          breaker a lane runs its next query while its query waits on
+          the backend latency ({!Domain_pool.blocking}), so one lane can
+          have several queries in flight, and the broker lets every
+          query in flight keep a backend round of its own
+          ({!Probe_broker.create}'s [rounds] is {!Engine.default_lanes},
+          whatever the lane count).  With a breaker a lane runs one
+          query at a time and the broker one round at a time. *)
   c_fault_rate : float;
-      (** probability a backend probe fails permanently (deterministic
-          per [c_fault_seed]); 0 disables injection entirely *)
+      (** probability a backend probe fails permanently; 0 disables
+          injection.  A fault is decided per object and tier, from
+          [c_fault_seed], the tier's site ["server-backend.<name>"] and
+          the object's id ({!Fault_plan.permanent}): a failed object
+          fails for every query that asks that tier for it, so a
+          [c_fault_seed] replay does not depend on [c_domains] or on
+          how queries interleave.  Each failed object counts into
+          [qaq.fault.injected], registered only when the rate is
+          positive. *)
   c_fault_seed : int;
   c_tiers : Probe_tier.spec array option;
       (** the probe cascade: one shared backend per tier (proxies
           narrow with {!Synthetic.shrink}, the oracle resolves), and
           every RUN query gets a {!Probe_broker.cascade_client}.  [None]
           is the oracle-only cascade
-          [Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:c_batch],
-          whose backend keeps fault site ["server-backend"] and seed
-          [c_fault_seed].  STATS adds per-tier [TIER <name>] lines when
-          there is more than one tier. *)
+          [Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:c_batch].
+          STATS adds per-tier [TIER <name>] lines when there is more
+          than one tier. *)
   c_breaker : bool;  (** put a {!Circuit_breaker} on the broker *)
   c_recorder : int;
       (** flight-recorder ring capacity, in run-level events shared by

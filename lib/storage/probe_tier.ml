@@ -13,8 +13,6 @@ type kind = Resolve | Shrink of { power : float }
 
 type spec = { name : string; kind : kind; c_p : float; c_b : float; batch : int }
 
-let power s = match s.kind with Resolve -> 1.0 | Shrink { power } -> power
-
 let amortized s = s.c_p +. (s.c_b /. float_of_int s.batch)
 
 let valid_cost c = Float.is_finite c && c >= 0.0

@@ -24,14 +24,8 @@ type spec = {
   batch : int;  (** batch size at this tier, >= 1 *)
 }
 
-val power : spec -> float
-(** [power s] is 1.0 for [Resolve], the shrink power otherwise. *)
-
 val amortized : spec -> float
 (** [c_p +. c_b /. float batch]. *)
-
-val exit_probability : spec -> float
-(** Probability a probed object leaves the cascade at this tier. *)
 
 val validate : spec array -> unit
 (** Raises [Invalid_argument] unless: non-empty; exactly the last tier

@@ -5,10 +5,6 @@ type t = {
   grams : (string * int) array;
 }
 
-let q t = t.q
-let source_length t = t.source_length
-let gram_count t = Array.length t.grams
-
 let profile ~q s =
   if q < 1 then invalid_arg "Qgram.profile: q < 1";
   let pad = String.make (q - 1) '\x00' in

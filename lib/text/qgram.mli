@@ -11,17 +11,8 @@
 
 type t
 
-val q : t -> int
-val source_length : t -> int
-val gram_count : t -> int
-(** Distinct grams stored. *)
-
 val profile : q:int -> string -> t
 (** @raise Invalid_argument if [q < 1]. *)
-
-val l1_distance : t -> t -> int
-(** Multiset symmetric-difference size between the profiles.
-    @raise Invalid_argument on mismatched [q]. *)
 
 val min_edit_distance : t -> t -> int
 (** Sound lower bound on the edit distance between the source strings:

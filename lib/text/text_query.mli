@@ -25,11 +25,6 @@ val query : q:int -> pattern:string -> k:int -> query
 (** @raise Invalid_argument if [k < 0] or [q < 1] or the q mismatches
     items built with a different q (checked at evaluation time). *)
 
-val distance_bounds : query -> item -> int * int
-(** Sound (lower, upper) bounds on the true edit distance: from the
-    q-gram profiles when unresolved, the exact value twice once
-    resolved. *)
-
 val instance : query -> item Operator.instance
 (** Laxity is the width of the distance bound interval; success is a
     calibrated prior from where [k] falls inside the bounds. *)

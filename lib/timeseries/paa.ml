@@ -30,7 +30,6 @@ let compress ~segments series =
   { source_length = n; means; mins; maxs; starts }
 
 let segments t = Array.length t.means
-let source_length t = t.source_length
 
 let check_segment t i =
   if i < 0 || i >= segments t then invalid_arg "Paa: segment index"

@@ -17,7 +17,6 @@ val compress : segments:int -> Time_series.t -> t
     length. *)
 
 val segments : t -> int
-val source_length : t -> int
 
 val segment_mean : t -> int -> float
 val segment_min : t -> int -> float

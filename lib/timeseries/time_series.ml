@@ -11,7 +11,6 @@ let of_array a =
 
 let length = Array.length
 let get t i = t.(i)
-let to_array = Array.copy
 
 let euclidean_distance a b =
   if Array.length a <> Array.length b then
@@ -25,11 +24,6 @@ let euclidean_distance a b =
   sqrt !acc
 
 let map f t = Array.map f t
-let equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
-
-let pp ppf t =
-  Format.fprintf ppf "[%d pts: %g..%g]" (Array.length t) t.(0)
-    t.(Array.length t - 1)
 
 let random_walk rng ~length ~start ~step_stddev =
   if length < 1 then invalid_arg "Time_series.random_walk: length < 1";

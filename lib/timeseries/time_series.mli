@@ -12,15 +12,11 @@ val of_array : float array -> t
 
 val length : t -> int
 val get : t -> int -> float
-val to_array : t -> float array
 
 val euclidean_distance : t -> t -> float
 (** @raise Invalid_argument on length mismatch. *)
 
 val map : (float -> float) -> t -> t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {2 Generators} *)
 

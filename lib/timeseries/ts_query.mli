@@ -24,10 +24,6 @@ type query = { pattern : Time_series.t; epsilon : float }
 val query : pattern:Time_series.t -> epsilon:float -> query
 (** @raise Invalid_argument if [epsilon] is negative or NaN. *)
 
-val distance_interval : query -> item -> Interval.t
-(** Bounds on the item's true distance to the pattern (a point interval
-    once resolved). *)
-
 val instance : query -> item Operator.instance
 (** Laxity is the width of the distance-bound interval; success assumes
     the true distance uniform within it (§4.1's recipe). *)

@@ -249,19 +249,24 @@ let map ?on_task ~lanes ?chunk_size f arr =
 
 let env_var = "QAQ_DOMAINS"
 
+(* A lane beyond the cores never runs ([run] caps at [max_lanes]), so
+   the count an entry point reports and sizes by stops there too. *)
 let resolve ?domains () =
-  match domains with
-  | Some d ->
-      if d < 1 then invalid_arg "Domain_pool.resolve: domains < 1";
-      d
-  | None -> (
-      match Sys.getenv_opt env_var with
-      | None | Some "" -> 1
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some d when d >= 1 -> d
-          | Some _ | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Domain_pool.resolve: %s must be a positive integer (got %S)"
-                   env_var s)))
+  let requested =
+    match domains with
+    | Some d ->
+        if d < 1 then invalid_arg "Domain_pool.resolve: domains < 1";
+        d
+    | None -> (
+        match Sys.getenv_opt env_var with
+        | None | Some "" -> 1
+        | Some s -> (
+            match int_of_string_opt (String.trim s) with
+            | Some d when d >= 1 -> d
+            | Some _ | None ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Domain_pool.resolve: %s must be a positive integer (got %S)"
+                     env_var s)))
+  in
+  Stdlib.min requested max_lanes

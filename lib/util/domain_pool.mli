@@ -96,7 +96,9 @@ val env_var : string
 
 val resolve : ?domains:int -> unit -> int
 (** The lane count an entry point should use: the explicit [domains]
-    argument if given, else the {!env_var} environment variable, else 1.
+    argument if given, else the {!env_var} environment variable, else 1,
+    capped at the core count ([Domain.recommended_domain_count ()]),
+    since no call runs on more lanes than that.
     The env fallback lets a whole test suite or CI job exercise the
     parallel path without touching call sites.
     @raise Invalid_argument if [domains < 1] or the variable is set to

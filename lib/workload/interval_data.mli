@@ -46,9 +46,6 @@ val in_exact : Predicate.t -> record -> bool
     as the CSV record codec — and a degenerate support decodes back to
     an [Exact] belief, mirroring that codec's choice. *)
 
-val to_row : record -> Column_store.row
-(** @raise Invalid_argument on a Gaussian belief. *)
-
 val of_row : Column_store.row -> record
 
 val to_store : ?chunk_size:int -> record array -> Column_store.t

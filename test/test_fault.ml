@@ -72,6 +72,43 @@ let test_sites_diverge () =
   checkb "different sites draw different streams" false
     (draw_sequence a 200 = draw_sequence b 200)
 
+(* The keyed draw is a pure function of (seed, site, key): asking keys
+   in any order gives the same decisions, the failed share follows the
+   rate, and two sites of one seed fail different keys. *)
+let test_keyed_draw () =
+  let n = 10_000 in
+  let spec = Fault_plan.make ~seed:7 ~permanent_rate:0.2 () in
+  let decide site keys =
+    let fails = Fault_plan.permanent spec ~site in
+    let got = Array.make n false in
+    Array.iter (fun k -> got.(k) <- fails k) keys;
+    got
+  in
+  let forward = Array.init n Fun.id in
+  let reversed = Array.init n (fun i -> n - 1 - i) in
+  let shuffled = Array.copy forward in
+  Rng.shuffle (Rng.create 3) shuffled;
+  let a = decide "server-backend.oracle" forward in
+  checkb "reversed order, same decisions" true
+    (a = decide "server-backend.oracle" reversed);
+  checkb "shuffled order, same decisions" true
+    (a = decide "server-backend.oracle" shuffled);
+  let failed = Array.fold_left (fun c b -> if b then c + 1 else c) 0 a in
+  let share = float_of_int failed /. float_of_int n in
+  checkb
+    (Printf.sprintf "failed share %.4f within 0.2 +- 0.02" share)
+    true
+    (Float.abs (share -. 0.2) <= 0.02);
+  checkb "two sites fail different keys" false
+    (a = decide "server-backend.proxy" forward);
+  let all rate =
+    Fault_plan.permanent (Fault_plan.make ~permanent_rate:rate ())
+  in
+  checkb "rate 0 fails nothing" true
+    (Array.for_all (fun k -> not (all 0.0 ~site:"s" k)) forward);
+  checkb "rate 1 fails everything" true
+    (Array.for_all (fun k -> all 1.0 ~site:"s" k) forward)
+
 let test_permanent_element () =
   let inj =
     Fault_plan.injector ~site:"t" (Fault_plan.make ~permanent_rate:1.0 ())
@@ -352,6 +389,7 @@ let suite =
     ("plan validation", `Quick, test_make_validation);
     ("sites diverge", `Quick, test_sites_diverge);
     ("permanent elements", `Quick, test_permanent_element);
+    ("keyed draw is a pure function of its key", `Quick, test_keyed_draw);
     ("outage windows", `Quick, test_outage_windows);
     ("latency spikes", `Quick, test_latency_spikes);
     ("injected counter", `Quick, test_injected_counter_reaches_metrics);

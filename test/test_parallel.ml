@@ -206,6 +206,31 @@ let test_parallel_metrics () =
     | Some (Metrics.Level l) -> l >= 0.0
     | _ -> false)
 
+(* A lane beyond the cores never runs, so a run asked for more reports
+   only the lanes it has: the gauge reads the core count, and no lane
+   past it gets a busy gauge. *)
+let test_lanes_capped_at_cores () =
+  let cores = Domain.recommended_domain_count () in
+  if cores >= 2 then begin
+    let obs = Obs.create () in
+    ignore
+      (Engine.run ~rng:(Rng.create 9) ~max_laxity:100.0 ~domains:(cores + 2)
+         ~obs ~instance:Synthetic.instance
+         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+         (Scan_pipeline.rows ~instance:Synthetic.instance (dataset 23)));
+    let snap = Obs.snapshot obs in
+    checkb "domain gauge reads the cores" true
+      (Metrics.get snap Obs.Keys.parallel_domains
+      = Some (Metrics.Level (float_of_int cores)));
+    List.iter
+      (fun i ->
+        checkb
+          (Printf.sprintf "no busy gauge for lane %d" i)
+          true
+          (Metrics.get snap (Obs.Keys.domain_busy i) = None))
+      [ cores; cores + 1 ]
+  end
+
 let test_trial_run_parallel () =
   let rng = Rng.create 31 in
   let setting = Exp_config.default in
@@ -232,6 +257,7 @@ let suite =
     ("golden observed laxity cap", `Quick, test_golden_observed_cap);
     ("streaming emission order", `Quick, test_streaming_order);
     ("parallel metrics", `Quick, test_parallel_metrics);
+    ("lane count capped at the cores", `Quick, test_lanes_capped_at_cores);
     ("trial_run with domains", `Quick, test_trial_run_parallel);
     ("parallel_configs ordering", `Quick, test_parallel_configs);
   ]

@@ -563,11 +563,13 @@ let test_recorder_dir_unusable () =
               checkb "gives a reason" true (reason <> ""))
         [ Filename.concat file "dumps"; file ])
 
-(* Over pure backends each lane keeps a backend round of its own in
+(* Without a breaker each lane keeps a backend round of its own in
    flight, and that moves only wall time: a four-tenant batch against a
    slow backend with no freshness cache answers and accounts the same
-   on two lanes as on one.  A fault injector or a breaker keeps one
-   round at a time. *)
+   on two lanes as on one.  A fault is drawn from the object's key, so
+   a faulted server, plain or tiered, pipelines too and still answers
+   the same at both lane counts.  A breaker keeps one round at a
+   time. *)
 let test_latency_server_pipelines () =
   let latency = { base_config with c_probe_ms = 1.0; c_freshness = 0.0 } in
   let script =
@@ -580,8 +582,8 @@ let test_latency_server_pipelines () =
       "QUIT";
     ]
   in
-  let results domains =
-    let srv = Server_core.create { latency with c_domains = Some domains } in
+  let results cfg domains =
+    let srv = Server_core.create { cfg with c_domains = Some domains } in
     checki
       (Printf.sprintf "%d lanes, %d round slots" domains Engine.default_lanes)
       Engine.default_lanes
@@ -593,7 +595,7 @@ let test_latency_server_pipelines () =
         else None)
       lines
   in
-  let one = results 1 in
+  let one = results latency 1 in
   checki "four answers" 4 (List.length one);
   List.iter
     (fun l ->
@@ -601,16 +603,34 @@ let test_latency_server_pipelines () =
         (fun key -> checkb ("RESULT has " ^ key) true (kv l key <> None))
         [ "answer"; "precision"; "recall"; "laxity"; "probes"; "batches"; "cost" ])
     one;
-  Alcotest.(check (list string)) "two lanes answer as one" one (results 2);
+  Alcotest.(check (list string))
+    "two lanes answer as one" one (results latency 2);
+  let faulted = { latency with c_fault_rate = 0.2 } in
   List.iter
     (fun (what, cfg) ->
-      checki what 1
-        (Probe_broker.rounds
-           (Server_core.broker (Server_core.create { cfg with c_domains = Some 2 }))))
+      let one = results cfg 1 in
+      checki (what ^ ": four answers") 4 (List.length one);
+      checkb (what ^ ": faults degrade an answer") true
+        (List.exists (fun l -> kv l "degraded" = Some "true") one);
+      Alcotest.(check (list string))
+        (what ^ ": two lanes answer as one")
+        one (results cfg 2))
     [
-      ("fault injection keeps one round", { latency with c_fault_rate = 0.2 });
-      ("a breaker keeps one round", { latency with c_breaker = true });
-    ]
+      ("faulted", faulted);
+      ( "faulted, tiered",
+        {
+          faulted with
+          c_tiers =
+            Some
+              (Probe_tier.of_string
+                 "proxy:cp=0.1,cb=1,B=32,shrink=0.8;oracle:cp=1,cb=5,B=8");
+        } );
+    ];
+  checki "a breaker keeps one round" 1
+    (Probe_broker.rounds
+       (Server_core.broker
+          (Server_core.create
+             { latency with c_breaker = true; c_domains = Some 2 })))
 
 let suite =
   [
