@@ -32,7 +32,7 @@ let create ?obs ?(trip_after = 3) ?(backoff_base = 2) ?(backoff_factor = 2.0)
   if trip_after < 1 then invalid_arg "Circuit_breaker.create: trip_after < 1";
   if backoff_base < 1 then
     invalid_arg "Circuit_breaker.create: backoff_base < 1";
-  if backoff_factor < 1.0 then
+  if not (backoff_factor >= 1.0) then
     invalid_arg "Circuit_breaker.create: backoff_factor < 1";
   if max_backoff < backoff_base then
     invalid_arg "Circuit_breaker.create: max_backoff < backoff_base";

@@ -3,9 +3,9 @@
     Remote stores that are down fail {e fast} in real systems: after a
     few consecutive failed rounds the client stops hammering the store
     and waits, doubling the wait after each unsuccessful recovery
-    attempt.  The breaker tracks rounds (the retry rounds of
-    {!Sensor_net} / {!Probe_source}), not wall time, so its behaviour
-    is deterministic and replayable.
+    attempt.  The breaker guards the dispatch rounds of
+    {!Probe_broker} (the server's [--breaker]) and counts rounds, not
+    wall time, so its behaviour is deterministic and replayable.
 
     States: {e closed} (all traffic flows), {e open} (rounds are
     refused until the backoff window has passed), {e half-open} (the
@@ -32,7 +32,7 @@ val create :
     (0 closed, 1 half-open, 2 open) and observes each completed open
     window's length into [qaq.fault.outage_rounds].
     @raise Invalid_argument if [trip_after < 1], [backoff_base < 1],
-    [backoff_factor < 1] or [max_backoff < backoff_base]. *)
+    [backoff_factor] is below 1 or NaN, or [max_backoff < backoff_base]. *)
 
 val state : t -> state
 

@@ -1,5 +1,3 @@
-type outage = { node : int; from_round : int; rounds : int }
-
 type spec = {
   seed : int;
   transient_rate : float;
@@ -7,7 +5,6 @@ type spec = {
   spike_rate : float;
   spike_factor : float;
   max_retries : int;
-  outages : outage list;
 }
 
 let check_rate name r =
@@ -15,19 +12,13 @@ let check_rate name r =
     invalid_arg (Printf.sprintf "Fault_plan.make: %s outside [0, 1]" name)
 
 let make ?(seed = 0) ?(transient_rate = 0.0) ?(permanent_rate = 0.0)
-    ?(spike_rate = 0.0) ?(spike_factor = 10.0) ?(max_retries = 10)
-    ?(outages = []) () =
+    ?(spike_rate = 0.0) ?(spike_factor = 10.0) ?(max_retries = 10) () =
   check_rate "transient_rate" transient_rate;
   check_rate "permanent_rate" permanent_rate;
   check_rate "spike_rate" spike_rate;
-  if spike_factor < 1.0 then
+  if not (spike_factor >= 1.0) then
     invalid_arg "Fault_plan.make: spike_factor < 1";
   if max_retries < 0 then invalid_arg "Fault_plan.make: max_retries < 0";
-  List.iter
-    (fun o ->
-      if o.from_round < 0 || o.rounds < 1 then
-        invalid_arg "Fault_plan.make: invalid outage window")
-    outages;
   {
     seed;
     transient_rate;
@@ -35,14 +26,12 @@ let make ?(seed = 0) ?(transient_rate = 0.0) ?(permanent_rate = 0.0)
     spike_rate;
     spike_factor;
     max_retries;
-    outages;
   }
 
 let none = make ()
 
 let is_null s =
   s.transient_rate = 0.0 && s.permanent_rate = 0.0 && s.spike_rate = 0.0
-  && s.outages = []
 
 type instruments = { m_injected : Metrics.counter }
 
@@ -65,12 +54,7 @@ let site_seed seed site =
 let injector ?obs ~site plan =
   let ins =
     Option.map
-      (fun o ->
-        let h = Obs.histogram o Obs.Keys.fault_outage_rounds in
-        List.iter
-          (fun w -> Metrics.observe h (float_of_int w.rounds))
-          plan.outages;
-        { m_injected = Obs.counter o Obs.Keys.fault_injected })
+      (fun o -> { m_injected = Obs.counter o Obs.Keys.fault_injected })
       obs
   in
   { plan; rng = Rng.create (site_seed plan.seed site); ins; injected = 0 }
@@ -93,7 +77,7 @@ let fired t =
   t.injected <- t.injected + 1;
   match t.ins with Some i -> Metrics.incr i.m_injected | None -> ()
 
-let attempt t e ~round:_ =
+let attempt t e =
   if e.permanent then begin
     fired t;
     true
@@ -104,12 +88,6 @@ let attempt t e ~round:_ =
     true
   end
   else false
-
-let outage_active t ~node ~round =
-  List.exists
-    (fun w ->
-      w.node = node && round >= w.from_round && round < w.from_round + w.rounds)
-    t.plan.outages
 
 let latency t l =
   if t.plan.spike_rate > 0.0 && Rng.bernoulli t.rng t.plan.spike_rate then begin

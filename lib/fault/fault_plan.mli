@@ -1,29 +1,25 @@
 (** Deterministic, seeded fault injection.
 
     A {!spec} scripts the hostile conditions a run should survive —
-    transient per-attempt failures, permanently unresolvable elements,
-    latency spikes, and per-node outage windows — as pure data plus a
-    seed.  An {!injector} is the mutable per-site instance of a spec:
-    it derives its own SplitMix64 stream from the seed and the site
-    name, so fault decisions are reproducible per seed and completely
-    independent of the engine's own rng streams (attaching an injector
-    never perturbs the query's decisions, only the probe outcomes).
+    transient per-attempt failures, permanently unresolvable elements
+    and latency spikes — as pure data plus a seed.  An {!injector} is
+    the mutable per-site instance of a spec: it derives its own
+    SplitMix64 stream from the seed and the site name, so fault
+    decisions are reproducible per seed and completely independent of
+    the engine's own rng streams (attaching an injector never perturbs
+    the query's decisions, only the probe outcomes).
 
     Sites consult the injector at well-defined points: {!fresh_element}
     once per element entering a probe/fetch lifecycle (this is where
     permanence is drawn), {!attempt} once per attempt on that element,
-    {!latency} once per wakeup, {!outage_active} once per (node, round)
-    pair.  A spec with every rate at zero and no outages is {!is_null}:
-    callers are expected to skip injection entirely then, which keeps
-    the zero-rate plan bit-for-bit identical to an unfaulted run.
+    {!latency} once per wakeup.  A spec with every rate at zero is
+    {!is_null}: callers are expected to skip injection entirely then,
+    which keeps the zero-rate plan bit-for-bit identical to an
+    unfaulted run.
 
     A site that serves many callers at once (the server's backends)
     uses the keyed draw {!permanent} instead of an injector: its
     decisions follow from the element's key, not from call order. *)
-
-(** A scripted outage: [node] answers nothing during rounds
-    [\[from_round, from_round + rounds)]. *)
-type outage = { node : int; from_round : int; rounds : int }
 
 type spec = {
   seed : int;
@@ -32,7 +28,6 @@ type spec = {
   spike_rate : float;  (** P(a wakeup's latency is spiked) *)
   spike_factor : float;  (** latency multiplier when spiked *)
   max_retries : int;  (** retry budget injected sites should apply *)
-  outages : outage list;
 }
 
 val make :
@@ -42,21 +37,19 @@ val make :
   ?spike_rate:float ->
   ?spike_factor:float ->
   ?max_retries:int ->
-  ?outages:outage list ->
   unit ->
   spec
 (** All rates default to 0, [seed] to 0, [spike_factor] to 10,
-    [max_retries] to 10, [outages] to [].
+    [max_retries] to 10.
     @raise Invalid_argument on a rate outside [0, 1], a spike factor
-    below 1, a negative retry budget, or an outage with a negative
-    start or a non-positive length. *)
+    below 1 or NaN, or a negative retry budget. *)
 
 val none : spec
 (** [make ()] — the null plan. *)
 
 val is_null : spec -> bool
-(** No failure mode can ever fire: all rates are 0 and there are no
-    outages.  Sites should not build an injector for a null spec. *)
+(** No failure mode can ever fire: all rates are 0.  Sites should not
+    build an injector for a null spec. *)
 
 (** {2 Injectors} *)
 
@@ -72,8 +65,7 @@ val injector : ?obs:Obs.t -> site:string -> spec -> t
     [(spec.seed, site)]: two injectors built with equal arguments make
     identical decisions in identical call order.  [obs] registers the
     [qaq.fault.injected] counter (every injected attempt failure or
-    latency spike) and observes each scripted outage's length into the
-    [qaq.fault.outage_rounds] histogram. *)
+    latency spike). *)
 
 type element
 (** Per-element fault state: whether this element is permanently
@@ -85,13 +77,9 @@ val fresh_element : t -> element
 
 val element_permanent : element -> bool
 
-val attempt : t -> element -> round:int -> bool
+val attempt : t -> element -> bool
 (** [true] when this attempt must fail: the element is permanent, or a
     transient failure fires.  Counts into [qaq.fault.injected]. *)
-
-val outage_active : t -> node:int -> round:int -> bool
-(** Whether a scripted outage covers [node] at [round] (pure — no rng
-    draw, no counter). *)
 
 val latency : t -> float -> float
 (** The (possibly spiked) latency of one wakeup: multiplied by

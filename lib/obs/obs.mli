@@ -176,6 +176,5 @@ module Keys : sig
   (** Gauge: circuit-breaker state (0 closed, 1 half-open, 2 open). *)
 
   val fault_outage_rounds : string
-  (** Histogram: lengths (in rounds) of scripted outage windows and of
-      breaker open windows. *)
+  (** Histogram: lengths (in rounds) of circuit-breaker open windows. *)
 end

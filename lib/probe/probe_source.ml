@@ -33,6 +33,15 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
   if not (failure_rate >= 0.0 && failure_rate < 1.0) then
     invalid_arg "Probe_source.create: failure_rate outside [0, 1)";
   if max_retries < 0 then invalid_arg "Probe_source.create: max_retries < 0";
+  let sound l = Float.is_finite l && l >= 0.0 in
+  let latency_sound =
+    match latency with
+    | Instant -> true
+    | Constant l -> sound l
+    | Jittered { base; jitter } -> sound base && sound jitter
+  in
+  if not latency_sound then
+    invalid_arg "Probe_source.create: latency negative or not finite";
   let needs_rng =
     failure_rate > 0.0
     || (match latency with Jittered _ -> true | Instant | Constant _ -> false)
@@ -43,11 +52,6 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
      their counters onto the same names: a [tier] label prefixes every
      source metric with the tier and adds a per-tier retried slice. *)
   let prefix =
-    match tier with
-    | None -> "probe_source"
-    | Some name -> "probe_source." ^ name
-  in
-  let site =
     match tier with
     | None -> "probe_source"
     | Some name -> "probe_source." ^ name
@@ -75,7 +79,7 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
     failure_rate;
     max_retries;
     rng;
-    faults = Fault_plan.injector_opt ?obs ~site faults;
+    faults = Fault_plan.injector_opt ?obs ~site:prefix faults;
     ins;
     tier;
     probes = 0;
@@ -138,10 +142,10 @@ let note_retried t =
    evaluating both keeps each stream's consumption independent of the
    other's outcome — attaching an injector never shifts the simulated
    failure stream of a source that also simulates failures itself. *)
-let roll_failure t element ~round =
+let roll_failure t element =
   let injected =
     match (t.faults, element) with
-    | Some f, Some e -> Fault_plan.attempt f e ~round
+    | Some f, Some e -> Fault_plan.attempt f e
     | _ -> false
   in
   let simulated = attempt_fails t in
@@ -161,7 +165,6 @@ let probe_batch_outcomes t objs =
        interleave. *)
     let elements = Array.init n (fun _ -> fresh_element t) in
     let pending = ref (List.init n Fun.id) in
-    let round = ref 0 in
     (* Each round is one wakeup: latency is paid once for the whole
        pending set, failures strike per element, and only the failed
        elements ride along to the next round.  An element that exhausts
@@ -169,13 +172,12 @@ let probe_batch_outcomes t objs =
        and the caller receives every outcome. *)
     while !pending <> [] do
       wakeup t;
-      let r = !round in
       pending :=
         List.filter
           (fun i ->
             note_attempt t;
             tries.(i) <- tries.(i) + 1;
-            if roll_failure t elements.(i) ~round:r then
+            if roll_failure t elements.(i) then
               if tries.(i) > t.max_retries then begin
                 results.(i) <-
                   Some (Probe_driver.Failed { attempts = tries.(i) });
@@ -190,8 +192,7 @@ let probe_batch_outcomes t objs =
               note_resolved t;
               false
             end)
-          !pending;
-      incr round
+          !pending
     done;
     Array.map (function Some o -> o | None -> assert false) results
   end

@@ -71,8 +71,9 @@ val create :
     lump their stats onto the same names and a degraded cascade could
     not be attributed in an SLO window.
 
-    @raise Invalid_argument on a failure rate outside [0, 1) or a
-    negative retry count. *)
+    @raise Invalid_argument on a failure rate outside [0, 1), a
+    negative retry count, or a [Constant] latency, [Jittered] [base] or
+    [jitter] that is negative or not finite. *)
 
 val probe_batch_outcomes :
   'o t -> 'o array -> 'o Probe_driver.outcome array

@@ -1,6 +1,7 @@
-(* Tests for the fault-injection library: the seeded fault plan, the
-   round-based circuit breaker, and their wiring into Sensor_net's
-   retry rounds. *)
+(* Tests for the fault-injection library: the seeded fault plan, its
+   keyed draw, and the round-based circuit breaker.  The injector's
+   wiring into probe rounds is tested with Probe_source (test_probe),
+   the breaker's with Probe_broker (test_broker). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -16,11 +17,6 @@ let test_null_plan () =
     (Fault_plan.injector_opt ~site:"x" Fault_plan.none = None);
   checkb "a rate makes it live" false
     (Fault_plan.is_null (Fault_plan.make ~transient_rate:0.1 ()));
-  checkb "an outage makes it live" false
-    (Fault_plan.is_null
-       (Fault_plan.make
-          ~outages:[ { Fault_plan.node = 0; from_round = 0; rounds = 1 } ]
-          ()));
   checkb "live plan builds an injector" true
     (Fault_plan.injector_opt ~site:"x"
        (Fault_plan.make ~transient_rate:0.1 ())
@@ -35,22 +31,15 @@ let test_make_validation () =
   invalid (fun () -> Fault_plan.make ~transient_rate:1.5 ());
   invalid (fun () -> Fault_plan.make ~permanent_rate:(-0.1) ());
   invalid (fun () -> Fault_plan.make ~spike_factor:0.5 ());
-  invalid (fun () -> Fault_plan.make ~max_retries:(-1) ());
-  invalid (fun () ->
-      Fault_plan.make
-        ~outages:[ { Fault_plan.node = 0; from_round = -1; rounds = 1 } ]
-        ());
-  invalid (fun () ->
-      Fault_plan.make
-        ~outages:[ { Fault_plan.node = 0; from_round = 0; rounds = 0 } ]
-        ())
+  invalid (fun () -> Fault_plan.make ~spike_factor:Float.nan ());
+  invalid (fun () -> Fault_plan.make ~max_retries:(-1) ())
 
 (* The injector's stream is a pure function of (seed, site): equal
    arguments replay identically, in lockstep, forever. *)
 let draw_sequence inj n =
-  List.init n (fun i ->
+  List.init n (fun _ ->
       let e = Fault_plan.fresh_element inj in
-      (Fault_plan.element_permanent e, Fault_plan.attempt inj e ~round:i))
+      (Fault_plan.element_permanent e, Fault_plan.attempt inj e))
 
 let prop_injector_deterministic =
   QCheck2.Test.make ~name:"injector stream is a pure function of (seed, site)"
@@ -115,29 +104,14 @@ let test_permanent_element () =
   in
   let e = Fault_plan.fresh_element inj in
   checkb "drawn permanent" true (Fault_plan.element_permanent e);
-  for round = 0 to 20 do
-    checkb "permanent fails every attempt" true
-      (Fault_plan.attempt inj e ~round)
+  for _ = 0 to 20 do
+    checkb "permanent fails every attempt" true (Fault_plan.attempt inj e)
   done;
   let inj0 =
     Fault_plan.injector ~site:"t" (Fault_plan.make ~transient_rate:0.5 ())
   in
   checkb "no permanence without a rate" false
     (Fault_plan.element_permanent (Fault_plan.fresh_element inj0))
-
-let test_outage_windows () =
-  let inj =
-    Fault_plan.injector ~site:"t"
-      (Fault_plan.make
-         ~outages:[ { Fault_plan.node = 3; from_round = 5; rounds = 2 } ]
-         ())
-  in
-  let active node round = Fault_plan.outage_active inj ~node ~round in
-  checkb "covers first round" true (active 3 5);
-  checkb "covers last round" true (active 3 6);
-  checkb "half-open end" false (active 3 7);
-  checkb "before the window" false (active 3 4);
-  checkb "other node untouched" false (active 2 5)
 
 let test_latency_spikes () =
   let spiked =
@@ -157,8 +131,8 @@ let test_injected_counter_reaches_metrics () =
     Fault_plan.injector ~obs ~site:"t" (Fault_plan.make ~transient_rate:1.0 ())
   in
   let e = Fault_plan.fresh_element inj in
-  for round = 0 to 4 do
-    ignore (Fault_plan.attempt inj e ~round)
+  for _ = 0 to 4 do
+    ignore (Fault_plan.attempt inj e)
   done;
   checki "qaq.fault.injected mirrors the injector" 5
     (Metrics.count_of (Obs.snapshot obs) Obs.Keys.fault_injected);
@@ -246,6 +220,7 @@ let test_breaker_validation () =
   invalid (fun () -> Circuit_breaker.create ~trip_after:0 ());
   invalid (fun () -> Circuit_breaker.create ~backoff_base:0 ());
   invalid (fun () -> Circuit_breaker.create ~backoff_factor:0.5 ());
+  invalid (fun () -> Circuit_breaker.create ~backoff_factor:Float.nan ());
   invalid (fun () -> Circuit_breaker.create ~backoff_base:4 ~max_backoff:2 ())
 
 let test_breaker_state_gauge () =
@@ -286,103 +261,6 @@ let prop_breaker_never_trips_without_failure =
           && Circuit_breaker.trips b = 0)
         gaps)
 
-(* --- Sensor_net under a fault plan ----------------------------------- *)
-
-let make_net ?obs ~n faults =
-  Sensor_net.create ?obs ~faults (Rng.create 5) ~n
-    ~value_range:(Interval.make 0.0 100.0)
-    ~tolerance_range:(Interval.make 1.0 2.0) ~drift_stddev:0.5
-
-(* An outage window that spans several retry rounds: the silenced
-   sensor rides along until the window ends, its siblings resolve in
-   round 0, and nothing trips because every early round still resolves
-   something or recovers before the threshold. *)
-let test_sensor_outage_overlaps_retry_rounds () =
-  let obs = Obs.create () in
-  let net =
-    make_net ~obs ~n:4
-      (Fault_plan.make
-         ~outages:[ { Fault_plan.node = 0; from_round = 0; rounds = 2 } ]
-         ~max_retries:5 ())
-  in
-  let outcomes = Sensor_net.probe_batch_outcomes net (Sensor_net.snapshot net) in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Probe_driver.Resolved r ->
-          checkb "resolved flag set" true r.Sensor_net.resolved;
-          checki "order preserved" i r.Sensor_net.sensor_id
-      | Probe_driver.Shrunk _ | Probe_driver.Failed _ ->
-          Alcotest.fail "outage outlived by the budget")
-    outcomes;
-  checki "window + recovery = 3 rounds" 3 (Sensor_net.rounds net);
-  checki "one wakeup per round" 3 (Sensor_net.probe_wakeups net);
-  (* 4 messages in round 0, then the silenced sensor alone twice. *)
-  checki "messages follow the pending set" 6 (Sensor_net.probe_messages net);
-  checki "two retries recorded" 2
-    (Metrics.count_of (Obs.snapshot obs) Obs.Keys.fault_retried);
-  match Sensor_net.breaker net with
-  | None -> Alcotest.fail "live plan installs a breaker"
-  | Some b ->
-      checkb "never tripped" true (Circuit_breaker.trips b = 0);
-      checkb "closed" true (Circuit_breaker.state b = Closed)
-
-(* A net-wide permanent outage: the breaker trips after three dead
-   rounds and backs off exponentially, so the six-attempt budget is
-   spent at rounds 0,1,2,4,8,16 rather than hammering every round. *)
-let test_sensor_breaker_backoff_under_outage () =
-  let trace, events = Trace.collector () in
-  let obs = Obs.create ~trace () in
-  let net =
-    make_net ~obs ~n:1
-      (Fault_plan.make
-         ~outages:[ { Fault_plan.node = 0; from_round = 0; rounds = 1000 } ]
-         ~max_retries:5 ())
-  in
-  let outcomes = Sensor_net.probe_batch_outcomes net (Sensor_net.snapshot net) in
-  (match outcomes.(0) with
-  | Probe_driver.Failed { attempts } ->
-      checki "budget spent exactly" 6 attempts
-  | Probe_driver.Resolved _ | Probe_driver.Shrunk _ ->
-      Alcotest.fail "expected a permanent failure");
-  checki "attempt rounds 0,1,2,4,8,16" 6 (Sensor_net.probe_wakeups net);
-  checki "refused rounds still advance the clock" 17 (Sensor_net.rounds net);
-  (match Sensor_net.breaker net with
-  | None -> Alcotest.fail "expected a breaker"
-  | Some b ->
-      checkb "left open" true (Circuit_breaker.state b = Open);
-      checki "initial trip + three failed recoveries" 4
-        (Circuit_breaker.trips b));
-  let breaker_events =
-    List.filter
-      (function Trace.Breaker _ -> true | _ -> false)
-      (events ())
-  in
-  (* closed->open at round 2, then (half-open, open) pairs at rounds
-     4, 8 and 16. *)
-  checki "breaker transitions traced" 7 (List.length breaker_events);
-  (match breaker_events with
-  | Trace.Breaker { state; round } :: _ ->
-      Alcotest.(check string) "first transition opens" "open" state;
-      checki "at the trip round" 2 round
-  | _ -> Alcotest.fail "expected a breaker event");
-  checkb "refused rounds burn no budget" true
-    (Sensor_net.probe_messages net = 6)
-
-let test_sensor_no_faults_single_round () =
-  let net = make_net ~n:8 Fault_plan.none in
-  checkb "null plan installs no breaker" true (Sensor_net.breaker net = None);
-  let outcomes = Sensor_net.probe_batch_outcomes net (Sensor_net.snapshot net) in
-  Array.iter
-    (function
-      | Probe_driver.Resolved _ -> ()
-      | Probe_driver.Shrunk _ | Probe_driver.Failed _ ->
-          Alcotest.fail "unfaulted net failed")
-    outcomes;
-  checki "one round" 1 (Sensor_net.rounds net);
-  checki "one wakeup" 1 (Sensor_net.probe_wakeups net);
-  checki "one message per sensor" 8 (Sensor_net.probe_messages net)
-
 let suite =
   [
     ("null plan", `Quick, test_null_plan);
@@ -390,7 +268,6 @@ let suite =
     ("sites diverge", `Quick, test_sites_diverge);
     ("permanent elements", `Quick, test_permanent_element);
     ("keyed draw is a pure function of its key", `Quick, test_keyed_draw);
-    ("outage windows", `Quick, test_outage_windows);
     ("latency spikes", `Quick, test_latency_spikes);
     ("injected counter", `Quick, test_injected_counter_reaches_metrics);
     ("breaker trip threshold", `Quick, test_breaker_trip_threshold);
@@ -400,12 +277,6 @@ let suite =
      test_breaker_interleaved_success_resets);
     ("breaker validation", `Quick, test_breaker_validation);
     ("breaker state gauge", `Quick, test_breaker_state_gauge);
-    ("sensor outage overlaps retries", `Quick,
-     test_sensor_outage_overlaps_retry_rounds);
-    ("sensor breaker backoff", `Quick,
-     test_sensor_breaker_backoff_under_outage);
-    ("sensor unfaulted single round", `Quick,
-     test_sensor_no_faults_single_round);
     QCheck_alcotest.to_alcotest prop_injector_deterministic;
     QCheck_alcotest.to_alcotest prop_breaker_never_trips_without_failure;
   ]

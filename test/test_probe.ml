@@ -186,7 +186,19 @@ let test_probe_source_validation () =
     (fun () -> ignore (Probe_source.create ~failure_rate:0.1 Fun.id));
   Alcotest.check_raises "bad rate"
     (Invalid_argument "Probe_source.create: failure_rate outside [0, 1)")
-    (fun () -> ignore (Probe_source.create ~failure_rate:1.0 Fun.id))
+    (fun () -> ignore (Probe_source.create ~failure_rate:1.0 Fun.id));
+  let bad_latency latency =
+    Alcotest.check_raises "bad latency"
+      (Invalid_argument "Probe_source.create: latency negative or not finite")
+      (fun () -> ignore (Probe_source.create ~latency ~rng:(Rng.create 1) Fun.id))
+  in
+  bad_latency (Probe_source.Constant (-3.0));
+  bad_latency (Probe_source.Constant Float.nan);
+  bad_latency (Probe_source.Constant Float.infinity);
+  bad_latency (Probe_source.Jittered { base = -1.0; jitter = 1.0 });
+  bad_latency (Probe_source.Jittered { base = 1.0; jitter = -1.0 });
+  bad_latency (Probe_source.Jittered { base = Float.nan; jitter = 1.0 });
+  bad_latency (Probe_source.Jittered { base = 1.0; jitter = Float.infinity })
 
 let make_net ?(n = 200) ?(drift = 1.0) seed =
   Sensor_net.create (Rng.create seed) ~n
@@ -237,24 +249,36 @@ let test_sensor_net_instance () =
       Alcotest.(check (float 0.0)) "probe laxity" 0.0 (instance.laxity probed))
     (Sensor_net.snapshot net)
 
+let test_sensor_net_validation () =
+  let bad_drift drift =
+    Alcotest.check_raises "bad drift"
+      (Invalid_argument
+         "Sensor_net.create: drift_stddev negative or not finite")
+      (fun () -> ignore (make_net ~drift 14))
+  in
+  bad_drift (-1.0);
+  bad_drift Float.nan;
+  bad_drift Float.infinity
+
 let test_sensor_net_batch_radio () =
-  (* Radio model: one wakeup per batch (c_b), one message per sensor
-     (c_p). *)
+  (* Radio model over a probe source: one wakeup per batch (c_b), one
+     message per sensor (c_p). *)
   let net = make_net 13 in
   for _ = 1 to 20 do
     Sensor_net.step net
   done;
+  let radio = Probe_source.create Sensor_net.probe in
   let readings = Array.sub (Sensor_net.snapshot net) 0 6 in
-  let probed = resolve_all (Sensor_net.probe_batch_outcomes net) readings in
+  let probed = resolve_all (Probe_source.probe_batch_outcomes radio) readings in
   Array.iter
     (fun (r : Sensor_net.reading) -> checkb "resolved" true r.resolved)
     probed;
-  checki "one wakeup" 1 (Sensor_net.probe_wakeups net);
-  checki "one message per sensor" 6 (Sensor_net.probe_messages net);
-  let driver = Sensor_net.batch_driver ~batch_size:3 net in
+  checki "one wakeup" 1 (Probe_source.stats radio).batches;
+  checki "one message per sensor" 6 (Probe_source.stats radio).attempts;
+  let driver = Probe_source.driver ~batch_size:3 radio in
   Array.iter (fun r -> Probe_driver.submit_outcome driver r ignore) readings;
-  checki "two more wakeups via driver" 3 (Sensor_net.probe_wakeups net);
-  checki "messages accumulate" 12 (Sensor_net.probe_messages net)
+  checki "two more wakeups via driver" 3 (Probe_source.stats radio).batches;
+  checki "messages accumulate" 12 (Probe_source.stats radio).attempts
 
 (* Regression: two sources sharing one obs registry used to lump their
    stats onto the same [probe_source.*] names; with tier labels each
@@ -297,56 +321,6 @@ let test_probe_source_per_tier_stats () =
   checki "oracle unaffected by the proxy's reset" 5
     (Probe_source.stats oracle).probes
 
-(* Regression: retry rounds used to be lumped into probe_wakeups /
-   probe_messages — the split separates pure retry traffic, and a tier
-   label keeps a cascaded net's radio stats on its own names. *)
-let test_sensor_net_retry_split () =
-  let obs = Obs.create () in
-  let net =
-    Sensor_net.create ~obs ~tier:"radio"
-      ~faults:(Fault_plan.make ~seed:40 ~transient_rate:0.4 ~max_retries:20 ())
-      (Rng.create 41) ~n:24
-      ~value_range:(Interval.make 0.0 100.0)
-      ~tolerance_range:(Interval.make 1.0 5.0)
-      ~drift_stddev:1.0
-  in
-  for _ = 1 to 10 do
-    Sensor_net.step net
-  done;
-  let readings = Sensor_net.snapshot net in
-  let outcomes = Sensor_net.probe_batch_outcomes net readings in
-  Array.iter
-    (fun oc ->
-      match oc with
-      | Probe_driver.Resolved _ -> ()
-      | Probe_driver.Shrunk _ | Probe_driver.Failed _ ->
-          Alcotest.fail "transient faults within budget must all resolve")
-    outcomes;
-  let wakeups = Sensor_net.probe_wakeups net in
-  let messages = Sensor_net.probe_messages net in
-  let retry_wakeups = Sensor_net.retry_wakeups net in
-  let retry_messages = Sensor_net.retry_messages net in
-  checkb "faults forced retry rounds" true (retry_wakeups > 0);
-  (* one first round per batch; everything beyond it is retry traffic *)
-  checki "retry wakeups are the rounds beyond the first" (wakeups - 1)
-    retry_wakeups;
-  checki "retry messages are the responses beyond the first round"
-    (messages - Array.length readings)
-    retry_messages;
-  let snap = Obs.snapshot obs in
-  let count = Metrics.count_of snap in
-  checki "tier slice mirrors retry wakeups" retry_wakeups
-    (count "sensor_net.radio.retry_wakeups");
-  checki "tier slice mirrors retry messages" retry_messages
-    (count "sensor_net.radio.retry_messages");
-  checki "tier slice mirrors probe wakeups" wakeups
-    (count "sensor_net.radio.probe_wakeups");
-  checki "nothing lumped onto the unprefixed names" 0
-    (count "sensor_net.probe_wakeups" + count "sensor_net.retry_wakeups");
-  checki "retries attributed to the radio tier"
-    (count Obs.Keys.fault_retried)
-    (count (Obs.Keys.tier_retried "radio"))
-
 let suite =
   [
     ("probe source basics", `Quick, test_probe_source_basic);
@@ -363,7 +337,7 @@ let suite =
     ("sensor replicas are sound", `Quick, test_sensor_net_replicas_sound);
     ("sensor transmissions scale with drift", `Quick, test_sensor_net_transmissions);
     ("sensor reading instance", `Quick, test_sensor_net_instance);
+    ("sensor net validation", `Quick, test_sensor_net_validation);
     ("sensor batch radio accounting", `Quick, test_sensor_net_batch_radio);
     ("per-tier probe source stats", `Quick, test_probe_source_per_tier_stats);
-    ("sensor retry traffic split per tier", `Quick, test_sensor_net_retry_split);
   ]
