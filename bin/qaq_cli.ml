@@ -181,7 +181,7 @@ let policy =
 
 let repetitions =
   let doc = "Independent datasets to average over." in
-  Arg.(value & opt non_negative_int 5 & info [ "repetitions" ] ~doc)
+  Arg.(value & opt positive_int 5 & info [ "repetitions" ] ~doc)
 
 let data_file =
   let doc =

@@ -88,7 +88,6 @@ type instruments = {
   m_requests : Metrics.counter;
   m_admitted : Metrics.counter;
   m_charged : Metrics.counter;
-  m_failed : Metrics.counter;
   m_coalesced : Metrics.counter;
   m_fresh : Metrics.counter;
   m_rejected : Metrics.counter;
@@ -156,7 +155,6 @@ let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker
           m_requests = Obs.counter o Obs.Keys.broker_requests;
           m_admitted = Obs.counter o Obs.Keys.broker_admitted;
           m_charged = Obs.counter o Obs.Keys.broker_charged;
-          m_failed = Obs.counter o Obs.Keys.broker_failed;
           m_coalesced = Obs.counter o Obs.Keys.broker_coalesced;
           m_fresh = Obs.counter o Obs.Keys.broker_fresh_hits;
           m_rejected = Obs.counter o Obs.Keys.broker_rejected;
@@ -324,8 +322,7 @@ let settle t rq outcome =
         { fe_outcome = outcome; fe_at = now }
   | Probe_driver.Failed _ ->
       (* Failures are never cached: a later request retries. *)
-      count (fun c -> c.failed <- c.failed + 1);
-      note t (fun i -> Metrics.incr i.m_failed));
+      count (fun c -> c.failed <- c.failed + 1));
   note t (fun i ->
       Metrics.observe i.h_wait (Float.max 0.0 (now -. rq.rq_enqueued_at)));
   List.iter (fun k -> k outcome) (List.rev rq.rq_waiters)

@@ -90,7 +90,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   and batches = ref 0
   and writes_imprecise = ref 0
   and writes_precise = ref 0
-  and degraded = ref 0 in
+  and failed_probes = ref 0 in
   let tier_probes = Array.make n 0
   and tier_batches = Array.make n 0
   and tier_shrinks = Array.make n 0
@@ -143,7 +143,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
               Metrics.add b !batches;
               Metrics.add wi !writes_imprecise;
               Metrics.add wp !writes_precise;
-              Metrics.add d !degraded;
+              Metrics.add d !failed_probes;
               add_all tp tier_probes;
               add_all tb tier_batches;
               add_all ts tier_shrinks;
@@ -191,6 +191,45 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
           (Counters.guarantees counters)
     | None -> ()
   in
+  (* The one settle step: every Forward or Ignore of a YES or MAYBE
+     object, from the scan, the degraded fallback and a proxy's definite
+     YES.  Only a forward calls [build x] to make the object, so an
+     ignored one never has to exist. *)
+  let settle action ~verdict ~laxity build x =
+    (match action with
+    | Decision.Forward ->
+        (match verdict with
+        | Tvl.Yes -> Counters.forward_yes counters ~laxity
+        | Tvl.Maybe | Tvl.No -> Counters.forward_maybe counters ~laxity);
+        forward_imprecise (build x)
+    | Decision.Ignore -> (
+        match verdict with
+        | Tvl.Yes -> Counters.ignore_yes counters
+        | Tvl.Maybe | Tvl.No -> Counters.ignore_maybe counters)
+    | Decision.Probe -> assert false);
+    note_progress ()
+  in
+  (* Probe completions, keyed by the verdict the object was probed on
+     (a shrunk MAYBE that escalates keeps its MAYBE completion), built
+     once per run rather than once per probe. *)
+  let complete_yes precise =
+    (* A YES object's precise version must still satisfy λ. *)
+    (match instance.classify precise with
+    | Tvl.Yes -> ()
+    | Tvl.No | Tvl.Maybe -> raise Inconsistent_probe);
+    require_resolved precise;
+    Counters.probe_yes counters;
+    forward_precise precise
+  in
+  let complete_maybe precise =
+    match instance.classify precise with
+    | Tvl.Yes ->
+        require_resolved precise;
+        Counters.probe_maybe_yes counters;
+        forward_precise precise
+    | Tvl.No -> Counters.probe_maybe_no counters
+    | Tvl.Maybe -> raise Inconsistent_probe
+  in
   (* Probing is deferred: a PROBE decision submits the object to the
      driver and its counter updates, consistency checks and emission run
      when the batch resolves.  While a probe is pending the counters lag
@@ -210,67 +249,43 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      the operator is forced to act anyway and the final guarantees are
      recomputed honestly from the counters (they may then miss the
      requirements — reported, never hidden). *)
-  let failed_probes = ref 0 in
   let failed_attempts = ref 0 in
   let degraded_forwards = ref 0 in
-  let degraded_ignores = ref 0 in
   let forced_actions = ref 0 in
   let guarantees_before = ref None in
-  let degraded_fallback ~verdict ~laxity preference =
+  let degrade o ~verdict ~laxity ~attempts preference =
+    incr failed_probes;
+    failed_attempts := !failed_attempts + attempts;
+    if !guarantees_before = None then
+      guarantees_before := Some (Counters.guarantees counters);
+    (* The policy's preference without the probe, then Forward and
+       Ignore: [choose] answers [Probe] only when none is feasible. *)
     let candidates =
       List.filter
         (fun a -> not (Decision.equal_action a Decision.Probe))
         preference
       @ [ Decision.Forward; Decision.Ignore ]
     in
-    if not enforce then ((match candidates with a :: _ -> a | [] -> assert false), false)
-    else
-      let ok = function
-        | Decision.Forward ->
-            Decision.can_forward counters requirements ~verdict ~laxity
-        | Decision.Ignore -> Decision.can_ignore counters requirements ~verdict
-        | Decision.Probe -> false
-      in
-      match List.find_opt ok candidates with
-      | Some a -> (a, false)
-      | None ->
+    let action, forced =
+      match choose ~verdict ~laxity candidates with
+      | Decision.Probe ->
           (* Nothing is guarantee-safe without the probe.  Keep the
              object if its laxity alone is admissible (recall can still
              recover later), drop it otherwise (laxity never heals). *)
           ( (if laxity <= requirements.Quality.laxity then Decision.Forward
              else Decision.Ignore),
             true )
-  in
-  let degrade o ~verdict ~laxity ~attempts preference =
-    incr failed_probes;
-    failed_attempts := !failed_attempts + attempts;
-    if !guarantees_before = None then
-      guarantees_before := Some (Counters.guarantees counters);
-    incr degraded;
-    let action, forced = degraded_fallback ~verdict ~laxity preference in
+      | (Decision.Forward | Decision.Ignore) as a -> (a, false)
+    in
     if forced then incr forced_actions;
     if tracing then
       trace_event
         (Trace.Degraded
            { verdict = trace_verdict verdict; action = trace_action action;
              forced });
-    (match (action, verdict) with
-    | Decision.Forward, Tvl.Yes ->
-        incr degraded_forwards;
-        Counters.forward_yes counters ~laxity;
-        forward_imprecise o
-    | Decision.Forward, (Tvl.Maybe | Tvl.No) ->
-        incr degraded_forwards;
-        Counters.forward_maybe counters ~laxity;
-        forward_imprecise o
-    | Decision.Ignore, Tvl.Yes ->
-        incr degraded_ignores;
-        Counters.ignore_yes counters
-    | Decision.Ignore, (Tvl.Maybe | Tvl.No) ->
-        incr degraded_ignores;
-        Counters.ignore_maybe counters
-    | Decision.Probe, _ -> assert false);
-    note_progress ()
+    if Decision.equal_action action Decision.Forward then
+      incr degraded_forwards;
+    settle action ~verdict ~laxity Fun.id o
   in
   (* Probe machinery.  A submission enters the cascade at its starting
      tier; [Resolved] completes the object, [Shrunk] outcomes are
@@ -334,9 +349,8 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
               Counters.probe_maybe_no counters;
               note_progress ()
           | Tvl.Yes when forwardable ~laxity:laxity' ->
-              Counters.forward_yes counters ~laxity:laxity';
-              forward_imprecise narrowed;
-              note_progress ()
+              settle Decision.Forward ~verdict:Tvl.Yes ~laxity:laxity' Fun.id
+                narrowed
           | Tvl.Yes | Tvl.Maybe ->
               submit_tier (i + 1) ~verdict:verdict' ~laxity:laxity'
                 ~preference narrowed complete)
@@ -428,45 +442,16 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
       | Tvl.No ->
           Counters.saw_no counters;
           note_progress ()
-      | Tvl.Yes as verdict -> (
+      | Tvl.Yes | Tvl.Maybe -> (
           let laxity = source.laxity instance in
-          let preference =
-            Policy.preference policy ~rng ~requirements ~counters ~verdict
-              ~laxity ~success:1.0
+          let success =
+            match verdict with
+            | Tvl.Maybe ->
+                let success = source.success instance in
+                note_maybe ~laxity ~success;
+                success
+            | Tvl.Yes | Tvl.No -> 1.0
           in
-          let decision = choose ~verdict ~laxity preference in
-          if tracing then
-            trace_event
-              (Trace.Decision
-                 {
-                   verdict = `Yes;
-                   action = trace_action decision;
-                   laxity;
-                   success = 1.0;
-                 });
-          match decision with
-          | Decision.Forward ->
-              Counters.forward_yes counters ~laxity;
-              forward_imprecise (source.current ());
-              note_progress ()
-          | Decision.Probe ->
-              submit_probe ~verdict ~laxity ~preference (source.current ())
-                (fun precise ->
-                  (* A YES object's precise version must still
-                     satisfy λ. *)
-                  (match instance.classify precise with
-                  | Tvl.Yes -> ()
-                  | Tvl.No | Tvl.Maybe -> raise Inconsistent_probe);
-                  require_resolved precise;
-                  Counters.probe_yes counters;
-                  forward_precise precise)
-          | Decision.Ignore ->
-              Counters.ignore_yes counters;
-              note_progress ())
-      | Tvl.Maybe as verdict -> (
-          let laxity = source.laxity instance in
-          let success = source.success instance in
-          note_maybe ~laxity ~success;
           let preference =
             Policy.preference policy ~rng ~requirements ~counters ~verdict
               ~laxity ~success
@@ -476,29 +461,19 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
             trace_event
               (Trace.Decision
                  {
-                   verdict = `Maybe;
+                   verdict = trace_verdict verdict;
                    action = trace_action decision;
                    laxity;
                    success;
                  });
           match decision with
-          | Decision.Forward ->
-              Counters.forward_maybe counters ~laxity;
-              forward_imprecise (source.current ());
-              note_progress ()
           | Decision.Probe ->
               submit_probe ~verdict ~laxity ~preference (source.current ())
-                (fun precise ->
-                  match instance.classify precise with
-                  | Tvl.Yes ->
-                      require_resolved precise;
-                      Counters.probe_maybe_yes counters;
-                      forward_precise precise
-                  | Tvl.No -> Counters.probe_maybe_no counters
-                  | Tvl.Maybe -> raise Inconsistent_probe)
-          | Decision.Ignore ->
-              Counters.ignore_maybe counters;
-              note_progress ())
+                (match verdict with
+                | Tvl.Yes -> complete_yes
+                | Tvl.Maybe | Tvl.No -> complete_maybe)
+          | Decision.Forward | Decision.Ignore ->
+              settle decision ~verdict ~laxity source.current ())
     end
   done;
   (* Objects already read and committed to a probe must be resolved, on
@@ -539,7 +514,8 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
         failed_probes = !failed_probes;
         failed_attempts = !failed_attempts;
         degraded_forwards = !degraded_forwards;
-        degraded_ignores = !degraded_ignores;
+        (* every failed probe settles as one forward or one ignore *)
+        degraded_ignores = !failed_probes - !degraded_forwards;
         forced_actions = !forced_actions;
         (* Only the oracle tier can fail permanently (cheaper tiers fail
            over instead), so each burned attempt is backend work the

@@ -7,8 +7,6 @@ type instruments = {
   i_obs : Obs.t;
   m_probes : Metrics.counter;
   m_batches : Metrics.counter;
-  m_shrinks : Metrics.counter;
-  m_failures : Metrics.counter;
   h_flush : Metrics.histogram;
 }
 
@@ -35,8 +33,6 @@ let create_outcomes ?obs ?(batch_size = 1) resolve_batch =
           i_obs = o;
           m_probes = Obs.counter o "probe_driver.probes";
           m_batches = Obs.counter o "probe_driver.batches";
-          m_shrinks = Obs.counter o "probe_driver.shrinks";
-          m_failures = Obs.counter o "probe_driver.failures";
           h_flush = Obs.histogram o "probe_driver.flush_seconds";
         })
       obs
@@ -109,8 +105,6 @@ let flush t =
     | Some i ->
         Metrics.incr i.m_batches;
         Metrics.add i.m_probes !resolved;
-        Metrics.add i.m_shrinks !shrunk;
-        Metrics.add i.m_failures !failed;
         if Obs.tracing i.i_obs then begin
           Obs.event i.i_obs (Trace.Batch { size = Array.length objects });
           Array.iter

@@ -41,10 +41,10 @@ val create_outcomes :
     array length) — the only way a backend can fail one element without
     discarding its resolved siblings.  [batch_size] defaults to 1.
 
-    [obs] registers the counters [probe_driver.probes],
-    [probe_driver.batches], [probe_driver.shrinks] and
-    [probe_driver.failures], times every resolver invocation under the
-    [probe-flush] span, and emits a {!Trace.Batch} event per dispatch
+    [obs] registers the counters [probe_driver.probes] and
+    [probe_driver.batches] and the histogram
+    [probe_driver.flush_seconds], times every resolver invocation under
+    the [probe-flush] span, and emits a {!Trace.Batch} event per dispatch
     (plus a {!Trace.Probe_failed} event per failed element).
 
     @raise Invalid_argument if [batch_size < 1]. *)

@@ -136,6 +136,7 @@ let aggregate (s : Exp_config.setting) outcomes =
 let trial_series ~rng ?(repetitions = 5) ?(sample_fraction = 0.01)
     ?(density = `Uniform) ?(cost = Cost_model.paper) ?(batch = 1) ?obs ?domains
     (setting : Exp_config.setting) kinds =
+  if repetitions < 1 then invalid_arg "Exp_runner.trial_series: repetitions < 1";
   let datasets =
     List.init repetitions (fun _ ->
         Synthetic.generate rng (Exp_config.workload setting))

@@ -95,7 +95,9 @@ val trial_series :
   (policy_kind * aggregate) list
 (** [repetitions] (default 5) independent datasets; all policies run on
     the same datasets for paired comparison.  [domains] is as in
-    {!trial_run}. *)
+    {!trial_run}.
+    @raise Invalid_argument if [repetitions < 1]: an aggregate over no
+    runs has no mean. *)
 
 val parallel_configs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Run independent experiment configurations — whole sweeps, not

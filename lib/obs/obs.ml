@@ -35,8 +35,6 @@ module Keys = struct
   let writes_imprecise = "qaq.writes_imprecise"
   let writes_precise = "qaq.writes_precise"
   let sample_reads = "engine.sample_reads"
-  let replans = "adaptive.replans"
-  let budget_replans = "adaptive.budget_replans"
   let parallel_chunks = "qaq.parallel.chunks"
   let pruned_pages = "qaq.parallel.pruned_pages"
   let parallel_domains = "qaq.parallel.domains"
@@ -46,7 +44,6 @@ module Keys = struct
   let broker_requests = "qaq.broker.requests"
   let broker_admitted = "qaq.broker.admitted"
   let broker_charged = "qaq.broker.charged"
-  let broker_failed = "qaq.broker.failed"
   let broker_coalesced = "qaq.broker.coalesced"
   let broker_fresh_hits = "qaq.broker.fresh_hits"
   let broker_rejected = "qaq.broker.rejected"
@@ -59,7 +56,6 @@ module Keys = struct
   let tier_failovers name = "qaq.probe.tier." ^ name ^ ".failovers"
   let tier_retried name = "qaq.probe.tier." ^ name ^ ".retried"
   let fault_injected = "qaq.fault.injected"
-  let fault_retried = "qaq.fault.retried"
   let fault_degraded = "qaq.fault.degraded"
   let fault_breaker_state = "qaq.fault.breaker_state"
   let fault_outage_rounds = "qaq.fault.outage_rounds"

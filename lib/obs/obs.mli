@@ -65,12 +65,6 @@ module Keys : sig
   val sample_reads : string
   (** The planning sample alone (a subset of {!reads}). *)
 
-  val replans : string
-
-  val budget_replans : string
-  (** Re-solves that went through the dual (budgeted) solver against
-      the remaining budget — a subset of {!replans}. *)
-
   val parallel_chunks : string
   (** Blocks classified by {!Scan_pipeline}'s cursor: row blocks on
       more than one lane, columnar waves on any lane count (0 on a
@@ -110,9 +104,6 @@ module Keys : sig
   (** Backend probes actually resolved — the shared resource really
       spent.  Under overlap this is strictly below what the same
       queries would charge solo. *)
-
-  val broker_failed : string
-  (** Admitted requests whose backend probe failed permanently. *)
 
   val broker_coalesced : string
   (** Requests that joined an already queued or in-flight probe for
@@ -156,17 +147,13 @@ module Keys : sig
       to the next tier instead of degrading the answer. *)
 
   val tier_retried : string -> string
-  (** Attempts retried at tier [name] (a per-tier slice of
-      {!fault_retried}) — which tier of a degraded cascade is burning
+  (** Attempts retried at tier [name] after an injected (or simulated)
+      failure struck it — which tier of a degraded cascade is burning
       its retry budget. *)
 
   val fault_injected : string
   (** Injected fault decisions that fired — failed attempts and latency
       spikes ({!Fault_plan}). *)
-
-  val fault_retried : string
-  (** Attempts retried because an injected (or simulated) failure struck
-      a retryable site. *)
 
   val fault_degraded : string
   (** Objects whose probe failed permanently and that fell back to the

@@ -21,8 +21,6 @@ type t = {
   yes_laxity : Histogram.Hist1d.t;
   maybe_plane : Histogram.Hist2d.t;
   obs : Obs.t option;
-  m_replans : Metrics.counter option;
-  m_budget_replans : Metrics.counter option;
 }
 
 let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
@@ -67,9 +65,6 @@ let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
       Histogram.Hist2d.create ~x_lo:0.0 ~x_hi:1.0 ~x_bins:20 ~y_lo:0.0
         ~y_hi:max_laxity ~y_bins:20;
     obs;
-    m_replans = Option.map (fun o -> Obs.counter o Obs.Keys.replans) obs;
-    m_budget_replans =
-      Option.map (fun o -> Obs.counter o Obs.Keys.budget_replans) obs;
   }
 
 let observe t ~verdict ~laxity ~success =
@@ -110,9 +105,6 @@ let replan t ~reads =
                gracefully instead of blowing the budget. *)
             let remaining = Float.max 0.0 (b.allotted -. b.spent ()) in
             t.budget_replans <- t.budget_replans + 1;
-            (match t.m_budget_replans with
-            | Some m -> Metrics.incr m
-            | None -> ());
             (Int.max 1 (t.total - reads), Some remaining)
       in
       (Planner.solve ~total ~f_y:estimate.f_y ~f_m:estimate.f_m ~density
@@ -125,7 +117,6 @@ let replan t ~reads =
       | None -> solve ()
       | Some o -> Obs.span o "adaptive-reestimate" solve);
     t.replans <- t.replans + 1;
-    (match t.m_replans with Some m -> Metrics.incr m | None -> ());
     match t.obs with
     | Some o when Obs.tracing o -> Obs.event o (Trace.Replan { reads })
     | Some _ | None -> ()

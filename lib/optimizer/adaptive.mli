@@ -51,10 +51,10 @@ val create :
     over the {e remaining} scan against the {e remaining} budget
     [allotted - spent ()], so a mis-estimated selectivity degrades the
     recall target gracefully instead of blowing the budget.  These dual
-    re-solves are additionally counted under [adaptive.budget_replans].
+    re-solves are additionally counted by {!budget_replans}.
 
-    [obs] counts re-solves under [adaptive.replans], times each under
-    the [adaptive-reestimate] span and emits a {!Trace.Replan} event.
+    [obs] times each re-solve under the [adaptive-reestimate] span and
+    emits a {!Trace.Replan} event; {!replans} counts them.
     @raise Invalid_argument if [total <= 0], [max_laxity] is not
     positive and finite, [batch < 1], [replan_every < 1] or
     [max_replans < 0]. *)

@@ -4,12 +4,9 @@ type latency =
   | Jittered of { base : float; jitter : float }
 
 type instruments = {
-  m_wakeups : Metrics.counter;
   m_attempts : Metrics.counter;
   m_resolved : Metrics.counter;
-  m_retried : Metrics.counter;
   m_tier_retried : Metrics.counter option;
-  g_latency : Metrics.gauge;
   h_latency : Metrics.histogram;
 }
 
@@ -60,15 +57,12 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
     Option.map
       (fun o ->
         {
-          m_wakeups = Obs.counter o (prefix ^ ".wakeups");
           m_attempts = Obs.counter o (prefix ^ ".attempts");
           m_resolved = Obs.counter o (prefix ^ ".resolved");
-          m_retried = Obs.counter o Obs.Keys.fault_retried;
           m_tier_retried =
             Option.map
               (fun name -> Obs.counter o (Obs.Keys.tier_retried name))
               tier;
-          g_latency = Obs.gauge o (prefix ^ ".latency");
           h_latency = Obs.histogram o (prefix ^ ".wakeup_latency");
         })
       obs
@@ -117,8 +111,6 @@ let wakeup t =
   t.simulated_latency <- t.simulated_latency +. l;
   match t.ins with
   | Some i ->
-      Metrics.incr i.m_wakeups;
-      Metrics.set i.g_latency t.simulated_latency;
       if Float.is_finite l then Metrics.observe i.h_latency (Float.max 0.0 l)
   | None -> ()
 
@@ -132,9 +124,7 @@ let note_resolved t =
 
 let note_retried t =
   match t.ins with
-  | Some i ->
-      Metrics.incr i.m_retried;
-      Option.iter Metrics.incr i.m_tier_retried
+  | Some i -> Option.iter Metrics.incr i.m_tier_retried
   | None -> ()
 
 (* Both failure draws happen unconditionally: the injected one comes

@@ -55,17 +55,15 @@ val create :
     null plan — or the same source without one — behaves bit-for-bit
     identically.
 
-    [obs] registers [probe_source.wakeups], [probe_source.attempts] and
-    [probe_source.resolved] (counters, mirroring {!stats}), the gauge
-    [probe_source.latency] (cumulative simulated latency, updated at
-    every wakeup), and [qaq.fault.retried] (attempts retried after a
-    failure, injected or simulated) — how retry storms and latency tails
-    show up in a metrics dump.
+    [obs] registers the counters [probe_source.attempts] and
+    [probe_source.resolved] (mirroring {!stats}) and the histogram
+    [probe_source.wakeup_latency] (one simulated latency per wakeup) —
+    how retry storms and latency tails show up in a metrics dump.
 
     [tier] labels the source as one tier of a probe cascade: every
     source metric is prefixed [probe_source.<tier>.*] instead of
-    [probe_source.*], retries additionally count into the per-tier
-    slice [qaq.probe.tier.<tier>.retried], and the fault-injector site
+    [probe_source.*], retries (after a failure, injected or simulated)
+    count into [qaq.probe.tier.<tier>.retried], and the fault-injector site
     becomes ["probe_source.<tier>"] (each tier draws an independent
     fault stream).  Without it, two tiers sharing an obs registry would
     lump their stats onto the same names and a degraded cascade could

@@ -110,6 +110,17 @@ let test_trial_outcome_fields () =
        (o.cost -. Cost_meter.cost_of_counts Cost_model.paper o.counts)
     < 1e-9)
 
+(* An aggregate over no runs would print zero-cost, zero-quality rows
+   as if they were measured. *)
+let test_zero_repetitions_rejected () =
+  let rng = Rng.create 3 in
+  let setting = { Exp_config.default with total = 500; label = "t" } in
+  Alcotest.check_raises "repetitions 0"
+    (Invalid_argument "Exp_runner.trial_series: repetitions < 1") (fun () ->
+      ignore
+        (Exp_runner.trial_series ~rng ~repetitions:0 setting
+           [ Exp_runner.Qaq ]))
+
 let suite =
   [
     ("sweeps well formed", `Quick, test_sweeps_well_formed);
@@ -118,4 +129,5 @@ let suite =
     ("enforced policies never violate", `Slow, test_enforced_policies_never_violate);
     ("recall crossover shape", `Slow, test_recall_crossover_shape);
     ("trial outcome fields", `Quick, test_trial_outcome_fields);
+    ("zero repetitions rejected", `Quick, test_zero_repetitions_rejected);
   ]
