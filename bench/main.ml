@@ -958,9 +958,9 @@ let server_bench () =
   (* One shared-broker run, checked against the solo runs. *)
   let shared ~domains =
     let broker =
-      Probe_broker.create ~batch_size:batch
+      Probe_broker.create
         ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-        resolve
+        [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
     in
     let runs =
       Array.mapi
@@ -1091,9 +1091,9 @@ let telemetry_bench () =
       else (None, None, None)
     in
     let broker =
-      Probe_broker.create ?obs ~batch_size:batch
+      Probe_broker.create ?obs
         ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-        resolve
+        [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
     in
     let runs =
       Array.mapi

@@ -183,10 +183,19 @@ let repetitions =
   let doc = "Independent datasets to average over." in
   Arg.(value & opt positive_int 5 & info [ "repetitions" ] ~doc)
 
+let trial_repetitions =
+  let doc =
+    "Independent generated datasets to average over (default 5).  Only the \
+     generated-series trial repeats: giving $(opt) together with --data or \
+     a single-run engine flag (--profile, --chrome-trace, --fault-rate, \
+     --tiers, --budget, --deadline-ms) is a usage error."
+  in
+  Arg.(value & opt (some positive_int) None & info [ "repetitions" ] ~doc)
+
 let data_file =
   let doc =
-    "Run on a workload previously saved with the dataset command instead of \
-     generating one (repetitions are then ignored)."
+    "Run once on a workload previously saved with the dataset command \
+     instead of generating one (cannot be combined with --repetitions)."
   in
   Arg.(value & opt (some file) None & info [ "data" ] ~doc)
 
@@ -295,7 +304,7 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
     if fault_rate > 0.0 then
       Some
         (Fault_plan.make ~seed:fault_seed ~permanent_rate:fault_rate
-           ~transient_rate:(fault_rate /. 2.0) ~max_retries:2 ())
+           ~transient_rate:(fault_rate /. 2.0) ())
     else None
   in
   (* One probe capability either way: the --tiers cascade, or the
@@ -393,77 +402,95 @@ let trial_run seed total (f_y, f_m) max_laxity p_q r_q l_q policy repetitions
   (* A budgeted or deadlined trial goes through the profiled engine path:
      the budget is an engine contract (dual planning, mid-scan re-solves,
      the stop closure), not something the bare operator loop offers. *)
-  if
+  let engine_path =
     profile_file <> None || chrome_file <> None || fault_rate > 0.0
     || tiers <> None || budget <> None || deadline <> None
-  then begin
-    let data, s =
-      match data_file with
+  in
+  if repetitions <> None && (engine_path || data_file <> None) then
+    `Error
+      ( true,
+        "--repetitions repeats only the generated-series trial; it cannot be \
+         combined with --data, --profile, --chrome-trace, --fault-rate, \
+         --tiers, --budget or --deadline-ms" )
+  else begin
+    let repetitions = Option.value repetitions ~default:5 in
+    if engine_path then begin
+      let data, s =
+        match data_file with
+        | Some path ->
+            let data = load Dataset_io.read_synthetic path in
+            (data, { s with total = Array.length data })
+        | None -> (Synthetic.generate rng (Exp_config.workload s), s)
+      in
+      profiled_trial ~rng ~s ~cost ~batch ~policy ~domains ~trace
+        ~metrics_file ~profile_file ~chrome_file ~fault_rate ~fault_seed
+        ~tiers ~budget ~deadline data
+    end
+    else begin
+      let obs =
+        if trace || metrics_file <> None then
+          let sink =
+            if trace then Trace.formatter Format.err_formatter else Trace.null
+          in
+          Some (Obs.create ~trace:sink ())
+        else None
+      in
+      (match data_file with
       | Some path ->
           let data = load Dataset_io.read_synthetic path in
-          (data, { s with total = Array.length data })
-      | None -> (Synthetic.generate rng (Exp_config.workload s), s)
-    in
-    profiled_trial ~rng ~s ~cost ~batch ~policy ~domains ~trace ~metrics_file
-      ~profile_file ~chrome_file ~fault_rate ~fault_seed ~tiers ~budget
-      ~deadline data
-  end
-  else
-  let obs =
-    if trace || metrics_file <> None then
-      let sink =
-        if trace then Trace.formatter Format.err_formatter else Trace.null
-      in
-      Some (Obs.create ~trace:sink ())
-    else None
-  in
-  (match data_file with
-  | Some path ->
-      let data = load Dataset_io.read_synthetic path in
-      let s = { s with total = Array.length data } in
-      Format.printf "dataset: %s (%d objects)  %a@." path (Array.length data)
-        Quality.pp_requirements (Exp_config.requirements s);
-      let o =
-        Exp_runner.trial_run ~rng ~cost ~batch ?obs ?domains ~setting:s ~data
-          policy
-      in
-      Format.printf
-        "%s: W/|T| = %.3f (%d probes in %d batches); guarantees %a; actual \
-         precision %.3f, recall %.3f@."
-        (Exp_runner.policy_name policy)
-        o.normalized_cost o.counts.probes o.counts.batches
-        Quality.pp_guarantees o.guarantees o.actual_precision o.actual_recall
-  | None ->
-      let results =
-        Exp_runner.trial_series ~rng ~repetitions ~cost ~batch ?obs ?domains s
-          [ policy ]
-      in
-      Format.printf "setting: |T|=%d f_y=%g f_m=%g L=%g  %a@." s.total s.f_y
-        s.f_m s.max_laxity Quality.pp_requirements (Exp_config.requirements s);
-      List.iter
-        (fun (kind, (a : Exp_runner.aggregate)) ->
+          let s = { s with total = Array.length data } in
+          Format.printf "dataset: %s (%d objects)  %a@." path
+            (Array.length data) Quality.pp_requirements
+            (Exp_config.requirements s);
+          let o =
+            Exp_runner.trial_run ~rng ~cost ~batch ?obs ?domains ~setting:s
+              ~data policy
+          in
           Format.printf
-            "%s: W/|T| = %.3f +/- %.3f over %d runs; actual precision %.3f, \
-             recall %.3f; worst violations p=%.3g r=%.3g@."
-            (Exp_runner.policy_name kind)
-            a.mean_cost a.ci95 a.repetitions a.mean_precision a.mean_recall
-            a.worst_precision_violation a.worst_recall_violation)
-        results);
-  match (obs, metrics_file) with
-  | Some o, Some path ->
-      save_text path (Metrics.to_json (Obs.snapshot o));
-      Format.printf "metrics written to %s@." path
-  | _ -> ()
+            "%s: W/|T| = %.3f (%d probes in %d batches); guarantees %a; actual \
+             precision %.3f, recall %.3f@."
+            (Exp_runner.policy_name policy)
+            o.normalized_cost o.counts.probes o.counts.batches
+            Quality.pp_guarantees o.guarantees o.actual_precision
+            o.actual_recall
+      | None ->
+          let results =
+            Exp_runner.trial_series ~rng ~repetitions ~cost ~batch ?obs
+              ?domains s [ policy ]
+          in
+          Format.printf "setting: |T|=%d f_y=%g f_m=%g L=%g  %a@." s.total
+            s.f_y s.f_m s.max_laxity Quality.pp_requirements
+            (Exp_config.requirements s);
+          List.iter
+            (fun (kind, (a : Exp_runner.aggregate)) ->
+              Format.printf
+                "%s: W/|T| = %.3f +/- %.3f over %d runs; actual precision \
+                 %.3f, recall %.3f; worst violations p=%.3g r=%.3g@."
+                (Exp_runner.policy_name kind)
+                a.mean_cost a.ci95 a.repetitions a.mean_precision
+                a.mean_recall a.worst_precision_violation
+                a.worst_recall_violation)
+            results);
+      (match (obs, metrics_file) with
+      | Some o, Some path ->
+          save_text path (Metrics.to_json (Obs.snapshot o));
+          Format.printf "metrics written to %s@." path
+      | _ -> ())
+    end;
+    `Ok ()
+  end
 
 let trial_cmd =
   let doc = "Run the QaQ operator on the synthetic workload of section 5.2." in
   Cmd.v
     (Cmd.info "trial" ~doc)
     Term.(
-      const trial_run $ seed $ total $ fractions $ max_laxity $ p_q $ r_q
-      $ l_q $ policy $ repetitions $ data_file $ batch $ c_b $ domains
-      $ trace_flag $ metrics_file $ profile_file $ chrome_trace_file
-      $ fault_rate $ fault_seed $ tiers_opt $ budget_opt $ deadline_ms_opt)
+      ret
+        (const trial_run $ seed $ total $ fractions $ max_laxity $ p_q $ r_q
+        $ l_q $ policy $ trial_repetitions $ data_file $ batch $ c_b
+        $ domains $ trace_flag $ metrics_file $ profile_file
+        $ chrome_trace_file $ fault_rate $ fault_seed $ tiers_opt
+        $ budget_opt $ deadline_ms_opt))
 
 (* ---- dataset ------------------------------------------------------ *)
 

@@ -126,21 +126,21 @@ type 'o t = {
   mutable next_round : int;  (* number of the next round (breaker clock) *)
 }
 
-let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker
+let create ?obs ?clock ?(freshness = infinity) ?capacity ?breaker
     ?(rounds = 1) ~key backends =
   if Array.length backends = 0 then
-    invalid_arg "Probe_broker.create_tiered: no backends";
+    invalid_arg "Probe_broker.create: no backends";
   Array.iter
     (fun b ->
       if b.bk_batch < 1 then
-        invalid_arg "Probe_broker.create_tiered: batch_size < 1")
+        invalid_arg "Probe_broker.create: bk_batch < 1")
     backends;
   if Float.is_nan freshness || freshness < 0.0 then
-    invalid_arg "Probe_broker.create_tiered: freshness must be non-negative";
+    invalid_arg "Probe_broker.create: freshness must be non-negative";
   (match capacity with
-  | Some c when c < 0 -> invalid_arg "Probe_broker.create_tiered: capacity < 0"
+  | Some c when c < 0 -> invalid_arg "Probe_broker.create: capacity < 0"
   | _ -> ());
-  if rounds < 1 then invalid_arg "Probe_broker.create_tiered: rounds < 1";
+  if rounds < 1 then invalid_arg "Probe_broker.create: rounds < 1";
   let clock =
     match (clock, obs) with
     | Some c, _ -> c
@@ -186,12 +186,6 @@ let create_tiered ?obs ?clock ?(freshness = infinity) ?capacity ?breaker
     in_flight = 0;
     next_round = 0;
   }
-
-let create ?obs ?clock ?freshness ?capacity ?breaker ?rounds ?(batch_size = 1)
-    ~key resolve =
-  if batch_size < 1 then invalid_arg "Probe_broker.create: batch_size < 1";
-  create_tiered ?obs ?clock ?freshness ?capacity ?breaker ?rounds ~key
-    [| { bk_resolve = resolve; bk_batch = batch_size } |]
 
 (* ---- lock-held helpers ------------------------------------------- *)
 

@@ -36,9 +36,9 @@
     charges the backend strictly fewer probes than the sum of solo runs
     whenever any object overlaps.
 
-    {e Tiers.}  A broker may front a whole probe cascade
-    ({!create_tiered}): one backend per {!Probe_tier}
-    tier, cheapest first.  Queueing, coalescing and freshness are then
+    {e Tiers.}  A broker fronts a probe cascade ({!create}): one
+    backend per {!Probe_tier} tier, cheapest first; a plain oracle is a
+    one-backend cascade.  Queueing, coalescing and freshness are
     per [(object, tier)] — each dispatch round serves exactly one tier
     — with one asymmetry: a cached {e point} ([Resolved], from any
     tier) satisfies a request at {e every} tier, while a cached
@@ -68,6 +68,16 @@
 
 type 'o t
 
+(** One probe backend — a cascade tier. *)
+type 'o backend = {
+  bk_resolve : 'o array -> 'o Probe_driver.outcome array;
+      (** same contract as {!Probe_driver.create_outcomes}: outcomes in
+          submission order, same length.  May return [Resolved] (an
+          oracle tier) or [Shrunk] (a proxy tier that narrowed the
+          interval); the broker interprets only the outcome kind *)
+  bk_batch : int;  (** this tier's backend batch bound [B] *)
+}
+
 val create :
   ?obs:Obs.t ->
   ?clock:(unit -> float) ->
@@ -75,14 +85,17 @@ val create :
   ?capacity:int ->
   ?breaker:Circuit_breaker.t ->
   ?rounds:int ->
-  ?batch_size:int ->
   key:('o -> int) ->
-  ('o array -> 'o Probe_driver.outcome array) ->
+  'o backend array ->
   'o t
-(** [create ~key resolve] builds a broker over a batch resolver (same
-    contract as {!Probe_driver.create_outcomes}: outcomes in submission
-    order, same length).  [key] must identify an object uniquely — two
-    objects with the same key are considered the same probe target.
+(** [create ~key backends] builds a broker over a cascade of backends,
+    cheapest first (tier 0 is the cheapest proxy, the last is typically
+    the oracle); a plain oracle is the one-backend array
+    [[| { bk_resolve; bk_batch } |]].  [key] must identify an object
+    uniquely — two objects with the same key are considered the same
+    probe target.  Requests name their tier ({!client}'s [?tier]); each
+    dispatch round drains at most [bk_batch] requests of one tier,
+    round-robin across tenants, into that tier's resolver.
 
     [freshness] (seconds, default [infinity]) is the window within
     which a completed probe is a free hit; [0.] disables the cache
@@ -95,60 +108,29 @@ val create :
     {!Circuit_breaker.allow} per dispatch round: a refused round
     settles its whole batch as [Failed { attempts = 0 }] without
     touching the backend, and backend rounds feed
-    [record_success]/[record_failure].
+    [record_success]/[record_failure].  Admission (capacity, quotas)
+    and the breaker are shared across tiers — they protect the probe
+    subsystem as a whole.
 
-    [rounds] (default 1) bounds the dispatch rounds in flight at once.
-    With 1, a client whose requests are queued waits while another
-    client's round is in the backend, and those requests pack into the
-    next round's batch.  With [k > 1], up to [k] clients each drive a
-    round of their own concurrently, so concurrent queries stop taking
-    turns on a slow backend; the resolver must then be safe to call
-    from [k] threads at once.  Size [k] by the queries in flight, not
-    by the domains: a lane that lends itself out while its query waits
-    ({!Domain_pool.blocking}) has several queries in flight, each
-    of which may want a round of its own.  Per-query accounting is
-    unaffected either way.
+    [rounds] (default 1) bounds the dispatch rounds in flight at once,
+    across all tiers.  With 1, a client whose requests are queued waits
+    while another client's round is in the backend, and those requests
+    pack into the next round's batch.  With [k > 1], up to [k] clients
+    each drive a round of their own concurrently, so concurrent queries
+    stop taking turns on a slow backend; the resolvers must then be
+    safe to call from [k] threads at once.  Size [k] by the queries in
+    flight, not by the domains: a lane that lends itself out while its
+    query waits ({!Domain_pool.blocking}) has several queries in
+    flight, each of which may want a round of its own.  Per-query
+    accounting is unaffected either way.
 
-    [batch_size] (default 1) is the backend batch bound [B]: a
-    dispatch drains at most [B] requests, round-robin across tenants.
     [clock] (default: [obs]'s clock, else wall time) stamps freshness
     and the queue-wait histogram.  [obs] registers the
     [qaq.broker.*] counters and histograms ({!Obs.Keys}).
 
-    @raise Invalid_argument if [batch_size < 1], [capacity < 0],
-    [rounds < 1] or [freshness] is negative or NaN. *)
-
-(** {2 Tiered backends} *)
-
-type 'o backend = {
-  bk_resolve : 'o array -> 'o Probe_driver.outcome array;
-      (** may return [Resolved] (an oracle tier) or [Shrunk] (a proxy
-          tier that narrowed the interval); the broker interprets only
-          the outcome kind *)
-  bk_batch : int;  (** this tier's batch bound [B] *)
-}
-
-val create_tiered :
-  ?obs:Obs.t ->
-  ?clock:(unit -> float) ->
-  ?freshness:float ->
-  ?capacity:int ->
-  ?breaker:Circuit_breaker.t ->
-  ?rounds:int ->
-  key:('o -> int) ->
-  'o backend array ->
-  'o t
-(** [create_tiered ~key backends] builds a broker over a cascade of
-    backends, cheapest first (tier 0 is the cheapest proxy, the last is
-    typically the oracle).  Requests name their tier
-    ({!client}'s [?tier]); each dispatch round drains one tier's
-    requests into that tier's resolver at that tier's batch bound.
-    Admission (capacity, quotas) and the breaker are shared across
-    tiers — they protect the probe subsystem as a whole.  [rounds]
-    (default 1) bounds the dispatch rounds in flight at once across all
-    tiers, as for {!create}.
-    @raise Invalid_argument on an empty backend array, a [bk_batch < 1],
-    [capacity < 0], [rounds < 1], or negative/NaN [freshness]. *)
+    @raise Invalid_argument on an empty backend array, a
+    [bk_batch < 1], [capacity < 0], [rounds < 1], or negative/NaN
+    [freshness]. *)
 
 val client :
   ?obs:Obs.t ->
@@ -158,7 +140,7 @@ val client :
   'o t ->
   'o Probe_driver.t
 (** [client t] is the broker as a per-query probe capability: a driver
-    with the broker's batch size whose flushes resolve through the
+    with its tier's batch bound whose flushes resolve through the
     shared broker.  Hand one to {!Engine.run} (or, wrapped by
     [Cascade.of_driver], to {!Operator.run}) and the query runs
     unchanged — its own

@@ -57,7 +57,7 @@ type 'o columnar = {
 
 (* The plan stage: the pilot sample (charged to the run's meter) and the
    §4.2.2 solve, the dual against whatever the pilot left of a budget. *)
-let make_plan ~rng ~meter ?obs ?on_task ~lanes ~cost ~batch ~tiers ?max_laxity
+let make_plan ~rng ~meter ?obs ?on_task ~lanes ~cost ~tiers ?max_laxity
     ~budget ~instance ~requirements ~fraction ~density
     (source : _ Scan_pipeline.t) =
   let pilot =
@@ -85,7 +85,7 @@ let make_plan ~rng ~meter ?obs ?on_task ~lanes ~cost ~batch ~tiers ?max_laxity
   let solution =
     Planner.solve ~total:(Stdlib.max 1 source.length) ~f_y:pilot.f_y
       ~f_m:pilot.f_m ~density:pilot.density ~max_laxity:pilot.max_laxity
-      ~requirements ~cost ~batch ~tiers ?budget ()
+      ~requirements ~cost ~tiers ?budget ()
   in
   {
     params = solution.params;
@@ -96,9 +96,53 @@ let make_plan ~rng ~meter ?obs ?on_task ~lanes ~cost ~batch ~tiers ?max_laxity
     max_laxity = pilot.max_laxity;
   }
 
-let run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
-    ?budget ?deadline ?obs ?emit ?collect ~instance ~(cascade : _ Cascade.t)
-    ~requirements (source : _ Scan_pipeline.t) =
+let run ~rng ?(planning = default_planning) ?(adaptive = false)
+    ?(cost = Cost_model.paper) ?max_laxity ?budget ?deadline ?domains ?obs
+    ?emit ?collect ?on_task ~instance ?probe ?cascade ~requirements
+    (source : _ Scan_pipeline.t) =
+  (match budget with
+  | Some b when Float.is_nan b || b < 0.0 ->
+      invalid_arg "Engine.run: budget must be non-negative"
+  | _ -> ());
+  (match deadline with
+  | Some d when Float.is_nan d || d < 0.0 ->
+      invalid_arg "Engine.run: deadline must be non-negative"
+  | _ -> ());
+  (match max_laxity with
+  | Some l when not (Float.is_finite l && l > 0.0) ->
+      invalid_arg "Engine.run: max_laxity must be positive and finite"
+  | _ -> ());
+  (* The one probe capability: a cascade, with a plain driver wrapped as
+     the oracle-only cascade priced at the run's cost model. *)
+  let cascade =
+    match (probe, cascade) with
+    | Some p, None -> Cascade.of_driver ~cost p
+    | None, Some c -> c
+    | Some _, Some _ ->
+        invalid_arg "Engine.run: pass either ~probe or ~cascade, not both"
+    | None, None -> invalid_arg "Engine.run: a probe capability is required"
+  in
+  let lanes = Domain_pool.resolve ?domains () in
+  (* With [obs], each lane's busy seconds, summed from the lanes' task
+     intervals, become the [qaq.parallel.*] gauges. *)
+  let on_task, set_gauges =
+    match obs with
+    | Some o when lanes > 1 ->
+        let busy = Array.make lanes 0.0 and lock = Mutex.create () in
+        ( Some
+            (fun ~lane ~start ~finish ->
+              Mutex.protect lock (fun () ->
+                  busy.(lane) <- busy.(lane) +. (finish -. start));
+              Option.iter (fun f -> f ~lane ~start ~finish) on_task),
+          fun () ->
+            Metrics.set
+              (Obs.gauge o Obs.Keys.parallel_domains)
+              (float_of_int lanes);
+            Array.iteri
+              (fun i b -> Metrics.set (Obs.gauge o (Obs.Keys.domain_busy i)) b)
+              busy )
+    | _ -> ((if lanes > 1 then on_task else None), ignore)
+  in
   let run_clock =
     match obs with Some o -> Obs.clock o | None -> Span.default_clock
   in
@@ -116,7 +160,6 @@ let run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
      oracle's batch size — and the run's spend is read off the meter per
      tier. *)
   let tiers = Cascade.specs cascade in
-  let batch = Probe_driver.batch_size (Cascade.oracle cascade) in
   (* The sampling stream splits off unconditionally, whether or not this
      planning mode samples: the operator's policy stream must be
      identical across modes, so that a Sampled run and a Fixed run with
@@ -134,7 +177,7 @@ let run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
         let p =
           span "plan" (fun () ->
               make_plan ~rng:sample_rng ~meter ?obs ?on_task ~lanes ~cost
-                ~batch ~tiers ?max_laxity
+                ~tiers ?max_laxity
                 ~budget:(if budgeted then Some allotted else None)
                 ~instance ~requirements ~fraction ~density source)
         in
@@ -157,8 +200,7 @@ let run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
       Some
         (Adaptive.create ~rng:(Rng.split rng)
            ~total:(Stdlib.max 1 source.length)
-           ~max_laxity:(Lazy.force laxity_cap) ~requirements ~cost ~batch
-           ~tiers
+           ~max_laxity:(Lazy.force laxity_cap) ~requirements ~cost ~tiers
            ?budget:
              (if budgeted then
                 Some { Adaptive.allotted; spent = (fun () -> spent_total ()) }
@@ -273,73 +315,22 @@ let run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
              guaranteed_recall = g.Quality.recall;
            })
   | _ -> ());
-  {
-    report;
-    plan;
-    counts = Cost_meter.counts meter;
-    normalized_cost =
-      (if source.length = 0 then 0.0
-       else spent_total () /. float_of_int source.length);
-    degradation;
-    budget = budget_summary;
-    reconcile =
-      (fun snapshot ->
-        let names = Array.map (fun (s : Probe_tier.spec) -> s.name) tiers in
-        Cost_meter.reconcile_tiers snapshot ~names meter);
-    elapsed_seconds = run_clock () -. run_start;
-  }
-
-let run ~rng ?(planning = default_planning) ?(adaptive = false)
-    ?(cost = Cost_model.paper) ?max_laxity ?budget ?deadline ?domains ?obs
-    ?emit ?collect ?on_task ~instance ?probe ?cascade ~requirements
-    source =
-  (match budget with
-  | Some b when Float.is_nan b || b < 0.0 ->
-      invalid_arg "Engine.run: budget must be non-negative"
-  | _ -> ());
-  (match deadline with
-  | Some d when Float.is_nan d || d < 0.0 ->
-      invalid_arg "Engine.run: deadline must be non-negative"
-  | _ -> ());
-  (match max_laxity with
-  | Some l when not (Float.is_finite l && l > 0.0) ->
-      invalid_arg "Engine.run: max_laxity must be positive and finite"
-  | _ -> ());
-  (* The one probe capability: a cascade, with a plain driver wrapped as
-     the oracle-only cascade priced at the run's cost model. *)
-  let cascade =
-    match (probe, cascade) with
-    | Some p, None -> Cascade.of_driver ~cost p
-    | None, Some c -> c
-    | Some _, Some _ ->
-        invalid_arg "Engine.run: pass either ~probe or ~cascade, not both"
-    | None, None -> invalid_arg "Engine.run: a probe capability is required"
-  in
-  let lanes = Domain_pool.resolve ?domains () in
-  (* With [obs], each lane's busy seconds, summed from the lanes' task
-     intervals, become the [qaq.parallel.*] gauges. *)
-  let on_task, set_gauges =
-    match obs with
-    | Some o when lanes > 1 ->
-        let busy = Array.make lanes 0.0 and lock = Mutex.create () in
-        ( Some
-            (fun ~lane ~start ~finish ->
-              Mutex.protect lock (fun () ->
-                  busy.(lane) <- busy.(lane) +. (finish -. start));
-              Option.iter (fun f -> f ~lane ~start ~finish) on_task),
-          fun () ->
-            Metrics.set
-              (Obs.gauge o Obs.Keys.parallel_domains)
-              (float_of_int lanes);
-            Array.iteri
-              (fun i b -> Metrics.set (Obs.gauge o (Obs.Keys.domain_busy i)) b)
-              busy )
-    | _ -> ((if lanes > 1 then on_task else None), ignore)
-  in
   let result =
-    run_with ?on_task ~lanes ~rng ~planning ~adaptive ~cost ?max_laxity
-      ?budget ?deadline ?obs ?emit ?collect ~instance ~cascade ~requirements
-      source
+    {
+      report;
+      plan;
+      counts = Cost_meter.counts meter;
+      normalized_cost =
+        (if source.length = 0 then 0.0
+         else spent_total () /. float_of_int source.length);
+      degradation;
+      budget = budget_summary;
+      reconcile =
+        (fun snapshot ->
+          let names = Array.map (fun (s : Probe_tier.spec) -> s.name) tiers in
+          Cost_meter.reconcile_tiers snapshot ~names meter);
+      elapsed_seconds = run_clock () -. run_start;
+    }
   in
   set_gauges ();
   result

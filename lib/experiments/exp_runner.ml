@@ -6,9 +6,12 @@ let policy_name = function
   | Greedy -> "Greedy"
   | Fixed _ -> "Fixed"
 
-let solve_setting ?cost ?batch (s : Exp_config.setting) =
+let solve_setting ?(cost = Cost_model.paper) ?(batch = 1)
+    (s : Exp_config.setting) =
   Planner.solve ~total:s.total ~f_y:s.f_y ~f_m:s.f_m ~max_laxity:s.max_laxity
-    ~requirements:(Exp_config.requirements s) ?cost ?batch ()
+    ~requirements:(Exp_config.requirements s) ~cost
+    ~tiers:(Probe_tier.oracle_only ~cost ~batch ())
+    ()
 
 type outcome = {
   normalized_cost : float;
@@ -36,7 +39,9 @@ let qaq_params ~rng ~lanes ~sample_fraction ~density ~cost ~batch
   in
   (Planner.solve ~total:s.total ~f_y:pilot.f_y ~f_m:pilot.f_m
      ~density:pilot.density ~max_laxity:s.max_laxity
-     ~requirements:(Exp_config.requirements s) ~cost ~batch ())
+     ~requirements:(Exp_config.requirements s) ~cost
+     ~tiers:(Probe_tier.oracle_only ~cost ~batch ())
+     ())
     .params
 
 let trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs

@@ -21,8 +21,9 @@ val solve_setting :
   ?cost:Cost_model.t -> ?batch:int -> Exp_config.setting -> Planner.solution
 (** The §5.1 computation: {!Planner.solve} at the setting's exact
     [f_y]/[f_m] under the uniform density.  [cost] (default
-    {!Cost_model.paper}) and [batch] (default 1) price the objective, so
-    the batched-probe pricing can be studied on the paper settings. *)
+    {!Cost_model.paper}) and [batch] (default 1) price the objective
+    through the one-tier oracle {!Probe_tier.oracle_only}, so the
+    batched-probe pricing can be studied on the paper settings. *)
 
 type outcome = {
   normalized_cost : float;  (** W / |T| under the paper cost model *)

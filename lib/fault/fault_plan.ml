@@ -4,7 +4,6 @@ type spec = {
   permanent_rate : float;
   spike_rate : float;
   spike_factor : float;
-  max_retries : int;
 }
 
 let check_rate name r =
@@ -12,21 +11,13 @@ let check_rate name r =
     invalid_arg (Printf.sprintf "Fault_plan.make: %s outside [0, 1]" name)
 
 let make ?(seed = 0) ?(transient_rate = 0.0) ?(permanent_rate = 0.0)
-    ?(spike_rate = 0.0) ?(spike_factor = 10.0) ?(max_retries = 10) () =
+    ?(spike_rate = 0.0) ?(spike_factor = 10.0) () =
   check_rate "transient_rate" transient_rate;
   check_rate "permanent_rate" permanent_rate;
   check_rate "spike_rate" spike_rate;
   if not (spike_factor >= 1.0) then
     invalid_arg "Fault_plan.make: spike_factor < 1";
-  if max_retries < 0 then invalid_arg "Fault_plan.make: max_retries < 0";
-  {
-    seed;
-    transient_rate;
-    permanent_rate;
-    spike_rate;
-    spike_factor;
-    max_retries;
-  }
+  { seed; transient_rate; permanent_rate; spike_rate; spike_factor }
 
 let none = make ()
 

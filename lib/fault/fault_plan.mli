@@ -27,7 +27,6 @@ type spec = {
   permanent_rate : float;  (** P(an element never resolves) *)
   spike_rate : float;  (** P(a wakeup's latency is spiked) *)
   spike_factor : float;  (** latency multiplier when spiked *)
-  max_retries : int;  (** retry budget injected sites should apply *)
 }
 
 val make :
@@ -36,13 +35,13 @@ val make :
   ?permanent_rate:float ->
   ?spike_rate:float ->
   ?spike_factor:float ->
-  ?max_retries:int ->
   unit ->
   spec
-(** All rates default to 0, [seed] to 0, [spike_factor] to 10,
-    [max_retries] to 10.
-    @raise Invalid_argument on a rate outside [0, 1], a spike factor
-    below 1 or NaN, or a negative retry budget. *)
+(** All rates default to 0, [seed] to 0, [spike_factor] to 10.  The
+    retry budget is the probing site's own ([Probe_source.create]'s
+    [max_retries]), not part of the plan.
+    @raise Invalid_argument on a rate outside [0, 1] or a spike factor
+    below 1 or NaN. *)
 
 val none : spec
 (** [make ()] — the null plan. *)

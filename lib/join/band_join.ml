@@ -69,9 +69,15 @@ let make_cache ~share =
     Probe_broker.create
       ~freshness:(if share then infinity else 0.0)
       ~key
-      (Array.map (fun ((is_left, r) as o) ->
-           Option.iter (fun f -> Hashtbl.replace f (key o) ()) fetched;
-           Probe_driver.Resolved (is_left, Interval_data.probe r)))
+      [|
+        {
+          Probe_broker.bk_resolve =
+            Array.map (fun ((is_left, r) as o) ->
+                Option.iter (fun f -> Hashtbl.replace f (key o) ()) fetched;
+                Probe_driver.Resolved (is_left, Interval_data.probe r));
+          bk_batch = 1;
+        };
+      |]
   in
   { broker; fetched }
 

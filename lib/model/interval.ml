@@ -23,7 +23,6 @@ let intersection a b =
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
-let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi
 let clamp t x = Float.min t.hi (Float.max t.lo x)
 let sample rng t = if is_point t then t.lo else Rng.uniform_in rng t.lo t.hi
 

@@ -37,8 +37,6 @@ val hull : t -> t -> t
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 val clamp : t -> float -> float
 (** [clamp i x] is [x] forced into [i]. *)
 

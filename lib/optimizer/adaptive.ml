@@ -6,7 +6,6 @@ type t = {
   max_laxity : float;
   requirements : Quality.requirements;
   cost : Cost_model.t;
-  batch : int;
   tiers : Probe_tier.spec array option;
   replan_every : int;
   max_replans : int;
@@ -24,12 +23,11 @@ type t = {
 }
 
 let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
-    ?(batch = 1) ?tiers ?(replan_every = 500) ?(max_replans = 8) ?budget
+    ?tiers ?(replan_every = 500) ?(max_replans = 8) ?budget
     ?initial ?obs () =
   if total <= 0 then invalid_arg "Adaptive.create: total <= 0";
   if not (Float.is_finite max_laxity && max_laxity > 0.0) then
     invalid_arg "Adaptive.create: max_laxity must be positive and finite";
-  if batch < 1 then invalid_arg "Adaptive.create: batch < 1";
   if replan_every < 1 then invalid_arg "Adaptive.create: replan_every < 1";
   if max_replans < 0 then invalid_arg "Adaptive.create: max_replans < 0";
   Option.iter Probe_tier.validate tiers;
@@ -38,8 +36,8 @@ let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
     | Some p -> p
     | None ->
         let f_y, f_m = Planner.default_prior in
-        (Planner.solve ~total ~f_y ~f_m ~max_laxity ~requirements ~cost ~batch
-           ?tiers ())
+        (Planner.solve ~total ~f_y ~f_m ~max_laxity ~requirements ~cost ?tiers
+           ())
           .params
   in
   {
@@ -48,7 +46,6 @@ let create ~rng ~total ~max_laxity ~requirements ?(cost = Cost_model.paper)
     max_laxity;
     requirements;
     cost;
-    batch;
     tiers;
     replan_every;
     max_replans;
@@ -109,7 +106,7 @@ let replan t ~reads =
       in
       (Planner.solve ~total ~f_y:estimate.f_y ~f_m:estimate.f_m ~density
          ~max_laxity:t.max_laxity ~requirements:t.requirements ~cost:t.cost
-         ~batch:t.batch ?tiers:t.tiers ?budget ())
+         ?tiers:t.tiers ?budget ())
         .params
     in
     t.params <-

@@ -25,7 +25,6 @@ val create :
   max_laxity:float ->
   requirements:Quality.requirements ->
   ?cost:Cost_model.t ->
-  ?batch:int ->
   ?tiers:Probe_tier.spec array ->
   ?replan_every:int ->
   ?max_replans:int ->
@@ -37,13 +36,11 @@ val create :
 (** [replan_every] (default 500) objects between re-solves, up to
     [max_replans] (default 8) re-solves.  [initial] (default: the
     {!Planner.solve} solution under the uniform density and
-    {!Planner.default_prior}) is used until the first re-plan.  [batch]
-    (default 1) is the probe batch size the evaluation will use; every
-    re-solve prices probes at the amortized [c_p + c_b/batch] so
-    mid-scan plans see the same cost surface as the initial one.
-    [tiers] (default absent) is the probe cascade the evaluation will
-    run through: when given, every solve — the default [initial]
-    included — prices probes at the cascade's strategy price instead
+    {!Planner.default_prior}) is used until the first re-plan.  [tiers]
+    (default: the one-tier oracle at [cost] and batch size 1) is the
+    probe cascade the evaluation will run through; every solve — the
+    default [initial] included — prices probes at its strategy price, so
+    mid-scan plans see the same cost surface as the initial one
     ({!Solver.problem}'s [tiers]).  Every solve is one {!Planner.solve}.
 
     With [budget], every re-solve goes through the dual
@@ -56,7 +53,7 @@ val create :
     [obs] times each re-solve under the [adaptive-reestimate] span and
     emits a {!Trace.Replan} event; {!replans} counts them.
     @raise Invalid_argument if [total <= 0], [max_laxity] is not
-    positive and finite, [batch < 1], [replan_every < 1] or
+    positive and finite, [tiers] is invalid, [replan_every < 1] or
     [max_replans < 0]. *)
 
 val policy : t -> Policy.t

@@ -39,13 +39,13 @@ type solution = {
   dual : Solver.dual_evaluation option;
 }
 
-let solve ~total ~f_y ~f_m ?density ~max_laxity ~requirements ?cost ?batch
-    ?tiers ?budget () =
+let solve ~total ~f_y ~f_m ?density ~max_laxity ~requirements ?cost ?tiers
+    ?budget () =
   let density =
     match density with Some d -> d | None -> Density.uniform ~max_laxity
   in
   let spec = Region_model.spec ~f_y ~f_m ~max_laxity ~density in
-  let problem = Solver.problem ~total ~spec ~requirements ?cost ?batch ?tiers () in
+  let problem = Solver.problem ~total ~spec ~requirements ?cost ?tiers () in
   match budget with
   | None ->
       let e = Solver.solve problem in

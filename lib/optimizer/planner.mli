@@ -69,14 +69,13 @@ val solve :
   max_laxity:float ->
   requirements:Quality.requirements ->
   ?cost:Cost_model.t ->
-  ?batch:int ->
   ?tiers:Probe_tier.spec array ->
   ?budget:float ->
   unit ->
   solution
 (** Solve the §4.2.2 program over [total] objects of composition
     [(f_y, f_m)] under [density] (default: uniform over
-    [\[0,1\] x \[0,max_laxity\]]).  [cost], [batch] and [tiers] price
+    [\[0,1\] x \[0,max_laxity\]]).  [cost] and [tiers] price
     the objective as in {!Solver.problem}.  Without [budget] this is one
     {!Solver.solve}; with it, one {!Solver.solve_dual} against [budget]
     (and one {!Solver.evaluate} if [evaluation] is forced).

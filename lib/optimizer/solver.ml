@@ -3,33 +3,27 @@ type problem = {
   spec : Region_model.spec;
   requirements : Quality.requirements;
   cost : Cost_model.t;
-  batch : int;
-  tiers : Probe_tier.spec array option;
+  tiers : Probe_tier.spec array;
   effective : Cost_model.t;
 }
 
-(* The objective prices each probe at its amortized cost c_p + c_b/B:
-   the evaluation plan dispatches probes in batches of B, so that is the
-   marginal price the §4.2.2 objective must see for plan costs to match
-   the metered reality.  Under a tiered cascade the probe price is the
-   cascade's optimal strategy price instead — the expected amortized
-   spend of starting at the best tier and escalating through residuals
-   ({!Probe_tier.select}); the batch surcharge is folded into that
-   expectation, so c_b drops to 0 here.  Priced once per problem: the
+(* The objective prices each probe at the cascade's optimal strategy
+   price: the expected amortized spend of starting at the best tier and
+   escalating through residuals ({!Probe_tier.select}).  The batch
+   surcharges are folded into that expectation, so c_b drops to 0 here.
+   For the default one-tier oracle that price is the amortized
+   c_p + c_b/B the evaluation plan meters.  Priced once per problem: the
    optimizer evaluates the objective thousands of times. *)
-let problem ~total ~spec ~requirements ?(cost = Cost_model.paper)
-    ?(batch = 1) ?tiers () =
+let problem ~total ~spec ~requirements ?(cost = Cost_model.paper) ?tiers () =
   if total <= 0 then invalid_arg "Solver.problem: total <= 0";
-  if batch < 1 then invalid_arg "Solver.problem: batch < 1";
-  let effective =
+  let tiers =
     match tiers with
-    | None -> Cost_model.amortize ~batch cost
-    | Some specs ->
-        let plan = Probe_tier.select specs in
-        Cost_model.amortize ~batch:1
-          { cost with Cost_model.c_p = plan.Probe_tier.price; c_b = 0.0 }
+    | Some specs -> specs
+    | None -> Probe_tier.oracle_only ~cost ~batch:1 ()
   in
-  { total; spec; requirements; cost; batch; tiers; effective }
+  let price = (Probe_tier.select tiers).Probe_tier.price in
+  let effective = { cost with Cost_model.c_p = price; c_b = 0.0 } in
+  { total; spec; requirements; cost; tiers; effective }
 
 type evaluation = {
   params : Policy.params;
@@ -238,10 +232,11 @@ let better a b =
       else if a.cost <= b.cost then a
       else b
 
-let solve ?(seeds = default_seeds) t =
-  if seeds = [] then invalid_arg "Solver.solve: no seeds";
+(* Multistart Nelder–Mead: refine every seed on [objective], [finish]
+   each refined point into an evaluation, and keep the [better] of them,
+   folding in seed order. *)
+let multistart ~name ~seeds ~objective ~finish ~better =
   let lower = Array.make 4 0.0 and upper = Array.make 4 1.0 in
-  let objective = penalized t in
   let refine (p : Policy.params) =
     let init = [| p.s3; p.s5; p.p_py; p.p_fm |] in
     let result =
@@ -249,12 +244,15 @@ let solve ?(seeds = default_seeds) t =
         ~options:{ Nelder_mead.max_iterations = 800; tolerance = 1e-12 }
         ~lower ~upper ~init objective
     in
-    evaluate t (params_of_vector result.point)
+    finish (params_of_vector result.point)
   in
-  let candidates = List.map refine seeds in
-  match candidates with
-  | [] -> assert false
+  match List.map refine seeds with
+  | [] -> invalid_arg (name ^ ": no seeds")
   | first :: rest -> List.fold_left better first rest
+
+let solve ?(seeds = default_seeds) t =
+  multistart ~name:"Solver.solve" ~seeds ~objective:(penalized t)
+    ~finish:(evaluate t) ~better
 
 (* {2 The dual problem: maximise quality under a cost budget} *)
 
@@ -399,22 +397,10 @@ let solve_dual ?(seeds = default_seeds) ~budget t =
       budget_limited = false;
       d_expected_precision = primal.expected_precision;
     }
-  else begin
-    let lower = Array.make 4 0.0 and upper = Array.make 4 1.0 in
-    let objective = dual_penalized t ~budget in
-    let refine (p : Policy.params) =
-      let init = [| p.s3; p.s5; p.p_py; p.p_fm |] in
-      let result =
-        Nelder_mead.minimize
-          ~options:{ Nelder_mead.max_iterations = 800; tolerance = 1e-12 }
-          ~lower ~upper ~init objective
-      in
-      evaluate_dual t ~budget (params_of_vector result.point)
-    in
-    match List.map refine seeds with
-    | [] -> assert false
-    | first :: rest -> List.fold_left better_dual first rest
-  end
+  else
+    multistart ~name:"Solver.solve_dual" ~seeds
+      ~objective:(dual_penalized t ~budget)
+      ~finish:(evaluate_dual t ~budget) ~better:better_dual
 
 let pp_evaluation ppf e =
   Format.fprintf ppf
@@ -454,18 +440,18 @@ let explain t (e : evaluation) =
   add "cost W = %.0f (W/|T| = %.3f): read %.0f + probe %.0f + write %.0f\n"
     e.cost e.normalized_cost reads_cost probe_cost write_cost;
   (match t.tiers with
-  | Some specs ->
+  | [| oracle |] ->
+      if oracle.Probe_tier.batch > 1 || oracle.c_b > 0.0 then
+        add "probes priced amortized: c_p + c_b/B = %g + %g/%d = %g per probe\n"
+          oracle.c_p oracle.c_b oracle.batch c.c_p
+  | specs ->
       let plan = Probe_tier.select specs in
       add
         "probes priced via cascade: start at tier %d (%s), expected %g per \
          probe over %d tiers\n"
         plan.Probe_tier.start
         specs.(plan.Probe_tier.start).Probe_tier.name
-        plan.Probe_tier.price (Array.length specs)
-  | None ->
-      if t.batch > 1 || t.cost.Cost_model.c_b > 0.0 then
-        add "probes priced amortized: c_p + c_b/B = %g + %g/%d = %g per probe\n"
-          t.cost.c_p t.cost.c_b t.batch c.c_p);
+        plan.Probe_tier.price (Array.length specs));
   add "precision: expected %.4f vs bound %.4f (slack %+.4f)\n"
     e.expected_precision req.Quality.precision
     (e.expected_precision -. req.precision);

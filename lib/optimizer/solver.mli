@@ -25,20 +25,17 @@ type problem = private {
   total : int;  (** |T| *)
   spec : Region_model.spec;
   requirements : Quality.requirements;
-  cost : Cost_model.t;
-  batch : int;
-      (** probe batch size B: the objective prices each probe at the
-          amortized [c_p + c_b/B] (see {!Cost_model.amortized_probe}) *)
-  tiers : Probe_tier.spec array option;
-      (** when present, probes run through a tiered cascade and the
-          objective prices each probe at the cascade's optimal strategy
-          price ({!Probe_tier.select}) instead of the amortized oracle
-          price — [cost.c_p]/[c_b]/[batch] are ignored for probes
-          (reads and writes keep their [cost] prices) *)
+  cost : Cost_model.t;  (** read and write prices *)
+  tiers : Probe_tier.spec array;
+      (** the probe cascade the evaluation will use; the objective
+          prices each probe at its optimal strategy price
+          ({!Probe_tier.select}).  For a one-tier oracle that is the
+          amortized [c_p + c_b/B] of its tier (see
+          {!Cost_model.amortized_probe}). *)
   effective : Cost_model.t;
-      (** [cost] with probes priced as the objective sees them — the
-          amortized [c_p + c_b/batch], or the cascade's strategy price
-          under [tiers] — derived once by {!problem} *)
+      (** [cost] with probes priced as the objective sees them — [c_p]
+          is the strategy price of [tiers] and [c_b] is 0 — derived once
+          by {!problem} *)
 }
 
 val problem :
@@ -46,19 +43,17 @@ val problem :
   spec:Region_model.spec ->
   requirements:Quality.requirements ->
   ?cost:Cost_model.t ->
-  ?batch:int ->
   ?tiers:Probe_tier.spec array ->
   unit ->
   problem
-(** [cost] defaults to {!Cost_model.paper}; [batch] defaults to 1 (the
-    scalar probe path, under which the amortized probe price is exactly
-    [c_p] and every pre-batching solution is unchanged); [tiers]
-    defaults to absent — every pre-cascade solution is bit-for-bit
-    unchanged.
+(** [cost] defaults to {!Cost_model.paper}; [tiers] defaults to
+    [Probe_tier.oracle_only ~cost ~batch:1 ()], the scalar oracle whose
+    probe price is exactly [cost.c_p].  A caller that batches its
+    oracle probes passes [Probe_tier.oracle_only ~cost ~batch ()].
     A laxity bound above the spec's [max_laxity] is accepted: the
     density clamps it, so everything is forwardable.
-    @raise Invalid_argument if [total <= 0], [batch < 1] or [tiers] is
-    invalid per {!Probe_tier.validate}. *)
+    @raise Invalid_argument if [total <= 0] or [tiers] is invalid per
+    {!Probe_tier.validate}. *)
 
 (** The outcome of instantiating the model at one parameter point. *)
 type evaluation = {
@@ -82,7 +77,9 @@ val better : evaluation -> evaluation -> evaluation
     equally-violating plans.  Exposed for testing. *)
 
 val solve : ?seeds:Policy.params list -> problem -> evaluation
-(** Multistart Nelder–Mead.  Default seeds: the 16 corners of the unit
+(** Multistart Nelder–Mead: every seed is refined on the penalised
+    objective and the refined points are folded with {!better} in seed
+    order.  Default seeds: the 16 corners of the unit
     hypercube, its centre, and the Stingy and Greedy parameter points.
     Returns the best feasible evaluation, or the least-violating one if
     no start reaches feasibility. *)
@@ -133,5 +130,9 @@ val pp_evaluation : Format.formatter -> evaluation -> unit
 val explain : problem -> evaluation -> string
 (** A human-readable account of a plan: the chosen parameters, the
     expected handling of 1000 read objects (per Fig. 3 region), the cost
-    breakdown by operation (Eq. 11) and each constraint's slack.  Meant
-    for CLI output and query-plan debugging. *)
+    breakdown by operation (Eq. 11), how probes were priced and each
+    constraint's slack.  The pricing line names the amortized
+    [c_p + c_b/B] of a one-tier oracle (omitted when [B = 1] and
+    [c_b = 0]: the price is then [c_p]), or the cascade's start tier
+    and strategy price over several tiers.  Meant for CLI output and
+    query-plan debugging. *)

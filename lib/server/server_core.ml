@@ -230,7 +230,7 @@ let create ?clock cfg =
   in
   let rounds = if lends then Engine.default_lanes else 1 in
   let broker =
-    Probe_broker.create_tiered ~obs:srv_obs ~freshness:cfg.c_freshness
+    Probe_broker.create ~obs:srv_obs ~freshness:cfg.c_freshness
       ?capacity:cfg.c_capacity ?breaker:srv_breaker ~rounds
       ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
       backends

@@ -46,7 +46,10 @@ val select : spec array -> plan
 
 val oracle_only :
   ?name:string -> cost:Cost_model.t -> batch:int -> unit -> spec array
-(** Single-tier cascade equivalent to today's driver pricing. *)
+(** The one-tier cascade of a plain oracle at [cost]'s [c_p]/[c_b] and
+    batch size [batch]: its strategy price is the amortized
+    [c_p +. c_b /. float batch].  The planner's default probe
+    price is this cascade at [batch = 1]. *)
 
 val of_string : string -> spec array
 (** Parses ["proxy:cp=0.1,cb=1,B=32,shrink=0.8;oracle:cp=1,cb=5,B=8"].

@@ -47,9 +47,15 @@ let make_cache ~meter ~share =
     Probe_broker.create
       ~freshness:(if share then infinity else 0.0)
       ~key:(fun (is_left, r) -> side_key ~is_left r.Interval_data.id)
-      (Array.map (fun (is_left, r) ->
-           Cost_meter.charge_probe meter;
-           Probe_driver.Resolved (is_left, Interval_data.probe r)))
+      [|
+        {
+          Probe_broker.bk_resolve =
+            Array.map (fun (is_left, r) ->
+                Cost_meter.charge_probe meter;
+                Probe_driver.Resolved (is_left, Interval_data.probe r));
+          bk_batch = 1;
+        };
+      |]
   in
   { broker; share }
 

@@ -10,6 +10,10 @@ let pure_resolve objs =
 
 let obj_key (o : Synthetic.obj) = o.Synthetic.id
 
+(* A plain oracle as the broker's one backend. *)
+let oracle ?(batch = 1) resolve =
+  [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
+
 let small_data total =
   Synthetic.generate (Rng.create 5) (Synthetic.config ~total ())
 
@@ -41,7 +45,7 @@ let test_single_query_identity () =
           data
       in
       let broker =
-        Probe_broker.create ~batch_size ~key:obj_key pure_resolve
+        Probe_broker.create ~key:obj_key (oracle ~batch:batch_size pure_resolve)
       in
       let brokered =
         run_engine ~seed:99 ~probe:(Probe_broker.client broker) data
@@ -69,8 +73,9 @@ let prop_dedup_charged_once =
       list_size (int_range 1 6) (list_size (int_range 0 20) (int_range 0 30)))
     (fun key_lists ->
       let broker =
-        Probe_broker.create ~batch_size:3 ~key:Fun.id (fun objs ->
-            Array.map (fun k -> Probe_driver.Resolved k) objs)
+        Probe_broker.create ~key:Fun.id
+          (oracle ~batch:3 (fun objs ->
+               Array.map (fun k -> Probe_driver.Resolved k) objs))
       in
       List.iteri
         (fun i keys ->
@@ -97,10 +102,11 @@ let prop_dedup_charged_once =
 let test_concurrent_dedup () =
   let keys_of i = List.init 25 (fun j -> (5 * i) + j) in
   let broker =
-    Probe_broker.create ~batch_size:4 ~key:Fun.id (fun objs ->
-        (* a little real latency so flushes genuinely overlap *)
-        Unix.sleepf 0.001;
-        Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs)
+    Probe_broker.create ~key:Fun.id
+      (oracle ~batch:4 (fun objs ->
+           (* a little real latency so flushes genuinely overlap *)
+           Unix.sleepf 0.001;
+           Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs))
   in
   let worker i () =
     let d = Probe_broker.client ~tenant:(string_of_int i) broker in
@@ -160,7 +166,7 @@ let test_execute_many_deterministic () =
     in
     let run ~domains ~order =
       let broker =
-        Probe_broker.create ~batch_size:batch ~key:obj_key pure_resolve
+        Probe_broker.create ~key:obj_key (oracle ~batch pure_resolve)
       in
       let runs =
         Array.map
@@ -227,7 +233,7 @@ let test_cross_query_packing () =
     end;
     Array.map (fun k -> Probe_driver.Resolved k) objs
   in
-  let broker = Probe_broker.create ~batch_size:4 ~key:Fun.id resolve in
+  let broker = Probe_broker.create ~key:Fun.id (oracle ~batch:4 resolve) in
   let await ?(what = "condition") p =
     let tries = ref 0 in
     while not (p ()) do
@@ -279,7 +285,9 @@ let test_two_rounds_in_flight () =
     Atomic.decr inside;
     Array.map (fun k -> Probe_driver.Resolved k) objs
   in
-  let broker = Probe_broker.create ~rounds:2 ~batch_size:4 ~key:Fun.id resolve in
+  let broker =
+    Probe_broker.create ~rounds:2 ~key:Fun.id (oracle ~batch:4 resolve)
+  in
   checki "two round slots" 2 (Probe_broker.rounds broker);
   let await ?(what = "condition") p =
     let tries = ref 0 in
@@ -351,7 +359,7 @@ let test_raising_round_frees_its_slot () =
         | 1 -> [||]
         | _ -> Array.map (fun k -> Probe_driver.Resolved k) objs
       in
-      let broker = Probe_broker.create ~rounds ~key:Fun.id resolve in
+      let broker = Probe_broker.create ~rounds ~key:Fun.id (oracle resolve) in
       (match fetch_within ~rounds broker 1 with
       | Error (Failure msg) when msg = "backend down" -> ()
       | _ -> Alcotest.fail "the resolver's exception must reach the dispatcher");
@@ -372,8 +380,8 @@ let test_raising_round_frees_its_slot () =
    degrade to [Failed { attempts = 0 }] while fresh hits stay free. *)
 let test_capacity_saturation () =
   let broker =
-    Probe_broker.create ~capacity:2 ~key:Fun.id (fun objs ->
-        Array.map (fun k -> Probe_driver.Resolved k) objs)
+    Probe_broker.create ~capacity:2 ~key:Fun.id
+      (oracle (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs))
   in
   checkb "not saturated at start" false (Probe_broker.saturated broker);
   (match Probe_broker.fetch broker 1 with
@@ -399,7 +407,7 @@ let test_capacity_saturation () =
 let test_saturated_engine_run_degrades () =
   let data = small_data 400 in
   let broker =
-    Probe_broker.create ~capacity:5 ~batch_size:4 ~key:obj_key pure_resolve
+    Probe_broker.create ~capacity:5 ~key:obj_key (oracle ~batch:4 pure_resolve)
   in
   let result = run_engine ~seed:99 ~probe:(Probe_broker.client broker) data in
   checkb "run degraded" true (Engine.degraded result);
@@ -414,8 +422,8 @@ let test_saturated_engine_run_degrades () =
 let test_freshness_window () =
   let fetch_twice freshness =
     let broker =
-      Probe_broker.create ~freshness ~key:Fun.id (fun objs ->
-          Array.map (fun k -> Probe_driver.Resolved k) objs)
+      Probe_broker.create ~freshness ~key:Fun.id
+        (oracle (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs))
     in
     ignore (Probe_broker.fetch broker 7);
     ignore (Probe_broker.fetch broker 7);
@@ -429,7 +437,7 @@ let test_freshness_window () =
     Probe_broker.create
       ~clock:(fun () -> !now)
       ~freshness:10.0 ~key:Fun.id
-      (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs)
+      (oracle (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs))
   in
   ignore (Probe_broker.fetch broker 7);
   now := 5.0;
@@ -449,8 +457,8 @@ let test_freshness_window () =
    own new probe targets. *)
 let test_tenant_quota () =
   let broker =
-    Probe_broker.create ~key:Fun.id (fun objs ->
-        Array.map (fun k -> Probe_driver.Resolved k) objs)
+    Probe_broker.create ~key:Fun.id
+      (oracle (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs))
   in
   ignore (Probe_broker.client ~tenant:"a" ~quota:2 broker);
   (match Probe_broker.fetch ~tenant:"a" broker 1 with
@@ -485,9 +493,10 @@ let test_breaker_refuses_rounds () =
     Circuit_breaker.create ~trip_after:1 ~backoff_base:64 ()
   in
   let broker =
-    Probe_broker.create ~breaker ~key:Fun.id (fun objs ->
-        Atomic.incr calls;
-        Array.map (fun _ -> Probe_driver.Failed { attempts = 1 }) objs)
+    Probe_broker.create ~breaker ~key:Fun.id
+      (oracle (fun objs ->
+           Atomic.incr calls;
+           Array.map (fun _ -> Probe_driver.Failed { attempts = 1 }) objs))
   in
   (match Probe_broker.fetch broker 1 with
   | Probe_driver.Failed { attempts = 1 } -> ()
@@ -506,8 +515,9 @@ let test_breaker_refuses_rounds () =
 let test_broker_metrics () =
   let obs = Obs.create () in
   let broker =
-    Probe_broker.create ~obs ~capacity:2 ~batch_size:2 ~key:Fun.id
-      (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs)
+    Probe_broker.create ~obs ~capacity:2 ~key:Fun.id
+      (oracle ~batch:2 (fun objs ->
+           Array.map (fun k -> Probe_driver.Resolved k) objs))
   in
   ignore (Probe_broker.fetch broker 1);
   ignore (Probe_broker.fetch broker 1);
@@ -538,7 +548,7 @@ let test_broker_metrics () =
 (* Two toy backends over int keys: the proxy narrows (tagged +1000 so a
    cached shrunk outcome is recognisable), the oracle resolves (×7). *)
 let tiered_toy () =
-  Probe_broker.create_tiered ~key:Fun.id
+  Probe_broker.create ~key:Fun.id
     [|
       {
         Probe_broker.bk_resolve =
@@ -668,7 +678,7 @@ let tier_hammer ~rounds =
     resolve objs
   in
   let broker =
-    Probe_broker.create_tiered ~rounds ~key:Fun.id
+    Probe_broker.create ~rounds ~key:Fun.id
       [|
         {
           Probe_broker.bk_resolve =
@@ -755,7 +765,9 @@ let test_lane_waits_on_own_round () =
         Domain_pool.blocking (fun () -> Unix.sleepf 0.005);
         Array.map (fun k -> Probe_driver.Resolved k) objs
       in
-      let broker = Probe_broker.create ~rounds ~batch_size:4 ~key:Fun.id resolve in
+      let broker =
+        Probe_broker.create ~rounds ~key:Fun.id (oracle ~batch:4 resolve)
+      in
       let got =
         Test_domain_pool.within
           (Printf.sprintf "rounds %d: a lane waiting on its own round" rounds)
@@ -788,7 +800,9 @@ let test_lane_raising_round_identity () =
     if Atomic.fetch_and_add calls 1 = 0 then failwith "backend down";
     Array.map (fun k -> Probe_driver.Resolved k) objs
   in
-  let broker = Probe_broker.create ~rounds:2 ~batch_size:2 ~key:Fun.id resolve in
+  let broker =
+    Probe_broker.create ~rounds:2 ~key:Fun.id (oracle ~batch:2 resolve)
+  in
   let got =
     Test_domain_pool.within "lanes over a raising round" (fun () ->
         Domain_pool.run ~lanes:2
@@ -828,21 +842,24 @@ let test_validation () =
   let resolve objs =
     Array.map (fun k -> Probe_driver.Resolved k) objs
   in
+  let backends = oracle resolve in
+  Alcotest.check_raises "no backends"
+    (Invalid_argument "Probe_broker.create: no backends") (fun () ->
+      ignore (Probe_broker.create ~key:Fun.id [||]));
   Alcotest.check_raises "bad batch size"
-    (Invalid_argument "Probe_broker.create: batch_size < 1") (fun () ->
-      ignore (Probe_broker.create ~batch_size:0 ~key:Fun.id resolve));
+    (Invalid_argument "Probe_broker.create: bk_batch < 1") (fun () ->
+      ignore (Probe_broker.create ~key:Fun.id (oracle ~batch:0 resolve)));
   Alcotest.check_raises "bad freshness"
-    (Invalid_argument
-       "Probe_broker.create_tiered: freshness must be non-negative")
+    (Invalid_argument "Probe_broker.create: freshness must be non-negative")
     (fun () ->
-      ignore (Probe_broker.create ~freshness:(-1.0) ~key:Fun.id resolve));
+      ignore (Probe_broker.create ~freshness:(-1.0) ~key:Fun.id backends));
   Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Probe_broker.create_tiered: capacity < 0") (fun () ->
-      ignore (Probe_broker.create ~capacity:(-1) ~key:Fun.id resolve));
+    (Invalid_argument "Probe_broker.create: capacity < 0") (fun () ->
+      ignore (Probe_broker.create ~capacity:(-1) ~key:Fun.id backends));
   Alcotest.check_raises "no round slot"
-    (Invalid_argument "Probe_broker.create_tiered: rounds < 1") (fun () ->
-      ignore (Probe_broker.create ~rounds:0 ~key:Fun.id resolve));
-  let broker = Probe_broker.create ~key:Fun.id resolve in
+    (Invalid_argument "Probe_broker.create: rounds < 1") (fun () ->
+      ignore (Probe_broker.create ~rounds:0 ~key:Fun.id backends));
+  let broker = Probe_broker.create ~key:Fun.id backends in
   checki "one round slot by default" 1 (Probe_broker.rounds broker);
   Alcotest.check_raises "bad quota"
     (Invalid_argument "Probe_broker.client: quota < 0") (fun () ->

@@ -316,8 +316,7 @@ let pinned_run ~via_cascade ?(cost = Cost_model.paper) ?budget
   let probe =
     if faults then
       let plan =
-        Fault_plan.make ~seed:77 ~transient_rate:0.05 ~permanent_rate:0.1
-          ~max_retries:2 ()
+        Fault_plan.make ~seed:77 ~transient_rate:0.05 ~permanent_rate:0.1 ()
       in
       Probe_source.driver ~batch_size:batch
         (Probe_source.create ~max_retries:2 ~faults:plan Interval_data.probe)

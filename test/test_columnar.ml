@@ -142,7 +142,7 @@ let run ?store ?faults ~seed ~batch ~domains data =
     | Some fault_seed ->
         let plan =
           Fault_plan.make ~seed:fault_seed ~transient_rate:0.05
-            ~permanent_rate:0.1 ~max_retries:2 ()
+            ~permanent_rate:0.1 ()
         in
         Probe_source.driver ~batch_size:batch
           (Probe_source.create ~max_retries:2 ~faults:plan Interval_data.probe)

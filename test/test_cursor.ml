@@ -136,8 +136,7 @@ let cascade ?obs c =
   let faults =
     Option.map
       (fun seed ->
-        Fault_plan.make ~seed ~transient_rate:0.05 ~permanent_rate:0.1
-          ~max_retries:2 ())
+        Fault_plan.make ~seed ~transient_rate:0.05 ~permanent_rate:0.1 ())
       c.faults
   in
   fst

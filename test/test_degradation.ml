@@ -78,8 +78,7 @@ let faulted_engine_run ?(domains = 1) ?obs ~total ~fault_seed
     Synthetic.generate (Rng.create 51) (Synthetic.config ~total ())
   in
   let faults =
-    Fault_plan.make ~seed:fault_seed ~transient_rate ~permanent_rate
-      ~max_retries:2 ()
+    Fault_plan.make ~seed:fault_seed ~transient_rate ~permanent_rate ()
   in
   let source = Probe_source.create ?obs ~max_retries:2 ~faults Synthetic.probe in
   let result =
@@ -163,7 +162,7 @@ let test_wasted_cost_amortizes_batch_setup () =
     Synthetic.generate (Rng.create 51) (Synthetic.config ~total:1000 ())
   in
   let faults =
-    Fault_plan.make ~seed:7 ~permanent_rate:0.2 ~max_retries:2 ()
+    Fault_plan.make ~seed:7 ~permanent_rate:0.2 ()
   in
   let source = Probe_source.create ~max_retries:2 ~faults Synthetic.probe in
   let result =
@@ -223,7 +222,7 @@ let test_fault_sweep_invariants () =
     (fun rate ->
       let faults =
         Fault_plan.make ~seed:1337 ~permanent_rate:rate
-          ~transient_rate:(rate /. 2.0) ~max_retries:2 ()
+          ~transient_rate:(rate /. 2.0) ()
       in
       let result, profile = run ~faults () in
       let tag what = Printf.sprintf "%s (rate %g)" what rate in
@@ -444,8 +443,7 @@ let prop_tier_meter_reconciles_under_faults =
       let faults =
         Fault_plan.make ~seed:fault_seed
           ~transient_rate:(float_of_int pct /. 100.0)
-          ~permanent_rate:(float_of_int pct /. 150.0)
-          ~max_retries:2 ()
+          ~permanent_rate:(float_of_int pct /. 150.0) ()
       in
       let _, profile =
         interval_run ~cascade_power:0.8 ~faults ~seed:(fault_seed + 3) ()
@@ -463,8 +461,7 @@ let replay_run ~domains () =
     Synthetic.generate (Rng.create 71) (Synthetic.config ~total:1200 ())
   in
   let faults =
-    Fault_plan.make ~seed:303 ~transient_rate:0.1 ~permanent_rate:0.08
-      ~max_retries:2 ()
+    Fault_plan.make ~seed:303 ~transient_rate:0.1 ~permanent_rate:0.08 ()
   in
   let source = Probe_source.create ~obs ~max_retries:2 ~faults Synthetic.probe in
   let result =

@@ -31,8 +31,7 @@ let test_make_validation () =
   invalid (fun () -> Fault_plan.make ~transient_rate:1.5 ());
   invalid (fun () -> Fault_plan.make ~permanent_rate:(-0.1) ());
   invalid (fun () -> Fault_plan.make ~spike_factor:0.5 ());
-  invalid (fun () -> Fault_plan.make ~spike_factor:Float.nan ());
-  invalid (fun () -> Fault_plan.make ~max_retries:(-1) ())
+  invalid (fun () -> Fault_plan.make ~spike_factor:Float.nan ())
 
 (* The injector's stream is a pure function of (seed, site): equal
    arguments replay identically, in lockstep, forever. *)

@@ -467,7 +467,7 @@ let test_concurrent_runs_sum_exactly () =
   let run obs i =
     let faults =
       Fault_plan.make ~seed:(70 + i) ~transient_rate:0.05
-        ~permanent_rate:0.05 ~max_retries:1 ()
+        ~permanent_rate:0.05 ()
     in
     let cascade, _ =
       Tiered.of_functions ~faults ~max_retries:1 ~specs

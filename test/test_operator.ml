@@ -468,8 +468,7 @@ let test_degradation_matches_engine () =
   let params = Policy.greedy_params in
   let driver () =
     let faults =
-      Fault_plan.make ~seed:1337 ~permanent_rate:0.2 ~transient_rate:0.1
-        ~max_retries:2 ()
+      Fault_plan.make ~seed:1337 ~permanent_rate:0.2 ~transient_rate:0.1 ()
     in
     Probe_source.driver ~batch_size:16
       (Probe_source.create ~max_retries:2 ~faults Synthetic.probe)

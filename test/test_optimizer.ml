@@ -279,6 +279,39 @@ let test_explain () =
      let rec go i = i + n <= String.length t && (String.sub t i n = "INFEASIBLE" || go (i + 1)) in
      go 0)
 
+(* The probe-price line of [Solver.explain] for the three pricing
+   inputs, pinned to the strings the planner printed when it still took
+   a batch size beside the cascade: a scalar oracle (B = 1, c_b = 0)
+   prints none, a batched oracle the amortized line, and a two-tier
+   cascade the cascade line. *)
+let test_explain_probe_price () =
+  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:50.0 in
+  let requirements =
+    Quality.requirements ~precision:0.9 ~recall:0.5 ~laxity:10.0
+  in
+  let price_lines ?cost tiers =
+    let t = Solver.problem ~total:1000 ~spec ~requirements ?cost ~tiers () in
+    Solver.explain t (Solver.solve t)
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"probes priced")
+  in
+  let check = Alcotest.(check (list string)) in
+  check "B = 1, c_b = 0 oracle" []
+    (price_lines
+       (Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:1 ()));
+  let cost = { Cost_model.paper with c_b = 200.0 } in
+  check "B = 8, c_b = 200 oracle"
+    [ "probes priced amortized: c_p + c_b/B = 100 + 200/8 = 125 per probe" ]
+    (price_lines ~cost (Probe_tier.oracle_only ~cost ~batch:8 ()));
+  check "two-tier cascade"
+    [
+      "probes priced via cascade: start at tier 0 (proxy), expected 0.45625 \
+       per probe over 2 tiers";
+    ]
+    (price_lines
+       (Probe_tier.of_string
+          "proxy:cp=0.1,cb=1,B=32,shrink=0.8;oracle:cp=1,cb=5,B=8"))
+
 (* --- reference implementations -------------------------------------- *)
 
 (* The simplex as it was before its inner loop became allocation-free,
@@ -629,8 +662,8 @@ let random_problem seed =
   let batch = 1 + Rng.int rng 16 in
   let tiers =
     if Rng.int rng 4 = 0 then
-      Some (Probe_tier.of_string tier_specs.(Rng.int rng (Array.length tier_specs)))
-    else None
+      Probe_tier.of_string tier_specs.(Rng.int rng (Array.length tier_specs))
+    else Probe_tier.oracle_only ~cost ~batch ()
   in
   let budget_factor =
     match Rng.int rng 4 with
@@ -639,7 +672,7 @@ let random_problem seed =
     | _ -> Rng.uniform_in rng 0.02 0.9
   in
   ( Solver.problem ~total:(100 + Rng.int rng 20_000) ~spec ~requirements ~cost
-      ~batch ?tiers (),
+      ~tiers (),
     reference_density,
     budget_factor )
 
@@ -752,7 +785,8 @@ let warm_problems spec =
         (fun recall ->
           List.map
             (fun laxity ->
-              Solver.problem ~total:10_000 ~spec ~batch:8
+              Solver.problem ~total:10_000 ~spec
+                ~tiers:(Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:8 ())
                 ~requirements:(Quality.requirements ~precision ~recall ~laxity)
                 ())
             [ 30.0; 50.0; 80.0 ])
@@ -808,6 +842,7 @@ let suite =
   [
     ("uniform density", `Quick, test_uniform_density);
     ("plan explanation", `Quick, test_explain);
+    ("plan explanation prices probes", `Quick, test_explain_probe_price);
     ("histogram density approximates uniform", `Quick, test_histogram_density_approximates_uniform);
     ("region model hand check", `Quick, test_region_model_hand_check);
     ("region spec rejects non-finite fractions", `Quick,

@@ -64,7 +64,7 @@ let test_engine_plans_through_halves () =
   in
   let solution =
     Planner.solve ~total:(Array.length data) ~f_y:pilot.f_y ~f_m:pilot.f_m
-      ~density:pilot.density ~max_laxity:100.0 ~requirements ~cost ~batch:1
+      ~density:pilot.density ~max_laxity:100.0 ~requirements ~cost
       ~tiers:
         (Cascade.specs
            (Cascade.of_driver ~cost (Probe_driver.scalar Synthetic.probe)))

@@ -429,8 +429,14 @@ let test_prometheus_merge_diff () =
 let test_snapshot_hammer () =
   let obs = Obs.create () in
   let broker =
-    Probe_broker.create ~obs ~batch_size:4 ~freshness:0.0 ~key:Fun.id
-      (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs)
+    Probe_broker.create ~obs ~freshness:0.0 ~key:Fun.id
+      [|
+        {
+          Probe_broker.bk_resolve =
+            (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs);
+          bk_batch = 4;
+        };
+      |]
   in
   let rounds = 300 in
   let worker tenant =
