@@ -960,7 +960,7 @@ let server_bench () =
     let broker =
       Probe_broker.create
         ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-        [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
+        [| Probe_broker.backend ~batch resolve |]
     in
     let runs =
       Array.mapi
@@ -1093,7 +1093,7 @@ let telemetry_bench () =
     let broker =
       Probe_broker.create ?obs
         ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
-        [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
+        [| Probe_broker.backend ~batch resolve |]
     in
     let runs =
       Array.mapi

@@ -43,3 +43,14 @@ val first_feasible :
   preference:action list -> action
 (** The first action of [preference] that is feasible; falls back to
     [Probe] if none is. *)
+
+val first_feasible_after :
+  yes:int ->
+  Counters.t -> Quality.requirements -> verdict:Tvl.t -> laxity:float ->
+  preference:action list -> action
+(** [first_feasible_after ~yes] is {!first_feasible} on the counters as
+    they would stand after [yes] more probes resolved YES (each adds 1
+    to [answer_yes], [answer_size] and [yes_seen]).  Rules (b) and (c)
+    only loosen as [yes] grows, so when it agrees with [~yes:0] it
+    agrees with every [yes] in between — the operator's probe-ahead
+    test (see {!Operator.run}). *)

@@ -32,6 +32,32 @@ let source_of_array objects =
 
 type 'o emitted = { obj : 'o; precise : bool }
 
+(* The collected answer.  A batch kept in flight reserves a [slot] at
+   its dispatch position, and its completions deliver into the slot, so
+   the answer reads in the synchronous run's order whenever the batch
+   lands.  [slots] pairs each slot with the number of [items] before
+   it; both lists are newest first. *)
+type 'o sink = {
+  mutable items : 'o emitted list;
+  mutable count : int;
+  mutable slots : (int * 'o sink) list;
+}
+
+let new_sink () = { items = []; count = 0; slots = [] }
+
+(* [s]'s entries in delivery order, slots spliced in, followed by
+   [tail]. *)
+let rec flatten s tail =
+  let rec go items n slots tail =
+    match slots with
+    | (pos, sub) :: rest when pos >= n -> go items n rest (flatten sub tail)
+    | _ -> (
+        match items with
+        | x :: xs -> go xs (n - 1) slots (x :: tail)
+        | [] -> tail)
+  in
+  go s.items s.count s.slots tail
+
 type degradation = {
   failed_probes : int;
   failed_attempts : int;
@@ -70,7 +96,7 @@ let trace_action = function
   | Decision.Ignore -> `Ignore
 
 let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
-    ?(should_stop = fun ~pending:_ -> false) ?on_progress ~(instance : _ instance)
+    ?should_stop ?on_progress ~(instance : _ instance)
     ~(cascade : _ Cascade.t) ~policy ~(requirements : Quality.requirements)
     source =
   let meter = match meter with Some m -> m | None -> Cost_meter.create () in
@@ -155,10 +181,15 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   in
   let tracing = match obs with Some o -> Obs.tracing o | None -> false in
   let trace_event e = match obs with Some o -> Obs.event o e | None -> () in
-  let answer = ref [] in
+  let answer = new_sink () in
+  let sink = ref answer in
   let deliver entry =
     (match emit with Some f -> f entry | None -> ());
-    if collect then answer := entry :: !answer
+    if collect then begin
+      let s = !sink in
+      s.items <- entry :: s.items;
+      s.count <- s.count + 1
+    end
   in
   let forward_imprecise o =
     Cost_meter.charge_write_imprecise meter;
@@ -230,18 +261,27 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     | Tvl.No -> Counters.probe_maybe_no counters
     | Tvl.Maybe -> raise Inconsistent_probe
   in
-  (* Probing is deferred: a PROBE decision submits the object to the
-     driver and its counter updates, consistency checks and emission run
-     when the batch resolves.  While a probe is pending the counters lag
-     by its eventual (answer_yes, yes_seen, unseen) increments — but a
-     resolution can only add the same amount to both sides of the
-     Theorem 3.1 inequalities (a YES resolution adds 1 to |A∩Y| and to
-     |A|, to |A∩Y| and to |Y|; a NO resolution changes nothing), so any
-     forward or ignore the guards admit against the lagged counters is
-     also admissible against the flushed ones: deferral is conservative,
-     never unsound.  With batch size 1 every submission flushes before
-     [submit_outcome] returns and this operator is the scalar Fig. 1
-     loop, bit for bit. *)
+  (* Probing is deferred, twice over.  A PROBE decision queues the
+     object on its tier's driver, and its counter updates, consistency
+     checks and emission run when its batch completes; with probe-ahead
+     a full batch's ticket may complete later still, while the scan
+     reads on.  Either way the counters lag by the pending probes'
+     eventual increments: a YES adds 1 to |A∩Y|, |A| and |Y|, a NO only
+     consumes the object.  The Theorem 3.1 guards are monotone in that
+     lag — each YES grows the slack of rule (b) by 1 − p_q and of rule
+     (c) by 1 − r_q — so a forward or ignore admitted against the lagged
+     counters is admissible against the settled ones, and a batch still
+     filling is conservative, never unsound.  Probe-ahead must be exact,
+     not just sound: it takes the decision the synchronous run takes,
+     where every dispatched batch has completed.  So with k outcomes
+     the synchronous run may already hold, a decision compares
+     [first_feasible] at y = 0 and y = k; when the two agree every y in
+     between agrees, and otherwise the oldest ticket completes and the
+     test repeats ([decide]).  The stop test waits for every ticket
+     whenever some outcome mix could end the scan or flush a partial
+     batch.  With batch size 1 every submission completes before
+     [submit] returns and this operator is the scalar Fig. 1 loop, bit
+     for bit. *)
   (* Degradation state: a probe that fails permanently does not abort
      the run — the object is still MAYBE (or YES) and still needs a
      write decision.  The fallback re-enters the Theorem 3.1 guards with
@@ -317,11 +357,84 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      re-consulted (no rng draw), so plans and adaptive windows
      see the same decision stream as an oracle-only run. *)
   let forwardable ~laxity = laxity <= requirements.Quality.laxity in
+  (* Probe-ahead.  A full batch whose backend answers [Later] stays in
+     flight, its ticket queued per tier in dispatch order with an answer
+     slot reserved where the synchronous run would deliver it, and the
+     scan reads on.  A run stays synchronous — every batch completes at
+     dispatch — where the lag could change what it does: a budget or
+     deadline prices pending probes, a custom or adaptive policy and
+     [on_progress] read the counters, a tier of batch size 1 is the
+     scalar loop, and a driver that can fail a probe ([ahead = 0])
+     degrades against the counters at its synchronous point. *)
+  let ahead =
+    Option.is_none should_stop && Option.is_none on_progress
+    && (match policy with Policy.Custom _ -> false | _ -> true)
+    && Array.for_all
+         (fun d -> Probe_driver.ahead d > 0 && Probe_driver.batch_size d > 1)
+         drivers
+  in
+  let caps = Array.map (fun d -> if ahead then Probe_driver.ahead d else 0) drivers in
+  let in_flight = Array.init n (fun _ -> Queue.create ()) in
+  let flying = ref 0 (* objects in flight over every tier *)
+  and dispatches = ref 0 in
+  let complete_next i =
+    let _, tk, slot = Queue.pop in_flight.(i) in
+    flying := !flying - Probe_driver.size tk;
+    let outer = !sink in
+    sink := slot;
+    Probe_driver.complete tk;
+    sink := outer;
+    sync_batches ()
+  in
+  (* Tickets complete per tier in dispatch order: a tier's submissions
+     come from the scan (the start tier) or from the tier below's
+     completions only, so each tier sees the synchronous run's stream.
+     Across tiers the first dispatched goes first. *)
+  let complete_oldest () =
+    let oldest = ref (-1) and first = ref max_int in
+    Array.iteri
+      (fun i q ->
+        match Queue.peek_opt q with
+        | Some (seq, _, _) when seq < !first ->
+            oldest := i;
+            first := seq
+        | Some _ | None -> ())
+      in_flight;
+    complete_next !oldest
+  in
+  let await_all () = while !flying > 0 do complete_oldest () done in
+  let dispatched i = function
+    | None -> ()
+    | Some tk ->
+        if caps.(i) = 0
+           || (Probe_driver.ready tk && Queue.is_empty in_flight.(i))
+        then Probe_driver.complete tk
+        else begin
+          let slot =
+            if collect then begin
+              let s = !sink and slot = new_sink () in
+              s.slots <- (s.count, slot) :: s.slots;
+              slot
+            end
+            else !sink
+          in
+          Queue.push (!dispatches, tk, slot) in_flight.(i);
+          incr dispatches;
+          flying := !flying + Probe_driver.size tk;
+          (* The tier's cap: the oldest of its own tickets completes;
+             only lower tiers can be completing further up the stack. *)
+          if Queue.length in_flight.(i) > caps.(i) then complete_next i
+        end
+  in
   let rec submit_tier i ~verdict ~laxity ~preference o complete =
-    Probe_driver.submit_outcome drivers.(i) o (function
+    dispatched i
+    @@ Probe_driver.submit drivers.(i) o (function
       | Probe_driver.Resolved precise ->
           charge_probe_at i;
-          if tracing then trace_event Trace.Probe_resolved;
+          if tracing then
+            trace_event
+              (Trace.Probe_resolved
+                 { verdict = trace_verdict (instance.classify precise) });
           complete precise;
           note_progress ()
       | Probe_driver.Shrunk narrowed ->
@@ -341,6 +454,8 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
                  the query region *)
               raise Inconsistent_probe
           | _ -> ());
+          if tracing then
+            trace_event (Trace.Probe_shrunk { verdict = trace_verdict verdict' });
           (match verdict' with
           | Tvl.No ->
               (* Definite NO: the proxy answered the query; like
@@ -371,10 +486,47 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     sync_batches ()
   in
   let flush_probes () =
-    (* Escalation strictly increases the tier index, so one pass
-       in order drains everything a callback re-submits. *)
-    Array.iter Probe_driver.flush drivers;
+    (* Escalation strictly increases the tier index, so one pass in
+       order drains everything a completion re-submits. *)
+    await_all ();
+    for i = 0 to n - 1 do
+      dispatched i (Probe_driver.dispatch drivers.(i));
+      await_all ()
+    done;
     sync_batches ()
+  in
+  (* The YES outcomes the synchronous run may hold that this one does
+     not: every object in flight, and every object queued above the
+     lowest tier with a ticket in flight (the synchronous run may have
+     dispatched and resolved those batches already).  Tiers up to that
+     one hold the same queues in both runs. *)
+  let lag () =
+    if !flying = 0 then 0
+    else begin
+      let low = ref n in
+      for i = n - 1 downto 0 do
+        if not (Queue.is_empty in_flight.(i)) then low := i
+      done;
+      let k = ref !flying in
+      for i = !low + 1 to n - 1 do
+        k := !k + Probe_driver.pending drivers.(i)
+      done;
+      !k
+    end
+  in
+  let rec decide ~verdict ~laxity preference =
+    let action = choose ~verdict ~laxity preference in
+    let k = if enforce then lag () else 0 in
+    if
+      k = 0
+      || Decision.equal_action action
+           (Decision.first_feasible_after ~yes:k counters requirements
+              ~verdict ~laxity ~preference)
+    then action
+    else begin
+      complete_oldest ();
+      decide ~verdict ~laxity preference
+    end
   in
   let pending_probes () = Cascade.pending cascade in
   let finished () = Counters.recall_met counters requirements in
@@ -408,8 +560,15 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   Fun.protect ~finally:publish @@ fun () ->
   while not !stop do
     let pending = pending_probes () in
-    if finished () then stop := true
-    else if should_stop ~pending then begin
+    if !flying > 0 && pending_could_finish (pending + !flying) then
+      (* Some outcome mix of the tickets in flight could end the scan
+         or flush a partial batch: settle them, then take the
+         synchronous run's test. *)
+      await_all ()
+    else if finished () then stop := true
+    else if
+      match should_stop with Some f -> f ~pending | None -> false
+    then begin
       (* The budget (or deadline) cannot pay for another read: stop
          here, keeping whatever answer has accumulated — the anytime
          contract.  Pending probes were committed before the check and
@@ -456,7 +615,10 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
             Policy.preference policy ~rng ~requirements ~counters ~verdict
               ~laxity ~success
           in
-          let decision = choose ~verdict ~laxity preference in
+          let decision =
+            if !flying = 0 then choose ~verdict ~laxity preference
+            else decide ~verdict ~laxity preference
+          in
           if tracing then
             trace_event
               (Trace.Decision
@@ -491,7 +653,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
          });
   let guarantees = Counters.guarantees counters in
   {
-    answer = List.rev !answer;
+    answer = flatten answer [];
     guarantees;
     requirements;
     counts =

@@ -166,8 +166,14 @@ val run :
     a {!Trace} event as it happens.  With [obs] absent the per-object
     path allocates nothing.  [emit] is
     called on each answer object as soon as it is decided — the
-    streaming interface.  [collect] (default [true]) additionally
-    accumulates the answer in the report.
+    streaming interface — so it sees the answer in {e delivery} order:
+    under probe-ahead (below) a batch's precise entries stream when its
+    ticket completes, after entries the scan forwarded since it was
+    dispatched.  [collect] (default [true]) additionally accumulates
+    the answer in the report, in the synchronous run's order: each
+    batch kept in flight reserves a slot at its dispatch position (its
+    escalations reserve slots inside it), so [report.answer] is the
+    same list whenever the batches land.
 
     [cascade] is the probe capability ({!Cascade}) and the operator's
     only probe path; wrap a plain driver with {!Cascade.of_driver}.
@@ -183,6 +189,29 @@ val run :
     satisfy the requirements for every batch size.  The drivers must
     not carry pending submissions from another run; their lifetime
     statistics may (batch charges are metered by delta).
+
+    {e Probe-ahead.}  When every tier's driver lets the run hold
+    tickets ({!Probe_driver.ahead} > 0, batch size > 1), a full batch
+    whose backend answers later stays in flight and the scan reads on;
+    a tier's tickets complete in dispatch order, at most [ahead] of
+    them held.  Before a YES/MAYBE decision the run waits only if the
+    outcomes it lacks could change the decision: with [k] objects whose
+    outcome the synchronous run may already hold (those in flight, and
+    those queued above the lowest tier with a ticket in flight), each
+    can only add the same [y ∈ [0, k]] to [answer_yes], [answer_size]
+    and [yes_seen]; both guards loosen as [y] grows, so when
+    {!Decision.first_feasible_after} agrees at [y = 0] and [y = k] every
+    outcome gives that action, and otherwise the oldest ticket completes
+    and the test repeats.  Before each read the run waits for every
+    ticket whenever the recall test could pass with the in-flight and
+    queued probes counted pending, then runs the synchronous stop test.
+    Reads, decisions, batches, charges, guarantees and [report.answer]
+    are therefore the synchronous run's, bit for bit.  A run stays
+    synchronous — every batch completes at dispatch — with a
+    [should_stop] hook (budgets and deadlines price pending probes), an
+    [on_progress] hook, a [Policy.Custom] (so adaptive) policy, a tier
+    of batch size 1, or a driver that may fail a probe ([ahead = 0]: a
+    failure's fallback reads the counters at its synchronous point).
 
     A PROBE decision enters at the cascade's starting tier.  A
     [Resolved] outcome completes the object; a [Shrunk] outcome (from

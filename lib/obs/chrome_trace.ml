@@ -81,7 +81,10 @@ let describe = function
           ("laxity", jfloat laxity);
           ("success", jfloat success);
         ] )
-  | Trace.Probe_resolved -> ("probe-resolved", [])
+  | Trace.Probe_resolved { verdict } ->
+      ("probe-resolved", [ ("verdict", jstr (Trace.verdict_name verdict)) ])
+  | Trace.Probe_shrunk { verdict } ->
+      ("probe-shrunk", [ ("verdict", jstr (Trace.verdict_name verdict)) ])
   | Trace.Probe_failed { attempts } ->
       ("probe-failed", [ ("attempts", string_of_int attempts) ])
   | Trace.Degraded { verdict; action; forced } ->

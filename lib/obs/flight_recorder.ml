@@ -118,7 +118,9 @@ let record_run_level t (ctx : Trace.context) ev =
 
 let record t ctx ev =
   match ev with
-  | Trace.Read _ | Trace.Decision _ | Trace.Probe_resolved -> ()
+  | Trace.Read _ | Trace.Decision _ | Trace.Probe_resolved _
+  | Trace.Probe_shrunk _ ->
+      ()
   | _ -> record_run_level t ctx ev
 
 let sink t = Trace.callback_ctx (fun ctx ev -> record t ctx ev)

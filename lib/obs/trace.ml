@@ -13,7 +13,8 @@ type event =
       laxity : float;
       success : float;
     }
-  | Probe_resolved
+  | Probe_resolved of { verdict : verdict }
+  | Probe_shrunk of { verdict : verdict }
   | Probe_failed of { attempts : int }
   | Degraded of { verdict : verdict; action : action; forced : bool }
   | Breaker of { state : string; round : int }
@@ -72,7 +73,10 @@ let pp_event ppf = function
   | Decision { verdict; action; laxity; success } ->
       Format.fprintf ppf "decision %s -> %s (l=%g s=%g)" (verdict_name verdict)
         (action_name action) laxity success
-  | Probe_resolved -> Format.pp_print_string ppf "probe resolved"
+  | Probe_resolved { verdict } ->
+      Format.fprintf ppf "probe resolved %s" (verdict_name verdict)
+  | Probe_shrunk { verdict } ->
+      Format.fprintf ppf "probe shrunk to %s" (verdict_name verdict)
   | Probe_failed { attempts } ->
       Format.fprintf ppf "probe failed permanently after %d attempts" attempts
   | Degraded { verdict; action; forced } ->

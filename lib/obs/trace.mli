@@ -38,7 +38,13 @@ type event =
       laxity : float;
       success : float;
     }  (** the operator committed to an action for one object *)
-  | Probe_resolved  (** one pending probe resolved to its precise object *)
+  | Probe_resolved of { verdict : verdict }
+      (** one pending probe resolved to its precise object, which
+          classifies as [verdict] ([`Yes] or [`No]) *)
+  | Probe_shrunk of { verdict : verdict }
+      (** a proxy tier narrowed one pending probe's object, which
+          re-classifies as [verdict]: [`No] is consumed, [`Yes]
+          forwards or escalates, [`Maybe] escalates *)
   | Probe_failed of { attempts : int }
       (** one pending probe exhausted its retry budget and will never
           resolve; the object degrades to an imprecise write decision *)

@@ -167,17 +167,16 @@ let create ?clock cfg =
   in
   let latency = cfg.c_probe_ms /. 1000.0 in
   (* A fault is decided per object and tier, from the object's key
-     ([Fault_plan.permanent]), so the resolver's answers depend only on
-     the objects asked.  A lane therefore runs its next query while this
-     one waits on the backend ([Domain_pool.blocking]), and every query
-     in flight may keep a round of its own.  A breaker's verdicts follow
-     round order, so a breaker keeps one query per lane and one round at
-     a time. *)
+     ([Fault_plan.permanent]), so the backend's answers depend only on
+     the objects asked.  A round is therefore split-phase: the send
+     answers at once and the await lends the lane
+     ([Domain_pool.blocking]) for what is left of the latency, so the
+     query keeps scanning while its batch is in the backend, its lane
+     runs other queries while it waits, and every query in flight may
+     keep rounds of its own.  A breaker's verdicts follow round order,
+     so a breaker keeps one query per lane and one round at a time,
+     sleeping through each round as it is sent. *)
   let lends = not cfg.c_breaker in
-  let wait_backend () =
-    if lends then Domain_pool.blocking (fun () -> Unix.sleepf latency)
-    else Unix.sleepf latency
-  in
   let faults =
     Fault_plan.make ~seed:cfg.c_fault_seed ~permanent_rate:cfg.c_fault_rate ()
   in
@@ -186,16 +185,29 @@ let create ?clock cfg =
       Some (Obs.counter srv_obs Obs.Keys.fault_injected)
     else None
   in
-  let resolver fails to_outcome objs =
-    if latency > 0.0 then wait_backend ();
-    Array.map
-      (fun (o : Synthetic.obj) ->
-        if fails o.Synthetic.id then begin
-          Option.iter Metrics.incr injected;
-          Probe_driver.Failed { attempts = 1 }
-        end
-        else to_outcome o)
-      objs
+  let send fails to_outcome objs =
+    let due = Unix.gettimeofday () +. latency in
+    let outcomes =
+      Array.map
+        (fun (o : Synthetic.obj) ->
+          if fails o.Synthetic.id then begin
+            Option.iter Metrics.incr injected;
+            Probe_driver.Failed { attempts = 1 }
+          end
+          else to_outcome o)
+        objs
+    in
+    if latency <= 0.0 then Probe_driver.Ready outcomes
+    else if not lends then begin
+      Unix.sleepf latency;
+      Probe_driver.Ready outcomes
+    end
+    else
+      Probe_driver.Later
+        (fun () ->
+          let left = due -. Unix.gettimeofday () in
+          if left > 0.0 then Domain_pool.blocking (fun () -> Unix.sleepf left);
+          outcomes)
   in
   (* Every backend configuration is a cascade, [c_tiers = None] the
      oracle-only one.  Each tier draws its faults at a site of its own,
@@ -223,8 +235,9 @@ let create ?clock cfg =
               fun o -> Probe_driver.Shrunk (Synthetic.shrink ~power o)
         in
         {
-          Probe_broker.bk_resolve = resolver fails to_outcome;
+          Probe_broker.bk_send = send fails to_outcome;
           bk_batch = spec.Probe_tier.batch;
+          bk_fallible = cfg.c_fault_rate > 0.0;
         })
       tiers
   in

@@ -62,7 +62,14 @@ type config = {
   c_batch : int;  (** broker batch size B *)
   c_capacity : int option;  (** shared probe capacity; unlimited if None *)
   c_freshness : float;  (** freshness window, seconds *)
-  c_probe_ms : float;  (** simulated backend latency per batch *)
+  c_probe_ms : float;
+      (** simulated backend latency per batch.  A positive latency
+          makes each round split-phase: the send answers [Later] and the
+          await sleeps for what is left of the latency, lending the lane
+          ({!Domain_pool.blocking}), so without a breaker, a capacity, a
+          quota or faults a query keeps scanning while its batches are
+          in the backend (probe-ahead, {!Operator.run}).  At 0 every
+          round answers at dispatch and no thread is started. *)
   c_admission : admission;
   c_domains : int option;
       (** lanes for RUN (default: one per core; a RUN never takes more

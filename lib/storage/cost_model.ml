@@ -25,9 +25,6 @@ let amortized_probe t ~batch =
   if batch < 1 then invalid_arg "Cost_model.amortized_probe: batch < 1";
   t.c_p +. (t.c_b /. float_of_int batch)
 
-let amortize ~batch t =
-  { t with c_p = amortized_probe t ~batch; c_b = 0.0 }
-
 let pp ppf t =
   Format.fprintf ppf "c_r=%g c_p=%g c_wi=%g c_wp=%g c_b=%g" t.c_r t.c_p
     t.c_wi t.c_wp t.c_b

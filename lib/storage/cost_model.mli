@@ -42,12 +42,6 @@ val amortized_probe : t -> batch:int -> float
     (§4.2.2, Eq. 11) must charge per probe so that plan costs match the
     metered reality.  @raise Invalid_argument if [batch < 1]. *)
 
-val amortize : batch:int -> t -> t
-(** Fold the batch cost into the per-probe marginal: the returned model
-    has [c_p = amortized_probe t ~batch] and [c_b = 0].  With
-    [batch = 1] (or [c_b = 0]) this is the identity.
-    @raise Invalid_argument if [batch < 1]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints [c_r=… c_p=… c_wi=… c_wp=… c_b=…]; inverse of
     {!of_string}. *)

@@ -3,9 +3,10 @@
    option] source, the pre-classified [item] records of [Scan_pipeline]
    and [Column_scan], and the [premap] wrapper drivers that carried
    probes of items to the unwrapped backend.  The only edits are module
-   paths, and [Cascade.premap] rebuilt from the public [Cascade.create]
+   paths, [Cascade.premap] rebuilt from the public [Cascade.create]
    (the original shared [start] and the failover counts with the
-   unmapped cascade; nothing here reads either).  The equivalence
+   unmapped cascade; nothing here reads either), and the verdicts the
+   probe events carry ([Trace.Probe_resolved], [Trace.Probe_shrunk]).  The equivalence
    properties run the library's loop against this one, bit for bit. *)
 
 module Operator_ref = struct
@@ -299,7 +300,10 @@ module Operator_ref = struct
       Probe_driver.submit_outcome drivers.(i) o (function
         | Probe_driver.Resolved precise ->
             charge_probe_at i;
-            if tracing then trace_event Trace.Probe_resolved;
+            if tracing then
+              trace_event
+                (Trace.Probe_resolved
+                   { verdict = trace_verdict (instance.classify precise) });
             complete precise;
             note_progress ()
         | Probe_driver.Shrunk narrowed ->
@@ -319,6 +323,8 @@ module Operator_ref = struct
                    the query region *)
                 raise Inconsistent_probe
             | _ -> ());
+            if tracing then
+              trace_event (Trace.Probe_shrunk { verdict = trace_verdict verdict' });
             (match verdict' with
             | Tvl.No ->
                 (* Definite NO: the proxy answered the query; like

@@ -159,7 +159,7 @@ let test_adaptive_ladder () =
   let achieved = achieved ~data in
   let batch_cost =
     float_of_int batch
-    *. (Cost_model.amortize ~batch Cost_model.paper).Cost_model.c_p
+    *. Cost_model.amortized_probe Cost_model.paper ~batch
   in
   let rungs =
     List.map

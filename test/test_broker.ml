@@ -12,7 +12,7 @@ let obj_key (o : Synthetic.obj) = o.Synthetic.id
 
 (* A plain oracle as the broker's one backend. *)
 let oracle ?(batch = 1) resolve =
-  [| { Probe_broker.bk_resolve = resolve; bk_batch = batch } |]
+  [| Probe_broker.backend ~batch resolve |]
 
 let small_data total =
   Synthetic.generate (Rng.create 5) (Synthetic.config ~total ())
@@ -550,17 +550,10 @@ let test_broker_metrics () =
 let tiered_toy () =
   Probe_broker.create ~key:Fun.id
     [|
-      {
-        Probe_broker.bk_resolve =
-          (fun objs ->
-            Array.map (fun k -> Probe_driver.Shrunk (k + 1000)) objs);
-        bk_batch = 3;
-      };
-      {
-        Probe_broker.bk_resolve =
-          (fun objs -> Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs);
-        bk_batch = 4;
-      };
+      Probe_broker.backend ~batch:3 (fun objs ->
+          Array.map (fun k -> Probe_driver.Shrunk (k + 1000)) objs);
+      Probe_broker.backend ~batch:4 (fun objs ->
+          Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs);
     |]
 
 (* K queries at mixed tiers charge exactly |union| per tier — where the
@@ -680,18 +673,12 @@ let tier_hammer ~rounds =
   let broker =
     Probe_broker.create ~rounds ~key:Fun.id
       [|
-        {
-          Probe_broker.bk_resolve =
-            slow (fun objs ->
-                Array.map (fun k -> Probe_driver.Shrunk (k + 1000)) objs);
-          bk_batch = 3;
-        };
-        {
-          Probe_broker.bk_resolve =
-            slow (fun objs ->
-                Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs);
-          bk_batch = 4;
-        };
+        Probe_broker.backend ~batch:3
+          (slow (fun objs ->
+               Array.map (fun k -> Probe_driver.Shrunk (k + 1000)) objs));
+        Probe_broker.backend ~batch:4
+          (slow (fun objs ->
+               Array.map (fun k -> Probe_driver.Resolved (k * 7)) objs));
       |]
   in
   (* key k goes to the proxy from one worker and to the oracle from the
@@ -838,6 +825,179 @@ let test_lane_raising_round_identity () =
   | Probe_driver.Resolved 99 -> ()
   | _ -> Alcotest.fail "the slot of the raising round must be free again"
 
+(* ---- tickets: split-phase rounds ---------------------------------- *)
+
+(* A backend whose rounds answer [Later]: [await] runs [on_await] with
+   the round's objects, then answers every object [Resolved k]. *)
+let later_backend ~batch on_await =
+  {
+    Probe_broker.bk_send =
+      (fun objs ->
+        Probe_driver.Later
+          (fun () ->
+            on_await objs;
+            Array.map (fun k -> Probe_driver.Resolved k) objs));
+    bk_batch = batch;
+    bk_fallible = false;
+  }
+
+let spin ~what p =
+  let tries = ref 0 in
+  while not (p ()) do
+    incr tries;
+    if !tries > 4000 then Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.0005
+  done
+
+let identity (s : Probe_broker.stats) =
+  s.requests = s.admitted + s.coalesced + s.fresh_hits + s.rejected
+
+(* A client holds two tickets, each with a round out.  Another domain's
+   request joins the older round and claims it, and the backend holds
+   that round until the newer one is awaited.  Waiting on its older
+   ticket, the owner completes its newer round first — a round is
+   completed by whichever client waits on the broker — and its older
+   ticket settles once the other domain's await returns. *)
+let test_round_completes_while_owner_waits () =
+  let entered_old = Atomic.make false and opened = Atomic.make false in
+  let log = Mutex.create () and order = ref [] in
+  let on_await objs =
+    if Array.mem 1 objs then begin
+      Atomic.set entered_old true;
+      spin ~what:"the newer round to open the gate" (fun () -> Atomic.get opened)
+    end;
+    Mutex.protect log (fun () -> order := objs.(0) :: !order);
+    if Array.mem 3 objs then Atomic.set opened true
+  in
+  let broker =
+    Probe_broker.create ~rounds:2 ~freshness:0.0 ~key:Fun.id
+      [| later_backend ~batch:2 on_await |]
+  in
+  let a = Probe_broker.client ~tenant:"a" broker in
+  checki "a client keeps rounds tickets in flight" 2 (Probe_driver.ahead a);
+  let got = Array.make 5 None in
+  let submit k =
+    Probe_driver.submit a k (fun oc -> got.(k) <- Some oc)
+  in
+  ignore (submit 1);
+  let older = Option.get (submit 2) in
+  ignore (submit 3);
+  let newer = Option.get (submit 4) in
+  checkb "both tickets wait on the backend" false
+    (Probe_driver.ready older || Probe_driver.ready newer);
+  let b = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"b" broker 1) in
+  spin ~what:"the other domain to claim the older round" (fun () ->
+      Atomic.get entered_old);
+  Probe_driver.complete older;
+  checkb "the older ticket settled" true (got.(1) <> None && got.(2) <> None);
+  checkb "the newer ticket's callbacks wait for it" true (got.(3) = None);
+  Probe_driver.complete newer;
+  (match Domain.join b with
+  | Probe_driver.Resolved 1 -> ()
+  | _ -> Alcotest.fail "the coalesced request got the wrong outcome");
+  Array.iteri
+    (fun k oc ->
+      if k > 0 then
+        match oc with
+        | Some (Probe_driver.Resolved k') when k' = k -> ()
+        | _ -> Alcotest.failf "object %d got the wrong outcome" k)
+    got;
+  checkb "the newer round completed before the older one" true
+    (List.rev !order = [ 3; 1 ]);
+  let s = Probe_broker.stats broker in
+  checkb "stats identity" true (identity s);
+  checki "two rounds" 2 s.batches;
+  checki "four probes charged" 4 s.charged;
+  checki "one coalesced request" 1 s.coalesced
+
+(* Two queries' tickets, with an object in common, settle in either
+   order: waiting on the later ticket first completes the earlier round
+   on the way.  Outcomes, charges and rounds are the same either
+   way. *)
+let test_tickets_settle_in_either_order () =
+  let run first =
+    let awaited = ref 0 in
+    let broker =
+      Probe_broker.create ~rounds:2 ~freshness:0.0 ~key:Fun.id
+        [| later_backend ~batch:3 (fun _ -> incr awaited) |]
+    in
+    let outcomes = Hashtbl.create 8 in
+    let ticket tenant keys =
+      let d = Probe_broker.client ~tenant broker in
+      let tk = ref None in
+      List.iter
+        (fun k ->
+          tk :=
+            Probe_driver.submit d k (fun oc ->
+                Hashtbl.replace outcomes (tenant, k) oc))
+        keys;
+      Option.get !tk
+    in
+    let ta = ticket "a" [ 1; 2; 3 ] and tb = ticket "b" [ 3; 4; 5 ] in
+    (match first with
+    | `A ->
+        Probe_driver.complete ta;
+        Probe_driver.complete tb
+    | `B ->
+        Probe_driver.complete tb;
+        checki "b's wait completed a's round on the way" 2 !awaited;
+        Probe_driver.complete ta);
+    let s = Probe_broker.stats broker in
+    checkb "stats identity" true (identity s);
+    ( List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []),
+      s.charged, s.coalesced, s.batches, !awaited )
+  in
+  let a_first = run `A and b_first = run `B in
+  checkb "either order, the same settlement" true (a_first = b_first);
+  let outcomes, charged, coalesced, batches, awaited = a_first in
+  checki "six outcomes" 6 (List.length outcomes);
+  checki "five objects charged" 5 charged;
+  checki "the shared object coalesced" 1 coalesced;
+  checki "two rounds" 2 batches;
+  checki "each round awaited once" 2 awaited
+
+(* Four domains, each holding up to [rounds] tickets of its own over a
+   broker whose rounds answer [Later]: every waiter is answered, and
+   the stats identity holds in every concurrent read and at the end. *)
+let test_ticket_hammer () =
+  let rounds = 3 and nkeys = 60 in
+  let broker =
+    Probe_broker.create ~rounds ~freshness:0.0 ~key:Fun.id
+      [| later_backend ~batch:4 (fun _ -> Unix.sleepf 0.0002) |]
+  in
+  let done_ = Atomic.make 0 in
+  let worker i () =
+    let d = Probe_broker.client ~tenant:(string_of_int (i mod 2)) broker in
+    let held = Queue.create () and got = ref 0 in
+    for j = 0 to nkeys - 1 do
+      (* overlapping key ranges, so requests coalesce across domains *)
+      let k = (j + (i * 15)) mod 90 in
+      (match Probe_driver.submit d k (fun _ -> incr got) with
+      | Some tk -> Queue.push tk held
+      | None -> ());
+      if Queue.length held > Probe_driver.ahead d then
+        Probe_driver.complete (Queue.pop held)
+    done;
+    Queue.iter Probe_driver.complete held;
+    Probe_driver.flush d;
+    Atomic.incr done_;
+    !got
+  in
+  let domains = List.init 4 (fun i -> Domain.spawn (worker i)) in
+  let torn = ref 0 in
+  while Atomic.get done_ < 4 do
+    if not (identity (Probe_broker.stats broker)) then incr torn;
+    Unix.sleepf 0.0002
+  done;
+  let answered = List.fold_left (fun n d -> n + Domain.join d) 0 domains in
+  checki "no read saw the identity broken" 0 !torn;
+  checki "every waiter answered" (4 * nkeys) answered;
+  let s = Probe_broker.stats broker in
+  checkb "stats identity" true (identity s);
+  checki "everything admitted was charged" s.admitted s.charged;
+  checki "nothing failed" 0 s.failed;
+  checki "nothing left queued" 0 (Probe_broker.pending broker)
+
 let test_validation () =
   let resolve objs =
     Array.map (fun k -> Probe_driver.Resolved k) objs
@@ -892,5 +1052,11 @@ let suite =
     ("tier freshness asymmetry", `Quick, test_tier_freshness_asymmetry);
     ("two-domain tier hammer keeps stats identity", `Quick,
      test_tier_hammer_stats_identity);
+    ("a round completes while its owner waits on an older ticket", `Quick,
+     test_round_completes_while_owner_waits);
+    ("two queries' tickets settle in either order", `Quick,
+     test_tickets_settle_in_either_order);
+    ("four-domain ticket hammer keeps the stats identity", `Quick,
+     test_ticket_hammer);
     ("validation", `Quick, test_validation);
   ]

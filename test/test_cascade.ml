@@ -590,6 +590,150 @@ let test_proxy_sweep_economics () =
     (Printf.sprintf "oracle-only / proxy-90 cost ratio %.2f >= 1.5" ratio)
     true (ratio >= 1.5)
 
+(* --- probe-ahead: a run that keeps batches in flight is the
+   synchronous run ------------------------------------------------------ *)
+
+(* A deterministic ticketed backend: every batch answers [Later], and
+   the driver lets the operator hold [w] tickets, so a ticket completes
+   at most [w] of its tier's dispatches late — sooner whenever the wait
+   rule needs its outcomes.  [lags] records, per await, how many
+   batches were sent after the awaited one. *)
+let ticketed ~w ~batch_size ~lags f =
+  let sent = ref 0 in
+  Probe_driver.create ~batch_size ~ahead:w (fun objs ->
+      incr sent;
+      let mine = !sent in
+      Probe_driver.Later
+        (fun () ->
+          lags := (!sent - mine) :: !lags;
+          f objs))
+
+type ahead_case = {
+  seed : int;
+  total : int;
+  f_y : float;
+  f_m : float;
+  batch : int;
+  proxy_batch : int;
+  w : int;
+  two_tier : bool;
+  power : float;
+  p : float;
+  r : float;
+  l : float;
+  params : float * float * float * float;
+}
+
+let ahead_case_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 1 100_000 and* total = int_range 20 400
+  and* f_y = float_range 0.0 0.5 and* f_m = float_range 0.0 0.5
+  and* batch = int_range 2 16 and* proxy_batch = int_range 2 16
+  and* w = int_range 1 16 and* two_tier = bool
+  and* power = float_range 0.0 1.0 and* p = float_range 0.5 1.0
+  and* r = float_range 0.3 1.0 and* l = float_range 5.0 100.0
+  and* s3 = float_range 0.0 1.0 and* s5 = float_range 0.0 1.0
+  and* p_py = float_range 0.0 1.0 and* p_fm = float_range 0.0 1.0 in
+  return
+    { seed; total; f_y; f_m; batch; proxy_batch; w; two_tier; power; p; r;
+      l; params = (s3, s5, p_py, p_fm) }
+
+let show_ahead_case c =
+  let s3, s5, p_py, p_fm = c.params in
+  Printf.sprintf
+    "seed=%d total=%d f_y=%g f_m=%g B=%d proxy_B=%d W=%d tiers=%d power=%g \
+     p=%g r=%g l=%g params=(%g,%g,%g,%g)"
+    c.seed c.total c.f_y c.f_m c.batch c.proxy_batch c.w
+    (if c.two_tier then 2 else 1)
+    c.power c.p c.r c.l s3 s5 p_py p_fm
+
+(* One run of the case, ticketed ([Some w]) or synchronous ([None]),
+   with its per-object trace events (reads, decisions, resolutions and
+   batches; timed phases dropped) sorted: probe-ahead reorders them. *)
+let ahead_run ?lags c ~w =
+  let data =
+    Synthetic.generate (Rng.create c.seed)
+      (Synthetic.config ~total:c.total ~f_y:(Float.min c.f_y (1.0 -. c.f_m))
+         ~f_m:c.f_m ())
+  in
+  let lags = match lags with Some l -> l | None -> ref [] in
+  let driver ~batch_size f =
+    match w with
+    | Some w -> ticketed ~w ~batch_size ~lags f
+    | None -> Probe_driver.create_outcomes ~batch_size f
+  in
+  let oracle =
+    driver ~batch_size:c.batch
+      (Array.map (fun o -> Probe_driver.Resolved (Synthetic.probe o)))
+  in
+  let cascade =
+    if c.two_tier then
+      let specs = specs2 ~power:c.power ~proxy_batch:c.proxy_batch () in
+      let specs =
+        [| specs.(0); { (specs.(1)) with Probe_tier.batch = c.batch } |]
+      in
+      Cascade.create ~start:0 ~specs
+        [|
+          driver ~batch_size:c.proxy_batch
+            (Array.map (fun o ->
+                 Probe_driver.Shrunk (Synthetic.shrink ~power:c.power o)));
+          oracle;
+        |]
+    else Cascade.of_driver oracle
+  in
+  let sink, events = Trace.collector () in
+  let s3, s5, p_py, p_fm = c.params in
+  let report =
+    Operator.run ~rng:(Rng.create (c.seed + 1)) ~obs:(Obs.create ~trace:sink ())
+      ~instance:Synthetic.instance ~cascade
+      ~policy:(Policy.qaq (Policy.params ~s3 ~s5 ~p_py ~p_fm))
+      ~requirements:(Quality.requirements ~precision:c.p ~recall:c.r ~laxity:c.l)
+      (Operator.source_of_array data)
+  in
+  let events =
+    List.sort compare
+      (List.filter (function Trace.Phase _ -> false | _ -> true) (events ()))
+  in
+  (report, events)
+
+let same_run (a, ea) (b, eb) =
+  let answer (r : Synthetic.obj Operator.report) =
+    List.map (fun (e : _ Operator.emitted) -> (e.obj.Synthetic.id, e.precise)) r.answer
+  in
+  answer a = answer b
+  && a.Operator.counts = b.Operator.counts
+  && a.guarantees = b.guarantees
+  && a.yes_seen = b.yes_seen
+  && a.maybe_ignored = b.maybe_ignored
+  && a.answer_size = b.answer_size
+  && a.exhausted = b.exhausted
+  && a.degraded = b.degraded
+  && ea = eb
+
+let prop_probe_ahead_is_synchronous =
+  QCheck2.Test.make ~name:"probe-ahead run equals the synchronous run"
+    ~count:300 ~print:show_ahead_case ahead_case_gen (fun c ->
+      same_run (ahead_run c ~w:(Some c.w)) (ahead_run c ~w:None))
+
+(* The property above must exercise the lag: one fixed case keeps
+   batches in flight across later dispatches and still answers as the
+   synchronous run does. *)
+let test_probe_ahead_lags () =
+  let c =
+    { seed = 7; total = 2000; f_y = 0.2; f_m = 0.2; batch = 8;
+      proxy_batch = 32; w = 16; two_tier = true; power = 0.8; p = 0.9;
+      r = 0.6; l = 50.0; params = (0.5, 0.5, 0.5, 0.5) }
+  in
+  List.iter
+    (fun two_tier ->
+      let c = { c with two_tier } in
+      let lags = ref [] in
+      let ahead = ahead_run ~lags c ~w:(Some c.w) in
+      checkb "the same run" true (same_run ahead (ahead_run c ~w:None));
+      checkb "tickets complete after later dispatches" true
+        (List.exists (fun l -> l > 0) !lags))
+    [ false; true ]
+
 let suite =
   [
     ("tier selection prices escalation", `Quick, test_tier_selection);
@@ -605,4 +749,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_synthetic_shrink_sound;
     QCheck_alcotest.to_alcotest prop_guarantees_survive_cascade;
     QCheck_alcotest.to_alcotest prop_tier_spec_parser;
+    ("probe-ahead keeps batches in flight", `Quick, test_probe_ahead_lags);
+    QCheck_alcotest.to_alcotest prop_probe_ahead_is_synchronous;
   ]

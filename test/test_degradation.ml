@@ -175,7 +175,7 @@ let test_wasted_cost_amortizes_batch_setup () =
   checkb "failures happened" true (d.Engine.failed_attempts > 0);
   checkf "wasted cost priced at the amortized c_p + c_b/B"
     (float_of_int d.Engine.failed_attempts
-    *. (Cost_model.amortize ~batch:16 cost).Cost_model.c_p)
+    *. Cost_model.amortized_probe cost ~batch:16)
     d.Engine.wasted_cost;
   checkb "the setup share is actually in there" true
     (d.Engine.wasted_cost

@@ -28,14 +28,6 @@ let test_cost_model_amortize () =
   let m = Cost_model.make ~c_r:1.0 ~c_p:100.0 ~c_wi:1.0 ~c_wp:1.0 ~c_b:60.0 () in
   checkf "amortized B=1" 160.0 (Cost_model.amortized_probe m ~batch:1);
   checkf "amortized B=4" 115.0 (Cost_model.amortized_probe m ~batch:4);
-  let a = Cost_model.amortize ~batch:4 m in
-  checkf "amortize folds c_b into c_p" 115.0 a.c_p;
-  checkf "amortize zeroes c_b" 0.0 a.c_b;
-  checkf "amortize keeps c_r" 1.0 a.c_r;
-  (* batch = 1 with c_b = 0 is the identity: the paper model is
-     untouched. *)
-  checkb "paper model unchanged" true
-    (Cost_model.amortize ~batch:1 Cost_model.paper = Cost_model.paper);
   Alcotest.check_raises "bad batch"
     (Invalid_argument "Cost_model.amortized_probe: batch < 1") (fun () ->
       ignore (Cost_model.amortized_probe m ~batch:0))
