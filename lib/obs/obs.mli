@@ -128,7 +128,11 @@ module Keys : sig
 
   val broker_queue_wait : string
   (** Histogram: seconds a request spent between arriving at the
-      broker and its outcome being settled. *)
+      broker and its outcome being settled.  A round whose backend
+      answers later settles when a client first waits on it, so under
+      probe-ahead this includes time an answered round sat unclaimed
+      while its clients kept scanning: it measures when outcomes reach
+      the clients, not backend queueing alone. *)
 
   val tier_probes : string -> string
   (** [tier_probes name] names the counter of probes {e resolved or
