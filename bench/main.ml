@@ -820,6 +820,18 @@ let micro_tests () =
                     (Quality.requirements ~precision:0.9 ~recall:0.5
                        ~laxity:50.0)
                   (Operator.source_of_array data))));
+      (* One plan of the server's warm workload: the uniform density,
+         f_y = f_m = 0.2, L = 100, |T| = 10,000, B = 8, p 0.9, r 0.6,
+         l 50 — the 19-seed multistart every such query runs. *)
+      Test.make ~name:"optimizer:solve-warm"
+        (let tiers = Probe_tier.oracle_only ~cost:Cost_model.paper ~batch:8 () in
+         let requirements =
+           Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
+         in
+         Staged.stage (fun () ->
+             ignore
+               (Planner.solve ~total:10_000 ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0
+                  ~requirements ~tiers ())));
       Test.make ~name:"core:paa-distance-bounds"
         (let series =
            Time_series.random_walk rng ~length:512 ~start:0.0 ~step_stddev:1.0

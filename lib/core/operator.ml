@@ -546,8 +546,10 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     let ratio num den =
       if den <= 0 then 1.0 else float_of_int num /. float_of_int den
     in
-    Float.max (ratio (ay + n) d) (ratio ay (d - n))
-    >= requirements.Quality.recall
+    (* Neither ratio is NaN, so this is [Float.max] of the two against
+       r_q, without its sign-bit C call. *)
+    let r_q = requirements.Quality.recall in
+    ratio (ay + n) d >= r_q || ratio ay (d - n) >= r_q
   in
   (* One object per iteration; Fig. 1's do-loop with the stopping test
      hoisted, so a query whose recall bound is already met reads

@@ -85,6 +85,15 @@ let sample_indices rng ~fraction n =
   done;
   Array.of_list !acc
 
+(* [Float.max] bit for bit, with no C call unless an argument is NaN
+   (DESIGN §4, "Planner kernel"): a running maximum ties on every row
+   once it stops growing. *)
+let[@inline] fmax x y =
+  if x < y then y
+  else if y < x then x
+  else if x = y then if 1.0 /. x < 0.0 then y else x
+  else Float.max x y
+
 (* The laxity cap, from the input's largest laxity when none is given. *)
 let laxity_cap ?max_laxity observed =
   match max_laxity with
@@ -97,7 +106,11 @@ let rows ?(block = 4096) ~(instance : _ Operator.instance) data =
   if block < 1 then invalid_arg "Scan_pipeline.rows: block < 1";
   let n = Array.length data in
   let widest () =
-    Array.fold_left (fun m o -> Float.max m (instance.laxity o)) 0.0 data
+    let m = ref 0.0 in
+    for i = 0 to n - 1 do
+      m := fmax !m (instance.laxity data.(i))
+    done;
+    !m
   in
   let sample ?max_laxity indices =
     (Array.map (fun i -> data.(i)) indices, laxity_cap ?max_laxity widest)
@@ -148,7 +161,7 @@ let sample_store store ~of_row ?max_laxity indices =
         let w =
           Bigarray.Array1.unsafe_get ch.hi i -. Bigarray.Array1.unsafe_get ch.lo i
         in
-        m := Float.max !m w
+        m := fmax !m w
       done;
       widest := !m
     end;

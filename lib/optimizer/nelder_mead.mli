@@ -14,6 +14,11 @@ type options = {
 
 val default_options : options
 
+type cell = { mutable value : float }
+(** Where the objective leaves its value.  The simplex owns one cell per
+    call and reads it after each evaluation, so a value crosses no
+    closure boundary and is never boxed. *)
+
 type result = {
   point : float array;  (** the best point found (inside the box) *)
   value : float;
@@ -25,16 +30,20 @@ val minimize :
   lower:float array ->
   upper:float array ->
   init:float array ->
-  (float array -> float) ->
+  (float array -> cell -> unit) ->
   result
 (** [minimize ~lower ~upper ~init f] runs the simplex from an initial
     point (clamped into the box; the initial simplex steps 10 % of each
     box width, or 0.1 for degenerate widths).
 
-    The simplex works in buffers allocated once per call, so an iteration
-    allocates nothing but what [f] does.  [f] is passed one of those
-    buffers: it is reused between calls, so [f] must not keep it or
-    change it.  [point] in the result is a fresh copy.
+    [f x cell] evaluates the objective at [x], a point already clamped
+    into the box, and must set [cell.value] to that value; the simplex
+    reads nothing else from it.  [x] is one of the simplex's buffers and
+    [cell] is the simplex's: both are reused between calls, so [f] must
+    not keep them, and must not change [x].  The buffers are allocated
+    once per call, so an iteration allocates nothing but what [f] does,
+    and makes no C call: clamps decide ties and signed zeros inline, and
+    points are copied by loops.  [point] in the result is a fresh copy.
 
     Vertices are ranked by value as the stdlib's [Array.sort] would rank
     them, ties included.  The ranking decides the centroid's summation

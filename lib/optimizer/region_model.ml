@@ -28,7 +28,7 @@ type fractions = {
 
 let fractions t ~laxity_bound (p : Policy.params) =
   let lq = laxity_bound in
-  let yes_hi = t.density.yes_above lq in
+  let yes_hi = Density.yes_above t.density lq in
   let yes_lo = Float.max 0.0 (1.0 -. yes_hi) in
   (* One region, refilled for each rectangle of the plane. *)
   let r = Density.region ~s_min:0.0 ~l_min:0.0 ~l_max:0.0 in
@@ -36,7 +36,7 @@ let fractions t ~laxity_bound (p : Policy.params) =
     r.s_min <- s_min;
     r.l_min <- l_min;
     r.l_max <- l_max;
-    t.density.maybe_region r
+    Density.maybe_region t.density r
   in
   (* Region 3: MAYBE above the laxity bound with s > s3, probed. *)
   fill ~s_min:p.s3 ~l_min:lq ~l_max:t.max_laxity;

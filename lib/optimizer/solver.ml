@@ -77,17 +77,26 @@ let evaluate t (params : Policy.params) =
     expected_precision = precision;
   }
 
-(* [Float.min] and [Float.max] with the strict cases decided by one
-   comparison: the stdlib tests sign bits (a C call) whenever its first
-   comparison fails.  Ties and NaNs go to the stdlib, so every result,
-   -0.0 and NaN included, is the stdlib's bit for bit.  [Density] and
-   [Nelder_mead] keep copies of their own: the objectives run ~28 of
-   these an evaluation, and a library module is compiled [-opaque] in
-   the default build, so a helper shared across modules would be a real
-   call that boxes its result. *)
-let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+(* [Float.min] and [Float.max] bit for bit, -0.0 and NaN included, with
+   no C call unless an argument is NaN: the stdlib tests sign bits
+   ([caml_signbit]) whenever its first comparison fails, and ties are
+   the norm (every coordinate clamped onto 0 or 1).  Equal arguments
+   differ only if they are zeros of opposite signs, and [1.0 /. x < 0.0]
+   tells -0.0 from +0.0.  [Density], [Nelder_mead] and [Histogram] keep
+   copies of their own: a library module is compiled [-opaque] in the
+   default build, so a helper shared across modules would be a real call
+   that boxes its result. *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if 1.0 /. x < 0.0 then x else y
+  else Float.min x y
 
-let[@inline] fmax x y = if x < y then y else if y < x then x else Float.max x y
+let[@inline] fmax x y =
+  if x < y then y
+  else if y < x then x
+  else if x = y then if 1.0 /. x < 0.0 then y else x
+  else Float.max x y
 
 let[@inline] clamp01 x = fmin 1.0 (fmax 0.0 x)
 
@@ -97,108 +106,177 @@ let params_of_vector v =
 
 (* {2 The objectives the simplex minimises}
 
-   The simplex evaluates its objective about 25,000 times per solve, so
+   The simplex evaluates its objective about 23,000 times per solve, so
    the objectives below do not go through [evaluate]: each is one closure
    per problem that hoists every term not depending on the parameters
-   (the YES mass above l_q, the MAYBE mass below it, the prices) and
-   computes the rest straight from the four coordinates, building no
-   [Policy.params], fractions or evaluation record.  Every float
-   operation is the one [Region_model.fractions], its rates and
-   [evaluate] (or [evaluate_dual]) perform, in the same order, so the
-   simplex sees bit-identical values and returns the same plans; the
-   reference tests in [test_optimizer.ml] hold them to that. *)
+   (the YES mass above l_q, the MAYBE mass below it, the prices, the
+   uniform density's laxity fractions) and computes the rest straight
+   from the four coordinates, building no [Policy.params], fractions or
+   evaluation record.  Every float operation is the one
+   [Region_model.fractions], [Density], the rates and [evaluate] (or
+   [evaluate_dual]) perform, in the same order, so the simplex sees
+   bit-identical values and returns the same plans; the reference tests
+   in [test_optimizer.ml] hold them to that.
 
-(* What one parameter point implies per read: α, β, the expected
-   precision and the unit cost of {!Region_model}.  A flat float record,
-   overwritten in place by every evaluation. *)
+   The kernel is this module's [@inline] functions, so an evaluation
+   boxes no float and makes no C call and, on the uniform density, no
+   call at all: its value goes into the simplex's cell. *)
+
+(* The problem's constants, and what one parameter point implies per
+   read: α, β, the expected precision and the unit cost of
+   {!Region_model}.  A flat float record; every evaluation overwrites
+   the last four fields in place. *)
 type rates = {
+  f_y : float;
+  f_m : float;
+  yes_hi : float;  (** YES mass above l_q *)
+  yes_forwarded : float;
+  below_mass : float;  (** MAYBE mass below l_q *)
   mutable alpha : float;
   mutable beta : float;
   mutable precision : float;
   mutable unit_cost : float;
 }
 
-(* [Policy.params]' range check, on a clamped coordinate: only NaN fails. *)
-let[@inline] check_coordinate name x =
-  if not (Float.is_finite x && x >= 0.0 && x <= 1.0) then
-    invalid_arg (Printf.sprintf "Policy.params: %s outside [0, 1]" name)
+(* How an evaluation gets regions 3 and 5: on the uniform density each
+   has a fixed laxity fraction, on a histogram density the two regions
+   keep their laxity bounds and the histogram fills them in place. *)
+type regions =
+  | Uniform_regions of { frac3 : float; frac5 : float }
+  | Histogram_regions of {
+      plane : Histogram.Hist2d.t;
+      r3 : Density.region;
+      r5 : Density.region;
+    }
+
+(* A coordinate as [clamp01] leaves it, and [Policy.params]' range check
+   on it: only NaN fails.  The simplex has already clamped [x] into
+   [multistart]'s box, the unit cube, with [clamp01]'s own operations,
+   and clamping twice gives the same bits, so [x] is returned as is. *)
+let[@inline] coordinate name x =
+  if not (x >= 0.0 && x <= 1.0) then
+    invalid_arg (Printf.sprintf "Policy.params: %s outside [0, 1]" name);
+  x
 
 let rates t =
   let spec = t.spec in
-  let density = spec.Region_model.density in
-  let f_y = spec.f_y and f_m = spec.f_m in
-  let max_laxity = spec.max_laxity in
+  let f_y = spec.Region_model.f_y and f_m = spec.f_m in
   let lq = t.requirements.Quality.laxity in
-  let yes_hi = density.yes_above lq in
-  let yes_forwarded = Float.max 0.0 (1.0 -. yes_hi) *. f_y in
-  (* Regions 3 and 5 keep their laxity bounds; each evaluation moves
-     their s bound and has the density fill them in place. *)
-  let r3 = Density.region ~s_min:0.0 ~l_min:lq ~l_max:max_laxity in
+  let yes_hi = Density.yes_above spec.density lq in
   let r5 = Density.region ~s_min:0.0 ~l_min:(-1.0) ~l_max:lq in
-  density.maybe_region r5;
-  let below_mass = r5.mass in
-  let c = t.effective in
-  let r = { alpha = 0.0; beta = 0.0; precision = 0.0; unit_cost = 0.0 } in
-  let fill v =
-    let s3 = clamp01 v.(0) and s5 = clamp01 v.(1) in
-    let p_py = clamp01 v.(2) and p_fm = clamp01 v.(3) in
-    check_coordinate "s3" s3;
-    check_coordinate "s5" s5;
-    check_coordinate "p_py" p_py;
-    check_coordinate "p_fm" p_fm;
-    r3.s_min <- s3;
-    density.maybe_region r3;
-    r5.s_min <- s5;
-    density.maybe_region r5;
-    let r4_mass = fmax 0.0 (below_mass -. r5.mass) in
-    let p3 = r3.mass *. f_m in
-    let p5 = r5.mass *. f_m in
-    let yes_probed = p_py *. yes_hi *. f_y in
-    let maybe_probed = p3 +. p5 in
-    let maybe_forwarded = p_fm *. r4_mass *. f_m in
-    let maybe_probe_yes = (r3.mean_s *. p3) +. (r5.mean_s *. p5) in
-    let alpha = yes_probed +. yes_forwarded +. maybe_probe_yes in
-    let answer = alpha +. maybe_forwarded in
-    r.alpha <- alpha;
-    r.beta <- f_y +. f_m +. maybe_probe_yes -. maybe_probed -. maybe_forwarded;
-    r.precision <- (if answer <= 0.0 then 1.0 else alpha /. answer);
-    r.unit_cost <-
-      c.Cost_model.c_r
-      +. ((yes_probed +. maybe_probed) *. c.c_p)
-      +. ((yes_forwarded +. maybe_forwarded) *. c.c_wi)
-      +. ((yes_probed +. maybe_probe_yes) *. c.c_wp)
+  Density.maybe_region spec.density r5;
+  let rates =
+    {
+      f_y;
+      f_m;
+      yes_hi;
+      yes_forwarded = Float.max 0.0 (1.0 -. yes_hi) *. f_y;
+      below_mass = r5.mass;
+      alpha = 0.0;
+      beta = 0.0;
+      precision = 0.0;
+      unit_cost = 0.0;
+    }
   in
-  (r, fill)
+  let regions =
+    match spec.density with
+    | Density.Uniform { max_laxity } ->
+        Uniform_regions
+          {
+            frac3 =
+              Density.laxity_fraction ~max_laxity ~l_min:lq
+                ~l_max:spec.max_laxity;
+            frac5 = Density.laxity_fraction ~max_laxity ~l_min:(-1.0) ~l_max:lq;
+          }
+    | Density.Histogram { maybe_plane; _ } ->
+        Histogram_regions
+          {
+            plane = maybe_plane;
+            r3 = Density.region ~s_min:0.0 ~l_min:lq ~l_max:spec.max_laxity;
+            r5;
+          }
+  in
+  (rates, regions)
+
+(* Regions 3 and 5 at one parameter point in, the rates at prices [c]
+   out. *)
+let[@inline] set_rates r (c : Cost_model.t) ~p_py ~p_fm ~m3 ~mean3 ~m5 ~mean5 =
+  let r4_mass = fmax 0.0 (r.below_mass -. m5) in
+  let p3 = m3 *. r.f_m in
+  let p5 = m5 *. r.f_m in
+  let yes_probed = p_py *. r.yes_hi *. r.f_y in
+  let maybe_probed = p3 +. p5 in
+  let maybe_forwarded = p_fm *. r4_mass *. r.f_m in
+  let maybe_probe_yes = (mean3 *. p3) +. (mean5 *. p5) in
+  let alpha = yes_probed +. r.yes_forwarded +. maybe_probe_yes in
+  let answer = alpha +. maybe_forwarded in
+  r.alpha <- alpha;
+  r.beta <-
+    r.f_y +. r.f_m +. maybe_probe_yes -. maybe_probed -. maybe_forwarded;
+  r.precision <- (if answer <= 0.0 then 1.0 else alpha /. answer);
+  r.unit_cost <-
+    c.c_r
+    +. ((yes_probed +. maybe_probed) *. c.c_p)
+    +. ((r.yes_forwarded +. maybe_forwarded) *. c.c_wi)
+    +. ((yes_probed +. maybe_probe_yes) *. c.c_wp)
+
+(* One parameter point's rates.  On the uniform density a region with
+   success bound s has mass (1 − s)·fraction and mean success (s + 1)/2
+   (0 when empty), as [Density.maybe_region] computes them: [s] is
+   clamped already, and clamping again would return it unchanged. *)
+let[@inline] fill r c regions v =
+  let s3 = coordinate "s3" v.(0) in
+  let s5 = coordinate "s5" v.(1) in
+  let p_py = coordinate "p_py" v.(2) in
+  let p_fm = coordinate "p_fm" v.(3) in
+  match regions with
+  | Uniform_regions { frac3; frac5 } ->
+      let m3 = (1.0 -. s3) *. frac3 and m5 = (1.0 -. s5) *. frac5 in
+      set_rates r c ~p_py ~p_fm ~m3
+        ~mean3:(if m3 = 0.0 then 0.0 else (s3 +. 1.0) /. 2.0)
+        ~m5
+        ~mean5:(if m5 = 0.0 then 0.0 else (s5 +. 1.0) /. 2.0)
+  | Histogram_regions { plane; r3; r5 } ->
+      r3.s_min <- s3;
+      Histogram.Hist2d.fill_region plane r3;
+      r5.s_min <- s5;
+      Histogram.Hist2d.fill_region plane r5;
+      set_rates r c ~p_py ~p_fm ~m3:r3.mass ~mean3:r3.mean_s ~m5:r5.mass
+        ~mean5:r5.mean_s
 
 let worst_unit (c : Cost_model.t) = c.c_r +. c.c_p +. c.c_wi +. c.c_wp
 
 (* Penalised objective: any infeasible point costs more than any feasible
    one, and more violation costs more, so the simplex is pulled back into
    the feasible set.  Feasible points cost [evaluate]'s [cost]. *)
+let[@inline] penalty r ~r_q ~p_q ~total ~ceiling (cell : Nelder_mead.cell) =
+  let precision_violation =
+    if r_q <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
+  in
+  let gamma = r.alpha -. (r_q *. (r.beta -. 1.0)) in
+  let reads =
+    if r_q <= 0.0 then 0.0
+    else if gamma >= r_q -. tolerance then
+      fmin total (r_q *. total /. fmax gamma tolerance)
+    else total
+  in
+  let recall_violation =
+    if r_q <= 0.0 || gamma >= r_q -. tolerance then 0.0 else r_q -. gamma
+  in
+  let violation = precision_violation +. recall_violation in
+  cell.value <-
+    (if violation <= tolerance then reads *. r.unit_cost
+     else (2.0 *. ceiling) +. (10.0 *. ceiling *. violation))
+
 let penalized t =
-  let r, fill = rates t in
+  let r, regions = rates t and c = t.effective in
   let req = t.requirements in
   let r_q = req.Quality.recall and p_q = req.precision in
   let total = float_of_int t.total in
   let ceiling = total *. worst_unit t.effective in
-  fun v ->
-    fill v;
-    let precision_violation =
-      if r_q <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
-    in
-    let gamma = r.alpha -. (r_q *. (r.beta -. 1.0)) in
-    let reads =
-      if r_q <= 0.0 then 0.0
-      else if gamma >= r_q -. tolerance then
-        fmin total (r_q *. total /. fmax gamma tolerance)
-      else total
-    in
-    let recall_violation =
-      if r_q <= 0.0 || gamma >= r_q -. tolerance then 0.0 else r_q -. gamma
-    in
-    let violation = precision_violation +. recall_violation in
-    if violation <= tolerance then reads *. r.unit_cost
-    else (2.0 *. ceiling) +. (10.0 *. ceiling *. violation)
+  fun v cell ->
+    fill r c regions v;
+    penalty r ~r_q ~p_q ~total ~ceiling cell
 
 let default_seeds =
   let corners = ref [] in
@@ -341,41 +419,44 @@ let better_dual a b =
    recall (plus a cost term small enough to only break ties), infeasible
    points sit strictly above every feasible score, scaled by the
    precision violation.  The target and spend are [evaluate_dual]'s. *)
+let[@inline] dual_penalty r ~r_q ~p_q ~total ~budget ~ceiling
+    (cell : Nelder_mead.cell) =
+  let alpha = r.alpha and beta = r.beta and unit = r.unit_cost in
+  let r_budget = if unit <= 0.0 then total else fmin total (budget /. unit) in
+  let recall_at_budget =
+    if r_budget <= 0.0 then 0.0
+    else
+      let denom = ((beta -. 1.0) *. r_budget) +. total in
+      if denom <= tolerance then 1.0
+      else fmax 0.0 (fmin 1.0 (alpha *. r_budget /. denom))
+  in
+  let target = fmin r_q recall_at_budget in
+  let precision_violation =
+    if target <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
+  in
+  cell.value <-
+    (if precision_violation <= tolerance then begin
+       let reads =
+         if target <= 0.0 then 0.0
+         else
+           let gamma = alpha -. (target *. (beta -. 1.0)) in
+           if gamma <= tolerance then r_budget
+           else fmin r_budget (target *. total /. gamma)
+       in
+       -.target +. (1e-4 *. (reads *. unit) /. ceiling)
+     end
+     else 2.0 +. (10.0 *. precision_violation))
+
 let dual_penalized t ~budget =
-  let r, fill = rates t in
+  let r, regions = rates t and c = t.effective in
   let req = t.requirements in
   let r_q = req.Quality.recall and p_q = req.precision in
   let total = float_of_int t.total in
   let budget = Float.max 0.0 budget in
   let ceiling = Float.max 1.0 (total *. worst_unit t.effective) in
-  fun v ->
-    fill v;
-    let alpha = r.alpha and beta = r.beta and unit = r.unit_cost in
-    let r_budget =
-      if unit <= 0.0 then total else fmin total (budget /. unit)
-    in
-    let recall_at_budget =
-      if r_budget <= 0.0 then 0.0
-      else
-        let denom = ((beta -. 1.0) *. r_budget) +. total in
-        if denom <= tolerance then 1.0
-        else fmax 0.0 (fmin 1.0 (alpha *. r_budget /. denom))
-    in
-    let target = fmin r_q recall_at_budget in
-    let precision_violation =
-      if target <= 0.0 then 0.0 else fmax 0.0 (p_q -. r.precision)
-    in
-    if precision_violation <= tolerance then begin
-      let reads =
-        if target <= 0.0 then 0.0
-        else
-          let gamma = alpha -. (target *. (beta -. 1.0)) in
-          if gamma <= tolerance then r_budget
-          else fmin r_budget (target *. total /. gamma)
-      in
-      -.target +. (1e-4 *. (reads *. unit) /. ceiling)
-    end
-    else 2.0 +. (10.0 *. precision_violation)
+  fun v cell ->
+    fill r c regions v;
+    dual_penalty r ~r_q ~p_q ~total ~budget ~ceiling cell
 
 let solve_dual ?(seeds = default_seeds) ~budget t =
   if seeds = [] then invalid_arg "Solver.solve_dual: no seeds";

@@ -1,10 +1,16 @@
-(* [Float.min] and [Float.max] with the strict cases decided by one
-   comparison: the stdlib tests sign bits (a C call) whenever its first
-   comparison fails.  Ties and NaNs go to the stdlib, so every result,
-   -0.0 and NaN included, is the stdlib's bit for bit. *)
-let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+(* [Float.min] and [Float.max] bit for bit, with no C call unless an
+   argument is NaN (DESIGN §4, "Planner kernel"). *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if 1.0 /. x < 0.0 then x else y
+  else Float.min x y
 
-let[@inline] fmax x y = if x < y then y else if y < x then x else Float.max x y
+let[@inline] fmax x y =
+  if x < y then y
+  else if y < x then x
+  else if x = y then if 1.0 /. x < 0.0 then y else x
+  else Float.max x y
 
 let[@inline] clamp01 x = fmin 1.0 (fmax 0.0 x)
 

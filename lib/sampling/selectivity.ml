@@ -7,6 +7,15 @@ type estimate = {
   maybe_plane : Histogram.Hist2d.t;
 }
 
+(* [Float.max] bit for bit, with no C call unless an argument is NaN
+   (DESIGN §4, "Planner kernel"): a running maximum ties on every row
+   once it stops growing. *)
+let[@inline] fmax x y =
+  if x < y then y
+  else if y < x then x
+  else if x = y then if 1.0 /. x < 0.0 then y else x
+  else Float.max x y
+
 let estimate ~(instance : 'o Operator.instance) ?on_task ?(lanes = 1)
     ?laxity_cap ?(laxity_bins = 20) ?(success_bins = 20) sample =
   let n = Array.length sample in
@@ -30,8 +39,11 @@ let estimate ~(instance : 'o Operator.instance) ?on_task ?(lanes = 1)
           invalid_arg "Selectivity.estimate: laxity_cap must be positive";
         l
     | None ->
-        let m = Array.fold_left Float.max 0.0 laxities in
-        if m > 0.0 then m else 1.0
+        let m = ref 0.0 in
+        for i = 0 to n - 1 do
+          m := fmax !m laxities.(i)
+        done;
+        if !m > 0.0 then !m else 1.0
   in
   let yes_laxity = Histogram.Hist1d.create ~lo:0.0 ~hi:cap ~bins:laxity_bins in
   let maybe_plane =

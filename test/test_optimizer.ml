@@ -8,14 +8,14 @@ let checkb = Alcotest.(check bool)
 (* A fresh region of the plane, filled in by [d]. *)
 let maybe_region (d : Density.t) ~s_min ~l_min ~l_max =
   let r = Density.region ~s_min ~l_min ~l_max in
-  d.maybe_region r;
+  Density.maybe_region d r;
   r
 
 let test_uniform_density () =
   let d = Density.uniform ~max_laxity:100.0 in
-  checkf 1e-12 "yes above" 0.3 (d.yes_above 70.0);
-  checkf 1e-12 "yes above 0" 1.0 (d.yes_above 0.0);
-  checkf 1e-12 "yes above L" 0.0 (d.yes_above 100.0);
+  checkf 1e-12 "yes above" 0.3 (Density.yes_above d 70.0);
+  checkf 1e-12 "yes above 0" 1.0 (Density.yes_above d 0.0);
+  checkf 1e-12 "yes above L" 0.0 (Density.yes_above d 100.0);
   let r = maybe_region d ~s_min:0.6 ~l_min:20.0 ~l_max:70.0 in
   checkf 1e-12 "region mass" (0.4 *. 0.5) r.mass;
   checkf 1e-12 "region mean s" 0.8 r.mean_s;
@@ -34,7 +34,7 @@ let test_histogram_density_approximates_uniform () =
   in
   let d = Density.of_estimate e in
   let u = Density.uniform ~max_laxity:100.0 in
-  checkb "yes_above close" true (Float.abs (d.yes_above 50.0 -. u.yes_above 50.0) < 0.03);
+  checkb "yes_above close" true (Float.abs (Density.yes_above d 50.0 -. Density.yes_above u 50.0) < 0.03);
   let rd = maybe_region d ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
   let ru = maybe_region u ~s_min:0.7 ~l_min:0.0 ~l_max:50.0 in
   checkb "region mass close" true (Float.abs (rd.mass -. ru.mass) < 0.03);
@@ -97,11 +97,15 @@ let test_zero_recall_is_free () =
   checkf 0.0 "no reads" 0.0 e.reads;
   checkf 0.0 "no cost" 0.0 e.cost
 
+(* An objective that returns its value, as [Nelder_mead.minimize] takes
+   it: the value goes into the simplex's cell. *)
+let into_cell f x (cell : Nelder_mead.cell) = cell.value <- f x
+
 let test_nelder_mead_quadratic () =
   let f x = ((x.(0) -. 0.3) ** 2.0) +. ((x.(1) +. 0.2) ** 2.0) in
   let r =
     Nelder_mead.minimize ~lower:[| -1.0; -1.0 |] ~upper:[| 1.0; 1.0 |]
-      ~init:[| 0.9; 0.9 |] f
+      ~init:[| 0.9; 0.9 |] (into_cell f)
   in
   checkb "x0" true (Float.abs (r.point.(0) -. 0.3) < 1e-4);
   checkb "x1" true (Float.abs (r.point.(1) +. 0.2) < 1e-4);
@@ -111,13 +115,14 @@ let test_nelder_mead_respects_box () =
   (* Optimum outside the box: solution must sit on the boundary. *)
   let f x = (x.(0) -. 5.0) ** 2.0 in
   let r =
-    Nelder_mead.minimize ~lower:[| 0.0 |] ~upper:[| 1.0 |] ~init:[| 0.5 |] f
+    Nelder_mead.minimize ~lower:[| 0.0 |] ~upper:[| 1.0 |] ~init:[| 0.5 |]
+      (into_cell f)
   in
   checkb "clamped to boundary" true (Float.abs (r.point.(0) -. 1.0) < 1e-6);
   Alcotest.check_raises "dimension mismatch"
     (Invalid_argument "Nelder_mead.minimize: dimension mismatch") (fun () ->
       ignore (Nelder_mead.minimize ~lower:[| 0.0 |] ~upper:[| 1.0; 2.0 |]
-                ~init:[| 0.5 |] f))
+                ~init:[| 0.5 |] (into_cell f)))
 
 (* §5.1 reproduction: the solver's optimal cost matches the paper's
    tables within a few percent (the paper's own numbers are rounded). *)
@@ -455,9 +460,13 @@ let gen_nm_case =
   let open QCheck2.Gen in
   let* n = int_range 1 5 in
   let coords g = array_size (pure n) g in
-  let* lower = coords (float_range (-2.0) 2.0) in
+  (* Signed zeros as bounds and starts: clamping onto a zero face ties,
+     and -0.0 against +0.0 is the one tie whose result has a sign. *)
+  let zero = oneofl [ 0.0; -0.0 ] in
+  let* lower = coords (frequency [ (1, zero); (4, float_range (-2.0) 2.0) ]) in
   let* widths = coords (frequency [ (1, pure 0.0); (3, float_range 0.01 3.0) ]) in
-  let* init = coords (float_range (-3.0) 4.0) in
+  let* zero_upper = coords (frequency [ (3, pure None); (1, map Option.some zero) ]) in
+  let* init = coords (frequency [ (1, zero); (4, float_range (-3.0) 4.0) ]) in
   let* centre = coords (float_range (-2.0) 2.0) in
   let* shape =
     oneofl [ `Quadratic; `Rounded; `Steps; `Flat; `Taxicab; `Holes ]
@@ -468,7 +477,13 @@ let gen_nm_case =
   return
     {
       lower;
-      upper = Array.mapi (fun i lo -> lo +. widths.(i)) lower;
+      upper =
+        Array.mapi
+          (fun i lo ->
+            match zero_upper.(i) with
+            | Some z when lo <= 0.0 -> z
+            | _ -> lo +. widths.(i))
+          lower;
       init;
       shape;
       centre;
@@ -493,11 +508,12 @@ let print_nm_case c =
 let prop_nelder_mead_matches_reference =
   QCheck2.Test.make ~name:"nelder-mead is the reference simplex bit for bit"
     ~count:400 ~print:print_nm_case gen_nm_case (fun c ->
-      let run (minimize : ?options:_ -> _) =
-        minimize ~options:c.options ~lower:c.lower ~upper:c.upper ~init:c.init
-          (nm_objective c)
-      in
-      same_result (run Nelder_mead.minimize) (run Reference_nm.minimize))
+      same_result
+        (Nelder_mead.minimize ~options:c.options ~lower:c.lower ~upper:c.upper
+           ~init:c.init
+           (into_cell (nm_objective c)))
+        (Reference_nm.minimize ~options:c.options ~lower:c.lower ~upper:c.upper
+           ~init:c.init (nm_objective c)))
 
 (* The planner before its objectives became per-problem closures: the
    reference simplex driving the penalised objectives spelled out over
@@ -676,17 +692,20 @@ let random_problem seed =
     reference_density,
     budget_factor )
 
+(* [solve] and [solve_dual] (at [budget_factor] times the primal cost)
+   are the reference planner's over the same problem and density. *)
+let matches_reference (t, density, budget_factor) =
+  let primal = Solver.solve t in
+  let budget = budget_factor *. primal.cost in
+  same_evaluation primal (Reference_solver.solve density t)
+  && same_dual (Solver.solve_dual ~budget t)
+       (Reference_solver.solve_dual density ~budget t)
+
 let prop_solver_matches_reference =
   QCheck2.Test.make ~name:"solve and solve_dual are the reference planner bit for bit"
     ~count:60 ~print:(Printf.sprintf "problem seed %d")
     QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let t, density, budget_factor = random_problem seed in
-      let primal = Solver.solve t in
-      let budget = budget_factor *. primal.cost in
-      same_evaluation primal (Reference_solver.solve density t)
-      && same_dual (Solver.solve_dual ~budget t)
-           (Reference_solver.solve_dual density ~budget t))
+    (fun seed -> matches_reference (random_problem seed))
 
 (* The histogram's range queries are the pinned copies in
    [Reference_density] bit for bit: random fills (empty ones included,
@@ -748,15 +767,16 @@ let prop_histogram_matches_reference =
           && same live.mean_x pinned.mean_x)
         (List.init 40 Fun.id))
 
-(* The simplex allocates per iteration only the objective's boxed return
-   values: at most n + 2 = 6 evaluations an iteration in 4-D (reflect,
-   expand or contract, and a shrink of n vertices), 2 words each, so 12
-   words; 16 leaves a margin.  Measured: 8 words per iteration; the
-   simplex that allocated a fresh array per point took 276. *)
+(* The simplex allocates nothing per iteration: the objective leaves its
+   value in the simplex's cell, points are copied by loops and the
+   candidates live in buffers made once per call.  Measured: 0 words per
+   iteration on a 4-D quadratic that writes its cell directly; with a
+   float-returning objective, 8 words; the simplex that allocated a
+   fresh array per point took 276. *)
 let test_nelder_mead_allocation () =
-  let f x =
+  let f x (cell : Nelder_mead.cell) =
     let a = x.(0) -. 0.3 and b = x.(1) -. 0.7 and c = x.(2) and d = x.(3) -. 1.0 in
-    (a *. a) +. (b *. b) +. (c *. c) +. (d *. d)
+    cell.value <- (a *. a) +. (b *. b) +. (c *. c) +. (d *. d)
   in
   let words max_iterations =
     (* A negative tolerance never stops the loop early. *)
@@ -772,8 +792,8 @@ let test_nelder_mead_allocation () =
   in
   let per_iteration = (words 1000 -. words 10) /. 990.0 in
   checkb
-    (Printf.sprintf "%.1f words per iteration <= 16" per_iteration)
-    true (per_iteration <= 16.0)
+    (Printf.sprintf "%.1f words per iteration <= 0.1" per_iteration)
+    true (per_iteration <= 0.1)
 
 (* The 27 problems shaped like the server's warm workload: |T| =
    10,000, B = 8, paper costs, p x r x l in {0.8, 0.9, 0.95} x
@@ -798,11 +818,13 @@ let words_per_solve problems =
   List.iter (fun t -> ignore (Solver.solve t)) problems;
   (Gc.minor_words () -. before) /. float_of_int (List.length problems)
 
-(* A solve allocates little beyond the objective's boxed return values
-   (2 words an evaluation): regions are filled in place and the clamps
-   return unboxed.  Over the warm problems with the uniform density a
-   solve took 53,546 words; with a fresh region record per density call
-   and boxed clamps it took 502,534. *)
+(* A solve allocates only per seed — the simplex's buffers and the
+   [evaluate] of its final point — and nothing per evaluation: regions
+   are filled in place, the clamps return unboxed and the objective
+   writes its value into the simplex's cell.  Over the warm problems
+   with the uniform density a solve takes 3,845 words; with the
+   objective's value boxed (2 words an evaluation) it took 53,546, with
+   a fresh region record per density call and boxed clamps 502,534. *)
 let test_solve_allocation () =
   let per_solve =
     words_per_solve
@@ -810,24 +832,28 @@ let test_solve_allocation () =
          (Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0))
   in
   checkb
-    (Printf.sprintf "%.0f words per solve <= 100,000" per_solve)
-    true (per_solve <= 100_000.0)
+    (Printf.sprintf "%.0f words per solve <= 4,000" per_solve)
+    true (per_solve <= 4_000.0)
 
-(* The warm problems over the histogram density a 1% pilot of a
-   20,000-object workload estimates (default bins).  The histogram's
-   per-cell clamps and bounds do not call the stdlib's
-   [Float.min]/[Float.max] (and through them [caml_signbit]), and
-   [Hist2d.fill_region] fills the caller's region in place: a solve
-   takes 38,414 words.  With boxed bounds and a fresh result record per
-   density call it took 334,699, with the stdlib clamps 2,742,276. *)
-let test_histogram_solve_allocation () =
+(* The histogram density a 1% pilot of a 20,000-object workload
+   estimates (default bins). *)
+let warm_estimate () =
   let sample =
     Synthetic.generate (Rng.create 17)
       (Synthetic.config ~total:200 ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 ())
   in
-  let estimate =
-    Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:100.0 sample
-  in
+  Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:100.0 sample
+
+(* The warm problems over [warm_estimate]'s density.  The histogram's
+   per-cell clamps and bounds do not call the stdlib's
+   [Float.min]/[Float.max] (and through them [caml_signbit]),
+   [Hist2d.fill_region] fills the caller's region in place and the
+   objective's value goes into the simplex's cell: a solve takes 3,498
+   words.  With the value boxed it took 38,414, with boxed bounds and a
+   fresh result record per density call 334,699, with the stdlib clamps
+   2,742,276. *)
+let test_histogram_solve_allocation () =
+  let estimate = warm_estimate () in
   let per_solve =
     words_per_solve
       (warm_problems
@@ -835,8 +861,37 @@ let test_histogram_solve_allocation () =
             ~density:(Density.of_estimate estimate)))
   in
   checkb
-    (Printf.sprintf "%.0f words per histogram solve <= 50,000" per_solve)
-    true (per_solve <= 50_000.0)
+    (Printf.sprintf "%.0f words per histogram solve <= 3,600" per_solve)
+    true (per_solve <= 3_600.0)
+
+(* The warm problems in both densities as fixed cases of
+   [prop_solver_matches_reference]: box-corner seeds and clamps onto 0
+   and 1 make the kernel's clamps tie on nearly every evaluation.  The
+   budgets cycle through binding, zero, nearly ample and ample. *)
+let test_warm_problems_match_reference () =
+  let estimate = warm_estimate () in
+  let densities =
+    [
+      ( "uniform",
+        Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0,
+        Reference_density.Density_ref.uniform ~max_laxity:100.0 );
+      ( "histogram",
+        Region_model.spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0
+          ~density:(Density.of_estimate estimate),
+        Reference_density.Density_ref.of_estimate estimate );
+    ]
+  in
+  List.iter
+    (fun (name, spec, density) ->
+      List.iteri
+        (fun i t ->
+          let budget_factor = [| 0.5; 0.0; 0.9; 2.0 |].(i mod 4) in
+          checkb
+            (Printf.sprintf "%s warm problem %d" name i)
+            true
+            (matches_reference (t, density, budget_factor)))
+        (warm_problems spec))
+    densities
 
 let suite =
   [
@@ -856,6 +911,8 @@ let suite =
     ("histogram solve allocation", `Quick, test_histogram_solve_allocation);
     QCheck_alcotest.to_alcotest prop_nelder_mead_matches_reference;
     QCheck_alcotest.to_alcotest prop_solver_matches_reference;
+    ("solve and solve_dual are the reference planner bit for bit: warm problems",
+     `Slow, test_warm_problems_match_reference);
     QCheck_alcotest.to_alcotest prop_histogram_matches_reference;
     ("better tie-break on equal violation", `Quick, test_better_tie_break);
     ("dual: ample budget is the primal plan", `Quick,

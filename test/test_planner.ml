@@ -22,7 +22,7 @@ let test_empty_pilot () =
   checkb "no estimate" true (p.estimate = None);
   checkf "prior f_y" 0.3 p.f_y;
   checkf "prior f_m" 0.1 p.f_m;
-  checkf "uniform density over [0, L]" 0.5 (p.density.yes_above 50.0)
+  checkf "uniform density over [0, L]" 0.5 (Density.yes_above p.density 50.0)
 
 let test_solve_halves () =
   let solve ?budget () =
