@@ -639,10 +639,6 @@ let is_fresh t k =
       let rec any i = i < tiers && (fresh_lookup t ~tier:i k now <> None || any (i + 1)) in
       any 0)
 
-let invalidate t k =
-  locked t (fun () ->
-      Hashtbl.remove t.fresh k;
-      Array.iteri (fun i _ -> Hashtbl.remove t.shrunk_fresh (i, k)) t.backends)
 let pending t = locked t (fun () -> t.queued)
 let rounds t = t.rounds
 

@@ -184,7 +184,13 @@ val client :
     a cap on the tenant's admitted backend probes (across all of the
     tenant's clients; the tightest quota registered for a tenant wins).
     Beyond the quota, the tenant's new probe targets degrade like
-    capacity exhaustion; other tenants are unaffected.
+    capacity exhaustion; other tenants are unaffected.  Only requests
+    admitted for the tenant count against its quota: one that joins
+    another client's request in flight, or that the freshness window
+    answers, is free.  Which tenant pays for a shared object therefore
+    depends on which request arrives first, so a quota'd query's answer
+    depends on the schedule whenever clients run at once; clients run
+    one after another charge the same way every time.
 
     [obs] is the {e query's} observability capability: the client's
     driver registers its per-query probe instruments there and emits
@@ -230,11 +236,6 @@ val is_fresh : 'o t -> int -> bool
 (** Whether a successful probe for this key is currently within the
     freshness window at {e some} tier — i.e. whether a request for it
     at some tier right now would be a free hit. *)
-
-val invalidate : 'o t -> int -> unit
-(** Drop every cached outcome for a key (point and per-tier shrunk
-    entries alike): the next request re-probes.  The hook for backends
-    whose objects go stale out of band. *)
 
 val pending : 'o t -> int
 (** Requests admitted but not yet handed to the backend — the shared

@@ -7,7 +7,7 @@
 type 'o t = {
   specs : Probe_tier.spec array;
   drivers : 'o Probe_driver.t array;
-  mutable start : int;
+  start : int;
   failovers : int array;
 }
 
@@ -50,10 +50,6 @@ let specs t = t.specs
 let drivers t = t.drivers
 let oracle t = t.drivers.(Array.length t.drivers - 1)
 let start t = t.start
-
-let set_start t s =
-  if s < 0 || s >= Array.length t.specs then invalid_arg "Cascade.set_start";
-  t.start <- s
 
 (* Asked before every read of a scan. *)
 let pending t =

@@ -40,7 +40,6 @@ val oracle : 'o t -> 'o Probe_driver.t
 (** The final [Resolve] tier's driver. *)
 
 val start : 'o t -> int
-val set_start : 'o t -> int -> unit
 
 val pending : 'o t -> int
 (** Submissions queued but unresolved, summed over every tier. *)

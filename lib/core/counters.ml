@@ -76,7 +76,6 @@ let yes_seen t = t.yes_seen
 let answer_yes t = t.answer_yes
 let answer_size t = t.answer_size
 let maybe_ignored t = t.maybe_ignored
-let max_laxity t = t.max_laxity
 
 let[@inline] ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 

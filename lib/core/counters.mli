@@ -56,10 +56,6 @@ val yes_seen : t -> int
 val answer_yes : t -> int
 val answer_size : t -> int
 val maybe_ignored : t -> int
-val max_laxity : t -> float
-
-val precision_guarantee : t -> float
-(** Eq. 8: [|A∩Y| / |A|], 1 for an empty answer. *)
 
 val recall_guarantee : t -> float
 (** Eq. 9: [|A∩Y| / (|Y| + |M_ns| + |M_s−A|)], 1 when the denominator is

@@ -5,10 +5,6 @@ let equal_action a b =
   | Forward, Forward | Probe, Probe | Ignore, Ignore -> true
   | (Forward | Probe | Ignore), _ -> false
 
-let pp_action ppf a =
-  Format.pp_print_string ppf
-    (match a with Forward -> "forward" | Probe -> "probe" | Ignore -> "ignore")
-
 (* Rules (a)–(c) on the counters as they would stand after [yes] more
    probes resolved YES: each adds 1 to |A∩Y|, |A| and |Y|, so the slack
    of rule (b) grows by yes(1 − p_q) and that of rule (c) by

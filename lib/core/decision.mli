@@ -22,7 +22,6 @@
 type action = Forward | Probe | Ignore
 
 val equal_action : action -> action -> bool
-val pp_action : Format.formatter -> action -> unit
 
 val can_forward :
   Counters.t -> Quality.requirements -> verdict:Tvl.t -> laxity:float -> bool

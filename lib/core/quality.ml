@@ -11,8 +11,6 @@ let requirements ~precision ~recall ~laxity =
     invalid_arg "Quality.requirements: laxity must be finite and >= 0";
   { precision; recall; laxity }
 
-let exhaustive = { precision = 1.0; recall = 1.0; laxity = max_float }
-
 let pp_requirements ppf (r : requirements) =
   Format.fprintf ppf "p_q=%g r_q=%g l_q=%g" r.precision r.recall r.laxity
 

@@ -19,13 +19,10 @@ type requirements = private {
 
 val requirements :
   precision:float -> recall:float -> laxity:float -> requirements
-(** @raise Invalid_argument if a bound is out of range or not finite. *)
-
-val exhaustive : requirements
-(** [p_q = 1, r_q = 1, l_q^max = ∞] is not expressible (laxity must be
-    finite); this is [p_q = 1, r_q = 1] with laxity [max_float] — the
-    requirements under which the answer equals the exact set (every MAYBE
-    is probed). *)
+(** @raise Invalid_argument if a bound is out of range or not finite.
+    [l_q^max = ∞] is not expressible; [p_q = 1, r_q = 1] with laxity
+    [max_float] are the requirements under which the answer equals the
+    exact set (every MAYBE is probed). *)
 
 val pp_requirements : Format.formatter -> requirements -> unit
 

@@ -105,12 +105,21 @@ let laxity_cap ?max_laxity observed =
 let rows ?(block = 4096) ~(instance : _ Operator.instance) data =
   if block < 1 then invalid_arg "Scan_pipeline.rows: block < 1";
   let n = Array.length data in
+  (* The input's largest laxity, folded on the first pilot that needs it
+     and kept for every later one.  Not [Lazy]: two server lanes may ask
+     at once.  Both then fold the same rows to the same bits, so the one
+     whose [set] lands last writes what the other wrote. *)
+  let widest_memo = Atomic.make None in
   let widest () =
-    let m = ref 0.0 in
-    for i = 0 to n - 1 do
-      m := fmax !m (instance.laxity data.(i))
-    done;
-    !m
+    match Atomic.get widest_memo with
+    | Some m -> m
+    | None ->
+        let m = ref 0.0 in
+        for i = 0 to n - 1 do
+          m := fmax !m (instance.laxity data.(i))
+        done;
+        Atomic.set widest_memo (Some !m);
+        !m
   in
   let sample ?max_laxity indices =
     (Array.map (fun i -> data.(i)) indices, laxity_cap ?max_laxity widest)

@@ -59,8 +59,11 @@ val sample_indices : Rng.t -> fraction:float -> int -> int array
 
 val rows : ?block:int -> instance:'o Operator.instance -> 'o array -> 'o t
 (** The array as a source.  The laxity maximum is a fold of
-    [instance.laxity].  The cursor on more than one lane classifies [block] objects (default 4096) at a
-    time on the lanes, evaluating [instance] as the loop would
+    [instance.laxity] over the array, done on the first [sample] without
+    [max_laxity] and kept for every later one: the array's objects must
+    not change laxity while the source is in use.  The cursor on more
+    than one lane classifies [block] objects (default 4096) at a time on
+    the lanes, evaluating [instance] as the loop would
     ([classify] for every object, [laxity] only for YES/MAYBE, [success]
     only for MAYBE); [current] is the array element.  Otherwise it is
     {!Operator.source_of_array}.

@@ -54,15 +54,6 @@ type t = {
   snapshot : Metrics.snapshot;  (** the run's full metric delta *)
 }
 
-val achieved :
-  oracle:('o -> bool) -> 'o Scan_pipeline.t -> 'o Engine.result -> achieved
-(** The ground-truth side of the audit: [oracle o] answers whether [o]
-    belongs to the exact (precise) answer, and is asked of every object
-    in [report.answer] (so the run needs the default [collect:true]) and
-    of every object a fresh cursor of the source yields.  Pass the
-    source the run scanned; a pruned store's cursor skips only chunks
-    with no exact member. *)
-
 val of_run :
   ?label:string ->
   ?oracle:('o -> bool) ->
@@ -80,17 +71,20 @@ val of_run :
     a concurrent or later run's work would land in the delta.  The
     delta is reconciled with the run's meter ([result.reconcile]); a
     mismatch lands in [reconcile_error] rather than raising.  With
-    [oracle] the audit carries {!achieved}.  [label] defaults to
-    ["run"]. *)
-
-val audit_passed : t -> bool
-(** Guarantees met, and — when ground truth was supplied — achieved
-    precision and recall both at least the requested values.  On a
-    budget-limited run ([budget_limited]) the recall shortfall
-    is the contract, not a failure: only the precision checks apply. *)
+    [oracle] the audit carries the ground truth ({!achieved}):
+    [oracle o] answers whether [o] belongs to the exact (precise)
+    answer, and is asked of every object in [report.answer] (so the run
+    needs the default [collect:true]) and of every object a fresh cursor
+    of the source yields.  Pass the source the run scanned; a pruned
+    store's cursor skips only chunks with no exact member.  [label]
+    defaults to ["run"]. *)
 
 val passed : t -> bool
-(** {!audit_passed} and no reconciliation error. *)
+(** No reconciliation error, the guarantees met, and — when ground
+    truth was supplied — achieved precision and recall both at least the
+    requested values.  On a budget-limited run ([budget_limited]) the
+    recall shortfall is the contract, not a failure: only the precision
+    checks apply. *)
 
 val to_json : t -> string
 (** One self-contained JSON object (label, passed, counts, audit,

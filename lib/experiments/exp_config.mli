@@ -31,11 +31,7 @@ type sweep = {
   settings : setting list;
 }
 
-val varying_laxity : sweep
 val varying_precision : sweep
-val varying_recall : sweep
-val varying_selectivity : sweep
-val varying_uncertainty : sweep
 
 val all_sweeps : sweep list
 val find_sweep : string -> sweep option

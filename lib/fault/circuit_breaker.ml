@@ -16,7 +16,6 @@ type t = {
   mutable backoff : int;  (* window length the next trip uses *)
   mutable opened_at : int;  (* round of the last trip *)
   mutable open_until : int;  (* first round allowed after a trip *)
-  mutable trips : int;
 }
 
 let state_value = function Closed -> 0.0 | Half_open -> 1.0 | Open -> 2.0
@@ -57,7 +56,6 @@ let create ?obs ?(trip_after = 3) ?(backoff_base = 2) ?(backoff_factor = 2.0)
       backoff = backoff_base;
       opened_at = 0;
       open_until = 0;
-      trips = 0;
     }
   in
   set_state t Closed;
@@ -82,7 +80,6 @@ let allow t ~round =
       else false
 
 let trip t ~round =
-  t.trips <- t.trips + 1;
   t.opened_at <- round;
   t.open_until <- round + t.backoff;
   set_state t Open
@@ -112,7 +109,3 @@ let record_failure t ~round =
       trip t ~round
   | Closed -> if t.consecutive >= t.trip_after then trip t ~round
   | Open -> ()
-
-let consecutive_failures t = t.consecutive
-let trips t = t.trips
-let current_backoff t = t.backoff

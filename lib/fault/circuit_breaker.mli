@@ -54,10 +54,3 @@ val record_failure : t -> round:int -> unit
 (** The round resolved nothing.  From half-open this re-trips
     immediately with a grown window; from closed it trips once
     [trip_after] consecutive failures accumulate. *)
-
-val consecutive_failures : t -> int
-val trips : t -> int
-(** Times the breaker has tripped (including half-open re-trips). *)
-
-val current_backoff : t -> int
-(** The open-window length (rounds) the next trip will use. *)

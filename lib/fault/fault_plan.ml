@@ -26,12 +26,7 @@ let is_null s =
 
 type instruments = { m_injected : Metrics.counter }
 
-type t = {
-  plan : spec;
-  rng : Rng.t;
-  ins : instruments option;
-  mutable injected : int;
-}
+type t = { plan : spec; rng : Rng.t; ins : instruments option }
 
 (* The injector stream is a pure function of (seed, site): fold the site
    name into the seed with a simple multiplicative hash so two sites of
@@ -42,16 +37,15 @@ let site_seed seed site =
     (seed lxor 0x5DEECE66D)
     site
 
-let injector ?obs ~site plan =
-  let ins =
-    Option.map
-      (fun o -> { m_injected = Obs.counter o Obs.Keys.fault_injected })
-      obs
-  in
-  { plan; rng = Rng.create (site_seed plan.seed site); ins; injected = 0 }
-
 let injector_opt ?obs ~site plan =
-  if is_null plan then None else Some (injector ?obs ~site plan)
+  if is_null plan then None
+  else
+    let ins =
+      Option.map
+        (fun o -> { m_injected = Obs.counter o Obs.Keys.fault_injected })
+        obs
+    in
+    Some { plan; rng = Rng.create (site_seed plan.seed site); ins }
 
 type element = { permanent : bool }
 
@@ -62,10 +56,7 @@ let fresh_element t =
       && Rng.bernoulli t.rng t.plan.permanent_rate;
   }
 
-let element_permanent e = e.permanent
-
 let fired t =
-  t.injected <- t.injected + 1;
   match t.ins with Some i -> Metrics.incr i.m_injected | None -> ()
 
 let attempt t e =
@@ -86,8 +77,6 @@ let latency t l =
     l *. t.plan.spike_factor
   end
   else l
-
-let injected t = t.injected
 
 (* Mix the site's seed fully once, then fold the key in: keys of two
    sites then seed unrelated generators, and [Rng.create] mixes again. *)

@@ -2,19 +2,19 @@
 
     A {!spec} scripts the hostile conditions a run should survive —
     transient per-attempt failures, permanently unresolvable elements
-    and latency spikes — as pure data plus a seed.  An {!injector} is
-    the mutable per-site instance of a spec: it derives its own
-    SplitMix64 stream from the seed and the site name, so fault
-    decisions are reproducible per seed and completely independent of
+    and latency spikes — as pure data plus a seed.  An injector ({!t},
+    from {!injector_opt}) is the mutable per-site instance of a spec: it
+    derives its own SplitMix64 stream from the seed and the site name, so
+    fault decisions are reproducible per seed and completely independent of
     the engine's own rng streams (attaching an injector never perturbs
     the query's decisions, only the probe outcomes).
 
     Sites consult the injector at well-defined points: {!fresh_element}
     once per element entering a probe/fetch lifecycle (this is where
     permanence is drawn), {!attempt} once per attempt on that element,
-    {!latency} once per wakeup.  A spec with every rate at zero is
-    {!is_null}: callers are expected to skip injection entirely then,
-    which keeps the zero-rate plan bit-for-bit identical to an
+    {!latency} once per wakeup.  A spec with every rate at zero gets
+    no injector ({!injector_opt} is [None]): callers skip injection
+    entirely then, which keeps the zero-rate plan bit-for-bit identical to an
     unfaulted run.
 
     A site that serves many callers at once (the server's backends)
@@ -46,23 +46,17 @@ val make :
 val none : spec
 (** [make ()] — the null plan. *)
 
-val is_null : spec -> bool
-(** No failure mode can ever fire: all rates are 0.  Sites should not
-    build an injector for a null spec. *)
-
 (** {2 Injectors} *)
 
 type t
 (** Mutable per-site injection state. *)
 
 val injector_opt : ?obs:Obs.t -> site:string -> spec -> t option
-(** [Some (injector ~site spec)], or [None] when {!is_null} — the
-    recommended way to wire a spec into a site. *)
-
-val injector : ?obs:Obs.t -> site:string -> spec -> t
 (** A fresh injector whose stream is a pure function of
     [(spec.seed, site)]: two injectors built with equal arguments make
-    identical decisions in identical call order.  [obs] registers the
+    identical decisions in identical call order.  [None] for a null
+    spec, one whose rates are all 0 (no failure mode can ever fire), so
+    a site with no faults builds no injector.  [obs] registers the
     [qaq.fault.injected] counter (every injected attempt failure or
     latency spike). *)
 
@@ -74,8 +68,6 @@ val fresh_element : t -> element
 (** Call once when an element enters a probe/fetch lifecycle; draws
     permanence with [permanent_rate]. *)
 
-val element_permanent : element -> bool
-
 val attempt : t -> element -> bool
 (** [true] when this attempt must fail: the element is permanent, or a
     transient failure fires.  Counts into [qaq.fault.injected]. *)
@@ -84,9 +76,6 @@ val latency : t -> float -> float
 (** The (possibly spiked) latency of one wakeup: multiplied by
     [spike_factor] with probability [spike_rate].  A spike counts into
     [qaq.fault.injected]. *)
-
-val injected : t -> int
-(** Fault decisions that fired so far (failures + spikes). *)
 
 (** {2 Keyed draws} *)
 

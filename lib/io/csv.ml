@@ -95,9 +95,6 @@ let decode text =
   plain 0;
   List.rev !rows
 
-let decode_row line =
-  match decode line with [] -> [] | row :: _ -> row
-
 let write_file path rows =
   let oc = open_out path in
   Fun.protect

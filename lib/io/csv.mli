@@ -11,19 +11,10 @@ exception Parse_error of { offset : int; reason : string }
     text where the offending construct starts — for an unterminated
     quoted field, the position of the opening quote. *)
 
-val escape_field : string -> string
-(** Quote a field if it needs quoting, else return it unchanged. *)
+val write_file : string -> string list list -> unit
+(** Lines joined with ["\n"], with a trailing newline; a field is quoted
+    if it needs quoting. *)
 
-val decode_row : string -> string list
-(** Parse one line.  @raise Parse_error on an unterminated quoted
-    field. *)
-
-val encode : string list list -> string
-(** Lines joined with ["\n"], with a trailing newline. *)
-
-val decode : string -> string list list
+val read_file : string -> string list list
 (** Split into rows (handles quoted embedded newlines); skips a final
     empty line.  @raise Parse_error on an unterminated quoted field. *)
-
-val write_file : string -> string list list -> unit
-val read_file : string -> string list list

@@ -91,7 +91,7 @@ let records_to_rows records =
               | Uncertain.Interval i -> i
               | Uncertain.Gaussian _ ->
                   invalid_arg
-                    "Dataset_io.records_to_rows: Gaussian beliefs are not \
+                    "Dataset_io.write_records: Gaussian beliefs are not \
                      representable in the flat schema"
             in
             [

@@ -6,34 +6,28 @@
     the label/flag fields and up to shortest-round-trip float printing
     for the numeric ones. *)
 
-val synthetic_header : string list
-
-val synthetic_to_rows : Synthetic.obj array -> string list list
-(** Header row included. *)
-
-val synthetic_of_rows : string list list -> Synthetic.obj array
-(** @raise Failure on a malformed header, row arity or field, or on a
-    row {!Synthetic.make} rejects (naming the row's id). *)
-
 val write_synthetic : string -> Synthetic.obj array -> unit
+(** A header row [id, label, laxity, success, probe_yes, resolved], then
+    one row per object. *)
+
 val read_synthetic : string -> Synthetic.obj array
+(** @raise Failure on a malformed header, row arity or field, or on a
+    row {!Synthetic.make} rejects (naming the row's id).
+    @raise Csv.Parse_error on malformed CSV. *)
 
-val records_header : string list
-
-val records_to_rows : Interval_data.record array -> string list list
-(** Interval and exact beliefs only.
+val write_records : string -> Interval_data.record array -> unit
+(** A header row [id, belief_lo, belief_hi, truth], then one row per
+    record.  Interval and exact beliefs only.
     @raise Invalid_argument on a Gaussian belief (not representable in
     this flat schema). *)
 
-val records_of_rows : string list list -> Interval_data.record array
+val read_records : string -> Interval_data.record array
 (** Parse a header and [id, belief_lo, belief_hi, truth] rows (a point
     support is an exact belief).
     @raise Failure ["Dataset_io: ..."] on a bad header, arity or number,
     a support bound that is not finite, a reversed support, or a truth
-    that is not finite or lies outside [\[belief_lo, belief_hi\]]. *)
-
-val write_records : string -> Interval_data.record array -> unit
-val read_records : string -> Interval_data.record array
+    that is not finite or lies outside [\[belief_lo, belief_hi\]].
+    @raise Csv.Parse_error on malformed CSV. *)
 
 (** {2 Columnar chunk files (QCOL)}
 

@@ -10,7 +10,6 @@ let point x = make x x
 let lo t = t.lo
 let hi t = t.hi
 let width t = t.hi -. t.lo
-let midpoint t = t.lo +. (width t /. 2.0)
 let is_point t = t.lo = t.hi
 let contains t x = t.lo <= x && x <= t.hi
 let subset a b = b.lo <= a.lo && a.hi <= b.hi
@@ -20,26 +19,12 @@ let intersection a b =
   if intersects a b then Some { lo = Float.max a.lo b.lo; hi = Float.min a.hi b.hi }
   else None
 
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-let equal a b = a.lo = b.lo && a.hi = b.hi
-
-let clamp t x = Float.min t.hi (Float.max t.lo x)
 let sample rng t = if is_point t then t.lo else Rng.uniform_in rng t.lo t.hi
-
-let classify_ge t x =
-  if t.lo >= x then Tvl.Yes else if t.hi < x then Tvl.No else Tvl.Maybe
 
 let classify_le t x =
   if t.hi <= x then Tvl.Yes else if t.lo > x then Tvl.No else Tvl.Maybe
 
-let classify_between t a b =
-  Tvl.and_ (classify_ge t a) (classify_le t b)
-
 let clamp01 p = Float.min 1.0 (Float.max 0.0 p)
-
-let success_ge t x =
-  if is_point t then (if t.lo >= x then 1.0 else 0.0)
-  else clamp01 ((t.hi -. x) /. width t)
 
 let success_le t x =
   if is_point t then (if t.lo <= x then 1.0 else 0.0)

@@ -19,8 +19,6 @@ val hi : t -> float
 val width : t -> float
 (** [hi - lo]; the paper's laxity [l(o)] for intervals. *)
 
-val midpoint : t -> float
-
 val is_point : t -> bool
 (** [true] iff the width is 0. *)
 
@@ -32,13 +30,6 @@ val subset : t -> t -> bool
 
 val intersects : t -> t -> bool
 val intersection : t -> t -> t option
-val hull : t -> t -> t
-(** Smallest interval containing both arguments. *)
-
-val equal : t -> t -> bool
-
-val clamp : t -> float -> float
-(** [clamp i x] is [x] forced into [i]. *)
 
 val sample : Rng.t -> t -> float
 (** Uniform draw from the interval (its midpoint if degenerate). *)
@@ -49,18 +40,13 @@ val sample : Rng.t -> t -> float
     together with the success probability [s(o)] of §4.1 computed under
     the paper's uniformity assumption ([ω^o ~ U(lo, hi)]). *)
 
-val classify_ge : t -> float -> Tvl.t
-(** Verdict of [ω^o >= x]: [Yes] if [lo >= x], [No] if [hi < x], else
+val classify_le : t -> float -> Tvl.t
+(** Verdict of [ω^o <= x]: [Yes] if [hi <= x], [No] if [lo > x], else
     [Maybe]. *)
 
-val classify_le : t -> float -> Tvl.t
-val classify_between : t -> float -> float -> Tvl.t
-(** Verdict of [a <= ω^o <= b]. *)
-
-val success_ge : t -> float -> float
-(** [P(ω^o >= x)] under uniformity; the paper's [s(o) = (hi - x)/(hi - lo)]
-    clamped to [\[0, 1\]].  1 for a degenerate interval satisfying the
-    predicate, 0 otherwise. *)
-
 val success_le : t -> float -> float
+(** [P(ω^o <= x)] under uniformity, [(x - lo)/(hi - lo)] clamped to
+    [\[0, 1\]] (the paper's [s(o)] for the mirrored predicate).  1 for a
+    degenerate interval satisfying the predicate, 0 otherwise. *)
+
 val success_between : t -> float -> float -> float

@@ -11,8 +11,6 @@ let of_center { x; y } ~radius =
   }
 
 let of_point p = { xr = Interval.point p.x; yr = Interval.point p.y }
-let x_range t = t.xr
-let y_range t = t.yr
 
 let laxity t =
   let w = Interval.width t.xr and h = Interval.width t.yr in

@@ -14,12 +14,9 @@ val of_center : point -> radius:float -> t
 (** Square of half-side [radius] around the point.  [radius >= 0]. *)
 
 val of_point : point -> t
-val x_range : t -> Interval.t
-val y_range : t -> Interval.t
 val laxity : t -> float
 (** Diagonal length; 0 iff the rectangle is a point. *)
 
-val area : t -> float
 val contains : t -> point -> bool
 
 val classify_in : t -> t -> Tvl.t

@@ -26,21 +26,6 @@ let support = function
   | Gaussian { mean; stddev; cut } ->
       Interval.make (mean -. (cut *. stddev)) (mean +. (cut *. stddev))
 
-let classify_ge t x = Interval.classify_ge (support t) x
-
-let success_ge t x =
-  match t with
-  | Exact v -> if v >= x then 1.0 else 0.0
-  | Interval i -> Interval.success_ge i x
-  | Gaussian { mean; stddev; _ } ->
-      1.0 -. Math_special.normal_cdf ~mean ~stddev x
-
-let success_le t x =
-  match t with
-  | Exact v -> if v <= x then 1.0 else 0.0
-  | Interval i -> Interval.success_le i x
-  | Gaussian { mean; stddev; _ } -> Math_special.normal_cdf ~mean ~stddev x
-
 let success_between t a b =
   match t with
   | Exact v -> if a <= v && v <= b then 1.0 else 0.0
@@ -60,11 +45,3 @@ let sample rng = function
         if Float.abs (x -. mean) <= cut *. stddev then x else draw ()
       in
       draw ()
-
-let equal a b =
-  match (a, b) with
-  | Exact x, Exact y -> x = y
-  | Interval i, Interval j -> Interval.equal i j
-  | Gaussian g, Gaussian h ->
-      g.mean = h.mean && g.stddev = h.stddev && g.cut = h.cut
-  | (Exact _ | Interval _ | Gaussian _), _ -> false

@@ -34,20 +34,12 @@ val support : t -> Interval.t
 (** Interval of values considered possible: the point, the interval, or
     [mean ± cut·stddev]. *)
 
-val classify_ge : t -> float -> Tvl.t
-(** Verdict of [value >= x] based on the support. *)
-
-val success_ge : t -> float -> float
-(** [P(value >= x)] under the model's belief: 0/1 for [Exact], the uniform
-    mass for [Interval], the Gaussian tail for [Gaussian]. *)
-
-val success_le : t -> float -> float
 val success_between : t -> float -> float -> float
+(** [P(a <= value <= b)] under the model's belief: 0/1 for [Exact], the
+    uniform mass for [Interval], the Gaussian mass for [Gaussian]; 0 when
+    [a > b]. *)
 
 val sample : Rng.t -> t -> float
-(** Draw a plausible precise value from the belief (used by workload
-    generators to materialise ground truth consistent with the model).
-    Gaussian draws are rejected onto the support so that classification
-    and ground truth can never contradict each other. *)
-
-val equal : t -> t -> bool
+(** Draw a plausible precise value from the belief.  Gaussian draws are
+    rejected onto the support so that classification and ground truth
+    can never contradict each other. *)

@@ -18,7 +18,8 @@
     [(time, context, event)] triples — plus pool tasks, in recording
     order, and renders them at export through {!json_of_entries}'s code
     path: for one event stream and clock, with one lane and no tasks,
-    {!to_json} is [json_of_entries ~epoch] of the same triples.
+    the document {!write} saves is [json_of_entries ~epoch] of the same
+    triples.
 
     The recorder is thread-safe: {!on_task} may fire from worker
     domains while lane 0 emits trace events. *)
@@ -46,13 +47,11 @@ val declare_lanes : t -> int -> unit
 val events : t -> int
 (** Entries recorded so far. *)
 
-val to_json : t -> string
-(** The complete [{"traceEvents": [...]}] document: thread-name
-    metadata for every declared lane, then all entries in timestamp
-    order (microsecond units, as the format specifies). *)
-
 val write : t -> string -> unit
-(** [write t path] saves {!to_json} to [path]. *)
+(** [write t path] saves the complete [{"traceEvents": [...]}] document
+    to [path]: thread-name metadata for every declared lane, then all
+    entries in timestamp order (microsecond units, as the format
+    specifies). *)
 
 val json_of_entries :
   ?epoch:float -> (float * Trace.context * Trace.event) list -> string

@@ -38,8 +38,8 @@ let locked l f =
       rlock_release l;
       raise e
 
-type counter = { c_name : string; mutable count : int; c_lock : rlock }
-type gauge = { g_name : string; mutable level : float; g_lock : rlock }
+type counter = { mutable count : int; c_lock : rlock }
+type gauge = { mutable level : float; g_lock : rlock }
 
 (* --- histogram bucket layout ----------------------------------------- *)
 
@@ -92,7 +92,7 @@ let tally_add t v =
   let i = bucket_of v in
   t.t_buckets.(i) <- t.t_buckets.(i) + 1
 
-type histogram = { h_name : string; h_tally : tally; h_lock : rlock }
+type histogram = { h_tally : tally; h_lock : rlock }
 
 type cell =
   | Counter_cell of counter
@@ -149,7 +149,7 @@ let counter t name =
             ("Metrics.counter: " ^ name ^ " is registered as a histogram")
       | None ->
           reserve t name (prometheus_name name);
-          let c = { c_name = name; count = 0; c_lock = t.lock } in
+          let c = { count = 0; c_lock = t.lock } in
           Hashtbl.add t.cells name (Counter_cell c);
           c)
 
@@ -164,7 +164,7 @@ let gauge t name =
             ("Metrics.gauge: " ^ name ^ " is registered as a histogram")
       | None ->
           reserve t name (prometheus_name name);
-          let g = { g_name = name; level = 0.0; g_lock = t.lock } in
+          let g = { level = 0.0; g_lock = t.lock } in
           Hashtbl.add t.cells name (Gauge_cell g);
           g)
 
@@ -186,7 +186,7 @@ let histogram t name =
           reserve t name (p ^ "_bucket");
           reserve t name (p ^ "_sum");
           reserve t name (p ^ "_count");
-          let h = { h_name = name; h_tally = tally (); h_lock = t.lock } in
+          let h = { h_tally = tally (); h_lock = t.lock } in
           Hashtbl.add t.cells name (Histogram_cell h);
           h)
 
@@ -206,7 +206,6 @@ let add c n =
   rlock_release c.c_lock
 
 let count c = locked c.c_lock (fun () -> c.count)
-let counter_name c = c.c_name
 
 let set g v =
   rlock_acquire g.g_lock;
@@ -245,9 +244,6 @@ let merge_tally h t =
     done;
     rlock_release h.h_lock
   end
-
-let histogram_name h = h.h_name
-let observations h = locked h.h_lock (fun () -> h.h_tally.t_count)
 
 type dist = {
   d_count : int;

@@ -65,7 +65,6 @@ val add : counter -> int -> unit
     monotonic). *)
 
 val count : counter -> int
-val counter_name : counter -> string
 val set : gauge -> float -> unit
 val level : gauge -> float
 
@@ -73,8 +72,6 @@ val observe : histogram -> float -> unit
 (** Record one value.
     @raise Invalid_argument on a non-finite or negative value (same
     contract as [Hist1d]: bad observations are call-site bugs, not data). *)
-
-val histogram_name : histogram -> string
 
 (** {2 Run-local tallies}
 
@@ -86,7 +83,8 @@ val histogram_name : histogram -> string
 
 type tally
 (** An unlocked histogram accumulator: count, sum, min, max and the
-    fixed {!bucket_count} buckets, in constant space.  Owned by one
+    fixed layout's buckets (see "Bucket layout" below), in constant
+    space.  Owned by one
     domain at a time. *)
 
 val tally : unit -> tally
@@ -104,27 +102,19 @@ val merge_tally : histogram -> tally -> unit
     last bits once the histogram already held values.  Merging an
     empty tally changes nothing. *)
 
-val observations : histogram -> int
-(** Values observed so far. *)
-
 (** {2 Bucket layout}
 
-    All histograms share one fixed layout: bucket 0 holds values
-    [<= bucket_upper_bound 0] (including zeros), later buckets grow by
-    [2{^1/4}] per step (≤ ~19% relative error), and the last bucket is
-    the overflow with an infinite bound. *)
-
-val bucket_count : int
-val bucket_upper_bound : int -> float
-(** Inclusive upper bound of a bucket; [infinity] for the last.
-    @raise Invalid_argument if the index is out of range. *)
+    All histograms share one fixed layout: bucket 0 holds the smallest
+    values (including zeros), later buckets grow by [2{^1/4}] per step
+    (≤ ~19% relative error), and the last bucket is the overflow with an
+    infinite bound. *)
 
 type dist = {
   d_count : int;
   d_sum : float;
   d_min : float;  (** [+inf] when empty *)
   d_max : float;  (** [-inf] when empty *)
-  d_buckets : int array;  (** length {!bucket_count} *)
+  d_buckets : int array;  (** one count per bucket of the layout *)
 }
 (** An immutable histogram capture. *)
 

@@ -171,7 +171,6 @@ let read t names =
 
 let report t tenant = List.hd (read t (fun () -> [ tenant ]))
 let overall t = report t all_tenant
-let tenants t = Mutex.protect t.lock (fun () -> sorted_tenants t)
 let reports t = read t (fun () -> sorted_tenants t)
 
 (* Prometheus text exposition with tenant labels.  The cumulative

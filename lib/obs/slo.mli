@@ -59,16 +59,14 @@ type report = {
 
 val report : t -> string -> report
 (** A tenant's live numbers (all zero / [nan] quantiles when idle or
-    unknown).  An unknown tenant is not added to {!tenants}. *)
+    unknown).  An unknown tenant is not added to {!reports}. *)
 
 val overall : t -> report
 (** [report t all_tenant]. *)
 
-val tenants : t -> string list
-(** Tenants observed so far, sorted, excluding ["_all"]. *)
-
 val reports : t -> report list
-(** One {!report} per tenant in {!tenants} order. *)
+(** One {!report} per tenant observed so far, sorted by name, excluding
+    ["_all"]. *)
 
 val to_prometheus : t -> string
 (** Text exposition of the [qaq_slo_*] gauge family with

@@ -27,9 +27,6 @@ type context = { query : int option; tenant : string option }
 (** Attribution for an event: the engine-minted per-query trace ID and
     the owning tenant, when known. *)
 
-val no_context : context
-(** Both fields [None] — what plain {!emit} stamps. *)
-
 type event =
   | Read of { verdict : verdict }  (** one object read and classified *)
   | Decision of {
@@ -106,7 +103,7 @@ val enabled : sink -> bool
     [if Trace.enabled sink then Trace.emit sink (Read ...)]. *)
 
 val emit : sink -> event -> unit
-(** Emit with {!no_context}. *)
+(** Emit with a context whose fields are both [None]. *)
 
 val emit_ctx : sink -> context -> event -> unit
 

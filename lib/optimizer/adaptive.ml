@@ -136,6 +136,4 @@ let policy t =
         ~counters ~verdict ~laxity ~success)
 
 let current_params t = t.params
-let replans t = t.replans
 let budget_replans t = t.budget_replans
-let observed t = t.observed

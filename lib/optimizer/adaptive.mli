@@ -51,7 +51,7 @@ val create :
     re-solves are additionally counted by {!budget_replans}.
 
     [obs] times each re-solve under the [adaptive-reestimate] span and
-    emits a {!Trace.Replan} event; {!replans} counts them.
+    emits a {!Trace.Replan} event for each.
     @raise Invalid_argument if [total <= 0], [max_laxity] is not
     positive and finite, [tiers] is invalid, [replan_every < 1] or
     [max_replans < 0]. *)
@@ -62,14 +62,6 @@ val policy : t -> Policy.t
 val current_params : t -> Policy.params
 (** The parameters currently in force (for inspection/logging). *)
 
-val replans : t -> int
-(** Re-solves performed so far. *)
-
 val budget_replans : t -> int
 (** Re-solves that went through the dual (budgeted) path; 0 when no
     budget was given. *)
-
-val observed : t -> int
-(** YES/MAYBE objects observed so far (NO objects never reach a policy,
-    so the estimator infers their share from the operator's read
-    count). *)

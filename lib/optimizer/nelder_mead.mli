@@ -12,8 +12,6 @@ type options = {
           (default 1e-10) *)
 }
 
-val default_options : options
-
 type cell = { mutable value : float }
 (** Where the objective leaves its value.  The simplex owns one cell per
     call and reads it after each evaluation, so a value crosses no

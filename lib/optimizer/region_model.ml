@@ -13,9 +13,6 @@ let spec ~f_y ~f_m ~max_laxity ~density =
     invalid_arg "Region_model.spec: max_laxity <= 0";
   { f_y; f_m; max_laxity; density }
 
-let uniform_spec ~f_y ~f_m ~max_laxity =
-  spec ~f_y ~f_m ~max_laxity ~density:(Density.uniform ~max_laxity)
-
 type fractions = {
   yes : float;
   maybe : float;

@@ -29,9 +29,6 @@ val spec :
 (** @raise Invalid_argument if fractions are negative, sum above 1, or
     [max_laxity <= 0]. *)
 
-val uniform_spec : f_y:float -> f_m:float -> max_laxity:float -> spec
-(** [spec] with the uniform density over [\[0,1\] x \[0,L\]]. *)
-
 (** Expected quantities per object read. *)
 type fractions = {
   yes : float;  (** Y/R *)

@@ -110,8 +110,6 @@ type dual_evaluation = {
   d_expected_precision : float;
 }
 
-val evaluate_dual : problem -> budget:float -> Policy.params -> dual_evaluation
-
 val better_dual : dual_evaluation -> dual_evaluation -> dual_evaluation
 (** Prefer precision-feasibility, then higher [target_recall], then lower
     spend; among infeasible candidates, less violation then cost. *)

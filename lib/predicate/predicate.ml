@@ -13,9 +13,7 @@ let check_finite name x =
     invalid_arg (Printf.sprintf "Predicate.%s: bound must be finite" name)
 
 let ge x = check_finite "ge" x; Ge x
-let gt x = check_finite "gt" x; Gt x
 let le x = check_finite "le" x; Le x
-let lt x = check_finite "lt" x; Lt x
 
 let between a b =
   check_finite "between" a;

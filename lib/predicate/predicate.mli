@@ -23,9 +23,7 @@ type t =
   | Or of t * t
 
 val ge : float -> t
-val gt : float -> t
 val le : float -> t
-val lt : float -> t
 
 val between : float -> float -> t
 (** @raise Invalid_argument if the bounds are reversed or not finite. *)

@@ -4,9 +4,6 @@
 
 type t = (float * float) list
 
-let empty = []
-let full = [ (neg_infinity, infinity) ]
-
 let check_bounds lo hi =
   if Float.is_nan lo || Float.is_nan hi then
     invalid_arg "Real_set: NaN bound";
@@ -77,7 +74,3 @@ let measure_within t i =
       let l = Float.max clo lo and h = Float.min chi hi in
       if l < h then acc +. (h -. l) else acc)
     0.0 t
-
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2 (fun (l1, h1) (l2, h2) -> l1 = l2 && h1 = h2) a b

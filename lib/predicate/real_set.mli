@@ -16,9 +16,6 @@
 
 type t
 
-val empty : t
-val full : t
-
 val segment : float -> float -> t
 (** [segment lo hi] is [\[lo, hi\]] ([lo <= hi]; bounds may be infinite but
     not NaN).  @raise Invalid_argument on violation. *)
@@ -46,5 +43,3 @@ val components : t -> (float * float) list
 
 val measure_within : t -> Interval.t -> float
 (** Total length of the intersection of [s] with the (finite) interval. *)
-
-val equal : t -> t -> bool

@@ -18,7 +18,6 @@ type 'o t = {
   rng : Rng.t option;
   faults : Fault_plan.t option;
   ins : instruments option;
-  tier : string option;
   mutable probes : int;
   mutable attempts : int;
   mutable batches : int;
@@ -75,14 +74,11 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
     rng;
     faults = Fault_plan.injector_opt ?obs ~site:prefix faults;
     ins;
-    tier;
     probes = 0;
     attempts = 0;
     batches = 0;
     simulated_latency = 0.0;
   }
-
-let tier t = t.tier
 
 let sample_latency t =
   let l =
@@ -204,9 +200,3 @@ let stats (t : _ t) : stats =
     batches = t.batches;
     simulated_latency = t.simulated_latency;
   }
-
-let reset_stats (t : _ t) =
-  t.probes <- 0;
-  t.attempts <- 0;
-  t.batches <- 0;
-  t.simulated_latency <- 0.0

@@ -100,8 +100,5 @@ type stats = {
 }
 
 val stats : 'o t -> stats
-val reset_stats : 'o t -> unit
-
-val tier : 'o t -> string option
-(** The cascade tier this source was labelled as, if any — {!stats} on
-    a labelled source is that tier's slice alone. *)
+(** On a source labelled with a cascade tier ([create ?tier]), that
+    tier's slice alone. *)

@@ -22,15 +22,6 @@ let driver_of_tier ?obs ~(spec : Probe_tier.spec) src =
   in
   Probe_driver.create_outcomes ?obs ~batch_size:spec.Probe_tier.batch resolver
 
-let cascade ?obs ?start ~(specs : Probe_tier.spec array) sources =
-  Probe_tier.validate specs;
-  if Array.length sources <> Array.length specs then
-    invalid_arg "Tiered.cascade: sources/specs length mismatch";
-  let drivers =
-    Array.map2 (fun spec src -> driver_of_tier ?obs ~spec src) specs sources
-  in
-  Cascade.create ?start ~specs drivers
-
 let sources ?obs ?rng ?latency ?failure_rate ?max_retries ?faults
     ~(specs : Probe_tier.spec array) ~narrow ~resolve () =
   Array.map
@@ -50,4 +41,8 @@ let of_functions ?obs ?start ?rng ?latency ?failure_rate ?max_retries ?faults
     sources ?obs ?rng ?latency ?failure_rate ?max_retries ?faults ~specs
       ~narrow ~resolve ()
   in
-  (cascade ?obs ?start ~specs srcs, srcs)
+  Probe_tier.validate specs;
+  let drivers =
+    Array.map2 (fun spec src -> driver_of_tier ?obs ~spec src) specs srcs
+  in
+  (Cascade.create ?start ~specs drivers, srcs)

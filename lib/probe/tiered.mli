@@ -8,17 +8,6 @@
     re-classifies them instead of trusting them as points.  Failures
     pass through and fail over tier-by-tier in [Operator.run]. *)
 
-val cascade :
-  ?obs:Obs.t ->
-  ?start:int ->
-  specs:Probe_tier.spec array ->
-  'o Probe_source.t array ->
-  'o Cascade.t
-(** [cascade ~specs sources] pairs tier [i] with [sources.(i)].  Label
-    each source with its tier name ([Probe_source.create ?tier]) when
-    sharing an obs registry, or the per-tier stats will collide.
-    @raise Invalid_argument on a length mismatch or invalid specs. *)
-
 val of_functions :
   ?obs:Obs.t ->
   ?start:int ->
@@ -34,7 +23,8 @@ val of_functions :
   'o Cascade.t * 'o Probe_source.t array
 (** One tier-labelled {!Probe_source} per spec — [Shrink {power}] tiers
     use [narrow ~power], the [Resolve] tier uses [resolve] — paired into
-    a {!cascade}; the sources come back too, for their statistics.  The
+    into one {!Cascade.t}; the sources come back too, for their
+    statistics.  @raise Invalid_argument on invalid specs.  The
     shared [faults] spec is instantiated per tier at site
     ["probe_source.<tier>"], so each tier draws an independent fault
     stream.  The convenience the CLI's [--tiers] flag wires through. *)

@@ -56,13 +56,6 @@ let mentioned c =
   in
   List.sort_uniq compare (collect [] c)
 
-let rec eval_truth c t =
-  match c with
-  | Atom (i, p) -> Predicate.eval p t.truths.(i)
-  | Not c -> not (eval_truth c t)
-  | And (a, b) -> eval_truth a t && eval_truth b t
-  | Or (a, b) -> eval_truth a t || eval_truth b t
-
 (* ---- normalisation ------------------------------------------------- *)
 
 (* Negation normal form: negations absorbed into the atoms' predicates. *)

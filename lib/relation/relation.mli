@@ -36,11 +36,6 @@ type schema = private { names : string array }
 val schema : string list -> schema
 (** @raise Invalid_argument on an empty or duplicated attribute list. *)
 
-val arity : schema -> int
-
-val attr : schema -> string -> int
-(** Index of an attribute.  @raise Not_found if absent. *)
-
 type tuple = private {
   id : int;
   beliefs : Uncertain.t array;
@@ -60,9 +55,6 @@ type condition =
 
 val atom : schema -> string -> Predicate.t -> condition
 (** By attribute name.  @raise Not_found if absent. *)
-
-val eval_truth : condition -> tuple -> bool
-(** Ground-truth evaluation (tests/experiments only). *)
 
 val classify : condition -> tuple -> Tvl.t
 (** Kleene evaluation over per-attribute verdicts, with each attribute's

@@ -47,12 +47,6 @@ module Hist1d = struct
     t.counts.(bin_of t x) <- t.counts.(bin_of t x) + 1;
     t.total <- t.total + 1
 
-  let count t = t.total
-
-  let bin_range t i =
-    let lo = t.lo +. (float_of_int i *. t.width) in
-    (lo, lo +. t.width)
-
   (* Fraction of bin [i] intersecting (a, b], assuming uniform mass. *)
   let[@inline] overlap t i a b =
     let lo = t.lo +. (float_of_int i *. t.width) in
@@ -70,17 +64,6 @@ module Hist1d = struct
     end
 
   let mass_above t x = mass_between t x t.hi
-
-  let mean t =
-    if t.total = 0 then 0.0
-    else begin
-      let acc = ref 0.0 in
-      for i = 0 to t.bins - 1 do
-        let lo, hi = bin_range t i in
-        acc := !acc +. (float_of_int t.counts.(i) *. ((lo +. hi) /. 2.0))
-      done;
-      !acc /. float_of_int t.total
-    end
 end
 
 module Hist2d = struct
@@ -129,8 +112,6 @@ module Hist2d = struct
     cell.count <- cell.count + 1;
     cell.sum_x <- cell.sum_x +. x;
     t.total <- t.total + 1
-
-  let count t = t.total
 
   type plane_region = {
     mutable s_min : float;

@@ -4,8 +4,8 @@
     objects); {!Hist2d} estimates the joint [g(s(o), l(o))] density over
     MAYBE objects that §4.2 needs to size the decision regions.  Both
     support mass queries over sub-ranges with fractional bins (the mass
-    inside a bin is assumed uniform), plus a first moment along the first
-    axis for the expected probe success of a region. *)
+    inside a bin is assumed uniform), and {!Hist2d} also a first moment
+    along its first axis for the expected probe success of a region. *)
 
 module Hist1d : sig
   type t
@@ -18,17 +18,12 @@ module Hist1d : sig
       @raise Invalid_argument on a non-finite value (a NaN would
       otherwise corrupt bin 0). *)
 
-  val count : t -> int
-
   val mass_above : t -> float -> float
   (** Fraction of observations with value [> x] (fractional bins; 0 when
       the histogram is empty). *)
 
   val mass_between : t -> float -> float -> float
   (** Fraction with value in [\[a, b\]]; 0 when empty or [a > b]. *)
-
-  val mean : t -> float
-  (** Approximate mean (bin midpoints); 0 when empty. *)
 end
 
 module Hist2d : sig
@@ -40,8 +35,6 @@ module Hist2d : sig
 
   val add : t -> x:float -> y:float -> unit
   (** @raise Invalid_argument on a non-finite coordinate. *)
-
-  val count : t -> int
 
   type plane_region = {
     mutable s_min : float;

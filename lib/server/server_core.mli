@@ -34,6 +34,16 @@
     a tab or a control character) is answered [ERR ...] and queues
     nothing.
 
+    [quota=N] caps the admitted backend probes of the query's tenant
+    ({!Probe_broker.client}'s [quota]).  A tenant pays only for the
+    probes admitted for it: a request that joins another query's probe
+    in flight, or that the freshness cache answers, is free.  So when
+    queries run at once — more than one lane, or one lane lent out
+    during a [c_probe_ms] wait — which query reaches an object first
+    decides who pays, and a quota'd query's [RESULT] can differ from run
+    to run.  One lane with [c_probe_ms = 0] runs the queries one at a
+    time in queue order, and a quota'd script then replays exactly.
+
     [SLO a b] is [ERR usage: SLO [tenant]]; [SLO T] with a byte outside
     0x21-0x7E in [T] gets the QUERY name's [ERR].  An [SLO] read never
     registers a tenant: an unknown one reads as idle and stays out of

@@ -154,6 +154,3 @@ let stats (t : _ t) : stats =
   locked t (fun () ->
       { hits = t.hits; misses = t.misses; evictions = t.evictions })
 
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total

@@ -36,7 +36,8 @@ val fetch : 'a t -> int -> (int -> 'a) -> 'a
     survives, because the LRU victim is only evicted after the
     replacement actually arrived.  {!stats} after a failed load
     therefore shows one extra miss, unchanged evictions, and
-    {!hit_rate} correspondingly counts the failure against the pool. *)
+    the hit rate [hits / (hits + misses)] correspondingly counts the
+    failure against the pool. *)
 
 val contains : 'a t -> int -> bool
 
@@ -47,8 +48,3 @@ val stats : 'a t -> stats
     includes fetches whose loader raised; [evictions] counts only
     entries actually removed for a successfully loaded replacement. *)
 
-
-val hit_rate : stats -> float
-(** [hits / (hits + misses)]; 0 when no accesses.  Failed loads are
-    misses, so a flaky backend lowers the hit rate even when every
-    successful fetch was served from cache. *)

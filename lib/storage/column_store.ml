@@ -107,13 +107,6 @@ let prunable t pred c =
   | None -> true
   | Some hull -> Tvl.equal (Predicate.classify_interval pred hull) Tvl.No
 
-let pruned_chunks t pred =
-  let n = ref 0 in
-  for c = 0 to chunk_count t - 1 do
-    if prunable t pred c then incr n
-  done;
-  !n
-
 let row ch i =
   if i < 0 || i >= ch.len then invalid_arg "Column_store.row: index";
   {
@@ -122,7 +115,3 @@ let row ch i =
     hi = Bigarray.Array1.unsafe_get ch.hi i;
     truth = Bigarray.Array1.unsafe_get ch.truth i;
   }
-
-let get t i =
-  if i < 0 || i >= t.length then invalid_arg "Column_store.get: index";
-  row (t.fetch (i / t.chunk_size)) (i mod t.chunk_size)

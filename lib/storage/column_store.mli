@@ -72,24 +72,15 @@ val chunk : t -> int -> chunk
     pool).
     @raise Invalid_argument on out-of-range index. *)
 
-val zone : t -> int -> Interval.t option
-(** The chunk's support hull; [None] for an empty store. *)
-
 val zones : t -> Interval.t option array
-(** All hulls in chunk order (a copy) — what the codec persists. *)
+(** Every chunk's support hull in chunk order (a copy) — what the codec
+    persists; [None] for an empty store. *)
 
 val prunable : t -> Predicate.t -> int -> bool
 (** [prunable t pred c] iff every row of chunk [c] is a guaranteed NO,
     decided from the hull alone ([Predicate.classify_interval] of the
     hull is NO; the [None] hull of an empty store is prunable). *)
 
-val pruned_chunks : t -> Predicate.t -> int
-(** Number of chunks {!prunable} would skip. *)
-
 val row : chunk -> int -> row
 (** Materialize row [i] of a fetched chunk.
-    @raise Invalid_argument on out-of-range index. *)
-
-val get : t -> int -> row
-(** Random access by global row index (fetches the owning chunk).
     @raise Invalid_argument on out-of-range index. *)

@@ -30,15 +30,6 @@ let create () =
     tier_batches = [||];
   }
 
-let reset t =
-  t.reads <- 0;
-  t.probes <- 0;
-  t.batches <- 0;
-  t.writes_imprecise <- 0;
-  t.writes_precise <- 0;
-  t.tier_probes <- [||];
-  t.tier_batches <- [||]
-
 let charge_read t = t.reads <- t.reads + 1
 let charge_probe t = t.probes <- t.probes + 1
 

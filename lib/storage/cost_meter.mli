@@ -15,7 +15,6 @@ type counts = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val charge_read : t -> unit
 val charge_probe : t -> unit

@@ -19,7 +19,6 @@ let make ?(c_b = 0.0) ~c_r ~c_p ~c_wi ~c_wp () =
   { c_r; c_p; c_wi; c_wp; c_b }
 
 let paper = { c_r = 1.0; c_p = 100.0; c_wi = 1.0; c_wp = 1.0; c_b = 0.0 }
-let uniform = { c_r = 1.0; c_p = 1.0; c_wi = 1.0; c_wp = 1.0; c_b = 0.0 }
 
 let amortized_probe t ~batch =
   if batch < 1 then invalid_arg "Cost_model.amortized_probe: batch < 1";
@@ -28,8 +27,6 @@ let amortized_probe t ~batch =
 let pp ppf t =
   Format.fprintf ppf "c_r=%g c_p=%g c_wi=%g c_wp=%g c_b=%g" t.c_r t.c_p
     t.c_wi t.c_wp t.c_b
-
-let to_string t = Format.asprintf "%a" pp t
 
 let of_string s =
   let fields =

@@ -32,10 +32,6 @@ val make :
 val paper : t
 (** [c_r = 1, c_p = 100, c_wi = 1, c_wp = 1, c_b = 0]. *)
 
-val uniform : t
-(** All per-operation costs 1, [c_b = 0] — useful for counting
-    operations. *)
-
 val amortized_probe : t -> batch:int -> float
 (** The effective per-probe price when probes are issued in batches of
     [batch]: [c_p + c_b/batch].  This is what the optimizer's objective
@@ -45,8 +41,6 @@ val amortized_probe : t -> batch:int -> float
 val pp : Format.formatter -> t -> unit
 (** Prints [c_r=… c_p=… c_wi=… c_wp=… c_b=…]; inverse of
     {!of_string}. *)
-
-val to_string : t -> string
 
 val of_string : string -> t option
 (** Parse the {!pp} format.  Field order is free; [c_b] may be omitted

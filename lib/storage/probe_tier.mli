@@ -35,11 +35,10 @@ val validate : spec array -> unit
     Prometheus names of the tier's metrics, so two distinct names could
     collide). *)
 
-val strategy_price : spec array -> start:int -> float
-(** Expected amortized cost per probed object of starting the cascade
-    at tier [start] and escalating residuals to the end. *)
-
 type plan = { start : int; price : float }
+(** [price] is the expected amortized cost per probed object of
+    starting the cascade at tier [start] and escalating residuals to
+    the end. *)
 
 val select : spec array -> plan
 (** Cheapest starting tier (earliest wins ties).  Validates. *)
@@ -57,5 +56,5 @@ val of_string : string -> spec array
     [Resolve].  Raises [Invalid_argument] on bad grammar or an invalid
     cascade. *)
 
-val to_string : spec array -> string
 val pp : Format.formatter -> spec array -> unit
+(** Prints the {!of_string} grammar. *)

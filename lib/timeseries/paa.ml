@@ -31,29 +31,6 @@ let compress ~segments series =
 
 let segments t = Array.length t.means
 
-let check_segment t i =
-  if i < 0 || i >= segments t then invalid_arg "Paa: segment index"
-
-let segment_mean t i = check_segment t i; t.means.(i)
-let segment_min t i = check_segment t i; t.mins.(i)
-let segment_max t i = check_segment t i; t.maxs.(i)
-
-let segment_of t idx =
-  (* starts is sorted; linear scan is fine for the segment counts used
-     here, but a binary search keeps reconstruction O(n log k)-free. *)
-  let rec bsearch lo hi =
-    if lo >= hi then lo - 1
-    else begin
-      let mid = (lo + hi) / 2 in
-      if t.starts.(mid) <= idx then bsearch (mid + 1) hi else bsearch lo mid
-    end
-  in
-  bsearch 1 (Array.length t.starts) - 0
-
-let reconstruct t =
-  Time_series.of_array
-    (Array.init t.source_length (fun i -> t.means.(segment_of t i)))
-
 let compression_ratio t =
   3.0 *. float_of_int (segments t) /. float_of_int t.source_length
 
@@ -75,8 +52,3 @@ let distance_bounds t q =
     done
   done;
   Interval.make (sqrt !lb2) (sqrt !ub2)
-
-let value_bounds t i =
-  if i < 0 || i >= t.source_length then invalid_arg "Paa.value_bounds: index";
-  let s = segment_of t i in
-  Interval.make t.mins.(s) t.maxs.(s)

@@ -16,15 +16,6 @@ val compress : segments:int -> Time_series.t -> t
 (** @raise Invalid_argument if [segments < 1] or exceeds the series
     length. *)
 
-val segments : t -> int
-
-val segment_mean : t -> int -> float
-val segment_min : t -> int -> float
-val segment_max : t -> int -> float
-
-val reconstruct : t -> Time_series.t
-(** The lossy reconstruction (each segment's mean, repeated). *)
-
 val compression_ratio : t -> float
 (** Stored floats of the sketch divided by those of the original
     (3k / n). *)
@@ -33,6 +24,3 @@ val distance_bounds : t -> Time_series.t -> Interval.t
 (** [distance_bounds sketch q]: an interval certainly containing the
     Euclidean distance between the original series and [q].
     @raise Invalid_argument on length mismatch. *)
-
-val value_bounds : t -> int -> Interval.t
-(** Interval certainly containing the original value at one index. *)

@@ -8,27 +8,20 @@ let equal a b =
 (* Order No < Maybe < Yes: the natural truth order of Kleene logic, under
    which [and_] is the meet and [or_] the join. *)
 let rank = function No -> 0 | Maybe -> 1 | Yes -> 2
-let compare a b = Int.compare (rank a) (rank b)
 let to_string = function Yes -> "YES" | No -> "NO" | Maybe -> "MAYBE"
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let of_bool b = if b then Yes else No
-let to_bool = function Yes -> Some true | No -> Some false | Maybe -> None
 let not_ = function Yes -> No | No -> Yes | Maybe -> Maybe
 let and_ a b = if rank a <= rank b then a else b
 let or_ a b = if rank a >= rank b then a else b
-let all ts = List.fold_left and_ Yes ts
-let any ts = List.fold_left or_ No ts
 let is_definite = function Yes | No -> true | Maybe -> false
 
 (* The unboxed encoding reuses the truth order ([rank]), so packed
    verdict buffers compare the way the logic does. *)
-let to_int = rank
+let to_char t = Char.unsafe_chr (rank t)
 
-let of_int = function
+let of_char c =
+  match Char.code c with
   | 0 -> No
   | 1 -> Maybe
   | 2 -> Yes
-  | n -> invalid_arg (Printf.sprintf "Tvl.of_int: %d" n)
-
-let to_char t = Char.unsafe_chr (rank t)
-let of_char c = of_int (Char.code c)
+  | n -> invalid_arg (Printf.sprintf "Tvl.of_char: %d" n)

@@ -12,16 +12,11 @@
 type t = Yes | No | Maybe
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val of_bool : bool -> t
 (** [of_bool b] is [Yes] or [No]; a precise evaluation never yields
     [Maybe]. *)
-
-val to_bool : t -> bool option
-(** [Some] for definite verdicts, [None] for [Maybe]. *)
 
 val not_ : t -> t
 (** Kleene negation: swaps [Yes] and [No], fixes [Maybe]. *)
@@ -32,28 +27,18 @@ val and_ : t -> t -> t
 val or_ : t -> t -> t
 (** Kleene disjunction: [Yes] dominates, then [Maybe]. *)
 
-val all : t list -> t
-(** Conjunction of a list ([Yes] for the empty list). *)
-
-val any : t list -> t
-(** Disjunction of a list ([No] for the empty list). *)
-
 val is_definite : t -> bool
 (** [true] for [Yes] and [No]. *)
 
 (** {2 Unboxed encoding}
 
     Vectorized classification packs one verdict per byte into
-    preallocated buffers; the codes follow the truth order used by
-    {!compare} ([No] = 0, [Maybe] = 1, [Yes] = 2). *)
-
-val to_int : t -> int
-
-val of_int : int -> t
-(** @raise Invalid_argument outside [0..2]. *)
+    preallocated buffers; the codes follow the truth order under which
+    {!and_} is the meet and {!or_} the join ([No] = 0, [Maybe] = 1,
+    [Yes] = 2). *)
 
 val to_char : t -> char
-(** [to_int] as a byte, for [Bytes] verdict buffers. *)
+(** The verdict's code as a byte, for [Bytes] verdict buffers. *)
 
 val of_char : char -> t
 (** @raise Invalid_argument outside ['\000'..'\002']. *)

@@ -91,12 +91,9 @@ val wait : Condition.t -> Mutex.t -> unit
     [Condition.wait]; state guarded by [m] may change while [m] is
     released.  Outside a lane it is just [Condition.wait c m]. *)
 
-val env_var : string
-(** ["QAQ_DOMAINS"] — the environment variable {!resolve} consults. *)
-
 val resolve : ?domains:int -> unit -> int
 (** The lane count an entry point should use: the explicit [domains]
-    argument if given, else the {!env_var} environment variable, else 1,
+    argument if given, else the [QAQ_DOMAINS] environment variable, else 1,
     capped at the core count ([Domain.recommended_domain_count ()]),
     since no call runs on more lanes than that.
     The env fallback lets a whole test suite or CI job exercise the

@@ -61,8 +61,6 @@ let uniform_in t lo hi =
   if lo > hi then invalid_arg "Rng.uniform_in: lo > hi";
   lo +. (uniform t *. (hi -. lo))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p =
   if p >= 1.0 then true else if p <= 0.0 then false else uniform t < p
 
@@ -76,10 +74,6 @@ let gaussian t ~mean ~stddev =
   in
   mean +. (stddev *. polar ())
 
-let exponential t ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
-  -.log1p (-.uniform t) /. rate
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -87,15 +81,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t k n =
-  if k < 0 || n < 0 then invalid_arg "Rng.sample_without_replacement: negative";
-  if k > n then invalid_arg "Rng.sample_without_replacement: k > n";
-  (* Reservoir sampling keeps memory at O(k) even for large n. *)
-  let reservoir = Array.init k (fun i -> i) in
-  for i = k to n - 1 do
-    let j = int t (i + 1) in
-    if j < k then reservoir.(j) <- i
-  done;
-  shuffle t reservoir;
-  reservoir

@@ -40,22 +40,11 @@ val uniform_in : t -> float -> float -> float
 (** [uniform_in t lo hi] is uniform in [\[lo, hi)].
     @raise Invalid_argument if [lo > hi]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0, 1]). *)
 
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Normal deviate via the Marsaglia polar method. *)
 
-val exponential : t -> rate:float -> float
-(** Exponential deviate with the given rate ([rate > 0]). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement t k n] draws [k] distinct indices from
-    [\[0, n)], in random order.  @raise Invalid_argument if [k > n] or
-    either argument is negative. *)

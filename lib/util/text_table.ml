@@ -23,9 +23,6 @@ let cell_of_float x =
     String.sub s 0 (last + 1)
   end
 
-let add_float_row t label xs =
-  add_row t (label :: List.map cell_of_float xs)
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.header :: rows in

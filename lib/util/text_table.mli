@@ -13,11 +13,6 @@ val create : title:string -> header:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row arity differs from the header. *)
 
-val add_float_row : t -> string -> float list -> unit
-(** [add_float_row t label xs] adds a row whose first cell is [label] and
-    whose remaining cells render [xs] with {!cell_of_float}.  The header
-    must have arity [1 + List.length xs]. *)
-
 val cell_of_float : float -> string
 (** Compact float rendering: integers without a decimal point, otherwise up
     to three significant decimals, matching the paper's table style. *)

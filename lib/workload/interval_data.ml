@@ -96,9 +96,6 @@ let of_store store =
 
 let in_exact pred r = Predicate.eval pred r.truth
 
-let exact_set pred records =
-  Array.to_list records |> List.filter (in_exact pred)
-
 let exact_size pred records =
   Array.fold_left (fun acc r -> if in_exact pred r then acc + 1 else acc) 0 records
 

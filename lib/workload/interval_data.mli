@@ -32,10 +32,8 @@ val shrink : power:float -> record -> record
     @raise Invalid_argument on a power outside [0, 1] or a Gaussian
     belief. *)
 
-val exact_set : Predicate.t -> record array -> record list
-(** Records whose true value satisfies the predicate (Eq. 1). *)
-
 val exact_size : Predicate.t -> record array -> int
+(** How many records' true values satisfy the predicate (Eq. 1). *)
 
 val in_exact : Predicate.t -> record -> bool
 

@@ -68,19 +68,6 @@ let generate rng cfg =
     ~draw_laxity:(fun rng -> Rng.float rng cfg.max_laxity)
     ~draw_success:Rng.uniform
 
-let generate_drifting rng cfg ~f_y_end ~f_m_end =
-  if not (valid_fractions f_y_end f_m_end) then
-    invalid_arg "Synthetic.generate_drifting: invalid end fractions";
-  let n = Stdlib.max 1 (cfg.total - 1) in
-  Array.init cfg.total (fun id ->
-      let t = float_of_int id /. float_of_int n in
-      let mix a b = a +. (t *. (b -. a)) in
-      let local =
-        { cfg with total = 1; f_y = mix cfg.f_y f_y_end; f_m = mix cfg.f_m f_m_end }
-      in
-      let one = generate rng local in
-      { one.(0) with id })
-
 let generate_skewed rng cfg ~laxity_exponent ~success_exponent =
   if laxity_exponent <= 0.0 || success_exponent <= 0.0 then
     invalid_arg "Synthetic.generate_skewed: non-positive exponent";

@@ -48,15 +48,6 @@ val make :
 
 val generate : Rng.t -> config -> obj array
 
-val generate_drifting :
-  Rng.t -> config -> f_y_end:float -> f_m_end:float -> obj array
-(** Like {!generate} but the composition drifts linearly along the scan:
-    position 0 draws labels with the config's [(f_y, f_m)], the final
-    position with [(f_y_end, f_m_end)].  A pre-query sample sees the
-    average mix, so a one-shot plan is systematically wrong for the tail
-    — the scenario motivating adaptive re-planning.
-    @raise Invalid_argument on invalid end fractions. *)
-
 val generate_skewed :
   Rng.t -> config -> laxity_exponent:float -> success_exponent:float ->
   obj array

@@ -19,9 +19,12 @@ let run ?budget ?deadline ?(domains = 1) () =
 (* The oracle audit of a run over [data] (the module's own workload, or
    the one a local ladder scans). *)
 let achieved ?(data = data) result =
-  Profile.achieved ~oracle:Synthetic.in_exact
-    (Scan_pipeline.rows ~instance:Synthetic.instance data)
-    result
+  let profile =
+    Profile.of_run ~oracle:Synthetic.in_exact ~earlier:[] (Obs.create ())
+      (Scan_pipeline.rows ~instance:Synthetic.instance data)
+      result
+  in
+  Option.get profile.Profile.audit.Profile.achieved
 
 let summary result =
   match result.Engine.budget with

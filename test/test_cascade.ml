@@ -10,6 +10,17 @@ let checkf = Alcotest.(check (float 1e-9))
 let requirements =
   Quality.requirements ~precision:0.85 ~recall:0.55 ~laxity:50.0
 
+(* A cascade over hand-built per-tier sources: a dead proxy (every probe
+   fails) in front of a working oracle.  A proxy that never resolves
+   needs none of the [Shrunk] re-tagging {!Tiered.of_functions} wires,
+   so each tier is its source's plain driver. *)
+let dead_proxy_cascade ?obs ~(specs : Probe_tier.spec array) sources =
+  Cascade.create ~specs
+    (Array.map2
+       (fun (spec : Probe_tier.spec) src ->
+         Probe_source.driver ?obs ~batch_size:spec.batch src)
+       specs sources)
+
 let specs2 ?(power = 0.8) ?(proxy_cp = 0.1) ?(proxy_cb = 1.0)
     ?(proxy_batch = 32) () =
   [|
@@ -41,10 +52,10 @@ let test_tier_selection () =
      oracle; entering at the oracle pays the oracle in full. *)
   checkf "escalation strategy price"
     (0.1 +. (1.0 /. 32.0) +. (0.2 *. (1.0 +. (5.0 /. 8.0))))
-    (Probe_tier.strategy_price specs ~start:0);
+    (Probe_tier.select specs).Probe_tier.price;
   checkf "oracle-only strategy price"
     (1.0 +. (5.0 /. 8.0))
-    (Probe_tier.strategy_price specs ~start:1);
+    (Probe_tier.select [| specs.(1) |]).Probe_tier.price;
   let plan = Probe_tier.select specs in
   checki "an effective proxy is worth entering" 0 plan.Probe_tier.start;
   (* A powerless, expensive proxy is priced out: start at the oracle. *)
@@ -62,7 +73,7 @@ let test_tier_grammar () =
     (specs.(1).Probe_tier.name = "oracle"
     && specs.(1).Probe_tier.kind = Probe_tier.Resolve);
   checkb "to_string round-trips" true
-    (Probe_tier.of_string (Probe_tier.to_string specs) = specs);
+    (Probe_tier.of_string (Format.asprintf "%a" Probe_tier.pp specs) = specs);
   (match Probe_tier.of_string "proxy:cp=0.1,shrink=0.5" with
   | _ -> Alcotest.fail "a cascade without an oracle must be rejected"
   | exception Invalid_argument _ -> ());
@@ -212,9 +223,9 @@ let prop_synthetic_shrink_sound =
 
 (* --- satellite (b): guarantees survive every cascade ------------------ *)
 
-let synthetic_cascade ?obs ?faults ~specs () =
+let synthetic_cascade ?obs ?faults ?start ~specs () =
   let cascade, _sources =
-    Tiered.of_functions ?obs ?faults ~specs
+    Tiered.of_functions ?obs ?faults ?start ~specs
       ~narrow:(fun ~power o -> Synthetic.shrink ~power o)
       ~resolve:Synthetic.probe ()
   in
@@ -438,11 +449,10 @@ let escalation_run ~power =
   let data =
     Synthetic.generate (Rng.create 21) (Synthetic.config ~total:500 ())
   in
-  let cascade = synthetic_cascade ~specs:(specs2 ~power ()) () in
   (* A powerless proxy is priced out of the escalation strategy, so
      force entry at tier 0 — the invariant under test is the operator's
      escalation accounting, not the start-tier selection. *)
-  Cascade.set_start cascade 0;
+  let cascade = synthetic_cascade ~start:0 ~specs:(specs2 ~power ()) () in
   let result =
     Engine.run ~rng:(Rng.create 22) ~max_laxity:100.0
       ~instance:Synthetic.instance ~cascade ~requirements
@@ -477,7 +487,7 @@ let test_proxy_outage_fails_over () =
       (Synthetic.shrink ~power:0.8)
   in
   let oracle = Probe_source.create ~tier:"oracle" Synthetic.probe in
-  let cascade = Tiered.cascade ~specs [| proxy; oracle |] in
+  let cascade = dead_proxy_cascade ~specs [| proxy; oracle |] in
   let result =
     Engine.run ~rng:(Rng.create 33) ~max_laxity:100.0
       ~instance:Synthetic.instance ~cascade ~requirements
@@ -556,7 +566,7 @@ let test_proxy_sweep_economics () =
         Probe_source.create ~obs ~tier:"oracle" Interval_data.probe;
       |]
     in
-    let cascade = Tiered.cascade ~obs ~specs:(specs ~power) sources in
+    let cascade = dead_proxy_cascade ~obs ~specs:(specs ~power) sources in
     execute ~obs ~cascade ()
   in
   let ids (r : Interval_data.record Engine.result) =

@@ -6,6 +6,12 @@
    Plus the QCOL codec itself: exact round-trips and typed rejection of
    damaged files. *)
 
+(* How many chunks [Column_store.prunable] would skip. *)
+let pruned_chunks store pred =
+  List.length
+    (List.filter (Column_store.prunable store pred)
+       (List.init (Column_store.chunk_count store) Fun.id))
+
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let check_same label a b = checkb label true (a = b)
@@ -44,7 +50,7 @@ let pred_gen =
           (pair bound bound);
         map
           (fun (a, b) ->
-            Predicate.(ge (Float.min a b) &&& not_ (gt (Float.max a b))))
+            Predicate.(ge (Float.min a b) &&& not_ (Gt (Float.max a b))))
           (pair bound bound);
       ])
 
@@ -237,7 +243,7 @@ let test_prune_sound_and_lazy () =
   let obs = Obs.create () in
   let result = run ~obs ~prune:true counting in
   let unpruned = run ~prune:false resident in
-  let pruned = Column_store.pruned_chunks resident pred in
+  let pruned = pruned_chunks resident pred in
   checkb "predicate prunes some chunks" true (pruned > 0);
   checkb "the last chunk is full" true (n mod chunk_size = 0);
   let ids (r : Interval_data.record Engine.result) =
@@ -270,7 +276,7 @@ let test_prune_sound_and_lazy () =
   List.iter
     (fun (r : Interval_data.record) ->
       checkb "exact member survived pruning" true (List.mem r.id answer_ids))
-    (Interval_data.exact_set pred data)
+    (List.filter (Interval_data.in_exact pred) (Array.to_list data))
 
 (* ---- store/data agreement ----------------------------------------- *)
 
@@ -298,7 +304,7 @@ let same_records (a : Interval_data.record array)
   && Array.for_all2
        (fun (x : Interval_data.record) (y : Interval_data.record) ->
          x.id = y.id && x.truth = y.truth
-         && Uncertain.equal x.belief y.belief)
+         && x.belief = y.belief)
        a b
 
 (* ---- the store backend's pilot -------------------------------------- *)
@@ -372,6 +378,34 @@ let prop_store_sample_is_rows_sample =
    chunk, and with [~max_laxity] the pilot fetches only the chunks that
    hold sampled rows.  The plan span ends before the scan starts, so its
    [Phase] event splits the fetch log. *)
+(* A rows source folds the input's laxity maximum once: a second pilot
+   without [max_laxity] reads no laxity (the server asks for one per
+   query over a dataset that does not change). *)
+let test_rows_laxity_maximum_once () =
+  let data = dataset 71 in
+  let laxities = ref 0 in
+  let instance = Interval_data.instance pred in
+  let counting =
+    { instance with laxity = (fun o -> incr laxities; instance.laxity o) }
+  in
+  let source = Scan_pipeline.rows ~instance:counting data in
+  let pilot seed =
+    let indices =
+      Scan_pipeline.sample_indices (Rng.create seed) ~fraction:0.05
+        source.length
+    in
+    snd (source.sample indices)
+  in
+  let first = pilot 1 in
+  checki "the first pilot folds every row" (Array.length data) !laxities;
+  let second = pilot 2 in
+  checki "two pilots cost n laxity calls, not 2n" (Array.length data) !laxities;
+  checkb "the kept maximum is the folded one" true
+    (Int64.bits_of_float first = Int64.bits_of_float second);
+  checkb "a given cap reads nothing" true
+    (snd (source.sample ~max_laxity:7.0 [| 0 |]) = 7.0
+    && !laxities = Array.length data)
+
 let test_store_pilot_fetches () =
   let chunk_size = 50 in
   let data = dataset 53 in
@@ -755,7 +789,7 @@ let test_pruned_scan_pooled () =
   let resident = Interval_data.to_store ~chunk_size data in
   let pred = Predicate.between 5.0 9.0 in
   let chunks = Column_store.chunk_count resident in
-  let kept = chunks - Column_store.pruned_chunks resident pred in
+  let kept = chunks - pruned_chunks resident pred in
   checkb "some chunks pruned, some kept" true (kept > 0 && kept < chunks);
   let path = Filename.temp_file "imprecise_qcol" ".qcol" in
   Fun.protect
@@ -815,6 +849,7 @@ let suite =
     ("qcol pool caches", `Quick, test_qcol_pool_caches);
     QCheck_alcotest.to_alcotest prop_store_sample_is_rows_sample;
     ("store pilot fetches each chunk once", `Quick, test_store_pilot_fetches);
+    ("rows pilot folds the laxity maximum once", `Quick, test_rows_laxity_maximum_once);
   ]
 
 (* Chunk pruning through the streamed store's pool. *)

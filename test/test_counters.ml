@@ -9,7 +9,7 @@ let test_initial_state () =
   let c = Counters.create ~total:100 in
   checki "unseen" 100 (Counters.unseen c);
   checkf 0.0 "precision starts at 1 (empty answer)" 1.0
-    (Counters.precision_guarantee c);
+    ((Counters.guarantees c).precision);
   checkf 0.0 "recall starts at 0" 0.0 (Counters.recall_guarantee c);
   (* Empty input: both guarantees are vacuous. *)
   let empty = Counters.create ~total:0 in
@@ -55,9 +55,9 @@ let test_paper_worked_example () =
      objects again, but those are already inside |Y| = 110 — an
      arithmetic slip in the example, not in Eq. 9 (both round to the
      0.097 the paper reports). *)
-  checkf 1e-9 "p^G" (90.0 /. 110.0) (Counters.precision_guarantee c);
+  checkf 1e-9 "p^G" (90.0 /. 110.0) ((Counters.guarantees c).precision);
   checkf 1e-9 "r^G (Eq. 9)" (90.0 /. 920.0) (Counters.recall_guarantee c);
-  checkf 1e-9 "l^max" 2.0 (Counters.max_laxity c)
+  checkf 1e-9 "l^max" 2.0 ((Counters.guarantees c).max_laxity)
 
 (* Table 1: the direction each event moves each guarantee. *)
 let test_guarantee_directions () =
@@ -70,13 +70,13 @@ let test_guarantee_directions () =
   in
   let observe event =
     let c = base () in
-    let p0 = Counters.precision_guarantee c in
+    let p0 = (Counters.guarantees c).precision in
     let r0 = Counters.recall_guarantee c in
-    let l0 = Counters.max_laxity c in
+    let l0 = (Counters.guarantees c).max_laxity in
     event c;
-    ( compare (Counters.precision_guarantee c) p0,
+    ( compare ((Counters.guarantees c).precision) p0,
       compare (Counters.recall_guarantee c) r0,
-      compare (Counters.max_laxity c) l0 )
+      compare ((Counters.guarantees c).max_laxity) l0 )
   in
   let checkdir name expected event =
     Alcotest.(check (triple int int int)) name expected (observe event)

@@ -154,15 +154,15 @@ let test_resolve_env () =
   checki "explicit wins" (min 3 cores) (Domain_pool.resolve ~domains:3 ());
   checki "capped at the cores" cores
     (Domain_pool.resolve ~domains:(cores + 2) ());
-  Unix.putenv Domain_pool.env_var "4";
+  Unix.putenv "QAQ_DOMAINS" "4";
   checki "env consulted" (min 4 cores) (Domain_pool.resolve ());
   checki "explicit beats env" 1 (Domain_pool.resolve ~domains:1 ());
-  Unix.putenv Domain_pool.env_var "nonsense";
+  Unix.putenv "QAQ_DOMAINS" "nonsense";
   checkb "invalid env rejected" true
     (match Domain_pool.resolve () with
     | exception Invalid_argument _ -> true
     | _ -> false);
-  Unix.putenv Domain_pool.env_var "";
+  Unix.putenv "QAQ_DOMAINS" "";
   checki "empty env means one" 1 (Domain_pool.resolve ())
 
 (* One lane, eight tasks that each wait 20 ms on "I/O": the lane lends

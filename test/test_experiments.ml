@@ -1,6 +1,8 @@
 (* Regression tests for the experiment harness: the reproduction must
    keep tracking the paper's published numbers. *)
 
+let find_sweep id = Option.get (Exp_config.find_sweep id)
+
 let checkb = Alcotest.(check bool)
 
 let test_sweeps_well_formed () =
@@ -41,7 +43,7 @@ let test_opt_costs_track_paper () =
               (Float.abs (e.normalized_cost -. row.w_norm) <= tolerance)
           end)
         sweep.settings paper)
-    [ Exp_config.varying_laxity; Exp_config.varying_uncertainty ]
+    [ find_sweep "laxity"; find_sweep "uncertainty" ]
 
 (* §5.2 regression on the default setting: measured trial costs within a
    modest band of the paper's, and the paper's headline ordering holds
@@ -78,7 +80,7 @@ let test_enforced_policies_never_violate () =
           checkb "no recall violation" true (a.worst_recall_violation <= 1e-9))
         (Exp_runner.trial_series ~rng ~repetitions:2 s
            [ Exp_runner.Qaq; Exp_runner.Stingy ]))
-    Exp_config.varying_recall.settings
+    (find_sweep "recall").settings
 
 (* The crossover the paper highlights: at very high recall Greedy's
    aggressive policy wins over Stingy's. *)

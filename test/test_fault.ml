@@ -9,14 +9,17 @@ let checkf = Alcotest.(check (float 1e-9))
 
 (* --- Fault_plan ------------------------------------------------------ *)
 
+(* The injector of a live plan. *)
+let injector ?obs ~site spec = Option.get (Fault_plan.injector_opt ?obs ~site spec)
+
+(* Fault decisions an injector built with [obs] has fired. *)
+let injected obs = Metrics.count_of (Obs.snapshot obs) Obs.Keys.fault_injected
+
 let test_null_plan () =
-  checkb "none is null" true (Fault_plan.is_null Fault_plan.none);
-  checkb "seed alone keeps a plan null" true
-    (Fault_plan.is_null (Fault_plan.make ~seed:99 ()));
   checkb "no injector for a null plan" true
     (Fault_plan.injector_opt ~site:"x" Fault_plan.none = None);
-  checkb "a rate makes it live" false
-    (Fault_plan.is_null (Fault_plan.make ~transient_rate:0.1 ()));
+  checkb "seed alone keeps a plan null" true
+    (Fault_plan.injector_opt ~site:"x" (Fault_plan.make ~seed:99 ()) = None);
   checkb "live plan builds an injector" true
     (Fault_plan.injector_opt ~site:"x"
        (Fault_plan.make ~transient_rate:0.1 ())
@@ -34,11 +37,14 @@ let test_make_validation () =
   invalid (fun () -> Fault_plan.make ~spike_factor:Float.nan ())
 
 (* The injector's stream is a pure function of (seed, site): equal
-   arguments replay identically, in lockstep, forever. *)
+   arguments replay identically, in lockstep, forever.  Each element
+   draws its permanence, then two attempts (both fail when it is
+   permanent). *)
 let draw_sequence inj n =
   List.init n (fun _ ->
       let e = Fault_plan.fresh_element inj in
-      (Fault_plan.element_permanent e, Fault_plan.attempt inj e))
+      let first = Fault_plan.attempt inj e in
+      (first, Fault_plan.attempt inj e))
 
 let prop_injector_deterministic =
   QCheck2.Test.make ~name:"injector stream is a pure function of (seed, site)"
@@ -48,15 +54,16 @@ let prop_injector_deterministic =
       let spec =
         Fault_plan.make ~seed ~transient_rate:0.4 ~permanent_rate:0.1 ()
       in
-      let a = Fault_plan.injector ~site:"probe_source" spec in
-      let b = Fault_plan.injector ~site:"probe_source" spec in
+      let obs_a = Obs.create () and obs_b = Obs.create () in
+      let a = injector ~obs:obs_a ~site:"probe_source" spec in
+      let b = injector ~obs:obs_b ~site:"probe_source" spec in
       draw_sequence a 100 = draw_sequence b 100
-      && Fault_plan.injected a = Fault_plan.injected b)
+      && injected obs_a = injected obs_b)
 
 let test_sites_diverge () =
   let spec = Fault_plan.make ~seed:7 ~transient_rate:0.5 () in
-  let a = Fault_plan.injector ~site:"probe_source" spec in
-  let b = Fault_plan.injector ~site:"sensor_net" spec in
+  let a = injector ~site:"probe_source" spec in
+  let b = injector ~site:"sensor_net" spec in
   checkb "different sites draw different streams" false
     (draw_sequence a 200 = draw_sequence b 200)
 
@@ -98,44 +105,36 @@ let test_keyed_draw () =
     (Array.for_all (fun k -> all 1.0 ~site:"s" k) forward)
 
 let test_permanent_element () =
-  let inj =
-    Fault_plan.injector ~site:"t" (Fault_plan.make ~permanent_rate:1.0 ())
-  in
+  let inj = injector ~site:"t" (Fault_plan.make ~permanent_rate:1.0 ()) in
   let e = Fault_plan.fresh_element inj in
-  checkb "drawn permanent" true (Fault_plan.element_permanent e);
   for _ = 0 to 20 do
     checkb "permanent fails every attempt" true (Fault_plan.attempt inj e)
   done;
-  let inj0 =
-    Fault_plan.injector ~site:"t" (Fault_plan.make ~transient_rate:0.5 ())
-  in
+  (* With no transient rate an attempt fails only on a permanent
+     element. *)
+  let inj0 = injector ~site:"t" (Fault_plan.make ~spike_rate:0.5 ()) in
   checkb "no permanence without a rate" false
-    (Fault_plan.element_permanent (Fault_plan.fresh_element inj0))
+    (Fault_plan.attempt inj0 (Fault_plan.fresh_element inj0))
 
 let test_latency_spikes () =
+  let obs = Obs.create () in
   let spiked =
-    Fault_plan.injector ~site:"t"
-      (Fault_plan.make ~spike_rate:1.0 ~spike_factor:10.0 ())
+    injector ~obs ~site:"t" (Fault_plan.make ~spike_rate:1.0 ~spike_factor:10.0 ())
   in
   checkf "certain spike multiplies" 20.0 (Fault_plan.latency spiked 2.0);
-  checkb "spike counted as injected" true (Fault_plan.injected spiked > 0);
-  let calm =
-    Fault_plan.injector ~site:"t" (Fault_plan.make ~transient_rate:0.1 ())
-  in
+  checkb "spike counted as injected" true (injected obs > 0);
+  let calm = injector ~site:"t" (Fault_plan.make ~transient_rate:0.1 ()) in
   checkf "no spike rate, identity" 2.0 (Fault_plan.latency calm 2.0)
 
 let test_injected_counter_reaches_metrics () =
   let obs = Obs.create () in
-  let inj =
-    Fault_plan.injector ~obs ~site:"t" (Fault_plan.make ~transient_rate:1.0 ())
-  in
+  let inj = injector ~obs ~site:"t" (Fault_plan.make ~transient_rate:1.0 ()) in
   let e = Fault_plan.fresh_element inj in
   for _ = 0 to 4 do
     ignore (Fault_plan.attempt inj e)
   done;
   checki "qaq.fault.injected mirrors the injector" 5
-    (Metrics.count_of (Obs.snapshot obs) Obs.Keys.fault_injected);
-  checki "accessor agrees" 5 (Fault_plan.injected inj)
+    (injected obs)
 
 (* --- Circuit_breaker ------------------------------------------------- *)
 
@@ -144,10 +143,8 @@ let test_breaker_trip_threshold () =
   Circuit_breaker.record_failure b ~round:0;
   Circuit_breaker.record_failure b ~round:1;
   checkb "two failures stay closed" true (Circuit_breaker.state b = Closed);
-  checki "consecutive tracked" 2 (Circuit_breaker.consecutive_failures b);
   Circuit_breaker.record_failure b ~round:2;
   checkb "third failure trips" true (Circuit_breaker.state b = Open);
-  checki "one trip" 1 (Circuit_breaker.trips b);
   checkb "open refuses" false (Circuit_breaker.allow b ~round:3)
 
 let test_breaker_backoff_schedule () =
@@ -165,18 +162,14 @@ let test_breaker_backoff_schedule () =
      next probe is at round 8; then 8 rounds to round 16. *)
   Circuit_breaker.record_failure b ~round:4;
   checkb "re-tripped" true (Circuit_breaker.state b = Open);
-  checki "window doubled" 4 (Circuit_breaker.current_backoff b);
   checkb "round 7 refused" false (Circuit_breaker.allow b ~round:7);
   checkb "round 8 allowed" true (Circuit_breaker.allow b ~round:8);
   Circuit_breaker.record_failure b ~round:8;
-  checki "window doubled again" 8 (Circuit_breaker.current_backoff b);
   checkb "round 15 refused" false (Circuit_breaker.allow b ~round:15);
   checkb "round 16 allowed" true (Circuit_breaker.allow b ~round:16);
   (* A successful recovery closes the breaker and resets the schedule. *)
   Circuit_breaker.record_success b ~round:16;
   checkb "closed again" true (Circuit_breaker.state b = Closed);
-  checki "consecutive reset" 0 (Circuit_breaker.consecutive_failures b);
-  checki "backoff reset" 2 (Circuit_breaker.current_backoff b);
   for round = 17 to 19 do
     Circuit_breaker.record_failure b ~round
   done;
@@ -200,7 +193,6 @@ let test_breaker_backoff_cap () =
   (* 4 -> 8 *)
   fail_recovery_at 14;
   (* 8 -> capped at 8 *)
-  checki "backoff capped" 8 (Circuit_breaker.current_backoff b);
   checkb "next window is the cap: round 21 refused" false
     (Circuit_breaker.allow b ~round:21);
   checkb "round 22 allowed" true (Circuit_breaker.allow b ~round:22)
@@ -213,7 +205,7 @@ let test_breaker_interleaved_success_resets () =
   Circuit_breaker.record_failure b ~round:3;
   Circuit_breaker.record_failure b ~round:4;
   checkb "streak broken, still closed" true (Circuit_breaker.state b = Closed);
-  checki "never tripped" 0 (Circuit_breaker.trips b)
+  checkb "never tripped: the next round runs" true (Circuit_breaker.allow b ~round:5)
 
 let test_breaker_validation () =
   invalid (fun () -> Circuit_breaker.create ~trip_after:0 ());
@@ -256,8 +248,7 @@ let prop_breaker_never_trips_without_failure =
           let allowed = Circuit_breaker.allow b ~round:!round in
           Circuit_breaker.record_success b ~round:!round;
           allowed
-          && Circuit_breaker.state b = Closed
-          && Circuit_breaker.trips b = 0)
+          && Circuit_breaker.state b = Closed)
         gaps)
 
 let suite =

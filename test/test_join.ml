@@ -4,7 +4,7 @@
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf tol = Alcotest.(check (float tol))
-let tvl = Alcotest.testable Tvl.pp Tvl.equal
+let tvl = Alcotest.testable (Fmt.of_to_string Tvl.to_string) Tvl.equal
 
 let iv = Interval.make
 

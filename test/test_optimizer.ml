@@ -2,6 +2,10 @@
    Nelder-Mead, the closed-form read count, and reproduction of the
    paper's §5.1 optimal costs. *)
 
+(* A region-model spec under the uniform density over [0,1] x [0,L]. *)
+let uniform_spec ~f_y ~f_m ~max_laxity =
+  Region_model.spec ~f_y ~f_m ~max_laxity ~density:(Density.uniform ~max_laxity)
+
 let checkf tol = Alcotest.(check (float tol))
 let checkb = Alcotest.(check bool)
 
@@ -43,7 +47,7 @@ let test_histogram_density_approximates_uniform () =
 (* Hand-checked region counts for the paper's varying-laxity point
    l_q = 20 with the paper's reported optimum. *)
 let test_region_model_hand_check () =
-  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
+  let spec = uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
   let params = Policy.params ~s3:1.0 ~s5:1.0 ~p_py:0.93 ~p_fm:0.53 in
   let f = Region_model.fractions spec ~laxity_bound:20.0 params in
   checkf 1e-9 "Y" 0.2 f.yes;
@@ -65,12 +69,12 @@ let test_region_spec_rejects_non_finite () =
         (Printf.sprintf "f_y=%g f_m=%g" f_y f_m)
         (Invalid_argument "Region_model.spec: invalid selectivity fractions")
         (fun () ->
-          ignore (Region_model.uniform_spec ~f_y ~f_m ~max_laxity:100.0)))
+          ignore (uniform_spec ~f_y ~f_m ~max_laxity:100.0)))
     [ (nan, 0.2); (0.2, nan); (infinity, 0.0); (0.6, 0.6) ]
 
 let default_problem ?(f_y = 0.2) ?(f_m = 0.2) ?(p = 0.9) ?(r = 0.5) ?(l = 50.0) () =
   Solver.problem ~total:10000
-    ~spec:(Region_model.uniform_spec ~f_y ~f_m ~max_laxity:100.0)
+    ~spec:(uniform_spec ~f_y ~f_m ~max_laxity:100.0)
     ~requirements:(Quality.requirements ~precision:p ~recall:r ~laxity:l)
     ()
 
@@ -290,7 +294,7 @@ let test_explain () =
    prints none, a batched oracle the amortized line, and a two-tier
    cascade the cascade line. *)
 let test_explain_probe_price () =
-  let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:50.0 in
+  let spec = uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:50.0 in
   let requirements =
     Quality.requirements ~precision:0.9 ~recall:0.5 ~laxity:10.0
   in
@@ -331,7 +335,8 @@ module Reference_nm = struct
   let rho = 0.5
   let sigma = 0.5
 
-  let minimize ?(options = default_options) ~lower ~upper ~init f =
+  let minimize ?(options = { max_iterations = 500; tolerance = 1e-10 }) ~lower ~upper
+      ~init f =
     let n = Array.length init in
     if n = 0 then invalid_arg "Nelder_mead.minimize: empty dimension";
     if Array.length lower <> n || Array.length upper <> n then
@@ -646,8 +651,8 @@ let random_problem seed =
   let f_m = Rng.uniform_in rng 0.02 (1.0 -. f_y) in
   let max_laxity = Rng.uniform_in rng 10.0 200.0 in
   let spec, reference_density =
-    if Rng.bool rng then
-      ( Region_model.uniform_spec ~f_y ~f_m ~max_laxity,
+    if Int64.logand (Rng.bits64 rng) 1L = 1L then
+      ( uniform_spec ~f_y ~f_m ~max_laxity,
         Reference_density.Density_ref.uniform ~max_laxity )
     else begin
       let sample =
@@ -829,7 +834,7 @@ let test_solve_allocation () =
   let per_solve =
     words_per_solve
       (warm_problems
-         (Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0))
+         (uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0))
   in
   checkb
     (Printf.sprintf "%.0f words per solve <= 4,000" per_solve)
@@ -873,7 +878,7 @@ let test_warm_problems_match_reference () =
   let densities =
     [
       ( "uniform",
-        Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0,
+        uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0,
         Reference_density.Density_ref.uniform ~max_laxity:100.0 );
       ( "histogram",
         Region_model.spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0

@@ -3,7 +3,13 @@
 let req ?(p = 0.9) ?(r = 0.5) ?(l = 50.0) () =
   Quality.requirements ~precision:p ~recall:r ~laxity:l
 
-let action = Alcotest.testable Decision.pp_action Decision.equal_action
+let action =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | Decision.Forward -> "forward"
+      | Decision.Probe -> "probe"
+      | Decision.Ignore -> "ignore"))
+    Decision.equal_action
 let actions = Alcotest.(list action)
 
 let prefer ?(params = Policy.stingy_params) ?(seed = 1) ?(requirements = req ())

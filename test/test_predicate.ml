@@ -1,19 +1,19 @@
 (* Tests for selection predicates and their three-way evaluation. *)
 
-let tvl = Alcotest.testable Tvl.pp Tvl.equal
+let tvl = Alcotest.testable (Fmt.of_to_string Tvl.to_string) Tvl.equal
 let checkf tol = Alcotest.(check (float tol))
 
 let test_eval_strictness () =
   Alcotest.(check bool) "ge includes bound" true (Predicate.eval (Predicate.ge 5.0) 5.0);
-  Alcotest.(check bool) "gt excludes bound" false (Predicate.eval (Predicate.gt 5.0) 5.0);
+  Alcotest.(check bool) "gt excludes bound" false (Predicate.eval (Predicate.Gt 5.0) 5.0);
   Alcotest.(check bool) "le includes bound" true (Predicate.eval (Predicate.le 5.0) 5.0);
-  Alcotest.(check bool) "lt excludes bound" false (Predicate.eval (Predicate.lt 5.0) 5.0)
+  Alcotest.(check bool) "lt excludes bound" false (Predicate.eval (Predicate.Lt 5.0) 5.0)
 
 let test_compound_eval () =
   let p = Predicate.(ge 0.0 &&& le 10.0) in
   Alcotest.(check bool) "in range" true (Predicate.eval p 5.0);
   Alcotest.(check bool) "out of range" false (Predicate.eval p 11.0);
-  let q = Predicate.(lt 0.0 ||| gt 10.0) in
+  let q = Predicate.(Lt 0.0 ||| Gt 10.0) in
   Alcotest.(check bool) "disjunction left" true (Predicate.eval q (-1.0));
   Alcotest.(check bool) "negation" true (Predicate.eval (Predicate.not_ q) 5.0)
 

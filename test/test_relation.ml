@@ -4,7 +4,7 @@
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let tvl = Alcotest.testable Tvl.pp Tvl.equal
+let tvl = Alcotest.testable (Fmt.of_to_string Tvl.to_string) Tvl.equal
 
 let s2 = Relation.schema [ "temp"; "battery" ]
 
@@ -12,15 +12,24 @@ let mk ?(id = 0) beliefs truths =
   Relation.tuple ~id ~beliefs:(Array.of_list beliefs)
     ~truths:(Array.of_list truths)
 
+(* Ground truth: the condition over the tuple's hidden precise values. *)
+let rec eval_truth (c : Relation.condition) (t : Relation.tuple) =
+  match c with
+  | Atom (i, p) -> Predicate.eval p t.truths.(i)
+  | Not c -> not (eval_truth c t)
+  | And (a, b) -> eval_truth a t && eval_truth b t
+  | Or (a, b) -> eval_truth a t || eval_truth b t
+
 let test_schema () =
-  checki "arity" 2 (Relation.arity s2);
-  checki "attr index" 1 (Relation.attr s2 "battery");
+  checki "arity" 2 (Array.length s2.Relation.names);
+  let p = Predicate.ge 1.0 in
+  checkb "attr index" true (Relation.atom s2 "battery" p = Relation.Atom (1, p));
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Relation.schema: duplicate attribute \"a\"") (fun () ->
       ignore (Relation.schema [ "a"; "a" ]));
   checkb "missing raises" true
     (try
-       ignore (Relation.attr s2 "nope");
+       ignore (Relation.atom s2 "nope" p);
        false
      with Not_found -> true)
 
@@ -61,7 +70,7 @@ let test_normalisation_recovers_tautology () =
   let contradiction =
     Relation.And
       (Relation.atom s2 "temp" (Predicate.ge 20.0),
-       Relation.atom s2 "temp" (Predicate.lt 10.0))
+       Relation.atom s2 "temp" (Predicate.Lt 10.0))
   in
   Alcotest.check tvl "contradiction detected" Tvl.No
     (Relation.classify contradiction t);
@@ -156,12 +165,12 @@ let test_select_end_to_end () =
   let answer_in_exact =
     List.length
       (List.filter
-         (fun e -> Relation.eval_truth cond_hot_low e.Operator.obj)
+         (fun e -> eval_truth cond_hot_low e.Operator.obj)
          report.answer)
   in
   let exact =
     Array.to_list tuples
-    |> List.filter (Relation.eval_truth cond_hot_low)
+    |> List.filter (eval_truth cond_hot_low)
     |> List.length
   in
   let actual_p =
@@ -210,7 +219,7 @@ let prop_classification_sound =
       let tuples = random_tuples seed 30 in
       Array.for_all
         (fun t ->
-          let truth = Relation.eval_truth cond t in
+          let truth = eval_truth cond t in
           let ok_verdict =
             match Relation.classify cond t with
             | Tvl.Yes -> truth

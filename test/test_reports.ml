@@ -1,6 +1,8 @@
 (* Smoke tests for the experiment report generators and a few
    cross-module failure paths not covered elsewhere. *)
 
+let find_sweep id = Option.get (Exp_config.find_sweep id)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -13,7 +15,7 @@ let line_count s =
   List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' s))
 
 let test_opt_table_structure () =
-  let sweep = Exp_config.varying_selectivity in
+  let sweep = find_sweep "selectivity" in
   let rendered = Text_table.render (Exp_report.opt_table sweep) in
   (* Title + 3 rules + header + one row per setting. *)
   checki "line count" (5 + List.length sweep.settings) (line_count rendered);
@@ -24,7 +26,7 @@ let test_opt_table_structure () =
     sweep.settings
 
 let test_trial_table_structure () =
-  let sweep = Exp_config.varying_selectivity in
+  let sweep = find_sweep "selectivity" in
   let rng = Rng.create 8 in
   let rendered =
     Text_table.render (Exp_report.trial_table ~rng ~repetitions:1 sweep)
@@ -37,7 +39,7 @@ let test_trial_table_structure () =
 let test_quality_table_all_zero_for_enforced () =
   let rng = Rng.create 9 in
   let sweep =
-    { Exp_config.varying_selectivity with
+    { (find_sweep "selectivity") with
       settings = [ { Exp_config.default with label = "one" } ] }
   in
   let rendered =

@@ -103,17 +103,10 @@ let test_gaussian_moments () =
   let n = 50000 in
   let xs = Array.init n (fun _ -> Rng.gaussian rng ~mean:3.0 ~stddev:2.0) in
   check "mean near 3" true (Float.abs (Stats.mean xs -. 3.0) < 0.05);
-  check "stddev near 2" true (Float.abs (Stats.stddev xs -. 2.0) < 0.05)
-
-let test_exponential () =
-  let rng = Rng.create 13 in
-  let n = 50000 in
-  let xs = Array.init n (fun _ -> Rng.exponential rng ~rate:2.0) in
-  Array.iter (fun x -> check "non-negative" true (x >= 0.0)) xs;
-  check "mean near 1/2" true (Float.abs (Stats.mean xs -. 0.5) < 0.02);
-  Alcotest.check_raises "rate 0"
-    (Invalid_argument "Rng.exponential: rate must be positive") (fun () ->
-      ignore (Rng.exponential rng ~rate:0.0))
+  let m = Stats.mean xs in
+  let var = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
+  let stddev = sqrt (var /. float_of_int (n - 1)) in
+  check "stddev near 2" true (Float.abs (stddev -. 2.0) < 0.05)
 
 let test_shuffle_permutation () =
   let rng = Rng.create 14 in
@@ -125,21 +118,6 @@ let test_shuffle_permutation () =
     (Array.init 100 (fun i -> i))
     sorted;
   check "actually shuffled" true (a <> Array.init 100 (fun i -> i))
-
-let test_sample_without_replacement () =
-  let rng = Rng.create 15 in
-  let s = Rng.sample_without_replacement rng 10 50 in
-  checki "size" 10 (Array.length s);
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun i ->
-      check "in range" true (i >= 0 && i < 50);
-      check "distinct" false (Hashtbl.mem seen i);
-      Hashtbl.add seen i ())
-    s;
-  Alcotest.check_raises "k > n"
-    (Invalid_argument "Rng.sample_without_replacement: k > n") (fun () ->
-      ignore (Rng.sample_without_replacement rng 5 3))
 
 (* One draw of each kind, applied to the live generator and to the
    boxed-state copy in [Reference_rng]; a split or copy swaps the pair
@@ -228,9 +206,7 @@ let suite =
     ("bernoulli extremes", `Quick, test_bernoulli_extremes);
     ("bernoulli rate", `Quick, test_bernoulli_rate);
     ("gaussian moments", `Quick, test_gaussian_moments);
-    ("exponential", `Quick, test_exponential);
     ("shuffle is a permutation", `Quick, test_shuffle_permutation);
-    ("sample without replacement", `Quick, test_sample_without_replacement);
     QCheck_alcotest.to_alcotest prop_matches_reference;
     ("pilot sampling allocates under 0.25 words per index", `Quick,
      test_sample_indices_allocation);

@@ -632,6 +632,33 @@ let test_latency_server_pipelines () =
           (Server_core.create
              { latency with c_breaker = true; c_domains = Some 2 })))
 
+(* Quota scheduling ([Probe_broker.client ?quota]): a tenant is charged
+   only for the probes admitted for it, not for the ones another
+   tenant's request already sent or the freshness cache answers, so with
+   several lanes a quota'd query's answer depends on which tenant
+   reached an object first.  At one lane the queries run in queue order
+   and a quota'd script replays exactly. *)
+let test_quota_replays_at_one_lane () =
+  let script =
+    List.init 24 (fun i ->
+        Printf.sprintf "QUERY tenant=t%d seed=%d%s" (i mod 4) (100 + i)
+          (if i mod 5 = 0 then " quota=40" else ""))
+    @ [ "RUN"; "QUIT" ]
+  in
+  let results () =
+    let srv = Server_core.create { base_config with c_domains = Some 1 } in
+    let _, lines = session srv script in
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"RESULT " l then Some (deterministic l)
+        else None)
+      lines
+  in
+  let first = results () in
+  checki "every query answers" 24 (List.length first);
+  Alcotest.(check (list string)) "a second server replays every RESULT" first
+    (results ())
+
 let suite =
   [
     ("forced anomaly dumps attributed recording", `Quick,
@@ -650,4 +677,5 @@ let suite =
      test_latency_server_pipelines);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
       prop_line_protocol;
+    ("quota'd queries replay at one lane", `Quick, test_quota_replays_at_one_lane);
   ]

@@ -1,4 +1,4 @@
-(* Tests for descriptive statistics and Welford accumulation. *)
+(* Tests for the descriptive statistics the experiment harness reports. *)
 
 let checkf = Alcotest.(check (float 1e-9))
 
@@ -7,68 +7,24 @@ let test_mean () =
   checkf "empty" 0.0 (Stats.mean [||]);
   checkf "single" 7.0 (Stats.mean [| 7.0 |])
 
+(* The confidence half-width is 1.96 s / sqrt n, so it exposes the unbiased
+   sample variance s^2 it is built on. *)
 let test_variance () =
   (* Sample variance of 2,4,4,4,5,5,7,9 is 32/7. *)
-  checkf "known value" (32.0 /. 7.0)
-    (Stats.variance [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]);
-  checkf "fewer than two" 0.0 (Stats.variance [| 3.0 |]);
-  checkf "constant data" 0.0 (Stats.variance [| 5.0; 5.0; 5.0 |])
-
-let test_minmax () =
-  checkf "min" (-2.0) (Stats.min [| 3.0; -2.0; 7.0 |]);
-  checkf "max" 7.0 (Stats.max [| 3.0; -2.0; 7.0 |]);
-  Alcotest.(check bool) "min empty nan" true (Float.is_nan (Stats.min [||]));
-  Alcotest.(check bool) "max empty nan" true (Float.is_nan (Stats.max [||]))
-
-let test_quantile () =
-  let xs = [| 10.0; 20.0; 30.0; 40.0 |] in
-  checkf "q0" 10.0 (Stats.quantile xs 0.0);
-  checkf "q1" 40.0 (Stats.quantile xs 1.0);
-  checkf "median interpolates" 25.0 (Stats.median xs);
-  checkf "q0.25" 17.5 (Stats.quantile xs 0.25);
-  (* Unsorted input must give the same answer. *)
-  checkf "unsorted" 25.0 (Stats.median [| 40.0; 10.0; 30.0; 20.0 |]);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Stats.quantile: q outside [0, 1]") (fun () ->
-      ignore (Stats.quantile xs 1.5))
+  checkf "known value"
+    (1.96 *. sqrt (32.0 /. 7.0) /. sqrt 8.0)
+    (Stats.confidence95 [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]);
+  checkf "constant data" 0.0 (Stats.confidence95 [| 5.0; 5.0; 5.0 |])
 
 let test_confidence () =
   checkf "fewer than two" 0.0 (Stats.confidence95 [| 1.0 |]);
+  (* Sample variance of 1..5 is 2.5. *)
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  let expected = 1.96 *. Stats.stddev xs /. sqrt 5.0 in
-  checkf "formula" expected (Stats.confidence95 xs)
-
-let test_summarize () =
-  let s = Stats.summarize [| 1.0; 3.0; 5.0 |] in
-  Alcotest.(check int) "n" 3 s.n;
-  checkf "mean" 3.0 s.mean;
-  checkf "min" 1.0 s.min;
-  checkf "max" 5.0 s.max
-
-let test_welford_matches_batch () =
-  let rng = Rng.create 21 in
-  let xs = Array.init 1000 (fun _ -> Rng.gaussian rng ~mean:10.0 ~stddev:4.0) in
-  let w = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add w) xs;
-  Alcotest.(check int) "count" 1000 (Stats.Welford.count w);
-  Alcotest.(check (float 1e-6)) "mean" (Stats.mean xs) (Stats.Welford.mean w);
-  Alcotest.(check (float 1e-6))
-    "variance" (Stats.variance xs)
-    (Stats.Welford.variance w)
-
-let test_welford_empty () =
-  let w = Stats.Welford.create () in
-  checkf "empty mean" 0.0 (Stats.Welford.mean w);
-  checkf "empty variance" 0.0 (Stats.Welford.variance w)
+  checkf "formula" (1.96 *. sqrt 2.5 /. sqrt 5.0) (Stats.confidence95 xs)
 
 let suite =
   [
     ("mean", `Quick, test_mean);
     ("variance", `Quick, test_variance);
-    ("min/max", `Quick, test_minmax);
-    ("quantile and median", `Quick, test_quantile);
     ("confidence interval", `Quick, test_confidence);
-    ("summarize", `Quick, test_summarize);
-    ("welford matches batch", `Quick, test_welford_matches_batch);
-    ("welford empty", `Quick, test_welford_empty);
   ]

@@ -4,6 +4,15 @@
    merge/diff, and the torn-read-free metrics snapshot under real
    domain concurrency. *)
 
+(* The document [Chrome_trace.write] saves. *)
+let chrome_json r =
+  let path = Filename.temp_file "imprecise_chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Chrome_trace.write r path;
+      In_channel.with_open_bin path In_channel.input_all)
+
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checkf eps = Alcotest.(check (float eps))
@@ -75,7 +84,7 @@ let prop_recorder_ring =
     (fun (capacity, n) ->
       let r = Flight_recorder.create ~capacity ~clock:(fun () -> 0.0) () in
       for i = 0 to n - 1 do
-        Flight_recorder.record r Trace.no_context
+        Flight_recorder.record r { Trace.query = None; tenant = None }
           (Trace.Note (string_of_int i))
       done;
       let expect =
@@ -279,7 +288,7 @@ let prop_chrome_sink_is_json_of_entries =
           stream
       in
       Chrome_trace.events chrome = List.length stream
-      && Chrome_trace.to_json chrome
+      && chrome_json chrome
          = Chrome_trace.json_of_entries ~epoch:100.0 stamped)
 
 (* Rolling SLO windows under a fake clock: totals age out slice by
@@ -346,7 +355,7 @@ let test_rolling_window () =
   let ghost = Slo.report slo "ghost" in
   checkf 1e-9 "an unknown tenant reads as idle" 0.0 ghost.Slo.r_requests;
   Alcotest.(check (list string))
-    "reading a tenant registers nothing" [ "a" ] (Slo.tenants slo)
+    "reading a tenant registers nothing" [ "a" ] (List.map (fun r -> r.Slo.r_tenant) (Slo.reports slo))
 
 (* The SLO tracker: per-tenant and aggregate reports, and the
    hand-labelled Prometheus family. *)
@@ -367,7 +376,7 @@ let test_slo_reports () =
   sample "a" 0.1 false false;
   sample "a" 0.3 true true;
   sample "b" 0.2 false false;
-  Alcotest.(check (list string)) "tenants" [ "a"; "b" ] (Slo.tenants slo);
+  Alcotest.(check (list string)) "tenants" [ "a"; "b" ] (List.map (fun r -> r.Slo.r_tenant) (Slo.reports slo));
   let ra = Slo.report slo "a" in
   checkf 1e-9 "requests" 2.0 ra.Slo.r_requests;
   checkf 1e-9 "degraded fraction" 0.5 ra.Slo.r_degraded;

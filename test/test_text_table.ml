@@ -18,7 +18,7 @@ let test_arity_checked () =
 let test_render_shape () =
   let t = Text_table.create ~title:"demo" ~header:[ "name"; "value" ] in
   Text_table.add_row t [ "alpha"; "1" ];
-  Text_table.add_float_row t "beta" [ 2.5 ];
+  Text_table.add_row t [ "beta"; Text_table.cell_of_float 2.5 ];
   let rendered = Text_table.render t in
   let lines = String.split_on_char '\n' rendered in
   checks "title first" "demo" (List.nth lines 0);

@@ -36,22 +36,23 @@ let test_motif () =
 let test_paa_segments () =
   let s = ts [| 1.0; 3.0; 5.0; 7.0; 2.0; 2.0; 8.0; 0.0 |] in
   let p = Paa.compress ~segments:4 s in
-  checki "segments" 4 (Paa.segments p);
-  checkf 0.0 "mean 0" 2.0 (Paa.segment_mean p 0);
-  checkf 0.0 "min 0" 1.0 (Paa.segment_min p 0);
-  checkf 0.0 "max 0" 3.0 (Paa.segment_max p 0);
-  checkf 0.0 "mean 3" 4.0 (Paa.segment_mean p 3);
+  (* Three floats (mean, min, max) per segment over eight points. *)
   checkf 1e-12 "ratio" 1.5 (Paa.compression_ratio p);
-  let r = Paa.reconstruct p in
-  checki "reconstruct length" 8 (Time_series.length r);
-  checkf 0.0 "reconstruct values" 2.0 (Time_series.get r 1)
+  (* Segment envelopes [1,3] [5,7] [2,2] [0,8], two points each: against
+     the zero query every point is at least its segment's min away and at
+     most its max. *)
+  let b = Paa.distance_bounds p (ts (Array.make 8 0.0)) in
+  checkf 1e-12 "lower bound from the mins" (sqrt 60.0) (Interval.lo b);
+  checkf 1e-12 "upper bound from the maxs" (sqrt 252.0) (Interval.hi b);
+  (* The original series is inside every envelope. *)
+  checkf 0.0 "series itself" 0.0 (Interval.lo (Paa.distance_bounds p s))
 
 let test_paa_uneven_lengths () =
   (* 10 points over 3 segments: sizes 3/3/4 (floor boundaries). *)
   let s = ts (Array.init 10 float_of_int) in
   let p = Paa.compress ~segments:3 s in
-  checki "segments" 3 (Paa.segments p);
-  checki "reconstruct full length" 10 (Time_series.length (Paa.reconstruct p));
+  checkf 1e-12 "three segments" 0.9 (Paa.compression_ratio p);
+  checkf 0.0 "series itself" 0.0 (Interval.lo (Paa.distance_bounds p s));
   Alcotest.check_raises "too many segments"
     (Invalid_argument "Paa.compress: segments") (fun () ->
       ignore (Paa.compress ~segments:11 s))
@@ -60,7 +61,8 @@ let random_series rng n =
   Time_series.random_walk rng ~length:n ~start:0.0 ~step_stddev:1.0
 
 (* The load-bearing property: distance bounds always bracket the true
-   distance, and value bounds always bracket the true values. *)
+   distance, and bracket 0 for the series itself (every value lies in its
+   segment's envelope). *)
 let prop_paa_bounds_sound =
   QCheck2.Test.make ~name:"PAA distance/value bounds contain the truth"
     ~count:200
@@ -73,11 +75,7 @@ let prop_paa_bounds_sound =
       let bounds = Paa.distance_bounds sketch query in
       let true_distance = Time_series.euclidean_distance series query in
       Interval.contains bounds true_distance
-      && Seq.for_all
-           (fun i ->
-             Interval.contains (Paa.value_bounds sketch i)
-               (Time_series.get series i))
-           (Seq.init n Fun.id))
+      && Interval.lo (Paa.distance_bounds sketch series) = 0.0)
 
 let prop_more_segments_tighter =
   QCheck2.Test.make ~name:"finer sketches give tighter distance bounds"

@@ -2,7 +2,7 @@
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let tvl = Alcotest.testable Tvl.pp Tvl.equal
+let tvl = Alcotest.testable (Fmt.of_to_string Tvl.to_string) Tvl.equal
 
 let record id lo hi truth : Interval_data.record =
   {

@@ -1,10 +1,33 @@
 (* Tests for the progressive-guarantee view (Operator.trace) and the
    drifting workload it pairs with. *)
 
+(* A region-model spec under the uniform density over [0,1] x [0,L]. *)
+let uniform_spec ~f_y ~f_m ~max_laxity =
+  Region_model.spec ~f_y ~f_m ~max_laxity ~density:(Density.uniform ~max_laxity)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let requirements = Quality.requirements ~precision:0.9 ~recall:0.6 ~laxity:50.0
+
+(* A workload whose composition drifts linearly along the scan: position
+   0 draws labels with the config's [(f_y, f_m)], the final position with
+   [(f_y_end, f_m_end)], one {!Synthetic.generate} of one object each.  A
+   pre-query sample sees the average mix, so a one-shot plan is
+   systematically wrong for the tail. *)
+let generate_drifting rng (cfg : Synthetic.config) ~f_y_end ~f_m_end =
+  (* The end mix must be a valid pair of fractions. *)
+  ignore (Synthetic.config ~f_y:f_y_end ~f_m:f_m_end ());
+  let n = Stdlib.max 1 (cfg.total - 1) in
+  Array.init cfg.total (fun id ->
+      let t = float_of_int id /. float_of_int n in
+      let mix a b = a +. (t *. (b -. a)) in
+      let local =
+        { cfg with total = 1; f_y = mix cfg.f_y f_y_end; f_m = mix cfg.f_m f_m_end }
+      in
+      let o = (Synthetic.generate rng local).(0) in
+      Synthetic.make ~id ~label:o.label ~laxity:o.laxity ~success:o.success
+        ~probe_yes:o.probe_yes ~resolved:o.resolved)
 
 let run_trace ?(every = 1) data =
   Operator.trace ~rng:(Rng.create 3) ~every ~instance:Synthetic.instance
@@ -56,7 +79,7 @@ let test_trajectory_invariants () =
 let test_drifting_generator () =
   let cfg = Synthetic.config ~total:40000 ~f_y:0.1 ~f_m:0.1 () in
   let data =
-    Synthetic.generate_drifting (Rng.create 5) cfg ~f_y_end:0.3 ~f_m_end:0.5
+    generate_drifting (Rng.create 5) cfg ~f_y_end:0.3 ~f_m_end:0.5
   in
   let frac label lo hi =
     let count = ref 0 in
@@ -71,9 +94,9 @@ let test_drifting_generator () =
   checkb "head f_y low" true (Float.abs (frac Tvl.Yes 0 4000 -. 0.11) < 0.03);
   checkb "tail f_y high" true (Float.abs (frac Tvl.Yes 36000 40000 -. 0.29) < 0.03);
   Alcotest.check_raises "invalid end"
-    (Invalid_argument "Synthetic.generate_drifting: invalid end fractions")
+    (Invalid_argument "Synthetic.config: invalid fractions")
     (fun () ->
-      ignore (Synthetic.generate_drifting (Rng.create 1) cfg ~f_y_end:0.8 ~f_m_end:0.5))
+      ignore (generate_drifting (Rng.create 1) cfg ~f_y_end:0.8 ~f_m_end:0.5))
 
 let test_adaptive_on_drift () =
   (* On a drifting workload, the adaptive policy must stay sound and not
@@ -84,12 +107,12 @@ let test_adaptive_on_drift () =
   List.iter
     (fun seed ->
       let data =
-        Synthetic.generate_drifting (Rng.create seed) cfg ~f_y_end:0.35
+        generate_drifting (Rng.create seed) cfg ~f_y_end:0.35
           ~f_m_end:0.35
       in
       let rng = Rng.create (seed * 7) in
       let average_prior =
-        let spec = Region_model.uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
+        let spec = uniform_spec ~f_y:0.2 ~f_m:0.2 ~max_laxity:100.0 in
         (Solver.solve (Solver.problem ~total:10000 ~spec ~requirements ())).params
       in
       let static =

@@ -1,6 +1,6 @@
 (* Tests for the scalar imprecision models. *)
 
-let tvl = Alcotest.testable Tvl.pp Tvl.equal
+let tvl = Alcotest.testable (Fmt.of_to_string Tvl.to_string) Tvl.equal
 let checkf tol = Alcotest.(check (float tol))
 
 let test_laxity () =
@@ -30,29 +30,29 @@ let test_constructor_errors () =
 
 let test_classification () =
   let i = Uncertain.interval 1.0 3.0 in
-  Alcotest.check tvl "interval maybe" Tvl.Maybe (Uncertain.classify_ge i 2.0);
+  Alcotest.check tvl "interval maybe" Tvl.Maybe (Predicate.classify (Predicate.ge 2.0) i);
   let e = Uncertain.exact 5.0 in
-  Alcotest.check tvl "exact yes" Tvl.Yes (Uncertain.classify_ge e 4.0);
-  Alcotest.check tvl "exact no" Tvl.No (Uncertain.classify_ge e 6.0);
+  Alcotest.check tvl "exact yes" Tvl.Yes (Predicate.classify (Predicate.ge 4.0) e);
+  Alcotest.check tvl "exact no" Tvl.No (Predicate.classify (Predicate.ge 6.0) e);
   let g = Uncertain.gaussian ~cut:4.0 ~mean:0.0 ~stddev:1.0 () in
   Alcotest.check tvl "gaussian far below threshold" Tvl.No
-    (Uncertain.classify_ge g 5.0);
+    (Predicate.classify (Predicate.ge 5.0) g);
   Alcotest.check tvl "gaussian far above threshold" Tvl.Yes
-    (Uncertain.classify_ge g (-5.0));
-  Alcotest.check tvl "gaussian near mean" Tvl.Maybe (Uncertain.classify_ge g 0.0)
+    (Predicate.classify (Predicate.ge (-5.0)) g);
+  Alcotest.check tvl "gaussian near mean" Tvl.Maybe (Predicate.classify (Predicate.ge 0.0) g)
 
 let test_success_gaussian () =
   let g = Uncertain.gaussian ~mean:0.0 ~stddev:1.0 () in
-  checkf 1e-7 "ge mean = 0.5" 0.5 (Uncertain.success_ge g 0.0);
-  checkf 2e-7 "ge one sigma" (1.0 -. 0.8413447) (Uncertain.success_ge g 1.0);
-  checkf 1e-7 "le mean" 0.5 (Uncertain.success_le g 0.0);
+  checkf 1e-7 "ge mean = 0.5" 0.5 (Predicate.success (Predicate.ge 0.0) g);
+  checkf 2e-7 "ge one sigma" (1.0 -. 0.8413447) (Predicate.success (Predicate.ge 1.0) g);
+  checkf 1e-7 "le mean" 0.5 (Predicate.success (Predicate.le 0.0) g);
   checkf 1e-6 "between symmetric" 0.6826895 (Uncertain.success_between g (-1.0) 1.0);
   checkf 0.0 "between reversed" 0.0 (Uncertain.success_between g 1.0 (-1.0))
 
 let test_success_interval_uniform () =
   let i = Uncertain.interval 0.0 10.0 in
-  checkf 1e-12 "ge 7.5" 0.25 (Uncertain.success_ge i 7.5);
-  checkf 1e-12 "le 2.5" 0.25 (Uncertain.success_le i 2.5);
+  checkf 1e-12 "ge 7.5" 0.25 (Predicate.success (Predicate.ge 7.5) i);
+  checkf 1e-12 "le 2.5" 0.25 (Predicate.success (Predicate.le 2.5) i);
   checkf 1e-12 "between" 0.5 (Uncertain.success_between i 2.5 7.5)
 
 let uncertain_gen =
@@ -84,16 +84,19 @@ let prop_classification_consistent_with_support =
     ~count:300
     QCheck2.Gen.(pair uncertain_gen (float_range (-80.0) 80.0))
     (fun (u, x) ->
-      Tvl.equal (Uncertain.classify_ge u x)
-        (Interval.classify_ge (Uncertain.support u) x))
+      Tvl.equal (Predicate.classify (Predicate.ge x) u)
+        (let s = Uncertain.support u in
+         if Interval.lo s >= x then Tvl.Yes
+         else if Interval.hi s < x then Tvl.No
+         else Tvl.Maybe))
 
 let prop_success_bounds =
   QCheck2.Test.make ~name:"success in [0,1] for every model" ~count:300
     QCheck2.Gen.(pair uncertain_gen (float_range (-80.0) 80.0))
     (fun (u, x) ->
       let ok p = p >= 0.0 && p <= 1.0 in
-      ok (Uncertain.success_ge u x)
-      && ok (Uncertain.success_le u x)
+      ok (Predicate.success (Predicate.ge x) u)
+      && ok (Predicate.success (Predicate.le x) u)
       && ok (Uncertain.success_between u x (x +. 5.0)))
 
 let suite =
