@@ -502,8 +502,6 @@ let locked t f =
    rejections, rounds whose backend answered at once), else [Later]
    with the wait. *)
 let send ?(trace = Trace.null) ?(tier = 0) t ~tenant objects =
-  if tier < 0 || tier >= Array.length t.backends then
-    invalid_arg "Probe_broker.fetch: tier out of range";
   let n = Array.length objects in
   let tk = { results = Array.make n None; remaining = n } in
   let settled =
@@ -625,8 +623,8 @@ let cascade_client ?obs ?tenant ?quota ~(specs : Probe_tier.spec array) t =
   in
   Cascade.create ~specs drivers
 
-let fetch ?(tenant = "default") ?tier t o =
-  match send ?tier t ~tenant [| o |] with
+let fetch t o =
+  match send t ~tenant:"default" [| o |] with
   | Probe_driver.Ready outcomes -> outcomes.(0)
   | Probe_driver.Later await -> (await ()).(0)
 

@@ -225,12 +225,12 @@ val cascade_client :
     the cascade's start-tier selection.
     @raise Invalid_argument on a mismatch or invalid specs. *)
 
-val fetch : ?tenant:string -> ?tier:int -> 'o t -> 'o -> 'o Probe_driver.outcome
+val fetch : 'o t -> 'o -> 'o Probe_driver.outcome
 (** Resolve one object through the broker synchronously — the scalar
     convenience the band join's probe cache is built on.  Equivalent to
-    a one-element client flush: fresh hits are free, otherwise the
-    request is admitted (or degraded) and dispatched.  [tier] defaults
-    to 0. *)
+    a one-element flush of a tier-0 client of tenant ["default"]: fresh
+    hits are free, otherwise the request is admitted (or degraded) and
+    dispatched. *)
 
 val is_fresh : 'o t -> int -> bool
 (** Whether a successful probe for this key is currently within the
@@ -274,5 +274,5 @@ val by_tier : 'o t -> stats array
 
 val tenant_stats : 'o t -> (string * stats) list
 (** Per-tenant totals ([batches] is 0 — dispatches are shared),
-    sorted by tenant name.  A tenant appears once any client or fetch
-    has named it. *)
+    sorted by tenant name.  A tenant appears once a client has named it
+    ({!fetch} names ["default"]). *)

@@ -38,9 +38,9 @@ let create ?start ~specs drivers =
     failovers = Array.make (Array.length specs) 0;
   }
 
-let of_driver ?(name = "oracle") ?(cost = Cost_model.paper) driver =
+let of_driver ?(cost = Cost_model.paper) driver =
   let specs =
-    Probe_tier.oracle_only ~name ~cost
+    Probe_tier.oracle_only ~cost
       ~batch:(Probe_driver.batch_size driver)
       ()
   in

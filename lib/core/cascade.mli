@@ -25,9 +25,9 @@ val create :
     ({!Probe_tier.validate}), the arrays differ in length, or a
     driver's batch size disagrees with its spec. *)
 
-val of_driver : ?name:string -> ?cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
+val of_driver : ?cost:Cost_model.t -> 'o Probe_driver.t -> 'o t
 (** [of_driver d] is the oracle-only cascade: one [Resolve] tier named
-    [name] (default ["oracle"]) around [d], priced at [cost]'s
+    ["oracle"] around [d], priced at [cost]'s
     [(c_p, c_b)] (default {!Cost_model.paper}) and [d]'s batch size.
     The price only feeds start-tier selection and tiered metering
     ({!Cost_meter.tiered_cost}); [Engine] passes the run's own cost

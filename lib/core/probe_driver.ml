@@ -77,14 +77,14 @@ let create_outcomes ?obs ?(batch_size = 1) resolve_batch =
 (* A proxy tier: the narrowing function maps every object to a Shrunk
    outcome — still possibly imprecise, so the consumer must re-classify
    and escalate residuals (see Cascade). *)
-let shrinking ?obs ?batch_size narrow_batch =
-  create_outcomes ?obs ?batch_size (fun objects ->
+let shrinking ?batch_size narrow_batch =
+  create_outcomes ?batch_size (fun objects ->
       Array.map (fun o -> Shrunk o) (narrow_batch objects))
 
 let of_scalar ?obs ~batch_size probe =
   create_outcomes ?obs ~batch_size (Array.map (fun o -> Resolved (probe o)))
 
-let scalar ?obs probe = of_scalar ?obs ~batch_size:1 probe
+let scalar probe = of_scalar ~batch_size:1 probe
 let batch_size t = t.batch_size
 let ahead t = t.ahead
 let pending t = t.queued

@@ -89,13 +89,12 @@ val create_outcomes :
 
     @raise Invalid_argument if [batch_size < 1]. *)
 
-val shrinking :
-  ?obs:Obs.t -> ?batch_size:int -> ('o array -> 'o array) -> 'o t
+val shrinking : ?batch_size:int -> ('o array -> 'o array) -> 'o t
 (** [shrinking narrow_batch] wraps a proxy backend: every submission
     comes back [Shrunk (narrow_batch o)] — an object whose imprecision
     interval the proxy narrowed without resolving it to a point. *)
 
-val scalar : ?obs:Obs.t -> ('o -> 'o) -> 'o t
+val scalar : ('o -> 'o) -> 'o t
 (** [scalar probe] lifts a scalar resolution function into a driver with
     batch size 1: every submission resolves immediately to
     [Resolved (probe o)].  This is the pre-batching behaviour, bit for

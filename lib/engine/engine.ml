@@ -98,7 +98,7 @@ let make_plan ~rng ~meter ?obs ?on_task ~lanes ~cost ~tiers ?max_laxity
 
 let run ~rng ?(planning = default_planning) ?(adaptive = false)
     ?(cost = Cost_model.paper) ?max_laxity ?budget ?deadline ?domains ?obs
-    ?emit ?collect ?on_task ~instance ?probe ?cascade ~requirements
+    ?on_task ~instance ?probe ?cascade ~requirements
     (source : _ Scan_pipeline.t) =
   (match budget with
   | Some b when Float.is_nan b || b < 0.0 ->
@@ -268,7 +268,7 @@ let run ~rng ?(planning = default_planning) ?(adaptive = false)
   in
   let report =
     span "scan" (fun () ->
-        Operator.run ~rng ~meter ?obs ?emit ?collect ?should_stop ~instance
+        Operator.run ~rng ~meter ?obs ?should_stop ~instance
           ~cascade ~policy ~requirements
           (source.cursor ?obs ?on_task ~lanes ()))
   in

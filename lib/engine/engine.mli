@@ -114,8 +114,6 @@ val run :
   ?deadline:float ->
   ?domains:int ->
   ?obs:Obs.t ->
-  ?emit:('o Operator.emitted -> unit) ->
-  ?collect:bool ->
   ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
   instance:'o Operator.instance ->
   ?probe:'o Probe_driver.t ->

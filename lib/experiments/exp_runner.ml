@@ -44,7 +44,7 @@ let qaq_params ~rng ~lanes ~sample_fraction ~density ~cost ~batch
      ())
     .params
 
-let trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
+let trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?obs
     ~(setting : Exp_config.setting) ~data kind =
   let params =
     match kind with
@@ -60,11 +60,7 @@ let trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
      (§5.2, varying precision), which is only possible without the
      Theorem 3.1 precision guard.  QaQ and Stingy are evaluated with the
      guards, as the paper's framework prescribes. *)
-  let enforce =
-    match enforce with
-    | Some e -> e
-    | None -> ( match kind with Greedy -> false | Qaq | Stingy | Fixed _ -> true)
-  in
+  let enforce = match kind with Greedy -> false | Qaq | Stingy | Fixed _ -> true in
   let requirements = Exp_config.requirements setting in
   let report =
     Operator.run ~rng ?obs ~enforce ~instance:Synthetic.instance
@@ -103,10 +99,9 @@ let trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?enforce ?obs
   }
 
 let trial_run ~rng ?(sample_fraction = 0.01) ?(density = `Uniform)
-    ?(cost = Cost_model.paper) ?(batch = 1) ?enforce ?obs ?domains ~setting
-    ~data kind =
+    ?(cost = Cost_model.paper) ?(batch = 1) ?obs ?domains ~setting ~data kind =
   trial_with ~lanes:(Domain_pool.resolve ?domains ()) ~rng ~sample_fraction
-    ~density ~cost ~batch ?enforce ?obs ~setting ~data kind
+    ~density ~cost ~batch ?obs ~setting ~data kind
 
 type aggregate = {
   repetitions : int;
@@ -138,9 +133,8 @@ let aggregate (s : Exp_config.setting) outcomes =
     worst_recall_violation = worst (fun o -> o.actual_recall) s.r_q;
   }
 
-let trial_series ~rng ?(repetitions = 5) ?(sample_fraction = 0.01)
-    ?(density = `Uniform) ?(cost = Cost_model.paper) ?(batch = 1) ?obs ?domains
-    (setting : Exp_config.setting) kinds =
+let trial_series ~rng ?(repetitions = 5) ?(cost = Cost_model.paper) ?(batch = 1)
+    ?obs ?domains (setting : Exp_config.setting) kinds =
   if repetitions < 1 then invalid_arg "Exp_runner.trial_series: repetitions < 1";
   let datasets =
     List.init repetitions (fun _ ->
@@ -152,15 +146,13 @@ let trial_series ~rng ?(repetitions = 5) ?(sample_fraction = 0.01)
       let outcomes =
         List.map
           (fun data ->
-            trial_with ~lanes ~rng ~sample_fraction ~density ~cost ~batch ?obs
-              ~setting ~data kind)
+            trial_with ~lanes ~rng ~sample_fraction:0.01 ~density:`Uniform ~cost
+              ~batch ?obs ~setting ~data kind)
           datasets
       in
       (kind, aggregate setting outcomes))
     kinds
 
-let parallel_configs ?domains configs =
+let parallel_configs configs =
   Array.to_list
-    (Domain_pool.run
-       ~lanes:(Domain_pool.resolve ?domains ())
-       (Array.of_list configs))
+    (Domain_pool.run ~lanes:(Domain_pool.resolve ()) (Array.of_list configs))

@@ -46,7 +46,6 @@ val trial_run :
   ?density:[ `Uniform | `Histogram ] ->
   ?cost:Cost_model.t ->
   ?batch:int ->
-  ?enforce:bool ->
   ?obs:Obs.t ->
   ?domains:int ->
   setting:Exp_config.setting ->
@@ -59,9 +58,9 @@ val trial_run :
     as in the paper.  [batch] (default 1, the paper's scalar path) sets
     the probe batch size: the operator probes through a driver of that
     size and the [Qaq] planner prices probes at the amortized
-    [c_p + c_b/batch].  [enforce] overrides the Theorem 3.1 guard; by
-    default it is on for every policy except [Greedy], which the paper's
-    trials run raw (see {!Operator.run}).  [obs] instruments the
+    [c_p + c_b/batch].  The Theorem 3.1 guard is on for every policy
+    except [Greedy], which the paper's trials run raw (see
+    {!Operator.run}).  [obs] instruments the
     operator and the probe driver (see {!Operator.run}).  [domains]
     (default: {!Domain_pool.resolve} over [QAQ_DOMAINS], else 1) fans
     the pure per-object work out over that many lanes of the process's
@@ -85,8 +84,6 @@ val aggregate : Exp_config.setting -> outcome list -> aggregate
 val trial_series :
   rng:Rng.t ->
   ?repetitions:int ->
-  ?sample_fraction:float ->
-  ?density:[ `Uniform | `Histogram ] ->
   ?cost:Cost_model.t ->
   ?batch:int ->
   ?obs:Obs.t ->
@@ -95,17 +92,18 @@ val trial_series :
   policy_kind list ->
   (policy_kind * aggregate) list
 (** [repetitions] (default 5) independent datasets; all policies run on
-    the same datasets for paired comparison.  [domains] is as in
-    {!trial_run}.
+    the same datasets for paired comparison.  [Qaq] plans from a 1%
+    sample under the uniform density, the paper's choice.  [domains] is
+    as in {!trial_run}.
     @raise Invalid_argument if [repetitions < 1]: an aggregate over no
     runs has no mean. *)
 
-val parallel_configs : ?domains:int -> (unit -> 'a) list -> 'a list
+val parallel_configs : (unit -> 'a) list -> 'a list
 (** Run independent experiment configurations — whole sweeps, not
     single objects — on separate domains, returning their results in
     input order.  Each thunk must be self-contained (own rng, no shared
-    mutable state, no printing): thunks run concurrently on different
-    domains ({!Domain_pool.run}).  With [domains] resolved to 1
-    ({!Domain_pool.resolve}) the thunks run sequentially in order, so
+    mutable state, no printing): thunks run concurrently on the lanes
+    [QAQ_DOMAINS] asks for ({!Domain_pool.resolve}, {!Domain_pool.run}).
+    With one lane the thunks run sequentially in order, so
     results never depend on the lane count; if thunks raise, the first
     raising thunk's exception is re-raised once all have run. *)

@@ -5,11 +5,13 @@ type instruments = {
   h_outage : Metrics.histogram;
 }
 
+(* Three consecutive failed rounds trip the breaker; the first open
+   window is two rounds, doubled on every re-trip and capped at 64. *)
+let trip_after = 3
+let backoff_base = 2
+let max_backoff = 64
+
 type t = {
-  trip_after : int;
-  backoff_base : int;
-  backoff_factor : float;
-  max_backoff : int;
   ins : instruments option;
   mutable state : state;
   mutable consecutive : int;
@@ -26,15 +28,7 @@ let set_state t s =
   | Some i -> Metrics.set i.g_state (state_value s)
   | None -> ()
 
-let create ?obs ?(trip_after = 3) ?(backoff_base = 2) ?(backoff_factor = 2.0)
-    ?(max_backoff = 64) () =
-  if trip_after < 1 then invalid_arg "Circuit_breaker.create: trip_after < 1";
-  if backoff_base < 1 then
-    invalid_arg "Circuit_breaker.create: backoff_base < 1";
-  if not (backoff_factor >= 1.0) then
-    invalid_arg "Circuit_breaker.create: backoff_factor < 1";
-  if max_backoff < backoff_base then
-    invalid_arg "Circuit_breaker.create: max_backoff < backoff_base";
+let create ?obs () =
   let ins =
     Option.map
       (fun o ->
@@ -46,10 +40,6 @@ let create ?obs ?(trip_after = 3) ?(backoff_base = 2) ?(backoff_factor = 2.0)
   in
   let t =
     {
-      trip_after;
-      backoff_base;
-      backoff_factor;
-      max_backoff;
       ins;
       state = Closed;
       consecutive = 0;
@@ -84,11 +74,7 @@ let trip t ~round =
   t.open_until <- round + t.backoff;
   set_state t Open
 
-let grow_backoff t =
-  t.backoff <-
-    min t.max_backoff
-      (max (t.backoff + 1)
-         (int_of_float (Float.round (float_of_int t.backoff *. t.backoff_factor))))
+let grow_backoff t = t.backoff <- min max_backoff (2 * t.backoff)
 
 let record_success t ~round =
   (match (t.state, t.ins) with
@@ -97,7 +83,7 @@ let record_success t ~round =
       Metrics.observe i.h_outage (float_of_int (round - t.opened_at))
   | _ -> ());
   t.consecutive <- 0;
-  t.backoff <- t.backoff_base;
+  t.backoff <- backoff_base;
   set_state t Closed
 
 let record_failure t ~round =
@@ -107,5 +93,5 @@ let record_failure t ~round =
       (* The recovery probe failed too — re-open with a grown window. *)
       grow_backoff t;
       trip t ~round
-  | Closed -> if t.consecutive >= t.trip_after then trip t ~round
+  | Closed -> if t.consecutive >= trip_after then trip t ~round
   | Open -> ()

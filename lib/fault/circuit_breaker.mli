@@ -16,23 +16,13 @@ type state = Closed | Open | Half_open
 
 type t
 
-val create :
-  ?obs:Obs.t ->
-  ?trip_after:int ->
-  ?backoff_base:int ->
-  ?backoff_factor:float ->
-  ?max_backoff:int ->
-  unit ->
-  t
-(** [trip_after] (default 3) consecutive failed rounds trip the
-    breaker; the first open window is [backoff_base] (default 2)
-    rounds, multiplied by [backoff_factor] (default 2) on every
-    re-trip from half-open, capped at [max_backoff] (default 64)
-    rounds.  [obs] keeps the [qaq.fault.breaker_state] gauge current
-    (0 closed, 1 half-open, 2 open) and observes each completed open
-    window's length into [qaq.fault.outage_rounds].
-    @raise Invalid_argument if [trip_after < 1], [backoff_base < 1],
-    [backoff_factor] is below 1 or NaN, or [max_backoff < backoff_base]. *)
+val create : ?obs:Obs.t -> unit -> t
+(** A closed breaker.  Three consecutive failed rounds trip it; the
+    first open window is 2 rounds, doubled on every re-trip from
+    half-open and capped at 64 rounds.  [obs] keeps the
+    [qaq.fault.breaker_state] gauge current (0 closed, 1 half-open, 2
+    open) and observes each completed open window's length into
+    [qaq.fault.outage_rounds]. *)
 
 val state : t -> state
 
@@ -52,5 +42,5 @@ val record_success : t -> round:int -> unit
 
 val record_failure : t -> round:int -> unit
 (** The round resolved nothing.  From half-open this re-trips
-    immediately with a grown window; from closed it trips once
-    [trip_after] consecutive failures accumulate. *)
+    immediately with a grown window; from closed it trips once three
+    consecutive failures accumulate. *)

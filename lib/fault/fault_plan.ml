@@ -2,27 +2,20 @@ type spec = {
   seed : int;
   transient_rate : float;
   permanent_rate : float;
-  spike_rate : float;
-  spike_factor : float;
 }
 
 let check_rate name r =
   if not (r >= 0.0 && r <= 1.0) then
     invalid_arg (Printf.sprintf "Fault_plan.make: %s outside [0, 1]" name)
 
-let make ?(seed = 0) ?(transient_rate = 0.0) ?(permanent_rate = 0.0)
-    ?(spike_rate = 0.0) ?(spike_factor = 10.0) () =
+let make ?(seed = 0) ?(transient_rate = 0.0) ?(permanent_rate = 0.0) () =
   check_rate "transient_rate" transient_rate;
   check_rate "permanent_rate" permanent_rate;
-  check_rate "spike_rate" spike_rate;
-  if not (spike_factor >= 1.0) then
-    invalid_arg "Fault_plan.make: spike_factor < 1";
-  { seed; transient_rate; permanent_rate; spike_rate; spike_factor }
+  { seed; transient_rate; permanent_rate }
 
 let none = make ()
 
-let is_null s =
-  s.transient_rate = 0.0 && s.permanent_rate = 0.0 && s.spike_rate = 0.0
+let is_null s = s.transient_rate = 0.0 && s.permanent_rate = 0.0
 
 type instruments = { m_injected : Metrics.counter }
 
@@ -70,13 +63,6 @@ let attempt t e =
     true
   end
   else false
-
-let latency t l =
-  if t.plan.spike_rate > 0.0 && Rng.bernoulli t.rng t.plan.spike_rate then begin
-    fired t;
-    l *. t.plan.spike_factor
-  end
-  else l
 
 (* Mix the site's seed fully once, then fold the key in: keys of two
    sites then seed unrelated generators, and [Rng.create] mixes again. *)

@@ -1,8 +1,8 @@
 (** Deterministic, seeded fault injection.
 
     A {!spec} scripts the hostile conditions a run should survive —
-    transient per-attempt failures, permanently unresolvable elements
-    and latency spikes — as pure data plus a seed.  An injector ({!t},
+    transient per-attempt failures and permanently unresolvable
+    elements — as pure data plus a seed.  An injector ({!t},
     from {!injector_opt}) is the mutable per-site instance of a spec: it
     derives its own SplitMix64 stream from the seed and the site name, so
     fault decisions are reproducible per seed and completely independent of
@@ -11,8 +11,8 @@
 
     Sites consult the injector at well-defined points: {!fresh_element}
     once per element entering a probe/fetch lifecycle (this is where
-    permanence is drawn), {!attempt} once per attempt on that element,
-    {!latency} once per wakeup.  A spec with every rate at zero gets
+    permanence is drawn) and {!attempt} once per attempt on that
+    element.  A spec with every rate at zero gets
     no injector ({!injector_opt} is [None]): callers skip injection
     entirely then, which keeps the zero-rate plan bit-for-bit identical to an
     unfaulted run.
@@ -25,23 +25,18 @@ type spec = {
   seed : int;
   transient_rate : float;  (** P(one attempt fails, retry may succeed) *)
   permanent_rate : float;  (** P(an element never resolves) *)
-  spike_rate : float;  (** P(a wakeup's latency is spiked) *)
-  spike_factor : float;  (** latency multiplier when spiked *)
 }
 
 val make :
   ?seed:int ->
   ?transient_rate:float ->
   ?permanent_rate:float ->
-  ?spike_rate:float ->
-  ?spike_factor:float ->
   unit ->
   spec
-(** All rates default to 0, [seed] to 0, [spike_factor] to 10.  The
-    retry budget is the probing site's own ([Probe_source.create]'s
-    [max_retries]), not part of the plan.
-    @raise Invalid_argument on a rate outside [0, 1] or a spike factor
-    below 1 or NaN. *)
+(** Both rates default to 0, and [seed] to 0.  The retry budget is the
+    probing site's own ([Probe_source.create]'s [max_retries]), not part
+    of the plan.
+    @raise Invalid_argument on a rate outside [0, 1] or NaN. *)
 
 val none : spec
 (** [make ()] — the null plan. *)
@@ -57,8 +52,7 @@ val injector_opt : ?obs:Obs.t -> site:string -> spec -> t option
     identical decisions in identical call order.  [None] for a null
     spec, one whose rates are all 0 (no failure mode can ever fire), so
     a site with no faults builds no injector.  [obs] registers the
-    [qaq.fault.injected] counter (every injected attempt failure or
-    latency spike). *)
+    [qaq.fault.injected] counter (every injected attempt failure). *)
 
 type element
 (** Per-element fault state: whether this element is permanently
@@ -71,11 +65,6 @@ val fresh_element : t -> element
 val attempt : t -> element -> bool
 (** [true] when this attempt must fail: the element is permanent, or a
     transient failure fires.  Counts into [qaq.fault.injected]. *)
-
-val latency : t -> float -> float
-(** The (possibly spiked) latency of one wakeup: multiplied by
-    [spike_factor] with probability [spike_rate].  A spike counts into
-    [qaq.fault.injected]. *)
 
 (** {2 Keyed draws} *)
 

@@ -177,7 +177,7 @@ let pair_cursor cache ~epsilon ~left ~right =
   in
   (source, stored)
 
-let run ~rng ?emit ?collect ?(share_probes = true) ?(policy = Policy.stingy)
+let run ~rng ?collect ?(share_probes = true) ?(policy = Policy.stingy)
     ~(requirements : Quality.requirements) ~epsilon ~left ~right () =
   if not (epsilon >= 0.0) then invalid_arg "Band_join.run: epsilon < 0";
   let cache = make_cache ~share:share_probes in
@@ -194,7 +194,7 @@ let run ~rng ?emit ?collect ?(share_probes = true) ?(policy = Policy.stingy)
            probe_pair cache ~epsilon (stored ())))
   in
   let report =
-    Operator.run ~rng ?emit ?collect ~instance:(instance ~epsilon) ~cascade
+    Operator.run ~rng ?collect ~instance:(instance ~epsilon) ~cascade
       ~policy ~requirements source
   in
   let broker = Probe_broker.stats cache.broker in

@@ -51,7 +51,6 @@ type report = {
 
 val run :
   rng:Rng.t ->
-  ?emit:(pair Operator.emitted -> unit) ->
   ?collect:bool ->
   ?share_probes:bool ->
   ?policy:Policy.t ->
@@ -62,7 +61,7 @@ val run :
   unit ->
   report
 (** Evaluate the band join: {!Operator.run} over the pair cursor, with
-    [emit] and [collect] as there.  [policy] defaults to
+    [collect] as there.  [policy] defaults to
     {!Policy.stingy}; the Theorem 3.1 guards always apply, so the
     guarantees, over the pair space, satisfy the requirements.
     A [Probe] decision fully resolves both sides of the pair (so the

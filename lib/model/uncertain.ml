@@ -1,7 +1,11 @@
 type t =
   | Exact of float
   | Interval of Interval.t
-  | Gaussian of { mean : float; stddev : float; cut : float }
+  | Gaussian of { mean : float; stddev : float }
+
+(* Standard deviations beyond which a Gaussian belief counts as
+   impossible. *)
+let cut = 4.0
 
 let exact x =
   if not (Float.is_finite x) then invalid_arg "Uncertain.exact: not finite";
@@ -9,11 +13,10 @@ let exact x =
 
 let interval lo hi = Interval (Interval.make lo hi)
 
-let gaussian ?(cut = 4.0) ~mean ~stddev () =
+let gaussian ~mean ~stddev () =
   if stddev <= 0.0 then invalid_arg "Uncertain.gaussian: stddev <= 0";
-  if cut <= 0.0 then invalid_arg "Uncertain.gaussian: cut <= 0";
   if not (Float.is_finite mean) then invalid_arg "Uncertain.gaussian: mean";
-  Gaussian { mean; stddev; cut }
+  Gaussian { mean; stddev }
 
 let laxity = function
   | Exact _ -> 0.0
@@ -23,7 +26,7 @@ let laxity = function
 let support = function
   | Exact x -> Interval.point x
   | Interval i -> i
-  | Gaussian { mean; stddev; cut } ->
+  | Gaussian { mean; stddev } ->
       Interval.make (mean -. (cut *. stddev)) (mean +. (cut *. stddev))
 
 let success_between t a b =
@@ -39,7 +42,7 @@ let success_between t a b =
 let sample rng = function
   | Exact x -> x
   | Interval i -> Interval.sample rng i
-  | Gaussian { mean; stddev; cut } ->
+  | Gaussian { mean; stddev } ->
       let rec draw () =
         let x = Rng.gaussian rng ~mean ~stddev in
         if Float.abs (x -. mean) <= cut *. stddev then x else draw ()

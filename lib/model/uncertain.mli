@@ -11,28 +11,27 @@
       the width (the paper's running example).
     - {b Gaussian}: mean/stddev belief; the paper suggests using a
       distribution parameter such as the standard deviation as laxity
-      (§2.2).  Classification treats values beyond [cut] standard
+      (§2.2).  Classification treats values beyond 4 standard
       deviations as definite, which is the standard truncation used to
       make a Gaussian model classifiable at all. *)
 
 type t =
   | Exact of float
   | Interval of Interval.t
-  | Gaussian of { mean : float; stddev : float; cut : float }
+  | Gaussian of { mean : float; stddev : float }
 
 val exact : float -> t
 val interval : float -> float -> t
 
-val gaussian : ?cut:float -> mean:float -> stddev:float -> unit -> t
-(** [cut] defaults to 4.0 standard deviations; must be positive, as must
-    [stddev]. *)
+val gaussian : mean:float -> stddev:float -> unit -> t
+(** [stddev] must be positive and [mean] finite. *)
 
 val laxity : t -> float
 (** 0 / width / stddev respectively. *)
 
 val support : t -> Interval.t
 (** Interval of values considered possible: the point, the interval, or
-    [mean ± cut·stddev]. *)
+    [mean ± 4·stddev]. *)
 
 val success_between : t -> float -> float -> float
 (** [P(a <= value <= b)] under the model's belief: 0/1 for [Exact], the

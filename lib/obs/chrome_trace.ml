@@ -270,14 +270,10 @@ let to_json t =
   Mutex.unlock t.mutex;
   render ~epoch:t.epoch ~lanes items
 
-let json_of_entries ?epoch events =
+let json_of_entries events =
   let epoch =
-    match epoch with
-    | Some e -> e
-    | None ->
-        List.fold_left (fun m (ts, _, _) -> Float.min m ts) Float.infinity
-          events
-        |> fun m -> if Float.is_finite m then m else 0.0
+    List.fold_left (fun m (ts, _, _) -> Float.min m ts) Float.infinity events
+    |> fun m -> if Float.is_finite m then m else 0.0
   in
   render ~epoch ~lanes:1 (List.map (fun s -> Event s) events)
 

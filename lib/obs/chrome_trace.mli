@@ -18,8 +18,8 @@
     [(time, context, event)] triples — plus pool tasks, in recording
     order, and renders them at export through {!json_of_entries}'s code
     path: for one event stream and clock, with one lane and no tasks,
-    the document {!write} saves is [json_of_entries ~epoch] of the same
-    triples.
+    whose first event is stamped at the recorder's creation, the
+    document {!write} saves is [json_of_entries] of the same triples.
 
     The recorder is thread-safe: {!on_task} may fire from worker
     domains while lane 0 emits trace events. *)
@@ -53,10 +53,9 @@ val write : t -> string -> unit
     entries in timestamp order (microsecond units, as the format
     specifies). *)
 
-val json_of_entries :
-  ?epoch:float -> (float * Trace.context * Trace.event) list -> string
+val json_of_entries : (float * Trace.context * Trace.event) list -> string
 (** Render a bare list of timestamped, attributed events — e.g. a
     flight-recorder dump — as a standalone chrome-trace document, with
-    the same per-query rows and args as the live {!sink}.  [epoch]
-    defaults to the earliest timestamp in the list, so the dump starts
+    the same per-query rows and args as the live {!sink}.  Times are
+    relative to the earliest timestamp in the list, so the dump starts
     at t=0. *)

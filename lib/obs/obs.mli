@@ -156,8 +156,8 @@ module Keys : sig
       its retry budget. *)
 
   val fault_injected : string
-  (** Injected fault decisions that fired — failed attempts and latency
-      spikes ({!Fault_plan}). *)
+  (** Injected fault decisions that fired: failed attempts
+      ({!Fault_plan}). *)
 
   val fault_degraded : string
   (** Objects whose probe failed permanently and that fell back to the

@@ -52,28 +52,27 @@ let sum a b =
     latency = Metrics.merge_dist a.latency b.latency;
   }
 
+(* Slices per window. *)
+let slices = 12
+
 type t = {
-  slices : int;
   slice_seconds : float;
   clock : unit -> float;
   lock : Mutex.t;
   rings : (string, slice array) Hashtbl.t;  (* tenants and "_all" *)
 }
 
-let create ?(window_seconds = 60.0) ?(slices = 12)
-    ?(clock = Span.default_clock) () =
-  if slices < 1 then invalid_arg "Slo.create: slices < 1";
+let create ?(window_seconds = 60.0) ?(clock = Span.default_clock) () =
   if not (Float.is_finite window_seconds) || window_seconds <= 0.0 then
     invalid_arg "Slo.create: window_seconds must be finite and positive";
   {
-    slices;
     slice_seconds = window_seconds /. float_of_int slices;
     clock;
     lock = Mutex.create ();
     rings = Hashtbl.create 8;
   }
 
-let window_seconds t = t.slice_seconds *. float_of_int t.slices
+let window_seconds t = t.slice_seconds *. float_of_int slices
 
 (* Called under the lock. *)
 let now_slot t = int_of_float (Float.floor (t.clock () /. t.slice_seconds))
@@ -95,8 +94,8 @@ let of_sample slot s =
        else Metrics.empty_dist);
   }
 
-let add t ring one =
-  let i = ((one.slot mod t.slices) + t.slices) mod t.slices in
+let add ring one =
+  let i = ((one.slot mod slices) + slices) mod slices in
   ring.(i) <- (if ring.(i).slot = one.slot then sum ring.(i) one else one)
 
 (* Called under the lock; registers [tenant]. *)
@@ -104,15 +103,15 @@ let ring t tenant =
   match Hashtbl.find_opt t.rings tenant with
   | Some ring -> ring
   | None ->
-      let ring = Array.make t.slices idle in
+      let ring = Array.make slices idle in
       Hashtbl.add t.rings tenant ring;
       ring
 
 let observe t s =
   Mutex.protect t.lock (fun () ->
       let one = of_sample (now_slot t) s in
-      add t (ring t all_tenant) one;
-      if not (String.equal s.tenant all_tenant) then add t (ring t s.tenant) one)
+      add (ring t all_tenant) one;
+      if not (String.equal s.tenant all_tenant) then add (ring t s.tenant) one)
 
 type report = {
   r_tenant : string;
@@ -129,10 +128,10 @@ type report = {
 
 (* The sum of the slices inside the window ending at slot [newest], in
    ring-index order. *)
-let window_total t ring newest =
+let window_total ring newest =
   Array.fold_left
     (fun acc sl ->
-      if sl.slot > newest - t.slices && sl.slot <= newest then sum acc sl
+      if sl.slot > newest - slices && sl.slot <= newest then sum acc sl
       else acc)
     idle ring
 
@@ -140,7 +139,7 @@ let window_total t ring newest =
 let report_at t newest tenant =
   let w =
     match Hashtbl.find_opt t.rings tenant with
-    | Some ring -> window_total t ring newest
+    | Some ring -> window_total ring newest
     | None -> idle
   in
   {

@@ -6,7 +6,7 @@
     quiet history ages out.  One synthetic ["_all"] tenant aggregates
     everything for the [HEALTH] verb.
 
-    Each tenant owns one ring of [slices] time slices; every field of a
+    Each tenant owns one ring of 12 time slices; every field of a
     sample lands in the same slice, at one clock read, and ages out
     with it.  A report merges the slices still inside the window, so it
     covers between [window - slice] and [window] seconds of history.
@@ -30,16 +30,11 @@ type sample = {
       (** the run finished without meeting the requested quality *)
 }
 
-val create :
-  ?window_seconds:float ->
-  ?slices:int ->
-  ?clock:(unit -> float) ->
-  unit ->
-  t
-(** [window_seconds] defaults to 60, [slices] to 12 (a 60 s window in
-    5 s steps) and [clock] to the wall clock.
-    @raise Invalid_argument if [slices < 1] or [window_seconds] is not
-    finite and positive. *)
+val create : ?window_seconds:float -> ?clock:(unit -> float) -> unit -> t
+(** [window_seconds] defaults to 60 (a 60 s window in 5 s steps) and
+    [clock] to the wall clock.
+    @raise Invalid_argument if [window_seconds] is not finite and
+    positive. *)
 
 val observe : t -> sample -> unit
 (** Record one finished request against its tenant and ["_all"]. *)

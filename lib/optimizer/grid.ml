@@ -38,12 +38,12 @@ let search_box problem ~resolution (center : Policy.params) ~radius =
     s3s;
   match !best with Some e -> e | None -> assert false
 
-let search ?(resolution = 10) ?(refinements = 2) problem =
+let search ?(resolution = 10) problem =
   if resolution < 1 then invalid_arg "Grid.search: resolution < 1";
   let center = Policy.params ~s3:0.5 ~s5:0.5 ~p_py:0.5 ~p_fm:0.5 in
   let incumbent = ref (search_box problem ~resolution center ~radius:0.5) in
   let radius = ref (1.0 /. float_of_int resolution) in
-  for _ = 1 to refinements do
+  for _ = 1 to 2 do
     let refined =
       search_box problem ~resolution !incumbent.Solver.params ~radius:!radius
     in

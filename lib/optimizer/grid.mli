@@ -5,9 +5,8 @@
     best cell.  Exponentially slower than Nelder–Mead but immune to local
     minima; tests assert the two agree to within grid resolution. *)
 
-val search : ?resolution:int -> ?refinements:int -> Solver.problem ->
-  Solver.evaluation
+val search : ?resolution:int -> Solver.problem -> Solver.evaluation
 (** [search problem] evaluates an [(r+1)^4] grid ([resolution] [r]
-    defaults to 10, i.e. steps of 0.1), then [refinements] times (default
-    2) re-grids a shrunken cube around the incumbent.
+    defaults to 10, i.e. steps of 0.1), then twice re-grids a shrunken
+    cube around the incumbent.
     @raise Invalid_argument if [resolution < 1]. *)

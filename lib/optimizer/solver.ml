@@ -313,7 +313,7 @@ let better a b =
 (* Multistart Nelder–Mead: refine every seed on [objective], [finish]
    each refined point into an evaluation, and keep the [better] of them,
    folding in seed order. *)
-let multistart ~name ~seeds ~objective ~finish ~better =
+let multistart ~objective ~finish ~better =
   let lower = Array.make 4 0.0 and upper = Array.make 4 1.0 in
   let refine (p : Policy.params) =
     let init = [| p.s3; p.s5; p.p_py; p.p_fm |] in
@@ -324,13 +324,11 @@ let multistart ~name ~seeds ~objective ~finish ~better =
     in
     finish (params_of_vector result.point)
   in
-  match List.map refine seeds with
-  | [] -> invalid_arg (name ^ ": no seeds")
+  match List.map refine default_seeds with
   | first :: rest -> List.fold_left better first rest
+  | [] -> assert false (* [default_seeds] is not empty *)
 
-let solve ?(seeds = default_seeds) t =
-  multistart ~name:"Solver.solve" ~seeds ~objective:(penalized t)
-    ~finish:(evaluate t) ~better
+let solve t = multistart ~objective:(penalized t) ~finish:(evaluate t) ~better
 
 (* {2 The dual problem: maximise quality under a cost budget} *)
 
@@ -458,13 +456,12 @@ let dual_penalized t ~budget =
     fill r c regions v;
     dual_penalty r ~r_q ~p_q ~total ~budget ~ceiling cell
 
-let solve_dual ?(seeds = default_seeds) ~budget t =
-  if seeds = [] then invalid_arg "Solver.solve_dual: no seeds";
+let solve_dual ~budget t =
   let budget = Float.max 0.0 budget in
   (* Fast path: if the primal optimum is affordable, the dual answer is
      the primal one — full requested recall at minimal cost.  This keeps
      ample-budget plans continuous with the unbudgeted planner. *)
-  let primal = solve ~seeds t in
+  let primal = solve t in
   if primal.feasible && primal.cost <= budget then
     {
       d_params = primal.params;
@@ -479,8 +476,7 @@ let solve_dual ?(seeds = default_seeds) ~budget t =
       d_expected_precision = primal.expected_precision;
     }
   else
-    multistart ~name:"Solver.solve_dual" ~seeds
-      ~objective:(dual_penalized t ~budget)
+    multistart ~objective:(dual_penalized t ~budget)
       ~finish:(evaluate_dual t ~budget) ~better:better_dual
 
 let pp_evaluation ppf e =

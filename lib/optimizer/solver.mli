@@ -76,11 +76,11 @@ val better : evaluation -> evaluation -> evaluation
     cost as the tie-break so seed order cannot decide between two
     equally-violating plans.  Exposed for testing. *)
 
-val solve : ?seeds:Policy.params list -> problem -> evaluation
+val solve : problem -> evaluation
 (** Multistart Nelder–Mead: every seed is refined on the penalised
     objective and the refined points are folded with {!better} in seed
-    order.  Default seeds: the 16 corners of the unit
-    hypercube, its centre, and the Stingy and Greedy parameter points.
+    order.  The seeds are the 16 corners of the unit hypercube, its
+    centre, and the Stingy and Greedy parameter points.
     Returns the best feasible evaluation, or the least-violating one if
     no start reaches feasibility. *)
 
@@ -114,8 +114,7 @@ val better_dual : dual_evaluation -> dual_evaluation -> dual_evaluation
 (** Prefer precision-feasibility, then higher [target_recall], then lower
     spend; among infeasible candidates, less violation then cost. *)
 
-val solve_dual :
-  ?seeds:Policy.params list -> budget:float -> problem -> dual_evaluation
+val solve_dual : budget:float -> problem -> dual_evaluation
 (** Multistart Nelder–Mead on the penalised dual objective (same seed set
     and simplex machinery as {!solve}).  Fast path: when the primal
     optimum is affordable ([solve] feasible with [cost <= budget]) it is

@@ -81,16 +81,13 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
   }
 
 let sample_latency t =
-  let l =
-    match t.latency with
-    | Instant -> 0.0
-    | Constant l -> l
-    | Jittered { base; jitter } -> (
-        match t.rng with
-        | Some rng -> base +. Rng.float rng (Float.max jitter Float.epsilon)
-        | None -> base)
-  in
-  match t.faults with Some f -> Fault_plan.latency f l | None -> l
+  match t.latency with
+  | Instant -> 0.0
+  | Constant l -> l
+  | Jittered { base; jitter } -> (
+      match t.rng with
+      | Some rng -> base +. Rng.float rng (Float.max jitter Float.epsilon)
+      | None -> base)
 
 let attempt_fails t =
   t.failure_rate > 0.0

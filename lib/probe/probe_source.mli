@@ -5,8 +5,8 @@
     object from wherever it lives (the sensor itself, a remote archive,
     tertiary storage).  A source wraps the resolution function with
     latency simulation, optional transient-failure injection, and an
-    optional {!Fault_plan} (scripted transient/permanent failures and
-    latency spikes) so that examples and benchmarks can model realistic
+    optional {!Fault_plan} (scripted transient and permanent failures)
+    so that examples and benchmarks can model realistic
     remote stores; the QaQ operator itself only sees the {!Probe_driver}
     capability.
 
@@ -50,8 +50,7 @@ val create :
     site ["probe_source"]: injected transient failures compose with
     [failure_rate] (either one fails the attempt), injected {e permanent}
     elements fail every attempt and settle as {!Probe_driver.Failed}
-    after the retry budget, and latency spikes multiply the sampled
-    wakeup latency.  The injector draws from its own seeded stream, so a
+    after the retry budget.  The injector draws from its own seeded stream, so a
     null plan — or the same source without one — behaves bit-for-bit
     identically.
 

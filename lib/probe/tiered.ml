@@ -22,27 +22,22 @@ let driver_of_tier ?obs ~(spec : Probe_tier.spec) src =
   in
   Probe_driver.create_outcomes ?obs ~batch_size:spec.Probe_tier.batch resolver
 
-let sources ?obs ?rng ?latency ?failure_rate ?max_retries ?faults
-    ~(specs : Probe_tier.spec array) ~narrow ~resolve () =
-  Array.map
-    (fun (spec : Probe_tier.spec) ->
-      let f =
-        match spec.Probe_tier.kind with
-        | Probe_tier.Resolve -> resolve
-        | Probe_tier.Shrink { power } -> narrow ~power
-      in
-      Probe_source.create ?obs ~tier:spec.Probe_tier.name ?latency
-        ?failure_rate ?max_retries ?rng ?faults f)
-    specs
-
-let of_functions ?obs ?start ?rng ?latency ?failure_rate ?max_retries ?faults
-    ~(specs : Probe_tier.spec array) ~narrow ~resolve () =
+let of_functions ?obs ?max_retries ?faults ~(specs : Probe_tier.spec array)
+    ~narrow ~resolve () =
   let srcs =
-    sources ?obs ?rng ?latency ?failure_rate ?max_retries ?faults ~specs
-      ~narrow ~resolve ()
+    Array.map
+      (fun (spec : Probe_tier.spec) ->
+        let f =
+          match spec.Probe_tier.kind with
+          | Probe_tier.Resolve -> resolve
+          | Probe_tier.Shrink { power } -> narrow ~power
+        in
+        Probe_source.create ?obs ~tier:spec.Probe_tier.name ?max_retries
+          ?faults f)
+      specs
   in
   Probe_tier.validate specs;
   let drivers =
     Array.map2 (fun spec src -> driver_of_tier ?obs ~spec src) specs srcs
   in
-  (Cascade.create ?start ~specs drivers, srcs)
+  (Cascade.create ~specs drivers, srcs)

@@ -10,10 +10,6 @@
 
 val of_functions :
   ?obs:Obs.t ->
-  ?start:int ->
-  ?rng:Rng.t ->
-  ?latency:Probe_source.latency ->
-  ?failure_rate:float ->
   ?max_retries:int ->
   ?faults:Fault_plan.spec ->
   specs:Probe_tier.spec array ->
@@ -22,9 +18,11 @@ val of_functions :
   unit ->
   'o Cascade.t * 'o Probe_source.t array
 (** One tier-labelled {!Probe_source} per spec — [Shrink {power}] tiers
-    use [narrow ~power], the [Resolve] tier uses [resolve] — paired into
-    into one {!Cascade.t}; the sources come back too, for their
-    statistics.  @raise Invalid_argument on invalid specs.  The
+    use [narrow ~power], the [Resolve] tier uses [resolve] — paired
+    into one {!Cascade.t} that starts at {!Probe_tier.select}'s cheapest
+    tier; the sources come back too, for their statistics.  Each source
+    answers instantly and never fails on its own, so faults come only
+    from [faults].  @raise Invalid_argument on invalid specs.  The
     shared [faults] spec is instantiated per tier at site
     ["probe_source.<tier>"], so each tier draws an independent fault
     stream.  The convenience the CLI's [--tiers] flag wires through. *)

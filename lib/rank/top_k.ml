@@ -90,11 +90,10 @@ let kth_largest values k =
   Array.sort (fun a b -> Float.compare b a) sorted;
   sorted.(k - 1)
 
-let run ?meter ~(requirements : Quality.requirements) ~k records =
+let run ~(requirements : Quality.requirements) ~k records =
   let n = Array.length records in
   if k <= 0 || k > n then invalid_arg "Top_k.run: k out of range";
-  let meter = match meter with Some m -> m | None -> Cost_meter.create () in
-  let counts_before = Cost_meter.counts meter in
+  let meter = Cost_meter.create () in
   (* Rank needs every record's bounds: one read each. *)
   for _ = 1 to n do
     Cost_meter.charge_read meter
@@ -194,7 +193,6 @@ let run ?meter ~(requirements : Quality.requirements) ~k records =
         Float.max acc (Uncertain.laxity r.belief))
       0.0 answer
   in
-  let counts_after = Cost_meter.counts meter in
   {
     answer;
     guarantees =
@@ -204,16 +202,7 @@ let run ?meter ~(requirements : Quality.requirements) ~k records =
         max_laxity;
       };
     requirements;
-    counts =
-      {
-        Cost_meter.reads = counts_after.reads - counts_before.reads;
-        probes = counts_after.probes - counts_before.probes;
-        batches = counts_after.batches - counts_before.batches;
-        writes_imprecise =
-          counts_after.writes_imprecise - counts_before.writes_imprecise;
-        writes_precise =
-          counts_after.writes_precise - counts_before.writes_precise;
-      };
+    counts = Cost_meter.counts meter;
     k;
     certified;
     exhausted = Array.for_all (fun i -> width i = 0.0) (Array.init n Fun.id);

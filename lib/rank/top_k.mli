@@ -47,7 +47,6 @@ type report = {
 }
 
 val run :
-  ?meter:Cost_meter.t ->
   requirements:Quality.requirements ->
   k:int ->
   Interval_data.record array ->

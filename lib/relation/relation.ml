@@ -289,8 +289,7 @@ type report = {
   exhausted : bool;
 }
 
-let select ~rng ?emit ?collect ?enforce ?(policy = Policy.stingy)
-    ~requirements c tuples =
+let select ~rng ~requirements c tuples =
   let c = normalize c in
   (* Two meters: the operator's own (reads, writes, probe decisions) and
      one charged per attribute fetch inside resolve.  The cost-bearing
@@ -298,12 +297,11 @@ let select ~rng ?emit ?collect ?enforce ?(policy = Policy.stingy)
   let main = Cost_meter.create () in
   let fetches = Cost_meter.create () in
   let operator_report =
-    Operator.run ~rng ~meter:main ?emit ?collect ?enforce
-      ~instance:(instance c)
+    Operator.run ~rng ~meter:main ~instance:(instance c)
       ~cascade:
         (Cascade.of_driver
            (Probe_driver.scalar (fun t -> resolve ~meter:fetches c t)))
-      ~policy ~requirements
+      ~policy:Policy.stingy ~requirements
       (Operator.source_of_array tuples)
   in
   let main_counts = operator_report.Operator.counts in

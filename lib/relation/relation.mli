@@ -100,16 +100,8 @@ type report = {
 }
 
 val select :
-  rng:Rng.t ->
-  ?emit:(tuple Operator.emitted -> unit) ->
-  ?collect:bool ->
-  ?enforce:bool ->
-  ?policy:Policy.t ->
-  requirements:Quality.requirements ->
-  condition ->
-  tuple array ->
-  report
-(** Quality-aware selection over a relation: {!Operator.run} with
-    probing delegated to {!resolve}, charging [c_p] per attribute fetch.
-    [policy] defaults to {!Policy.stingy}.  The guarantee story is
-    unchanged: with [enforce] (default) the requirements always hold. *)
+  rng:Rng.t -> requirements:Quality.requirements -> condition -> tuple array -> report
+(** Quality-aware selection over a relation: {!Operator.run} under
+    {!Policy.stingy}, with probing delegated to {!resolve}, charging
+    [c_p] per attribute fetch.  The guarantee story is unchanged: the
+    Theorem 3.1 guards are on, so the requirements always hold. *)

@@ -16,8 +16,11 @@ let[@inline] fmax x y =
   else if x = y then if 1.0 /. x < 0.0 then y else x
   else Float.max x y
 
+(* Histogram resolution, per axis. *)
+let bins = 20
+
 let estimate ~(instance : 'o Operator.instance) ?on_task ?(lanes = 1)
-    ?laxity_cap ?(laxity_bins = 20) ?(success_bins = 20) sample =
+    ?laxity_cap sample =
   let n = Array.length sample in
   if n = 0 then invalid_arg "Selectivity.estimate: empty sample";
   (* Per-object evaluation is pure, so it may fan out across domains; the
@@ -45,10 +48,10 @@ let estimate ~(instance : 'o Operator.instance) ?on_task ?(lanes = 1)
         done;
         if !m > 0.0 then !m else 1.0
   in
-  let yes_laxity = Histogram.Hist1d.create ~lo:0.0 ~hi:cap ~bins:laxity_bins in
+  let yes_laxity = Histogram.Hist1d.create ~lo:0.0 ~hi:cap ~bins in
   let maybe_plane =
-    Histogram.Hist2d.create ~x_lo:0.0 ~x_hi:1.0 ~x_bins:success_bins ~y_lo:0.0
-      ~y_hi:cap ~y_bins:laxity_bins
+    Histogram.Hist2d.create ~x_lo:0.0 ~x_hi:1.0 ~x_bins:bins ~y_lo:0.0
+      ~y_hi:cap ~y_bins:bins
   in
   let yes = ref 0 and maybe = ref 0 in
   Array.iter

@@ -23,14 +23,12 @@ val estimate :
   ?on_task:(lane:int -> start:float -> finish:float -> unit) ->
   ?lanes:int ->
   ?laxity_cap:float ->
-  ?laxity_bins:int ->
-  ?success_bins:int ->
   'o array ->
   estimate
 (** [estimate ~instance sample] classifies every sample object and builds
     the estimate.  [laxity_cap] fixes L when it is known a priori (the
-    paper's setting); by default the sample maximum is used.  Histogram
-    resolutions default to 20 bins per axis.
+    paper's setting); by default the sample maximum is used.  The
+    histograms have 20 bins per axis.
 
     [lanes] (default 1) fans the per-object classify/laxity/success
     evaluation out ({!Domain_pool.map}, which calls [on_task]); the

@@ -133,7 +133,7 @@ let recorder_dir dir =
   | exception Unix.Unix_error (e, _, _) ->
       raise (Recorder_dir_error { dir; reason = Unix.error_message e })
 
-let create ?clock cfg =
+let create cfg =
   let syn =
     Synthetic.config ~total:cfg.c_total ~f_y:cfg.c_f_y ~f_m:cfg.c_f_m
       ~max_laxity:cfg.c_max_laxity ()
@@ -148,7 +148,7 @@ let create ?clock cfg =
             fun d -> write_dump dir d
         | None -> fun _ -> ()
       in
-      Some (Flight_recorder.create ~capacity:cfg.c_recorder ?clock ~on_dump ())
+      Some (Flight_recorder.create ~capacity:cfg.c_recorder ~on_dump ())
     else None
   in
   let sinks =
@@ -160,7 +160,7 @@ let create ?clock cfg =
   let trace =
     match sinks with [] -> Trace.null | s :: rest -> List.fold_left Trace.tee s rest
   in
-  let srv_obs = Obs.create ~trace ?clock () in
+  let srv_obs = Obs.create ~trace () in
   let srv_breaker =
     if cfg.c_breaker then Some (Circuit_breaker.create ~obs:srv_obs ())
     else None
@@ -248,7 +248,7 @@ let create ?clock cfg =
       ~key:(fun (o : Synthetic.obj) -> o.Synthetic.id)
       backends
   in
-  let srv_slo = Slo.create ~window_seconds:cfg.c_window ?clock () in
+  let srv_slo = Slo.create ~window_seconds:cfg.c_window () in
   {
     cfg;
     source = Scan_pipeline.rows ~instance:Synthetic.instance data;
@@ -573,13 +573,41 @@ let help out =
      STATS | TENANTS | METRICS | HEALTH | SLO [tenant] | RECORDER \
      [trace-id|last] | HELP | QUIT"
 
+(* The longest protocol line in bytes, its newline not counted. *)
+let max_line = 65_536
+
+(* The next line of [inc] without its newline, as [input_line] reads it,
+   but kept in [buf] only up to [max_line] bytes: a longer line is read
+   on to its newline without being kept and comes back as [`Too_long]. *)
+let read_line buf inc =
+  Buffer.clear buf;
+  let rec skip () =
+    match In_channel.input_char inc with
+    | None | Some '\n' -> `Too_long
+    | Some _ -> skip ()
+  in
+  let rec go () =
+    match In_channel.input_char inc with
+    | None -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+    | Some '\n' -> `Line (Buffer.contents buf)
+    | Some _ when Buffer.length buf >= max_line -> skip ()
+    | Some c ->
+        Buffer.add_char buf c;
+        go ()
+  in
+  go ()
+
 (* One session over a channel pair; returns [`Quit] when the client
    asked to stop the server, [`Eof] when the stream just ended. *)
 let serve srv inc out =
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line inc with
-    | exception End_of_file -> `Eof
-    | line -> (
+    match read_line buf inc with
+    | `Eof -> `Eof
+    | `Too_long ->
+        pr out "ERR line longer than %d bytes" max_line;
+        loop ()
+    | `Line line -> (
         let tokens =
           String.split_on_char ' ' (String.trim line)
           |> List.filter (fun s -> s <> "")

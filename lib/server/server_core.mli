@@ -34,6 +34,10 @@
     a tab or a control character) is answered [ERR ...] and queues
     nothing.
 
+    A line longer than 65,536 bytes, its newline not counted, is read
+    on to its newline without being kept and answered with one
+    [ERR line longer than 65536 bytes]; the session goes on.
+
     [quota=N] caps the admitted backend probes of the query's tenant
     ({!Probe_broker.client}'s [quota]).  A tenant pays only for the
     probes admitted for it: a request that joins another query's probe
@@ -135,11 +139,10 @@ exception Recorder_dir_error of { dir : string; reason : string }
 (** [c_recorder_dir] names a path that is not, and cannot be made, a
     directory. *)
 
-val create : ?clock:(unit -> float) -> config -> t
+val create : config -> t
 (** Build a server: generate the dataset, wire the broker (with fault
-    injection and breaker per the config) and the telemetry stack.
-    [clock] (default wall time) drives the recorder timestamps and the
-    SLO windows — inject a fake clock in tests.
+    injection and breaker per the config) and the telemetry stack.  The
+    wall clock drives the recorder timestamps and the SLO windows.
     @raise Recorder_dir_error when the recorder is on and
     [c_recorder_dir] cannot be created as a directory. *)
 

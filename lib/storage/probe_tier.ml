@@ -102,8 +102,8 @@ let select specs =
   done;
   !best
 
-let oracle_only ?(name = "oracle") ~(cost : Cost_model.t) ~batch () =
-  [| { name; kind = Resolve; c_p = cost.Cost_model.c_p;
+let oracle_only ~(cost : Cost_model.t) ~batch () =
+  [| { name = "oracle"; kind = Resolve; c_p = cost.Cost_model.c_p;
        c_b = cost.Cost_model.c_b; batch } |]
 
 (* Grammar: "proxy:cp=0.1,cb=1,B=32,shrink=0.8;oracle:cp=1,cb=5,B=8".

@@ -43,9 +43,8 @@ type plan = { start : int; price : float }
 val select : spec array -> plan
 (** Cheapest starting tier (earliest wins ties).  Validates. *)
 
-val oracle_only :
-  ?name:string -> cost:Cost_model.t -> batch:int -> unit -> spec array
-(** The one-tier cascade of a plain oracle at [cost]'s [c_p]/[c_b] and
+val oracle_only : cost:Cost_model.t -> batch:int -> unit -> spec array
+(** The one-tier cascade of a plain oracle, named ["oracle"], at [cost]'s [c_p]/[c_b] and
     batch size [batch]: its strategy price is the amortized
     [c_p +. c_b /. float batch].  The planner's default probe
     price is this cascade at [batch = 1]. *)

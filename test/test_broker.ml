@@ -14,6 +14,15 @@ let obj_key (o : Synthetic.obj) = o.Synthetic.id
 let oracle ?(batch = 1) resolve =
   [| Probe_broker.backend ~batch resolve |]
 
+(* One object through a fresh client of [tenant] pinned to [tier]: the
+   broker's scalar [fetch] on behalf of a named tenant or tier. *)
+let fetch_as ?tenant ?tier broker o =
+  let d = Probe_broker.client ?tenant ?tier broker in
+  let got = ref None in
+  Probe_driver.submit_outcome d o (fun oc -> got := Some oc);
+  Probe_driver.flush d;
+  Option.get !got
+
 let small_data total =
   Synthetic.generate (Rng.create 5) (Synthetic.config ~total ())
 
@@ -242,11 +251,11 @@ let test_cross_query_packing () =
       Unix.sleepf 0.0005
     done
   in
-  let a = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"a" broker 1) in
+  let a = Domain.spawn (fun () -> fetch_as ~tenant:"a" broker 1) in
   await ~what:"first dispatch to enter the backend" (fun () ->
       Atomic.get entered);
-  let b = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"b" broker 2) in
-  let c = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"c" broker 3) in
+  let b = Domain.spawn (fun () -> fetch_as ~tenant:"b" broker 2) in
+  let c = Domain.spawn (fun () -> fetch_as ~tenant:"c" broker 3) in
   await ~what:"two requests to queue behind the dispatch" (fun () ->
       Probe_broker.pending broker = 2);
   Atomic.set gate true;
@@ -297,15 +306,15 @@ let test_two_rounds_in_flight () =
       Unix.sleepf 0.0005
     done
   in
-  let a = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"a" broker 1) in
+  let a = Domain.spawn (fun () -> fetch_as ~tenant:"a" broker 1) in
   await ~what:"the first round to enter the backend" (fun () ->
       Atomic.get inside = 1);
-  let b = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"b" broker 2) in
+  let b = Domain.spawn (fun () -> fetch_as ~tenant:"b" broker 2) in
   await ~what:"a second round to enter the backend alongside it" (fun () ->
       Atomic.get inside = 2);
   checki "nothing queued while both rounds are out" 0
     (Probe_broker.pending broker);
-  let c = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"c" broker 3) in
+  let c = Domain.spawn (fun () -> fetch_as ~tenant:"c" broker 3) in
   await ~what:"the third request to queue" (fun () ->
       Probe_broker.pending broker = 1);
   checki "the third request waits for a slot" 2 (Atomic.get calls);
@@ -459,20 +468,20 @@ let test_tenant_quota () =
       (oracle (fun objs -> Array.map (fun k -> Probe_driver.Resolved k) objs))
   in
   ignore (Probe_broker.client ~tenant:"a" ~quota:2 broker);
-  (match Probe_broker.fetch ~tenant:"a" broker 1 with
+  (match fetch_as ~tenant:"a" broker 1 with
   | Probe_driver.Resolved _ -> ()
   | _ -> Alcotest.fail "within quota");
-  (match Probe_broker.fetch ~tenant:"a" broker 2 with
+  (match fetch_as ~tenant:"a" broker 2 with
   | Probe_driver.Resolved _ -> ()
   | _ -> Alcotest.fail "within quota");
-  (match Probe_broker.fetch ~tenant:"a" broker 3 with
+  (match fetch_as ~tenant:"a" broker 3 with
   | Probe_driver.Failed { attempts = 0 } -> ()
   | _ -> Alcotest.fail "over quota must degrade");
-  (match Probe_broker.fetch ~tenant:"b" broker 3 with
+  (match fetch_as ~tenant:"b" broker 3 with
   | Probe_driver.Resolved _ -> ()
   | _ -> Alcotest.fail "other tenants unaffected");
   (* a's fresh hit on b's probe is free, so it still succeeds *)
-  (match Probe_broker.fetch ~tenant:"a" broker 3 with
+  (match fetch_as ~tenant:"a" broker 3 with
   | Probe_driver.Resolved _ -> ()
   | _ -> Alcotest.fail "fresh hits are free even over quota");
   let by_tenant = Probe_broker.tenant_stats broker in
@@ -487,27 +496,28 @@ let test_tenant_quota () =
    not touched and the refused requests degrade. *)
 let test_breaker_refuses_rounds () =
   let calls = Atomic.make 0 in
-  let breaker =
-    Circuit_breaker.create ~trip_after:1 ~backoff_base:64 ()
-  in
+  let breaker = Circuit_breaker.create () in
   let broker =
     Probe_broker.create ~breaker ~key:Fun.id
       (oracle (fun objs ->
            Atomic.incr calls;
            Array.map (fun _ -> Probe_driver.Failed { attempts = 1 }) objs))
   in
-  (match Probe_broker.fetch broker 1 with
-  | Probe_driver.Failed { attempts = 1 } -> ()
-  | _ -> Alcotest.fail "backend failure surfaces");
+  (* Three failed rounds trip the breaker for two rounds. *)
+  for k = 1 to 3 do
+    match Probe_broker.fetch broker k with
+    | Probe_driver.Failed { attempts = 1 } -> ()
+    | _ -> Alcotest.fail "backend failure surfaces"
+  done;
   checkb "breaker tripped" true (Circuit_breaker.state breaker = Open);
-  (match Probe_broker.fetch broker 2 with
+  (match Probe_broker.fetch broker 4 with
   | Probe_driver.Failed { attempts = 0 } -> ()
   | _ -> Alcotest.fail "refused round degrades with attempts = 0");
-  checki "backend called once" 1 (Atomic.get calls);
+  checki "backend called per real round" 3 (Atomic.get calls);
   let s = Probe_broker.stats broker in
-  checki "only the real round counts a batch" 1 s.Probe_broker.batches;
+  checki "only the real rounds count a batch" 3 s.Probe_broker.batches;
   checki "nothing charged" 0 s.Probe_broker.charged;
-  checki "both requests failed" 2 s.Probe_broker.failed
+  checki "every request failed" 4 s.Probe_broker.failed
 
 (* The qaq.broker.* instruments mirror the broker's own statistics. *)
 let test_broker_metrics () =
@@ -619,28 +629,28 @@ let prop_tier_dedup_charged_once =
 let test_tier_freshness_asymmetry () =
   let broker = tiered_toy () in
   (* oracle first: the cached point satisfies a later proxy request *)
-  (match Probe_broker.fetch ~tier:1 broker 5 with
+  (match fetch_as ~tier:1 broker 5 with
   | Probe_driver.Resolved 35 -> ()
   | _ -> Alcotest.fail "oracle resolves");
-  (match Probe_broker.fetch ~tier:0 broker 5 with
+  (match fetch_as ~tier:0 broker 5 with
   | Probe_driver.Resolved 35 -> ()
   | _ -> Alcotest.fail "oracle-fresh point must satisfy the proxy free");
   (* proxy first: the narrowed interval does NOT satisfy the oracle *)
-  (match Probe_broker.fetch ~tier:0 broker 6 with
+  (match fetch_as ~tier:0 broker 6 with
   | Probe_driver.Shrunk 1006 -> ()
   | _ -> Alcotest.fail "proxy shrinks");
-  (match Probe_broker.fetch ~tier:1 broker 6 with
+  (match fetch_as ~tier:1 broker 6 with
   | Probe_driver.Resolved 42 -> ()
   | _ -> Alcotest.fail "proxy-fresh must still escalate and pay the oracle");
   (* once the oracle answered, even the proxy serves the point *)
-  (match Probe_broker.fetch ~tier:0 broker 6 with
+  (match fetch_as ~tier:0 broker 6 with
   | Probe_driver.Resolved 42 -> ()
   | _ -> Alcotest.fail "resolved point satisfies every tier");
   (* a shrunk entry does satisfy its own tier again *)
-  (match Probe_broker.fetch ~tier:0 broker 7 with
+  (match fetch_as ~tier:0 broker 7 with
   | Probe_driver.Shrunk 1007 -> ()
   | _ -> Alcotest.fail "proxy shrinks 7");
-  (match Probe_broker.fetch ~tier:0 broker 7 with
+  (match fetch_as ~tier:0 broker 7 with
   | Probe_driver.Shrunk 1007 -> ()
   | _ -> Alcotest.fail "shrunk entry serves its own tier");
   let bt = Probe_broker.by_tier broker in
@@ -759,7 +769,7 @@ let test_lane_waits_on_own_round () =
           (fun () ->
             Domain_pool.run ~lanes:1
               (Array.init 8 (fun i () ->
-                   Probe_broker.fetch
+                   fetch_as
                      ~tenant:(string_of_int (i mod 2))
                      broker (i mod 3))))
       in
@@ -793,7 +803,7 @@ let test_lane_raising_round_identity () =
         Domain_pool.run ~lanes:2
           (Array.init 8 (fun i () ->
                match
-                 Probe_broker.fetch ~tenant:(string_of_int (i mod 3)) broker
+                 fetch_as ~tenant:(string_of_int (i mod 3)) broker
                    (i mod 5)
                with
                | oc -> Ok oc
@@ -883,7 +893,7 @@ let test_round_completes_while_owner_waits () =
   let newer = Option.get (submit 4) in
   checkb "both tickets wait on the backend" false
     (Probe_driver.ready older || Probe_driver.ready newer);
-  let b = Domain.spawn (fun () -> Probe_broker.fetch ~tenant:"b" broker 1) in
+  let b = Domain.spawn (fun () -> fetch_as ~tenant:"b" broker 1) in
   spin ~what:"the other domain to claim the older round" (fun () ->
       Atomic.get entered_old);
   Probe_driver.complete older;

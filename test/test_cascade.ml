@@ -225,11 +225,13 @@ let prop_synthetic_shrink_sound =
 
 let synthetic_cascade ?obs ?faults ?start ~specs () =
   let cascade, _sources =
-    Tiered.of_functions ?obs ?faults ?start ~specs
+    Tiered.of_functions ?obs ?faults ~specs
       ~narrow:(fun ~power o -> Synthetic.shrink ~power o)
       ~resolve:Synthetic.probe ()
   in
-  cascade
+  match start with
+  | None -> cascade
+  | Some start -> Cascade.create ~start ~specs (Cascade.drivers cascade)
 
 (* Whatever the proxy's power and pricing, the plan's reported
    guarantees must stay sound lower bounds on the achieved quality, the

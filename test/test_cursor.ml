@@ -139,10 +139,12 @@ let cascade ?obs c =
         Fault_plan.make ~seed ~transient_rate:0.05 ~permanent_rate:0.1 ())
       c.faults
   in
-  fst
-    (Tiered.of_functions ?obs ~start:0 ?faults ~specs
-       ~narrow:(fun ~power r -> Interval_data.shrink ~power r)
-       ~resolve:Interval_data.probe ())
+  let cascade, _sources =
+    Tiered.of_functions ?obs ?faults ~specs
+      ~narrow:(fun ~power r -> Interval_data.shrink ~power r)
+      ~resolve:Interval_data.probe ()
+  in
+  Cascade.create ~start:0 ~specs (Cascade.drivers cascade)
 
 let data_of c =
   let records =

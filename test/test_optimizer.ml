@@ -175,7 +175,7 @@ let test_grid_cross_check () =
   List.iter
     (fun problem ->
       let nm = Solver.solve problem in
-      let grid = Grid.search ~resolution:6 ~refinements:2 problem in
+      let grid = Grid.search ~resolution:6 problem in
       checkb "both feasible" true (nm.feasible && grid.feasible);
       checkb
         (Printf.sprintf "grid %.3f vs nm %.3f" grid.normalized_cost
@@ -661,7 +661,7 @@ let random_problem seed =
       in
       let estimate =
         Selectivity.estimate ~instance:Synthetic.instance ~laxity_cap:max_laxity
-          ~laxity_bins:8 ~success_bins:8 sample
+          sample
       in
       ( Region_model.spec ~f_y ~f_m ~max_laxity
           ~density:(Density.of_estimate estimate),

@@ -131,7 +131,6 @@ let test_golden_observed_cap () =
         ~probe:(Probe_driver.scalar Interval_data.probe)
         ~requirements:
           (Quality.requirements ~precision:0.9 ~recall:0.9 ~laxity:6.0)
-        ~collect:false
         (Scan_pipeline.rows ~instance:(Interval_data.instance pred) records)
     in
     ( r.Engine.report.answer_size,
@@ -152,17 +151,16 @@ let test_golden_observed_cap () =
 let test_streaming_order () =
   let data = dataset 19 in
   let emitted domains =
-    let acc = ref [] in
-    let emit (e : Synthetic.obj Operator.emitted) =
-      acc := (e.obj.id, e.precise) :: !acc
+    let r =
+      Engine.run ~rng:(Rng.create 3)
+        ~planning:(Engine.Fixed Policy.stingy_params) ~max_laxity:100.0
+        ~domains ~instance:Synthetic.instance
+        ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
+        (Scan_pipeline.rows ~instance:Synthetic.instance data)
     in
-    ignore
-      (Engine.run ~rng:(Rng.create 3)
-         ~planning:(Engine.Fixed Policy.stingy_params) ~max_laxity:100.0
-         ~domains ~emit ~instance:Synthetic.instance
-         ~probe:(Probe_driver.scalar Synthetic.probe) ~requirements
-         (Scan_pipeline.rows ~instance:Synthetic.instance data));
-    List.rev !acc
+    List.map
+      (fun (e : Synthetic.obj Operator.emitted) -> (e.obj.id, e.precise))
+      r.Engine.report.answer
   in
   let base = emitted 1 in
   checkb "baseline stream non-empty" true (base <> []);
@@ -245,10 +243,7 @@ let test_parallel_configs () =
   let configs = List.init 9 (fun i () -> (i, i * i)) in
   check_same "configs in order"
     (List.init 9 (fun i -> (i, i * i)))
-    (Exp_runner.parallel_configs ~domains:3 configs);
-  check_same "sequential resolution"
-    (List.init 9 (fun i -> (i, i * i)))
-    (Exp_runner.parallel_configs ~domains:1 configs)
+    (Exp_runner.parallel_configs configs)
 
 let suite =
   [

@@ -659,6 +659,32 @@ let test_quota_replays_at_one_lane () =
   Alcotest.(check (list string)) "a second server replays every RESULT" first
     (results ())
 
+(* A protocol line holds at most 65,536 bytes.  A 1 MiB line is
+   skipped to its newline and answered with one ERR, not echoed, and
+   the session goes on; a line of exactly the limit still parses. *)
+let test_overlong_line () =
+  let fresh =
+    snd (session (Server_core.create base_config) [ "QUERY seed=1"; "RUN"; "QUIT" ])
+  in
+  let long = "QUERY tenant=" ^ String.make (1 lsl 20) 'a' in
+  let exact = "QUERY seed=1" ^ String.make (65_536 - 12) ' ' in
+  let verdict, lines =
+    session (Server_core.create base_config) [ long; exact; "RUN"; "QUIT" ]
+  in
+  checkb "clean QUIT" true (verdict = `Quit);
+  let starting prefix = List.filter (String.starts_with ~prefix) lines in
+  Alcotest.(check (list string))
+    "one ERR for the long line" [ "ERR line longer than 65536 bytes" ]
+    (starting "ERR ");
+  checkb "nothing echoed" true
+    (List.for_all (fun l -> String.length l < 4096) lines);
+  match starting "RESULT " with
+  | [ r ] ->
+      Alcotest.(check string) "the next QUERY and RUN are served"
+        (deterministic (find_line fresh "RESULT "))
+        (deterministic r)
+  | rs -> Alcotest.failf "expected one RESULT, got %d" (List.length rs)
+
 let suite =
   [
     ("forced anomaly dumps attributed recording", `Quick,
@@ -678,4 +704,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
       prop_line_protocol;
     ("quota'd queries replay at one lane", `Quick, test_quota_replays_at_one_lane);
+    ("over-long protocol line is one ERR", `Quick, test_overlong_line);
   ]

@@ -267,8 +267,10 @@ let gen_event =
 (* The live chrome-trace sink and the dump renderer are one code path:
    a stamped stream recorded under a fake clock (one lane, no pool
    tasks) exports exactly the document [json_of_entries] renders from
-   the same triples.  Timestamps repeat on purpose, so equal-time
-   events must keep their recording order in both. *)
+   the same triples.  The first event lands at the recorder's creation,
+   so both documents count time from the same epoch.  Timestamps repeat
+   on purpose, so equal-time events must keep their recording order in
+   both. *)
 let prop_chrome_sink_is_json_of_entries =
   QCheck2.Test.make ~name:"chrome-trace sink exports json_of_entries"
     ~count:200
@@ -276,6 +278,11 @@ let prop_chrome_sink_is_json_of_entries =
       list_size (int_range 0 60)
         (triple (oneofl [ 0.0; 0.0; 1e-4; 0.5 ]) gen_context gen_event))
     (fun stream ->
+      let stream =
+        match stream with
+        | (_, ctx, ev) :: rest -> (0.0, ctx, ev) :: rest
+        | [] -> []
+      in
       let now = ref 100.0 in
       let chrome = Chrome_trace.create ~clock:(fun () -> !now) () in
       let sink = Chrome_trace.sink chrome in
@@ -289,7 +296,7 @@ let prop_chrome_sink_is_json_of_entries =
       in
       Chrome_trace.events chrome = List.length stream
       && chrome_json chrome
-         = Chrome_trace.json_of_entries ~epoch:100.0 stamped)
+         = Chrome_trace.json_of_entries stamped)
 
 (* Rolling SLO windows under a fake clock: totals age out slice by
    slice, rates divide by the window, quantiles come from the windowed
@@ -310,24 +317,23 @@ let test_rolling_window () =
         shortfall;
       }
   in
-  let slo =
-    Slo.create ~window_seconds:10.0 ~slices:5 ~clock:(fun () -> !now) ()
-  in
+  (* Twelve slices of 2 s. *)
+  let slo = Slo.create ~window_seconds:24.0 ~clock:(fun () -> !now) () in
   sample slo 5;
   now := 4.0;
   sample slo 3;
   let r () = Slo.report slo "a" in
   checkf 1e-9 "both inside the window" 2.0 (r ()).Slo.r_requests;
-  checkf 1e-9 "rate = total / window" 0.2 (r ()).Slo.r_rate;
-  checkf 1e-9 "probe rate = total / window" 0.8 (r ()).Slo.r_probe_rate;
-  now := 11.0;
-  checkf 1e-9 "first slice aged out" 1.0 (r ()).Slo.r_requests;
-  checkf 1e-9 "its probes with it" 0.3 (r ()).Slo.r_probe_rate;
+  checkf 1e-9 "rate = total / window" (2.0 /. 24.0) (r ()).Slo.r_rate;
+  checkf 1e-9 "probe rate = total / window" (8.0 /. 24.0) (r ()).Slo.r_probe_rate;
   now := 25.0;
+  checkf 1e-9 "first slice aged out" 1.0 (r ()).Slo.r_requests;
+  checkf 1e-9 "its probes with it" (3.0 /. 24.0) (r ()).Slo.r_probe_rate;
+  now := 40.0;
   checkf 1e-9 "all history aged out" 0.0 (r ()).Slo.r_requests;
   sample slo ~latency:2.0 0;
   checkf 1e-9 "single observation is exact" 2.0 (r ()).Slo.r_p50;
-  now := 40.0;
+  now := 70.0;
   checkf 1e-9 "latency ages out too" 0.0 (r ()).Slo.r_requests;
   checkb "idle quantile is nan" true (Float.is_nan (r ()).Slo.r_p50);
   (* A clock that moves 0.25 s on every read: one sample's fields must
@@ -337,16 +343,17 @@ let test_rolling_window () =
     now := t +. 0.25;
     t
   in
-  let slo = Slo.create ~window_seconds:10.0 ~slices:10 ~clock () in
+  (* Twelve slices of 1 s. *)
+  let slo = Slo.create ~window_seconds:12.0 ~clock () in
   now := 8.9;
   sample slo ~latency:0.1 ~degraded:true ~shortfall:true 1;
-  now := 18.5;
+  now := 20.5;
   let r = Slo.report slo "a" in
   checkf 1e-9 "the sample aged out" 0.0 r.Slo.r_requests;
   checkf 1e-9 "its shortfall with it" 0.0 r.Slo.r_shortfalls;
   now := 12.0;
   sample slo ~latency:0.2 1;
-  now := 18.5;
+  now := 20.5;
   let r = Slo.report slo "a" in
   checkf 1e-9 "the healthy sample is in" 1.0 r.Slo.r_requests;
   checkf 1e-9 "no degraded fraction left behind" 0.0 r.Slo.r_degraded;

@@ -10,10 +10,10 @@ let test_laxity () =
     (Uncertain.laxity (Uncertain.gaussian ~mean:0.0 ~stddev:2.0 ()))
 
 let test_support () =
-  let g = Uncertain.gaussian ~cut:3.0 ~mean:10.0 ~stddev:2.0 () in
+  let g = Uncertain.gaussian ~mean:10.0 ~stddev:2.0 () in
   let s = Uncertain.support g in
-  checkf 1e-12 "gaussian support lo" 4.0 (Interval.lo s);
-  checkf 1e-12 "gaussian support hi" 16.0 (Interval.hi s);
+  checkf 1e-12 "gaussian support lo" 2.0 (Interval.lo s);
+  checkf 1e-12 "gaussian support hi" 18.0 (Interval.hi s);
   let e = Uncertain.support (Uncertain.exact 3.0) in
   Alcotest.(check bool) "exact support is a point" true (Interval.is_point e)
 
@@ -21,9 +21,6 @@ let test_constructor_errors () =
   Alcotest.check_raises "bad stddev"
     (Invalid_argument "Uncertain.gaussian: stddev <= 0") (fun () ->
       ignore (Uncertain.gaussian ~mean:0.0 ~stddev:0.0 ()));
-  Alcotest.check_raises "bad cut"
-    (Invalid_argument "Uncertain.gaussian: cut <= 0") (fun () ->
-      ignore (Uncertain.gaussian ~cut:(-1.0) ~mean:0.0 ~stddev:1.0 ()));
   Alcotest.check_raises "non-finite exact"
     (Invalid_argument "Uncertain.exact: not finite") (fun () ->
       ignore (Uncertain.exact Float.infinity))
@@ -34,7 +31,7 @@ let test_classification () =
   let e = Uncertain.exact 5.0 in
   Alcotest.check tvl "exact yes" Tvl.Yes (Predicate.classify (Predicate.ge 4.0) e);
   Alcotest.check tvl "exact no" Tvl.No (Predicate.classify (Predicate.ge 6.0) e);
-  let g = Uncertain.gaussian ~cut:4.0 ~mean:0.0 ~stddev:1.0 () in
+  let g = Uncertain.gaussian ~mean:0.0 ~stddev:1.0 () in
   Alcotest.check tvl "gaussian far below threshold" Tvl.No
     (Predicate.classify (Predicate.ge 5.0) g);
   Alcotest.check tvl "gaussian far above threshold" Tvl.Yes
