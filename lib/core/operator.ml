@@ -58,6 +58,16 @@ let rec flatten s tail =
   in
   go s.items s.count s.slots tail
 
+(* A ticket held in flight: its dispatch position across every tier,
+   the answer slot its completions deliver into, and how many of its
+   objects are YES-verdict objects at the final tier. *)
+type 'o flight = {
+  seq : int;
+  ticket : 'o Probe_driver.ticket;
+  slot : 'o sink;
+  yes : int;
+}
+
 type degradation = {
   failed_probes : int;
   failed_attempts : int;
@@ -107,6 +117,22 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   let specs = Cascade.specs cascade in
   let drivers = Cascade.drivers cascade in
   let n = Array.length drivers in
+  (* Probe-ahead.  A full batch whose backend answers [Later] stays in
+     flight, its ticket queued per tier in dispatch order with an answer
+     slot reserved where the synchronous run would deliver it, and the
+     scan reads on.  A run stays synchronous — every batch completes at
+     dispatch — where the lag could change what it does: a budget or
+     deadline prices pending probes, a custom or adaptive policy and
+     [on_progress] read the counters, a tier of batch size 1 is the
+     scalar loop, and a driver that can fail a probe ([ahead = 0])
+     degrades against the counters at its synchronous point. *)
+  let ahead =
+    Option.is_none should_stop && Option.is_none on_progress
+    && (match policy with Policy.Custom _ -> false | _ -> true)
+    && Array.for_all
+         (fun d -> Probe_driver.ahead d > 0 && Probe_driver.batch_size d > 1)
+         drivers
+  in
   (* Telemetry tallies: plain run-local counts, bumped at the meter's
      charge sites but apart from the meter (so Cost_meter.reconcile stays
      a cross-check), and written to the registry once per run by
@@ -116,7 +142,9 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   and batches = ref 0
   and writes_imprecise = ref 0
   and writes_precise = ref 0
-  and failed_probes = ref 0 in
+  and failed_probes = ref 0
+  and guard_waits = ref 0
+  and stop_waits = ref 0 in
   let tier_probes = Array.make n 0
   and tier_batches = Array.make n 0
   and tier_shrinks = Array.make n 0
@@ -148,6 +176,17 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
         and wi = c Obs.Keys.writes_imprecise
         and wp = c Obs.Keys.writes_precise
         and d = c Obs.Keys.fault_degraded in
+        (* Only a run that can hold tickets can wait on one. *)
+        let add_waits =
+          if ahead then begin
+            let wg = c Obs.Keys.ahead_waits_guard
+            and ws = c Obs.Keys.ahead_waits_stop in
+            fun () ->
+              Metrics.add wg !guard_waits;
+              Metrics.add ws !stop_waits
+          end
+          else ignore
+        in
         let tier key =
           Array.map
             (fun (s : Probe_tier.spec) -> c (key s.Probe_tier.name))
@@ -170,6 +209,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
               Metrics.add wi !writes_imprecise;
               Metrics.add wp !writes_precise;
               Metrics.add d !failed_probes;
+              add_waits ();
               add_all tp tier_probes;
               add_all tb tier_batches;
               add_all ts tier_shrinks;
@@ -241,7 +281,8 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     note_progress ()
   in
   (* Probe completions, keyed by the verdict the object was probed on
-     (a shrunk MAYBE that escalates keeps its MAYBE completion), built
+     (a shrunk MAYBE that escalates as MAYBE keeps its MAYBE completion;
+     one that shrank to a definite YES takes the YES completion), built
      once per run rather than once per probe. *)
   let complete_yes precise =
     (* A YES object's precise version must still satisfy λ. *)
@@ -274,12 +315,12 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      filling is conservative, never unsound.  Probe-ahead must be exact,
      not just sound: it takes the decision the synchronous run takes,
      where every dispatched batch has completed.  So with k outcomes
-     the synchronous run may already hold, a decision compares
-     [first_feasible] at y = 0 and y = k; when the two agree every y in
-     between agrees, and otherwise the oldest ticket completes and the
-     test repeats ([decide]).  The stop test waits for every ticket
-     whenever some outcome mix could end the scan or flush a partial
-     batch.  With batch size 1 every submission completes before
+     the synchronous run may already hold, s of them known YES, a
+     decision compares [first_feasible] at y = s and y = k; when the two
+     agree every y in between agrees, and otherwise the oldest ticket
+     completes and the test repeats ([decide]).  The stop test waits
+     for every ticket whenever some outcome mix could end the scan or
+     flush a partial batch.  With batch size 1 every submission completes before
      [submit] returns and this operator is the scalar Fig. 1 loop, bit
      for bit. *)
   (* Degradation state: a probe that fails permanently does not abort
@@ -357,32 +398,19 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      re-consulted (no rng draw), so plans and adaptive windows
      see the same decision stream as an oracle-only run. *)
   let forwardable ~laxity = laxity <= requirements.Quality.laxity in
-  (* Probe-ahead.  A full batch whose backend answers [Later] stays in
-     flight, its ticket queued per tier in dispatch order with an answer
-     slot reserved where the synchronous run would deliver it, and the
-     scan reads on.  A run stays synchronous — every batch completes at
-     dispatch — where the lag could change what it does: a budget or
-     deadline prices pending probes, a custom or adaptive policy and
-     [on_progress] read the counters, a tier of batch size 1 is the
-     scalar loop, and a driver that can fail a probe ([ahead = 0])
-     degrades against the counters at its synchronous point. *)
-  let ahead =
-    Option.is_none should_stop && Option.is_none on_progress
-    && (match policy with Policy.Custom _ -> false | _ -> true)
-    && Array.for_all
-         (fun d -> Probe_driver.ahead d > 0 && Probe_driver.batch_size d > 1)
-         drivers
-  in
   let caps = Array.map (fun d -> if ahead then Probe_driver.ahead d else 0) drivers in
   let in_flight = Array.init n (fun _ -> Queue.create ()) in
   let flying = ref 0 (* objects in flight over every tier *)
+  and known_yes = ref 0 (* YES-verdict objects in flight at the final tier *)
+  and queued_yes = ref 0 (* YES-verdict objects queued at the final tier *)
   and dispatches = ref 0 in
   let complete_next i =
-    let _, tk, slot = Queue.pop in_flight.(i) in
-    flying := !flying - Probe_driver.size tk;
+    let f = Queue.pop in_flight.(i) in
+    flying := !flying - Probe_driver.size f.ticket;
+    known_yes := !known_yes - f.yes;
     let outer = !sink in
-    sink := slot;
-    Probe_driver.complete tk;
+    sink := f.slot;
+    Probe_driver.complete f.ticket;
     sink := outer;
     sync_batches ()
   in
@@ -395,9 +423,9 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     Array.iteri
       (fun i q ->
         match Queue.peek_opt q with
-        | Some (seq, _, _) when seq < !first ->
+        | Some f when f.seq < !first ->
             oldest := i;
-            first := seq
+            first := f.seq
         | Some _ | None -> ())
       in_flight;
     complete_next !oldest
@@ -406,6 +434,16 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
   let dispatched i = function
     | None -> ()
     | Some tk ->
+        (* A batch holds its tier's whole queue, so the final tier's
+           queued YES objects are all in this one. *)
+        let yes =
+          if i = n - 1 then begin
+            let y = !queued_yes in
+            queued_yes := 0;
+            y
+          end
+          else 0
+        in
         if caps.(i) = 0
            || (Probe_driver.ready tk && Queue.is_empty in_flight.(i))
         then Probe_driver.complete tk
@@ -418,15 +456,21 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
             end
             else !sink
           in
-          Queue.push (!dispatches, tk, slot) in_flight.(i);
+          Queue.push
+            { seq = !dispatches; ticket = tk; slot; yes }
+            in_flight.(i);
           incr dispatches;
           flying := !flying + Probe_driver.size tk;
+          known_yes := !known_yes + yes;
           (* The tier's cap: the oldest of its own tickets completes;
              only lower tiers can be completing further up the stack. *)
           if Queue.length in_flight.(i) > caps.(i) then complete_next i
         end
   in
   let rec submit_tier i ~verdict ~laxity ~preference o complete =
+    (match verdict with
+    | Tvl.Yes when i = n - 1 -> incr queued_yes
+    | Tvl.Yes | Tvl.Maybe | Tvl.No -> ());
     dispatched i
     @@ Probe_driver.submit drivers.(i) o (function
       | Probe_driver.Resolved precise ->
@@ -466,8 +510,13 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
           | Tvl.Yes when forwardable ~laxity:laxity' ->
               settle Decision.Forward ~verdict:Tvl.Yes ~laxity:laxity' Fun.id
                 narrowed
-          | Tvl.Yes | Tvl.Maybe ->
-              submit_tier (i + 1) ~verdict:verdict' ~laxity:laxity'
+          | Tvl.Yes ->
+              (* Definite YES, laxity too wide: its precise version
+                 must satisfy λ, as a scanned YES's must. *)
+              submit_tier (i + 1) ~verdict:Tvl.Yes ~laxity:laxity'
+                ~preference narrowed complete_yes
+          | Tvl.Maybe ->
+              submit_tier (i + 1) ~verdict:Tvl.Maybe ~laxity:laxity'
                 ~preference narrowed complete)
       | Probe_driver.Failed { attempts } ->
           if i < n - 1 then begin
@@ -499,7 +548,12 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
      not: every object in flight, and every object queued above the
      lowest tier with a ticket in flight (the synchronous run may have
      dispatched and resolved those batches already).  Tiers up to that
-     one hold the same queues in both runs. *)
+     one hold the same queues in both runs.  Of these, the [known_yes]
+     YES objects in flight at the final tier are certain: the
+     synchronous run has completed their tickets, and a YES object's
+     precise version satisfies λ or the run raises.  A YES in flight at
+     a proxy, or queued above the lowest tier in flight, may still sit
+     in the synchronous run's oracle queue, so y ∈ [known_yes, k]. *)
   let lag () =
     if !flying = 0 then 0
     else begin
@@ -515,17 +569,24 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
     end
   in
   let rec decide ~verdict ~laxity preference =
-    let action = choose ~verdict ~laxity preference in
-    let k = if enforce then lag () else 0 in
-    if
-      k = 0
-      || Decision.equal_action action
-           (Decision.first_feasible_after ~yes:k counters requirements
-              ~verdict ~laxity ~preference)
-    then action
+    if not enforce then choose ~verdict ~laxity preference
     else begin
-      complete_oldest ();
-      decide ~verdict ~laxity preference
+      let k = lag () and s = !known_yes in
+      let action =
+        Decision.first_feasible_after ~yes:s counters requirements ~verdict
+          ~laxity ~preference
+      in
+      if
+        k = s
+        || Decision.equal_action action
+             (Decision.first_feasible_after ~yes:k counters requirements
+                ~verdict ~laxity ~preference)
+      then action
+      else begin
+        incr guard_waits;
+        complete_oldest ();
+        decide ~verdict ~laxity preference
+      end
     end
   in
   let pending_probes () = Cascade.pending cascade in
@@ -566,7 +627,10 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
       (* Some outcome mix of the tickets in flight could end the scan
          or flush a partial batch: settle them, then take the
          synchronous run's test. *)
-      await_all ()
+      begin
+        incr stop_waits;
+        await_all ()
+      end
     else if finished () then stop := true
     else if
       match should_stop with Some f -> f ~pending | None -> false

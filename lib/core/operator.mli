@@ -198,9 +198,12 @@ val run :
     outcomes it lacks could change the decision: with [k] objects whose
     outcome the synchronous run may already hold (those in flight, and
     those queued above the lowest tier with a ticket in flight), each
-    can only add the same [y ∈ [0, k]] to [answer_yes], [answer_size]
-    and [yes_seen]; both guards loosen as [y] grows, so when
-    {!Decision.first_feasible_after} agrees at [y = 0] and [y = k] every
+    can only add the same [y] to [answer_yes], [answer_size] and
+    [yes_seen].  [y] is at least [s], the YES objects in flight at the
+    final tier: the synchronous run has resolved them, and a YES
+    object's precise version must satisfy the predicate.  So
+    [y ∈ [s, k]]; both guards loosen as [y] grows, so when
+    {!Decision.first_feasible_after} agrees at [y = s] and [y = k] every
     outcome gives that action, and otherwise the oldest ticket completes
     and the test repeats.  Before each read the run waits for every
     ticket whenever the recall test could pass with the in-flight and
@@ -212,6 +215,9 @@ val run :
     [on_progress] hook, a [Policy.Custom] (so adaptive) policy, a tier
     of batch size 1, or a driver that may fail a probe ([ahead = 0]: a
     failure's fallback reads the counters at its synchronous point).
+    With [obs], a run that can hold tickets also counts its waits:
+    [qaq.probe.ahead_waits.guard] (tickets a decision completed) and
+    [qaq.probe.ahead_waits.stop] (drains by the stop test).
 
     A PROBE decision enters at the cascade's starting tier.  A
     [Resolved] outcome completes the object; a [Shrunk] outcome (from
@@ -220,7 +226,9 @@ val run :
     definite NO is consumed like a probed MAYBE that resolved NO; a
     definite YES whose residual laxity fits [l_q^max] forwards
     imprecise (rule (a)); anything else escalates to the next tier with
-    the {e new} verdict and laxity.  The policy is not re-consulted on
+    the {e new} verdict and laxity (a definite YES must then resolve to
+    a precise YES, as a scanned YES must, or the run raises
+    {!Inconsistent_probe}).  The policy is not re-consulted on
     escalation (no rng draw), so the decision stream is identical to an
     oracle-only run.  A permanent failure at a proxy tier fails over to
     the next tier ([qaq.probe.tier.<name>.failovers]); only an oracle

@@ -55,6 +55,8 @@ module Keys = struct
   let tier_shrinks name = "qaq.probe.tier." ^ name ^ ".shrinks"
   let tier_failovers name = "qaq.probe.tier." ^ name ^ ".failovers"
   let tier_retried name = "qaq.probe.tier." ^ name ^ ".retried"
+  let ahead_waits_guard = "qaq.probe.ahead_waits.guard"
+  let ahead_waits_stop = "qaq.probe.ahead_waits.stop"
   let fault_injected = "qaq.fault.injected"
   let fault_degraded = "qaq.fault.degraded"
   let fault_breaker_state = "qaq.fault.breaker_state"

@@ -155,6 +155,18 @@ module Keys : sig
       failure struck it — which tier of a degraded cascade is burning
       its retry budget. *)
 
+  val ahead_waits_guard : string
+  (** Probe-ahead tickets a YES/MAYBE decision completed before they
+      were due, because the outcomes still in flight could change its
+      action ({!Operator.run}).  Registered, with {!ahead_waits_stop},
+      only by runs that can hold tickets. *)
+
+  val ahead_waits_stop : string
+  (** Times probe-ahead's stop test completed every ticket in flight,
+      because their outcomes could end the scan or flush a partial
+      batch ({!Operator.run}).  The final flush and a tier's cap are
+      counted by neither this nor {!ahead_waits_guard}. *)
+
   val fault_injected : string
   (** Injected fault decisions that fired: failed attempts
       ({!Fault_plan}). *)

@@ -310,8 +310,16 @@ let visible_ascii c = c > ' ' && c <= '~'
 
 let unprintable_tenant = "tenant name must be printable ASCII without spaces"
 
+(* Input bounds: a client holds at most [max_tenant] bytes per tenant
+   name and [max_queued] queries awaiting RUN. *)
+let max_tenant = 64
+let max_queued = 4_096
+let long_tenant = Printf.sprintf "tenant name longer than %d bytes" max_tenant
+
 let handle_query srv out tokens =
   match parse_kvs tokens with
+  | _ when List.compare_length_with srv.queue max_queued >= 0 ->
+      pr out "ERR queue full (%d queries)" max_queued
   | Error msg -> pr out "ERR %s" msg
   | Ok kvs when List.assoc_opt "tenant" kvs = Some Slo.all_tenant ->
       (* A tenant named like the SLO aggregate would have no window of
@@ -322,6 +330,13 @@ let handle_query srv out tokens =
          [SLO <tenant>] takes it as one token: an empty name could be
          neither read back nor addressed. *)
       pr out "ERR tenant name is empty"
+  | Ok kvs
+    when match List.assoc_opt "tenant" kvs with
+         | Some name -> String.length name > max_tenant
+         | None -> false ->
+      (* The name is echoed in QUEUED, RESULT and TENANTS and kept in
+         the SLO windows and the Prometheus file. *)
+      pr out "ERR %s" long_tenant
   | Ok kvs
     when match List.assoc_opt "tenant" kvs with
          | Some name -> not (String.for_all visible_ascii name)
@@ -534,6 +549,8 @@ let handle_slo srv out args =
   | [] ->
       List.iter print (Slo.reports srv.srv_slo);
       pr out "OK"
+  | [ tenant ] when String.length tenant > max_tenant ->
+      pr out "ERR %s" long_tenant
   | [ tenant ] when String.for_all visible_ascii tenant ->
       print (Slo.report srv.srv_slo tenant);
       pr out "OK"

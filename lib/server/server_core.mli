@@ -38,6 +38,13 @@
     on to its newline without being kept and answered with one
     [ERR line longer than 65536 bytes]; the session goes on.
 
+    A tenant name, in [QUERY] or [SLO], holds at most 64 bytes; a longer
+    one is answered [ERR tenant name longer than 64 bytes].  At most
+    4,096 queries wait for [RUN]: the next [QUERY] is answered
+    [ERR queue full (4096 queries)] and queues nothing, and [RUN] still
+    runs the queued ones.  Both limits are constants, and the session
+    goes on after either [ERR].
+
     [quota=N] caps the admitted backend probes of the query's tenant
     ({!Probe_broker.client}'s [quota]).  A tenant pays only for the
     probes admitted for it: a request that joins another query's probe

@@ -661,8 +661,9 @@ let show_ahead_case c =
 
 (* One run of the case, ticketed ([Some w]) or synchronous ([None]),
    with its per-object trace events (reads, decisions, resolutions and
-   batches; timed phases dropped) sorted: probe-ahead reorders them. *)
-let ahead_run ?lags c ~w =
+   batches; timed phases dropped) sorted: probe-ahead reorders them.
+   [guard_waits] receives the run's [qaq.probe.ahead_waits.guard]. *)
+let ahead_run ?lags ?guard_waits c ~w =
   let data =
     Synthetic.generate (Rng.create c.seed)
       (Synthetic.config ~total:c.total ~f_y:(Float.min c.f_y (1.0 -. c.f_m))
@@ -695,13 +696,18 @@ let ahead_run ?lags c ~w =
   in
   let sink, events = Trace.collector () in
   let s3, s5, p_py, p_fm = c.params in
+  let obs = Obs.create ~trace:sink () in
   let report =
-    Operator.run ~rng:(Rng.create (c.seed + 1)) ~obs:(Obs.create ~trace:sink ())
+    Operator.run ~rng:(Rng.create (c.seed + 1)) ~obs
       ~instance:Synthetic.instance ~cascade
       ~policy:(Policy.qaq (Policy.params ~s3 ~s5 ~p_py ~p_fm))
       ~requirements:(Quality.requirements ~precision:c.p ~recall:c.r ~laxity:c.l)
       (Operator.source_of_array data)
   in
+  Option.iter
+    (fun r ->
+      r := Metrics.count_of (Obs.snapshot obs) Obs.Keys.ahead_waits_guard)
+    guard_waits;
   let events =
     List.sort compare
       (List.filter (function Trace.Phase _ -> false | _ -> true) (events ()))
@@ -724,7 +730,8 @@ let same_run (a, ea) (b, eb) =
 
 let prop_probe_ahead_is_synchronous =
   QCheck2.Test.make ~name:"probe-ahead run equals the synchronous run"
-    ~count:300 ~print:show_ahead_case ahead_case_gen (fun c ->
+    ~count:2_000 ~long_factor:10 ~print:show_ahead_case ahead_case_gen
+    (fun c ->
       same_run (ahead_run c ~w:(Some c.w)) (ahead_run c ~w:None))
 
 (* The property above must exercise the lag: one fixed case keeps
@@ -746,6 +753,48 @@ let test_probe_ahead_lags () =
         (List.exists (fun l -> l > 0) !lags))
     [ false; true ]
 
+(* The wait rule's lower end: a YES object in flight at the final tier
+   is a known YES, since its precise version must satisfy λ.  With no
+   MAYBE objects every probed object is one, so at one tier the outcomes
+   this run lacks are all known and no decision waits — even a YES above
+   the laxity bound, whose preference [Ignore; Probe] (p_py = 0) turns
+   on whether rule (c) holds. *)
+let test_known_yes_never_waits () =
+  let c =
+    { seed = 7; total = 2000; f_y = 0.4; f_m = 0.0; batch = 8;
+      proxy_batch = 8; w = 16; two_tier = false; power = 0.0; p = 0.9;
+      r = 0.9; l = 20.0; params = (0.5, 0.5, 0.0, 0.5) }
+  in
+  let guard_waits = ref (-1) in
+  let ahead = ahead_run ~guard_waits c ~w:(Some c.w) in
+  checkb "the same run" true (same_run ahead (ahead_run c ~w:None));
+  checki "no decision waits" 0 !guard_waits
+
+(* A proxy that narrows an object to a definite YES vouches for its
+   precise version, so an oracle answer of NO for it is a broken
+   backend, as for a scanned YES: probe-ahead counts such an object as
+   a known YES once it is in flight at the oracle. *)
+let test_shrunk_yes_resolves_yes () =
+  let instance : (Tvl.t * float) Operator.instance =
+    { classify = fst; laxity = snd; success = (fun _ -> 0.9) }
+  in
+  let tier batch_size f =
+    Probe_driver.create_outcomes ~batch_size (Array.map f)
+  in
+  let cascade =
+    Cascade.create ~start:0 ~specs:(specs2 ~proxy_batch:1 ())
+      [| tier 1 (fun _ -> Probe_driver.Shrunk (Tvl.Yes, 40.0));
+         tier 8 (fun _ -> Probe_driver.Resolved (Tvl.No, 0.0)) |]
+  in
+  match
+    Operator.run ~rng:(Rng.create 1) ~instance ~cascade
+      ~policy:(Policy.qaq (Policy.params ~s3:0.5 ~s5:0.5 ~p_py:0.5 ~p_fm:0.5))
+      ~requirements:(Quality.requirements ~precision:0.9 ~recall:0.5 ~laxity:10.0)
+      (Operator.source_of_array [| (Tvl.Maybe, 50.0) |])
+  with
+  | _ -> Alcotest.fail "an oracle NO for a shrunk YES was accepted"
+  | exception Operator.Inconsistent_probe -> ()
+
 let suite =
   [
     ("tier selection prices escalation", `Quick, test_tier_selection);
@@ -762,5 +811,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_guarantees_survive_cascade;
     QCheck_alcotest.to_alcotest prop_tier_spec_parser;
     ("probe-ahead keeps batches in flight", `Quick, test_probe_ahead_lags);
+    ("probe-ahead: a final-tier YES is known", `Quick,
+     test_known_yes_never_waits);
+    ("a shrunk YES must resolve YES", `Quick, test_shrunk_yes_resolves_yes);
     QCheck_alcotest.to_alcotest prop_probe_ahead_is_synchronous;
   ]

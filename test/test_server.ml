@@ -685,6 +685,63 @@ let test_overlong_line () =
         (deterministic r)
   | rs -> Alcotest.failf "expected one RESULT, got %d" (List.length rs)
 
+(* A tenant name holds at most 64 bytes.  A longer one, in QUERY or in
+   SLO, is one ERR naming the limit and the session goes on; a name of
+   exactly 64 bytes is queued and answers as any other tenant's. *)
+let test_long_tenant_name () =
+  let fresh =
+    snd (session (Server_core.create base_config) [ "QUERY seed=1"; "RUN"; "QUIT" ])
+  in
+  let exact = String.make 64 'a' and long = String.make 65 'b' in
+  let verdict, lines =
+    session (Server_core.create base_config)
+      [ "QUERY tenant=" ^ long ^ " seed=1"; "SLO " ^ long;
+        "QUERY tenant=" ^ exact ^ " seed=1"; "RUN"; "QUIT" ]
+  in
+  checkb "clean QUIT" true (verdict = `Quit);
+  let starting prefix = List.filter (String.starts_with ~prefix) lines in
+  Alcotest.(check (list string))
+    "one ERR per long name"
+    [ "ERR tenant name longer than 64 bytes";
+      "ERR tenant name longer than 64 bytes" ]
+    (starting "ERR ");
+  let untenanted line =
+    String.split_on_char ' ' (deterministic line)
+    |> List.filter (fun tok -> not (String.starts_with ~prefix:"tenant=" tok))
+  in
+  match starting "RESULT " with
+  | [ r ] ->
+      Alcotest.(check (option string)) "the 64-byte name runs" (Some exact)
+        (kv r "tenant");
+      Alcotest.(check (list string)) "and answers as a fresh server"
+        (untenanted (find_line fresh "RESULT "))
+        (untenanted r)
+  | rs -> Alcotest.failf "expected one RESULT, got %d" (List.length rs)
+
+(* At most 4,096 queries wait for RUN.  The next QUERY is one ERR naming
+   the limit, RUN still takes every queued one, and the queue then takes
+   queries again.  A saturated broker under reject admission answers
+   each queued query at once, so the test runs no scan. *)
+let test_queue_bound () =
+  let srv =
+    Server_core.create
+      { base_config with c_admission = Reject; c_capacity = Some 0 }
+  in
+  let verdict, lines =
+    session srv
+      (List.init 4_097 (fun i -> Printf.sprintf "QUERY seed=%d" i)
+      @ [ "RUN"; "QUERY seed=1"; "QUIT" ])
+  in
+  checkb "clean QUIT" true (verdict = `Quit);
+  let count prefix =
+    List.length (List.filter (String.starts_with ~prefix) lines)
+  in
+  Alcotest.(check (list string))
+    "one ERR for the 4,097th" [ "ERR queue full (4096 queries)" ]
+    (List.filter (String.starts_with ~prefix:"ERR ") lines);
+  checki "4,096 queued, then one after RUN" 4_097 (count "QUEUED ");
+  checki "RUN takes all 4,096" 4_096 (count "REJECTED ")
+
 let suite =
   [
     ("forced anomaly dumps attributed recording", `Quick,
@@ -705,4 +762,6 @@ let suite =
       prop_line_protocol;
     ("quota'd queries replay at one lane", `Quick, test_quota_replays_at_one_lane);
     ("over-long protocol line is one ERR", `Quick, test_overlong_line);
+    ("long tenant name is one ERR", `Quick, test_long_tenant_name);
+    ("queue holds at most 4,096 queries", `Quick, test_queue_bound);
   ]
