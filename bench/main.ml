@@ -898,8 +898,8 @@ let run_micro () =
    its own direct driver — each probe is paid again, query after query.
    The swept configurations share a [Probe_broker]: overlapping probe
    sets are charged once, partial flushes pack into full batches, and
-   [Engine.execute_many] overlaps one query's classification with
-   another's backend wait.
+   the lanes ([Domain_pool.run]) overlap one query's classification
+   with another's backend wait.
 
    Domains 1, 2 and 4 are one run each, reported.  The 8-domain gate
    runs five serial/shared pairs that alternate which side runs first,
@@ -988,7 +988,7 @@ let server_bench () =
         seeds
     in
     let t0 = Unix.gettimeofday () in
-    let results = Engine.execute_many ~domains runs in
+    let results = Domain_pool.run ~lanes:domains runs in
     let seconds = Unix.gettimeofday () -. t0 in
     let stats = Probe_broker.stats broker in
     let same = identical results in
@@ -1128,7 +1128,7 @@ let telemetry_bench () =
         seeds
     in
     let t0 = Unix.gettimeofday () in
-    let results = Engine.execute_many ~domains runs in
+    let results = Domain_pool.run ~lanes:domains runs in
     let seconds = Unix.gettimeofday () -. t0 in
     (match slo with
     | Some slo ->

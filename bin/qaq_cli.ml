@@ -346,15 +346,22 @@ let profiled_trial ~rng ~(s : Exp_config.setting) ~cost ~batch ~policy ~domains
     result.counts.Cost_meter.batches;
   print_budget_summary result;
   if tiers <> None then begin
+    (* The run's own per-tier tallies; the oracle's permanent failures
+       are the degradation line's. *)
+    let count key = Metrics.count_of profile.Profile.snapshot key in
     Format.printf "cascade (entered at tier %d):@." (Cascade.start cascade);
     Array.iter
-      (fun (st : Cascade.stats) ->
+      (fun (spec : Probe_tier.spec) ->
+        let name = spec.Probe_tier.name in
         Format.printf
-          "  tier %-12s %d probe(s), %d shrink(s), %d failure(s), %d \
-           batch(es), %d failover(s)@."
-          st.Cascade.st_name st.st_probes st.st_shrinks st.st_failures
-          st.st_batches st.st_failovers)
-      (Cascade.stats cascade)
+          "  tier %-12s %d probe(s), %d shrink(s), %d batch(es), %d \
+           failover(s)@."
+          name
+          (count (Obs.Keys.tier_probes name))
+          (count (Obs.Keys.tier_shrinks name))
+          (count (Obs.Keys.tier_batches name))
+          (count (Obs.Keys.tier_failovers name)))
+      (Cascade.specs cascade)
   end;
   Profile.print profile;
   (let d = result.Engine.degradation in

@@ -4,12 +4,12 @@
    synthetic dataset and one cross-query Probe_broker over it; clients
    register quality-aware queries (each with its own seed, requirements
    and tenant) and run them as a concurrent batch of Engine.run
-   calls (Engine.execute_many), every query drawing on the shared probe
-   capacity through its own broker client.  Live telemetry — trace IDs
-   on every query, a flight recorder with anomaly dumps, rolling
-   per-tenant SLO windows behind HEALTH/SLO/RECORDER — is wired by the
-   library; this file only parses flags (see Server_core for the line
-   protocol).
+   calls (the tasks of one Domain_pool.run), every query drawing on the
+   shared probe capacity through its own broker client.  Live telemetry
+   — trace IDs on every query, a flight recorder with anomaly dumps,
+   rolling per-tenant SLO windows behind HEALTH/SLO/RECORDER — is wired
+   by the library; this file only parses flags (see Server_core for the
+   line protocol).
 
    By default the server speaks on stdin/stdout; --socket PATH listens
    on a Unix domain socket instead and serves connections one at a

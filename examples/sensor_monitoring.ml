@@ -16,10 +16,13 @@ let run_query net ~label ~requirements =
   let predicate = Predicate.ge critical in
   let readings = Sensor_net.snapshot net in
   (* Network probes are expensive: simulate 20ms latency with jitter and
-     2% transient failure. *)
+     2% transient failure (a seeded fault plan; the rng draws the
+     jitter). *)
   let source =
     Probe_source.create ~latency:(Probe_source.Jittered { base = 20.0; jitter = 5.0 })
-      ~failure_rate:0.02 ~rng:(Rng.create 7) Sensor_net.probe
+      ~rng:(Rng.create 7)
+      ~faults:(Fault_plan.make ~seed:7 ~transient_rate:0.02 ())
+      Sensor_net.probe
   in
   let report =
     Operator.run ~rng

@@ -227,7 +227,8 @@ val cascade_client :
 
 val fetch : 'o t -> 'o -> 'o Probe_driver.outcome
 (** Resolve one object through the broker synchronously — the scalar
-    convenience the band join's probe cache is built on.  Equivalent to
+    convenience a one-tenant cache can be built on (the pinned band
+    join in [test/reference_band_join.ml] is).  Equivalent to
     a one-element flush of a tier-0 client of tenant ["default"]: fresh
     hits are free, otherwise the request is admitted (or degraded) and
     dispatched. *)

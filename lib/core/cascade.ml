@@ -8,7 +8,6 @@ type 'o t = {
   specs : Probe_tier.spec array;
   drivers : 'o Probe_driver.t array;
   start : int;
-  failovers : int array;
 }
 
 let create ?start ~specs drivers =
@@ -31,12 +30,7 @@ let create ?start ~specs drivers =
         s
     | None -> (Probe_tier.select specs).Probe_tier.start
   in
-  {
-    specs;
-    drivers;
-    start;
-    failovers = Array.make (Array.length specs) 0;
-  }
+  { specs; drivers; start }
 
 let of_driver ?(cost = Cost_model.paper) driver =
   let specs =
@@ -58,21 +52,3 @@ let pending t =
     n := !n + Probe_driver.pending (Array.unsafe_get t.drivers i)
   done;
   !n
-
-let note_failover t i = t.failovers.(i) <- t.failovers.(i) + 1
-
-type stats = { st_name : string; st_probes : int; st_shrinks : int;
-               st_failures : int; st_batches : int; st_failovers : int }
-
-let stats t =
-  Array.mapi
-    (fun i d ->
-      {
-        st_name = t.specs.(i).Probe_tier.name;
-        st_probes = Probe_driver.probes d;
-        st_shrinks = Probe_driver.shrinks d;
-        st_failures = Probe_driver.failures d;
-        st_batches = Probe_driver.batches d;
-        st_failovers = t.failovers.(i);
-      })
-    t.drivers

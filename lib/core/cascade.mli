@@ -11,8 +11,9 @@
     re-classifying the shrunk object may turn MAYBE into a definite
     verdict and save the oracle probe entirely; residuals escalate to
     tier [i+1].  A tier that fails permanently fails over to the next
-    tier ({!note_failover}); only an oracle failure degrades the
-    answer. *)
+    tier; only an oracle failure degrades the answer.  The cascade
+    counts nothing: each tier's outcomes are the run's
+    [qaq.probe.tier.<name>.*] tallies ({!Operator.run}). *)
 
 type 'o t
 
@@ -43,17 +44,3 @@ val start : 'o t -> int
 
 val pending : 'o t -> int
 (** Submissions queued but unresolved, summed over every tier. *)
-
-val note_failover : 'o t -> int -> unit
-(** Record a permanent failure at tier [i] that escalated to [i+1]. *)
-
-type stats = {
-  st_name : string;
-  st_probes : int;  (** [Resolved] outcomes at this tier *)
-  st_shrinks : int;  (** [Shrunk] outcomes at this tier *)
-  st_failures : int;
-  st_batches : int;
-  st_failovers : int;
-}
-
-val stats : 'o t -> stats array

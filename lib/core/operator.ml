@@ -523,7 +523,6 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
             (* Cheap tier down: escalate straight to the next
                tier — the answer only degrades when the oracle
                itself fails. *)
-            Cascade.note_failover cascade i;
             bump tier_failovers i;
             submit_tier (i + 1) ~verdict ~laxity ~preference o complete
           end

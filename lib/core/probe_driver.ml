@@ -7,12 +7,7 @@ type 'o reply =
   | Ready of 'o outcome array
   | Later of (unit -> 'o outcome array)
 
-type instruments = {
-  i_obs : Obs.t;
-  m_probes : Metrics.counter;
-  m_batches : Metrics.counter;
-  h_flush : Metrics.histogram;
-}
+type instruments = { i_obs : Obs.t; h_flush : Metrics.histogram }
 
 type 'o t = {
   send : 'o array -> 'o reply;
@@ -21,9 +16,6 @@ type 'o t = {
   ins : instruments option;
   mutable queue : ('o * ('o outcome -> unit)) list;  (* newest first *)
   mutable queued : int;
-  mutable probes : int;
-  mutable shrinks : int;
-  mutable failures : int;
   mutable batches : int;
   mutable resolving : bool;
 }
@@ -45,12 +37,7 @@ let make ~name ?obs ~batch_size ~ahead send =
   let ins =
     Option.map
       (fun o ->
-        {
-          i_obs = o;
-          m_probes = Obs.counter o "probe_driver.probes";
-          m_batches = Obs.counter o "probe_driver.batches";
-          h_flush = Obs.histogram o "probe_driver.flush_seconds";
-        })
+        { i_obs = o; h_flush = Obs.histogram o "probe_driver.flush_seconds" })
       obs
   in
   {
@@ -60,9 +47,6 @@ let make ~name ?obs ~batch_size ~ahead send =
     ins;
     queue = [];
     queued = 0;
-    probes = 0;
-    shrinks = 0;
-    failures = 0;
     batches = 0;
     resolving = false;
   }
@@ -140,22 +124,10 @@ let complete tk =
     in
     if Array.length outcomes <> Array.length tk.entries then
       invalid_arg "Probe_driver.flush: resolver changed the batch length";
-    let resolved = ref 0 and shrunk = ref 0 and failed = ref 0 in
-    Array.iter
-      (function
-        | Resolved _ -> incr resolved
-        | Shrunk _ -> incr shrunk
-        | Failed _ -> incr failed)
-      outcomes;
     t.batches <- t.batches + 1;
-    t.probes <- t.probes + !resolved;
-    t.shrinks <- t.shrinks + !shrunk;
-    t.failures <- t.failures + !failed;
     (match t.ins with
     | Some i ->
         Metrics.observe i.h_flush tk.seconds;
-        Metrics.incr i.m_batches;
-        Metrics.add i.m_probes !resolved;
         if Obs.tracing i.i_obs then begin
           Obs.event i.i_obs (Trace.Batch { size = Array.length outcomes });
           Array.iter
@@ -167,7 +139,7 @@ let complete tk =
         end
     | None -> ());
     (* Callbacks run after the accounting and outside [resolving], so a
-       completion may inspect the stats or submit follow-up probes. *)
+       completion may read [batches] or submit follow-up probes. *)
     Array.iteri (fun i (_, k) -> k outcomes.(i)) tk.entries
   end
 
@@ -180,7 +152,4 @@ let submit_outcome t o k =
   match submit t o k with Some tk -> complete tk | None -> ()
 
 let flush t = match dispatch t with Some tk -> complete tk | None -> ()
-let probes t = t.probes
-let shrinks t = t.shrinks
-let failures t = t.failures
 let batches t = t.batches

@@ -81,11 +81,13 @@ val create_outcomes :
     array length) — the only way a backend can fail one element without
     discarding its resolved siblings.  [batch_size] defaults to 1.
 
-    [obs] registers the counters [probe_driver.probes] and
-    [probe_driver.batches] and the histogram
-    [probe_driver.flush_seconds], times every resolver invocation under
-    the [probe-flush] span, and emits a {!Trace.Batch} event per dispatch
-    (plus a {!Trace.Probe_failed} event per failed element).
+    [obs] registers the histogram [probe_driver.flush_seconds], times
+    every resolver invocation under the [probe-flush] span, and emits a
+    {!Trace.Batch} event per completed batch (plus a
+    {!Trace.Probe_failed} event per failed element).  The driver counts
+    batches only ({!batches}); outcomes are counted where they are
+    consumed, by the operator's [qaq.probe.tier.*] tallies and its
+    meter (see {!Operator.run}).
 
     @raise Invalid_argument if [batch_size < 1]. *)
 
@@ -162,19 +164,6 @@ val flush : 'o t -> unit
 
     @raise Invalid_argument when called from inside the batch resolver
     itself (a reentrant flush would resolve entries out of order). *)
-
-val probes : 'o t -> int
-(** Total objects {e successfully} resolved over the driver's lifetime
-    — failed elements are counted by {!failures}, not here, so probe
-    metering charges only work the backend actually completed. *)
-
-val shrinks : 'o t -> int
-(** Total elements that came back [Shrunk] over the driver's lifetime
-    — counted separately from {!probes} ([Resolved] only) so tiered
-    metering can attribute each to its own tier price. *)
-
-val failures : 'o t -> int
-(** Total elements whose resolution failed permanently. *)
 
 val batches : 'o t -> int
 (** Total (non-empty) batches completed over the driver's lifetime —

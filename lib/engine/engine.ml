@@ -369,8 +369,3 @@ let trace_ids = Atomic.make 1
 let next_trace_id () = Atomic.fetch_and_add trace_ids 1
 
 let default_lanes = 16
-
-let execute_many ?(domains = Domain.recommended_domain_count ())
-    (runs : (unit -> 'o result) array) =
-  if domains < 1 then invalid_arg "Engine.execute_many: domains < 1";
-  Domain_pool.run ~lanes:domains runs

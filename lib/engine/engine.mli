@@ -278,30 +278,3 @@ val default_lanes : int
 (** How many queries in flight may each keep a backend round of their
     own: a server's {!Probe_broker} [rounds] bound over pure backends. *)
 
-val execute_many : ?domains:int -> (unit -> 'o result) array -> 'o result array
-(** Run every thunk and return their results in input order.  The
-    thunks run as tasks of {!Domain_pool.run} on [min domains n] lanes,
-    capped at the core count; the caller is lane 0, and [domains]
-    defaults to [Domain.recommended_domain_count ()].  A lane runs its
-    next thunk while its thunk waits on backend I/O inside
-    {!Domain_pool.blocking}, so even one lane can have several queries
-    in flight, and more lanes than cores would buy no more overlap.
-    Each thunk is one {!run} call and should pass [~domains:1]
-    (leaving [domains] out reads [QAQ_DOMAINS]): the batch's queries
-    already keep every lane busy, so a query's own classification tasks
-    would find no idle lane and only add task overhead.  A raising
-    thunk re-raises once every thunk has finished.
-
-    Results are bit-for-bit independent of scheduling — provided each
-    thunk owns its [rng] and its [probe] driver or [cascade] (drivers
-    are confined to one domain at a time; to run many queries against
-    shared probe capacity, give each its own
-    [Probe_broker.cascade_client] or [Probe_broker.client] of a common
-    broker, built before the batch runs) and the probe capability
-    behind the drivers resolves each object to a value that does not
-    depend on when other queries probe it (a pure resolver behind a
-    [Probe_broker] with the default infinite freshness qualifies; so
-    does any set of independent drivers).  Then [execute_many runs]
-    equals [Array.map] of the solo calls.
-
-    @raise Invalid_argument if [domains < 1]. *)

@@ -44,57 +44,49 @@ type report = {
   exhausted : bool;
 }
 
-(* Probe cache: the cross-query {!Probe_broker}, keyed per (side, record
-   id), with the join as its only tenant.  With sharing, the broker's
-   infinite freshness window makes each object a backend fetch — and a
-   charge — at most once, however many pairs it appears in; a zero
-   window reproduces the unshared (re-fetch every request) accounting.
-   The broker's own [requests]/[charged] statistics are the join's
-   [probe_requests]/[object_probes], and [charged] is its probe count.
-   With sharing, [fetched] holds the side keys fetched so far — the
-   broker's fresh set, which the cursor reads twice per pair, kept here
-   so that reading it takes neither the broker's lock nor its clock. *)
+(* Probe cache: a memo of the precise records fetched so far, keyed
+   per (side, record id).  With sharing each object is a fetch — and a
+   charge — at most once, however many pairs it appears in; without it
+   ([memo = None]) every request re-fetches.  [requests] and [fetches]
+   are the join's [probe_requests] and [object_probes]. *)
 type cache = {
-  broker : (bool * Interval_data.record) Probe_broker.t;
-  fetched : (int, unit) Hashtbl.t option;
-      (* None: re-fetch (and re-charge) on every request *)
+  memo : (int, Interval_data.record) Hashtbl.t option;
+  mutable requests : int;
+  mutable fetches : int;
 }
 
 let side_key ~is_left id = (id lsl 1) lor (if is_left then 1 else 0)
 
 let make_cache ~share =
-  let fetched = if share then Some (Hashtbl.create 64) else None in
-  let key (is_left, r) = side_key ~is_left r.Interval_data.id in
-  let broker =
-    Probe_broker.create
-      ~freshness:(if share then infinity else 0.0)
-      ~key
-      [|
-        Probe_broker.backend ~batch:1
-          (Array.map (fun ((is_left, r) as o) ->
-               Option.iter (fun f -> Hashtbl.replace f (key o) ()) fetched;
-               Probe_driver.Resolved (is_left, Interval_data.probe r)));
-      |]
-  in
-  { broker; fetched }
+  {
+    memo = (if share then Some (Hashtbl.create 64) else None);
+    requests = 0;
+    fetches = 0;
+  }
+
+let fetch cache r =
+  cache.fetches <- cache.fetches + 1;
+  Interval_data.probe r
 
 (* Resolve one side of a pair.  [r] must be the record as stored in the
    base relation: a record that is imprecise there counts as a probe
-   request even when the broker already holds it fresh (that is
-   precisely the saving being measured); only a backend fetch is
-   charged. *)
+   request even when the memo already holds it (that is precisely the
+   saving being measured); only a fetch is charged. *)
 let resolve_record cache ~is_left (r : Interval_data.record) =
   if Uncertain.laxity r.Interval_data.belief = 0.0 then r
-  else
-    match Probe_broker.fetch cache.broker (is_left, r) with
-    | Probe_driver.Resolved (_, precise) -> precise
-    | Probe_driver.Shrunk _ ->
-        (* the single-tier resolver above only ever resolves to points *)
-        assert false
-    | Probe_driver.Failed _ ->
-        (* the in-process resolver above never fails, and the broker has
-           no capacity bound or breaker to refuse it *)
-        assert false
+  else begin
+    cache.requests <- cache.requests + 1;
+    match cache.memo with
+    | None -> fetch cache r
+    | Some memo -> (
+        let k = side_key ~is_left r.Interval_data.id in
+        match Hashtbl.find_opt memo k with
+        | Some precise -> precise
+        | None ->
+            let precise = fetch cache r in
+            Hashtbl.replace memo k precise;
+            precise)
+  end
 
 (* Whether a side's current belief is its probed value, given the
    cache: pairs are generated from the base relations, so a record
@@ -102,11 +94,11 @@ let resolve_record cache ~is_left (r : Interval_data.record) =
    Without sharing, nothing carries over — each pair starts from the
    stored beliefs. *)
 let resolved cache ~is_left (r : Interval_data.record) =
-  match cache.fetched with
+  match cache.memo with
   | None -> false
-  | Some fetched ->
+  | Some memo ->
       Uncertain.laxity r.belief = 0.0
-      || Hashtbl.mem fetched (side_key ~is_left r.id)
+      || Hashtbl.mem memo (side_key ~is_left r.id)
 
 (* A Probe decision resolves the pair: wider side first (the more
    informative fetch).  If that already settles the verdict to NO the
@@ -183,7 +175,7 @@ let run ~rng ?collect ?(share_probes = true) ?(policy = Policy.stingy)
   let cache = make_cache ~share:share_probes in
   let source, stored = pair_cursor cache ~epsilon ~left ~right in
   (* The operator submits the refreshed pair, but the probe must resolve
-     the stored one: its side widths order the fetches, and a broker hit
+     the stored one: its side widths order the fetches, and a memo hit
      on a stored-imprecise side still counts as a request.  The scalar
      driver resolves at submission, before the operator advances, so
      [stored ()] is still the pair being probed; a batching driver,
@@ -197,18 +189,17 @@ let run ~rng ?collect ?(share_probes = true) ?(policy = Policy.stingy)
     Operator.run ~rng ?collect ~instance:(instance ~epsilon) ~cascade
       ~policy ~requirements source
   in
-  let broker = Probe_broker.stats cache.broker in
   {
     answer = report.answer;
     guarantees = report.guarantees;
     requirements;
     (* The operator meters one probe and one batch per probed pair; the
-       cost-bearing probes are the object fetches the broker charged,
-       and the join prices no batch setup. *)
-    counts = { report.counts with probes = broker.charged; batches = 0 };
+       cost-bearing probes are the object fetches, and the join prices
+       no batch setup. *)
+    counts = { report.counts with probes = cache.fetches; batches = 0 };
     pairs_total = source.total;
-    object_probes = broker.charged;
-    probe_requests = broker.requests;
+    object_probes = cache.fetches;
+    probe_requests = cache.requests;
     answer_size = report.answer_size;
     exhausted = report.exhausted;
   }

@@ -16,7 +16,8 @@
     to forward or probe it.  The join-specific twist is probing:
     resolving a pair probes {e objects}, and a probed object benefits
     every later pair it appears in.  Object probes are therefore cached
-    and charged at most once per object — this cache is what makes QaQ
+    in a run-local memo (side and record id to precise record) and
+    charged at most once per object — this cache is what makes QaQ
     joins dramatically cheaper than per-pair probing, and the bench
     quantifies it. *)
 
@@ -68,8 +69,8 @@ val run :
     emitted pair has laxity 0), consulting the probe cache first.
     [share_probes] (default [true]) enables the cache; with [false]
     every probe request re-fetches and re-charges — the per-pair probing
-    baseline the cache ablation compares against (classification still
-    sees earlier results, only the charging changes).
+    baseline the cache ablation compares against (each pair is then
+    classified from the stored beliefs).
     @raise Invalid_argument if [epsilon] is negative or NaN.
     @raise Operator.Inconsistent_probe if a probed pair contradicts its
     verdict — a YES pair that no longer joins, or a MAYBE that stays

@@ -151,9 +151,9 @@ module Keys : sig
       to the next tier instead of degrading the answer. *)
 
   val tier_retried : string -> string
-  (** Attempts retried at tier [name] after an injected (or simulated)
-      failure struck it — which tier of a degraded cascade is burning
-      its retry budget. *)
+  (** Attempts retried at tier [name] after an injected failure struck
+      it — which tier of a degraded cascade is burning its retry
+      budget. *)
 
   val ahead_waits_guard : string
   (** Probe-ahead tickets a YES/MAYBE decision completed before they

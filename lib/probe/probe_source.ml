@@ -13,7 +13,6 @@ type instruments = {
 type 'o t = {
   resolve : 'o -> 'o;
   latency : latency;
-  failure_rate : float;
   max_retries : int;
   rng : Rng.t option;
   faults : Fault_plan.t option;
@@ -24,10 +23,8 @@ type 'o t = {
   mutable simulated_latency : float;
 }
 
-let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
-    ?(max_retries = 10) ?rng ?(faults = Fault_plan.none) resolve =
-  if not (failure_rate >= 0.0 && failure_rate < 1.0) then
-    invalid_arg "Probe_source.create: failure_rate outside [0, 1)";
+let create ?obs ?tier ?(latency = Instant) ?(max_retries = 10) ?rng
+    ?(faults = Fault_plan.none) resolve =
   if max_retries < 0 then invalid_arg "Probe_source.create: max_retries < 0";
   let sound l = Float.is_finite l && l >= 0.0 in
   let latency_sound =
@@ -38,12 +35,10 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
   in
   if not latency_sound then
     invalid_arg "Probe_source.create: latency negative or not finite";
-  let needs_rng =
-    failure_rate > 0.0
-    || (match latency with Jittered _ -> true | Instant | Constant _ -> false)
-  in
-  if needs_rng && rng = None then
-    invalid_arg "Probe_source.create: rng required for jitter or failures";
+  (match latency with
+  | Jittered _ when rng = None ->
+      invalid_arg "Probe_source.create: rng required for jitter"
+  | Instant | Constant _ | Jittered _ -> ());
   (* Two tiers of one cascade sharing an obs registry must not lump
      their counters onto the same names: a [tier] label prefixes every
      source metric with the tier and adds a per-tier retried slice. *)
@@ -69,7 +64,6 @@ let create ?obs ?tier ?(latency = Instant) ?(failure_rate = 0.0)
   {
     resolve;
     latency;
-    failure_rate;
     max_retries;
     rng;
     faults = Fault_plan.injector_opt ?obs ~site:prefix faults;
@@ -88,13 +82,6 @@ let sample_latency t =
       match t.rng with
       | Some rng -> base +. Rng.float rng (Float.max jitter Float.epsilon)
       | None -> base)
-
-let attempt_fails t =
-  t.failure_rate > 0.0
-  &&
-  match t.rng with
-  | Some rng -> Rng.bernoulli rng t.failure_rate
-  | None -> false
 
 (* One wakeup of the remote source: one latency sample, one batch
    dispatch — whether it carries one object or a whole batch. *)
@@ -120,19 +107,11 @@ let note_retried t =
   | Some i -> Option.iter Metrics.incr i.m_tier_retried
   | None -> ()
 
-(* Both failure draws happen unconditionally: the injected one comes
-   from the injector's own stream, the simulated one from [t.rng], and
-   evaluating both keeps each stream's consumption independent of the
-   other's outcome — attaching an injector never shifts the simulated
-   failure stream of a source that also simulates failures itself. *)
+(* A failure comes only from the fault plan, drawn from its own stream. *)
 let roll_failure t element =
-  let injected =
-    match (t.faults, element) with
-    | Some f, Some e -> Fault_plan.attempt f e
-    | _ -> false
-  in
-  let simulated = attempt_fails t in
-  injected || simulated
+  match (t.faults, element) with
+  | Some f, Some e -> Fault_plan.attempt f e
+  | _ -> false
 
 let fresh_element t =
   match t.faults with Some f -> Some (Fault_plan.fresh_element f) | None -> None

@@ -4,10 +4,9 @@
     A probe is the expensive operation of the paper — fetching the precise
     object from wherever it lives (the sensor itself, a remote archive,
     tertiary storage).  A source wraps the resolution function with
-    latency simulation, optional transient-failure injection, and an
-    optional {!Fault_plan} (scripted transient and permanent failures)
-    so that examples and benchmarks can model realistic
-    remote stores; the QaQ operator itself only sees the {!Probe_driver}
+    latency simulation and an optional {!Fault_plan} (seeded transient
+    and permanent failures, the only failure model) so that examples
+    and benchmarks can model realistic remote stores; the QaQ operator itself only sees the {!Probe_driver}
     capability.
 
     The source resolves natively in batches: {!probe_batch_outcomes}
@@ -31,7 +30,6 @@ val create :
   ?obs:Obs.t ->
   ?tier:string ->
   ?latency:latency ->
-  ?failure_rate:float ->
   ?max_retries:int ->
   ?rng:Rng.t ->
   ?faults:Fault_plan.spec ->
@@ -40,19 +38,19 @@ val create :
 (** [create resolve] builds a source around the resolution function, which
     must return an object of laxity 0 (the precise version).
 
-    [latency] defaults to [Instant].  [failure_rate] (default 0) is the
-    probability that one attempt fails transiently and is retried, up to
-    [max_retries] (default 10) extra attempts; each attempt pays the
-    latency.  [rng] is required if either latency jitter or failures are
-    used.
+    [latency] defaults to [Instant]; each attempt pays it.  [rng]
+    draws [Jittered] latencies and is required for them; nothing else
+    reads it.
 
     [faults] (default {!Fault_plan.none}) attaches a fault injector at
-    site ["probe_source"]: injected transient failures compose with
-    [failure_rate] (either one fails the attempt), injected {e permanent}
-    elements fail every attempt and settle as {!Probe_driver.Failed}
-    after the retry budget.  The injector draws from its own seeded stream, so a
-    null plan — or the same source without one — behaves bit-for-bit
-    identically.
+    site ["probe_source"], the source's only failure model: an attempt
+    that a transient failure strikes is retried, up to [max_retries]
+    (default 10) extra attempts, and a {e permanent} element fails
+    every attempt and settles as {!Probe_driver.Failed} after the retry
+    budget.  The injector draws from its own seeded stream, so a null
+    plan — or the same source without one — behaves bit-for-bit
+    identically, and the jitter stream never shifts with the failure
+    draws.
 
     [obs] registers the counters [probe_source.attempts] and
     [probe_source.resolved] (mirroring {!stats}) and the histogram
@@ -61,16 +59,15 @@ val create :
 
     [tier] labels the source as one tier of a probe cascade: every
     source metric is prefixed [probe_source.<tier>.*] instead of
-    [probe_source.*], retries (after a failure, injected or simulated)
-    count into [qaq.probe.tier.<tier>.retried], and the fault-injector site
+    [probe_source.*], retries (after an injected failure) count into [qaq.probe.tier.<tier>.retried], and the fault-injector site
     becomes ["probe_source.<tier>"] (each tier draws an independent
     fault stream).  Without it, two tiers sharing an obs registry would
     lump their stats onto the same names and a degraded cascade could
     not be attributed in an SLO window.
 
-    @raise Invalid_argument on a failure rate outside [0, 1), a
-    negative retry count, or a [Constant] latency, [Jittered] [base] or
-    [jitter] that is negative or not finite. *)
+    @raise Invalid_argument on a negative retry count, a [Jittered]
+    latency without [rng], or a [Constant] latency, [Jittered] [base]
+    or [jitter] that is negative or not finite. *)
 
 val probe_batch_outcomes :
   'o t -> 'o array -> 'o Probe_driver.outcome array

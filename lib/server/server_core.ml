@@ -466,7 +466,13 @@ let handle_run srv out =
               ~requirements:q.requirements srv.source)
         queued
     in
-    let results = Engine.execute_many ?domains:srv.cfg.c_domains runs in
+    let results =
+      Domain_pool.run
+        ~lanes:
+          (Option.value srv.cfg.c_domains
+             ~default:(Domain.recommended_domain_count ()))
+        runs
+    in
     let tenant_after = Probe_broker.tenant_stats srv.broker in
     let deltas = ref (rejection_deltas tenant_before tenant_after) in
     Array.iteri

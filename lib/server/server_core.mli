@@ -93,15 +93,28 @@ type config = {
           round answers at dispatch and no thread is started. *)
   c_admission : admission;
   c_domains : int option;
-      (** lanes for RUN (default: one per core; a RUN never takes more
-          lanes than cores, see {!Engine.execute_many}).  Without a
+      (** lanes for RUN (default: one per core): a RUN's queries are the
+          tasks of one {!Domain_pool.run}, which never takes more lanes
+          than cores.  Without a
           breaker a lane runs its next query while its query waits on
           the backend latency ({!Domain_pool.blocking}), so one lane can
           have several queries in flight, and the broker lets every
           query in flight keep a backend round of its own
           ({!Probe_broker.create}'s [rounds] is {!Engine.default_lanes},
           whatever the lane count).  With a breaker a lane runs one
-          query at a time and the broker one round at a time. *)
+          query at a time and the broker one round at a time.
+
+          A query's [RESULT] does not depend on the lane count or on
+          how queries interleave when each query owns its [rng] and its
+          {!Probe_broker.cascade_client}, built before the batch runs,
+          and the backends' answers do not depend on timing (a pure
+          resolver; faults keyed by object, {!Fault_plan.permanent}).
+          Two settings break the last condition.  With a quota, which
+          tenant pays for a shared object depends on the schedule (see
+          [quota=N] above).  With [c_tiers] and a positive
+          [c_freshness], an oracle's cached point also answers a later
+          proxy request, so which query reaches an object first moves
+          a query's probes, batches and cost. *)
   c_fault_rate : float;
       (** probability a backend probe fails permanently; 0 disables
           injection.  A fault is decided per object and tier, from

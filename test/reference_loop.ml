@@ -5,9 +5,12 @@
    probes of items to the unwrapped backend.  The only edits are module
    paths, [Cascade.premap] rebuilt from the public [Cascade.create]
    (the original shared [start] and the failover counts with the
-   unmapped cascade; nothing here reads either), and the verdicts the
-   probe events carry ([Trace.Probe_resolved], [Trace.Probe_shrunk]).  The equivalence
-   properties run the library's loop against this one, bit for bit. *)
+   unmapped cascade; nothing here reads either), the verdicts the
+   probe events carry ([Trace.Probe_resolved], [Trace.Probe_shrunk]),
+   and a dropped [Cascade.note_failover] call (the cascade no longer
+   counts failovers; [note_tier_failover] below still does).  The
+   equivalence properties run the library's loop against this one, bit
+   for bit. *)
 
 module Operator_ref = struct
   type 'o instance = 'o Operator.instance = {
@@ -344,7 +347,6 @@ module Operator_ref = struct
               (* Cheap tier down: escalate straight to the next
                  tier — the answer only degrades when the oracle
                  itself fails. *)
-              Cascade.note_failover cascade i;
               note_tier_failover i;
               submit_tier (i + 1) ~verdict ~laxity ~preference o complete
             end

@@ -147,13 +147,15 @@ let test_concurrent_dedup () =
   checkb "dedup actually happened" true
     (s.Probe_broker.coalesced + s.Probe_broker.fresh_hits > 0)
 
-(* execute_many results are independent of scheduling: the same queries
-   on one domain, on several, and in reversed submission order all equal
-   their solo runs and meet their requirements, and the shared broker
-   charges strictly fewer backend probes than the solo runs paid in
-   total.  Two inputs: four clients on a small workload, and the server
-   scenario's eight clients on the standard workload at B = 8 over 1, 2,
-   4 and 8 domains. *)
+(* A batch of queries run as the tasks of one [Domain_pool.run], as a
+   server's RUN runs them, is independent of scheduling (the test keeps
+   the name of the [Engine.execute_many] wrapper that call replaced):
+   the same queries on one domain, on several, and in reversed
+   submission order all equal their solo runs and meet their
+   requirements, and the shared broker charges strictly fewer backend
+   probes than the solo runs paid in total.  Two inputs: four clients on
+   a small workload, and the server scenario's eight clients on the
+   standard workload at B = 8 over 1, 2, 4 and 8 domains. *)
 let test_execute_many_deterministic () =
   let check ~label ~data ~requirements ~batch ~seeds ~domains_list =
     let n = Array.length seeds in
@@ -187,7 +189,7 @@ let test_execute_many_deterministic () =
                 (Scan_pipeline.rows ~instance:Synthetic.instance data))
           order
       in
-      let results = Engine.execute_many ~domains runs in
+      let results = Domain_pool.run ~lanes:domains runs in
       let tag what = Printf.sprintf "%s, domains=%d: %s" label domains what in
       let charged = (Probe_broker.stats broker).Probe_broker.charged in
       checkb

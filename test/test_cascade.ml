@@ -21,6 +21,10 @@ let dead_proxy_cascade ?obs ~(specs : Probe_tier.spec array) sources =
          Probe_source.driver ?obs ~batch_size:spec.batch src)
        specs sources)
 
+(* [tier_count obs key name]: the [key name] counter in [obs]'s
+   registry, one of the run's [qaq.probe.tier.<name>.*] tallies. *)
+let tier_count obs key name = Metrics.count_of (Obs.snapshot obs) (key name)
+
 let specs2 ?(power = 0.8) ?(proxy_cp = 0.1) ?(proxy_cb = 1.0)
     ?(proxy_batch = 32) () =
   [|
@@ -455,29 +459,35 @@ let escalation_run ~power =
      force entry at tier 0 — the invariant under test is the operator's
      escalation accounting, not the start-tier selection. *)
   let cascade = synthetic_cascade ~start:0 ~specs:(specs2 ~power ()) () in
+  let obs = Obs.create () in
   let result =
-    Engine.run ~rng:(Rng.create 22) ~max_laxity:100.0
+    Engine.run ~rng:(Rng.create 22) ~max_laxity:100.0 ~obs
       ~instance:Synthetic.instance ~cascade ~requirements
       (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
-  (result, Cascade.stats cascade)
+  (result, tier_count obs)
 
 let test_escalation_accounting () =
-  let result, stats = escalation_run ~power:1.0 in
-  checkb "full-power proxy did work" true (stats.(0).Cascade.st_shrinks > 0);
-  checki "full-power proxy starves the oracle" 0 stats.(1).Cascade.st_probes;
+  let result, count = escalation_run ~power:1.0 in
+  checkb "full-power proxy did work" true
+    (count Obs.Keys.tier_shrinks "proxy" > 0);
+  checki "full-power proxy starves the oracle" 0
+    (count Obs.Keys.tier_probes "oracle");
   checkb "requirements still met" true
     (Quality.meets result.Engine.report.Operator.guarantees requirements);
-  let result0, stats0 = escalation_run ~power:0.0 in
-  checkb "powerless proxy did work" true (stats0.(0).Cascade.st_shrinks > 0);
+  let result0, count0 = escalation_run ~power:0.0 in
+  checkb "powerless proxy did work" true
+    (count0 Obs.Keys.tier_shrinks "proxy" > 0);
   checki "every probed object escalates to the oracle"
-    stats0.(0).Cascade.st_shrinks stats0.(1).Cascade.st_probes;
+    (count0 Obs.Keys.tier_shrinks "proxy")
+    (count0 Obs.Keys.tier_probes "oracle");
   checkb "requirements still met at power 0" true
     (Quality.meets result0.Engine.report.Operator.guarantees requirements)
 
 (* A dead proxy must not take the answer down: every proxy probe fails
    over to the oracle, the run completes undegraded and the failovers
-   are counted per tier. *)
+   are counted per tier.  With no retries, each proxy attempt the source
+   saw is one failed probe. *)
 let test_proxy_outage_fails_over () =
   let data =
     Synthetic.generate (Rng.create 31) (Synthetic.config ~total:500 ())
@@ -490,18 +500,21 @@ let test_proxy_outage_fails_over () =
   in
   let oracle = Probe_source.create ~tier:"oracle" Synthetic.probe in
   let cascade = dead_proxy_cascade ~specs [| proxy; oracle |] in
+  let obs = Obs.create () in
   let result =
-    Engine.run ~rng:(Rng.create 33) ~max_laxity:100.0
+    Engine.run ~rng:(Rng.create 33) ~max_laxity:100.0 ~obs
       ~instance:Synthetic.instance ~cascade ~requirements
       (Scan_pipeline.rows ~instance:Synthetic.instance data)
   in
-  let stats = Cascade.stats cascade in
-  checkb "the proxy was down" true (stats.(0).Cascade.st_failures > 0);
-  checki "no proxy answer got through" 0 stats.(0).Cascade.st_shrinks;
-  checki "every proxy failure failed over" stats.(0).Cascade.st_failures
-    stats.(0).Cascade.st_failovers;
-  checki "the oracle absorbed the full load" stats.(0).Cascade.st_failures
-    stats.(1).Cascade.st_probes;
+  let count = tier_count obs in
+  let failures = (Probe_source.stats proxy).Probe_source.attempts in
+  checkb "the proxy was down" true (failures > 0);
+  checki "no proxy answer got through" 0
+    (count Obs.Keys.tier_probes "proxy");
+  checki "every proxy failure failed over" failures
+    (count Obs.Keys.tier_failovers "proxy");
+  checki "the oracle absorbed the full load" failures
+    (count Obs.Keys.tier_probes "oracle");
   checkb "the answer is not degraded" true
     (result.Engine.degradation.Engine.failed_probes = 0);
   checkb "requirements met through the outage" true

@@ -14,7 +14,6 @@ type outcome = {
   report : Interval_data.record Operator.report;
   emitted : (Interval_data.record * bool) list;
   counts : Cost_meter.counts;
-  tiers : (string * int * int * int * int) list;
   snapshot : Metrics.snapshot;
   events : Trace.event list;
 }
@@ -183,12 +182,6 @@ let observe c go =
     report;
     emitted = List.rev !emitted;
     counts = Cost_meter.counts meter;
-    tiers =
-      Array.to_list
-        (Array.map
-           (fun (s : Cascade.stats) ->
-             (s.st_name, s.st_probes, s.st_shrinks, s.st_failures, s.st_batches))
-           (Cascade.stats cascade));
     snapshot = Obs.snapshot obs;
     events = events ();
   }

@@ -47,7 +47,8 @@ let test_sibling_survival () =
       (Synthetic.config ~total:32 ~f_y:0.0 ~f_m:1.0 ())
   in
   let source =
-    Probe_source.create ~failure_rate:0.5 ~max_retries:0 ~rng:(Rng.create 42)
+    Probe_source.create ~max_retries:0
+      ~faults:(Fault_plan.make ~seed:42 ~transient_rate:0.5 ())
       Synthetic.probe
   in
   let outcomes = Probe_source.probe_batch_outcomes source data in

@@ -428,11 +428,6 @@ let test_engine_reconciles () =
           (match Cost_meter.reconcile snapshot result.Engine.counts with
           | Ok () -> ()
           | Error msg -> Alcotest.fail (tag msg));
-          (* The driver's own counters agree with the operator's view. *)
-          checki (tag "driver probes") result.Engine.counts.probes
-            (Metrics.count_of snapshot "probe_driver.probes");
-          checki (tag "driver batches") result.Engine.counts.batches
-            (Metrics.count_of snapshot "probe_driver.batches");
           (* Reconcile is not vacuous: perturb one count and it must fail. *)
           let skewed =
             { result.Engine.counts with reads = result.Engine.counts.reads + 1 }
@@ -442,6 +437,81 @@ let test_engine_reconciles () =
           | Error _ -> ())
         configs)
     inputs
+
+(* The per-tier tallies against ground truth: a proxy and an oracle
+   backend count every outcome they hand back (and every batch), and a
+   run's [qaq.probe.tier.*] counters and [qaq.fault.degraded] must equal
+   those counts.  Both backends fail some objects for good, so
+   failovers and degradations occur; the proxy starts every probe. *)
+let test_tier_tallies_match_backends () =
+  let data =
+    Synthetic.generate (Rng.create 51) (Synthetic.config ~total:2000 ())
+  in
+  let specs =
+    [|
+      { Probe_tier.name = "proxy"; kind = Probe_tier.Shrink { power = 0.7 };
+        c_p = 0.1; c_b = 1.0; batch = 16 };
+      { Probe_tier.name = "oracle"; kind = Probe_tier.Resolve; c_p = 1.0;
+        c_b = 5.0; batch = 4 };
+    |]
+  in
+  let backend ~fails answer =
+    let batches = ref 0 and answered = ref 0 and failed = ref 0 in
+    let resolve objs =
+      incr batches;
+      Array.map
+        (fun (o : Synthetic.obj) ->
+          if fails o.Synthetic.id then begin
+            incr failed;
+            Probe_driver.Failed { attempts = 1 }
+          end
+          else begin
+            incr answered;
+            answer o
+          end)
+        objs
+    in
+    (resolve, batches, answered, failed)
+  in
+  let proxy, proxy_batches, shrunk, proxy_failed =
+    backend
+      ~fails:(fun id -> id mod 7 = 0)
+      (fun o -> Probe_driver.Shrunk (Synthetic.shrink ~power:0.7 o))
+  in
+  let oracle, oracle_batches, resolved, oracle_failed =
+    backend
+      ~fails:(fun id -> id mod 11 = 0)
+      (fun o -> Probe_driver.Resolved (Synthetic.probe o))
+  in
+  let cascade =
+    Cascade.create ~start:0 ~specs
+      [|
+        Probe_driver.create_outcomes ~batch_size:16 proxy;
+        Probe_driver.create_outcomes ~batch_size:4 oracle;
+      |]
+  in
+  let obs = Obs.create () in
+  ignore
+    (Engine.run ~rng:(Rng.create 52) ~max_laxity:100.0 ~domains:1 ~obs
+       ~instance:Synthetic.instance ~cascade ~requirements
+       (Scan_pipeline.rows ~instance:Synthetic.instance data));
+  let count = Metrics.count_of (Obs.snapshot obs) in
+  List.iter
+    (fun (what, expected, key) ->
+      checkb (what ^ " happened") true (!expected > 0);
+      checki key !expected (count key))
+    [
+      ("proxy batches", proxy_batches, Obs.Keys.tier_batches "proxy");
+      ("proxy shrinks", shrunk, Obs.Keys.tier_probes "proxy");
+      ("proxy shrinks", shrunk, Obs.Keys.tier_shrinks "proxy");
+      ("proxy failures", proxy_failed, Obs.Keys.tier_failovers "proxy");
+      ("oracle batches", oracle_batches, Obs.Keys.tier_batches "oracle");
+      ("oracle resolutions", resolved, Obs.Keys.tier_probes "oracle");
+      ("oracle failures", oracle_failed, Obs.Keys.fault_degraded);
+    ];
+  checki "the oracle never shrinks" 0 (count (Obs.Keys.tier_shrinks "oracle"));
+  checki "the oracle never fails over" 0
+    (count (Obs.Keys.tier_failovers "oracle"))
 
 (* The operator's counters reach the registry once per run.  Four
    engine runs through a two-tier cascade with faults (so probes,
@@ -474,7 +544,7 @@ let test_concurrent_runs_sum_exactly () =
       Fault_plan.make ~seed:(70 + i) ~transient_rate:0.05
         ~permanent_rate:0.05 ()
     in
-    let cascade, _ =
+    let cascade, sources =
       Tiered.of_functions ~faults ~max_retries:1 ~specs
         ~narrow:Interval_data.shrink ~resolve:Interval_data.probe ()
     in
@@ -483,15 +553,15 @@ let test_concurrent_runs_sum_exactly () =
         ~obs ~instance:(Interval_data.instance pred) ~cascade ~requirements
         (Scan_pipeline.rows ~instance:(Interval_data.instance pred) data)
     in
-    (result, Cascade.stats cascade)
+    (result, sources)
   in
   let shared = Obs.create () in
-  let stats = Array.make runs [||] in
+  let sources = Array.make runs [||] in
   let results =
-    Engine.execute_many ~domains:2
+    Domain_pool.run ~lanes:2
       (Array.init runs (fun i () ->
-           let result, st = run shared i in
-           stats.(i) <- st;
+           let result, src = run shared i in
+           sources.(i) <- src;
            result))
   in
   let privates =
@@ -537,13 +607,20 @@ let test_concurrent_runs_sum_exactly () =
           Obs.Keys.tier_shrinks name;
           Obs.Keys.tier_failovers name;
         ];
-      let stat f = Array.fold_left (fun acc st -> acc + f st.(t)) 0 stats in
-      checki (name ^ " shrinks = the drivers' count")
-        (stat (fun st -> st.Cascade.st_shrinks))
-        (Metrics.count_of snap (Obs.Keys.tier_shrinks name));
-      checki (name ^ " failovers = the cascades' count")
-        (stat (fun st -> st.Cascade.st_failovers))
-        (Metrics.count_of snap (Obs.Keys.tier_failovers name)))
+      (* A tier's probes are the elements its sources resolved; a
+         proxy source's resolutions all come back Shrunk. *)
+      let resolutions =
+        Array.fold_left
+          (fun acc src -> acc + (Probe_source.stats src.(t)).Probe_source.probes)
+          0 sources
+      in
+      checki (name ^ " probes = the sources' resolutions") resolutions
+        (Metrics.count_of snap (Obs.Keys.tier_probes name));
+      checki (name ^ " shrinks = the proxy sources' resolutions")
+        (match spec.Probe_tier.kind with
+        | Probe_tier.Shrink _ -> resolutions
+        | Probe_tier.Resolve -> 0)
+        (Metrics.count_of snap (Obs.Keys.tier_shrinks name)))
     specs;
   checkb "probes happened at both tiers" true
     (Array.for_all
@@ -649,6 +726,8 @@ let suite =
      test_span_wall_clock_covers_pool_busy);
     ("operator reconciles with meter", `Quick, test_operator_reconciles);
     ("engine reconciles across configs", `Quick, test_engine_reconciles);
+    ("per-tier tallies match the backends", `Quick,
+     test_tier_tallies_match_backends);
     ("concurrent runs sum exactly", `Quick, test_concurrent_runs_sum_exactly);
     ("a raising run still publishes", `Quick, test_raising_run_publishes);
     ("observability does not perturb the run", `Quick, test_obs_does_not_perturb);

@@ -57,7 +57,8 @@ let test_probe_failure_degrades () =
     Synthetic.generate rng (Synthetic.config ~total:500 ~f_y:0.0 ~f_m:1.0 ())
   in
   let source =
-    Probe_source.create ~failure_rate:0.9 ~max_retries:0 ~rng:(Rng.create 11)
+    Probe_source.create ~max_retries:0
+      ~faults:(Fault_plan.make ~seed:11 ~transient_rate:0.9 ())
       Synthetic.probe
   in
   let meter = Cost_meter.create () in

@@ -55,7 +55,7 @@ let test_traced_identical_to_untraced () =
   let ctx = { Trace.query = Some trace_id; tenant = Some "golden" } in
   let obs_q = Obs.with_context obs ctx in
   let traced =
-    (Engine.execute_many ~domains:1
+    (Domain_pool.run ~lanes:1
        [|
          (fun () ->
            Engine.run ~rng:(Rng.create 607) ~max_laxity:100.0 ~domains:1
